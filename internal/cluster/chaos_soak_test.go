@@ -255,11 +255,15 @@ func runClusterSchedule(seed int64, chaosOn bool, reg *obs.Registry, tracer *obs
 			RespawnAfter: 8 * time.Millisecond,
 			// The zero-loss failure model: at most R-1=1 shard outside
 			// the ring at any instant. The settle gate keeps a respawned
-			// victim's budget held until the router has actually
-			// readmitted it (anti-entropy complete), so a second fault
-			// can never overlap the sync window.
-			MaxDown:    1,
-			SettleFunc: rt.InRing,
+			// victim's budget held until the router has seen its new
+			// incarnation (a readmit after a failover, or an adoption)
+			// and readmitted it (anti-entropy complete), so a second
+			// fault can never overlap the sync window and the schedule
+			// cannot end before the router noticed its last kill.
+			MaxDown: 1,
+			SettleFunc: func(s int) bool {
+				return rt.Epoch(s) == cl.Epoch(s) && rt.InRing(s)
+			},
 		})
 	}
 
@@ -340,8 +344,8 @@ func runClusterSchedule(seed int64, chaosOn bool, reg *obs.Registry, tracer *obs
 // runSweep drives n schedules under the per-schedule deadlock watchdog
 // and returns aggregate tallies.
 func runSweep(t *testing.T, n int, chaosOn bool, reg *obs.Registry, tracer *obs.Tracer) (agg struct {
-	okOps, errOps, hits, failovers, readmits, stale, retries, kills, hangs int64
-	demotions, repairs, hints, fallbacks, drained                          int64
+	okOps, errOps, hits, failovers, adoptions, readmits, stale, retries, kills, hangs int64
+	demotions, repairs, hints, fallbacks, drained                                     int64
 }) {
 	t.Helper()
 	for seed := int64(1); seed <= int64(n); seed++ {
@@ -368,8 +372,12 @@ func runSweep(t *testing.T, n int, chaosOn bool, reg *obs.Registry, tracer *obs.
 		if res.okOps == 0 {
 			t.Errorf("seed %d: no operation ever succeeded", seed)
 		}
-		if chaosOn && res.chaos["kills"] >= 1 && res.router["failovers"] < 1 {
-			t.Errorf("seed %d: %d kills but no failover (counters %v)", seed, res.chaos["kills"], res.router)
+		// Every kill is detected: the settle gate holds the schedule open
+		// until the router has seen each respawn, either by fencing the
+		// dead incarnation first (a failover) or, when the respawn beat
+		// the fence, by adopting the new one.
+		if chaosOn && res.chaos["kills"] >= 1 && res.router["failovers"]+res.router["adoptions"] < 1 {
+			t.Errorf("seed %d: %d kills but no failover or adoption (counters %v)", seed, res.chaos["kills"], res.router)
 		}
 		if t.Failed() {
 			t.FailNow() // one schedule's diagnosis is enough; stop the sweep
@@ -378,6 +386,7 @@ func runSweep(t *testing.T, n int, chaosOn bool, reg *obs.Registry, tracer *obs.
 		agg.errOps += res.errOps
 		agg.hits += res.hits
 		agg.failovers += res.router["failovers"]
+		agg.adoptions += res.router["adoptions"]
 		agg.readmits += res.router["readmits"]
 		agg.stale += res.router["stale_rejects"]
 		agg.retries += res.router["retries"]
@@ -432,8 +441,8 @@ func TestClusterChaosSoak(t *testing.T) {
 	if ev := tracer.Counts()["failover"]; ev != agg.failovers {
 		t.Errorf("tracer saw %d failover events, counters saw %d", ev, agg.failovers)
 	}
-	t.Logf("%d schedules: ops ok=%d err=%d hits=%d | kills=%d hangs=%d failovers=%d readmits=%d stale_rejects=%d retries=%d | hints=%d drained=%d fallbacks=%d repairs=%d",
-		n, agg.okOps, agg.errOps, agg.hits, agg.kills, agg.hangs, agg.failovers, agg.readmits, agg.stale, agg.retries,
+	t.Logf("%d schedules: ops ok=%d err=%d hits=%d | kills=%d hangs=%d failovers=%d adoptions=%d readmits=%d stale_rejects=%d retries=%d | hints=%d drained=%d fallbacks=%d repairs=%d",
+		n, agg.okOps, agg.errOps, agg.hits, agg.kills, agg.hangs, agg.failovers, agg.adoptions, agg.readmits, agg.stale, agg.retries,
 		agg.hints, agg.drained, agg.fallbacks, agg.repairs)
 }
 

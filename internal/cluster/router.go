@@ -199,6 +199,7 @@ type Router struct {
 	routeErrors   atomic.Int64
 	staleRejects  atomic.Int64
 	failovers     atomic.Int64
+	adoptions     atomic.Int64
 	readmits      atomic.Int64
 	probes        atomic.Int64
 	probeFailures atomic.Int64
@@ -393,6 +394,7 @@ func (r *Router) Instrument(reg *obs.Registry, tracer *obs.Tracer) {
 	reg.Gauge("cluster.route_errors", r.routeErrors.Load)
 	reg.Gauge("cluster.stale_rejects", r.staleRejects.Load)
 	reg.Gauge("cluster.failovers", r.failovers.Load)
+	reg.Gauge("cluster.adoptions", r.adoptions.Load)
 	reg.Gauge("cluster.readmits", r.readmits.Load)
 	reg.Gauge("cluster.probes", r.probes.Load)
 	reg.Gauge("cluster.probe_failures", r.probeFailures.Load)
@@ -440,6 +442,7 @@ func (r *Router) namedCounters() []obs.NamedCounter {
 		{Name: "route_errors", Load: r.routeErrors.Load},
 		{Name: "stale_rejects", Load: r.staleRejects.Load},
 		{Name: "failovers", Load: r.failovers.Load},
+		{Name: "adoptions", Load: r.adoptions.Load},
 		{Name: "readmits", Load: r.readmits.Load},
 		{Name: "probes", Load: r.probes.Load},
 		{Name: "probe_failures", Load: r.probeFailures.Load},
@@ -512,6 +515,17 @@ func (r *Router) InRing(shard int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.ring.up[shard]
+}
+
+// Epoch reports the shard incarnation the router currently routes to. It
+// catches up with the directory's epoch only once a probe has seen the
+// replacement (a readmit after a failover, or an adoption), so a caller
+// can wait until the router has noticed a respawn; InRing alone stays true
+// for a dead shard the probes have not caught yet.
+func (r *Router) Epoch(shard int) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.shards[shard].epoch
 }
 
 // routeSet resolves a key's full replica set (primary first) plus the
@@ -758,6 +772,7 @@ func (r *Router) probeOnce(i int, conn **memcached.Client, connAddr *string) {
 			// in-ring member would serve false authoritative misses), at
 			// R=1 cold costs misses, never wrong answers.
 			st.addr, st.epoch = addr, epoch
+			r.adoptions.Add(1)
 			if r.cfg.Replication > 1 {
 				r.ring.setUp(i, false)
 				st.syncPending = syncAdopt

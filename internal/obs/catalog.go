@@ -48,7 +48,7 @@ var Catalog = []MetricDef{
 
 	// prt latency histograms (count/sum/max exported as name.count etc).
 	{Name: "prt.chunk_exec_us", Type: "histogram", Unit: "us", Subsystem: "prt", Help: "wall time of one chunk execution, spawn accept to Done publish"},
-	{Name: "prt.wait_block_us", Type: "histogram", Unit: "us", Subsystem: "prt", Help: "wall time a worker spent blocked in waitTag/join before the tag arrived"},
+	{Name: "prt.wait_block_us", Type: "histogram", Unit: "us", Subsystem: "prt", Help: "wall time a worker spent blocked in Wait before its tag arrived"},
 
 	// interp effect transactions and boundary defense.
 	{Name: "interp.effect_commits", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "effect-transaction overlays committed to backing memory"},
@@ -93,6 +93,7 @@ var Catalog = []MetricDef{
 	{Name: "cluster.stale_rejects", Type: "gauge", Unit: "1", Subsystem: "cluster", Help: "gets whose stored ownership generation predates the owner's tenure, served as misses"},
 	{Name: "cluster.failovers", Type: "gauge", Unit: "1", Subsystem: "cluster", Help: "shards declared dead: epoch fenced, key ranges re-routed to survivors"},
 	{Name: "cluster.readmits", Type: "gauge", Unit: "1", Subsystem: "cluster", Help: "respawned shards readmitted to the ring at a fresh epoch"},
+	{Name: "cluster.adoptions", Type: "gauge", Unit: "1", Subsystem: "cluster", Help: "replaced shards whose new incarnation a probe adopted before the fence tripped: detected without a failover"},
 	{Name: "cluster.probes", Type: "gauge", Unit: "1", Subsystem: "cluster", Help: "health probes sent (version command, outside admission control)"},
 	{Name: "cluster.probe_failures", Type: "gauge", Unit: "1", Subsystem: "cluster", Help: "health probes that errored or timed out"},
 	{Name: "cluster.shards_up", Type: "gauge", Unit: "items", Subsystem: "cluster", Help: "shards currently in the ring"},

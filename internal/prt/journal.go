@@ -54,7 +54,7 @@ type spawnKey struct {
 }
 
 // spawnRec is the redo-log entry of one spawn: everything needed to
-// replay it, plus the cont replay caches. Fields are guarded by mu — the
+// replay it, plus the replay caches. Fields are guarded by mu — the
 // executing worker (cont caching) and the joiner (retry bookkeeping) can
 // race when a restart replays while a stale attempt still runs.
 type spawnRec struct {
@@ -66,25 +66,21 @@ type spawnRec struct {
 	needReply bool
 	attempts  int // replays performed so far
 
-	// contsIn caches conts consumed by the executing chunk in consumption
-	// order; inCursor is the current attempt's position in it. sentOut is
-	// how many conts earlier attempts delivered; outCursor counts the
-	// current attempt's sends (the first sentOut of them are suppressed).
-	contsIn   []Message
-	inCursor  int
-	sentOut   int
-	outCursor int
-
-	// The same discipline for the chunk's own nested protocol: donesIn
-	// caches completions the chunk consumed (a replay re-joins them from
-	// the cache — the nested chunk will not complete again), and
-	// spawnsSent/spawnCursor suppress re-issuing nested spawns a previous
-	// attempt already sent (a fresh copy would execute the nested chunk a
-	// second time).
-	donesIn      []Message
-	doneInCursor int
-	spawnsSent   int
-	spawnCursor  int
+	// contsIn, donesIn and allocsIn cache what the executing chunk
+	// consumed — conts, the completions of its own nested spawns (the
+	// nested chunk will not complete again), and the results of
+	// allocation service calls (§7.2; the allocator's bump cursor is
+	// runtime state outside the effect transaction, and peers may already
+	// have committed writes through pointers derived from them). A replay
+	// re-consumes them from the cache. contsOut and spawnsOut suppress
+	// re-sending the conts and nested spawns a previous attempt already
+	// sent (the peer consumed them; a fresh copy would be matched against
+	// a later wait or execute the nested chunk a second time).
+	contsIn   replayLog[Message]
+	donesIn   replayLog[Message]
+	allocsIn  replayLog[uint64]
+	contsOut  suppressCounter
+	spawnsOut suppressCounter
 
 	// loadBuf/loadLens cache every mode-checked load the executing chunk
 	// performs (in program order, bytes concatenated arena-style so the
@@ -100,26 +96,54 @@ type spawnRec struct {
 	loadLens   []int32
 	loadCursor int
 	loadOff    int
+}
 
-	// allocsIn caches the results of allocation service calls (§7.2): the
-	// allocator's bump cursor is runtime state outside the effect
-	// transaction, so a replay must reuse the addresses the crashed
-	// attempt obtained — its peers may already have committed writes
-	// through pointers derived from them.
-	allocsIn    []uint64
-	allocCursor int
+// replayLog is one replay cache: the values earlier attempts consumed, in
+// consumption order, and the current attempt's position in them.
+type replayLog[T any] struct {
+	vals   []T
+	cursor int
+}
+
+// peek returns the value the current attempt consumes next, if cached.
+func (l *replayLog[T]) peek() (T, bool) {
+	if l.cursor < len(l.vals) {
+		return l.vals[l.cursor], true
+	}
+	var zero T
+	return zero, false
+}
+
+// record appends a live-consumed value once the attempt is past the
+// cache, and advances the cursor over it.
+func (l *replayLog[T]) record(v T) {
+	if l.cursor == len(l.vals) {
+		l.vals = append(l.vals, v)
+		l.cursor++
+	}
+}
+
+// suppressCounter counts an attempt's sends against the most any earlier
+// attempt made: the first sent of them were already delivered.
+type suppressCounter struct{ sent, cursor int }
+
+// suppress reports whether the current attempt's next send was already
+// delivered by a previous attempt.
+func (c *suppressCounter) suppress() bool {
+	c.cursor++
+	if c.cursor <= c.sent {
+		return true
+	}
+	c.sent = c.cursor
+	return false
 }
 
 // beginAttempt rewinds the replay cursors for a (re-)execution.
 func (r *spawnRec) beginAttempt() {
 	r.mu.Lock()
-	r.inCursor = 0
-	r.outCursor = 0
-	r.doneInCursor = 0
-	r.spawnCursor = 0
-	r.loadCursor = 0
-	r.loadOff = 0
-	r.allocCursor = 0
+	r.contsIn.cursor, r.donesIn.cursor, r.allocsIn.cursor = 0, 0, 0
+	r.contsOut.cursor, r.spawnsOut.cursor = 0, 0
+	r.loadCursor, r.loadOff = 0, 0
 	r.mu.Unlock()
 }
 
@@ -130,9 +154,8 @@ func (r *spawnRec) beginAttempt() {
 func (r *spawnRec) cachedCont(tag int) (Message, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.inCursor < len(r.contsIn) && r.contsIn[r.inCursor].Tag == tag {
-		msg := r.contsIn[r.inCursor]
-		r.inCursor++
+	if msg, ok := r.contsIn.peek(); ok && msg.Tag == tag {
+		r.contsIn.cursor++
 		return msg, true
 	}
 	return Message{}, false
@@ -141,10 +164,7 @@ func (r *spawnRec) cachedCont(tag int) (Message, bool) {
 // recordContIn appends a live-consumed cont to the cache.
 func (r *spawnRec) recordContIn(msg Message) {
 	r.mu.Lock()
-	if r.inCursor == len(r.contsIn) {
-		r.contsIn = append(r.contsIn, msg)
-		r.inCursor++
-	}
+	r.contsIn.record(msg)
 	r.mu.Unlock()
 }
 
@@ -153,12 +173,7 @@ func (r *spawnRec) recordContIn(msg Message) {
 func (r *spawnRec) suppressSend() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.outCursor++
-	if r.outCursor <= r.sentOut {
-		return true
-	}
-	r.sentOut = r.outCursor
-	return false
+	return r.contsOut.suppress()
 }
 
 // suppressSpawn reports whether the current attempt's next nested spawn
@@ -166,12 +181,7 @@ func (r *spawnRec) suppressSend() bool {
 func (r *spawnRec) suppressSpawn() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.spawnCursor++
-	if r.spawnCursor <= r.spawnsSent {
-		return true
-	}
-	r.spawnsSent = r.spawnCursor
-	return false
+	return r.spawnsOut.suppress()
 }
 
 // cachedDone serves the next completion of the replay cache, if any.
@@ -180,12 +190,18 @@ func (r *spawnRec) suppressSpawn() bool {
 func (r *spawnRec) cachedDone() (Message, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.doneInCursor < len(r.donesIn) {
-		msg := r.donesIn[r.doneInCursor]
-		r.doneInCursor++
-		return msg, true
+	msg, ok := r.donesIn.peek()
+	if ok {
+		r.donesIn.cursor++
 	}
-	return Message{}, false
+	return msg, ok
+}
+
+// recordDoneIn appends a live-consumed completion to the cache.
+func (r *spawnRec) recordDoneIn(msg Message) {
+	r.mu.Lock()
+	r.donesIn.record(msg)
+	r.mu.Unlock()
 }
 
 // journalLoad threads one mode-checked load through the replay cache:
@@ -215,29 +231,17 @@ func (r *spawnRec) journalLoad(buf []byte) {
 // the attempt the cache recorded.
 func (r *spawnRec) journalAlloc(alloc func() uint64) uint64 {
 	r.mu.Lock()
-	if r.allocCursor < len(r.allocsIn) {
-		ptr := r.allocsIn[r.allocCursor]
-		r.allocCursor++
+	if ptr, ok := r.allocsIn.peek(); ok {
+		r.allocsIn.cursor++
 		r.mu.Unlock()
 		return ptr
 	}
 	r.mu.Unlock()
 	ptr := alloc()
 	r.mu.Lock()
-	r.allocsIn = append(r.allocsIn, ptr)
-	r.allocCursor++
+	r.allocsIn.record(ptr)
 	r.mu.Unlock()
 	return ptr
-}
-
-// recordDoneIn appends a live-consumed completion to the cache.
-func (r *spawnRec) recordDoneIn(msg Message) {
-	r.mu.Lock()
-	if r.doneInCursor == len(r.donesIn) {
-		r.donesIn = append(r.donesIn, msg)
-		r.doneInCursor++
-	}
-	r.mu.Unlock()
 }
 
 // recordSpawn journals a spawn before it is sent. Recovery must be

@@ -1,23 +1,15 @@
 package prt
 
 import (
-	"fmt"
-	"os"
 	"time"
 
 	"privagic/internal/obs"
 )
 
 // trace records one structured runtime event. With no tracer armed the
-// Record call is a nil-receiver no-op (one branch); PRT_TRACE additionally
-// renders the event to stderr, preserving the old printf tracing as a
-// view over the structured stream.
+// Record call is a nil-receiver no-op (one branch).
 func (rt *Runtime) trace(kind obs.EventKind, worker, chunk, tag int, epoch uint64, arg int64) {
 	rt.Tracer.Record(kind, worker, chunk, tag, epoch, arg)
-	if traceEnabled {
-		fmt.Fprintf(os.Stderr, "prt: w%d %s chunk=%d tag=%d epoch=%d arg=%d\n",
-			worker, kind, chunk, tag, epoch, arg)
-	}
 }
 
 // traceOn is trace with an explicit shard: events recorded on one
@@ -25,10 +17,6 @@ func (rt *Runtime) trace(kind obs.EventKind, worker, chunk, tag int, epoch uint6
 // recording goroutine so the shard lock stays uncontended.
 func (rt *Runtime) traceOn(shard int, kind obs.EventKind, worker, chunk, tag int, epoch uint64, arg int64) {
 	rt.Tracer.RecordOn(shard, kind, worker, chunk, tag, epoch, arg)
-	if traceEnabled {
-		fmt.Fprintf(os.Stderr, "prt: w%d %s chunk=%d tag=%d epoch=%d arg=%d\n",
-			worker, kind, chunk, tag, epoch, arg)
-	}
 }
 
 // traceAt is trace with a clock value the caller already read — the spawn
@@ -36,10 +24,6 @@ func (rt *Runtime) traceOn(shard int, kind obs.EventKind, worker, chunk, tag int
 // instrumented chunk costs two clock samples, not four.
 func (rt *Runtime) traceAt(ts time.Time, kind obs.EventKind, worker, chunk, tag int, epoch uint64, arg int64) {
 	rt.Tracer.RecordAt(ts.UnixNano(), kind, worker, chunk, tag, epoch, arg)
-	if traceEnabled {
-		fmt.Fprintf(os.Stderr, "prt: w%d %s chunk=%d tag=%d epoch=%d arg=%d\n",
-			worker, kind, chunk, tag, epoch, arg)
-	}
 }
 
 // flightDump renders the tracer's last-N events (empty with no tracer) —

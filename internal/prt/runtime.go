@@ -28,7 +28,6 @@ package prt
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -39,12 +38,6 @@ import (
 	"privagic/internal/queue"
 	"privagic/internal/sgx"
 )
-
-// traceEnabled turns on stderr rendering of structured trace events via
-// the PRT_TRACE environment variable (debugging aid for generated-protocol
-// issues). The events themselves are recorded by Runtime.Tracer — see
-// internal/obs and OBSERVABILITY.md; PRT_TRACE is just a live text view.
-var traceEnabled = os.Getenv("PRT_TRACE") != ""
 
 // MsgKind discriminates runtime messages.
 type MsgKind int
@@ -269,8 +262,8 @@ type Worker struct {
 	Mode   sgx.Mode
 
 	q *queue.Queue[Message]
-	// pending buffers messages received while waiting for a different
-	// kind.
+	// pendingCont/pendingDone buffer conts and completions that arrived
+	// before anyone waited for them (see dispatch and await).
 	pendingCont []Message
 	pendingDone []Message
 	stopped     chan struct{}
@@ -500,45 +493,41 @@ func (w *Worker) epochNow() uint64 {
 }
 
 // loop is the top-level scheduler of an enclave worker: it executes spawn
-// messages forever (Figure 7's "wait()" at the top of each enclave column).
+// messages until stopped (Figure 7's "wait()" at the top of each enclave
+// column). Everything else is buffered for a later wait point: a cont
+// that overtakes the spawn of the chunk waiting for it is the ordinary
+// case, not an error.
 func (w *Worker) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer close(w.stopped)
-	for {
-		msg, ok := w.next(time.Time{})
-		if !ok {
-			return
+	for !w.stopping {
+		msg, _ := w.next(time.Time{})
+		if msg.Kind == MsgDone {
+			// A completion with no joiner: its spawner crashed before
+			// joining. It stays unhandled until the next blocking point
+			// (see await), where recovery can replay the crashed chunk.
+			w.pendingDone = append(w.pendingDone, msg)
+			continue
 		}
-		switch msg.Kind {
-		case msgStop:
-			return
-		case MsgSpawn:
-			w.runSpawn(msg)
-			if w.stopping {
-				// A stop was consumed by a nested wait inside the
-				// spawn; honor it now.
-				return
-			}
-		case MsgCont:
-			// A cont for a chunk that is not running. With correct
-			// generated code this cannot happen; after a chunk crashed
-			// mid-protocol its peers' leftover conts land here. Under
-			// recovery they must survive — the replayed chunk will wait
-			// for them — so they are buffered; otherwise dropping them
-			// keeps the worker alive for the next request.
-			if w.Thread.RT.Recovery.Enabled() && len(w.pendingCont) < reorderBufCap {
-				w.pendingCont = append(w.pendingCont, msg)
-			}
-			continue
-		case MsgDone:
-			// A completion with no joiner on this worker. After a chunk
-			// crashed between spawning nested work and joining it, the
-			// nested completions land here; under recovery the chunk's
-			// replay will join them, so they are buffered. Otherwise drop.
-			if w.Thread.RT.Recovery.Enabled() && len(w.pendingDone) < reorderBufCap {
-				w.pendingDone = append(w.pendingDone, msg)
-			}
-			continue
+		w.dispatch(msg)
+	}
+}
+
+// dispatch handles an admitted message its receiver is not waiting for: a
+// spawn runs, a stop marks the worker stopping, a cont is buffered for its
+// own wait point, and a completion gets recovery's first refusal before it
+// is buffered for the next join.
+func (w *Worker) dispatch(msg Message) {
+	switch msg.Kind {
+	case MsgSpawn:
+		w.runSpawn(msg)
+	case msgStop:
+		w.stopping = true
+	case MsgCont:
+		w.pendingCont = append(w.pendingCont, msg)
+	case MsgDone:
+		if !w.handleDone(msg) {
+			w.pendingDone = append(w.pendingDone, msg)
 		}
 	}
 }
@@ -909,41 +898,107 @@ func nextDeadline(window time.Duration) time.Time {
 // Under supervision (Runtime.Supervise.WaitTimeout > 0) a lost cont turns
 // into a *TimeoutError once no authentic message arrives for a full
 // window; a stop message turns into ErrStopped instead of a panic.
-func (w *Worker) Wait(tag int) (any, error) { return w.waitTag(tag, w.window()) }
+func (w *Worker) Wait(tag int) (any, error) { return w.WaitTimeout(tag, w.window()) }
 
 // WaitTimeout is Wait with an explicit inactivity window overriding the
 // configured supervision default.
-func (w *Worker) WaitTimeout(tag int, d time.Duration) (any, error) {
-	return w.waitTag(tag, d)
-}
-
-func (w *Worker) waitTag(tag int, window time.Duration) (any, error) {
+func (w *Worker) WaitTimeout(tag int, window time.Duration) (any, error) {
 	rt := w.Thread.RT
 	rt.trace(obs.EvWait, w.Index, 0, tag, w.epochNow(), 0)
 	w.prunePending()
 	// A replayed chunk re-consumes conts its crashed attempt already took;
 	// the peer will not send them again, so the journal cache serves them.
-	if rec := w.curRec; rec != nil {
+	rec := w.curRec
+	if rec != nil {
 		if msg, ok := rec.cachedCont(tag); ok {
 			rt.trace(obs.EvReplayCachedCont, w.Index, 0, tag, w.epochNow(), 0)
 			return msg.Payload, nil
 		}
 	}
-	for i, msg := range w.pendingCont {
-		if msg.Tag == tag {
-			w.pendingCont = append(w.pendingCont[:i], w.pendingCont[i+1:]...)
-			if rec := w.curRec; rec != nil {
-				rec.recordContIn(msg)
-			}
-			return msg.Payload, nil
+	msg, err := w.await("wait", MsgCont, tag, window)
+	if err != nil {
+		return nil, err
+	}
+	if rec != nil {
+		rec.recordContIn(msg)
+	}
+	return msg.Payload, nil
+}
+
+// JoinOne waits for a single spawn completion and returns the whole Done
+// message (the interface versions of §7.3.4 need the sender identity to
+// pick the chunk carrying the return color; a poisoned completion carries
+// its abort in Message.Err). Spawns arriving in the meantime are executed;
+// conts are buffered.
+func (w *Worker) JoinOne() (Message, error) { return w.JoinOneTimeout(w.window()) }
+
+// JoinOneTimeout is JoinOne with an explicit inactivity window.
+func (w *Worker) JoinOneTimeout(d time.Duration) (Message, error) {
+	return w.joinStep("join-one", 1, d)
+}
+
+// Join waits for n spawn completions and returns the payload of the last
+// non-nil one (the partitioner arranges for at most one meaningful result).
+// Spawn messages arriving in the meantime are executed. If a completion is
+// poisoned (the chunk aborted), Join keeps collecting the remaining
+// completions and then reports the first abort.
+func (w *Worker) Join(n int) (any, error) { return w.JoinTimeout(n, w.window()) }
+
+// JoinTimeout is Join with an explicit inactivity window.
+func (w *Worker) JoinTimeout(n int, d time.Duration) (any, error) {
+	w.Thread.RT.trace(obs.EvJoin, w.Index, 0, 0, w.epochNow(), int64(n))
+	var result any
+	var firstErr error
+	for ; n > 0; n-- {
+		msg, err := w.joinStep("join", n, d)
+		if err != nil {
+			return result, err
 		}
+		if msg.Err != nil && firstErr == nil {
+			firstErr = msg.Err
+		}
+		if msg.Payload != nil {
+			result = msg.Payload
+		}
+	}
+	return result, firstErr
+}
+
+// joinStep takes one completion for JoinOne or Join; pending is the
+// number still missing, for diagnostics.
+func (w *Worker) joinStep(op string, pending int, window time.Duration) (Message, error) {
+	w.prunePending()
+	// A replayed chunk re-joins completions its crashed attempt already
+	// consumed; the nested chunk will not complete again, so the journal
+	// cache serves them.
+	rec := w.curRec
+	if rec != nil {
+		if msg, ok := rec.cachedDone(); ok {
+			w.Thread.RT.trace(obs.EvReplayCachedDone, w.Index, msg.ChunkID, 0, w.epochNow(), 0)
+			return msg, nil
+		}
+	}
+	msg, err := w.await(op, MsgDone, pending, window)
+	if err == nil && rec != nil {
+		rec.recordDoneIn(msg)
+	}
+	return msg, err
+}
+
+// await is the one blocking receive loop behind Wait, JoinOne and Join:
+// it returns the first cont with the given tag (kind MsgCont) or the first
+// completion recovery does not swallow (kind MsgDone), from the buffers or
+// off the queue, and dispatches everything else. For joins, arg is the
+// number of completions still missing; it only feeds diagnostics.
+func (w *Worker) await(op string, kind MsgKind, arg int, window time.Duration) (Message, error) {
+	if msg, ok := w.take(kind, arg); ok {
+		return msg, nil
 	}
 	// Before blocking, give buffered completions their recovery pass: a
 	// poisoned Done parked by loop() while no joiner was active may belong
-	// to the very chunk whose replay is the only sender of this tag — the
-	// join-side retry in joinOne/joinN never runs if the protocol waits
-	// before it joins. handleDone swallows retried aborts; everything else
-	// stays buffered for the eventual join (commits are idempotent).
+	// to the very chunk whose replay is the only sender of the awaited
+	// message. handleDone swallows retried aborts; everything else stays
+	// buffered for the eventual join (commits are idempotent).
 	if len(w.pendingDone) > 0 {
 		kept := w.pendingDone[:0]
 		for _, msg := range w.pendingDone {
@@ -951,51 +1006,89 @@ func (w *Worker) waitTag(tag int, window time.Duration) (any, error) {
 				kept = append(kept, msg)
 			}
 		}
+		clear(w.pendingDone[len(kept):])
 		w.pendingDone = kept
 	}
+	rt := w.Thread.RT
 	start := time.Now()
-	w.publishBlock("wait", tag, start)
+	w.publishBlock(op, arg, start)
 	defer w.clearBlock()
 	for {
 		msg, ok := w.next(nextDeadline(window))
 		if !ok {
-			if w.Thread.RT.sysActiveWithin(window) {
+			if rt.sysActiveWithin(window) {
 				continue // the system is alive; only our queue is quiet
 			}
 			rt.stats.timeouts.Add(1)
-			err := &TimeoutError{Op: "wait", Worker: w.Index, Tag: tag, Elapsed: time.Since(start)}
-			rt.trace(obs.EvTimeout, w.Index, 0, tag, w.epochNow(), err.Elapsed.Microseconds())
+			err := &TimeoutError{Op: op, Worker: w.Index, Elapsed: time.Since(start)}
+			if kind == MsgCont {
+				err.Tag = arg
+			} else {
+				err.Pending = arg
+			}
+			rt.trace(obs.EvTimeout, w.Index, 0, err.Tag, w.epochNow(), err.Elapsed.Microseconds())
 			w.Thread.timeoutDiag(err)
-			return nil, err
+			return Message{}, err
 		}
-		switch msg.Kind {
-		case MsgCont:
-			if msg.Tag == tag {
-				if rec := w.curRec; rec != nil {
-					rec.recordContIn(msg)
+		switch {
+		case msg.Kind == MsgCont && kind == MsgCont && msg.Tag == arg:
+			if rt.hWaitUS != nil {
+				// Block duration from the admit stamp next() already
+				// took — no clock read on the satisfied-wait path.
+				if d := (w.admitNS - start.UnixNano()) / 1e3; d >= 0 {
+					rt.hWaitUS.Observe(d)
 				}
-				if rt.hWaitUS != nil {
-					// Block duration from the admit stamp next() already
-					// took — no clock read on the satisfied-wait path.
-					if d := (w.admitNS - start.UnixNano()) / 1e3; d >= 0 {
-						rt.hWaitUS.Observe(d)
-					}
+			}
+			return msg, nil
+		case msg.Kind == MsgDone && kind == MsgDone:
+			if !w.handleDone(msg) {
+				return msg, nil
+			}
+		default:
+			w.dispatch(msg)
+			if w.stopping {
+				return Message{}, ErrStopped
+			}
+			// A nested wait inside the spawn just run may have buffered
+			// the message this one is waiting for.
+			if msg.Kind == MsgSpawn {
+				if msg, ok := w.take(kind, arg); ok {
+					return msg, nil
 				}
-				return msg.Payload, nil
 			}
-			w.pendingCont = append(w.pendingCont, msg)
-		case MsgSpawn:
-			w.runSpawn(msg)
-		case MsgDone:
-			if w.handleDone(msg) {
-				continue
-			}
-			w.pendingDone = append(w.pendingDone, msg)
-		case msgStop:
-			w.stopping = true
-			return nil, ErrStopped
 		}
 	}
+}
+
+// take pops the awaited message from the worker's buffers: the oldest cont
+// with the given tag, or the oldest completion recovery does not swallow.
+// Pops shift the tail down so the buffers keep their capacity.
+func (w *Worker) take(kind MsgKind, tag int) (Message, bool) {
+	if kind == MsgCont {
+		for i, msg := range w.pendingCont {
+			if msg.Tag == tag {
+				w.pendingCont = popAt(w.pendingCont, i)
+				return msg, true
+			}
+		}
+		return Message{}, false
+	}
+	for len(w.pendingDone) > 0 {
+		msg := w.pendingDone[0]
+		w.pendingDone = popAt(w.pendingDone, 0)
+		if !w.handleDone(msg) {
+			return msg, true
+		}
+	}
+	return Message{}, false
+}
+
+// popAt removes buf[i] in place, clearing the vacated slot so the buffer
+// does not pin the payload.
+func popAt(buf []Message, i int) []Message {
+	n := copy(buf[i:], buf[i+1:])
+	buf[i+n] = Message{}
+	return buf[:i+n]
 }
 
 // handleDone gives the recovery layer first refusal on a consumed
@@ -1040,161 +1133,4 @@ func (t *Thread) timeoutDiag(te *TimeoutError) {
 	}
 	sort.Ints(te.PendingTags)
 	te.flight = t.RT.flightDump()
-}
-
-// JoinOne waits for a single spawn completion and returns the whole Done
-// message (the interface versions of §7.3.4 need the sender identity to
-// pick the chunk carrying the return color; a poisoned completion carries
-// its abort in Message.Err). Spawns arriving in the meantime are executed;
-// conts are buffered.
-func (w *Worker) JoinOne() (Message, error) { return w.joinOne(w.window()) }
-
-// JoinOneTimeout is JoinOne with an explicit inactivity window.
-func (w *Worker) JoinOneTimeout(d time.Duration) (Message, error) {
-	return w.joinOne(d)
-}
-
-func (w *Worker) joinOne(window time.Duration) (Message, error) {
-	w.prunePending()
-	// A replayed chunk re-joins completions its crashed attempt already
-	// consumed; the nested chunk will not complete again, so the journal
-	// cache serves them.
-	if rec := w.curRec; rec != nil {
-		if msg, ok := rec.cachedDone(); ok {
-			w.Thread.RT.trace(obs.EvReplayCachedDone, w.Index, msg.ChunkID, 0, w.epochNow(), 0)
-			return msg, nil
-		}
-	}
-	// Buffered completions may include poisoned ones parked by loop()
-	// that recovery has not seen yet, so pops go through handleDone too.
-	for len(w.pendingDone) > 0 {
-		msg := w.pendingDone[0]
-		w.pendingDone = w.pendingDone[1:]
-		if w.handleDone(msg) {
-			continue
-		}
-		if rec := w.curRec; rec != nil {
-			rec.recordDoneIn(msg)
-		}
-		return msg, nil
-	}
-	start := time.Now()
-	w.publishBlock("join-one", 0, start)
-	defer w.clearBlock()
-	for {
-		msg, ok := w.next(nextDeadline(window))
-		if !ok {
-			if w.Thread.RT.sysActiveWithin(window) {
-				continue
-			}
-			w.Thread.RT.stats.timeouts.Add(1)
-			err := &TimeoutError{Op: "join-one", Worker: w.Index, Pending: 1, Elapsed: time.Since(start)}
-			w.Thread.RT.trace(obs.EvTimeout, w.Index, 0, 0, w.epochNow(), err.Elapsed.Microseconds())
-			w.Thread.timeoutDiag(err)
-			return Message{}, err
-		}
-		switch msg.Kind {
-		case MsgDone:
-			if w.handleDone(msg) {
-				continue
-			}
-			if rec := w.curRec; rec != nil {
-				rec.recordDoneIn(msg)
-			}
-			return msg, nil
-		case MsgSpawn:
-			w.runSpawn(msg)
-		case MsgCont:
-			w.pendingCont = append(w.pendingCont, msg)
-		case msgStop:
-			w.stopping = true
-			return Message{}, ErrStopped
-		}
-	}
-}
-
-// Join waits for n spawn completions and returns the payload of the last
-// non-nil one (the partitioner arranges for at most one meaningful result).
-// Spawn messages arriving in the meantime are executed. If a completion is
-// poisoned (the chunk aborted), Join keeps collecting the remaining
-// completions and then reports the first abort.
-func (w *Worker) Join(n int) (any, error) { return w.joinN(n, w.window()) }
-
-// JoinTimeout is Join with an explicit inactivity window.
-func (w *Worker) JoinTimeout(n int, d time.Duration) (any, error) {
-	return w.joinN(n, d)
-}
-
-func (w *Worker) joinN(n int, window time.Duration) (any, error) {
-	w.Thread.RT.trace(obs.EvJoin, w.Index, 0, 0, w.epochNow(), int64(n))
-	w.prunePending()
-	var result any
-	var firstErr error
-	take := func(msg Message) {
-		if msg.Err != nil && firstErr == nil {
-			firstErr = msg.Err
-		}
-		if msg.Payload != nil {
-			result = msg.Payload
-		}
-	}
-	// Serve the replay cache first (see joinOne).
-	if rec := w.curRec; rec != nil {
-		for n > 0 {
-			msg, ok := rec.cachedDone()
-			if !ok {
-				break
-			}
-			w.Thread.RT.trace(obs.EvReplayCachedDone, w.Index, msg.ChunkID, 0, w.epochNow(), 0)
-			take(msg)
-			n--
-		}
-	}
-	for n > 0 && len(w.pendingDone) > 0 {
-		msg := w.pendingDone[0]
-		w.pendingDone = w.pendingDone[1:]
-		if w.handleDone(msg) {
-			continue
-		}
-		if rec := w.curRec; rec != nil {
-			rec.recordDoneIn(msg)
-		}
-		take(msg)
-		n--
-	}
-	start := time.Now()
-	w.publishBlock("join", n, start)
-	defer w.clearBlock()
-	for n > 0 {
-		msg, ok := w.next(nextDeadline(window))
-		if !ok {
-			if w.Thread.RT.sysActiveWithin(window) {
-				continue
-			}
-			w.Thread.RT.stats.timeouts.Add(1)
-			err := &TimeoutError{Op: "join", Worker: w.Index, Pending: n, Elapsed: time.Since(start)}
-			w.Thread.RT.trace(obs.EvTimeout, w.Index, 0, 0, w.epochNow(), err.Elapsed.Microseconds())
-			w.Thread.timeoutDiag(err)
-			return result, err
-		}
-		switch msg.Kind {
-		case MsgDone:
-			if w.handleDone(msg) {
-				continue
-			}
-			if rec := w.curRec; rec != nil {
-				rec.recordDoneIn(msg)
-			}
-			take(msg)
-			n--
-		case MsgSpawn:
-			w.runSpawn(msg)
-		case MsgCont:
-			w.pendingCont = append(w.pendingCont, msg)
-		case msgStop:
-			w.stopping = true
-			return result, ErrStopped
-		}
-	}
-	return result, firstErr
 }

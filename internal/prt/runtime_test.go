@@ -3,6 +3,7 @@ package prt
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"privagic/internal/sgx"
 )
@@ -138,6 +139,62 @@ func TestWaitExecutesSpawns(t *testing.T) {
 	}
 	if nested.Load() != 1 {
 		t.Error("nested spawn did not run inside Wait")
+	}
+	if _, err := u.Join(1); err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+}
+
+// TestContBeforeSpawnIsBuffered checks that an idle worker keeps a cont
+// that overtakes the spawn of the chunk waiting for it: the sender's
+// stream order puts the cont first, and the chunk must still find it.
+func TestContBeforeSpawnIsBuffered(t *testing.T) {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
+		1: func(w *Worker, args []any) any {
+			v, err := w.Wait(7)
+			if err != nil {
+				return err
+			}
+			return v
+		},
+	})
+	rt.Supervise = Supervision{WaitTimeout: 50 * time.Millisecond}
+	th := rt.NewThread()
+	defer th.Close()
+	u := th.Normal()
+	u.SendCont(1, 7, 5)
+	u.Spawn(1, 1, nil, true)
+	if got, err := u.Join(1); err != nil || got != 5 {
+		t.Fatalf("Join = %v, %v; want 5 from the early cont", got, err)
+	}
+}
+
+// TestWaitFindsContBufferedByNestedWait checks that a wait resumes from
+// the buffer after running a spawn: the nested chunk's own wait consumed
+// and buffered the outer wait's cont while it blocked.
+func TestWaitFindsContBufferedByNestedWait(t *testing.T) {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
+		1: func(w *Worker, args []any) any {
+			w.Thread.Normal().enqueueSpawnForTest(2, w)
+			w.SendCont(0, 1, "outer")
+			w.SendCont(0, 2, "inner")
+			return nil
+		},
+		2: func(w *Worker, args []any) any {
+			v, err := w.Wait(2)
+			if err != nil || v != "inner" {
+				t.Errorf("nested Wait(2) = %v, %v", v, err)
+			}
+			return nil
+		},
+	})
+	rt.Supervise = Supervision{WaitTimeout: 50 * time.Millisecond}
+	th := rt.NewThread()
+	defer th.Close()
+	u := th.Normal()
+	u.Spawn(1, 1, nil, true)
+	if got, err := u.Wait(1); err != nil || got != "outer" {
+		t.Fatalf("Wait(1) = %v, %v; want the cont the nested wait buffered", got, err)
 	}
 	if _, err := u.Join(1); err != nil {
 		t.Fatalf("Join: %v", err)
