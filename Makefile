@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: tier1 lint audit tier2 soak tier3-soak tier3-iago tier3-obs tier3-cluster tier3-grayfail tier3-replication tier3-compile fuzz bench fmt
+.PHONY: tier1 lint audit tier2 soak tier3-soak tier3-iago tier3-obs tier3-cluster tier3-grayfail tier3-replication tier3-compile fuzz bench artifacts fmt
 
 tier1: lint
 	$(GO) build ./...
@@ -102,6 +102,18 @@ fuzz:
 
 bench:
 	$(GO) run ./cmd/privagic-bench -quick
+
+# Regenerate the committed BENCH_*.json artifacts at full config, each a
+# JSON envelope (host, Go version, commit, gate verdicts, report). The
+# command is built with go build, not go run, so the envelope carries the
+# commit it measured. Every artifact is rewritten even when one of its
+# gates fails; the target then fails too.
+BENCH_BIN ?= .bench_build/privagic-bench
+artifacts:
+	$(GO) build -o $(BENCH_BIN) ./cmd/privagic-bench
+	rc=0; for e in cluster replication crossopt compile; do \
+		$(BENCH_BIN) -exp $$e -json > BENCH_$$e.json || rc=1; \
+	done; exit $$rc
 
 fmt:
 	gofmt -l -w $$(ls -d cmd examples internal *.go)

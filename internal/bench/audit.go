@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"privagic"
 	"privagic/internal/audit"
@@ -12,7 +11,7 @@ import (
 
 // AuditConfig parameterizes the static-audit cost experiment.
 type AuditConfig struct {
-	// Reps is the min-of-N repetition count for both timings.
+	// Reps is the repetition count of both timings (the fastest is kept).
 	Reps int
 }
 
@@ -65,23 +64,19 @@ func Audit(cfg AuditConfig) (*AuditReport, error) {
 				continue // rejected by typing/partitioning: nothing to audit
 			}
 			row := AuditRow{Program: p.name, Mode: mode.String()}
-			var res *audit.Result
-			for i := 0; i < cfg.Reps; i++ {
-				start := time.Now()
-				if _, err := privagic.Compile(p.name+".c", p.src, opts); err != nil {
-					return nil, err
-				}
-				compile := float64(time.Since(start)) / float64(time.Microsecond)
-				if i == 0 || compile < row.CompileUS {
-					row.CompileUS = compile
-				}
-				start = time.Now()
-				res = audit.Run(prog.Partitioned)
-				aud := float64(time.Since(start)) / float64(time.Microsecond)
-				if i == 0 || aud < row.AuditUS {
-					row.AuditUS = aud
-				}
+			compile, err := measure(cfg.Reps, func(*span) error {
+				_, err := privagic.Compile(p.name+".c", p.src, opts)
+				return err
+			})
+			if err != nil {
+				return nil, err
 			}
+			var res *audit.Result
+			aud, _ := measure(cfg.Reps, func(*span) error {
+				res = audit.Run(prog.Partitioned)
+				return nil
+			})
+			row.CompileUS, row.AuditUS = compile.MinMicros(), aud.MinMicros()
 			if err := res.Err(); err != nil {
 				return nil, fmt.Errorf("audit violations in %s (%s): %w", p.name, mode, err)
 			}

@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -144,49 +144,26 @@ func Cluster(cfg ClusterConfig) (*ClusterReport, error) {
 	}
 	rep := &ClusterReport{Config: cfg}
 
-	// The tax pair runs interleaved — direct, routed, direct, routed —
-	// rather than as two sequential best-of blocks, so slow-host drift
-	// (GC pressure, CPU frequency, background load) lands on both
-	// scenarios instead of flattering whichever ran during the quiet
-	// stretch. The tax itself is the median of the per-rep paired
-	// ratios: within one rep the host state is as equal as it gets, so
-	// the ratio cancels drift, and the median rejects the occasional
-	// rep where the scheduler starved one side. The pair also gets
-	// extra reps beyond the scale rows — a small difference of two
-	// noisy numbers needs more samples than an absolute row does.
-	taxReps := cfg.Reps
-	if taxReps < 7 {
-		taxReps = 7
+	// The tax pair gets extra reps beyond the scale rows: a small
+	// difference of two noisy numbers needs more samples than an
+	// absolute row does.
+	var direct, routed []ClusterRow
+	p, err := paired(max(cfg.Reps, 7),
+		keep(&direct, func(s *span) (ClusterRow, error) { return clusterDirectRow(s, cfg) }),
+		keep(&routed, func(s *span) (ClusterRow, error) { return clusterRouterRow(s, cfg, 1, true) }))
+	if err != nil {
+		return nil, err
 	}
-	var direct, tax ClusterRow
-	ratios := make([]float64, 0, taxReps)
-	for i := 0; i < taxReps; i++ {
-		d, err := clusterDirectRow(cfg)
-		if err != nil {
-			return nil, err
-		}
-		t, err := clusterRouterRow(cfg, 1, true)
-		if err != nil {
-			return nil, err
-		}
-		ratios = append(ratios, t.OpsPerSec/d.OpsPerSec)
-		if i == 0 || d.OpsPerSec > direct.OpsPerSec {
-			direct = d
-		}
-		if i == 0 || t.OpsPerSec > tax.OpsPerSec {
-			tax = t
-		}
-	}
-	sort.Float64s(ratios)
-	rep.TaxPct = 100 * (ratios[len(ratios)/2] - 1)
-	rep.Rows = append(rep.Rows, direct, tax)
+	rep.TaxPct = 100 * (1/p.Ratio - 1)
+	rep.Rows = append(rep.Rows, direct[p.A.Best], routed[p.B.Best])
 	for _, shards := range cfg.Shards {
-		shards := shards
-		row, err := bestOf(cfg.Reps, func() (ClusterRow, error) { return clusterRouterRow(cfg, shards, false) })
+		var rows []ClusterRow
+		t, err := measure(cfg.Reps,
+			keep(&rows, func(s *span) (ClusterRow, error) { return clusterRouterRow(s, cfg, shards, false) }))
 		if err != nil {
 			return nil, err
 		}
-		rep.Rows = append(rep.Rows, row)
+		rep.Rows = append(rep.Rows, rows[t.Best])
 	}
 	if err := clusterBlackout(cfg, rep); err != nil {
 		return nil, err
@@ -194,24 +171,34 @@ func Cluster(cfg ClusterConfig) (*ClusterReport, error) {
 	return rep, nil
 }
 
-// bestOf runs a throughput row reps times and keeps the fastest, damping
-// scheduler noise on small hosts.
-func bestOf(reps int, run func() (ClusterRow, error)) (ClusterRow, error) {
-	var best ClusterRow
-	for i := 0; i < reps; i++ {
-		row, err := run()
-		if err != nil {
-			return row, err
-		}
-		if i == 0 || row.OpsPerSec > best.OpsPerSec {
-			best = row
-		}
+// keep adapts a row-producing run to measure/paired, appending every
+// rep's row to rows so the caller can report rows[Best].
+func keep(rows *[]ClusterRow, run func(*span) (ClusterRow, error)) func(*span) error {
+	return func(s *span) error {
+		row, err := run(s)
+		*rows = append(*rows, row)
+		return err
 	}
-	return best, nil
 }
 
-// benchStreams builds the per-client deterministic substreams.
-func benchStreams(cfg ClusterConfig) ([]*ycsb.Generator, error) {
+// kv is the client surface the YCSB driver loads.
+type kv interface {
+	Get(key string) ([]byte, bool, error)
+	Set(key string, value []byte) error
+}
+
+// directKV adapts a raw memcached connection to kv.
+type directKV struct{ *memcached.Client }
+
+func (d directKV) Set(key string, value []byte) error { return d.Client.Set(key, value, 0) }
+
+// ycsbA is the closed-loop YCSB-A driver of every throughput row: one
+// goroutine per client, each on its own deterministic substream of a
+// Zipfian 50/50 read/update mix over 4096 records, ops/len(clients)
+// operations each. Only the load loop is timed under s; the row reports
+// the ops it actually ran.
+func ycsbA(s *span, scenario string, shards, ops int, clients []kv) (ClusterRow, error) {
+	row := ClusterRow{Scenario: scenario, Shards: shards}
 	base, err := ycsb.New(ycsb.Config{
 		Records:      4096,
 		Mix:          ycsb.WorkloadA,
@@ -219,44 +206,18 @@ func benchStreams(cfg ClusterConfig) ([]*ycsb.Generator, error) {
 		Seed:         42,
 	})
 	if err != nil {
-		return nil, err
-	}
-	return base.Split(cfg.Clients), nil
-}
-
-// clusterDirectRow is the no-router baseline: every client owns a raw
-// connection to one server.
-func clusterDirectRow(cfg ClusterConfig) (ClusterRow, error) {
-	row := ClusterRow{Scenario: "direct", Shards: 1, Ops: cfg.Ops}
-	store := memcached.NewStore(1<<12, 0)
-	srv, err := memcached.NewServer("127.0.0.1:0", store, cfg.Clients*2)
-	if err != nil {
 		return row, err
 	}
-	defer srv.Close()
-	streams, err := benchStreams(cfg)
-	if err != nil {
-		return row, err
-	}
+	streams := base.Split(len(clients))
 	value := make([]byte, benchValueSize)
-	perClient := cfg.Ops / cfg.Clients
+	perClient := ops / len(clients)
+	errs := make([]int64, len(clients))
 	var wg sync.WaitGroup
-	errs := make([]int64, cfg.Clients)
-	clients := make([]*memcached.Client, cfg.Clients)
+	s.start()
 	for i := range clients {
-		c, err := memcached.DialTimeout(srv.Addr(), 25*time.Millisecond)
-		if err != nil {
-			return row, err
-		}
-		clients[i] = c
-		defer c.Close()
-	}
-	start := time.Now()
-	for i := 0; i < cfg.Clients; i++ {
 		wg.Add(1)
-		go func(id int) {
+		go func(c kv, gen *ycsb.Generator, errs *int64) {
 			defer wg.Done()
-			c, gen := clients[id], streams[id]
 			for n := 0; n < perClient; n++ {
 				op := gen.Next()
 				key := fmt.Sprintf("k%d", op.Key)
@@ -264,89 +225,82 @@ func clusterDirectRow(cfg ClusterConfig) (ClusterRow, error) {
 				if op.Kind == ycsb.OpRead {
 					_, _, err = c.Get(key)
 				} else {
-					err = c.Set(key, value, 0)
+					err = c.Set(key, value)
 				}
 				if err != nil {
-					errs[id]++
+					*errs++
 				}
 			}
-		}(i)
+		}(clients[i], streams[i], &errs[i])
 	}
 	wg.Wait()
-	wall := time.Since(start)
+	s.stop()
 	for _, e := range errs {
 		row.Errors += e
 	}
-	row.WallMs = float64(wall.Microseconds()) / 1e3
-	row.OpsPerSec = float64(perClient*cfg.Clients) / wall.Seconds()
+	row.Ops = perClient * len(clients)
+	row.WallMs = float64(s.d.Microseconds()) / 1e3
+	row.OpsPerSec = float64(row.Ops) / s.d.Seconds()
 	return row, nil
+}
+
+// clusterDirectRow is the no-router baseline: every client owns a raw
+// connection to one server.
+func clusterDirectRow(s *span, cfg ClusterConfig) (ClusterRow, error) {
+	srv, err := memcached.NewServer("127.0.0.1:0", memcached.NewStore(1<<12, 0), cfg.Clients*2)
+	if err != nil {
+		return ClusterRow{}, err
+	}
+	defer srv.Close()
+	clients := make([]kv, cfg.Clients)
+	for i := range clients {
+		c, err := memcached.DialTimeout(srv.Addr(), 25*time.Millisecond)
+		if err != nil {
+			return ClusterRow{}, err
+		}
+		defer c.Close()
+		clients[i] = directKV{c}
+	}
+	return ycsbA(s, "direct", 1, cfg.Ops, clients)
 }
 
 // clusterRouterRow measures the routed path at a given shard count. With
 // wide set, the per-shard pool matches the client count (the router-tax
 // comparison against the direct row); otherwise each shard gets the fixed
-// 2-connection capacity of the scaling curve.
-func clusterRouterRow(cfg ClusterConfig, shards int, wide bool) (ClusterRow, error) {
+// 2-connection capacity of the scaling curve under scaleClients clients.
+func clusterRouterRow(s *span, cfg ClusterConfig, shards int, wide bool) (ClusterRow, error) {
 	scenario := fmt.Sprintf("scale x%d", shards)
-	workers, poolConns := 4, 2
+	workers, poolConns, clients := 4, 2, scaleClients
 	if wide {
 		scenario = "router x1"
-		workers, poolConns = cfg.Clients*2, cfg.Clients+2
-	} else {
-		cfg.Clients = scaleClients
+		workers, poolConns, clients = cfg.Clients*2, cfg.Clients+2, cfg.Clients
 	}
-	row := ClusterRow{Scenario: scenario, Shards: shards, Ops: cfg.Ops}
-	cl, err := cluster.New(cluster.Config{Shards: shards, Workers: workers})
-	if err != nil {
-		return row, err
-	}
-	defer cl.Close()
 	rcfg := benchRouterConfig()
 	rcfg.PoolConns = poolConns
+	return routedRow(s, scenario, shards, workers, clients, cfg.Ops, rcfg)
+}
+
+// routedRow loads a fresh cluster of the given shape through one shared
+// router and adds the router's retry and shed counters to the row.
+func routedRow(s *span, scenario string, shards, workers, clients, ops int, rcfg cluster.RouterConfig) (ClusterRow, error) {
+	cl, err := cluster.New(cluster.Config{Shards: shards, Workers: workers})
+	if err != nil {
+		return ClusterRow{}, err
+	}
+	defer cl.Close()
 	rt, err := cluster.NewRouter(cl, rcfg)
 	if err != nil {
-		return row, err
+		return ClusterRow{}, err
 	}
 	defer rt.Close()
-	streams, err := benchStreams(cfg)
-	if err != nil {
-		return row, err
+	kvs := make([]kv, clients)
+	for i := range kvs {
+		kvs[i] = rt
 	}
-	value := make([]byte, benchValueSize)
-	perClient := cfg.Ops / cfg.Clients
-	var wg sync.WaitGroup
-	errs := make([]int64, cfg.Clients)
-	start := time.Now()
-	for i := 0; i < cfg.Clients; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			gen := streams[id]
-			for n := 0; n < perClient; n++ {
-				op := gen.Next()
-				key := fmt.Sprintf("k%d", op.Key)
-				var err error
-				if op.Kind == ycsb.OpRead {
-					_, _, err = rt.Get(key)
-				} else {
-					err = rt.Set(key, value)
-				}
-				if err != nil {
-					errs[id]++
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	for _, e := range errs {
-		row.Errors += e
-	}
+	row, err := ycsbA(s, scenario, shards, ops, kvs)
 	cs := rt.Counters()
 	row.Retries, row.Sheds = cs["retries"], cs["sheds"]
-	row.WallMs = float64(wall.Microseconds()) / 1e3
-	row.OpsPerSec = float64(perClient*cfg.Clients) / wall.Seconds()
-	return row, nil
+	return row, err
 }
 
 // clusterBlackout measures the user-visible window around a shard kill:
@@ -417,36 +371,26 @@ func (r *ClusterReport) String() string {
 	fmt.Fprintf(&b, "scale rows: %d clients against a fixed 2-connection capacity per shard\n", scaleClients)
 	fmt.Fprintf(&b, "%-12s %7s %10s %12s %9s %9s %8s\n",
 		"scenario", "shards", "wall-ms", "ops/sec", "errors", "retries", "sheds")
-	var directOps, oneShardOps float64
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%-12s %7d %10.1f %12.0f %9d %9d %8d\n",
 			row.Scenario, row.Shards, row.WallMs, row.OpsPerSec, row.Errors, row.Retries, row.Sheds)
-		if row.Scenario == "direct" {
-			directOps = row.OpsPerSec
-		}
-		if row.Scenario == "router x1" {
-			oneShardOps = row.OpsPerSec
-		}
 	}
-	if directOps > 0 && oneShardOps > 0 {
-		fmt.Fprintf(&b, "router tax at one shard: %+.1f%% median-of-pairs (acceptance: within 10%%, hardened router)\n",
-			r.TaxPct)
-	}
-	if len(r.BlackoutMs) > 0 {
-		min, max, sum := r.BlackoutMs[0], r.BlackoutMs[0], 0.0
+	fmt.Fprintf(&b, "router tax at one shard: %+.1f%% (median of paired ratios)\n", r.TaxPct)
+	if n := len(r.BlackoutMs); n > 0 {
+		sum := 0.0
 		for _, v := range r.BlackoutMs {
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
 			sum += v
 		}
 		fmt.Fprintf(&b, "failover blackout over %d kills: min %.1fms avg %.1fms max %.1fms (probe interval 1ms, 2-strike fence)\n",
-			len(r.BlackoutMs), min, sum/float64(len(r.BlackoutMs)), max)
+			n, slices.Min(r.BlackoutMs), sum/float64(n), slices.Max(r.BlackoutMs))
 		fmt.Fprintf(&b, "fence detection: avg %.0fus max %dus across %d failovers\n",
 			r.DetectAvgUs, r.DetectMaxUs, r.FailoversSeen)
 	}
 	return b.String()
+}
+
+// Gates holds the hardened router to a throughput regression within 10%
+// of a raw connection.
+func (r *ClusterReport) Gates() []Gate {
+	return []Gate{timing(atLeast("router tax at one shard", r.TaxPct, -10, "%"))}
 }

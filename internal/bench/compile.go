@@ -41,7 +41,7 @@ entry long hot(long n) {
 type CompileConfig struct {
 	// Iters is the workload loop trip count per call.
 	Iters int64
-	// Sweeps is the min-of-K repetition count per engine.
+	// Sweeps is the paired repetition count of the two engines.
 	Sweeps int
 	// DiffIters is the loop trip count of the differential-oracle run
 	// (the oracle interprets and shadow-executes, so it costs more than
@@ -60,11 +60,12 @@ type CompileReport struct {
 
 	// Ret is the workload result every engine must return.
 	Ret int64
-	// InterpNS/CompiledNS are the min-of-K wall times of one call, in
+	// InterpNS/CompiledNS are the fastest wall times of one call, in
 	// nanoseconds.
 	InterpNS   int64
 	CompiledNS int64
-	// Speedup is InterpNS / CompiledNS.
+	// Speedup is the interpreter's time over the compiled tier's, as the
+	// median of paired ratios.
 	Speedup float64
 	// CompileUS is the one-time unit lowering cost, in microseconds.
 	CompileUS int64
@@ -77,9 +78,47 @@ type CompileReport struct {
 	Divergences int64
 }
 
+// compileInstance is one engine's instance of the workload with the
+// answer of its first (untimed) call.
+type compileInstance struct {
+	engine privagic.Engine
+	inst   *privagic.Instance
+	iters  int64
+	ret    int64
+}
+
+func newCompileInstance(engine privagic.Engine, iters int64) (*compileInstance, error) {
+	prog, err := privagic.Compile("compile.c", compileSrc, privagic.Options{
+		Mode:    privagic.Relaxed,
+		Entries: []string{"hot"},
+		Engine:  engine,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("compile bench: %s compile: %w", engine, err)
+	}
+	c := &compileInstance{engine: engine, inst: prog.Instantiate(nil), iters: iters}
+	if c.ret, err = c.inst.Call("hot", iters); err != nil {
+		c.inst.Close()
+		return nil, fmt.Errorf("compile bench: %s run: %w", engine, err)
+	}
+	return c, nil
+}
+
+// call is one timed sweep; it must reproduce the first call's answer.
+func (c *compileInstance) call(*span) error {
+	r, err := c.inst.Call("hot", c.iters)
+	if err != nil {
+		return fmt.Errorf("compile bench: %s sweep: %w", c.engine, err)
+	}
+	if r != c.ret {
+		return fmt.Errorf("compile bench: %s sweep returned %d, first call returned %d", c.engine, r, c.ret)
+	}
+	return nil
+}
+
 // CompileBench runs the experiment. It returns an error if any engine
-// disagrees on the result, if the differential oracle reports a
-// divergence, or if the speedup misses the 5x acceptance gate.
+// disagrees on the result or if the differential oracle reports a
+// divergence; the 5x speedup bar is a gate.
 func CompileBench(cfg CompileConfig) (*CompileReport, error) {
 	if cfg.Iters < 1 {
 		cfg.Iters = 1
@@ -88,124 +127,78 @@ func CompileBench(cfg CompileConfig) (*CompileReport, error) {
 		cfg.Sweeps = 1
 	}
 	if cfg.DiffIters < 1 {
-		cfg.DiffIters = cfg.Iters / 10
-		if cfg.DiffIters < 1 {
-			cfg.DiffIters = 1
-		}
+		cfg.DiffIters = max(cfg.Iters/10, 1)
 	}
 	rep := &CompileReport{Config: cfg}
 
-	type result struct {
-		ret  int64
-		best time.Duration
-		cus  int64
-		disp int64
-		divs int64
-	}
-	runEngine := func(engine privagic.Engine, iters int64, sweeps int) (*result, error) {
-		prog, err := privagic.Compile("compile.c", compileSrc, privagic.Options{
-			Mode:    privagic.Relaxed,
-			Entries: []string{"hot"},
-			Engine:  engine,
-		})
+	var engines [4]*compileInstance
+	for i, e := range []struct {
+		engine privagic.Engine
+		iters  int64
+	}{
+		{privagic.EngineInterp, cfg.Iters},
+		{privagic.EngineCompiled, cfg.Iters},
+		// The differential run: both engines lockstep per chunk,
+		// hard-error on any divergence. Reduced trip count (the oracle
+		// runs everything twice), checked against an interpreter run at
+		// the same count.
+		{privagic.EngineDifferential, cfg.DiffIters},
+		{privagic.EngineInterp, cfg.DiffIters},
+	} {
+		c, err := newCompileInstance(e.engine, e.iters)
 		if err != nil {
-			return nil, fmt.Errorf("compile bench: %s compile: %w", engine, err)
+			return nil, err
 		}
-		inst := prog.Instantiate(nil)
-		defer inst.Close()
-		// Warm-up call: first-touch allocation and queue setup stay out
-		// of the measured window.
-		ret, err := inst.Call("hot", iters)
-		if err != nil {
-			return nil, fmt.Errorf("compile bench: %s run: %w", engine, err)
-		}
-		best := time.Duration(1<<63 - 1)
-		for k := 0; k < sweeps; k++ {
-			start := time.Now()
-			r, err := inst.Call("hot", iters)
-			d := time.Since(start)
-			if err != nil {
-				return nil, fmt.Errorf("compile bench: %s sweep %d: %w", engine, k, err)
-			}
-			if r != ret {
-				return nil, fmt.Errorf("compile bench: %s sweep %d returned %d, first call returned %d", engine, k, r, ret)
-			}
-			if d < best {
-				best = d
-			}
-		}
-		st := inst.ExecStats()
-		return &result{
-			ret:  ret,
-			best: best,
-			cus:  st.CompileTime.Microseconds(),
-			disp: st.CompiledDispatches,
-			divs: st.OracleDivergences,
-		}, nil
+		defer c.inst.Close()
+		engines[i] = c
 	}
-
-	interp, err := runEngine(privagic.EngineInterp, cfg.Iters, cfg.Sweeps)
-	if err != nil {
-		return nil, err
-	}
-	compiled, err := runEngine(privagic.EngineCompiled, cfg.Iters, cfg.Sweeps)
-	if err != nil {
-		return nil, err
-	}
+	interp, compiled, diff, diffRef := engines[0], engines[1], engines[2], engines[3]
 	if compiled.ret != interp.ret {
 		return nil, fmt.Errorf("compile bench: engines disagree: interp %d, compiled %d", interp.ret, compiled.ret)
 	}
-	if compiled.disp == 0 {
-		return nil, fmt.Errorf("compile bench: compiled engine never dispatched a compiled body")
-	}
-
-	// The differential run: both engines lockstep per chunk, hard-error
-	// on any divergence. Reduced trip count (the oracle runs everything
-	// twice), same program semantics.
-	diff, err := runEngine(privagic.EngineDifferential, cfg.DiffIters, 1)
-	if err != nil {
-		return nil, err
-	}
-	if diff.divs != 0 {
-		return nil, fmt.Errorf("compile bench: differential oracle reported %d divergence(s)", diff.divs)
-	}
-	diffRef, err := runEngine(privagic.EngineInterp, cfg.DiffIters, 1)
-	if err != nil {
-		return nil, err
+	rep.Divergences = diff.inst.ExecStats().OracleDivergences
+	if rep.Divergences != 0 {
+		return nil, fmt.Errorf("compile bench: differential oracle reported %d divergence(s)", rep.Divergences)
 	}
 	if diff.ret != diffRef.ret {
 		return nil, fmt.Errorf("compile bench: differential run returned %d, interpreter reference %d", diff.ret, diffRef.ret)
 	}
 
+	p, err := paired(cfg.Sweeps, interp.call, compiled.call)
+	if err != nil {
+		return nil, err
+	}
+	st := compiled.inst.ExecStats()
+	if st.CompiledDispatches == 0 {
+		return nil, fmt.Errorf("compile bench: compiled engine never dispatched a compiled body")
+	}
 	rep.Ret = interp.ret
-	rep.InterpNS = interp.best.Nanoseconds()
-	rep.CompiledNS = compiled.best.Nanoseconds()
-	if rep.CompiledNS > 0 {
-		rep.Speedup = float64(rep.InterpNS) / float64(rep.CompiledNS)
+	rep.InterpNS = p.A.Min.Nanoseconds()
+	rep.CompiledNS = p.B.Min.Nanoseconds()
+	if p.Ratio > 0 {
+		rep.Speedup = 1 / p.Ratio
 	}
-	rep.CompileUS = compiled.cus
-	rep.CompiledDispatches = compiled.disp
+	rep.CompileUS = st.CompileTime.Microseconds()
+	rep.CompiledDispatches = st.CompiledDispatches
 	rep.DiffRet = diff.ret
-	rep.Divergences = diff.divs
-
-	// The acceptance gate: a compiled tier that cannot clear 5x on the
-	// workload built to be interpreter-bound has regressed.
-	if rep.Speedup < 5 {
-		return nil, fmt.Errorf("compile bench: speedup %.2fx below the 5x gate (interp %v, compiled %v)",
-			rep.Speedup, interp.best, compiled.best)
-	}
 	return rep, nil
+}
+
+// Gates holds the compiled tier to a 5x speedup on the workload built to
+// be interpreter-bound.
+func (r *CompileReport) Gates() []Gate {
+	return []Gate{timing(atLeast("compiled-tier speedup", r.Speedup, 5, "x"))}
 }
 
 // String renders the report.
 func (r *CompileReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "closure-compiled execution — pure-compute workload (%d iterations/call, min of %d)\n",
+	fmt.Fprintf(&b, "closure-compiled execution — pure-compute workload (%d iterations/call, %d paired sweeps)\n",
 		r.Config.Iters, r.Config.Sweeps)
-	fmt.Fprintf(&b, "  %-28s %14s\n", "", "wall/call")
+	fmt.Fprintf(&b, "  %-28s %14s\n", "", "fastest call")
 	fmt.Fprintf(&b, "  %-28s %14s\n", "interpreter", time.Duration(r.InterpNS))
 	fmt.Fprintf(&b, "  %-28s %14s\n", "compiled", time.Duration(r.CompiledNS))
-	fmt.Fprintf(&b, "  speedup: %.2fx   (unit lowering %dus, %d compiled dispatches)\n",
+	fmt.Fprintf(&b, "  speedup: %.2fx median of paired ratios   (unit lowering %dus, %d compiled dispatches)\n",
 		r.Speedup, r.CompileUS, r.CompiledDispatches)
 	fmt.Fprintf(&b, "  differential oracle: %d iterations, %d divergences, result %d matches the interpreter\n",
 		r.Config.DiffIters, r.Divergences, r.DiffRet)

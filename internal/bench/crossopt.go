@@ -103,7 +103,8 @@ type CrossOptReport struct {
 
 // CrossOpt runs the experiment. It returns an error if the optimized run
 // diverges from the reference in return value or output, or if the
-// strict re-audit of the optimized plan fails (Compile reports that).
+// strict re-audit of the optimized plan fails (Compile reports that);
+// the 25% reduction bar is a gate.
 func CrossOpt(cfg CrossOptConfig) (*CrossOptReport, error) {
 	if cfg.Iters < 1 {
 		cfg.Iters = 1
@@ -171,13 +172,14 @@ func CrossOpt(cfg CrossOptConfig) (*CrossOptReport, error) {
 		rep.ReductionPct = 100 * float64(rmsgs-omsgs) / float64(rmsgs)
 	}
 	rep.Ret = rret
-	// The acceptance gate: a crossing optimizer that cannot clear 25%
-	// on its own showcase workload has regressed.
-	if rep.ReductionPct < 25 {
-		return nil, fmt.Errorf("crossopt: measured crossings/op reduction %.1f%% below the 25%% gate (messages %d -> %d)",
-			rep.ReductionPct, rmsgs, omsgs)
-	}
 	return rep, nil
+}
+
+// Gates holds the optimizer to a 25% measured crossings/op reduction on
+// its own showcase workload (message counts are deterministic, so this
+// is a correctness gate).
+func (r *CrossOptReport) Gates() []Gate {
+	return []Gate{atLeast("crossings/op reduction", r.ReductionPct, 25, "%")}
 }
 
 // String renders the report.

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -59,25 +58,25 @@ func DefaultIago() IagoConfig {
 	return IagoConfig{Schedules: 20, WaitTimeout: 15 * time.Millisecond}
 }
 
-// IagoRow is one (workload, scenario) aggregate outcome.
+// IagoRow is one (workload, scenario) aggregate outcome. A hardened run
+// passes when it returns the exact answer or fails with any typed error;
+// wrong answers and untyped errors are silent corruption.
 type IagoRow struct {
 	Workload string
 	Scenario string
-	Runs     int
-	Correct  int // exact fault-free answer
-	Detected int // typed ErrIagoViolation failures
-	Timeouts int // typed ErrWaitTimeout failures (rejected message starved a wait)
-	Aborts   int // typed ErrEnclaveAbort / ErrStopped failures
-	Wrong    int // silent corruption or untyped failure: must stay 0 when hardened
+	Tally
 
 	Mutations       int64 // corruptions the adversary injected
 	PointerRejected int64 // U-sourced addresses refused by the sanitizer
 	PayloadRejected int64 // tampered messages refused at the admit gate
 	SnapshotCopyIns int64 // U words copied into enclave-private snapshots
-	AvgWallMicros   float64
+	Wall            Timing
 	// OverheadPct is the fault-free defense cost relative to the
-	// workload's baseline row (only set on the hardened fault-free row).
+	// workload's baseline row, as the median of paired ratios (only set
+	// on the hardened fault-free row).
 	OverheadPct float64
+
+	defense bool
 }
 
 // IagoReport holds the ablation table.
@@ -98,30 +97,6 @@ func iagoMutator(seed int64) privagic.MutatorOptions {
 	}
 }
 
-// minMicros returns the fastest sampled wall time in microseconds. The
-// minimum, not the mean or median, is what the overhead ratio wants:
-// scheduler preemption and GC pauses only ever add time, so the fastest
-// run of a sweep is the closest observable to the workload's true cost.
-func minMicros(walls []time.Duration) float64 {
-	if len(walls) == 0 {
-		return 0
-	}
-	min := walls[0]
-	for _, d := range walls[1:] {
-		if d < min {
-			min = d
-		}
-	}
-	return float64(min.Nanoseconds()) / 1e3
-}
-
-// iagoScenario describes one table row's defense/attack regime.
-type iagoScenario struct {
-	name     string
-	defense  bool
-	attacked bool
-}
-
 // iagoWorkload is one program under test.
 type iagoWorkload struct {
 	name  string
@@ -140,92 +115,73 @@ func Iago(cfg IagoConfig) (*IagoReport, error) {
 		{name: "figure6", file: "figure6.c", src: iagoFigure6Src, entry: "main"},
 		{name: "memcached", file: "memcached_core.c", src: sources.MemcachedCoreColored, entry: "run_ycsb"},
 	}
-	scenarios := []iagoScenario{
-		{name: "baseline (no defense)"},
-		{name: "hardened, fault-free", defense: true},
-		{name: "hardened + mutator", defense: true, attacked: true},
-		{name: "relaxed + mutator", attacked: true},
-	}
 	for _, wl := range workloads {
-		prog, err := privagic.Compile(wl.file, wl.src, privagic.Options{
-			Mode: privagic.Relaxed, Entries: []string{wl.entry},
-		})
+		prog, want, err := groundTruth(wl.file, wl.src, wl.entry)
 		if err != nil {
-			return nil, fmt.Errorf("bench: compile %s: %w", wl.name, err)
+			return nil, err
 		}
-		// Ground truth: one clean, undefended run.
-		clean := prog.Instantiate(nil)
-		want, err := clean.Call(wl.entry)
-		clean.Close()
-		if err != nil {
-			return nil, fmt.Errorf("bench: clean %s baseline failed: %w", wl.name, err)
+		rows := []IagoRow{
+			{Scenario: "baseline (no defense)"},
+			{Scenario: "hardened, fault-free", defense: true},
+			{Scenario: "hardened + mutator", defense: true},
+			{Scenario: "relaxed + mutator"},
 		}
-		var baseWall float64
-		for _, sc := range scenarios {
-			row := IagoRow{Workload: wl.name, Scenario: sc.name, Runs: cfg.Schedules}
-			if !sc.attacked {
-				// The fault-free rows feed the overhead figure, so give
-				// them a couple of untimed warmup runs: the first calls
-				// after a compile pay one-time costs (allocator growth,
-				// cold caches) that would otherwise land entirely on
-				// whichever row happens to run first.
-				for i := 0; i < 2; i++ {
-					inst := prog.Instantiate(nil)
-					if sc.defense {
+		// run returns one rep of row i; rows 2 and 3 are attacked by a
+		// seeded mutator under supervision.
+		seed := int64(0)
+		run := func(i int) func(*span) error {
+			row := &rows[i]
+			return func(s *span) error {
+				instRun(s, prog, wl.entry, want, &row.Tally, func(inst *privagic.Instance) {
+					inst.EnableSpawnValidation()
+					if row.defense {
 						inst.EnableBoundaryDefense(privagic.FullBoundaryDefense())
 					}
-					inst.Call(wl.entry)
-					inst.Close()
-				}
+					if i >= 2 {
+						seed++
+						inst.EnableSupervision(privagic.SupervisionOptions{WaitTimeout: cfg.WaitTimeout})
+						inst.EnableMutator(iagoMutator(seed))
+					}
+				}, func(inst *privagic.Instance) {
+					bs := inst.BoundaryStats()
+					row.PointerRejected += bs.Violations
+					row.PayloadRejected += bs.PayloadTampered
+					row.SnapshotCopyIns += bs.SnapshotCopyIns
+					row.Mutations += inst.MutatorStats().Total()
+				})
+				return nil
 			}
-			var wall time.Duration
-			walls := make([]time.Duration, 0, cfg.Schedules)
-			for seed := int64(1); seed <= int64(cfg.Schedules); seed++ {
-				inst := prog.Instantiate(nil)
-				inst.EnableSpawnValidation()
-				if sc.defense {
-					inst.EnableBoundaryDefense(privagic.FullBoundaryDefense())
-				}
-				if sc.attacked {
-					inst.EnableSupervision(privagic.SupervisionOptions{WaitTimeout: cfg.WaitTimeout})
-					inst.EnableMutator(iagoMutator(seed))
-				}
-				start := time.Now()
-				ret, err := inst.Call(wl.entry)
-				d := time.Since(start)
-				wall += d
-				walls = append(walls, d)
-				switch {
-				case err == nil && ret == want:
-					row.Correct++
-				case errors.Is(err, privagic.ErrIagoViolation):
-					row.Detected++
-				case errors.Is(err, privagic.ErrWaitTimeout):
-					row.Timeouts++
-				case errors.Is(err, privagic.ErrEnclaveAbort), errors.Is(err, privagic.ErrStopped):
-					row.Aborts++
-				default:
-					row.Wrong++
-				}
-				bs := inst.BoundaryStats()
-				row.PointerRejected += bs.Violations
-				row.PayloadRejected += bs.PayloadTampered
-				row.SnapshotCopyIns += bs.SnapshotCopyIns
-				row.Mutations += inst.MutatorStats().Total()
-				inst.Close()
-			}
-			row.AvgWallMicros = float64(wall.Microseconds()) / float64(cfg.Schedules)
-			best := minMicros(walls)
-			switch {
-			case !sc.defense && !sc.attacked:
-				baseWall = best
-			case sc.defense && !sc.attacked && baseWall > 0:
-				row.OverheadPct = 100 * (best - baseWall) / baseWall
-			}
-			rep.Rows = append(rep.Rows, row)
 		}
+		p, _ := paired(cfg.Schedules, run(0), run(1))
+		rows[0].Wall, rows[1].Wall = p.A, p.B
+		rows[1].OverheadPct = 100 * (p.Ratio - 1)
+		for i := 2; i < len(rows); i++ {
+			seed = 0
+			rows[i].Wall, _ = measure(cfg.Schedules, run(i))
+		}
+		for i := range rows {
+			rows[i].Workload = wl.name
+		}
+		rep.Rows = append(rep.Rows, rows...)
 	}
 	return rep, nil
+}
+
+// Gates requires the hardened rows to stay free of silent corruption and
+// the undefended relaxed control to detect nothing.
+func (r *IagoReport) Gates() []Gate {
+	var silent, detections int64
+	for _, row := range r.Rows {
+		if row.defense {
+			silent += int64(row.Wrong + row.Untyped)
+		} else {
+			detections += int64(row.Iago) + row.PointerRejected + row.PayloadRejected
+		}
+	}
+	return []Gate{
+		atMost("iago hardened wrong or untyped runs", float64(silent), 0, ""),
+		atMost("iago relaxed detections", float64(detections), 0, ""),
+	}
 }
 
 // String renders the ablation table.
@@ -233,19 +189,16 @@ func (r *IagoReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Iago boundary-defense ablation — %d runs/row, window %v\n",
 		r.Config.Schedules, r.Config.WaitTimeout)
-	fmt.Fprintf(&b, "%-10s %-24s %8s %9s %9s %7s %6s %6s %8s %8s %8s %11s %9s\n",
-		"workload", "scenario", "correct", "detected", "timeouts", "aborts", "wrong",
-		"muts", "ptr-rej", "pay-rej", "copy-in", "avg-us/run", "overhead")
+	fmt.Fprintf(&b, "%-10s %-22s %s %6s %8s %8s %8s %8s %9s\n",
+		"workload", "scenario", tallyHeader, "muts", "ptr-rej", "pay-rej", "copy-in", "min-us", "overhead")
 	for _, row := range r.Rows {
 		over := ""
 		if row.OverheadPct != 0 {
 			over = fmt.Sprintf("%+.1f%%", row.OverheadPct)
 		}
-		fmt.Fprintf(&b, "%-10s %-24s %8d %9d %9d %7d %6d %6d %8d %8d %8d %11.0f %9s\n",
-			row.Workload, row.Scenario, row.Correct, row.Detected, row.Timeouts,
-			row.Aborts, row.Wrong, row.Mutations, row.PointerRejected,
-			row.PayloadRejected, row.SnapshotCopyIns, row.AvgWallMicros, over)
+		fmt.Fprintf(&b, "%-10s %-22s %s %6d %8d %8d %8d %8.0f %9s\n",
+			row.Workload, row.Scenario, row.Tally, row.Mutations, row.PointerRejected,
+			row.PayloadRejected, row.SnapshotCopyIns, row.Wall.MinMicros(), over)
 	}
-	b.WriteString("hardened rows must keep wrong at 0; the relaxed control must keep detections at 0\n")
 	return b.String()
 }

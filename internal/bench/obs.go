@@ -3,10 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sort"
 	"strings"
-	"time"
 
 	"privagic"
 	"privagic/internal/sources"
@@ -21,26 +18,17 @@ import (
 // timestamping, so the budget holds on both the figure-9 hashmap and the
 // figure-8 memcached-core workloads.
 //
-// Methodology: the scenarios are interleaved round-robin within the
-// sweep (off, metrics, tracer, off, metrics, tracer, ...) rather than
-// swept back to back, so clock drift, allocator growth and frequency
-// scaling land on every scenario equally, and the heap is collected
-// before every timed run so one run's garbage is never another run's GC
-// pause. The overhead figure is a 25%-trimmed mean over rounds of the
-// per-round ratio against the same round's baseline run: pairing within
-// a round cancels drift (the runs are adjacent in time) and trimming
-// discards scheduler-outlier rounds while averaging the rest. A
-// min-of-sweep (the idiom the latency benches use) is reported too, but
-// the min order statistic does not converge on short workloads whose
-// run-to-run spread exceeds the effect being measured.
+// Methodology: each instrumented scenario is timed against its own
+// interleaved observability-off twin (paired), and the overhead figure
+// is the median of the per-rep ratios.
 
 // ObsConfig parameterizes the ablation.
 type ObsConfig struct {
-	// Schedules is the number of timed runs per row (min-of-sweep feeds
-	// the overhead figure).
+	// Schedules is the number of paired reps per instrumented row (each
+	// pair also runs the observability-off row once).
 	Schedules int
 	// TraceOut, when set, receives the Chrome trace_event JSON of one
-	// fully instrumented run of the last workload (the -trace-out flag).
+	// fully instrumented run of the first workload (the -trace-out flag).
 	TraceOut io.Writer
 }
 
@@ -51,15 +39,12 @@ func DefaultObs() ObsConfig { return ObsConfig{Schedules: 60} }
 type ObsRow struct {
 	Workload string
 	Scenario string
-	Runs     int
-	Correct  int
+	Tally
 
-	MinMicros     float64 // fastest run of the sweep
-	AvgWallMicros float64
+	Wall Timing
 	// OverheadPct is relative to the workload's observability-off row:
-	// a 25%-trimmed mean over sweep rounds of this scenario's wall time
-	// divided by the same round's baseline wall time (zero on the
-	// baseline row).
+	// the median over reps of this scenario's wall time divided by its
+	// paired baseline run's (zero on the baseline row).
 	OverheadPct float64
 
 	// TraceEvents/Metrics sample the instrumentation's own output: events
@@ -74,6 +59,9 @@ type ObsReport struct {
 	Rows   []ObsRow
 }
 
+// obsFullyArmed names the scenario the 3% budget applies to.
+const obsFullyArmed = "metrics + tracer"
+
 // Obs runs the ablation.
 func Obs(cfg ObsConfig) (*ObsReport, error) {
 	if cfg.Schedules < 1 {
@@ -85,78 +73,47 @@ func Obs(cfg ObsConfig) (*ObsReport, error) {
 		{name: "memcached", file: "memcached_core.c", src: sources.MemcachedCoreColored, entry: "run_ycsb"},
 	}
 	scenarios := []struct {
-		name    string
-		opts    privagic.ObservabilityOptions
-		enabled bool
+		name string
+		opts privagic.ObservabilityOptions
 	}{
 		{name: "observability off"},
-		{name: "metrics registry", opts: privagic.ObservabilityOptions{Metrics: true}, enabled: true},
-		{name: "metrics + tracer", opts: privagic.ObservabilityOptions{Metrics: true, Trace: true}, enabled: true},
+		{name: "metrics registry", opts: privagic.ObservabilityOptions{Metrics: true}},
+		{name: obsFullyArmed, opts: privagic.ObservabilityOptions{Metrics: true, Trace: true}},
 	}
 	for _, wl := range workloads {
-		prog, err := privagic.Compile(wl.file, wl.src, privagic.Options{
-			Mode: privagic.Relaxed, Entries: []string{wl.entry},
-		})
+		prog, want, err := groundTruth(wl.file, wl.src, wl.entry)
 		if err != nil {
-			return nil, fmt.Errorf("bench: compile %s: %w", wl.name, err)
-		}
-		clean := prog.Instantiate(nil)
-		want, err := clean.Call(wl.entry)
-		clean.Close()
-		if err != nil {
-			return nil, fmt.Errorf("bench: clean %s baseline failed: %w", wl.name, err)
+			return nil, err
 		}
 		rows := make([]ObsRow, len(scenarios))
-		walls := make([][]time.Duration, len(scenarios))
-		for si, sc := range scenarios {
-			rows[si] = ObsRow{Workload: wl.name, Scenario: sc.name, Runs: cfg.Schedules}
-			walls[si] = make([]time.Duration, 0, cfg.Schedules)
-		}
-		// Warmup: one-time costs (allocator growth, cold caches) must not
-		// land on whichever scenario runs first.
-		for i := 0; i < 2; i++ {
-			for _, sc := range scenarios {
-				inst := prog.Instantiate(nil)
-				if sc.enabled {
-					inst.EnableObservability(sc.opts)
-				}
-				inst.Call(wl.entry)
-				inst.Close()
+		run := func(si int) func(*span) error {
+			row, opts := &rows[si], scenarios[si].opts
+			return func(s *span) error {
+				instRun(s, prog, wl.entry, want, &row.Tally, func(inst *privagic.Instance) {
+					if si > 0 {
+						inst.EnableObservability(opts)
+					}
+				}, func(inst *privagic.Instance) {
+					if si > 0 {
+						snap := inst.MetricsSnapshot()
+						row.Metrics = len(snap)
+						row.TraceEvents = snap["obs.trace_events"]
+					}
+				})
+				return nil
 			}
 		}
-		for run := 0; run < cfg.Schedules; run++ {
-			for si, sc := range scenarios {
-				inst := prog.Instantiate(nil)
-				if sc.enabled {
-					inst.EnableObservability(sc.opts)
-				}
-				runtime.GC()
-				start := time.Now()
-				ret, err := inst.Call(wl.entry)
-				walls[si] = append(walls[si], time.Since(start))
-				if err == nil && ret == want {
-					rows[si].Correct++
-				}
-				if run == cfg.Schedules-1 && sc.enabled {
-					snap := inst.MetricsSnapshot()
-					rows[si].Metrics = len(snap)
-					rows[si].TraceEvents = snap["obs.trace_events"]
-				}
-				inst.Close()
+		for si := 1; si < len(scenarios); si++ {
+			p, _ := paired(cfg.Schedules, run(0), run(si))
+			rows[si].Wall, rows[si].OverheadPct = p.B, 100*(p.Ratio-1)
+			if si == 1 {
+				rows[0].Wall = p.A
 			}
 		}
-		for si, sc := range scenarios {
-			var wall time.Duration
-			for _, d := range walls[si] {
-				wall += d
-			}
-			rows[si].AvgWallMicros = float64(wall.Microseconds()) / float64(cfg.Schedules)
-			rows[si].MinMicros = minMicros(walls[si])
-			if sc.enabled {
-				rows[si].OverheadPct = trimmedRatioPct(walls[si], walls[0])
-			}
-			rep.Rows = append(rep.Rows, rows[si])
+		for si := range rows {
+			rows[si].Workload, rows[si].Scenario = wl.name, scenarios[si].name
 		}
+		rep.Rows = append(rep.Rows, rows...)
 		if cfg.TraceOut != nil {
 			// One extra fully instrumented run to capture the trace the
 			// -trace-out flag asked for (the timed sweep stays untouched).
@@ -179,50 +136,31 @@ func Obs(cfg ObsConfig) (*ObsReport, error) {
 	return rep, nil
 }
 
-// trimmedRatioPct is the paired overhead estimator: a 25%-trimmed mean
-// over sweep rounds of scenario[r]/base[r], as a percentage delta. The
-// trim discards the quarter of rounds most disturbed by the scheduler or
-// allocator (in either direction); the mean over the remaining half is
-// statistically tighter than a bare median.
-func trimmedRatioPct(scenario, base []time.Duration) float64 {
-	n := len(scenario)
-	if len(base) < n {
-		n = len(base)
-	}
-	ratios := make([]float64, 0, n)
-	for r := 0; r < n; r++ {
-		if base[r] > 0 {
-			ratios = append(ratios, float64(scenario[r])/float64(base[r]))
+// Gates holds the fully armed rows to the 3% overhead budget.
+func (r *ObsReport) Gates() []Gate {
+	worst := 0.0
+	for _, row := range r.Rows {
+		if row.Scenario == obsFullyArmed {
+			worst = max(worst, row.OverheadPct)
 		}
 	}
-	if len(ratios) == 0 {
-		return 0
-	}
-	sort.Float64s(ratios)
-	lo := len(ratios) / 4
-	hi := len(ratios) - lo
-	var sum float64
-	for _, v := range ratios[lo:hi] {
-		sum += v
-	}
-	return 100 * (sum/float64(hi-lo) - 1)
+	return []Gate{timing(atMost("observability overhead, metrics + tracer (worst workload)", worst, 3, "%"))}
 }
 
 // String renders the ablation table.
 func (r *ObsReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Observability overhead ablation — %d runs/row, min-of-sweep overhead\n", r.Config.Schedules)
-	fmt.Fprintf(&b, "%-10s %-20s %8s %10s %11s %9s %8s %8s\n",
-		"workload", "scenario", "correct", "min-us", "avg-us/run", "overhead", "events", "metrics")
+	fmt.Fprintf(&b, "Observability overhead ablation — %d paired runs/row, median-of-ratios overhead\n", r.Config.Schedules)
+	fmt.Fprintf(&b, "%-10s %-20s %s %8s %7s %9s %8s %8s\n",
+		"workload", "scenario", tallyHeader, "min-us", "spread", "overhead", "events", "metrics")
 	for _, row := range r.Rows {
 		over := ""
 		if row.OverheadPct != 0 {
 			over = fmt.Sprintf("%+.1f%%", row.OverheadPct)
 		}
-		fmt.Fprintf(&b, "%-10s %-20s %8d %10.0f %11.0f %9s %8d %8d\n",
-			row.Workload, row.Scenario, row.Correct, row.MinMicros,
-			row.AvgWallMicros, over, row.TraceEvents, row.Metrics)
+		fmt.Fprintf(&b, "%-10s %-20s %s %8.0f %6.1f%% %9s %8d %8d\n",
+			row.Workload, row.Scenario, row.Tally, row.Wall.MinMicros(), 100*row.Wall.Spread,
+			over, row.TraceEvents, row.Metrics)
 	}
-	b.WriteString("acceptance: the metrics + tracer rows stay within 3% of observability off\n")
 	return b.String()
 }

@@ -3,12 +3,10 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"privagic/internal/cluster"
 	"privagic/internal/obs"
-	"privagic/internal/ycsb"
 )
 
 // The replication experiment (DESIGN.md §16) prices and proves the
@@ -94,29 +92,15 @@ func Replication(cfg ReplicationConfig) (*ReplicationReport, error) {
 	}
 	rep := &ReplicationReport{Config: cfg}
 
-	// Interleaved pairs, median of ratios — same drift damping as the
-	// cluster experiment's router tax.
-	ratios := make([]float64, 0, cfg.Reps)
-	var r1, r2 ClusterRow
-	for i := 0; i < cfg.Reps; i++ {
-		a, err := replicationRow(cfg, 1)
-		if err != nil {
-			return nil, err
-		}
-		b, err := replicationRow(cfg, 2)
-		if err != nil {
-			return nil, err
-		}
-		ratios = append(ratios, b.OpsPerSec/a.OpsPerSec)
-		if i == 0 || a.OpsPerSec > r1.OpsPerSec {
-			r1 = a
-		}
-		if i == 0 || b.OpsPerSec > r2.OpsPerSec {
-			r2 = b
-		}
+	var r1, r2 []ClusterRow
+	p, err := paired(cfg.Reps,
+		keep(&r1, func(s *span) (ClusterRow, error) { return replicationRow(s, cfg, 1) }),
+		keep(&r2, func(s *span) (ClusterRow, error) { return replicationRow(s, cfg, 2) }))
+	if err != nil {
+		return nil, err
 	}
-	rep.TaxPct = 100 * (1 - medianOfSorted(ratios))
-	rep.Rows = append(rep.Rows, r1, r2)
+	rep.TaxPct = 100 * (1 - 1/p.Ratio)
+	rep.Rows = append(rep.Rows, r1[p.A.Best], r2[p.B.Best])
 
 	if err := replicationDrill(cfg, rep); err != nil {
 		return nil, err
@@ -124,80 +108,14 @@ func Replication(cfg ReplicationConfig) (*ReplicationReport, error) {
 	return rep, nil
 }
 
-// medianOfSorted sorts in place and returns the median.
-func medianOfSorted(v []float64) float64 {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-	return v[len(v)/2]
-}
-
 // replicationRow measures YCSB-A throughput at the given replication
 // factor on a 3-shard cluster with client-wide pools (capacity is not
 // the bottleneck; the fan-out is what differs between rows).
-func replicationRow(cfg ReplicationConfig, replication int) (ClusterRow, error) {
-	row := ClusterRow{Scenario: fmt.Sprintf("R=%d", replication), Shards: 3, Ops: cfg.Ops}
-	cl, err := cluster.New(cluster.Config{Shards: 3, Workers: cfg.Clients * 2})
-	if err != nil {
-		return row, err
-	}
-	defer cl.Close()
+func replicationRow(s *span, cfg ReplicationConfig, replication int) (ClusterRow, error) {
 	rcfg := benchRouterConfig()
 	rcfg.PoolConns = cfg.Clients + 2
 	rcfg.Replication = replication
-	rt, err := cluster.NewRouter(cl, rcfg)
-	if err != nil {
-		return row, err
-	}
-	defer rt.Close()
-
-	base, err := ycsb.New(ycsb.Config{
-		Records:      4096,
-		Mix:          ycsb.WorkloadA,
-		Distribution: ycsb.Zipfian,
-		Seed:         42,
-	})
-	if err != nil {
-		return row, err
-	}
-	streams := base.Split(cfg.Clients)
-	value := make([]byte, benchValueSize)
-	perClient := cfg.Ops / cfg.Clients
-	errs := make([]int64, cfg.Clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < cfg.Clients; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			gen := streams[id]
-			for n := 0; n < perClient; n++ {
-				op := gen.Next()
-				key := fmt.Sprintf("k%d", op.Key)
-				var err error
-				if op.Kind == ycsb.OpRead {
-					_, _, err = rt.Get(key)
-				} else {
-					err = rt.Set(key, value)
-				}
-				if err != nil {
-					errs[id]++
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	for _, e := range errs {
-		row.Errors += e
-	}
-	cs := rt.Counters()
-	row.Retries, row.Sheds = cs["retries"], cs["sheds"]
-	row.WallMs = float64(wall.Microseconds()) / 1e3
-	row.OpsPerSec = float64(perClient*cfg.Clients) / wall.Seconds()
-	return row, nil
+	return routedRow(s, fmt.Sprintf("R=%d", replication), 3, cfg.Clients*2, cfg.Clients, cfg.Ops, rcfg)
 }
 
 // replicationDrill is the deterministic outage cycle: write, kill,
@@ -328,12 +246,26 @@ func (r *ReplicationReport) String() string {
 		fmt.Fprintf(&b, "%-12s %7d %10.1f %12.0f %9d %9d %8d\n",
 			row.Scenario, row.Shards, row.WallMs, row.OpsPerSec, row.Errors, row.Retries, row.Sheds)
 	}
-	fmt.Fprintf(&b, "replication tax (R=2 vs R=1): %.1f%% median-of-pairs (acceptance: within 35%%)\n", r.TaxPct)
-	fmt.Fprintf(&b, "outage drill: %d cycles, %d zero-loss reads, %d lost (acceptance: 0 lost)\n",
+	fmt.Fprintf(&b, "replication tax (R=2 vs R=1): %.1f%% (median of paired ratios)\n", r.TaxPct)
+	fmt.Fprintf(&b, "outage drill: %d cycles, %d zero-loss reads, %d lost\n",
 		r.Outages, r.CheckedReads, r.LostReads)
-	fmt.Fprintf(&b, "defenses: replica_writes=%d fallbacks=%d hints_queued=%d hints_drained=%d syncs=%d read_repairs=%d (acceptance: all nonzero)\n",
+	fmt.Fprintf(&b, "defenses: replica_writes=%d fallbacks=%d hints_queued=%d hints_drained=%d syncs=%d read_repairs=%d\n",
 		r.ReplicaWrites, r.Fallbacks, r.HintsQueued, r.HintsDrained, r.Syncs, r.ReadRepairs)
 	fmt.Fprintf(&b, "readmission windows: sync avg %.0fus max %.0fus | hint drain avg %.0fus max %.0fus\n",
 		r.SyncAvgUs, r.SyncMaxUs, r.DrainAvgUs, r.DrainMaxUs)
 	return b.String()
+}
+
+// Gates holds R=2 to a throughput tax within 35% of R=1, the outage drill
+// to zero lost reads, and every defense the soaks rely on to have fired.
+func (r *ReplicationReport) Gates() []Gate {
+	fired := r.ReplicaWrites
+	for _, c := range []int64{r.Fallbacks, r.HintsQueued, r.HintsDrained, r.Syncs, r.ReadRepairs} {
+		fired = min(fired, c)
+	}
+	return []Gate{
+		timing(atMost("replication tax (R=2 vs R=1)", r.TaxPct, 35, "%")),
+		atMost("replication lost reads", float64(r.LostReads), 0, ""),
+		atLeast("replication defense counters (least fired)", float64(fired), 1, ""),
+	}
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -33,19 +32,17 @@ func DefaultSupervision() SupervisionConfig {
 	return SupervisionConfig{Schedules: 10, WaitTimeout: 15 * time.Millisecond}
 }
 
-// SupervisionRow is one scenario's aggregate outcome.
+// SupervisionRow is one scenario's aggregate outcome. A run passes when
+// it returns the exact fault-free answer or fails with ErrWaitTimeout or
+// ErrEnclaveAbort; every other tally column is a failure.
 type SupervisionRow struct {
 	Scenario string
-	Runs     int
-	Correct  int // exact fault-free answer
-	Timeouts int // typed ErrWaitTimeout failures
-	Aborts   int // typed ErrEnclaveAbort failures (simulated AEX)
-	Wrong    int // silent corruption: must stay 0
+	Tally
 
 	Retransmits     int64 // cost-model retransmissions charged
 	HostileRejected int64 // forged messages refused at the admit gate
 	DupsDropped     int64 // replayed messages suppressed
-	AvgWallMicros   float64
+	Wall            Timing
 }
 
 // SupervisionReport holds the ablation table.
@@ -68,21 +65,11 @@ func Supervision(cfg SupervisionConfig) (*SupervisionReport, error) {
 	if cfg.Schedules < 1 {
 		cfg.Schedules = 1
 	}
-	prog, err := privagic.Compile("hashmap2.c", sources.HashmapColored2, privagic.Options{
-		Mode: privagic.Relaxed, Entries: []string{"run_ycsb"},
-	})
+	prog, want, err := groundTruth("hashmap2.c", sources.HashmapColored2, "run_ycsb")
 	if err != nil {
 		return nil, err
 	}
-	rep := &SupervisionReport{Config: cfg}
-
-	// Ground truth: one clean, unsupervised run.
-	clean := prog.Instantiate(nil)
-	rep.Want, err = clean.Call("run_ycsb")
-	clean.Close()
-	if err != nil {
-		return nil, fmt.Errorf("bench: clean supervision baseline failed: %w", err)
-	}
+	rep := &SupervisionReport{Config: cfg, Want: want}
 
 	scenarios := []supScenario{
 		{name: "baseline (no supervision)"},
@@ -107,40 +94,44 @@ func Supervision(cfg SupervisionConfig) (*SupervisionReport, error) {
 		if sc.faulted {
 			runs = cfg.Schedules
 		}
-		row := SupervisionRow{Scenario: sc.name, Runs: runs}
-		var wall time.Duration
-		for seed := int64(1); seed <= int64(runs); seed++ {
-			inst := prog.Instantiate(nil)
-			inst.EnableSpawnValidation()
-			if sc.supervise {
-				inst.EnableSupervision(privagic.SupervisionOptions{WaitTimeout: cfg.WaitTimeout})
-			}
-			if sc.faulted {
-				inst.EnableFaultInjection(sc.faults(seed))
-			}
-			start := time.Now()
-			ret, err := inst.Call("run_ycsb")
-			wall += time.Since(start)
-			switch {
-			case err == nil && ret == rep.Want:
-				row.Correct++
-			case errors.Is(err, privagic.ErrWaitTimeout):
-				row.Timeouts++
-			case errors.Is(err, privagic.ErrEnclaveAbort):
-				row.Aborts++
-			default:
-				row.Wrong++
-			}
-			sup := inst.SupervisionStats()
-			row.HostileRejected += sup.HostileTotal()
-			row.DupsDropped += sup.DroppedDuplicates
-			row.Retransmits += inst.Meter().Retransmits()
-			inst.Close()
-		}
-		row.AvgWallMicros = float64(wall.Microseconds()) / float64(runs)
+		row := SupervisionRow{Scenario: sc.name}
+		seed := int64(0)
+		row.Wall, _ = measure(runs, func(s *span) error {
+			seed++
+			instRun(s, prog, "run_ycsb", want, &row.Tally, func(inst *privagic.Instance) {
+				inst.EnableSpawnValidation()
+				if sc.supervise {
+					inst.EnableSupervision(privagic.SupervisionOptions{WaitTimeout: cfg.WaitTimeout})
+				}
+				if sc.faulted {
+					inst.EnableFaultInjection(sc.faults(seed))
+				}
+			}, func(inst *privagic.Instance) {
+				sup := inst.SupervisionStats()
+				row.HostileRejected += sup.HostileTotal()
+				row.DupsDropped += sup.DroppedDuplicates
+				row.Retransmits += inst.Meter().Retransmits()
+			})
+			return nil
+		})
 		rep.Rows = append(rep.Rows, row)
 	}
 	return rep, nil
+}
+
+// failures counts the runs that neither returned the exact answer nor
+// failed with a typed timeout or abort.
+func (row SupervisionRow) failures() int {
+	return row.Runs - row.Correct - row.Timeouts - row.Aborts
+}
+
+// Gates holds the run to its invariant: no silently wrong or untyped run.
+func (r *SupervisionReport) Gates() []Gate {
+	bad := 0
+	for _, row := range r.Rows {
+		bad += row.failures()
+	}
+	return []Gate{atMost("supervision wrong or untyped runs", float64(bad), 0, "")}
 }
 
 // String renders the ablation table.
@@ -148,14 +139,10 @@ func (r *SupervisionReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Supervision ablation — two-color hashmap, %d hits fault-free, window %v\n",
 		r.Want, r.Config.WaitTimeout)
-	fmt.Fprintf(&b, "%-28s %5s %8s %9s %7s %6s %8s %8s %6s %11s\n",
-		"scenario", "runs", "correct", "timeouts", "aborts", "wrong",
-		"hostile", "dups", "retx", "avg-us/run")
+	fmt.Fprintf(&b, "%-28s %s %8s %8s %6s %9s\n", "scenario", tallyHeader, "hostile", "dups", "retx", "min-us")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-28s %5d %8d %9d %7d %6d %8d %8d %6d %11.0f\n",
-			row.Scenario, row.Runs, row.Correct, row.Timeouts, row.Aborts, row.Wrong,
-			row.HostileRejected, row.DupsDropped, row.Retransmits, row.AvgWallMicros)
+		fmt.Fprintf(&b, "%-28s %s %8d %8d %6d %9.0f\n", row.Scenario, row.Tally,
+			row.HostileRejected, row.DupsDropped, row.Retransmits, row.Wall.MinMicros())
 	}
-	b.WriteString("every run completes correctly or fails with a typed error; wrong must be 0\n")
 	return b.String()
 }

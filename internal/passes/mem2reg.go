@@ -39,10 +39,15 @@ func Mem2Reg(f *ir.Function) int {
 				defBlocks[b] = true
 			}
 		})
+		// Seed the worklist in block order, not map order: phi creation
+		// order fixes phi names, so map order would make the emitted IR
+		// differ between builds of the same source.
 		placed := map[*ir.Block]bool{}
 		work := make([]*ir.Block, 0, len(defBlocks))
-		for b := range defBlocks {
-			work = append(work, b)
+		for _, b := range f.Blocks {
+			if defBlocks[b] {
+				work = append(work, b)
+			}
 		}
 		for len(work) > 0 {
 			b := work[len(work)-1]

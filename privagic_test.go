@@ -104,3 +104,24 @@ entry long first_byte(char* p) { return p[0]; }
 		t.Errorf("ReadUnsafe = %v", b)
 	}
 }
+
+// TestEmitIRDeterministic compiles the memcached core repeatedly and
+// requires byte-identical IR text: phi placement and naming must follow
+// block order, never map iteration order.
+func TestEmitIRDeterministic(t *testing.T) {
+	emit := func() string {
+		prog, err := Compile("memcached_core.c", sources.MemcachedCoreColored, Options{
+			Mode: Relaxed, Entries: []string{"run_ycsb"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog.EmitIR()
+	}
+	want := emit()
+	for i := 1; i < 8; i++ {
+		if got := emit(); got != want {
+			t.Fatalf("compile %d emitted different IR text than compile 0", i)
+		}
+	}
+}
