@@ -43,7 +43,8 @@ var Catalog = []MetricDef{
 	{Name: "prt.queue.depth", Type: "gauge", Unit: "items", Subsystem: "queue", Help: "messages currently resident across all worker queues"},
 	{Name: "prt.queue.enqueues", Type: "gauge", Unit: "1", Subsystem: "queue", Help: "total messages enqueued across all worker queues"},
 	{Name: "prt.queue.dequeues", Type: "gauge", Unit: "1", Subsystem: "queue", Help: "total messages dequeued across all worker queues"},
-	{Name: "prt.queue.parks", Type: "gauge", Unit: "1", Subsystem: "queue", Help: "consumer park-sleeps while waiting on an empty queue"},
+	{Name: "prt.queue.parks", Type: "gauge", Unit: "1", Subsystem: "queue", Help: "blocking waits that parked"},
+	{Name: "prt.queue.park_us", Type: "gauge", Unit: "us", Subsystem: "queue", Help: "total microseconds blocking waits spent parked"},
 	{Name: "prt.queue.full_waits", Type: "gauge", Unit: "1", Subsystem: "queue", Help: "producer waits on a full bounded queue"},
 
 	// prt latency histograms (count/sum/max exported as name.count etc).

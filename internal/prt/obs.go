@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"privagic/internal/obs"
+	"privagic/internal/queue"
 )
 
 // trace records one structured runtime event. With no tracer armed the
@@ -73,11 +74,12 @@ func (rt *Runtime) RegisterMetrics(reg *obs.Registry) {
 	reg.Gauge("prt.journal.replays", rt.jr.replays.Load)
 	reg.Gauge("prt.journal.giveups", rt.jr.giveups.Load)
 
-	reg.Gauge("prt.queue.depth", func() int64 { return rt.sumQueues(func(d, _, _, _, _ int64) int64 { return d }) })
-	reg.Gauge("prt.queue.enqueues", func() int64 { return rt.sumQueues(func(_, e, _, _, _ int64) int64 { return e }) })
-	reg.Gauge("prt.queue.dequeues", func() int64 { return rt.sumQueues(func(_, _, d, _, _ int64) int64 { return d }) })
-	reg.Gauge("prt.queue.parks", func() int64 { return rt.sumQueues(func(_, _, _, p, _ int64) int64 { return p }) })
-	reg.Gauge("prt.queue.full_waits", func() int64 { return rt.sumQueues(func(_, _, _, _, f int64) int64 { return f }) })
+	reg.Gauge("prt.queue.depth", rt.sumQueues((*queue.Queue[Message]).Depth))
+	reg.Gauge("prt.queue.enqueues", rt.sumQueues(func(q *queue.Queue[Message]) int64 { e, _ := q.Stats(); return e }))
+	reg.Gauge("prt.queue.dequeues", rt.sumQueues(func(q *queue.Queue[Message]) int64 { _, d := q.Stats(); return d }))
+	reg.Gauge("prt.queue.parks", rt.sumQueues((*queue.Queue[Message]).Parks))
+	reg.Gauge("prt.queue.park_us", rt.sumQueues(func(q *queue.Queue[Message]) int64 { return q.ParkTime().Microseconds() }))
+	reg.Gauge("prt.queue.full_waits", rt.sumQueues((*queue.Queue[Message]).FullWaits))
 
 	rt.hChunkUS = reg.Histogram("prt.chunk_exec_us")
 	rt.hWaitUS = reg.Histogram("prt.wait_block_us")
@@ -86,21 +88,23 @@ func (rt *Runtime) RegisterMetrics(reg *obs.Registry) {
 	reg.Gauge("obs.trace_dropped", func() int64 { return rt.Tracer.Dropped() })
 }
 
-// sumQueues folds one per-queue statistic across every live worker queue
-// of every thread. Snapshot-time only; never on the hot path.
-func (rt *Runtime) sumQueues(pick func(depth, enq, deq, parks, fullWaits int64) int64) int64 {
-	rt.mu.Lock()
-	threads := append([]*Thread(nil), rt.threads...)
-	rt.mu.Unlock()
-	var total int64
-	for _, t := range threads {
-		t.wmu.RLock()
-		workers := append([]*Worker(nil), t.Workers...)
-		t.wmu.RUnlock()
-		for _, w := range workers {
-			enq, deq := w.q.Stats()
-			total += pick(w.q.Depth(), enq, deq, w.q.Parks(), w.q.FullWaits())
+// sumQueues returns a gauge that folds one per-queue statistic across
+// every live worker queue of every thread. Snapshot-time only; never on
+// the hot path.
+func (rt *Runtime) sumQueues(stat func(*queue.Queue[Message]) int64) func() int64 {
+	return func() int64 {
+		rt.mu.Lock()
+		threads := append([]*Thread(nil), rt.threads...)
+		rt.mu.Unlock()
+		var total int64
+		for _, t := range threads {
+			t.wmu.RLock()
+			workers := append([]*Worker(nil), t.Workers...)
+			t.wmu.RUnlock()
+			for _, w := range workers {
+				total += stat(w.q)
+			}
 		}
+		return total
 	}
-	return total
 }

@@ -312,7 +312,7 @@ type Worker struct {
 
 	// block publishes what the worker is blocked on, for the watchdog
 	// and for timeout diagnostics.
-	block atomic.Pointer[blockInfo]
+	block blockState
 }
 
 // Thread models one application thread: the normal-mode context plus one
@@ -560,15 +560,9 @@ func (w *Worker) next(deadline time.Time) (Message, bool) {
 			}
 			continue
 		}
-		var msg Message
-		if deadline.IsZero() {
-			msg = w.q.DequeueBlock()
-		} else {
-			var ok bool
-			msg, ok = w.q.DequeueTimeout(time.Until(deadline))
-			if !ok {
-				return Message{}, false
-			}
+		msg, ok := w.q.DequeueUntil(deadline)
+		if !ok {
+			return Message{}, false
 		}
 		if msg.auth != authStamp {
 			switch msg.Kind {
@@ -915,7 +909,7 @@ func (w *Worker) WaitTimeout(tag int, window time.Duration) (any, error) {
 			return msg.Payload, nil
 		}
 	}
-	msg, err := w.await("wait", MsgCont, tag, window)
+	msg, err := w.await(opWait, MsgCont, tag, window)
 	if err != nil {
 		return nil, err
 	}
@@ -934,7 +928,7 @@ func (w *Worker) JoinOne() (Message, error) { return w.JoinOneTimeout(w.window()
 
 // JoinOneTimeout is JoinOne with an explicit inactivity window.
 func (w *Worker) JoinOneTimeout(d time.Duration) (Message, error) {
-	return w.joinStep("join-one", 1, d)
+	return w.joinStep(opJoinOne, 1, d)
 }
 
 // Join waits for n spawn completions and returns the payload of the last
@@ -950,7 +944,7 @@ func (w *Worker) JoinTimeout(n int, d time.Duration) (any, error) {
 	var result any
 	var firstErr error
 	for ; n > 0; n-- {
-		msg, err := w.joinStep("join", n, d)
+		msg, err := w.joinStep(opJoin, n, d)
 		if err != nil {
 			return result, err
 		}
@@ -966,7 +960,7 @@ func (w *Worker) JoinTimeout(n int, d time.Duration) (any, error) {
 
 // joinStep takes one completion for JoinOne or Join; pending is the
 // number still missing, for diagnostics.
-func (w *Worker) joinStep(op string, pending int, window time.Duration) (Message, error) {
+func (w *Worker) joinStep(op waitOp, pending int, window time.Duration) (Message, error) {
 	w.prunePending()
 	// A replayed chunk re-joins completions its crashed attempt already
 	// consumed; the nested chunk will not complete again, so the journal
@@ -990,7 +984,7 @@ func (w *Worker) joinStep(op string, pending int, window time.Duration) (Message
 // completion recovery does not swallow (kind MsgDone), from the buffers or
 // off the queue, and dispatches everything else. For joins, arg is the
 // number of completions still missing; it only feeds diagnostics.
-func (w *Worker) await(op string, kind MsgKind, arg int, window time.Duration) (Message, error) {
+func (w *Worker) await(op waitOp, kind MsgKind, arg int, window time.Duration) (Message, error) {
 	if msg, ok := w.take(kind, arg); ok {
 		return msg, nil
 	}
@@ -1011,8 +1005,8 @@ func (w *Worker) await(op string, kind MsgKind, arg int, window time.Duration) (
 	}
 	rt := w.Thread.RT
 	start := time.Now()
-	w.publishBlock(op, arg, start)
-	defer w.clearBlock()
+	w.block.publish(op, arg, start)
+	defer w.block.clear()
 	for {
 		msg, ok := w.next(nextDeadline(window))
 		if !ok {
@@ -1020,7 +1014,7 @@ func (w *Worker) await(op string, kind MsgKind, arg int, window time.Duration) (
 				continue // the system is alive; only our queue is quiet
 			}
 			rt.stats.timeouts.Add(1)
-			err := &TimeoutError{Op: op, Worker: w.Index, Elapsed: time.Since(start)}
+			err := &TimeoutError{Op: op.String(), Worker: w.Index, Elapsed: time.Since(start)}
 			if kind == MsgCont {
 				err.Tag = arg
 			} else {
@@ -1124,7 +1118,7 @@ func (t *Thread) timeoutDiag(te *TimeoutError) {
 	}
 	for i, w := range workers {
 		te.QueueDepths[i] = w.q.Depth()
-		if bi := w.block.Load(); bi != nil && bi.op == "wait" {
+		if bi, ok := w.block.load(); ok && bi.op == opWait {
 			tags[bi.tag] = true
 		}
 	}

@@ -1,6 +1,7 @@
 package prt
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -285,5 +286,32 @@ func TestParallelThreads(t *testing.T) {
 		if !<-done {
 			t.Fatal("a thread failed")
 		}
+	}
+}
+
+// TestSpawnWakesParkedWorker: an idle enclave worker parks on its empty
+// queue, and a spawn sent after it parked still runs and completes.
+func TestSpawnWakesParkedWorker(t *testing.T) {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
+		1: func(w *Worker, args []any) any { return args[0].(int) + 1 },
+	})
+	th := rt.NewThread()
+	defer th.Close()
+	q := th.Worker(1).q
+	deadline := time.Now().Add(10 * time.Second)
+	for q.Parks() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("idle enclave worker never parked")
+		}
+		runtime.Gosched()
+	}
+	u := th.Normal()
+	u.Spawn(1, 1, []any{41}, true)
+	got, err := u.JoinTimeout(1, 10*time.Second)
+	if err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	if got != 42 {
+		t.Errorf("Join = %v, want 42", got)
 	}
 }

@@ -130,24 +130,73 @@ func (rt *Runtime) Stalls() []Stall {
 	return append([]Stall(nil), rt.stats.stalls...)
 }
 
-// blockInfo is the state a worker publishes while blocked in a wait
-// primitive, consumed by the watchdog.
+// waitOp names the wait primitive a worker is blocked in.
+type waitOp uint32
+
+const (
+	opWait waitOp = iota
+	opJoin
+	opJoinOne
+)
+
+// String is the op's name in Stall and TimeoutError reports.
+func (o waitOp) String() string { return [...]string{"wait", "join", "join-one"}[o] }
+
+// blockState is the wait point a worker publishes while blocked in a wait
+// primitive, read by the watchdog and by timeout diagnostics on other
+// goroutines. It is always on (not gated on the watchdog): timeout
+// diagnostics read the wait points of sibling workers to name the pending
+// tags in a TimeoutError. Only the worker's own goroutine writes it, as a
+// sequence lock over atomics so that publishing allocates nothing: seq is
+// odd while a wait point is published, and the fields change only while
+// it is even.
+type blockState struct {
+	seq   atomic.Uint64
+	op    atomic.Uint32
+	tag   atomic.Int64
+	since atomic.Int64 // UnixNano
+	// reported is the seq of the last wait point the watchdog reported.
+	reported atomic.Uint64
+}
+
+// blockInfo is one consistent read of a blockState.
 type blockInfo struct {
-	op       string
-	tag      int
-	since    time.Time
-	reported atomic.Bool
+	op    waitOp
+	tag   int
+	since time.Time
+	seq   uint64
 }
 
-// publishBlock is always on (not gated on the watchdog): timeout
-// diagnostics read the published wait points of sibling workers to name
-// the pending tags in a TimeoutError.
-func (w *Worker) publishBlock(op string, tag int, since time.Time) {
-	w.block.Store(&blockInfo{op: op, tag: tag, since: since})
+// publish replaces the published wait point (a nested wait inside a
+// spawn run by an outer wait takes it over).
+func (b *blockState) publish(op waitOp, tag int, since time.Time) {
+	b.clear()
+	b.op.Store(uint32(op))
+	b.tag.Store(int64(tag))
+	b.since.Store(since.UnixNano())
+	b.seq.Add(1)
 }
 
-func (w *Worker) clearBlock() {
-	w.block.Store(nil)
+func (b *blockState) clear() {
+	if b.seq.Load()&1 == 1 {
+		b.seq.Add(1)
+	}
+}
+
+// load reads the published wait point; ok is false when none is published
+// or the worker republished mid-read.
+func (b *blockState) load() (bi blockInfo, ok bool) {
+	seq := b.seq.Load()
+	if seq&1 == 0 {
+		return bi, false
+	}
+	bi = blockInfo{
+		op:    waitOp(b.op.Load()),
+		tag:   int(b.tag.Load()),
+		since: time.Unix(0, b.since.Load()),
+		seq:   seq,
+	}
+	return bi, b.seq.Load() == seq
 }
 
 // maybeStartWatchdog starts the supervisor goroutine once, if configured.
@@ -191,19 +240,19 @@ func (rt *Runtime) watchdog() {
 			workers := append([]*Worker(nil), t.Workers...)
 			t.wmu.RUnlock()
 			for _, w := range workers {
-				bi := w.block.Load()
-				if bi == nil {
+				bi, ok := w.block.load()
+				if !ok {
 					continue
 				}
 				blocked := now.Sub(bi.since)
-				if blocked < threshold || !bi.reported.CompareAndSwap(false, true) {
+				if blocked < threshold || w.block.reported.Swap(bi.seq) == bi.seq {
 					continue
 				}
 				rt.trace(obs.EvStall, w.Index, 0, bi.tag, t.epoch.Load(), blocked.Microseconds())
 				rt.stats.stallMu.Lock()
 				if len(rt.stats.stalls) < 1024 {
 					rt.stats.stalls = append(rt.stats.stalls, Stall{
-						Worker: w.Index, Op: bi.op, Tag: bi.tag, Blocked: blocked,
+						Worker: w.Index, Op: bi.op.String(), Tag: bi.tag, Blocked: blocked,
 					})
 				}
 				rt.stats.stallMu.Unlock()

@@ -70,10 +70,11 @@ func BenchmarkHopLatency(b *testing.B) {
 }
 
 // BenchmarkHopLatencyWithIdleWaiters runs the same ping-pong while 8 idle
-// workers block on empty queues. With the old Gosched hot-spin the idle
-// waiters competed for every core and the hop slowed down; with parked
-// sleeps the numbers should match BenchmarkHopLatency closely while the
-// park counters (reported as parks/op) show the waiters asleep.
+// workers block on empty queues. Idle waiters that kept spinning or
+// yielding would compete for every core and slow the hop; parked on their
+// doors they cost nothing, so the numbers should match BenchmarkHopLatency
+// closely while the park counters (reported as idle-parks/op) show the
+// waiters asleep.
 func BenchmarkHopLatencyWithIdleWaiters(b *testing.B) {
 	benchmarkHop(b, 8)
 }

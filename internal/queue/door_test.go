@@ -1,0 +1,214 @@
+package queue
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+)
+
+// waitParks yields until q has parked more than n times. Tests wait on the
+// park counter, not on a sleep, so they hold on a loaded host too.
+func waitParks(t *testing.T, q *Queue[int], n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for q.Parks() <= n {
+		if time.Now().After(deadline) {
+			t.Fatalf("waiter never parked (parks=%d)", q.Parks())
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestDoorWakesParkedConsumer: a consumer parked in DequeueBlock is
+// released by a single Enqueue, and leaves the door unregistered.
+func TestDoorWakesParkedConsumer(t *testing.T) {
+	q := New[int]()
+	done := make(chan int)
+	go func() { done <- q.DequeueBlock() }()
+	waitParks(t, q, 0)
+	q.Enqueue(42)
+	select {
+	case v := <-done:
+		if v != 42 {
+			t.Fatalf("DequeueBlock = %d, want 42", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("parked consumer was not woken by Enqueue")
+	}
+	if n := q.consumers.sleepers.Load(); n != 0 {
+		t.Fatalf("sleepers = %d after wake, want 0", n)
+	}
+	if q.ParkTime() <= 0 {
+		t.Error("ParkTime() = 0 after a park")
+	}
+}
+
+// TestDoorWakesEveryParkedConsumer: three consumers park on one door,
+// then three values arrive back to back. Each consumer gets one value; no
+// consumer may stay parked beside a non-empty queue.
+func TestDoorWakesEveryParkedConsumer(t *testing.T) {
+	const consumers = 3
+	q := New[int]()
+	done := make(chan int, consumers)
+	for c := 0; c < consumers; c++ {
+		go func() { done <- q.DequeueBlock() }()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for q.consumers.sleepers.Load() < consumers || q.Parks() < consumers {
+		if time.Now().After(deadline) {
+			t.Fatalf("consumers never all parked (sleepers=%d)", q.consumers.sleepers.Load())
+		}
+		runtime.Gosched()
+	}
+	for v := 1; v <= consumers; v++ {
+		q.Enqueue(v)
+	}
+	sum := 0
+	for c := 0; c < consumers; c++ {
+		select {
+		case v := <-done:
+			sum += v
+		case <-time.After(10 * time.Second):
+			t.Fatalf("consumer %d stayed parked with depth=%d", c, q.Depth())
+		}
+	}
+	if sum != 1+2+3 {
+		t.Fatalf("consumers received values summing to %d, want 6", sum)
+	}
+}
+
+// TestDoorTimeoutLeavesNoSleeper: a DequeueTimeout that expires while
+// parked deregisters, and the queue still delivers afterwards.
+func TestDoorTimeoutLeavesNoSleeper(t *testing.T) {
+	q := New[int]()
+	if _, ok := q.DequeueTimeout(5 * time.Millisecond); ok {
+		t.Fatal("DequeueTimeout returned a value from an empty queue")
+	}
+	if q.Parks() == 0 {
+		t.Fatal("a 5ms wait on an empty queue never parked")
+	}
+	if n := q.consumers.sleepers.Load(); n != 0 {
+		t.Fatalf("sleepers = %d after a timed-out park, want 0", n)
+	}
+	q.Enqueue(7)
+	done := make(chan int)
+	go func() { done <- q.DequeueBlock() }()
+	select {
+	case v := <-done:
+		if v != 7 {
+			t.Fatalf("DequeueBlock = %d, want 7", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("DequeueBlock after a timed-out park never returned")
+	}
+}
+
+// TestDoorStressMPMC: 4 producers and 3 consumers on a bounded queue, so
+// both doors see several waiters at once. Producers mix EnqueueBlock and
+// Enqueue; consumers mix DequeueBlock and short DequeueTimeouts. Every
+// value arrives exactly once and no waiter is left registered.
+func TestDoorStressMPMC(t *testing.T) {
+	const producers, consumers, per = 4, 3, 3000
+	q := NewBounded[int](4)
+	var pwg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		pwg.Add(1)
+		go func(p int) {
+			defer pwg.Done()
+			for i := 0; i < per; i++ {
+				v := p*per + i
+				if i%2 == 0 {
+					q.EnqueueBlock(v)
+				} else {
+					q.Enqueue(v)
+				}
+				if i%500 == 0 {
+					// Let the consumers run dry and park.
+					time.Sleep(200 * time.Microsecond)
+				}
+			}
+		}(p)
+	}
+	got := make([][]int, consumers)
+	var cwg sync.WaitGroup
+	for c := 0; c < consumers; c++ {
+		cwg.Add(1)
+		go func(c int) {
+			defer cwg.Done()
+			for i := 0; ; i++ {
+				var v int
+				if i%2 == 0 {
+					v = q.DequeueBlock()
+				} else {
+					var ok bool
+					if v, ok = q.DequeueTimeout(50 * time.Microsecond); !ok {
+						continue
+					}
+				}
+				if v < 0 {
+					return
+				}
+				got[c] = append(got[c], v)
+			}
+		}(c)
+	}
+	pwg.Wait()
+	for c := 0; c < consumers; c++ {
+		q.Enqueue(-1)
+	}
+	finished := make(chan struct{})
+	go func() { cwg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("consumers wedged: depth=%d sleepers=%d", q.Depth(), q.consumers.sleepers.Load())
+	}
+	seen := make([]bool, producers*per)
+	n := 0
+	for _, vs := range got {
+		for _, v := range vs {
+			if seen[v] {
+				t.Fatalf("value %d delivered twice", v)
+			}
+			seen[v] = true
+			n++
+		}
+	}
+	if n != producers*per {
+		t.Fatalf("delivered %d values, want %d", n, producers*per)
+	}
+	t.Logf("parks=%d full_waits=%d", q.Parks(), q.FullWaits())
+	if c, p := q.consumers.sleepers.Load(), q.producers.sleepers.Load(); c != 0 || p != 0 {
+		t.Fatalf("sleepers left registered: consumers=%d producers=%d", c, p)
+	}
+}
+
+// TestDoorParkAllocatesNothing: a park-and-wake in DequeueTimeout, timer
+// included, allocates nothing beyond the node Enqueue allocates.
+func TestDoorParkAllocatesNothing(t *testing.T) {
+	q := New[int]()
+	kick := make(chan int64)
+	defer close(kick)
+	go func() {
+		for before := range kick {
+			for q.Parks() <= before {
+				runtime.Gosched()
+			}
+			q.Enqueue(1)
+		}
+	}()
+	parkAndWake := testing.AllocsPerRun(50, func() {
+		kick <- q.Parks()
+		if _, ok := q.DequeueTimeout(time.Minute); !ok {
+			t.Fatal("DequeueTimeout timed out although a producer was kicked")
+		}
+	})
+	node := testing.AllocsPerRun(50, func() {
+		q.Enqueue(1)
+		q.Dequeue()
+	})
+	if parkAndWake > node {
+		t.Fatalf("park-and-wake allocates %.1f objects, Enqueue+Dequeue alone %.1f", parkAndWake, node)
+	}
+}

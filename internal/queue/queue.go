@@ -8,9 +8,18 @@
 // of [28], which is exactly the simplification those papers anticipate for
 // managed runtimes.
 //
-// Each queue tracks its own depth, enqueue/dequeue totals, park-sleeps
-// and full-queue waits; the runtime aggregates them across workers into
-// the prt.queue.* gauges (see OBSERVABILITY.md).
+// Blocking waits go through one door per side. A waiter first spins on the
+// queue's state, then yields, then parks: it registers as a sleeper,
+// re-checks, and blocks on a one-slot token channel. The other side hands
+// over a token, without blocking, whenever it changes the state while a
+// sleeper is registered: Enqueue wakes a parked consumer, and a Dequeue on
+// a bounded queue wakes a producer parked at capacity. A message that
+// arrives after its consumer parked is therefore delivered at the cost of
+// one goroutine wakeup, not at the end of a sleep.
+//
+// Each queue tracks its own depth, enqueue/dequeue totals, parks, park
+// time and full-queue waits; the runtime aggregates them across workers
+// into the prt.queue.* gauges (see OBSERVABILITY.md).
 package queue
 
 import (
@@ -23,6 +32,29 @@ import (
 type node[T any] struct {
 	val  T
 	next atomic.Pointer[node[T]]
+}
+
+// door is the parked half of one side's blocking wait. A waiter that ran
+// out of spins registers in sleepers, re-checks its condition and blocks
+// on token; the other side, right after changing the state the waiter
+// polls, calls open. Sleepers is incremented before the re-check and
+// loaded after the state change (both sequentially consistent atomics),
+// so either the waiter sees the change or open sees the waiter: a wakeup
+// is never lost.
+type door struct {
+	sleepers atomic.Int32
+	token    chan struct{} // one slot
+}
+
+// open hands a parked waiter a token, if one is registered. It never
+// blocks: a token already in the slot wakes a waiter just as well.
+func (d *door) open() {
+	if d.sleepers.Load() > 0 {
+		select {
+		case d.token <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // Queue is a multi-producer multi-consumer lock-free FIFO.
@@ -41,9 +73,17 @@ type Queue[T any] struct {
 	// concurrent producers.
 	capacity int64
 
+	consumers door // waiting for an element; opened by Enqueue
+	producers door // waiting for room; bounded queues only, opened by Dequeue
+	// timer is a stopped, drained deadline timer kept for the next timed
+	// park, so parking allocates nothing. A waiter takes it with Swap; a
+	// second concurrent timed waiter makes its own.
+	timer atomic.Pointer[time.Timer]
+
 	enqueues  atomic.Int64
 	dequeues  atomic.Int64
 	parks     atomic.Int64
+	parkNS    atomic.Int64
 	fullWaits atomic.Int64
 }
 
@@ -53,6 +93,7 @@ func New[T any]() *Queue[T] {
 	sentinel := &node[T]{}
 	q.head.Store(sentinel)
 	q.tail.Store(sentinel)
+	q.consumers.token = make(chan struct{}, 1)
 	return q
 }
 
@@ -62,11 +103,13 @@ func NewBounded[T any](capacity int) *Queue[T] {
 	q := New[T]()
 	if capacity > 0 {
 		q.capacity = int64(capacity)
+		q.producers.token = make(chan struct{}, 1)
 	}
 	return q
 }
 
-// Enqueue appends v (Michael–Scott two-step publish).
+// Enqueue appends v (Michael–Scott two-step publish) and wakes a parked
+// consumer.
 func (q *Queue[T]) Enqueue(v T) {
 	n := &node[T]{val: v}
 	for {
@@ -83,6 +126,7 @@ func (q *Queue[T]) Enqueue(v T) {
 		if tail.next.CompareAndSwap(nil, n) {
 			q.tail.CompareAndSwap(tail, n)
 			q.enqueues.Add(1)
+			q.consumers.open()
 			return
 		}
 	}
@@ -92,44 +136,40 @@ func (q *Queue[T]) Enqueue(v T) {
 // which case it reports false without enqueueing. On an unbounded queue it
 // always succeeds.
 func (q *Queue[T]) TryEnqueue(v T) bool {
-	if q.capacity > 0 && q.Len() >= q.capacity {
+	if q.capacity > 0 && !q.hasRoom() {
 		return false
 	}
 	q.Enqueue(v)
 	return true
 }
 
-// EnqueueBlock appends v, waiting (spin → yield → parked sleep, the same
-// backoff schedule as DequeueBlock) while a bounded queue is at capacity.
-// This is the backpressure edge: a producer feeding a saturated consumer
-// slows down to the consumer's pace instead of growing the queue.
+// EnqueueBlock appends v, waiting at the producers' door while a bounded
+// queue is at capacity. This is the backpressure edge: a producer feeding
+// a saturated consumer slows down to the consumer's pace instead of
+// growing the queue.
 func (q *Queue[T]) EnqueueBlock(v T) {
 	if q.TryEnqueue(v) {
 		return
 	}
 	q.fullWaits.Add(1)
-	sleep := sleepStart
-	for i := 0; ; i++ {
-		switch {
-		case i < spinIters:
-			// hot spin
-		case i < spinIters+yieldIters:
-			runtime.Gosched()
-		default:
-			q.parks.Add(1)
-			time.Sleep(sleep)
-			if sleep < sleepCap {
-				sleep *= 2
-			}
-		}
+	parked := false
+	for {
+		_, p := q.await(&q.producers, q.hasRoom, time.Time{})
+		parked = parked || p
 		if q.TryEnqueue(v) {
+			if parked && q.hasRoom() {
+				// One token may stand for several dequeues: pass it
+				// on to the next parked producer.
+				q.producers.open()
+			}
 			return
 		}
 	}
 }
 
 // Dequeue removes and returns the front element, reporting false when the
-// queue is empty.
+// queue is empty. On a bounded queue it wakes a producer parked at
+// capacity.
 func (q *Queue[T]) Dequeue() (T, bool) {
 	var zero T
 	for {
@@ -154,26 +194,30 @@ func (q *Queue[T]) Dequeue() (T, bool) {
 			v := next.val
 			next.val = zero // drop the reference for the GC
 			q.dequeues.Add(1)
+			if q.capacity > 0 {
+				q.producers.open()
+			}
 			return v, true
 		}
 	}
 }
 
-// Blocking-dequeue backoff schedule: a short hot spin catches the common
-// ping-pong case where the producer is already mid-Enqueue, a few scheduler
-// yields cover a producer that holds the core, and after that the waiter
-// parks in exponentially growing sleeps so an idle worker costs (almost) no
-// CPU. The sleep cap bounds the added latency of a message that arrives
-// while the consumer is parked.
+// Blocking-wait schedule: a short hot spin catches the common ping-pong
+// case where the other side is already mid-operation, scheduler yields
+// cover a peer that is still running a chunk or holds the core, and after
+// that the waiter parks on its door so an idle worker costs no CPU until
+// it is woken. The yield phase (some 40-80 µs on a 2-vCPU VM) is sized
+// well above one partitioned Call's round trip: with 32 yields (5-10 µs)
+// it ended right at the round trip of a one-color tree lookup, so small
+// changes in host speed decided whether the caller parked, and each park
+// cost a cross-CPU wakeup.
 const (
 	spinIters  = 128
-	yieldIters = 32
-	sleepStart = time.Microsecond
-	sleepCap   = 256 * time.Microsecond
+	yieldIters = 256
 )
 
-// DequeueBlock waits (spin → yield → parked sleep) until an element
-// arrives. The Privagic runtime's wait primitive is built on it.
+// DequeueBlock waits until an element arrives. The Privagic runtime's
+// wait primitive is built on it.
 func (q *Queue[T]) DequeueBlock() T {
 	v, _ := q.dequeueDeadline(time.Time{})
 	return v
@@ -188,30 +232,99 @@ func (q *Queue[T]) DequeueTimeout(d time.Duration) (T, bool) {
 	return q.dequeueDeadline(time.Now().Add(d))
 }
 
-// dequeueDeadline runs the backoff loop; a zero deadline means forever.
+// DequeueUntil waits like DequeueBlock but gives up at deadline, reporting
+// false; a zero deadline waits forever. The clock is read only if the
+// wait parks.
+func (q *Queue[T]) DequeueUntil(deadline time.Time) (T, bool) {
+	return q.dequeueDeadline(deadline)
+}
+
+// dequeueDeadline is the consumers' blocking wait; a zero deadline means
+// forever.
 func (q *Queue[T]) dequeueDeadline(deadline time.Time) (T, bool) {
-	sleep := sleepStart
-	for i := 0; ; i++ {
+	parked := false
+	for {
 		if v, ok := q.Dequeue(); ok {
+			if parked && q.nonEmpty() {
+				// One token may stand for several enqueues: pass it
+				// on to the next parked consumer.
+				q.consumers.open()
+			}
 			return v, true
 		}
-		switch {
-		case i < spinIters:
-			// hot spin
-		case i < spinIters+yieldIters:
-			runtime.Gosched()
-		default:
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				var zero T
-				return zero, false
-			}
-			q.parks.Add(1)
-			time.Sleep(sleep)
-			if sleep < sleepCap {
-				sleep *= 2
-			}
+		ok, p := q.await(&q.consumers, q.nonEmpty, deadline)
+		parked = parked || p
+		if !ok {
+			var zero T
+			return zero, false
 		}
 	}
+}
+
+// nonEmpty polls the head pointer only, so an empty-queue spin neither
+// copies nor zeroes an element.
+func (q *Queue[T]) nonEmpty() bool { return q.head.Load().next.Load() != nil }
+
+// hasRoom reports whether a bounded queue is below capacity.
+func (q *Queue[T]) hasRoom() bool { return q.Len() < q.capacity }
+
+// await returns once ready holds (ok) or the deadline passes (!ok; a zero
+// deadline never passes): it spins, yields, then parks on d. parked
+// reports whether it reached the door. A true ok is a hint: the caller
+// retries its operation, which another waiter may have won.
+func (q *Queue[T]) await(d *door, ready func() bool, deadline time.Time) (ok, parked bool) {
+	for i := 0; i < spinIters+yieldIters; i++ {
+		if ready() {
+			return true, false
+		}
+		if i >= spinIters {
+			runtime.Gosched()
+		}
+	}
+	return q.park(d, ready, deadline), true
+}
+
+// park blocks on d until a token arrives or the deadline passes. The clock
+// is read here only, once on each side of the block.
+func (q *Queue[T]) park(d *door, ready func() bool, deadline time.Time) bool {
+	d.sleepers.Add(1)
+	defer d.sleepers.Add(-1)
+	if ready() {
+		return true
+	}
+	start := time.Now()
+	var t *time.Timer
+	var expired <-chan time.Time // nil, so never ready, without a deadline
+	if !deadline.IsZero() {
+		wait := deadline.Sub(start)
+		if wait <= 0 {
+			return false
+		}
+		if t = q.timer.Swap(nil); t == nil {
+			t = time.NewTimer(wait)
+		} else {
+			t.Reset(wait)
+		}
+		expired = t.C
+	}
+	q.parks.Add(1)
+	woken := true
+	select {
+	case <-d.token:
+		// Go 1.22 timer rules: a timer that fired before Stop still
+		// owes its channel one value; receive it so the cached timer is
+		// drained for the next Reset.
+		if t != nil && !t.Stop() {
+			<-t.C
+		}
+	case <-expired:
+		woken = false
+	}
+	if t != nil {
+		q.timer.Store(t)
+	}
+	q.parkNS.Add(int64(time.Since(start)))
+	return woken || ready()
 }
 
 // Len returns an instantaneous (racy) element count, useful for stats.
@@ -229,9 +342,13 @@ func (q *Queue[T]) Stats() (enqueues, dequeues int64) {
 	return q.enqueues.Load(), q.dequeues.Load()
 }
 
-// Parks counts how many times a blocking dequeue slept instead of spinning
-// — the observable difference between a parked idle worker and a hot one.
+// Parks counts the blocking waits (consumers, and producers at capacity)
+// that parked on a door instead of finishing in the spin — the observable
+// difference between a parked idle worker and a hot one.
 func (q *Queue[T]) Parks() int64 { return q.parks.Load() }
+
+// ParkTime is the total time the waits counted by Parks spent parked.
+func (q *Queue[T]) ParkTime() time.Duration { return time.Duration(q.parkNS.Load()) }
 
 // Depth is the queue-depth gauge (an alias of Len, named for metrics).
 func (q *Queue[T]) Depth() int64 { return q.Len() }
