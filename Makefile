@@ -1,12 +1,14 @@
 # Tier-1 is the gate every change must keep green; tier-2 adds vet and
 # the race detector over the concurrency-heavy packages (runtime, queue,
-# fault injector — the soak shrinks itself under -race via build tags).
+# fault injector — the soak shrinks itself under -race via build tags —
+# the interpreter, whose workers own the compiled tier's frame lists, and
+# sgx, whose region extent is read without the allocation lock).
 
 GO ?= go
 
-.PHONY: tier1 lint audit tier2 soak tier3-soak tier3-iago tier3-obs tier3-cluster tier3-grayfail tier3-replication tier3-compile fuzz bench artifacts fmt
+.PHONY: tier1 lint fmtcheck audit tier2 soak tier3-soak tier3-iago tier3-obs tier3-cluster tier3-grayfail tier3-replication tier3-compile fuzz bench artifacts fmt
 
-tier1: lint
+tier1: lint fmtcheck
 	$(GO) build ./...
 	$(GO) test ./...
 	$(MAKE) audit
@@ -15,6 +17,12 @@ tier1: lint
 # docmetric (code <-> OBSERVABILITY.md metric catalogue agreement).
 lint:
 	$(GO) run ./cmd/privagic-lint .
+
+# gofmt gate: fails when any Go file under the listed roots is not
+# gofmt-clean (the fmt target below rewrites them).
+fmtcheck:
+	@out=$$(gofmt -l $$(ls -d cmd examples internal *.go)); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Strict translation validation: the static leak auditor must re-prove
 # the boundary invariants on every example program's partition, in both
@@ -25,7 +33,7 @@ audit:
 
 tier2: tier1
 	$(GO) vet ./...
-	$(GO) test -race ./internal/prt ./internal/queue ./internal/faults ./internal/cluster ./internal/netfaults ./internal/memcached ./internal/passes/compile
+	$(GO) test -race ./internal/prt ./internal/queue ./internal/faults ./internal/cluster ./internal/netfaults ./internal/memcached ./internal/passes/compile ./internal/interp ./internal/sgx
 
 # The full 1000+-schedule robustness sweep, race-free build for speed.
 soak:

@@ -98,7 +98,14 @@ func Errs(msg string) {
 const StepBudget = 100_000_000
 
 // Frame is one compiled activation: a dense register file indexed by the
-// compiler's slot assignment (parameters occupy the first slots).
+// compiler's slot assignment. Parameters occupy the first slots, then
+// every value-producing instruction, then the argument area that call
+// steps fill and pass to Env.Call in place.
+//
+// Frames are reused: the embedder keeps a per-worker free list and hands
+// an activation a frame with Regs cleared and Ret and Steps reset. A
+// frame goes back on the list only when its activation returns, so a
+// panicking activation simply drops it.
 type Frame struct {
 	// Regs is the register file; slot indices are assigned at compile
 	// time (compile.Fn.SlotOf).
@@ -136,10 +143,11 @@ func Run(code []Step, fr *Frame) Val {
 // implements it a second time as a trace checker (internal/interp's
 // shadow environment).
 //
-// GlobalAddr and FuncValue are resolved at compile time (a unit is
-// compiled per interpreter instance, so global addresses and
-// function-pointer indices bake into the closures as constants); the
-// remaining methods run per instruction.
+// GlobalAddr, FuncValue, FieldOffset and ElemStride are resolved at
+// compile time (a unit is compiled per interpreter instance, so global
+// addresses, function-pointer indices, plain field offsets and element
+// strides bake into the closures as constants); the remaining methods run
+// per instruction.
 type Env interface {
 	// GlobalAddr returns the encoded address of a global.
 	GlobalAddr(g *ir.Global) Val
@@ -154,8 +162,14 @@ type Env interface {
 	// Store performs the mode-checked store of v at addr.
 	Store(w *prt.Worker, t *ir.Store, addr uint64, v Val)
 	// FieldAddr computes a field address, following the split-structure
-	// indirection for colored fields.
+	// indirection for colored fields. Compiled code calls it only for
+	// the fields FieldOffset reports as not plain.
 	FieldAddr(w *prt.Worker, t *ir.FieldAddr, base Val) Val
+	// FieldOffset returns the byte offset of t's field and whether the
+	// field is plain, i.e. its address is the base plus that offset. A
+	// colored field of a split structure is not plain: its address is
+	// loaded from the slot at that offset. Called at compile time.
+	FieldOffset(t *ir.FieldAddr) (off int64, plain bool)
 	// ElemStride returns the in-memory stride of an element type
 	// (split-structure layouts override the nominal size). Called at
 	// compile time.
@@ -163,7 +177,8 @@ type Env interface {
 	// Call dispatches a call instruction with its evaluated callee value
 	// (meaningful for indirect calls) and arguments: runtime intrinsics,
 	// direct chunk calls, builtins, and indirect calls through interface
-	// versions.
+	// versions. args aliases the caller's frame: an implementation may
+	// read it during the call but must copy whatever it keeps.
 	Call(w *prt.Worker, t *ir.Call, callee Val, args []Val) Val
 }
 

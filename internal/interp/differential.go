@@ -292,13 +292,16 @@ func (e *diffEnv) diverge(format string, args ...any) {
 // GlobalAddr mirrors the live resolution (compile-time only; the shadow
 // runs a unit compiled against liveEnv, so this exists to satisfy
 // exec.Env).
-func (e *diffEnv) GlobalAddr(g *ir.Global) exec.Val { return (&liveEnv{e.ip}).GlobalAddr(g) }
+func (e *diffEnv) GlobalAddr(g *ir.Global) exec.Val { return e.ip.live.GlobalAddr(g) }
 
 // FuncValue mirrors the live resolution (compile-time only).
-func (e *diffEnv) FuncValue(fn *ir.Function) exec.Val { return (&liveEnv{e.ip}).FuncValue(fn) }
+func (e *diffEnv) FuncValue(fn *ir.Function) exec.Val { return e.ip.live.FuncValue(fn) }
+
+// FieldOffset mirrors the live field layout (compile-time only).
+func (e *diffEnv) FieldOffset(t *ir.FieldAddr) (int64, bool) { return e.ip.live.FieldOffset(t) }
 
 // ElemStride mirrors the live stride (compile-time only).
-func (e *diffEnv) ElemStride(elem ir.Type) int64 { return (&liveEnv{e.ip}).ElemStride(elem) }
+func (e *diffEnv) ElemStride(elem ir.Type) int64 { return e.ip.live.ElemStride(elem) }
 
 // Alloca replays the live allocation's address.
 func (e *diffEnv) Alloca(w *prt.Worker, t *ir.Alloca) exec.Val {
@@ -339,23 +342,19 @@ func (e *diffEnv) Store(w *prt.Worker, t *ir.Store, addr uint64, v exec.Val) {
 // colored field of a split structure consumes the slot load the live
 // pass recorded and replays the out-of-line pointer.
 func (e *diffEnv) FieldAddr(w *prt.Worker, t *ir.FieldAddr, base exec.Val) exec.Val {
-	st := t.Struct()
-	if ly := e.ip.layouts[st.Name]; ly != nil {
-		off := ly.offsets[t.Index]
-		if _, colored := ly.split.FieldColors[t.Index]; colored {
-			if base.I == 0 {
-				exec.Errf("interp: nil dereference: %q (split-field slot load)", t.String())
-			}
-			slotAddr := uint64(base.I) + uint64(off)
-			op := e.pop(opLoad)
-			if op.a != int64(slotAddr) {
-				e.diverge("split-field slot address mismatch: interpreter %#x, compiled %#x", uint64(op.a), slotAddr)
-			}
-			return op.v
-		}
+	off, plain := e.ip.fieldOffset(t)
+	if plain {
 		return iv(base.I + off)
 	}
-	return iv(base.I + int64(st.Fields[t.Index].Offset))
+	if base.I == 0 {
+		exec.Errf("interp: nil dereference: %q (split-field slot load)", t.String())
+	}
+	slotAddr := uint64(base.I) + uint64(off)
+	op := e.pop(opLoad)
+	if op.a != int64(slotAddr) {
+		e.diverge("split-field slot address mismatch: interpreter %#x, compiled %#x", uint64(op.a), slotAddr)
+	}
+	return op.v
 }
 
 // Call mirrors dispatchCall against the trace: intrinsics check their

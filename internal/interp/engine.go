@@ -38,7 +38,7 @@ func (ip *Interp) SetEngine(e prt.Engine) (err error) {
 			}
 		}()
 		start := time.Now()
-		unit := compile.New(ip.Prog.CompileSet(), &liveEnv{ip}, compile.Options{})
+		unit := compile.New(ip.Prog.CompileSet(), ip.live, compile.Options{})
 		ip.es.compileUS.Store(time.Since(start).Microseconds())
 		ip.unit = unit
 	}
@@ -52,7 +52,7 @@ func (ip *Interp) Engine() prt.Engine { return ip.RT.Engine }
 // OverrideUnit replaces the compiled unit — a test lever (the negative
 // differential-oracle test compiles a deliberately seam-skipping unit).
 func (ip *Interp) OverrideUnit(opts compile.Options) {
-	ip.unit = compile.New(ip.Prog.CompileSet(), &liveEnv{ip}, opts)
+	ip.unit = compile.New(ip.Prog.CompileSet(), ip.live, opts)
 }
 
 // ExecStats reports the engine-selection counters backing the exec.*
@@ -90,19 +90,71 @@ func (ip *Interp) compiledFn(fn *ir.Function) *compile.Fn {
 // the interpreter's value map, and the step array drives itself to a
 // return. Runtime errors surface as the same runtimeErr panics the
 // interpreter raises.
+//
+// The frame comes from the worker's free list and goes back once the
+// body returns; a panicking body drops its frame. args may alias the
+// caller's frame (the call step's argument area), so they are copied in
+// before the body runs and never kept.
 func (ip *Interp) runCompiled(cf *compile.Fn, w *prt.Worker, args []val, env exec.Env) val {
-	fr := &exec.Frame{Regs: make([]exec.Val, cf.NumSlots), W: w, Env: env}
+	fl, _ := w.Frames.(*frameList)
+	if fl == nil {
+		fl = &frameList{}
+		w.Frames = fl
+	}
+	fr := fl.get(cf.NumSlots)
+	fr.W, fr.Env = w, env
 	n := cf.NumParams
 	if n > len(args) {
 		n = len(args)
 	}
 	copy(fr.Regs[:n], args[:n])
-	return exec.Run(cf.Code, fr)
+	ret := exec.Run(cf.Code, fr)
+	fl.put(fr)
+	return ret
+}
+
+// maxFreeFrames bounds a worker's free list, so one deep recursion does
+// not pin its whole stack of frames for the worker's lifetime.
+const maxFreeFrames = 256
+
+// frameList is a worker's LIFO free list of compiled activation frames
+// (the prt.Worker Frames slot). Nested activations pop in call order and
+// push back in return order, so the most recently used frame, with the
+// warmest register file, is the next one handed out.
+type frameList struct{ free []*exec.Frame }
+
+// get returns a frame with n cleared registers and a reset activation
+// state.
+func (fl *frameList) get(n int) *exec.Frame {
+	var fr *exec.Frame
+	if k := len(fl.free); k > 0 {
+		fr = fl.free[k-1]
+		fl.free = fl.free[:k-1]
+	} else {
+		fr = &exec.Frame{}
+	}
+	if cap(fr.Regs) < n {
+		fr.Regs = make([]exec.Val, n)
+	} else {
+		fr.Regs = fr.Regs[:n]
+		clear(fr.Regs)
+	}
+	fr.Ret, fr.Steps = exec.Val{}, 0
+	return fr
+}
+
+// put returns a finished activation's frame to the list. The env is
+// dropped so a pooled frame does not keep a differential trace alive.
+func (fl *frameList) put(fr *exec.Frame) {
+	if len(fl.free) < maxFreeFrames {
+		fr.Env = nil
+		fl.free = append(fl.free, fr)
+	}
 }
 
 // liveEnv adapts the interpreter's seams to exec.Env for the compiled
 // tier. Every method is a delegation to the helper the interpreter's own
-// loop uses.
+// loop uses. An Interp has exactly one (Interp.live, set in New).
 type liveEnv struct{ ip *Interp }
 
 // GlobalAddr resolves a global's encoded address (compile time).
@@ -143,6 +195,12 @@ func (e *liveEnv) Store(w *prt.Worker, t *ir.Store, addr uint64, v exec.Val) {
 // indirection.
 func (e *liveEnv) FieldAddr(w *prt.Worker, t *ir.FieldAddr, base exec.Val) exec.Val {
 	return e.ip.fieldAddrAt(w, t, uint64(base.I))
+}
+
+// FieldOffset reports a field's offset and whether it is plain (compile
+// time).
+func (e *liveEnv) FieldOffset(t *ir.FieldAddr) (int64, bool) {
+	return e.ip.fieldOffset(t)
 }
 
 // ElemStride reports an element type's in-memory stride (compile time).

@@ -78,7 +78,7 @@ func (ip *Interp) runChunkBody(w *prt.Worker, ch *partition.Chunk, args []val) v
 	case prt.EngineCompiled:
 		if cf := ip.compiledFn(ch.Fn); cf != nil {
 			ip.es.compiledRuns.Add(1)
-			return ip.runCompiled(cf, w, args, &liveEnv{ip})
+			return ip.runCompiled(cf, w, args, ip.live)
 		}
 		return ip.runFn(w, ch.Fn, args)
 	case prt.EngineDifferential:
@@ -95,7 +95,7 @@ func (ip *Interp) runOn(w *prt.Worker, fn *ir.Function, args []val) val {
 	if w.Engine == prt.EngineCompiled {
 		if cf := ip.compiledFn(fn); cf != nil {
 			ip.es.compiledRuns.Add(1)
-			return ip.runCompiled(cf, w, args, &liveEnv{ip})
+			return ip.runCompiled(cf, w, args, ip.live)
 		}
 	}
 	return ip.runFn(w, fn, args)
@@ -278,8 +278,7 @@ func (ip *Interp) doAlloca(w *prt.Worker, t *ir.Alloca) val {
 	if ly := ip.layoutOf(t.Elem); ly != nil {
 		size = ly.size
 	}
-	off := ip.RT.Space.Region(region).Alloc(size)
-	v := iv(int64(sgx.EncodePtr(region, off)))
+	v := iv(int64(sgx.EncodePtr(region, ip.alloc(region, size))))
 	if rec := recOf(w); rec != nil {
 		rec.add(diffOp{kind: opAlloca, v: v})
 	}
@@ -303,23 +302,30 @@ func (ip *Interp) doMalloc(w *prt.Worker, t *ir.Malloc, count int64) val {
 }
 
 func (ip *Interp) mallocRaw(w *prt.Worker, t *ir.Malloc, count int64) val {
+	elem := t.Elem.Size()
+	ly := ip.layoutOf(t.Elem)
+	if ly != nil {
+		elem = ly.size
+	}
+	if elem > 0 && count > int64(sgx.MaxOffset)/elem {
+		errf("interp: malloc of %d x %d bytes exceeds the region ceiling", count, elem)
+	}
 	// The whole allocation runs as one journaled service call: the bump
 	// allocator is runtime state outside the effect transaction, so a
 	// replayed chunk must reuse the crashed attempt's addresses (peers may
 	// already hold committed writes behind them) instead of allocating
 	// fresh, orphaned memory.
-	if ly := ip.layoutOf(t.Elem); ly != nil {
+	if ly != nil {
 		return iv(int64(w.JournalAlloc(func() uint64 {
 			region := ip.regionOfColor(resolveAllocColor(t.Color))
 			r := ip.RT.Space.Region(region)
-			base := r.Alloc(ly.size * count)
+			base := ip.alloc(region, elem*count)
 			for n := int64(0); n < count; n++ {
-				for i, fc := range sortedFieldColors(ly.split) {
-					_ = i
+				for _, fc := range sortedFieldColors(ly.split) {
 					fieldIdx, color := fc.idx, fc.color
-					fr := ip.RT.Space.Region(ip.regionOfColor(color))
-					fldOff := fr.Alloc(ly.split.Struct.Fields[fieldIdx].Type.Size())
-					ptr := sgx.EncodePtr(ip.regionOfColor(color), fldOff)
+					fldRegion := ip.regionOfColor(color)
+					fldOff := ip.alloc(fldRegion, ly.split.Struct.Fields[fieldIdx].Type.Size())
+					ptr := sgx.EncodePtr(fldRegion, fldOff)
 					var buf [8]byte
 					putInt(buf[:], int64(ptr))
 					r.Store(base+uint64(n*ly.size+ly.offsets[fieldIdx]), buf[:])
@@ -333,10 +339,18 @@ func (ip *Interp) mallocRaw(w *prt.Worker, t *ir.Malloc, count int64) val {
 	}
 	return iv(int64(w.JournalAlloc(func() uint64 {
 		region := ip.regionOfColor(resolveAllocColor(t.Color))
-		size := t.Elem.Size() * count
-		off := ip.RT.Space.Region(region).Alloc(size)
-		return sgx.EncodePtr(region, off)
+		return sgx.EncodePtr(region, ip.alloc(region, elem*count))
 	})))
+}
+
+// alloc bump-allocates in a region on behalf of the program; a refused
+// allocation (past the region ceiling) becomes a runtime error.
+func (ip *Interp) alloc(region sgx.RegionID, size int64) uint64 {
+	off, err := ip.RT.Space.Region(region).TryAlloc(size)
+	if err != nil {
+		panic(runtimeErr{Err: err})
+	}
+	return off
 }
 
 type fieldColor struct {
@@ -358,20 +372,28 @@ func sortedFieldColors(sp *partition.SplitStruct) []fieldColor {
 // for colored fields of split structures (s->f becomes *(s->ind) style).
 // Both engines call it with the evaluated base pointer.
 func (ip *Interp) fieldAddrAt(w *prt.Worker, t *ir.FieldAddr, base uint64) val {
-	st := t.Struct()
-	if ly := ip.layouts[st.Name]; ly != nil {
-		off := ly.offsets[t.Index]
-		if _, colored := ly.split.FieldColors[t.Index]; colored {
-			if base == 0 {
-				errf("interp: nil dereference: %q (split-field slot load)", t.String())
-			}
-			// Load the out-of-line pointer from the slot.
-			slot := ip.memLoad(w, base+uint64(off), ir.PtrTo(ir.I8))
-			return slot
-		}
+	off, plain := ip.fieldOffset(t)
+	if plain {
 		return iv(int64(base + uint64(off)))
 	}
-	return iv(int64(base + uint64(st.Fields[t.Index].Offset)))
+	if base == 0 {
+		errf("interp: nil dereference: %q (split-field slot load)", t.String())
+	}
+	// Load the out-of-line pointer from the slot.
+	return ip.memLoad(w, base+uint64(off), ir.PtrTo(ir.I8))
+}
+
+// fieldOffset returns the offset of t's field in its struct's in-memory
+// layout (the split layout for multi-color structures) and whether the
+// field is plain. A colored field of a split structure is not: the slot
+// at that offset holds a pointer to the field's out-of-line allocation.
+func (ip *Interp) fieldOffset(t *ir.FieldAddr) (int64, bool) {
+	st := t.Struct()
+	if ly := ip.layouts[st.Name]; ly != nil {
+		_, colored := ly.split.FieldColors[t.Index]
+		return ly.offsets[t.Index], !colored
+	}
+	return st.Fields[t.Index].Offset, true
 }
 
 // memLoad performs a mode-checked load.

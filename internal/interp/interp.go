@@ -97,6 +97,9 @@ type Interp struct {
 	// while the engine is interp); es backs the exec.* metric gauges.
 	unit *compile.Unit
 	es   execCounters
+	// live is the interpreter's exec.Env for the compiled tier, shared
+	// by every activation.
+	live *liveEnv
 }
 
 // execCounters back the exec.* metric gauges (engine selection).
@@ -132,6 +135,7 @@ func New(prog *partition.Program, machine *sgx.Machine) *Interp {
 		chunkOf:    map[*ir.Function]*partition.Chunk{},
 		vecStash:   map[[2]int][]any{},
 	}
+	ip.live = &liveEnv{ip}
 	for _, ch := range prog.ChunkByID {
 		ip.chunkOf[ch.Fn] = ch
 	}

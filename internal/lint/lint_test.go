@@ -91,7 +91,7 @@ func f(q *queue) {
 	var m Message
 	q.Enqueue(m) // non-literal: the send path stamps it
 }
-`,		// Outside internal/prt the Message type is someone else's.
+`, // Outside internal/prt the Message type is someone else's.
 		"internal/other/q.go": `package other
 func f(q *queue) { q.Enqueue(Message{Kind: 1}) }
 `,

@@ -11,9 +11,15 @@
 // sanitizer, boundary snapshot, effect transaction, replay journal, and
 // observability hooks fire identically in both tiers (DESIGN.md §18).
 //
-// A Unit is compiled per interpreter instance: global addresses and
-// function-pointer values are resolved through the Env at compile time
-// and baked into the closures as immediates.
+// A Unit is compiled per interpreter instance: global addresses,
+// function-pointer values, plain field offsets and element strides are
+// resolved through the Env at compile time and baked into the closures
+// as immediates. Only a colored field of a split structure still reaches
+// Env.FieldAddr at run time (its address is loaded from memory).
+//
+// Call steps allocate nothing: each function reserves its largest call
+// arity as trailing register slots, and a call evaluates its arguments
+// there and passes that window of the frame to Env.Call.
 package compile
 
 import (
@@ -47,9 +53,9 @@ type Unit struct {
 
 // New compiles every function in fns (functions without bodies are
 // skipped; duplicates are compiled once). The env is consulted at
-// compile time for global addresses, function-pointer values, and
-// element strides, so the unit is bound to the interpreter instance that
-// provided it.
+// compile time for global addresses, function-pointer values, field
+// offsets and element strides, so the unit is bound to the interpreter
+// instance that provided it.
 func New(fns []*ir.Function, env exec.Env, opts Options) *Unit {
 	start := time.Now()
 	u := &Unit{fns: make(map[*ir.Function]*Fn, len(fns))}
@@ -81,7 +87,8 @@ type Fn struct {
 	IR *ir.Function
 	// Code is the flat step array; execution starts at index 0.
 	Code []exec.Step
-	// NumSlots is the register-file size an activation frame needs.
+	// NumSlots is the register-file size an activation frame needs:
+	// parameters, instruction results, then the call-argument area.
 	NumSlots int
 	// NumParams is how many leading slots receive arguments.
 	NumParams int
@@ -149,6 +156,7 @@ type fnCompiler struct {
 	opts    Options
 	slots   map[ir.Value]int
 	nslots  int
+	argBase int // first slot of the call-argument area
 	blockPC map[*ir.Block]int
 	code    []exec.Step
 }
@@ -163,18 +171,25 @@ func compileFn(fn *ir.Function, env exec.Env, opts Options) *Fn {
 	}
 	// Slot assignment: parameters first (the frame builder copies
 	// arguments into the leading slots), then every value-producing
-	// instruction in block order.
+	// instruction in block order, then the call-argument area, sized
+	// for the widest call.
 	for _, p := range fn.Params {
 		c.slot(p)
 	}
 	nparams := c.nslots
+	maxArgs := 0
 	for _, b := range fn.Blocks {
 		for _, in := range b.Instrs {
 			if v, ok := in.(ir.Value); ok {
 				c.slot(v)
 			}
+			if call, ok := in.(*ir.Call); ok && len(call.Args) > maxArgs {
+				maxArgs = len(call.Args)
+			}
 		}
 	}
+	c.argBase = c.nslots
+	c.nslots += maxArgs
 	// Layout: a jump to a block lands on its first non-φ step (φs
 	// compile into the incoming edges, not into steps). A block missing
 	// its terminator gets a synthesized fall-through-error step so the
@@ -416,6 +431,13 @@ func (c *fnCompiler) emitInstr(b *ir.Block, in ir.Instr) {
 	case *ir.FieldAddr:
 		dst := c.slots[t]
 		bo := c.operand(t.X)
+		if off, plain := c.env.FieldOffset(t); plain {
+			c.code = append(c.code, func(fr *exec.Frame) int {
+				fr.Regs[dst] = exec.Val{I: bo.get(fr).I + off}
+				return next
+			})
+			return
+		}
 		c.code = append(c.code, func(fr *exec.Frame) int {
 			fr.Regs[dst] = fr.Env.FieldAddr(fr.W, t, bo.get(fr))
 			return next
@@ -438,8 +460,13 @@ func (c *fnCompiler) emitInstr(b *ir.Block, in ir.Instr) {
 		for i, a := range t.Args {
 			argOps[i] = c.operand(a)
 		}
+		lo := c.argBase
+		hi := lo + len(argOps)
 		c.code = append(c.code, func(fr *exec.Frame) int {
-			args := make([]exec.Val, len(argOps))
+			// The argument area is scratch owned by this frame: Env.Call
+			// copies whatever it keeps, so the window is reused by the
+			// next call step.
+			args := fr.Regs[lo:hi:hi]
 			for i := range argOps {
 				args[i] = argOps[i].get(fr)
 			}

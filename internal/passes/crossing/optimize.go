@@ -614,10 +614,10 @@ func (o *optimizer) mergeOnePair(pf *partition.PartFunc) bool {
 // pairs are not adjacent.
 func (o *optimizer) mergeSiblings(pf *partition.PartFunc, uch *partition.Chunk, siblings []*partition.Chunk, a, b *interval) bool {
 	type sibRec struct {
-		ch         *partition.Chunk
-		sendB      *ir.Call
-		waitB      *ir.Call
-		blk        *ir.Block
+		ch    *partition.Chunk
+		sendB *ir.Call
+		waitB *ir.Call
+		blk   *ir.Block
 	}
 	var recs []sibRec
 	for _, sib := range siblings {

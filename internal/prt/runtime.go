@@ -310,6 +310,13 @@ type Worker struct {
 	// being recorded. Touched only on the worker's own goroutine.
 	Diff any
 
+	// Frames is a fourth embedder-owned scratch slot: the compiled tier
+	// keeps its free list of activation frames here, so a chunk or
+	// helper activation reuses a register file instead of allocating
+	// one. Touched only on the worker's own goroutine; a restarted
+	// worker starts with an empty list.
+	Frames any
+
 	// block publishes what the worker is blocked on, for the watchdog
 	// and for timeout diagnostics.
 	block blockState

@@ -71,30 +71,65 @@ type Region struct {
 	ID   RegionID
 	Name string
 
-	mu   sync.Mutex
-	mem  []byte
-	brk  uint64 // bump-allocation watermark
+	mu  sync.Mutex
+	mem []byte
+	// brk is the bump-allocation watermark. TryAlloc stores it while it
+	// holds mu; Extent reads it without the lock (the sanitizer asks on
+	// every boundary check).
+	brk  atomic.Uint64
 	used atomic.Int64
 }
 
 // NewRegion creates a region with a small initial reservation.
 func NewRegion(id RegionID, name string) *Region {
-	return &Region{ID: id, Name: name, mem: make([]byte, 4096), brk: 8}
+	r := &Region{ID: id, Name: name, mem: make([]byte, 4096)}
+	r.brk.Store(8)
+	return r
 }
 
-// Alloc bump-allocates n bytes (8-byte aligned) and returns the offset.
-func (r *Region) Alloc(n int64) uint64 {
+// CeilingError reports an allocation the region refused because it would
+// end past MaxOffset.
+type CeilingError struct {
+	Region RegionID
+	Size   uint64
+}
+
+// Error implements the error interface.
+func (e *CeilingError) Error() string {
+	return fmt.Sprintf("sgx: allocation of %d bytes in region %d exceeds the region ceiling", e.Size, e.Region)
+}
+
+// TryAlloc bump-allocates n bytes (8-byte aligned) and returns the
+// offset. An allocation that would end past MaxOffset is refused with a
+// *CeilingError and leaves the region unchanged: a hostile or runaway
+// size must fail the program, not exhaust the host's memory.
+func (r *Region) TryAlloc(n int64) (uint64, error) {
 	if n <= 0 {
 		n = 1
 	}
 	r.mu.Lock()
-	off := (r.brk + 7) &^ 7
-	r.brk = off + uint64(n)
-	for r.brk > uint64(len(r.mem)) {
+	off := (r.brk.Load() + 7) &^ 7
+	if uint64(n) > MaxOffset-off {
+		r.mu.Unlock()
+		return 0, &CeilingError{Region: r.ID, Size: uint64(n)}
+	}
+	end := off + uint64(n)
+	r.brk.Store(end)
+	for end > uint64(len(r.mem)) {
 		r.mem = append(r.mem, make([]byte, len(r.mem))...)
 	}
 	r.mu.Unlock()
 	r.used.Add(n)
+	return off, nil
+}
+
+// Alloc is TryAlloc for callers whose sizes are bounded by the host
+// (globals, entry-point buffers); it panics with the *CeilingError.
+func (r *Region) Alloc(n int64) uint64 {
+	off, err := r.TryAlloc(n)
+	if err != nil {
+		panic(err)
+	}
 	return off
 }
 
@@ -106,12 +141,7 @@ func (r *Region) Used() int64 { return r.used.Load() }
 // region's memory map as far as pointer sanitization is concerned — an
 // address arriving from unsafe memory is only dereferenced if its whole
 // range lies under the extent of its region.
-func (r *Region) Extent() uint64 {
-	r.mu.Lock()
-	brk := r.brk
-	r.mu.Unlock()
-	return brk
-}
+func (r *Region) Extent() uint64 { return r.brk.Load() }
 
 // Load copies len(buf) bytes at off into buf. Reads beyond the backing
 // array are zero-filled instead of faulting: the simulated machine must
@@ -169,10 +199,11 @@ func (as *AddressSpace) Region(id RegionID) *Region {
 // Regions returns all regions.
 func (as *AddressSpace) Regions() []*Region { return as.regions }
 
-// MaxOffset caps the in-region offset a checked access may name. Real
-// machines have a finite physical map; here the cap keeps a hostile or
-// bit-flipped offset from ballooning the backing slice (Store grows to
-// fit) into an out-of-memory. Well above any workload's footprint.
+// MaxOffset caps the in-region offset a checked access may name and the
+// end of any allocation. Real machines have a finite physical map; here
+// the cap keeps a hostile or bit-flipped offset (Store grows to fit) or a
+// program-sized allocation from ballooning the backing slice into an
+// out-of-memory. Well above any workload's footprint.
 const MaxOffset = uint64(1) << 28 // 256 MiB per region
 
 // CheckedLoad performs a mode-checked load at a simulated address.
