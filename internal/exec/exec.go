@@ -137,9 +137,14 @@ func Run(code []Step, fr *Frame) Val {
 
 // Env is the seam interface compiled code executes against. The
 // interpreter implements it with the very helpers its own instruction
-// loop uses (sanitizer → snapshot → effect transaction → journal →
-// observer, in that order), so a compiled chunk crosses every defense
-// layer the interpreted chunk crosses. The differential oracle
+// loop uses — one checked load and one checked store, each decoding its
+// address once. A load runs the sanitizer, the boundary stats, the
+// machine's access check, the snapshot or observer (unsafe memory) or
+// the backing read, the effect-transaction overlay, the replay journal
+// and the OnAccess hook, in that order; a store runs the sanitizer, the
+// access check, then the transaction buffer or the write-back, and the
+// hook. So a compiled chunk crosses every defense layer the interpreted
+// chunk crosses. The differential oracle
 // implements it a second time as a trace checker (internal/interp's
 // shadow environment).
 //

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"privagic"
 	"privagic/internal/faults"
@@ -114,22 +113,9 @@ func TestSoakDifferentialChaos(t *testing.T) {
 		inst.EnableRecovery(privagic.RecoveryOptions{MaxAttempts: recoveryBudget})
 		inst.EnableFaultInjection(recoveryFaultsFor(seed))
 
-		type result struct {
-			ret int64
-			err error
-		}
-		done := make(chan result, 1)
-		go func() {
-			ret, err := inst.Call(wl.entry)
-			done <- result{ret, err}
-		}()
-		var res result
-		select {
-		case res = <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("seed %d: DEADLOCK: call did not complete in 10s (faults: %+v, recovery: %+v)",
-				seed, inst.FaultStats(), inst.RecoveryStats())
-		}
+		res := callWithDeadline(t, inst, wl.entry, seed, func() string {
+			return fmt.Sprintf("faults: %+v, recovery: %+v", inst.FaultStats(), inst.RecoveryStats())
+		})
 		assertNoDivergence(t, seed, res.err, inst)
 		fs, rs := inst.FaultStats(), inst.RecoveryStats()
 		if res.err != nil {
@@ -171,22 +157,9 @@ func TestSoakDifferentialIago(t *testing.T) {
 		inst.EnableBoundaryDefense(cl.def)
 		inst.EnableMutator(cl.mut)
 
-		type result struct {
-			ret int64
-			err error
-		}
-		done := make(chan result, 1)
-		go func() {
-			ret, err := inst.Call(wl.entry)
-			done <- result{ret, err}
-		}()
-		var res result
-		select {
-		case res = <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("seed %d: DEADLOCK: call did not complete in 10s (mutator: %+v, boundary: %+v)",
-				seed, inst.MutatorStats(), inst.BoundaryStats())
-		}
+		res := callWithDeadline(t, inst, wl.entry, seed, func() string {
+			return fmt.Sprintf("mutator: %+v, boundary: %+v", inst.MutatorStats(), inst.BoundaryStats())
+		})
 		assertNoDivergence(t, seed, res.err, inst)
 		ms, bs := inst.MutatorStats(), inst.BoundaryStats()
 		switch {

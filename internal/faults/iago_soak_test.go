@@ -2,6 +2,7 @@ package faults_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -95,22 +96,9 @@ func runIagoSchedule(t *testing.T, prog *privagic.Program, entry string, seed in
 	inst.EnableBoundaryDefense(cl.def)
 	inst.EnableMutator(cl.mut)
 
-	type result struct {
-		ret int64
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		ret, err := inst.Call(entry)
-		done <- result{ret, err}
-	}()
-	var res result
-	select {
-	case res = <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("seed %d: DEADLOCK: call did not complete in 10s (mutator: %+v, boundary: %+v)",
-			seed, inst.MutatorStats(), inst.BoundaryStats())
-	}
+	res := callWithDeadline(t, inst, entry, seed, func() string {
+		return fmt.Sprintf("mutator: %+v, boundary: %+v", inst.MutatorStats(), inst.BoundaryStats())
+	})
 	ms, bs := inst.MutatorStats(), inst.BoundaryStats()
 	switch {
 	case res.err == nil:

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
-	"time"
 
 	"privagic"
 	"privagic/internal/faults"
@@ -91,22 +91,9 @@ func TestSoakTraceReconcile(t *testing.T) {
 		// exact totals, not the bounded event bodies.
 		inst.EnableObservability(privagic.ObservabilityOptions{Metrics: true, Trace: true})
 
-		type result struct {
-			ret int64
-			err error
-		}
-		done := make(chan result, 1)
-		go func() {
-			ret, err := inst.Call("main")
-			done <- result{ret, err}
-		}()
-		var res result
-		select {
-		case res = <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("seed %d: DEADLOCK: call did not complete in 10s (faults: %+v)",
-				seed, inst.FaultStats())
-		}
+		res := callWithDeadline(t, inst, "main", seed, func() string {
+			return fmt.Sprintf("faults: %+v", inst.FaultStats())
+		})
 		switch {
 		case res.err == nil:
 			if res.ret != 42 {

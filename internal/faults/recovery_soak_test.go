@@ -68,22 +68,9 @@ func runRecoverySchedule(t *testing.T, prog *privagic.Program, entry string, see
 	inst.EnableRecovery(privagic.RecoveryOptions{MaxAttempts: recoveryBudget})
 	inst.EnableFaultInjection(recoveryFaultsFor(seed))
 
-	type result struct {
-		ret int64
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		ret, err := inst.Call(entry)
-		done <- result{ret, err}
-	}()
-	var res result
-	select {
-	case res = <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("seed %d: DEADLOCK: call did not complete in 10s (faults: %+v, recovery: %+v)",
-			seed, inst.FaultStats(), inst.RecoveryStats())
-	}
+	res := callWithDeadline(t, inst, entry, seed, func() string {
+		return fmt.Sprintf("faults: %+v, recovery: %+v", inst.FaultStats(), inst.RecoveryStats())
+	})
 	fs, rs := inst.FaultStats(), inst.RecoveryStats()
 	if res.err != nil {
 		t.Fatalf("seed %d: USER-VISIBLE ERROR despite recovery: %v (faults: %+v, recovery: %+v)",

@@ -2,7 +2,9 @@ package faults_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -78,6 +80,37 @@ func faultClassFor(seed int64) privagic.FaultOptions {
 	return o
 }
 
+// callResult is what one soak call returned.
+type callResult struct {
+	ret int64
+	err error
+}
+
+// callWithDeadline runs inst.Call(entry) for one schedule. A call still
+// running after 10s is a deadlock: before failing the test with the
+// DEADLOCK message and the caller's stats, it logs every goroutine's
+// stack and the instance's trace, so the report names the wait that
+// never ended.
+func callWithDeadline(t *testing.T, inst *privagic.Instance, entry string, seed int64, stats func() string) callResult {
+	t.Helper()
+	done := make(chan callResult, 1)
+	go func() {
+		ret, err := inst.Call(entry)
+		done <- callResult{ret, err}
+	}()
+	select {
+	case res := <-done:
+		return res
+	case <-time.After(10 * time.Second):
+	}
+	stacks := make([]byte, 4<<20)
+	stacks = stacks[:runtime.Stack(stacks, true)]
+	t.Logf("seed %d: goroutines at the deadline:\n%s", seed, stacks)
+	t.Logf("seed %d: trace at the deadline (empty when tracing is off):\n%s", seed, inst.TraceDump(256))
+	t.Fatalf("seed %d: DEADLOCK: call did not complete in 10s (%s)", seed, stats())
+	return callResult{}
+}
+
 // soakOutcome tallies how a schedule sweep ended.
 type soakOutcome struct {
 	correct, timeouts, aborts, stopped int
@@ -94,22 +127,9 @@ func runSchedule(t *testing.T, prog *privagic.Program, entry string, seed int64,
 	inst.EnableSupervision(privagic.SupervisionOptions{WaitTimeout: soakWaitTimeout})
 	inst.EnableFaultInjection(faultClassFor(seed))
 
-	type result struct {
-		ret int64
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		ret, err := inst.Call(entry)
-		done <- result{ret, err}
-	}()
-	var res result
-	select {
-	case res = <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("seed %d: DEADLOCK: call did not complete in 10s (faults: %+v)",
-			seed, inst.FaultStats())
-	}
+	res := callWithDeadline(t, inst, entry, seed, func() string {
+		return fmt.Sprintf("faults: %+v", inst.FaultStats())
+	})
 	switch {
 	case res.err == nil:
 		if msg := check(res.ret, inst); msg != "" {

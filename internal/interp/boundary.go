@@ -18,7 +18,7 @@ import (
 //
 //  1. Copy-in snapshots: the first time a colored chunk reads a U word in
 //     a barrier interval, the word is copied into enclave-private memory
-//     (the snapshot, parked in the worker's Snap slot); every later read
+//     (the snapshot, kept in the worker's state); every later read
 //     of that word in the interval is served from the copy. A mutation of
 //     the backing word between the two reads is simply never observed —
 //     TOCTOU is defeated by construction, not detected.
@@ -131,27 +131,13 @@ type boundarySnap struct {
 	serve bool
 }
 
-// snapOf returns the worker's active snapshot, or nil.
-func snapOf(w *prt.Worker) *boundarySnap {
-	sn, _ := w.Snap.(*boundarySnap)
-	return sn
-}
-
 // beginSnap opens a snapshot for a spawned chunk when snapshots are armed
-// or an observer needs freshness tracking. Returns the previous Snap slot
-// value so nested spawns on the same worker restore the outer chunk's
-// snapshot.
-func (ip *Interp) beginSnap(w *prt.Worker) (prev any) {
-	prev = w.Snap
-	if ip.boundary.Snapshots || ip.bobs != nil {
-		w.Snap = &boundarySnap{
-			words: make(map[uint64][8]byte, 16),
-			serve: ip.boundary.Snapshots,
-		}
-	} else {
-		w.Snap = nil
+// or an observer needs freshness tracking (nil otherwise).
+func (ip *Interp) beginSnap() *boundarySnap {
+	if !ip.boundary.Snapshots && ip.bobs == nil {
+		return nil
 	}
-	return prev
+	return &boundarySnap{words: make(map[uint64][8]byte, 16), serve: ip.boundary.Snapshots}
 }
 
 // snapBarrier starts a new barrier interval on the worker: the snapshot
@@ -160,29 +146,18 @@ func (ip *Interp) beginSnap(w *prt.Worker) (prev any) {
 // barrier must be observable, and the TOCTOU window the snapshot closes
 // is *within* an interval, not across barriers.
 func (ip *Interp) snapBarrier(w *prt.Worker) {
-	if sn := snapOf(w); sn != nil {
+	if sn := stateOf(w).snap; sn != nil {
 		clear(sn.words)
 	}
 }
 
-// snapLoad serves a load of unsafe memory through the snapshot/observer
-// layer, one aligned 8-byte word at a time. Reports false when the layer
-// is not engaged for this address (the caller then performs the plain
-// mode-checked load). Enclave-region loads never come here: enclave
-// memory is trusted by the SGX model itself.
-func (ip *Interp) snapLoad(w *prt.Worker, addr uint64, buf []byte) bool {
-	obs := ip.bobs
-	if !ip.boundary.Snapshots && obs == nil {
-		return false
-	}
-	rid, off := sgx.DecodePtr(addr)
-	if rid != sgx.Unsafe {
-		return false
-	}
-	r := ip.RT.Space.Region(sgx.Unsafe)
-	sn := snapOf(w)
-	enclave := w.Mode != sgx.Unsafe
-	armed := ip.boundary.Snapshots
+// snapLoad is the backing read of unsafe memory while snapshots or an
+// observer are engaged, one aligned 8-byte word at a time: a word the
+// snapshot already holds is served from it, any other word is read
+// (through the observer, when installed) and copied in. Enclave memory
+// never comes here: it is trusted by the SGX model itself.
+func (ip *Interp) snapLoad(sn *boundarySnap, enclave bool, ref sgx.Ref, buf []byte) {
+	off := ref.Off
 	for i := 0; i < len(buf); {
 		wordOff := (off + uint64(i)) &^ 7
 		var wb [8]byte
@@ -193,16 +168,14 @@ func (ip *Interp) snapLoad(w *prt.Worker, addr uint64, buf []byte) bool {
 		if cached && sn.serve {
 			ip.bStats.snapServed.Add(1)
 		} else {
-			if obs != nil {
-				obs.GuardedLoad(sgx.EncodePtr(sgx.Unsafe, wordOff), 8, enclave, !cached, func() {
-					r.Load(wordOff, wb[:])
-				})
+			if ip.bobs != nil {
+				wb = ip.guardedWord(ref.Region, wordOff, enclave, !cached)
 			} else {
-				r.Load(wordOff, wb[:])
+				ref.Region.Load(wordOff, wb[:])
 			}
 			if sn != nil && !cached {
 				sn.words[wordOff] = wb
-				if armed {
+				if ip.boundary.Snapshots {
 					ip.bStats.snapCopyIns.Add(1)
 				}
 			}
@@ -211,24 +184,31 @@ func (ip *Interp) snapLoad(w *prt.Worker, addr uint64, buf []byte) bool {
 			buf[i] = wb[(off+uint64(i))&7]
 		}
 	}
-	return true
 }
 
-// snapStoreSync keeps an active snapshot coherent with the chunk's own
-// direct stores: a word the chunk already copied in is updated so later
-// snapshot-served reads see the chunk's write (reads patch the effect
-// overlay too, but direct stores bypass it when recovery is off).
-func snapStoreSync(sn *boundarySnap, off uint64, data []byte) {
-	if sn == nil || len(sn.words) == 0 {
+// guardedWord reads one unsafe word inside the observer's GuardedLoad.
+// It is its own function so the word the callback captures moves to the
+// heap only when an observer is installed.
+func (ip *Interp) guardedWord(r *sgx.Region, wordOff uint64, enclave, fresh bool) (wb [8]byte) {
+	ip.bobs.GuardedLoad(sgx.EncodePtr(sgx.Unsafe, wordOff), 8, enclave, fresh, func() {
+		r.Load(wordOff, wb[:])
+	})
+	return wb
+}
+
+// sync keeps the snapshot coherent with the chunk's own direct stores: a
+// word the chunk already copied in is updated so later snapshot-served
+// reads see the chunk's write (under a transaction, reads patch the
+// effect overlay instead).
+func (sn *boundarySnap) sync(off uint64, data []byte) {
+	if len(sn.words) == 0 {
 		return
 	}
 	for i := 0; i < len(data); {
 		wordOff := (off + uint64(i)) &^ 7
 		wb, cached := sn.words[wordOff]
 		for ; i < len(data) && (off+uint64(i))&^7 == wordOff; i++ {
-			if cached {
-				wb[(off+uint64(i))&7] = data[i]
-			}
+			wb[(off+uint64(i))&7] = data[i]
 		}
 		if cached {
 			sn.words[wordOff] = wb
@@ -236,46 +216,36 @@ func snapStoreSync(sn *boundarySnap, off uint64, data []byte) {
 	}
 }
 
-// guardedBackingStore routes a backing store to unsafe memory through the
-// observer (when one is installed) so a pending corruption of those words
-// is resolved before legitimate data lands.
-func (ip *Interp) guardedBackingStore(addr uint64, n int, store func()) {
-	if obs := ip.bobs; obs != nil {
-		if rid, _ := sgx.DecodePtr(addr); rid == sgx.Unsafe {
-			obs.GuardedStore(addr, n, store)
+// sanitize validates a resolved address against the simulated memory map
+// before a dereference: the region must be mapped and the offset inside
+// its allocation extent (full range for stores; for loads only the start
+// is checked, because trusted bulk readers — readString's chunked scan —
+// may legitimately overshoot the final allocation and rely on the
+// machine's zero fill). A failure is the typed Iago violation of the
+// hardened mode.
+func (ip *Interp) sanitize(w *prt.Worker, ref sgx.Ref, n int, store bool) {
+	ip.bStats.sanChecks.Add(1)
+	if ref.Region != nil {
+		ext := ref.Region.Extent()
+		if ref.Off < ext && (!store || ref.Off+uint64(n) <= ext) {
 			return
 		}
 	}
-	store()
+	ip.iagoViolation(w, ref, n)
 }
 
-// sanitize validates an address against the simulated memory map before a
-// dereference: the region must be mapped and the offset inside its
-// allocation extent (full range for stores; for loads only the start is
-// checked, because trusted bulk readers — readString's chunked scan — may
-// legitimately overshoot the final allocation and rely on the machine's
-// zero fill). A failure is the typed Iago violation of the hardened mode.
-func (ip *Interp) sanitize(w *prt.Worker, addr uint64, n int, store bool) {
-	ip.bStats.sanChecks.Add(1)
-	rid, off := sgx.DecodePtr(addr)
-	r := ip.RT.Space.Region(rid)
+// iagoViolation raises the typed pointer violation for an n-byte access
+// at ref.
+func (ip *Interp) iagoViolation(w *prt.Worker, ref sgx.Ref, n int) {
 	var extent uint64
-	ok := r != nil
-	if ok {
-		extent = r.Extent()
-		if store {
-			ok = off < extent && off+uint64(n) <= extent
-		} else {
-			ok = off < extent
-		}
+	if ref.Region != nil {
+		extent = ref.Region.Extent()
 	}
-	if !ok {
-		ip.bStats.violations.Add(1)
-		panic(runtimeErr{Err: &prt.IagoViolation{
-			Kind: "pointer", Worker: w.Index, Addr: addr,
-			Region: int(rid), Extent: extent, Len: n,
-		}})
-	}
+	ip.bStats.violations.Add(1)
+	panic(runtimeErr{Err: &prt.IagoViolation{
+		Kind: "pointer", Worker: w.Index, Addr: ref.Addr,
+		Region: int(ref.ID), Extent: extent, Len: n,
+	}})
 }
 
 // The payload-integrity hooks (PaySum, MutatePayload) moved to exec.Val

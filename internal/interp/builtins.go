@@ -40,14 +40,15 @@ func (ip *Interp) dispatchCall(w *prt.Worker, t *ir.Call, callee val, args []val
 			errf("interp: indirect call through invalid function pointer %d", idx)
 		}
 		pf := ip.ifaceTable[idx-1]
-		if rec := recOf(w); rec != nil {
+		if ws := stateOf(w); ws.rec != nil {
 			// The nested interface invocation manages its own spawns and
 			// joins; record it as one opaque operation (recording
 			// suspended inside) so the shadow replays its result.
-			w.Diff = nil
+			rec := ws.rec
+			ws.rec = nil
 			var v val
 			func() {
-				defer func() { w.Diff = rec }()
+				defer func() { ws.rec = rec }()
 				v = ip.invokeInterface(w, pf, args)
 			}()
 			rec.add(diffOp{kind: opInvoke, a: idx, vec: args, v: v})
@@ -250,7 +251,7 @@ func (ip *Interp) builtin(w *prt.Worker, fn *ir.Function, t *ir.Call, args []val
 		fallthrough
 	case "memcpy", "strncpy":
 		dst, src, n := uint64(args[0].I), uint64(args[1].I), args[2].I
-		buf := make([]byte, n)
+		buf := ip.bulkBuf(w, fn.FName, n, dst, src)
 		ip.loadBytes(w, src, buf)
 		if fn.FName == "strncpy" {
 			if i := indexByte(buf, 0); i >= 0 {
@@ -260,14 +261,10 @@ func (ip *Interp) builtin(w *prt.Worker, fn *ir.Function, t *ir.Call, args []val
 			}
 		}
 		ip.storeBytes(w, dst, buf)
-		if ip.OnAccess != nil {
-			ip.OnAccess(src, n, false, w.Mode)
-			ip.OnAccess(dst, n, true, w.Mode)
-		}
 		return args[0]
 	case "memset":
 		dst, c, n := uint64(args[0].I), byte(args[1].I), args[2].I
-		buf := make([]byte, n)
+		buf := ip.bulkBuf(w, fn.FName, n, dst)
 		for i := range buf {
 			buf[i] = c
 		}
@@ -291,7 +288,7 @@ func (ip *Interp) builtin(w *prt.Worker, fn *ir.Function, t *ir.Call, args []val
 	case "hash64":
 		// FNV-1a, the classic in-enclave hash helper.
 		p, n := uint64(args[0].I), args[1].I
-		buf := make([]byte, n)
+		buf := ip.bulkBuf(w, fn.FName, n, p)
 		ip.loadBytes(w, p, buf)
 		var h uint64 = 14695981039346656037
 		for _, b := range buf {

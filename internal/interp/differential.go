@@ -99,18 +99,15 @@ type diffOp struct {
 	vec  []val
 }
 
-// diffRecorder accumulates the live pass's trace. It hangs off
-// prt.Worker.Diff; the seam helpers (memLoad, memStore, doAlloca,
+// diffRecorder accumulates the live pass's trace. It hangs off the
+// worker's state; the seam helpers (memLoad, memStore, doAlloca,
 // doMalloc, dispatchCall) append to it when present.
 type diffRecorder struct{ ops []diffOp }
 
 func (r *diffRecorder) add(op diffOp) { r.ops = append(r.ops, op) }
 
 // recOf returns the worker's active recorder, or nil.
-func recOf(w *prt.Worker) *diffRecorder {
-	rec, _ := w.Diff.(*diffRecorder)
-	return rec
-}
+func recOf(w *prt.Worker) *diffRecorder { return stateOf(w).rec }
 
 // valEq compares two machine values bitwise (floats by bit pattern, so
 // NaN compares equal to itself and -0 differs from +0 — the engines must
@@ -153,13 +150,14 @@ func (ip *Interp) runDifferential(w *prt.Worker, ch *partition.Chunk, args []val
 		return ip.runFn(w, ch.Fn, args)
 	}
 	rec := &diffRecorder{}
-	prev := w.Diff
-	w.Diff = rec
+	ws := stateOf(w)
+	prev := ws.rec
+	ws.rec = rec
 	var liveRet val
 	var liveErr error
 	func() {
 		defer func() {
-			w.Diff = prev
+			ws.rec = prev
 			r := recover()
 			if r == nil {
 				return

@@ -18,7 +18,7 @@ import (
 // chunk a deterministic function of its spawn arguments and barrier
 // inputs — the §5 execution model, now stated operationally.
 //
-// The transaction lives in the worker's Tx slot and is touched only on
+// The transaction lives in the worker's state and is touched only on
 // the worker's own goroutine; commit applies the redo log in original
 // store order, so overlapping writes resolve exactly as the chunk issued
 // them.
@@ -30,8 +30,8 @@ type effectTx struct {
 	// patch it over the backing memory.
 	overlay map[uint64]ovWord
 	// redo is the ordered write log replayed into backing memory at
-	// commit; arena backs the logged bytes so buffering a store does not
-	// allocate.
+	// commit; arena backs the logged bytes back to back, in log order,
+	// so buffering a store does not allocate.
 	redo  []writeRec
 	arena []byte
 	// out buffers printf/puts text until commit.
@@ -47,30 +47,20 @@ type ovWord struct {
 	mask  uint8
 }
 
+// writeRec is one buffered store: its checked target and length.
 type writeRec struct {
-	addr uint64
-	off  int // into arena
-	n    int
-}
-
-// txOf returns the worker's active effect transaction, or nil.
-func txOf(w *prt.Worker) *effectTx {
-	tx, _ := w.Tx.(*effectTx)
-	return tx
+	r   *sgx.Region
+	off uint64
+	n   int
 }
 
 // beginTx opens an effect transaction for a spawned chunk when recovery
-// is enabled. Returns the previous Tx slot value so nested spawns on the
-// same worker restore the outer chunk's transaction.
-func (ip *Interp) beginTx(w *prt.Worker, chunkID int) (tx *effectTx, prev any) {
-	prev = w.Tx
+// is enabled (nil otherwise).
+func (ip *Interp) beginTx(chunkID int) *effectTx {
 	if !ip.RT.Recovery.Enabled() {
-		w.Tx = nil
-		return nil, prev
+		return nil
 	}
-	tx = &effectTx{chunkID: chunkID}
-	w.Tx = tx
-	return tx, prev
+	return &effectTx{chunkID: chunkID}
 }
 
 // commitTx applies the buffered effects: redo log in store order, then
@@ -79,20 +69,10 @@ func (ip *Interp) commitTx(tx *effectTx) {
 	if tx == nil {
 		return
 	}
+	pos := 0
 	for _, rec := range tx.redo {
-		rid, off := sgx.DecodePtr(rec.addr)
-		if r := ip.RT.Space.Region(rid); r != nil {
-			// Commits into unsafe memory go through the observer guard:
-			// a mutator holding a pending corruption of these words must
-			// resolve it before the committed bytes land, or a later
-			// restore would clobber them.
-			data := tx.arena[rec.off : rec.off+rec.n]
-			if ip.bobs == nil {
-				r.Store(off, data)
-			} else {
-				ip.guardedBackingStore(rec.addr, rec.n, func() { r.Store(off, data) })
-			}
-		}
+		ip.writeBack(rec.r, rec.off, tx.arena[pos:pos+rec.n])
+		pos += rec.n
 	}
 	if len(tx.out) > 0 {
 		ip.print(string(tx.out))
@@ -133,38 +113,6 @@ func (ip *Interp) EnableRecovery(p prt.RecoveryPolicy) {
 	ip.RT.Recovery = p
 }
 
-// loadBytes is the central mode-checked load every interpreter read goes
-// through: sanitization first (when armed), then the snapshot/observer
-// layer for unsafe memory or the plain checked load, then the active
-// transaction's overlay patched over it so a chunk observes its own
-// buffered writes.
-func (ip *Interp) loadBytes(w *prt.Worker, addr uint64, buf []byte) {
-	if ip.boundary.SanitizePointers {
-		ip.sanitize(w, addr, len(buf), false)
-	}
-	if ip.boundary.any() {
-		if rid, _ := sgx.DecodePtr(addr); rid != sgx.Unsafe {
-			ip.bStats.trustedLoads.Add(1)
-		} else if !ip.boundary.Snapshots || snapOf(w) == nil {
-			ip.bStats.unsafeLoads.Add(1)
-		}
-	}
-	if !ip.snapLoad(w, addr, buf) {
-		if err := ip.RT.Space.CheckedLoad(w.Mode, addr, buf); err != nil {
-			panic(runtimeErr{Err: err})
-		}
-	}
-	if tx := txOf(w); tx != nil {
-		if len(tx.overlay) > 0 {
-			tx.patch(addr, buf)
-		}
-		// Journal the post-overlay bytes: a replayed chunk re-reads them
-		// from the journal instead of live memory, which committed nested
-		// effects may have moved past the crashed attempt's view.
-		w.JournalLoad(buf)
-	}
-}
-
 // patch applies the overlay's buffered bytes over a load's result, one
 // map access per touched 8-byte word.
 func (tx *effectTx) patch(addr uint64, buf []byte) {
@@ -182,44 +130,10 @@ func (tx *effectTx) patch(addr uint64, buf []byte) {
 	}
 }
 
-// storeBytes is the central mode-checked store: applied directly with no
-// transaction, buffered (after the same access check, so an illegal
-// store still faults at the faulting instruction) when one is active.
-func (ip *Interp) storeBytes(w *prt.Worker, addr uint64, data []byte) {
-	if ip.boundary.SanitizePointers {
-		ip.sanitize(w, addr, len(data), true)
-	}
-	tx := txOf(w)
-	if tx == nil {
-		if ip.bobs == nil {
-			// Fast path: no observer installed, store directly (the
-			// closure below would otherwise escape on every store).
-			if err := ip.RT.Space.CheckedStore(w.Mode, addr, data); err != nil {
-				panic(runtimeErr{Err: err})
-			}
-		} else {
-			ip.guardedBackingStore(addr, len(data), func() {
-				if err := ip.RT.Space.CheckedStore(w.Mode, addr, data); err != nil {
-					panic(runtimeErr{Err: err})
-				}
-			})
-		}
-		// Keep the snapshot coherent: a copied-in word the chunk just
-		// overwrote must serve the new bytes.
-		if sn := snapOf(w); sn != nil {
-			if rid, off := sgx.DecodePtr(addr); rid == sgx.Unsafe {
-				snapStoreSync(sn, off, data)
-			}
-		}
-		return
-	}
-	rid, _ := sgx.DecodePtr(addr)
-	if !sgx.CanAccess(w.Mode, rid) {
-		panic(runtimeErr{Err: &sgx.AccessError{Mode: w.Mode, Target: rid, Addr: addr}})
-	}
-	if ip.RT.Space.Region(rid) == nil {
-		errf("interp: store to unmapped region %d", rid)
-	}
+// buffer records an already checked store in the transaction instead of
+// applying it: the redo log keeps it for commit, the overlay serves it
+// to the chunk's own later loads. Each buffered store is one crash point.
+func (ip *Interp) buffer(w *prt.Worker, tx *effectTx, ref sgx.Ref, data []byte) {
 	tx.stores++
 	if hook := ip.crashPoint; hook != nil {
 		if f := hook(w.Index, tx.chunkID, tx.stores); f != nil {
@@ -229,9 +143,9 @@ func (ip *Interp) storeBytes(w *prt.Worker, addr uint64, data []byte) {
 	if tx.overlay == nil {
 		tx.overlay = make(map[uint64]ovWord, 8)
 	}
-	off := len(tx.arena)
 	tx.arena = append(tx.arena, data...)
-	tx.redo = append(tx.redo, writeRec{addr: addr, off: off, n: len(data)})
+	tx.redo = append(tx.redo, writeRec{r: ref.Region, off: ref.Off, n: len(data)})
+	addr := ref.Addr
 	for i := 0; i < len(data); {
 		wk := (addr + uint64(i)) >> 3
 		w := tx.overlay[wk]
@@ -246,7 +160,7 @@ func (ip *Interp) storeBytes(w *prt.Worker, addr uint64, data []byte) {
 
 // printTx routes program output through the active transaction.
 func (ip *Interp) printTx(w *prt.Worker, s string) {
-	if tx := txOf(w); tx != nil {
+	if tx := stateOf(w).tx; tx != nil {
 		tx.out = append(tx.out, s...)
 		return
 	}

@@ -96,11 +96,7 @@ func (ip *Interp) compiledFn(fn *ir.Function) *compile.Fn {
 // caller's frame (the call step's argument area), so they are copied in
 // before the body runs and never kept.
 func (ip *Interp) runCompiled(cf *compile.Fn, w *prt.Worker, args []val, env exec.Env) val {
-	fl, _ := w.Frames.(*frameList)
-	if fl == nil {
-		fl = &frameList{}
-		w.Frames = fl
-	}
+	fl := &stateOf(w).frames
 	fr := fl.get(cf.NumSlots)
 	fr.W, fr.Env = w, env
 	n := cf.NumParams
@@ -118,7 +114,7 @@ func (ip *Interp) runCompiled(cf *compile.Fn, w *prt.Worker, args []val, env exe
 const maxFreeFrames = 256
 
 // frameList is a worker's LIFO free list of compiled activation frames
-// (the prt.Worker Frames slot). Nested activations pop in call order and
+// (part of the worker's state). Nested activations pop in call order and
 // push back in return order, so the most recently used frame, with the
 // warmest register file, is the next one handed out.
 type frameList struct{ free []*exec.Frame }
@@ -230,10 +226,12 @@ func (ip *Interp) rawLoad(w *prt.Worker, addr uint64, typ ir.Type) val {
 	if size > 8 {
 		errf("interp: aggregate load of %s", typ)
 	}
-	var buf [8]byte
-	if err := ip.RT.Space.CheckedLoad(w.Mode, addr, buf[:size]); err != nil {
+	ref := ip.RT.Space.Resolve(addr)
+	if err := ref.Check(w.Mode, int(size), false); err != nil {
 		panic(runtimeErr{Err: err})
 	}
+	var buf [8]byte
+	ref.Region.Load(ref.Off, buf[:size])
 	if _, ok := typ.(ir.FloatType); ok {
 		return fv(math.Float64frombits(uint64(getInt(buf[:8]))))
 	}

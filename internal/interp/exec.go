@@ -24,13 +24,16 @@ import (
 // output buffer until the chunk completes, so a crashed attempt leaves no
 // trace and its replay is idempotent.
 func (ip *Interp) execChunk(w *prt.Worker, chunkID int, args []any) (result any) {
-	tx, prevTx := ip.beginTx(w, chunkID)
 	// The chunk's first barrier interval starts here: open the copy-in
-	// snapshot (when the boundary defense or an observer is engaged).
-	prevSnap := ip.beginSnap(w)
+	// snapshot (when the boundary defense or an observer is engaged). A
+	// nested spawn on the same worker restores the outer chunk's
+	// transaction and snapshot when it ends.
+	ws := stateOf(w)
+	prevTx, prevSnap := ws.tx, ws.snap
+	tx := ip.beginTx(chunkID)
+	ws.tx, ws.snap = tx, ip.beginSnap()
 	defer func() {
-		w.Tx = prevTx
-		w.Snap = prevSnap
+		ws.tx, ws.snap = prevTx, prevSnap
 		r := recover()
 		if r == nil {
 			ip.commitTx(tx)
@@ -407,9 +410,6 @@ func (ip *Interp) memLoad(w *prt.Worker, addr uint64, typ ir.Type) val {
 	}
 	var buf [8]byte
 	ip.loadBytes(w, addr, buf[:size])
-	if ip.OnAccess != nil {
-		ip.OnAccess(addr, size, false, w.Mode)
-	}
 	var v val
 	if _, ok := typ.(ir.FloatType); ok {
 		v = fv(math.Float64frombits(uint64(getInt(buf[:8]))))
@@ -439,9 +439,6 @@ func (ip *Interp) memStore(w *prt.Worker, addr uint64, v val, typ ir.Type) {
 		putInt(buf[:size], v.I)
 	}
 	ip.storeBytes(w, addr, buf[:size])
-	if ip.OnAccess != nil {
-		ip.OnAccess(addr, size, true, w.Mode)
-	}
 	if rec := recOf(w); rec != nil {
 		rec.add(diffOp{kind: opStore, a: int64(addr), v: v})
 	}

@@ -213,9 +213,9 @@ entry int main() { return 0; }
 `, "main")
 	g := ip.Prog.Mod.Global("secret")
 	addr := ip.globals[g]
-	var buf [8]byte
+	ref := ip.RT.Space.Resolve(addr)
 	// Normal mode reading blue memory must fault.
-	err := ip.RT.Space.CheckedLoad(sgx.Unsafe, addr, buf[:])
+	err := ref.Check(sgx.Unsafe, 8, false)
 	if err == nil {
 		t.Fatal("normal mode read enclave memory")
 	}
@@ -230,14 +230,16 @@ entry int main() { return 0; }
 		other = rid - 1
 	}
 	if other > 0 {
-		if err := ip.RT.Space.CheckedLoad(other, addr, buf[:]); err == nil {
+		if err := ref.Check(other, 8, false); err == nil {
 			t.Fatal("enclave read another enclave's memory")
 		}
 	}
 	// The owner enclave may read it.
-	if err := ip.RT.Space.CheckedLoad(rid, addr, buf[:]); err != nil {
+	if err := ref.Check(rid, 8, false); err != nil {
 		t.Fatalf("owner enclave denied: %v", err)
 	}
+	var buf [8]byte
+	ref.Region.Load(ref.Off, buf[:])
 	if getInt(buf[:]) != 99 {
 		t.Errorf("secret = %d, want 99", getInt(buf[:]))
 	}

@@ -102,7 +102,7 @@ func TestWaitHistogramObservesBlockedWaits(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, false)
+	u.Spawn(1, 1, nil, true)
 	if got, err := u.Wait(5); err != nil || got != "done" {
 		t.Fatalf("Wait = %v, %v", got, err)
 	}
@@ -110,6 +110,12 @@ func TestWaitHistogramObservesBlockedWaits(t *testing.T) {
 	if snap["prt.wait_block_us.count"] != 1 {
 		t.Fatalf("wait histogram count = %d, want 1", snap["prt.wait_block_us.count"])
 	}
+	// The chunk's sample lands after its body returns, which can be after
+	// the cont arrived: join the chunk before reading it.
+	if _, err := u.JoinOne(); err != nil {
+		t.Fatalf("JoinOne: %v", err)
+	}
+	snap = reg.Snapshot()
 	if snap["prt.chunk_exec_us.count"] != 1 {
 		t.Fatalf("chunk histogram count = %d, want 1", snap["prt.chunk_exec_us.count"])
 	}

@@ -289,33 +289,15 @@ type Worker struct {
 	// live there. Touched only on the worker's own goroutine.
 	curRec *spawnRec
 
-	// Tx is a per-execution scratch slot owned by the embedder (the
-	// interpreter parks its effect transaction here). Touched only on
-	// the worker's own goroutine.
-	Tx any
-
-	// Snap is a second embedder-owned scratch slot: the interpreter
-	// parks its boundary snapshot (the copy-in cache of U loads for the
-	// current barrier interval) here. Touched only on the worker's own
-	// goroutine.
-	Snap any
-
 	// Engine is the execution tier this worker runs chunk bodies on,
 	// copied from Runtime.Engine at creation (and from the predecessor
 	// on restart).
 	Engine Engine
 
-	// Diff is a third embedder-owned scratch slot: the differential
-	// oracle parks its live-run trace recorder here while a chunk is
-	// being recorded. Touched only on the worker's own goroutine.
-	Diff any
-
-	// Frames is a fourth embedder-owned scratch slot: the compiled tier
-	// keeps its free list of activation frames here, so a chunk or
-	// helper activation reuses a register file instead of allocating
-	// one. Touched only on the worker's own goroutine; a restarted
-	// worker starts with an empty list.
-	Frames any
+	// Local is the embedder's per-worker state, one value of the
+	// embedder's own type. Touched only on the worker's own goroutine;
+	// a restarted worker starts without it.
+	Local any
 
 	// block publishes what the worker is blocked on, for the watchdog
 	// and for timeout diagnostics.

@@ -206,36 +206,39 @@ func (as *AddressSpace) Regions() []*Region { return as.regions }
 // out-of-memory. Well above any workload's footprint.
 const MaxOffset = uint64(1) << 28 // 256 MiB per region
 
-// CheckedLoad performs a mode-checked load at a simulated address.
-func (as *AddressSpace) CheckedLoad(mode Mode, addr uint64, buf []byte) error {
-	rid, off := DecodePtr(addr)
-	if !CanAccess(mode, rid) {
-		return &AccessError{Mode: mode, Target: rid, Addr: addr}
-	}
-	r := as.Region(rid)
-	if r == nil {
-		return fmt.Errorf("sgx: load from unmapped region %d", rid)
-	}
-	if off+uint64(len(buf)) > MaxOffset {
-		return fmt.Errorf("sgx: load at %#x beyond region ceiling", addr)
-	}
-	r.Load(off, buf)
-	return nil
+// Ref is one decoded simulated address: the region it names (nil when
+// unmapped) and the offset inside it.
+type Ref struct {
+	Addr   uint64
+	ID     RegionID
+	Region *Region
+	Off    uint64
 }
 
-// CheckedStore performs a mode-checked store at a simulated address.
-func (as *AddressSpace) CheckedStore(mode Mode, addr uint64, buf []byte) error {
-	rid, off := DecodePtr(addr)
-	if !CanAccess(mode, rid) {
-		return &AccessError{Mode: mode, Target: rid, Addr: addr}
+// Resolve decodes addr and looks its region up. Every checked access
+// starts here, so an access decodes its address once.
+func (as *AddressSpace) Resolve(addr uint64) Ref {
+	id, off := DecodePtr(addr)
+	return Ref{Addr: addr, ID: id, Region: as.Region(id), Off: off}
+}
+
+// Check applies the machine's access rules to an n-byte access at ref:
+// the mode may touch the region (§2.1), the region is mapped, and the
+// range ends at or below MaxOffset. It is the one place those rules
+// live; direct and buffered stores, and every load, go through it.
+func (ref Ref) Check(mode Mode, n int, store bool) error {
+	if !CanAccess(mode, ref.ID) {
+		return &AccessError{Mode: mode, Target: ref.ID, Addr: ref.Addr}
 	}
-	r := as.Region(rid)
-	if r == nil {
-		return fmt.Errorf("sgx: store to unmapped region %d", rid)
+	op, dir := "load", "from"
+	if store {
+		op, dir = "store", "to"
 	}
-	if off+uint64(len(buf)) > MaxOffset {
-		return fmt.Errorf("sgx: store at %#x beyond region ceiling", addr)
+	if ref.Region == nil {
+		return fmt.Errorf("sgx: %s %s unmapped region %d", op, dir, ref.ID)
 	}
-	r.Store(off, buf)
+	if n < 0 || ref.Off > MaxOffset || uint64(n) > MaxOffset-ref.Off {
+		return fmt.Errorf("sgx: %s at %#x beyond region ceiling", op, ref.Addr)
+	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package sgx
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -69,24 +70,47 @@ func TestAllocAlignment(t *testing.T) {
 
 func TestCheckedAccess(t *testing.T) {
 	as := NewAddressSpace("blue", "red")
-	blueAddr := EncodePtr(1, as.Region(1).Alloc(8))
-	buf := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	blue := as.Resolve(EncodePtr(1, as.Region(1).Alloc(8)))
 	// Owner writes fine.
-	if err := as.CheckedStore(1, blueAddr, buf); err != nil {
+	if err := blue.Check(1, 8, true); err != nil {
 		t.Fatal(err)
 	}
 	// Normal mode is rejected.
-	if err := as.CheckedLoad(Unsafe, blueAddr, buf); err == nil {
+	if err := blue.Check(Unsafe, 8, false); err == nil {
 		t.Error("normal mode read enclave memory")
 	}
 	// The sibling enclave is rejected.
-	if err := as.CheckedStore(2, blueAddr, buf); err == nil {
+	if err := blue.Check(2, 8, true); err == nil {
 		t.Error("red wrote blue memory")
 	}
 	var ae *AccessError
-	err := as.CheckedLoad(2, blueAddr, buf)
+	err := blue.Check(2, 8, false)
 	if !asErr(err, &ae) || ae.Mode != 2 || ae.Target != 1 {
 		t.Errorf("AccessError wrong: %v", err)
+	}
+}
+
+// TestCheckRefusesUnmappedAndPastCeiling covers the rest of the access
+// rules: an unmapped region, and ranges that end past MaxOffset or have
+// a negative length, are refused for loads and stores alike.
+func TestCheckRefusesUnmappedAndPastCeiling(t *testing.T) {
+	as := NewAddressSpace("blue")
+	if err := as.Resolve(EncodePtr(7, 8)).Check(7, 8, false); err == nil || !strings.Contains(err.Error(), "unmapped region 7") {
+		t.Errorf("load from region 7 = %v, want an unmapped-region error", err)
+	}
+	for _, c := range []struct {
+		off uint64
+		n   int
+	}{{MaxOffset - 4, 8}, {MaxOffset + 8, 0}, {1 << 40, 8}, {8, -1}} {
+		for _, store := range []bool{false, true} {
+			err := as.Resolve(EncodePtr(1, c.off)).Check(1, c.n, store)
+			if err == nil || !strings.Contains(err.Error(), "beyond region ceiling") {
+				t.Errorf("%d bytes at offset %#x (store %v) = %v, want a ceiling error", c.n, c.off, store, err)
+			}
+		}
+	}
+	if err := as.Resolve(EncodePtr(1, MaxOffset-8)).Check(1, 8, true); err != nil {
+		t.Errorf("a store ending at MaxOffset = %v, want it allowed", err)
 	}
 }
 
