@@ -119,7 +119,7 @@ bench:
 BENCH_BIN ?= .bench_build/privagic-bench
 artifacts:
 	$(GO) build -o $(BENCH_BIN) ./cmd/privagic-bench
-	rc=0; for e in cluster replication crossopt compile; do \
+	rc=0; for e in cluster replication crossopt compile recovery; do \
 		$(BENCH_BIN) -exp $$e -json > BENCH_$$e.json || rc=1; \
 	done; exit $$rc
 

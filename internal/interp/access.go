@@ -8,11 +8,12 @@ import (
 // workerState is the interpreter's per-worker state, kept in the
 // worker's one embedder slot (prt.Worker.Local): the executing chunk's
 // effect transaction and copy-in snapshot (saved and restored around a
-// nested spawn on the same worker), the differential recorder, and the
-// compiled tier's frame free list. Touched only on the worker's own
-// goroutine.
+// nested spawn on the same worker), the size of the last transaction
+// (which sizes the next), the differential recorder, and the compiled
+// tier's frame free list. Touched only on the worker's own goroutine.
 type workerState struct {
 	tx     *effectTx
+	txHint txSize
 	snap   *boundarySnap
 	rec    *diffRecorder
 	frames frameList
@@ -55,8 +56,8 @@ func (ip *Interp) loadBytes(w *prt.Worker, addr uint64, buf []byte) {
 		ref.Region.Load(ref.Off, buf)
 	}
 	if tx := ws.tx; tx != nil {
-		if len(tx.overlay) > 0 {
-			tx.patch(addr, buf)
+		if tx.overlay.n > 0 {
+			tx.overlay.patch(ref, buf)
 		}
 		// Journal the post-overlay bytes: a replayed chunk re-reads them
 		// from the journal instead of live memory, which committed nested

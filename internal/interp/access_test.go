@@ -194,7 +194,7 @@ entry long main(long x) {
 				ws.snap = ip.beginSnap()
 			case "recovery":
 				ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 1})
-				ws.tx = ip.beginTx(0)
+				ws.tx = ip.beginTx(0, txSize{})
 			}
 			args := []val{iv(1)}
 			ip.runCompiled(cf, w, args, ip.live)

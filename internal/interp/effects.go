@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"privagic/internal/prt"
@@ -24,55 +25,66 @@ import (
 // them.
 type effectTx struct {
 	chunkID int
-	// overlay holds the buffered bytes word-granular (8-byte entries
-	// keyed by addr>>3, with a per-byte valid mask), so a typical scalar
-	// load or store costs one map access instead of one per byte; loads
-	// patch it over the backing memory.
-	overlay map[uint64]ovWord
+	// overlay holds the buffered bytes word-granular, so a load patches
+	// them over the backing memory with one probe per touched 8-byte word
+	// and a store updates its word in place.
+	overlay ovTable
 	// redo is the ordered write log replayed into backing memory at
 	// commit; arena backs the logged bytes back to back, in log order,
-	// so buffering a store does not allocate.
+	// so buffering a store does not allocate. Neither holds a pointer,
+	// so the collector does not scan them.
 	redo  []writeRec
 	arena []byte
 	// out buffers printf/puts text until commit.
 	out []byte
-	// stores counts buffered writes (the crash-point hook's cursor).
-	stores int
-}
-
-// ovWord is one aligned 8-byte overlay entry; mask bit i marks bytes[i]
-// as buffered.
-type ovWord struct {
-	bytes [8]byte
-	mask  uint8
 }
 
 // writeRec is one buffered store: its checked target and length.
 type writeRec struct {
-	r   *sgx.Region
 	off uint64
-	n   int
+	n   int32
+	id  int32 // sgx.RegionID
+}
+
+// txSize is an effect transaction's size: overlay words, buffered stores
+// and buffered bytes. The worker's last one sizes its next transaction,
+// so a chunk that buffers as much as its predecessor never grows a
+// buffer mid-run; nothing outlives the transaction.
+type txSize struct{ words, stores, bytes int }
+
+// size reports the transaction's size, the next one's sizing hint.
+func (tx *effectTx) size() txSize {
+	return txSize{tx.overlay.n, len(tx.redo), len(tx.arena)}
 }
 
 // beginTx opens an effect transaction for a spawned chunk when recovery
-// is enabled (nil otherwise).
-func (ip *Interp) beginTx(chunkID int) *effectTx {
+// is enabled (nil otherwise), sized for hint.
+func (ip *Interp) beginTx(chunkID int, hint txSize) *effectTx {
 	if !ip.RT.Recovery.Enabled() {
 		return nil
 	}
-	return &effectTx{chunkID: chunkID}
+	tx := &effectTx{
+		chunkID: chunkID,
+		redo:    make([]writeRec, 0, hint.stores),
+		arena:   make([]byte, 0, hint.bytes),
+	}
+	tx.overlay.reserve(hint.words)
+	return tx
 }
 
 // commitTx applies the buffered effects: redo log in store order, then
-// the buffered output.
-func (ip *Interp) commitTx(tx *effectTx) {
+// the buffered output. The attempt's loads are published first, so a
+// replay of the completed spawn is served every load these effects
+// were computed from.
+func (ip *Interp) commitTx(w *prt.Worker, tx *effectTx) {
 	if tx == nil {
 		return
 	}
+	w.PublishLoads()
 	pos := 0
 	for _, rec := range tx.redo {
-		ip.writeBack(rec.r, rec.off, tx.arena[pos:pos+rec.n])
-		pos += rec.n
+		ip.writeBack(ip.RT.Space.Region(sgx.RegionID(rec.id)), rec.off, tx.arena[pos:pos+int(rec.n)])
+		pos += int(rec.n)
 	}
 	if len(tx.out) > 0 {
 		ip.print(string(tx.out))
@@ -113,48 +125,124 @@ func (ip *Interp) EnableRecovery(p prt.RecoveryPolicy) {
 	ip.RT.Recovery = p
 }
 
-// patch applies the overlay's buffered bytes over a load's result, one
-// map access per touched 8-byte word.
-func (tx *effectTx) patch(addr uint64, buf []byte) {
-	for i := 0; i < len(buf); {
-		wk := (addr + uint64(i)) >> 3
-		w, ok := tx.overlay[wk]
-		for ; i < len(buf) && (addr+uint64(i))>>3 == wk; i++ {
-			if ok {
-				bi := (addr + uint64(i)) & 7
-				if w.mask&(1<<bi) != 0 {
-					buf[i] = w.bytes[bi]
-				}
-			}
-		}
-	}
-}
-
 // buffer records an already checked store in the transaction instead of
 // applying it: the redo log keeps it for commit, the overlay serves it
 // to the chunk's own later loads. Each buffered store is one crash point.
 func (ip *Interp) buffer(w *prt.Worker, tx *effectTx, ref sgx.Ref, data []byte) {
-	tx.stores++
 	if hook := ip.crashPoint; hook != nil {
-		if f := hook(w.Index, tx.chunkID, tx.stores); f != nil {
+		if f := hook(w.Index, tx.chunkID, len(tx.redo)+1); f != nil {
 			panic(f)
 		}
 	}
-	if tx.overlay == nil {
-		tx.overlay = make(map[uint64]ovWord, 8)
-	}
 	tx.arena = append(tx.arena, data...)
-	tx.redo = append(tx.redo, writeRec{r: ref.Region, off: ref.Off, n: len(data)})
-	addr := ref.Addr
-	for i := 0; i < len(data); {
-		wk := (addr + uint64(i)) >> 3
-		w := tx.overlay[wk]
-		for ; i < len(data) && (addr+uint64(i))>>3 == wk; i++ {
-			bi := (addr + uint64(i)) & 7
-			w.bytes[bi] = data[i]
-			w.mask |= 1 << bi
+	tx.redo = append(tx.redo, writeRec{off: ref.Off, n: int32(len(data)), id: int32(ref.ID)})
+	tx.overlay.store(ref, data)
+}
+
+// ovTable is the overlay: a flat open-addressed table of buffered 8-byte
+// words with linear probing. slots is empty or a power of two long, and
+// at most half full, so a probe for an unbuffered word (most loads) ends
+// after a couple of slots.
+type ovTable struct {
+	slots []ovSlot
+	n     int // occupied slots
+	shift uint8
+}
+
+// ovSlot is one buffered word. key packs the word (see ovWord) with the
+// mask of buffered bytes in its top byte; a buffered word has a nonzero
+// mask, so a zero key is an empty slot.
+type ovSlot struct {
+	key   uint64
+	bytes [8]byte
+}
+
+const (
+	// ovRegionShift places a word's region above its word index in the
+	// region: a checked access ends at or below sgx.MaxOffset (1<<28), so
+	// the index fits in 25 bits, and the region in the 31 above it.
+	ovRegionShift = 25
+	ovWordMask    = 1<<56 - 1
+	ovMinSlots    = 16
+)
+
+// ovWord is the key of the word holding byte off of ref's region.
+func ovWord(ref sgx.Ref, off uint64) uint64 {
+	return uint64(ref.ID)<<ovRegionShift | off>>3
+}
+
+// reserve sizes an empty table for words buffered words.
+func (t *ovTable) reserve(words int) {
+	if words > 0 {
+		t.resize(2 * words)
+	}
+}
+
+// resize rehashes the table into the smallest power of two of at least
+// want (and ovMinSlots) slots.
+func (t *ovTable) resize(want int) {
+	n := ovMinSlots
+	for n < want {
+		n <<= 1
+	}
+	old := t.slots
+	t.slots = make([]ovSlot, n)
+	t.shift = uint8(64 - bits.TrailingZeros(uint(n)))
+	for _, s := range old {
+		if s.key != 0 {
+			t.slots[t.find(s.key&ovWordMask)] = s
 		}
-		tx.overlay[wk] = w
+	}
+}
+
+// find returns the slot holding word, or the empty slot where it goes.
+// The table must have slots.
+func (t *ovTable) find(word uint64) int {
+	m := len(t.slots) - 1
+	for i := int(word * 0x9E3779B97F4A7C15 >> t.shift); ; i = (i + 1) & m {
+		if k := t.slots[i].key; k == 0 || k&ovWordMask == word {
+			return i
+		}
+	}
+}
+
+// store buffers data at ref, one probe per touched word.
+func (t *ovTable) store(ref sgx.Ref, data []byte) {
+	for i := 0; i < len(data); {
+		off := ref.Off + uint64(i)
+		if 2*(t.n+1) > len(t.slots) {
+			t.resize(2 * len(t.slots))
+		}
+		word := ovWord(ref, off)
+		s := &t.slots[t.find(word)]
+		if s.key == 0 {
+			t.n++
+		}
+		mask := uint8(s.key >> 56)
+		for b := off & 7; b < 8 && i < len(data); b, i = b+1, i+1 {
+			s.bytes[b] = data[i]
+			mask |= 1 << b
+		}
+		s.key = word | uint64(mask)<<56
+	}
+}
+
+// patch applies the buffered bytes over a load's result, one probe per
+// touched word. The table must not be empty.
+func (t *ovTable) patch(ref sgx.Ref, buf []byte) {
+	for i := 0; i < len(buf); {
+		off := ref.Off + uint64(i)
+		s := &t.slots[t.find(ovWord(ref, off))]
+		b := int(off & 7)
+		n := min(8-b, len(buf)-i)
+		if mask := uint8(s.key >> 56); mask != 0 {
+			for j := 0; j < n; j++ {
+				if mask&(1<<(b+j)) != 0 {
+					buf[i+j] = s.bytes[b+j]
+				}
+			}
+		}
+		i += n
 	}
 }
 

@@ -30,13 +30,16 @@ func (ip *Interp) execChunk(w *prt.Worker, chunkID int, args []any) (result any)
 	// transaction and snapshot when it ends.
 	ws := stateOf(w)
 	prevTx, prevSnap := ws.tx, ws.snap
-	tx := ip.beginTx(chunkID)
+	tx := ip.beginTx(chunkID, ws.txHint)
 	ws.tx, ws.snap = tx, ip.beginSnap()
 	defer func() {
 		ws.tx, ws.snap = prevTx, prevSnap
+		if tx != nil {
+			ws.txHint = tx.size()
+		}
 		r := recover()
 		if r == nil {
-			ip.commitTx(tx)
+			ip.commitTx(w, tx)
 			return
 		}
 		if _, injected := r.(interface{ InjectedFault() }); injected {
@@ -51,7 +54,7 @@ func (ip *Interp) execChunk(w *prt.Worker, chunkID int, args []any) (result any)
 		// A recorded program error completes the chunk (recovery does not
 		// replay program bugs), so its effects commit like any other
 		// completion — matching the recovery-off behavior.
-		ip.commitTx(tx)
+		ip.commitTx(w, tx)
 		result = val{}
 	}()
 	ch := ip.Prog.ChunkByID[chunkID]

@@ -76,26 +76,75 @@ type spawnRec struct {
 	// re-sending the conts and nested spawns a previous attempt already
 	// sent (the peer consumed them; a fresh copy would be matched against
 	// a later wait or execute the nested chunk a second time).
-	contsIn   replayLog[Message]
+	contsIn   replayLog[contIn]
 	donesIn   replayLog[Message]
 	allocsIn  replayLog[uint64]
 	contsOut  suppressCounter
 	spawnsOut suppressCounter
 
-	// loadBuf/loadLens cache every mode-checked load the executing chunk
-	// performs (in program order, bytes concatenated arena-style so the
-	// fault-free path never allocates per load), and loadCursor/loadOff
-	// are the current attempt's position. A replay is served from this
-	// cache instead of re-reading memory: between the crashed attempt and
-	// the replay, *committed* effects of nested chunks may have changed
-	// shared memory, and a live re-read would steer the replay down a
-	// different branch than the attempt the protocol's peers already
-	// reacted to. With loads, conts and completions all replayed from the
-	// log, a chunk body is a pure function of its journal entry.
-	loadBuf    []byte
-	loadLens   []int32
-	loadCursor int
-	loadOff    int
+	// gen numbers the executions: beginAttempt hands out the next one,
+	// and only the attempt holding the latest may publish. loads is the
+	// load log last published, a prefix of that attempt's own log (see
+	// attempt), which the next attempt is served from.
+	gen   uint64
+	loads loadLog
+}
+
+// contIn is one cached cont: the wait point it satisfied and its value.
+type contIn struct {
+	tag     int
+	payload any
+}
+
+// attempt is one execution of a journaled spawn, held on the executing
+// Worker and saved and restored around a nested spawn on the same worker.
+// Its load log is its own: a load appends to it, or on a replay is served
+// from it, without a lock. The log reaches the spawnRec only when the
+// attempt publishes it under rec.mu — before each cont or nested-spawn
+// send, before its effects commit, and when it aborts. A peer can only
+// have reacted to loads made before one of those points, so a replay
+// served the published prefix re-reads exactly the memory the protocol
+// already depends on. A stale attempt (one a restart replaced) never
+// publishes, so it cannot move what its successor is served.
+type attempt struct {
+	rec   *spawnRec
+	gen   uint64
+	loads loadLog
+}
+
+// loadLog is an ordered log of mode-checked loads: the bytes back to back
+// (arena-style, so a journaled load does not allocate once the log has
+// room) and each load's length. cursor/off are the position of the next
+// load. Logged entries are never rewritten, so a published log can be
+// read while its owner appends past it.
+type loadLog struct {
+	buf    []byte
+	lens   []int32
+	cursor int
+	off    int
+}
+
+// size is the log's length, the next attempt's sizing hint.
+func (l *loadLog) size() logSize { return logSize{len(l.lens), len(l.buf)} }
+
+// logSize is a load log's length in loads and in bytes.
+type logSize struct{ loads, bytes int }
+
+// load threads one load through the log: a position the log already holds
+// overwrites buf with the bytes read there before; a position past it
+// records buf. Purely positional — a deterministic chunk issues the same
+// load sequence.
+func (l *loadLog) load(buf []byte) {
+	n := len(buf)
+	if l.cursor < len(l.lens) {
+		n = int(l.lens[l.cursor])
+		copy(buf, l.buf[l.off:l.off+n])
+	} else {
+		l.buf = append(l.buf, buf...)
+		l.lens = append(l.lens, int32(n))
+	}
+	l.cursor++
+	l.off += n
 }
 
 // replayLog is one replay cache: the values earlier attempts consumed, in
@@ -138,50 +187,69 @@ func (c *suppressCounter) suppress() bool {
 	return false
 }
 
-// beginAttempt rewinds the replay cursors for a (re-)execution.
-func (r *spawnRec) beginAttempt() {
+// beginAttempt rewinds the replay cursors for a (re-)execution and opens
+// the attempt that runs it. The attempt's load log starts as a copy of the
+// published one, sized for hint if that is larger: its own appends must
+// not touch memory a stale attempt may still read.
+func (r *spawnRec) beginAttempt(hint logSize) attempt {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.contsIn.cursor, r.donesIn.cursor, r.allocsIn.cursor = 0, 0, 0
 	r.contsOut.cursor, r.spawnsOut.cursor = 0, 0
-	r.loadCursor, r.loadOff = 0, 0
-	r.mu.Unlock()
+	r.gen++
+	a := attempt{rec: r, gen: r.gen}
+	a.loads.lens = append(make([]int32, 0, max(hint.loads, len(r.loads.lens))), r.loads.lens...)
+	a.loads.buf = append(make([]byte, 0, max(hint.bytes, len(r.loads.buf))), r.loads.buf...)
+	return a
+}
+
+// publish hands the attempt's load log to its entry, if no later attempt
+// has begun. rec.mu must be held.
+func (a *attempt) publish() {
+	if a.gen == a.rec.gen {
+		a.rec.loads.buf, a.rec.loads.lens = a.loads.buf, a.loads.lens
+	}
 }
 
 // cachedCont serves the next cont of the replay cache if it matches tag.
 // A mismatch falls through to a live wait (the attempt diverged from the
 // cached order; with deterministic chunks this only happens when the
 // cache is exhausted).
-func (r *spawnRec) cachedCont(tag int) (Message, bool) {
+func (r *spawnRec) cachedCont(tag int) (any, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if msg, ok := r.contsIn.peek(); ok && msg.Tag == tag {
+	if c, ok := r.contsIn.peek(); ok && c.tag == tag {
 		r.contsIn.cursor++
-		return msg, true
+		return c.payload, true
 	}
-	return Message{}, false
+	return nil, false
 }
 
 // recordContIn appends a live-consumed cont to the cache.
-func (r *spawnRec) recordContIn(msg Message) {
+func (r *spawnRec) recordContIn(tag int, payload any) {
 	r.mu.Lock()
-	r.contsIn.record(msg)
+	r.contsIn.record(contIn{tag, payload})
 	r.mu.Unlock()
 }
 
-// suppressSend reports whether the current attempt's next cont send was
-// already delivered by a previous attempt.
-func (r *spawnRec) suppressSend() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.contsOut.suppress()
+// suppressSend publishes the attempt's loads, which the cont about to be
+// sent may depend on, and reports whether that send was already delivered
+// by a previous attempt.
+func (a *attempt) suppressSend() bool {
+	a.rec.mu.Lock()
+	defer a.rec.mu.Unlock()
+	a.publish()
+	return a.rec.contsOut.suppress()
 }
 
-// suppressSpawn reports whether the current attempt's next nested spawn
-// was already issued by a previous attempt.
-func (r *spawnRec) suppressSpawn() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.spawnsOut.suppress()
+// suppressSpawn publishes the attempt's loads, which the nested spawn
+// about to be issued may depend on, and reports whether that spawn was
+// already issued by a previous attempt.
+func (a *attempt) suppressSpawn() bool {
+	a.rec.mu.Lock()
+	defer a.rec.mu.Unlock()
+	a.publish()
+	return a.rec.spawnsOut.suppress()
 }
 
 // cachedDone serves the next completion of the replay cache, if any.
@@ -201,27 +269,6 @@ func (r *spawnRec) cachedDone() (Message, bool) {
 func (r *spawnRec) recordDoneIn(msg Message) {
 	r.mu.Lock()
 	r.donesIn.record(msg)
-	r.mu.Unlock()
-}
-
-// journalLoad threads one mode-checked load through the replay cache:
-// a position with a cached value overwrites buf with the bytes the
-// earlier attempt read; a position past the cache records buf. Purely
-// positional — a deterministic chunk issues the same load sequence.
-func (r *spawnRec) journalLoad(buf []byte) {
-	r.mu.Lock()
-	if r.loadCursor < len(r.loadLens) {
-		n := int(r.loadLens[r.loadCursor])
-		copy(buf, r.loadBuf[r.loadOff:r.loadOff+n])
-		r.loadCursor++
-		r.loadOff += n
-		r.mu.Unlock()
-		return
-	}
-	r.loadBuf = append(r.loadBuf, buf...)
-	r.loadLens = append(r.loadLens, int32(len(buf)))
-	r.loadCursor++
-	r.loadOff += len(buf)
 	r.mu.Unlock()
 }
 

@@ -1,0 +1,213 @@
+package prt
+
+import (
+	"encoding/binary"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// These tests pin the load journal: each attempt keeps its own load log,
+// publishes it to the spawn's entry before every send and when it aborts,
+// and a replay is served the published log in place of live memory.
+
+// journaledLoad reads mem the way an embedder's checked load does: the
+// live value, then threaded through the executing attempt's load log.
+func journaledLoad(w *Worker, mem *atomic.Int64) int64 {
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], uint64(mem.Load()))
+	w.JournalLoad(buf[:])
+	return int64(binary.LittleEndian.Uint64(buf[:]))
+}
+
+// TestReplayServedCrashedAttemptLoads: a chunk that loads, changes the
+// memory it loaded and then crashes must, on replay, be served the bytes
+// the crashed attempt read, not the changed memory.
+func TestReplayServedCrashedAttemptLoads(t *testing.T) {
+	var mem atomic.Int64
+	mem.Store(7)
+	var execs atomic.Int32
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
+		1: func(w *Worker, args []any) any {
+			a := journaledLoad(w, &mem)
+			b := journaledLoad(w, &mem)
+			if execs.Add(1) == 1 {
+				mem.Store(99) // an effect the replay must not observe
+				panic("crash after loading")
+			}
+			return a*100 + b
+		},
+	})
+	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
+	th := rt.NewThread()
+	defer th.Close()
+	u := th.Normal()
+	u.Spawn(1, 1, nil, true)
+	got, err := u.JoinTimeout(1, 5*time.Second)
+	if err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	if got != int64(707) {
+		t.Errorf("replay returned %v, want 707 (the crashed attempt's loads)", got)
+	}
+	if n := execs.Load(); n != 2 {
+		t.Errorf("chunk executed %d times, want 2", n)
+	}
+}
+
+// TestNestedSpawnKeepsOuterLoadLog: a spawn that runs nested inside a
+// chunk's wait on the same worker loads memory of its own; the outer
+// chunk's replay must still be served exactly the outer attempt's loads,
+// from before and after the nested spawn.
+func TestNestedSpawnKeepsOuterLoadLog(t *testing.T) {
+	var mem atomic.Int64
+	var outerExecs atomic.Int32
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
+		1: func(w *Worker, args []any) any { // outer
+			a := journaledLoad(w, &mem)
+			if _, err := w.WaitTimeout(5, 2*time.Second); err != nil {
+				t.Errorf("outer Wait(5): %v", err)
+				return nil
+			}
+			b := journaledLoad(w, &mem)
+			if outerExecs.Add(1) == 1 {
+				mem.Store(-1)
+				panic("outer crashes after the nested spawn")
+			}
+			return [2]int64{a, b}
+		},
+		2: func(w *Worker, args []any) any { // nested, runs inside outer's wait
+			v := journaledLoad(w, &mem)
+			journaledLoad(w, &mem)
+			mem.Store(20)
+			return v
+		},
+	})
+	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
+	th := rt.NewThread()
+	defer th.Close()
+	u := th.Normal()
+	mem.Store(10)
+	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 2, nil, true)
+	done, err := u.JoinOneTimeout(5 * time.Second)
+	if err != nil || done.ChunkID != 2 {
+		t.Fatalf("JoinOne = chunk %d, %v; want the nested chunk 2", done.ChunkID, err)
+	}
+	u.SendCont(1, 5, nil)
+	got, err := u.JoinTimeout(1, 5*time.Second)
+	if err != nil {
+		t.Fatalf("Join outer: %v", err)
+	}
+	if want := [2]int64{10, 20}; got != want {
+		t.Errorf("outer replay was served %v, want %v", got, want)
+	}
+	if n := outerExecs.Load(); n != 2 {
+		t.Errorf("outer executed %d times, want 2", n)
+	}
+}
+
+// signalAbort is a test interceptor that delivers everything and closes
+// aborted once the first poisoned completion has been delivered — by then
+// the crashed attempt has published its load log.
+type signalAbort struct {
+	once    sync.Once
+	aborted chan struct{}
+}
+
+func (s *signalAbort) Deliver(to *Worker, msg Message) {
+	to.EnqueueRaw(msg)
+	if msg.Kind == MsgDone && msg.Err != nil {
+		s.once.Do(func() { close(s.aborted) })
+	}
+}
+
+// TestStaleAttemptCannotMoveReplayLog: after a restart, the replaced
+// attempt keeps loading and sending, both while the newer attempt runs
+// and after that attempt has crashed. The attempt after that must be
+// served exactly the newer attempt's loads: a stale attempt never
+// publishes. Run under -race, this also checks that the two attempts
+// share no unguarded state.
+func TestStaleAttemptCannotMoveReplayLog(t *testing.T) {
+	var mem atomic.Int64
+	mem.Store(100)
+	var execs atomic.Int32
+	started, release, staleDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var second atomic.Int64 // the second attempt's live second load
+	ic := &signalAbort{aborted: make(chan struct{})}
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
+		1: func(w *Worker, args []any) any {
+			n := execs.Add(1)
+			a := journaledLoad(w, &mem)
+			w.SendCont(0, 7, a)
+			switch n {
+			case 1:
+				close(started)
+				<-release
+				defer close(staleDone)
+				for i := 0; i < 200; i++ {
+					if i == 100 {
+						select {
+						case <-ic.aborted:
+						case <-time.After(5 * time.Second):
+							t.Error("the second attempt never crashed")
+							return nil
+						}
+					}
+					mem.Add(1)
+					journaledLoad(w, &mem)
+					w.SendCont(0, 8, i)
+				}
+				return "stale"
+			case 2:
+				close(release)
+				second.Store(journaledLoad(w, &mem))
+				panic("the newer attempt crashes")
+			}
+			return [2]int64{a, journaledLoad(w, &mem)}
+		},
+	})
+	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
+	rt.SetInterceptor(ic)
+	th := rt.NewThread()
+	defer th.Close()
+	u := th.Normal()
+	u.Spawn(1, 1, nil, true)
+	if got, err := u.WaitTimeout(7, 5*time.Second); err != nil || got != int64(100) {
+		t.Fatalf("Wait(7) = %v, %v, want 100", got, err)
+	}
+	<-started
+	mem.Store(200)
+	th.RestartWorker(1)
+	select {
+	case <-staleDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the stale attempt never finished")
+	}
+	got, err := u.JoinTimeout(1, 5*time.Second)
+	if err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	if want := [2]int64{100, second.Load()}; got != want || want[1] < 200 {
+		t.Errorf("third attempt was served %v, want %v (the second attempt's loads)", got, want)
+	}
+	if n := execs.Load(); n != 3 {
+		t.Errorf("chunk executed %d times, want 3", n)
+	}
+}
+
+// TestJournaledLoadAllocationFree: once an attempt's load log has room, a
+// journaled load allocates nothing and takes no lock.
+func TestJournaledLoadAllocationFree(t *testing.T) {
+	rec := &spawnRec{}
+	w := &Worker{}
+	w.att = rec.beginAttempt(logSize{loads: 1024, bytes: 8 * 1024})
+	buf := make([]byte, 8)
+	if allocs := testing.AllocsPerRun(1000, func() { w.JournalLoad(buf) }); allocs != 0 {
+		t.Errorf("a journaled load allocates %.1f times, want 0", allocs)
+	}
+	if got := w.att.loads.size(); got != (logSize{1001, 8008}) {
+		t.Errorf("load log holds %+v, want 1001 loads of 8 bytes", got)
+	}
+}

@@ -284,10 +284,13 @@ type Worker struct {
 	// from it instead of reading the clock again.
 	admitNS int64
 
-	// curRec is the journal entry of the spawn currently executing on
-	// this worker (nil when recovery is off): the cont replay caches
-	// live there. Touched only on the worker's own goroutine.
-	curRec *spawnRec
+	// att is the attempt currently executing on this worker: its journal
+	// entry (nil when recovery is off or the spawn is not journaled),
+	// where the cont replay caches live, and its own load log. loadHint
+	// is the size of the last attempt's load log, which sizes the next
+	// one's. Touched only on the worker's own goroutine.
+	att      attempt
+	loadHint logSize
 
 	// Engine is the execution tier this worker runs chunk bodies on,
 	// copied from Runtime.Engine at creation (and from the predecessor
@@ -680,21 +683,23 @@ func (w *Worker) runSpawn(msg Message) {
 		}
 		return
 	}
-	// Bind the journal entry (if any) for the duration of the execution:
-	// the cont replay caches live there. Saved/restored so a nested spawn
-	// on the same worker does not clobber the outer chunk's caches.
-	prevRec := w.curRec
+	// Open an attempt on the journal entry (if any) for the duration of
+	// the execution: the cont replay caches live there, the load log on
+	// the attempt. Saved/restored so a nested spawn on the same worker
+	// does not clobber the outer chunk's attempt.
+	prevAtt := w.att
+	w.att = attempt{}
 	if rt.Recovery.Enabled() {
 		if rec := rt.lookupSpawn(w.Thread, w.Index, msg.ChunkID); rec != nil {
-			rec.beginAttempt()
-			w.curRec = rec
-		} else {
-			w.curRec = nil
+			w.att = rec.beginAttempt(w.loadHint)
 		}
-	} else {
-		w.curRec = nil
 	}
-	defer func() { w.curRec = prevRec }()
+	defer func() {
+		if w.att.rec != nil {
+			w.loadHint = w.att.loads.size()
+		}
+		w.att = prevAtt
+	}()
 	// One clock read serves both the span-open event and the latency
 	// histogram; with neither armed the spawn path never touches the clock.
 	var started time.Time
@@ -717,6 +722,9 @@ func (w *Worker) runSpawn(msg Message) {
 					stack: debug.Stack(),
 				}
 				rt.trace(obs.EvAbort, w.Index, msg.ChunkID, 0, msg.epoch, 0)
+				// A crash publishes every load: the replay is served
+				// exactly what this attempt read.
+				w.PublishLoads()
 				// Snapshot the flight record after the abort event, so
 				// the record's last line is the abort itself.
 				abort.flight = rt.flightDump()
@@ -786,16 +794,30 @@ func (rt *Runtime) send(from, to *Worker, msg Message) {
 }
 
 // JournalLoad threads one memory load of the currently executing chunk
-// through its journal entry's replay cache: on a replay, buf is
-// overwritten with the bytes the crashed attempt read at this position;
-// on a live attempt, buf is recorded. A no-op when the executing chunk is
-// not journaled. The embedder (the interpreter) calls this on every
-// mode-checked load so a replay observes the memory of the attempt its
-// peers already reacted to, not whatever committed nested effects have
-// since made of it.
+// through its attempt's load log: on a replay, buf is overwritten with
+// the bytes the crashed attempt read at this position; past that, buf is
+// recorded. A no-op when the executing chunk is not journaled. The
+// embedder (the interpreter) calls this on every mode-checked load so a
+// replay observes the memory of the attempt its peers already reacted to,
+// not whatever committed nested effects have since made of it. Lock-free:
+// the log is the attempt's own until it is published.
 func (w *Worker) JournalLoad(buf []byte) {
-	if rec := w.curRec; rec != nil {
-		rec.journalLoad(buf)
+	if w.att.rec != nil {
+		w.att.loads.load(buf)
+	}
+}
+
+// PublishLoads hands the executing attempt's load log to its journal
+// entry. The embedder calls it just before the chunk's buffered effects
+// commit: a restart may still replay a spawn that completed (its fenced
+// completion never reaches the joiner), and that replay must be served
+// every load behind the effects it would otherwise re-apply on top of
+// themselves. A no-op when the chunk is not journaled.
+func (w *Worker) PublishLoads() {
+	if rec := w.att.rec; rec != nil {
+		rec.mu.Lock()
+		w.att.publish()
+		rec.mu.Unlock()
 	}
 }
 
@@ -806,7 +828,7 @@ func (w *Worker) JournalLoad(buf []byte) {
 // behind the original address). Live attempts run alloc and record the
 // result. Calls alloc directly when the executing chunk is not journaled.
 func (w *Worker) JournalAlloc(alloc func() uint64) uint64 {
-	if rec := w.curRec; rec != nil {
+	if rec := w.att.rec; rec != nil {
 		return rec.journalAlloc(alloc)
 	}
 	return alloc()
@@ -816,7 +838,7 @@ func (w *Worker) JournalAlloc(alloc func() uint64) uint64 {
 // same thread (§7.3.2). The completion Done is routed back to the caller.
 func (w *Worker) Spawn(colorIdx int, chunkID int, args []any, needReply bool) {
 	rt := w.Thread.RT
-	if rec := w.curRec; rec != nil && rec.suppressSpawn() {
+	if w.att.rec != nil && w.att.suppressSpawn() {
 		// A previous attempt of this chunk already issued this nested
 		// spawn; it is either still in flight or already consumed. A
 		// fresh copy would execute the nested chunk a second time.
@@ -842,7 +864,7 @@ func (w *Worker) Spawn(colorIdx int, chunkID int, args []any, needReply bool) {
 // SendCont sends a Free value to the worker of colorIdx in the same thread
 // (the cont message of §7.3.2), tagged with its wait point.
 func (w *Worker) SendCont(colorIdx int, tag int, payload any) {
-	if rec := w.curRec; rec != nil && rec.suppressSend() {
+	if w.att.rec != nil && w.att.suppressSend() {
 		// A previous attempt of this chunk already delivered this cont;
 		// the peer consumed it. Re-sending would stamp a fresh strSeq
 		// (the admit gate would accept it) and the copy could satisfy a
@@ -891,11 +913,11 @@ func (w *Worker) WaitTimeout(tag int, window time.Duration) (any, error) {
 	w.prunePending()
 	// A replayed chunk re-consumes conts its crashed attempt already took;
 	// the peer will not send them again, so the journal cache serves them.
-	rec := w.curRec
+	rec := w.att.rec
 	if rec != nil {
-		if msg, ok := rec.cachedCont(tag); ok {
+		if payload, ok := rec.cachedCont(tag); ok {
 			rt.trace(obs.EvReplayCachedCont, w.Index, 0, tag, w.epochNow(), 0)
-			return msg.Payload, nil
+			return payload, nil
 		}
 	}
 	msg, err := w.await(opWait, MsgCont, tag, window)
@@ -903,7 +925,7 @@ func (w *Worker) WaitTimeout(tag int, window time.Duration) (any, error) {
 		return nil, err
 	}
 	if rec != nil {
-		rec.recordContIn(msg)
+		rec.recordContIn(tag, msg.Payload)
 	}
 	return msg.Payload, nil
 }
@@ -954,7 +976,7 @@ func (w *Worker) joinStep(op waitOp, pending int, window time.Duration) (Message
 	// A replayed chunk re-joins completions its crashed attempt already
 	// consumed; the nested chunk will not complete again, so the journal
 	// cache serves them.
-	rec := w.curRec
+	rec := w.att.rec
 	if rec != nil {
 		if msg, ok := rec.cachedDone(); ok {
 			w.Thread.RT.trace(obs.EvReplayCachedDone, w.Index, msg.ChunkID, 0, w.epochNow(), 0)
