@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: tier1 lint fmtcheck audit tier2 soak tier3-soak tier3-iago tier3-obs tier3-cluster tier3-grayfail tier3-replication tier3-compile fuzz bench artifacts fmt
+.PHONY: tier1 lint fmtcheck audit tier2 soak tier3-soak tier3-iago tier3-obs tier3-cluster tier3-grayfail tier3-replication tier3-compile tier3-stack fuzz bench artifacts fmt
 
 tier1: lint fmtcheck
 	$(GO) build ./...
@@ -101,6 +101,14 @@ tier3-replication:
 tier3-compile:
 	$(GO) test -count=1 -run 'TestSoakDifferential' -v -timeout 30m ./internal/faults
 	$(GO) run ./cmd/privagic-bench -exp compile
+
+# Tier-3: the worker-stack gate. Both repros of stack memory that was
+# never given back run 10M Calls on every engine: a function with a
+# 64 KiB local array (it used to hit the 256 MiB region ceiling after
+# 4,095 Calls) and the benchmark's kv_op on the treemap (after about
+# 4.2M Calls).
+tier3-stack:
+	$(GO) test -count=1 -run 'TestStackRepros' -v -timeout 120m ./internal/interp -stackcalls 10000000
 
 # 60-second coverage-guided smoke of the memcached protocol fuzzer,
 # starting from the checked-in corpus in

@@ -9,14 +9,16 @@ import (
 // worker's one embedder slot (prt.Worker.Local): the executing chunk's
 // effect transaction and copy-in snapshot (saved and restored around a
 // nested spawn on the same worker), the size of the last transaction
-// (which sizes the next), the differential recorder, and the compiled
-// tier's frame free list. Touched only on the worker's own goroutine.
+// (which sizes the next), the differential recorder, the compiled
+// tier's frame free list and the worker's stacks. Touched only on the
+// worker's own goroutine.
 type workerState struct {
 	tx     *effectTx
 	txHint txSize
 	snap   *boundarySnap
 	rec    *diffRecorder
 	frames frameList
+	stack  stackSet
 }
 
 // stateOf returns the worker's state, creating it on first use.
@@ -24,6 +26,7 @@ func stateOf(w *prt.Worker) *workerState {
 	ws, _ := w.Local.(*workerState)
 	if ws == nil {
 		ws = &workerState{}
+		ws.stack.regs = make([]regionStack, len(w.Thread.RT.Space.Regions()))
 		w.Local = ws
 	}
 	return ws

@@ -74,6 +74,7 @@ func (ip *Interp) dispatchCall(w *prt.Worker, t *ir.Call, callee val, args []val
 				payload = append(payload, val{})
 			}
 		}
+		ip.pinEscapes(w, fargs)
 		w.Spawn(ip.Prog.ColorIndex(ch.Color), chunkID, payload, needReply)
 		if rec := recOf(w); rec != nil {
 			nr := int64(0)
@@ -111,6 +112,7 @@ func (ip *Interp) dispatchCall(w *prt.Worker, t *ir.Call, callee val, args []val
 		}
 		return v
 	case partition.IntrSend:
+		ip.pinEscapes(w, args[2:3])
 		w.SendCont(int(args[0].I), int(args[1].I), args[2])
 		if rec := recOf(w); rec != nil {
 			rec.add(diffOp{kind: opSend, a: args[0].I, b: args[1].I, v: args[2]})
@@ -124,6 +126,7 @@ func (ip *Interp) dispatchCall(w *prt.Worker, t *ir.Call, callee val, args []val
 			vec[i] = a
 		}
 		tag := int(args[1].I)
+		ip.pinEscapes(w, args[2:])
 		w.SendCont(int(args[0].I), tag, vec)
 		ip.cross.vecSends.Add(1)
 		ip.RT.Tracer.Record(obs.EvVecSend, w.Index, 0, tag, 0, int64(len(vec)))

@@ -155,9 +155,12 @@ func (ip *Interp) runDifferential(w *prt.Worker, ch *partition.Chunk, args []val
 	ws.rec = rec
 	var liveRet val
 	var liveErr error
+	m := ws.stack.mark()
 	func() {
 		defer func() {
 			ws.rec = prev
+			// A live pass that panicked gives its frames back here.
+			ws.stack.release(m)
 			r := recover()
 			if r == nil {
 				return

@@ -94,9 +94,12 @@ func (ip *Interp) compiledFn(fn *ir.Function) *compile.Fn {
 // The frame comes from the worker's free list and goes back once the
 // body returns; a panicking body drops its frame. args may alias the
 // caller's frame (the call step's argument area), so they are copied in
-// before the body runs and never kept.
+// before the body runs and never kept. The activation gives its stack
+// frames back when it returns, like runFn; the differential shadow pass
+// replays the live pass's alloca addresses, so it has none to give back.
 func (ip *Interp) runCompiled(cf *compile.Fn, w *prt.Worker, args []val, env exec.Env) val {
-	fl := &stateOf(w).frames
+	ws := stateOf(w)
+	fl := &ws.frames
 	fr := fl.get(cf.NumSlots)
 	fr.W, fr.Env = w, env
 	n := cf.NumParams
@@ -104,7 +107,9 @@ func (ip *Interp) runCompiled(cf *compile.Fn, w *prt.Worker, args []val, env exe
 		n = len(args)
 	}
 	copy(fr.Regs[:n], args[:n])
+	m := ws.stack.mark()
 	ret := exec.Run(cf.Code, fr)
+	ws.stack.release(m)
 	fl.put(fr)
 	return ret
 }

@@ -27,22 +27,37 @@ func (ip *Interp) execChunk(w *prt.Worker, chunkID int, args []any) (result any)
 	// The chunk's first barrier interval starts here: open the copy-in
 	// snapshot (when the boundary defense or an observer is engaged). A
 	// nested spawn on the same worker restores the outer chunk's
-	// transaction and snapshot when it ends.
+	// transaction and snapshot when it ends, and the chunk's stack frames
+	// are given back however it ends.
 	ws := stateOf(w)
+	st := &ws.stack
+	ip.stackEpoch(w, st)
+	st.depth++
+	m := st.mark()
 	prevTx, prevSnap := ws.tx, ws.snap
 	tx := ip.beginTx(chunkID, ws.txHint)
 	ws.tx, ws.snap = tx, ip.beginSnap()
+	if tx != nil {
+		st.enterTx(prevTx != nil)
+	}
 	defer func() {
 		ws.tx, ws.snap = prevTx, prevSnap
+		st.depth--
+		r := recover()
+		_, injected := r.(interface{ InjectedFault() })
 		if tx != nil {
 			ws.txHint = tx.size()
+			if injected {
+				ip.pinTx(st)
+			}
+			st.exitTx()
 		}
-		r := recover()
+		st.release(m)
 		if r == nil {
 			ip.commitTx(w, tx)
 			return
 		}
-		if _, injected := r.(interface{ InjectedFault() }); injected {
+		if injected {
 			ip.discardTx(tx)
 			panic(r)
 		}
@@ -108,8 +123,19 @@ func (ip *Interp) runOn(w *prt.Worker, fn *ir.Function, args []val) val {
 }
 
 // runFn interprets one function (a chunk or a helper) with the worker's
-// mode governing every memory access.
+// mode governing every memory access. The activation's stack frames are
+// given back when it returns; a panicking activation's frames go back
+// where the panic is recovered.
 func (ip *Interp) runFn(w *prt.Worker, fn *ir.Function, args []val) val {
+	st := &stateOf(w).stack
+	m := st.mark()
+	v := ip.interpret(w, fn, args)
+	st.release(m)
+	return v
+}
+
+// interpret is runFn's instruction loop.
+func (ip *Interp) interpret(w *prt.Worker, fn *ir.Function, args []val) val {
 	frame := make(map[ir.Value]val, 16)
 	for i, p := range fn.Params {
 		if i < len(args) {
@@ -217,7 +243,8 @@ func (ip *Interp) step(w *prt.Worker, fn *ir.Function, frame map[ir.Value]val, i
 		frame[t] = ip.doMalloc(w, t, count)
 
 	case *ir.Free:
-		// The bump allocator does not reclaim; free is a no-op.
+		// The heap is a bump allocator that does not reclaim; free is a
+		// no-op.
 
 	case *ir.Load:
 		addr := uint64(ip.eval(frame, t.Ptr).I)
@@ -276,15 +303,20 @@ func resolveAllocColor(c ir.Color) ir.Color {
 	return ir.U
 }
 
-// doAlloca services a stack allocation in the worker's region, recording
-// the resulting address when the differential oracle is live.
+// doAlloca services a stack allocation on the worker's stack in the
+// variable's region, recording the resulting address when the
+// differential oracle is live. Under recovery the address is journaled
+// like a load: a replay is served the crashed attempt's addresses, which
+// peers may already hold (its own allocation is then unused, and given
+// back when the activation returns).
 func (ip *Interp) doAlloca(w *prt.Worker, t *ir.Alloca) val {
 	region := ip.regionOfColor(resolveAllocColor(t.Color))
 	size := t.Elem.Size()
 	if ly := ip.layoutOf(t.Elem); ly != nil {
 		size = ly.size
 	}
-	v := iv(int64(sgx.EncodePtr(region, ip.alloc(region, size))))
+	addr := sgx.EncodePtr(region, ip.stackAlloc(&stateOf(w).stack, region, size))
+	v := iv(int64(w.JournalWord(addr)))
 	if rec := recOf(w); rec != nil {
 		rec.add(diffOp{kind: opAlloca, v: v})
 	}
@@ -440,6 +472,10 @@ func (ip *Interp) memStore(w *prt.Worker, addr uint64, v val, typ ir.Type) {
 		size = 8
 	} else {
 		putInt(buf[:size], v.I)
+		if size == 8 {
+			// A stored word may be a frame address leaving the worker.
+			ip.pinIfLive(&stateOf(w).stack, v.I)
+		}
 	}
 	ip.storeBytes(w, addr, buf[:size])
 	if rec := recOf(w); rec != nil {

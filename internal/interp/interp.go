@@ -74,6 +74,12 @@ type Interp struct {
 	crashPoint func(workerIdx, chunkID, storeN int) any
 	effCounters
 
+	// stackPins counts pin-floor raises on the workers' stacks (frames
+	// held to the Call boundary, stack.go); callFailures counts Calls
+	// that returned an error, after which a Call boundary keeps its pins.
+	stackPins    atomic.Int64
+	callFailures atomic.Int64
+
 	// boundary configures the runtime Iago defense (boundary.go); bobs is
 	// the U-memory access observer the mutator adversary installs; bStats
 	// classifies boundary crossings while the defense is armed.
@@ -334,6 +340,19 @@ func (ip *Interp) Call(entry string, args ...int64) (ret int64, err error) {
 	if pf == nil {
 		return 0, fmt.Errorf("interp: no entry point %q", entry)
 	}
+	main := ip.mainThread()
+	restarts := ip.RT.RecoveryStats().Restarts
+	defer func() {
+		// The Call boundary: every activation on the normal worker has
+		// returned (or unwound), so its stacks go back to their floor.
+		// The pins go too unless the Call failed or a worker restarted
+		// meanwhile: stragglers may then still hold frame addresses.
+		clean := err == nil && ip.RT.RecoveryStats().Restarts == restarts
+		if !clean {
+			ip.callFailures.Add(1)
+		}
+		stateOf(main.Normal()).stack.reset(clean)
+	}()
 	defer func() {
 		if r := recover(); r != nil {
 			if re, ok := r.(runtimeErr); ok {
@@ -362,7 +381,6 @@ func (ip *Interp) Call(entry string, args ...int64) (ret int64, err error) {
 	// Each top-level invocation is a new epoch: stragglers of a previous
 	// (possibly timed-out or crashed) call are fenced off instead of being
 	// matched against this call's waits.
-	main := ip.mainThread()
 	main.AdvanceEpoch()
 	v := ip.invokeInterface(main.Normal(), pf, vargs)
 	if aerr := ip.takeErr(); aerr != nil {
@@ -380,6 +398,9 @@ func (ip *Interp) invokeInterface(w *prt.Worker, pf *partition.PartFunc, args []
 	}
 	var spawned []int
 	if pf.Interface != nil {
+		if len(pf.Interface.Spawns) > 0 {
+			ip.pinEscapes(w, args)
+		}
 		for _, c := range pf.Interface.Spawns {
 			ch := pf.Chunks[c]
 			if ch == nil {

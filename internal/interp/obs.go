@@ -18,6 +18,7 @@ func (ip *Interp) EnableObservability(reg *obs.Registry, tr *obs.Tracer) {
 	ip.RT.RegisterMetrics(reg)
 	reg.Gauge("interp.effect_commits", ip.effCommits.Load)
 	reg.Gauge("interp.effect_discards", ip.effDiscards.Load)
+	reg.Gauge("interp.stack_pins", ip.stackPins.Load)
 	reg.Gauge("interp.boundary.snapshot_copyins", ip.bStats.snapCopyIns.Load)
 	reg.Gauge("interp.boundary.snapshot_served", ip.bStats.snapServed.Load)
 	reg.Gauge("interp.boundary.trusted_loads", ip.bStats.trustedLoads.Load)

@@ -54,6 +54,7 @@ var Catalog = []MetricDef{
 	// interp effect transactions and boundary defense.
 	{Name: "interp.effect_commits", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "effect-transaction overlays committed to backing memory"},
 	{Name: "interp.effect_discards", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "effect-transaction overlays discarded on abort"},
+	{Name: "interp.stack_pins", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "worker-stack pins: frames held to the Call boundary because their address left the worker or a crashed attempt reached them"},
 	{Name: "interp.boundary.snapshot_copyins", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "U words copied into enclave-private snapshots at barrier entry"},
 	{Name: "interp.boundary.snapshot_served", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "U reads served from a snapshot instead of live U memory"},
 	{Name: "interp.boundary.trusted_loads", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "loads that resolved to S memory and bypassed the defense path"},

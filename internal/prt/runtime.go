@@ -27,6 +27,7 @@ package prt
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"runtime/debug"
 	"sort"
@@ -484,6 +485,12 @@ func (w *Worker) epochNow() uint64 {
 	return w.execEpoch
 }
 
+// Epoch is the epoch the worker is executing in: the thread's current
+// one for the normal-mode worker, the epoch of the spawn it is running
+// for an enclave worker. An embedder that keeps per-Call state on an
+// enclave worker resets it when a top-level spawn carries a newer epoch.
+func (w *Worker) Epoch() uint64 { return w.epochNow() }
+
 // loop is the top-level scheduler of an enclave worker: it executes spawn
 // messages until stopped (Figure 7's "wait()" at the top of each enclave
 // column). Everything else is buffered for a later wait point: a cont
@@ -805,6 +812,21 @@ func (w *Worker) JournalLoad(buf []byte) {
 	if w.att.rec != nil {
 		w.att.loads.load(buf)
 	}
+}
+
+// JournalWord threads one 8-byte value the executing chunk obtained from
+// the runtime, an alloca address, through its attempt's load log like a
+// load: a replay is served the value the crashed attempt got, which
+// peers may hold; past that, v is recorded. Returns v when the executing
+// chunk is not journaled. Lock-free, like JournalLoad.
+func (w *Worker) JournalWord(v uint64) uint64 {
+	if w.att.rec == nil {
+		return v
+	}
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], v)
+	w.att.loads.load(buf[:])
+	return binary.LittleEndian.Uint64(buf[:])
 }
 
 // PublishLoads hands the executing attempt's load log to its journal
