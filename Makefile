@@ -2,7 +2,8 @@
 # the race detector over the concurrency-heavy packages (runtime, queue,
 # fault injector — the soak shrinks itself under -race via build tags —
 # the interpreter, whose workers own the compiled tier's frame lists, and
-# sgx, whose region extent is read without the allocation lock).
+# sgx, whose region extent is read without the allocation lock and whose
+# 4 KiB pages are read and written without any lock).
 
 GO ?= go
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"time"
 
 	"privagic"
 )
@@ -97,6 +98,11 @@ type Tally struct {
 	Aborts   int // ErrEnclaveAbort
 	Stopped  int // ErrStopped
 	Untyped  int // any other error
+
+	// Stall is stallDump's record of the first wait timeout in a
+	// fault-free row, where no injected fault explains one. A clean run
+	// leaves it out of the JSON report.
+	Stall string `json:",omitempty"`
 }
 
 func (t *Tally) add(o outcome) {
@@ -149,6 +155,21 @@ func instRun(s *span, prog *privagic.Program, entry string, want int64, t *Tally
 	if collect != nil {
 		collect(inst)
 	}
+}
+
+// faultFreeWindow is the supervision window of the fault-free rows. With
+// no fault injected every wait ends on a message, so the window is there
+// only to turn a wedge into an error; a host too loaded to run a chunk
+// within the faulted rows' 15 ms window must not trip it.
+const faultFreeWindow = 10 * time.Second
+
+// stallDump renders every goroutine's stack, taken before the instance
+// closes, and the instance's last trace events (empty when tracing is
+// off): the stacks tell a wedge from a stalled host.
+func stallDump(inst *privagic.Instance) string {
+	stacks := make([]byte, 4<<20)
+	stacks = stacks[:runtime.Stack(stacks, true)]
+	return fmt.Sprintf("goroutines:\n%s\ntrace:\n%s", stacks, inst.TraceDump(256))
 }
 
 // groundTruth compiles src in relaxed mode and returns the program with

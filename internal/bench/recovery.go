@@ -26,7 +26,8 @@ type RecoveryConfig struct {
 	Schedules int
 	// Budget is the per-spawn replay budget and the per-run crash cap.
 	Budget int
-	// WaitTimeout is the supervision inactivity window.
+	// WaitTimeout is the supervision inactivity window of the crash
+	// schedules; the fault-free row waits faultFreeWindow.
 	WaitTimeout time.Duration
 }
 
@@ -77,7 +78,8 @@ func Recovery(cfg RecoveryConfig) (*RecoveryReport, error) {
 		{Scenario: fmt.Sprintf("crash schedules (cap %d)", cfg.Budget)},
 	}
 	// run returns one rep of scenario i: rows 1 and 2 arm recovery, row 2
-	// also injects a seeded crash schedule.
+	// also injects a seeded crash schedule and waits only the configured
+	// window.
 	seed := int64(0)
 	run := func(i int) func(*span) error {
 		row := &rows[i]
@@ -85,7 +87,11 @@ func Recovery(cfg RecoveryConfig) (*RecoveryReport, error) {
 			instRun(s, prog, "run_ycsb", want, &row.Tally, func(inst *privagic.Instance) {
 				inst.EnableSpawnValidation()
 				if i > 0 {
-					inst.EnableSupervision(privagic.SupervisionOptions{WaitTimeout: cfg.WaitTimeout})
+					window := faultFreeWindow
+					if i == 2 {
+						window = cfg.WaitTimeout
+					}
+					inst.EnableSupervision(privagic.SupervisionOptions{WaitTimeout: window})
 					inst.EnableRecovery(privagic.RecoveryOptions{MaxAttempts: cfg.Budget})
 				}
 				if i == 2 {
@@ -101,6 +107,8 @@ func Recovery(cfg RecoveryConfig) (*RecoveryReport, error) {
 			}, func(inst *privagic.Instance) {
 				if i == 2 {
 					row.Crashes += inst.FaultStats().Crashes
+				} else if row.Timeouts > 0 && row.Stall == "" {
+					row.Stall = stallDump(inst)
 				}
 				rs := inst.RecoveryStats()
 				row.Replays += rs.Replays

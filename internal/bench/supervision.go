@@ -23,7 +23,8 @@ type SupervisionConfig struct {
 	// Schedules is the number of seeded fault schedules per faulted
 	// scenario.
 	Schedules int
-	// WaitTimeout is the supervision inactivity window.
+	// WaitTimeout is the supervision inactivity window of the faulted
+	// scenarios; the supervised fault-free row waits faultFreeWindow.
 	WaitTimeout time.Duration
 }
 
@@ -101,12 +102,19 @@ func Supervision(cfg SupervisionConfig) (*SupervisionReport, error) {
 			instRun(s, prog, "run_ycsb", want, &row.Tally, func(inst *privagic.Instance) {
 				inst.EnableSpawnValidation()
 				if sc.supervise {
-					inst.EnableSupervision(privagic.SupervisionOptions{WaitTimeout: cfg.WaitTimeout})
+					window := faultFreeWindow
+					if sc.faulted {
+						window = cfg.WaitTimeout
+					}
+					inst.EnableSupervision(privagic.SupervisionOptions{WaitTimeout: window})
 				}
 				if sc.faulted {
 					inst.EnableFaultInjection(sc.faults(seed))
 				}
 			}, func(inst *privagic.Instance) {
+				if !sc.faulted && row.Timeouts > 0 && row.Stall == "" {
+					row.Stall = stallDump(inst)
+				}
 				sup := inst.SupervisionStats()
 				row.HostileRejected += sup.HostileTotal()
 				row.DupsDropped += sup.DroppedDuplicates

@@ -35,6 +35,9 @@ func TestSupervisionAblation(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Log("\n" + rep.String())
+			for _, row := range rep.Rows {
+				logStall(t, row.Scenario, row.Tally)
+			}
 			checkSupervision(t, rep)
 			return rep.Gates()
 		}},
@@ -44,6 +47,9 @@ func TestSupervisionAblation(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Log("\n" + rep.String())
+			for _, row := range rep.Rows {
+				logStall(t, row.Scenario, row.Tally)
+			}
 			return rep.Gates()
 		}},
 		{"iago", func(t *testing.T) []Gate {
@@ -56,6 +62,14 @@ func TestSupervisionAblation(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { requireGates(t, tc.run(t)) })
+	}
+}
+
+// logStall logs a fault-free row's dump at its first wait timeout.
+func logStall(t *testing.T, scenario string, tally Tally) {
+	t.Helper()
+	if tally.Stall != "" {
+		t.Logf("%s: first wait timeout:\n%s", scenario, tally.Stall)
 	}
 }
 

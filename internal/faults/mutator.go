@@ -63,11 +63,11 @@ type Mutator struct {
 }
 
 // heldCorruption is one outstanding in-memory corruption: the original
-// bytes for restoration, and whether it is a pointer smash (which is
+// word for restoration, and whether it is a pointer smash (which is
 // allowed to persist across barrier intervals) or a data flip (which is
 // confined to the double-fetch window).
 type heldCorruption struct {
-	orig  [8]byte
+	orig  uint64
 	smash bool
 }
 
@@ -242,14 +242,12 @@ func (m *Mutator) maybeCorruptLocked(word uint64) {
 // relaxed interpreter chasing accidental pointer cycles); the low bytes
 // get a random xor, so a flipped scalar is simply hugely wrong.
 func (m *Mutator) flipLocked(word uint64) {
-	var orig [8]byte
-	m.u.Load(word, orig[:])
-	bad := orig
-	bad[0] ^= byte(m.rng.Intn(255)) + 1
-	bad[3] ^= byte(m.rng.Intn(256))
-	bad[6], bad[7] = 0xff, 0x7f // region 0x7fff: never mapped
+	orig := m.u.LoadWord(word)
+	bad := orig ^ uint64(byte(m.rng.Intn(255))+1)
+	bad ^= uint64(byte(m.rng.Intn(256))) << 24
+	bad = bad&(1<<48-1) | 0x7fff<<48 // region 0x7fff: never mapped
 	m.held[word] = heldCorruption{orig: orig}
-	m.u.Store(word, bad[:])
+	m.u.StoreWord(word, bad)
 	m.stats.flips.Add(1)
 }
 
@@ -261,13 +259,8 @@ func (m *Mutator) flipLocked(word uint64) {
 // alone: smashing a hash or a count would be indistinguishable from
 // legitimate alternate input and would break the soak's ground truth.
 func (m *Mutator) smashLocked(word uint64) {
-	var orig [8]byte
-	m.u.Load(word, orig[:])
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(orig[i])
-	}
-	rid, off := sgx.DecodePtr(v)
+	orig := m.u.LoadWord(word)
+	rid, off := sgx.DecodePtr(orig)
 	if rid == sgx.Unsafe || off == 0 || off%8 != 0 {
 		return
 	}
@@ -275,13 +268,8 @@ func (m *Mutator) smashLocked(word uint64) {
 	if r == nil || off >= r.Extent() {
 		return
 	}
-	smashed := sgx.EncodePtr(rid, r.Extent()+4096)
-	var bad [8]byte
-	for i := 0; i < 8; i++ {
-		bad[i] = byte(smashed >> (8 * i))
-	}
 	m.held[word] = heldCorruption{orig: orig, smash: true}
-	m.u.Store(word, bad[:])
+	m.u.StoreWord(word, sgx.EncodePtr(rid, r.Extent()+4096))
 	m.stats.smashes.Add(1)
 }
 
@@ -291,7 +279,7 @@ func (m *Mutator) restoreLocked(word uint64) {
 	if !ok {
 		return
 	}
-	m.u.Store(word, h.orig[:])
+	m.u.StoreWord(word, h.orig)
 	delete(m.held, word)
 	m.stats.restores.Add(1)
 }

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"encoding/binary"
 	"sync/atomic"
 
 	"privagic/internal/prt"
@@ -168,11 +169,13 @@ func (ip *Interp) snapLoad(sn *boundarySnap, enclave bool, ref sgx.Ref, buf []by
 		if cached && sn.serve {
 			ip.bStats.snapServed.Add(1)
 		} else {
+			var v uint64
 			if ip.bobs != nil {
-				wb = ip.guardedWord(ref.Region, wordOff, enclave, !cached)
+				v = ip.guardedWord(ref.Region, wordOff, enclave, !cached)
 			} else {
-				ref.Region.Load(wordOff, wb[:])
+				v = ref.Region.LoadWord(wordOff)
 			}
+			binary.LittleEndian.PutUint64(wb[:], v)
 			if sn != nil && !cached {
 				sn.words[wordOff] = wb
 				if ip.boundary.Snapshots {
@@ -189,11 +192,11 @@ func (ip *Interp) snapLoad(sn *boundarySnap, enclave bool, ref sgx.Ref, buf []by
 // guardedWord reads one unsafe word inside the observer's GuardedLoad.
 // It is its own function so the word the callback captures moves to the
 // heap only when an observer is installed.
-func (ip *Interp) guardedWord(r *sgx.Region, wordOff uint64, enclave, fresh bool) (wb [8]byte) {
+func (ip *Interp) guardedWord(r *sgx.Region, wordOff uint64, enclave, fresh bool) (v uint64) {
 	ip.bobs.GuardedLoad(sgx.EncodePtr(sgx.Unsafe, wordOff), 8, enclave, fresh, func() {
-		r.Load(wordOff, wb[:])
+		v = r.LoadWord(wordOff)
 	})
-	return wb
+	return v
 }
 
 // sync keeps the snapshot coherent with the chunk's own direct stores: a

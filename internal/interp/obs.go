@@ -19,6 +19,13 @@ func (ip *Interp) EnableObservability(reg *obs.Registry, tr *obs.Tracer) {
 	reg.Gauge("interp.effect_commits", ip.effCommits.Load)
 	reg.Gauge("interp.effect_discards", ip.effDiscards.Load)
 	reg.Gauge("interp.stack_pins", ip.stackPins.Load)
+	reg.Gauge("interp.region_mapped_bytes", func() int64 {
+		var n int64
+		for _, r := range ip.RT.Space.Regions() {
+			n += r.Mapped()
+		}
+		return n
+	})
 	reg.Gauge("interp.boundary.snapshot_copyins", ip.bStats.snapCopyIns.Load)
 	reg.Gauge("interp.boundary.snapshot_served", ip.bStats.snapServed.Load)
 	reg.Gauge("interp.boundary.trusted_loads", ip.bStats.trustedLoads.Load)

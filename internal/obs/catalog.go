@@ -55,6 +55,7 @@ var Catalog = []MetricDef{
 	{Name: "interp.effect_commits", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "effect-transaction overlays committed to backing memory"},
 	{Name: "interp.effect_discards", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "effect-transaction overlays discarded on abort"},
 	{Name: "interp.stack_pins", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "worker-stack pins: frames held to the Call boundary because their address left the worker or a crashed attempt reached them"},
+	{Name: "interp.region_mapped_bytes", Type: "gauge", Unit: "bytes", Subsystem: "interp", Help: "bytes held by mapped 4 KiB pages of simulated memory, summed over regions"},
 	{Name: "interp.boundary.snapshot_copyins", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "U words copied into enclave-private snapshots at barrier entry"},
 	{Name: "interp.boundary.snapshot_served", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "U reads served from a snapshot instead of live U memory"},
 	{Name: "interp.boundary.trusted_loads", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "loads that resolved to S memory and bypassed the defense path"},

@@ -12,6 +12,7 @@
 package sgx
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -66,23 +67,49 @@ func DecodePtr(p uint64) (RegionID, uint64) {
 	return RegionID(p >> regionShift), p & offsetMask
 }
 
-// Region is one memory region (unsafe memory or an enclave).
+// Pages: a region's memory is a table of 4 KiB pages, each an array of
+// 64-bit words accessed atomically. A page is mapped the first time
+// something is stored into it; an unmapped page reads as zeros.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	pageWords = pageSize / 8
+	// maxPages is the table length that covers every offset below
+	// MaxOffset, the most any checked access can name.
+	maxPages = MaxOffset / pageSize
+)
+
+// page is one mapped 4 KiB page. Byte i of word w is the byte at page
+// offset 8w+i, least significant first, the little-endian order the
+// interpreter's integer encoding uses.
+type page [pageWords]atomic.Uint64
+
+// Region is one memory region (unsafe memory or an enclave). Loads and
+// stores take no lock: a word is one atomic access, and the page table
+// is published through an atomic pointer. mu serializes allocation and
+// page mapping.
 type Region struct {
 	ID   RegionID
 	Name string
 
-	mu  sync.Mutex
-	mem []byte
+	mu sync.Mutex
+	// table is the page table; a nil entry is a page never stored to. A
+	// mapping under mu stores the entry, or, when the page lies past the
+	// table, copies the table into one at least twice as long and
+	// publishes the copy here.
+	table atomic.Pointer[[]atomic.Pointer[page]]
 	// brk is the bump-allocation watermark. TryAlloc stores it while it
 	// holds mu; Extent reads it without the lock (the sanitizer asks on
 	// every boundary check).
-	brk  atomic.Uint64
-	used atomic.Int64
+	brk    atomic.Uint64
+	used   atomic.Int64
+	mapped atomic.Int64
 }
 
-// NewRegion creates a region with a small initial reservation.
+// NewRegion creates an empty region: no page is mapped until a store.
 func NewRegion(id RegionID, name string) *Region {
-	r := &Region{ID: id, Name: name, mem: make([]byte, 4096)}
+	r := &Region{ID: id, Name: name}
+	r.table.Store(new([]atomic.Pointer[page]))
 	r.brk.Store(8)
 	return r
 }
@@ -102,7 +129,8 @@ func (e *CeilingError) Error() string {
 // TryAlloc bump-allocates n bytes (8-byte aligned) and returns the
 // offset. An allocation that would end past MaxOffset is refused with a
 // *CeilingError and leaves the region unchanged: a hostile or runaway
-// size must fail the program, not exhaust the host's memory.
+// size must fail the program, not exhaust the host's memory. Only the
+// watermark moves; the pages behind it are mapped by the first store.
 func (r *Region) TryAlloc(n int64) (uint64, error) {
 	if n <= 0 {
 		n = 1
@@ -113,11 +141,7 @@ func (r *Region) TryAlloc(n int64) (uint64, error) {
 		r.mu.Unlock()
 		return 0, &CeilingError{Region: r.ID, Size: uint64(n)}
 	}
-	end := off + uint64(n)
-	r.brk.Store(end)
-	for end > uint64(len(r.mem)) {
-		r.mem = append(r.mem, make([]byte, len(r.mem))...)
-	}
+	r.brk.Store(off + uint64(n))
 	r.mu.Unlock()
 	r.used.Add(n)
 	return off, nil
@@ -136,6 +160,9 @@ func (r *Region) Alloc(n int64) uint64 {
 // Used returns the bytes allocated so far (the EPC pressure input).
 func (r *Region) Used() int64 { return r.used.Load() }
 
+// Mapped returns the bytes held by the region's mapped pages.
+func (r *Region) Mapped() int64 { return r.mapped.Load() * pageSize }
+
 // Extent returns the allocation watermark: offsets below it are mapped,
 // offsets at or above it have never been handed out by Alloc. This is the
 // region's memory map as far as pointer sanitization is concerned — an
@@ -143,32 +170,105 @@ func (r *Region) Used() int64 { return r.used.Load() }
 // range lies under the extent of its region.
 func (r *Region) Extent() uint64 { return r.brk.Load() }
 
-// Load copies len(buf) bytes at off into buf. Reads beyond the backing
-// array are zero-filled instead of faulting: the simulated machine must
-// never let a hostile (or corrupted) out-of-range address crash the host
-// process — on real SGX the access faults inside the enclave, and here
-// the sanitization layer (when armed) raises the typed violation before
-// the load is even attempted.
-func (r *Region) Load(off uint64, buf []byte) {
-	r.mu.Lock()
-	n := 0
-	if off < uint64(len(r.mem)) {
-		n = copy(buf, r.mem[off:])
+// pageAt returns the page holding off, or nil when it was never mapped.
+func (r *Region) pageAt(off uint64) *page {
+	t := *r.table.Load()
+	if i := off >> pageShift; i < uint64(len(t)) {
+		return t[i].Load()
 	}
-	r.mu.Unlock()
-	for i := n; i < len(buf); i++ {
-		buf[i] = 0
+	return nil
+}
+
+// mapPage returns the page holding off, mapping it on first use. An
+// offset at or past MaxOffset panics: every checked access is held under
+// the ceiling first (Ref.Check), so only a host bug gets here.
+func (r *Region) mapPage(off uint64) *page {
+	if p := r.pageAt(off); p != nil {
+		return p
+	}
+	i := off >> pageShift
+	if i >= maxPages {
+		panic(fmt.Sprintf("sgx: store at offset %#x of region %d beyond the region ceiling", off, r.ID))
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	t := *r.table.Load()
+	if i >= uint64(len(t)) {
+		grown := make([]atomic.Pointer[page], min(max(2*uint64(len(t)), i+1), maxPages))
+		for j := range t {
+			grown[j].Store(t[j].Load())
+		}
+		r.table.Store(&grown)
+		t = grown
+	}
+	p := t[i].Load()
+	if p == nil {
+		p = new(page)
+		t[i].Store(p)
+		r.mapped.Add(1)
+	}
+	return p
+}
+
+// LoadWord returns the 8-byte word at off, which must be 8-aligned, as
+// one atomic read. A word of an unmapped page is zero.
+func (r *Region) LoadWord(off uint64) uint64 {
+	if p := r.pageAt(off); p != nil {
+		return p[off%pageSize/8].Load()
+	}
+	return 0
+}
+
+// StoreWord writes the 8-byte word at off, which must be 8-aligned, as
+// one atomic write, mapping its page if needed.
+func (r *Region) StoreWord(off, v uint64) {
+	r.mapPage(off)[off%pageSize/8].Store(v)
+}
+
+// Load copies len(buf) bytes at off into buf. Reads of unmapped pages,
+// including any past MaxOffset, return zeros instead of faulting: the
+// simulated machine must never let a hostile (or corrupted) out-of-range
+// address crash the host process — on real SGX the access faults inside
+// the enclave, and here the sanitization layer (when armed) raises the
+// typed violation before the load is even attempted.
+func (r *Region) Load(off uint64, buf []byte) {
+	for i := 0; i < len(buf); {
+		at := off + uint64(i)
+		w := r.LoadWord(at &^ 7)
+		if at%8 == 0 && len(buf)-i >= 8 {
+			binary.LittleEndian.PutUint64(buf[i:], w)
+			i += 8
+			continue
+		}
+		for sh := (at % 8) * 8; sh < 64 && i < len(buf); sh += 8 {
+			buf[i] = byte(w >> sh)
+			i++
+		}
 	}
 }
 
-// Store copies buf into the region at off.
+// Store copies buf into the region at off, mapping pages as it goes. An
+// aligned whole word is one atomic write; the bytes of a partial word
+// are merged into it with a compare-and-swap, so concurrent stores to
+// other bytes of the same word are never lost.
 func (r *Region) Store(off uint64, buf []byte) {
-	r.mu.Lock()
-	for off+uint64(len(buf)) > uint64(len(r.mem)) {
-		r.mem = append(r.mem, make([]byte, len(r.mem)+4096)...)
+	for i := 0; i < len(buf); {
+		at := off + uint64(i)
+		w := &r.mapPage(at)[at%pageSize/8]
+		if at%8 == 0 && len(buf)-i >= 8 {
+			w.Store(binary.LittleEndian.Uint64(buf[i:]))
+			i += 8
+			continue
+		}
+		var bits, mask uint64
+		for sh := (at % 8) * 8; sh < 64 && i < len(buf); sh += 8 {
+			bits |= uint64(buf[i]) << sh
+			mask |= 0xff << sh
+			i++
+		}
+		for old := w.Load(); !w.CompareAndSwap(old, old&^mask|bits); old = w.Load() {
+		}
 	}
-	copy(r.mem[off:], buf)
-	r.mu.Unlock()
 }
 
 // AddressSpace is the set of regions of one simulated machine run: unsafe
@@ -201,8 +301,9 @@ func (as *AddressSpace) Regions() []*Region { return as.regions }
 
 // MaxOffset caps the in-region offset a checked access may name and the
 // end of any allocation. Real machines have a finite physical map; here
-// the cap keeps a hostile or bit-flipped offset (Store grows to fit) or a
-// program-sized allocation from ballooning the backing slice into an
+// the cap bounds the page table a hostile or bit-flipped offset can make
+// a store grow (a far store maps one page, but the table must reach it),
+// and keeps a program-sized allocation from mapping its way into an
 // out-of-memory. Well above any workload's footprint.
 const MaxOffset = uint64(1) << 28 // 256 MiB per region
 

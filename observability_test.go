@@ -39,6 +39,10 @@ entry int main() { return f(32); }
 			t.Errorf("snapshot[%q] = %d, want > 0 (snapshot: %v)", name, snap[name], snap)
 		}
 	}
+	// The blue global's initializer maps at least one 4 KiB page.
+	if got := snap["interp.region_mapped_bytes"]; got <= 0 || got%4096 != 0 {
+		t.Errorf("interp.region_mapped_bytes = %d; want a positive whole number of pages", got)
+	}
 
 	counts := inst.TraceCounts()
 	if counts["spawn"] == 0 || counts["spawn"] != counts["spawn.end"] {
