@@ -5,8 +5,7 @@
 // It owns the pieces both tiers must agree on bit-for-bit:
 //
 //   - Val, the machine value (an integer/encoded pointer or a float),
-//     including its payload-integrity and mutation hooks for the prt
-//     message layer;
+//     an alias of value.Val, which prt messages carry as typed payloads;
 //   - the arithmetic/comparison/cast semantics (BinOp, Cmp, Cast) — one
 //     implementation, so a divergence between engines can never hide in
 //     a re-implemented operator;
@@ -24,56 +23,15 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"privagic/internal/ir"
 	"privagic/internal/prt"
+	"privagic/internal/value"
 )
 
-// Val is one machine value: an integer (or encoded pointer) in I, or a
-// float in F when Fl is set. Both engines compute exclusively in Vals,
-// so "the engines returned the same Val" is a meaningful bitwise check.
-type Val struct {
-	// I holds the integer or encoded-pointer payload.
-	I int64
-	// F holds the float payload when Fl is true.
-	F float64
-	// Fl marks the value as a float.
-	Fl bool
-}
-
-// IV makes an integer value.
-func IV(x int64) Val { return Val{I: x} }
-
-// FV makes a float value.
-func FV(x float64) Val { return Val{F: x, Fl: true} }
-
-// ToF reads the value as a float (integers convert).
-func ToF(v Val) float64 {
-	if v.Fl {
-		return v.F
-	}
-	return float64(v.I)
-}
-
-// PaySum contributes a machine value's exact bits to a message's payload
-// integrity tag (prt.PayloadSummer).
-func (v Val) PaySum() uint64 {
-	if v.Fl {
-		return math.Float64bits(v.F) ^ 0xf10a7
-	}
-	return uint64(v.I)
-}
-
-// MutatePayload returns a copy of the value with its bits xored — the
-// mutator adversary's in-place payload corruption, shaped so the mutated
-// message still type-checks everywhere a Val is expected.
-func (v Val) MutatePayload(xor uint64) any {
-	if v.Fl {
-		return Val{F: math.Float64frombits(math.Float64bits(v.F) ^ xor), Fl: true}
-	}
-	return Val{I: v.I ^ int64(xor)}
-}
+// Val is the machine value (see internal/value, where it lives so the
+// runtime's messages can carry it without importing this package).
+type Val = value.Val
 
 // RuntimeErr carries an execution error through panics; both engines
 // panic with it and the interpreter's chunk harness recovers it.
@@ -206,47 +164,47 @@ type SeamlessLoader interface {
 // across engines.
 func BinOp(op ir.BinOpKind, x, y Val) Val {
 	if x.Fl || y.Fl {
-		a, b := ToF(x), ToF(y)
+		a, b := value.ToF(x), value.ToF(y)
 		switch op {
 		case ir.OpAdd:
-			return FV(a + b)
+			return value.FV(a + b)
 		case ir.OpSub:
-			return FV(a - b)
+			return value.FV(a - b)
 		case ir.OpMul:
-			return FV(a * b)
+			return value.FV(a * b)
 		case ir.OpDiv:
-			return FV(a / b)
+			return value.FV(a / b)
 		}
 		Errf("interp: float %s unsupported", op)
 	}
 	a, b := x.I, y.I
 	switch op {
 	case ir.OpAdd:
-		return IV(a + b)
+		return value.IV(a + b)
 	case ir.OpSub:
-		return IV(a - b)
+		return value.IV(a - b)
 	case ir.OpMul:
-		return IV(a * b)
+		return value.IV(a * b)
 	case ir.OpDiv:
 		if b == 0 {
 			Errf("interp: integer division by zero")
 		}
-		return IV(a / b)
+		return value.IV(a / b)
 	case ir.OpRem:
 		if b == 0 {
 			Errf("interp: integer remainder by zero")
 		}
-		return IV(a % b)
+		return value.IV(a % b)
 	case ir.OpAnd:
-		return IV(a & b)
+		return value.IV(a & b)
 	case ir.OpOr:
-		return IV(a | b)
+		return value.IV(a | b)
 	case ir.OpXor:
-		return IV(a ^ b)
+		return value.IV(a ^ b)
 	case ir.OpShl:
-		return IV(a << uint64(b&63))
+		return value.IV(a << uint64(b&63))
 	case ir.OpShr:
-		return IV(a >> uint64(b&63))
+		return value.IV(a >> uint64(b&63))
 	}
 	Errf("interp: unknown binop %v", op)
 	return Val{}
@@ -257,7 +215,7 @@ func BinOp(op ir.BinOpKind, x, y Val) Val {
 func Cmp(pred ir.CmpPred, x, y Val) Val {
 	var r bool
 	if x.Fl || y.Fl {
-		a, b := ToF(x), ToF(y)
+		a, b := value.ToF(x), value.ToF(y)
 		switch pred {
 		case ir.CmpEq:
 			r = a == b
@@ -290,9 +248,9 @@ func Cmp(pred ir.CmpPred, x, y Val) Val {
 		}
 	}
 	if r {
-		return IV(1)
+		return value.IV(1)
 	}
-	return IV(0)
+	return value.IV(0)
 }
 
 // Cast converts a value to a target type with the engines' shared
@@ -307,21 +265,21 @@ func Cast(v Val, to ir.Type) Val {
 		}
 		switch tt.Bits {
 		case 1:
-			return IV(x & 1)
+			return value.IV(x & 1)
 		case 8:
-			return IV(int64(int8(x)))
+			return value.IV(int64(int8(x)))
 		case 32:
-			return IV(int64(int32(x)))
+			return value.IV(int64(int32(x)))
 		default:
-			return IV(x)
+			return value.IV(x)
 		}
 	case ir.FloatType:
 		if v.Fl {
 			return v
 		}
-		return FV(float64(v.I))
+		return value.FV(float64(v.I))
 	default:
 		// Pointer and function casts preserve the word.
-		return IV(v.I)
+		return value.IV(v.I)
 	}
 }

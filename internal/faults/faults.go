@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"privagic/internal/prt"
+	"privagic/internal/value"
 )
 
 // Config sets the per-message fault probabilities (each in [0,1]) and the
@@ -168,7 +169,7 @@ func Attach(rt *prt.Runtime, cfg Config) *Injector {
 	rt.SetInterceptor(in)
 	if cfg.Crash > 0 {
 		orig := rt.Exec
-		rt.Exec = func(w *prt.Worker, chunkID int, args []any) any {
+		rt.Exec = func(w *prt.Worker, chunkID int, args []value.Val) value.Val {
 			if in.decide(cfg.Crash) && in.takeCrashBudget() {
 				panic(&InjectedCrash{ChunkID: chunkID})
 			}
@@ -285,13 +286,13 @@ func (in *Injector) forgeLocked(seen prt.Message) prt.Message {
 	switch in.rng.Intn(3) {
 	case 0:
 		// A cont with a tag the partitioner never allocated.
-		return prt.Message{Kind: prt.MsgCont, Tag: 1 << 20, Payload: int64(in.rng.Int())}
+		return prt.Message{Kind: prt.MsgCont, Tag: 1 << 20, Payload: value.IV(int64(in.rng.Int()))}
 	case 1:
 		// A spawn of a chunk outside every whitelist.
 		return prt.Message{Kind: prt.MsgSpawn, ChunkID: 1<<20 + in.rng.Intn(1024)}
 	default:
 		// A malformed completion mimicking the message just seen.
-		return prt.Message{Kind: prt.MsgDone, From: seen.From, Payload: "\x00garbage"}
+		return prt.Message{Kind: prt.MsgDone, From: seen.From, Payload: value.Val{I: -1, F: 1e300, Fl: true}}
 	}
 }
 

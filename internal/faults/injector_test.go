@@ -8,6 +8,7 @@ import (
 	"privagic/internal/faults"
 	"privagic/internal/prt"
 	"privagic/internal/sgx"
+	"privagic/internal/value"
 )
 
 // deliverTagged routes n tagged conts through an injector attached to a
@@ -23,7 +24,7 @@ func deliverTagged(t *testing.T, cfg faults.Config, n int) ([]int, faults.Stats)
 	inj := faults.Attach(rt, cfg)
 	defer inj.Close()
 	for i := 1; i <= n; i++ {
-		u.SendCont(0, i, nil) // self-delivery: 0 is the app thread itself
+		u.SendCont(0, i, value.Val{}) // self-delivery: 0 is the app thread itself
 	}
 	inj.Flush()
 	var order []int
@@ -78,8 +79,8 @@ func TestSameSeedSameSchedule(t *testing.T) {
 }
 
 // TestDropIsOrderPreservingSubsequence: pure drops leave a strictly
-// increasing subsequence of the sent tags — the Michael–Scott queue must
-// not reorder what the injector merely thins out.
+// increasing subsequence of the sent tags — the FIFO queue must not
+// reorder what the injector merely thins out.
 func TestDropIsOrderPreservingSubsequence(t *testing.T) {
 	order, st := deliverTagged(t, faults.Config{Seed: 1, Drop: 0.3}, 500)
 	if st.Dropped == 0 {
@@ -177,7 +178,7 @@ func TestDelayHoldsForHops(t *testing.T) {
 // argument (the minimal spawn/join protocol for end-to-end fault tests).
 func echoRT() *prt.Runtime {
 	return prt.New(sgx.MachineB(), []string{"blue"},
-		func(w *prt.Worker, chunkID int, args []any) any { return args[0] })
+		func(w *prt.Worker, chunkID int, args []value.Val) value.Val { return args[0] })
 }
 
 // TestCrashInjectionBecomesTypedAbort: an injected crash surfaces as an
@@ -189,7 +190,7 @@ func TestCrashInjectionBecomesTypedAbort(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, []any{1}, true)
+	u.Spawn(1, 1, []value.Val{value.IV(1)}, true)
 	_, err := u.JoinTimeout(1, 5*time.Second)
 	if !errors.Is(err, prt.ErrEnclaveAbort) {
 		t.Fatalf("Join under crash injection = %v, want EnclaveAbort", err)
@@ -217,9 +218,9 @@ func TestRetransmitRecoversFromTotalLoss(t *testing.T) {
 	defer th.Close()
 	u := th.Normal()
 	for i := 0; i < 10; i++ {
-		u.Spawn(1, 1, []any{i}, true)
+		u.Spawn(1, 1, []value.Val{value.IV(int64(i))}, true)
 		got, err := u.Join(1)
-		if err != nil || got != i {
+		if err != nil || got != value.IV(int64(i)) {
 			t.Fatalf("round %d under total first-loss: %v, %v", i, got, err)
 		}
 	}
@@ -243,9 +244,9 @@ func TestForgedMessagesAllRejected(t *testing.T) {
 	defer th.Close()
 	u := th.Normal()
 	for i := 0; i < 50; i++ {
-		u.Spawn(1, 1, []any{i}, true)
+		u.Spawn(1, 1, []value.Val{value.IV(int64(i))}, true)
 		got, err := u.Join(1)
-		if err != nil || got != i {
+		if err != nil || got != value.IV(int64(i)) {
 			t.Fatalf("round %d under forgery: %v, %v", i, got, err)
 		}
 	}

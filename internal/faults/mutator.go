@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 
 	"privagic/internal/prt"
 	"privagic/internal/sgx"
+	"privagic/internal/value"
 )
 
 // The mutator adversary: the §4 attacker who owns unsafe *memory*, not
@@ -191,34 +193,29 @@ func (m *Mutator) Deliver(to *prt.Worker, msg prt.Message) {
 }
 
 // mutateMessage rewrites one payload word of the message: a spawn
-// argument when there are any, the cont/done payload otherwise. Payload
-// types exposing MutatePayload (the interpreter's value type) are mutated
-// bit-exactly; anything else is replaced with attacker garbage.
+// argument (or vectored-cont value) when there are any, the cont/done
+// payload otherwise. The word is xored in place — the integer, or the
+// bits of a float — so the mutated message stays well-typed.
 func mutateMessage(msg prt.Message, xor uint64) prt.Message {
-	mutate := func(p any) any {
-		if pm, ok := p.(interface{ MutatePayload(xor uint64) any }); ok {
-			return pm.MutatePayload(xor)
-		}
-		switch x := p.(type) {
-		case int64:
-			return x ^ int64(xor)
-		case string:
-			return x + "\x00tampered"
-		default:
-			return int64(xor)
-		}
-	}
 	if len(msg.Args) > 0 {
 		// Copy the slice: the journal may hold the original for replay,
 		// and the attacker edits the queue node, not the sender's state.
-		args := append([]any(nil), msg.Args...)
-		i := int(xor % uint64(len(args)))
-		args[i] = mutate(args[i])
+		args := append([]value.Val(nil), msg.Args...)
+		mutateVal(&args[xor%uint64(len(args))], xor)
 		msg.Args = args
 		return msg
 	}
-	msg.Payload = mutate(msg.Payload)
+	mutateVal(&msg.Payload, xor)
 	return msg
+}
+
+// mutateVal xors the word of v that holds its value.
+func mutateVal(v *value.Val, xor uint64) {
+	if v.Fl {
+		v.F = math.Float64frombits(math.Float64bits(v.F) ^ xor)
+		return
+	}
+	v.I ^= int64(xor)
 }
 
 // maybeCorruptLocked draws one decision for a just-read word: smash it if

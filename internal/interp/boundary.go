@@ -82,7 +82,9 @@ type BoundaryObserver interface {
 }
 
 // SetBoundaryObserver installs (or removes, with nil) the U-memory access
-// observer. Install before Call.
+// observer. Install before Call; Close removes it once every worker has
+// stopped. Worker goroutines read it without synchronization, so it must
+// not change while one may run — a timed-out Call's worker included.
 func (ip *Interp) SetBoundaryObserver(o BoundaryObserver) {
 	ip.bobs = o
 }
@@ -251,6 +253,6 @@ func (ip *Interp) iagoViolation(w *prt.Worker, ref sgx.Ref, n int) {
 	}})
 }
 
-// The payload-integrity hooks (PaySum, MutatePayload) moved to exec.Val
-// with the value representation itself, so messages carry identical
-// integrity tags no matter which engine produced the payload.
+// Payload integrity needs no hook here: messages carry typed values
+// (value.Val), whose words the runtime sums directly, so a message's tag
+// does not depend on which engine produced its payload.

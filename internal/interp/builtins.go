@@ -60,8 +60,8 @@ func (ip *Interp) dispatchCall(w *prt.Worker, t *ir.Call, callee val, args []val
 	case partition.IntrSpawn:
 		chunkID := int(args[0].I)
 		needReply := args[1].I != 0
-		payload := make([]any, 0, 8)
 		ch := ip.Prog.ChunkByID[chunkID]
+		payload := make([]val, 0, len(ch.Fn.Params))
 		// Rebuild the callee's argument vector: Free args are carried
 		// by the spawn message in parameter order (§7.3.2).
 		fargs := args[2:]
@@ -81,11 +81,11 @@ func (ip *Interp) dispatchCall(w *prt.Worker, t *ir.Call, callee val, args []val
 			if needReply {
 				nr = 1
 			}
-			rec.add(diffOp{kind: opSpawn, a: int64(chunkID), b: nr, vec: valsOf(payload)})
+			rec.add(diffOp{kind: opSpawn, a: int64(chunkID), b: nr, vec: payload})
 		}
 		return val{}
 	case partition.IntrWait:
-		p, err := w.Wait(int(args[0].I))
+		v, err := w.Wait(int(args[0].I))
 		if err != nil {
 			// A lost cont (timeout), a crashed peer, or shutdown: abort
 			// this chunk; execChunk/Call surface the typed error.
@@ -95,18 +95,16 @@ func (ip *Interp) dispatchCall(w *prt.Worker, t *ir.Call, callee val, args []val
 		// snapshot so the interval that starts now re-copies each U word
 		// (a peer's writes behind the barrier must become observable).
 		ip.snapBarrier(w)
-		v, _ := p.(val)
 		if rec := recOf(w); rec != nil {
 			rec.add(diffOp{kind: opWait, a: args[0].I, v: v})
 		}
 		return v
 	case partition.IntrJoin:
-		p, err := w.Join(int(args[0].I))
+		v, err := w.Join(int(args[0].I))
 		if err != nil {
 			panic(runtimeErr{Err: err})
 		}
 		ip.snapBarrier(w)
-		v, _ := p.(val)
 		if rec := recOf(w); rec != nil {
 			rec.add(diffOp{kind: opJoin, a: args[0].I, v: v})
 		}
@@ -120,30 +118,28 @@ func (ip *Interp) dispatchCall(w *prt.Worker, t *ir.Call, callee val, args []val
 		return val{}
 	case partition.IntrSendV:
 		// Vectored cont (crossing optimizer): one message carries the
-		// values of every coalesced transport.
-		vec := make([]any, len(args)-2)
-		for i, a := range args[2:] {
-			vec[i] = a
-		}
+		// values of every coalesced transport. The message owns its copy:
+		// the compiled tier passes its frame's argument area, which the
+		// next call overwrites.
+		vec := append(make([]val, 0, len(args)-2), args[2:]...)
 		tag := int(args[1].I)
 		ip.pinEscapes(w, args[2:])
-		w.SendCont(int(args[0].I), tag, vec)
+		w.SendContV(int(args[0].I), tag, vec)
 		ip.cross.vecSends.Add(1)
 		ip.RT.Tracer.Record(obs.EvVecSend, w.Index, 0, tag, 0, int64(len(vec)))
 		if rec := recOf(w); rec != nil {
-			rec.add(diffOp{kind: opSendV, a: args[0].I, b: int64(tag), vec: valsOf(vec)})
+			rec.add(diffOp{kind: opSendV, a: args[0].I, b: int64(tag), vec: vec})
 		}
 		return val{}
 	case partition.IntrWaitV:
 		tag := int(args[0].I)
-		p, err := w.Wait(tag)
+		vec, err := w.WaitV(tag)
 		if err != nil {
 			panic(runtimeErr{Err: err})
 		}
 		ip.snapBarrier(w)
-		vec, ok := p.([]any)
-		if !ok {
-			panic(runtimeErr{Err: fmt.Errorf("interp: waitv(%d) received a non-vector payload %T", tag, p)})
+		if vec == nil {
+			panic(runtimeErr{Err: fmt.Errorf("interp: waitv(%d) received a scalar cont", tag)})
 		}
 		ip.vecMu.Lock()
 		ip.vecStash[[2]int{w.Index, tag}] = vec
@@ -152,10 +148,10 @@ func (ip *Interp) dispatchCall(w *prt.Worker, t *ir.Call, callee val, args []val
 		ip.RT.Tracer.Record(obs.EvVecWait, w.Index, 0, tag, 0, int64(len(vec)))
 		var v val
 		if len(vec) > 0 {
-			v, _ = vec[0].(val)
+			v = vec[0]
 		}
 		if rec := recOf(w); rec != nil {
-			rec.add(diffOp{kind: opWaitV, b: int64(tag), vec: valsOf(vec), v: v})
+			rec.add(diffOp{kind: opWaitV, b: int64(tag), vec: vec, v: v})
 		}
 		return v
 	case partition.IntrElem:
@@ -167,7 +163,7 @@ func (ip *Interp) dispatchCall(w *prt.Worker, t *ir.Call, callee val, args []val
 			panic(runtimeErr{Err: fmt.Errorf("interp: elem(%d, %d) outside the received vector (len %d)", tag, idx, len(vec))})
 		}
 		ip.cross.elemReads.Add(1)
-		v, _ := vec[idx].(val)
+		v := vec[idx]
 		if rec := recOf(w); rec != nil {
 			rec.add(diffOp{kind: opElem, a: int64(tag), b: int64(idx), v: v})
 		}
@@ -192,18 +188,6 @@ func (ip *Interp) dispatchCall(w *prt.Worker, t *ir.Call, callee val, args []val
 		rec.add(diffOp{kind: opCall, name: fn.FName, vec: args, v: v})
 	}
 	return v
-}
-
-// valsOf converts a payload vector to vals for the differential trace
-// (non-val entries record as zero values).
-func valsOf(vec []any) []val {
-	out := make([]val, len(vec))
-	for i, e := range vec {
-		if v, ok := e.(val); ok {
-			out[i] = v
-		}
-	}
-	return out
 }
 
 // spawn payload note: the partitioner forwards F args in the order given by

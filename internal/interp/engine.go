@@ -189,7 +189,7 @@ func (e *liveEnv) Load(w *prt.Worker, t *ir.Load, addr uint64) exec.Val {
 
 // Store performs the mode-checked store.
 func (e *liveEnv) Store(w *prt.Worker, t *ir.Store, addr uint64, v exec.Val) {
-	e.ip.memStore(w, addr, v, t.Val.Type())
+	e.ip.memStore(w, addr, v, storeType(t))
 }
 
 // FieldAddr computes a field address with the split-structure

@@ -10,6 +10,7 @@ import (
 	"privagic/internal/partition"
 	"privagic/internal/prt"
 	"privagic/internal/sgx"
+	"privagic/internal/value"
 )
 
 // execChunk is the prt.ChunkExec callback: it runs a chunk body on the
@@ -23,7 +24,7 @@ import (
 // Under recovery the chunk runs inside an effect transaction: stores and
 // output buffer until the chunk completes, so a crashed attempt leaves no
 // trace and its replay is idempotent.
-func (ip *Interp) execChunk(w *prt.Worker, chunkID int, args []any) (result any) {
+func (ip *Interp) execChunk(w *prt.Worker, chunkID int, args []val) (result val) {
 	// The chunk's first barrier interval starts here: open the copy-in
 	// snapshot (when the boundary defense or an observer is engaged). A
 	// nested spawn on the same worker restores the outer chunk's
@@ -73,12 +74,6 @@ func (ip *Interp) execChunk(w *prt.Worker, chunkID int, args []any) (result any)
 		result = val{}
 	}()
 	ch := ip.Prog.ChunkByID[chunkID]
-	vargs := make([]val, len(args))
-	for i, a := range args {
-		if v, ok := a.(val); ok {
-			vargs[i] = v
-		}
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			if re, ok := r.(runtimeErr); ok {
@@ -87,7 +82,7 @@ func (ip *Interp) execChunk(w *prt.Worker, chunkID int, args []any) (result any)
 			panic(r)
 		}
 	}()
-	return ip.runChunkBody(w, ch, vargs)
+	return ip.runChunkBody(w, ch, args)
 }
 
 // runChunkBody runs a chunk body on the worker's selected engine: the
@@ -258,7 +253,7 @@ func (ip *Interp) step(w *prt.Worker, fn *ir.Function, frame map[ir.Value]val, i
 		if addr == 0 {
 			errf("interp: nil dereference: %q in @%s", t.String(), fn.FName)
 		}
-		ip.memStore(w, addr, ip.eval(frame, t.Val), t.Val.Type())
+		ip.memStore(w, addr, ip.eval(frame, t.Val), storeType(t))
 
 	case *ir.BinOp:
 		frame[t] = ip.binop(t, ip.eval(frame, t.X), ip.eval(frame, t.Y))
@@ -418,7 +413,23 @@ func (ip *Interp) fieldAddrAt(w *prt.Worker, t *ir.FieldAddr, base uint64) val {
 		errf("interp: nil dereference: %q (split-field slot load)", t.String())
 	}
 	// Load the out-of-line pointer from the slot.
-	return ip.memLoad(w, base+uint64(off), ir.PtrTo(ir.I8))
+	return ip.memLoad(w, base+uint64(off), bytePtr)
+}
+
+// bytePtr is the type of a pointer-sized word, boxed once: converting
+// ir.PtrTo(ir.I8) to ir.Type at each use allocates.
+var bytePtr ir.Type = ir.PtrTo(ir.I8)
+
+// storeType is the type of the value t stores. The constant pointers
+// (null and global addresses) resolve to bytePtr: their Type methods box a
+// fresh PointerType on every call, and a store needs only the word's size
+// and kind.
+func storeType(t *ir.Store) ir.Type {
+	switch t.Val.(type) {
+	case *ir.Null, *ir.Global:
+		return bytePtr
+	}
+	return t.Val.Type()
 }
 
 // fieldOffset returns the offset of t's field in its struct's in-memory
@@ -490,7 +501,7 @@ func (ip *Interp) binop(t *ir.BinOp, x, y val) val { return exec.BinOp(t.Op, x, 
 
 func (ip *Interp) cmp(t *ir.Cmp, x, y val) val { return exec.Cmp(t.Pred, x, y) }
 
-func toF(v val) float64 { return exec.ToF(v) }
+func toF(v val) float64 { return value.ToF(v) }
 
 // castVal converts a value to a target type.
 func castVal(v val, to ir.Type) val { return exec.Cast(v, to) }

@@ -96,7 +96,7 @@ type Interp struct {
 	// (worker, tag) for the __pv_elem intrinsic.
 	cross    crossCounters
 	vecMu    sync.Mutex
-	vecStash map[[2]int][]any
+	vecStash map[[2]int][]val
 
 	// unit is the closure-compiled form of the program's chunk bodies,
 	// built by SetEngine for the compiled and differential tiers (nil
@@ -139,7 +139,7 @@ func New(prog *partition.Program, machine *sgx.Machine) *Interp {
 		layouts:    map[string]*splitLayout{},
 		ifaceIndex: map[string]int{},
 		chunkOf:    map[*ir.Function]*partition.Chunk{},
-		vecStash:   map[[2]int][]any{},
+		vecStash:   map[[2]int][]val{},
 	}
 	ip.live = &liveEnv{ip}
 	for _, ch := range prog.ChunkByID {
@@ -189,7 +189,8 @@ func (ip *Interp) EnableSupervision(s prt.Supervision) {
 	ip.RT.Supervise = s
 }
 
-// Close stops all worker threads and the runtime's supervisor.
+// Close stops all worker threads and the runtime's supervisor, then
+// removes the boundary observer.
 func (ip *Interp) Close() {
 	ip.threads.Wait()
 	if ip.main != nil {
@@ -202,6 +203,9 @@ func (ip *Interp) Close() {
 	ip.bg = nil
 	ip.bgMu.Unlock()
 	ip.RT.Shutdown()
+	// Every worker has exited, a timed-out Call's included: nothing reads
+	// the observer any more.
+	ip.bobs = nil
 }
 
 // Output returns everything the program printed.
@@ -391,12 +395,10 @@ func (ip *Interp) Call(entry string, args ...int64) (ret int64, err error) {
 
 // invokeInterface runs the interface version of a partitioned function from
 // normal mode (or from whatever worker w is bound to, for indirect calls).
+// Every spawn and the U chunk share args: no engine writes into its
+// argument vector (both copy it into their own frame).
 func (ip *Interp) invokeInterface(w *prt.Worker, pf *partition.PartFunc, args []val) val {
-	anyArgs := make([]any, len(args))
-	for i, a := range args {
-		anyArgs[i] = a
-	}
-	var spawned []int
+	spawned := 0
 	if pf.Interface != nil {
 		if len(pf.Interface.Spawns) > 0 {
 			ip.pinEscapes(w, args)
@@ -406,8 +408,8 @@ func (ip *Interp) invokeInterface(w *prt.Worker, pf *partition.PartFunc, args []
 			if ch == nil {
 				continue
 			}
-			w.Spawn(ip.Prog.ColorIndex(c), ch.ID, anyArgs, true)
-			spawned = append(spawned, ip.Prog.ColorIndex(c))
+			w.Spawn(ip.Prog.ColorIndex(c), ch.ID, args, true)
+			spawned++
 		}
 	}
 	var result val
@@ -444,12 +446,9 @@ func (ip *Interp) invokeInterface(w *prt.Worker, pf *partition.PartFunc, args []
 			ip.recordErr(msg.Err)
 			continue
 		}
-		from := ip.Prog.ColorAt(msg.From)
-		if v, ok := msg.Payload.(val); ok {
-			if from == retColor || !haveResult {
-				result = v
-				haveResult = true
-			}
+		if from := ip.Prog.ColorAt(msg.From); from == retColor || !haveResult {
+			result = msg.Payload
+			haveResult = true
 		}
 	}
 	return result

@@ -91,7 +91,7 @@ entry long read_counter() { return counter; }
 		t.Fatal("bump.blue not found")
 	}
 	th := ip.mainThread()
-	th.Normal().Spawn(1, bumpBlue, []any{}, true)
+	th.Normal().Spawn(1, bumpBlue, []val{}, true)
 	th.Normal().JoinOne()
 	v, err := ip.Call("read_counter")
 	if err != nil {

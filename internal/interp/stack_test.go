@@ -410,7 +410,7 @@ func TestCrashPinsAttemptFrames(t *testing.T) {
 						t.Fatal("fill did not crash")
 					}
 				}()
-				ip.execChunk(w, fill, []any{iv(7)})
+				ip.execChunk(w, fill, []val{iv(7)})
 			}()
 			st := &stateOf(w).stack
 			base := st.regs[sgx.Unsafe].segs[0].base

@@ -50,6 +50,7 @@ var Catalog = []MetricDef{
 	// prt latency histograms (count/sum/max exported as name.count etc).
 	{Name: "prt.chunk_exec_us", Type: "histogram", Unit: "us", Subsystem: "prt", Help: "wall time of one chunk execution, spawn accept to Done publish"},
 	{Name: "prt.wait_block_us", Type: "histogram", Unit: "us", Subsystem: "prt", Help: "wall time a worker spent blocked in Wait before its tag arrived"},
+	{Name: "prt.queue.hop_us", Type: "histogram", Unit: "us", Subsystem: "queue", Help: "wall time of one message hop, send to admit at the receiver's gate (the first and every 8th message of each stream)"},
 
 	// interp effect transactions and boundary defense.
 	{Name: "interp.effect_commits", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "effect-transaction overlays committed to backing memory"},

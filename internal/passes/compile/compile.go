@@ -28,6 +28,7 @@ import (
 
 	"privagic/internal/exec"
 	"privagic/internal/ir"
+	"privagic/internal/value"
 )
 
 // Options tunes a compilation unit.
@@ -245,11 +246,11 @@ func (c *fnCompiler) slot(v ir.Value) int {
 func (c *fnCompiler) operand(v ir.Value) operand {
 	switch t := v.(type) {
 	case *ir.ConstInt:
-		return operand{slot: -1, imm: exec.IV(t.V)}
+		return operand{slot: -1, imm: value.IV(t.V)}
 	case *ir.ConstFloat:
-		return operand{slot: -1, imm: exec.FV(t.V)}
+		return operand{slot: -1, imm: value.FV(t.V)}
 	case *ir.Null:
-		return operand{slot: -1, imm: exec.IV(0)}
+		return operand{slot: -1, imm: value.IV(0)}
 	case *ir.Global:
 		return operand{slot: -1, imm: c.env.GlobalAddr(t)}
 	case *ir.Function:
@@ -359,7 +360,7 @@ func (c *fnCompiler) emitInstr(b *ir.Block, in ir.Instr) {
 
 	case *ir.Malloc:
 		dst := c.slots[t]
-		co := operand{slot: -1, imm: exec.IV(1)}
+		co := operand{slot: -1, imm: value.IV(1)}
 		if t.Count != nil {
 			co = c.operand(t.Count)
 		}

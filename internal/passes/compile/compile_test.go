@@ -8,14 +8,15 @@ import (
 	"privagic/internal/minic"
 	"privagic/internal/passes"
 	"privagic/internal/prt"
+	"privagic/internal/value"
 )
 
 // stubEnv satisfies exec.Env for pure-compute tests: compile-time
 // queries answer neutrally, runtime seams fail the test if reached.
 type stubEnv struct{ t *testing.T }
 
-func (e *stubEnv) GlobalAddr(g *ir.Global) exec.Val   { return exec.IV(0x1000) }
-func (e *stubEnv) FuncValue(fn *ir.Function) exec.Val { return exec.IV(1) }
+func (e *stubEnv) GlobalAddr(g *ir.Global) exec.Val   { return value.IV(0x1000) }
+func (e *stubEnv) FuncValue(fn *ir.Function) exec.Val { return value.IV(1) }
 func (e *stubEnv) ElemStride(elem ir.Type) int64      { return elem.Size() }
 func (e *stubEnv) Alloca(w *prt.Worker, t *ir.Alloca) exec.Val {
 	e.t.Fatalf("unexpected Alloca %s", t)
@@ -186,8 +187,8 @@ func TestCompiledLoopExecutes(t *testing.T) {
 	}
 	for _, tc := range [][2]int64{{0, 5}, {1, 0}, {7, -3}, {100, 12345}} {
 		fr := &exec.Frame{Regs: make([]exec.Val, cf.NumSlots), Env: &stubEnv{t}}
-		fr.Regs[0] = exec.IV(tc[0])
-		fr.Regs[1] = exec.IV(tc[1])
+		fr.Regs[0] = value.IV(tc[0])
+		fr.Regs[1] = value.IV(tc[1])
 		got := exec.Run(cf.Code, fr)
 		if want := model(tc[0], tc[1]); got.I != want {
 			t.Errorf("work(%d, %d) = %d, want %d", tc[0], tc[1], got.I, want)

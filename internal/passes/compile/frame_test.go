@@ -6,6 +6,7 @@ import (
 	"privagic/internal/exec"
 	"privagic/internal/ir"
 	"privagic/internal/prt"
+	"privagic/internal/value"
 )
 
 // FieldOffset answers stubEnv's compile-time field query with the
@@ -30,11 +31,11 @@ func (e *fieldEnv) FieldOffset(t *ir.FieldAddr) (int64, bool) {
 
 func (e *fieldEnv) FieldAddr(w *prt.Worker, t *ir.FieldAddr, base exec.Val) exec.Val {
 	e.fieldAddrs++
-	return exec.IV(0x9000)
+	return value.IV(0x9000)
 }
 
 func (e *fieldEnv) Load(w *prt.Worker, t *ir.Load, addr uint64) exec.Val {
-	return exec.IV(int64(addr))
+	return value.IV(int64(addr))
 }
 
 const fieldSrc = `
@@ -57,7 +58,7 @@ func TestPlainFieldAddrIsCompileTime(t *testing.T) {
 			t.Fatal("function was not compiled")
 		}
 		fr := &exec.Frame{Regs: make([]exec.Val, cf.NumSlots), Env: env}
-		fr.Regs[0] = exec.IV(0x1000)
+		fr.Regs[0] = value.IV(0x1000)
 		got := exec.Run(cf.Code, fr).I
 		want, wantCalls := int64(0x1008), 0
 		if split {
@@ -78,7 +79,7 @@ type callEnv struct {
 
 func (e *callEnv) Call(w *prt.Worker, t *ir.Call, callee exec.Val, args []exec.Val) exec.Val {
 	e.args = append(e.args, args)
-	return exec.IV(args[0].I * 10)
+	return value.IV(args[0].I * 10)
 }
 
 const callSrc = `
@@ -112,7 +113,7 @@ func TestCallArgumentsLiveInFrame(t *testing.T) {
 		t.Fatalf("NumSlots = %d, want %d (params + values + widest call)", cf.NumSlots, want)
 	}
 	fr := &exec.Frame{Regs: make([]exec.Val, cf.NumSlots), Env: env}
-	fr.Regs[0] = exec.IV(4)
+	fr.Regs[0] = value.IV(4)
 	if got := exec.Run(cf.Code, fr).I; got != 40+70 {
 		t.Fatalf("caller(4) = %d, want 110", got)
 	}

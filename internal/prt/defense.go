@@ -1,6 +1,10 @@
 package prt
 
-import "fmt"
+import (
+	"math"
+
+	"privagic/internal/value"
+)
 
 // Payload integrity tags (the third leg of the runtime Iago defense, next
 // to copy-in snapshots and pointer sanitization in internal/interp).
@@ -10,9 +14,10 @@ import "fmt"
 // live in the same U-memory queue node as the payload, and the §4
 // attacker can rewrite the payload words in place after enqueue without
 // touching either. payloadSum closes that window: a checksum over the
-// message's kind, routing fields and payload values, computed inside the
-// sender's enclave after the routing metadata is final and re-verified
-// inside the receiver's enclave at the admit gate. It stands in for the
+// message's kind, routing fields and typed payload words (every word of
+// every Val), computed inside the sender's enclave after the routing
+// metadata is final and re-verified inside the receiver's enclave at the
+// admit gate. It stands in for the
 // MAC a production runtime would compute over the serialized message
 // body; like the auth stamp, its unexported field means code outside the
 // package cannot re-tag a mutated message.
@@ -40,51 +45,17 @@ func sumStr(h uint64, s string) uint64 {
 	return h
 }
 
-// PayloadSummer lets a payload type contribute its exact value words to
-// the checksum without this package knowing its layout. The interpreter's
-// value type implements it; everything else falls through to sumAny's
-// typed switch or its formatted fallback.
-type PayloadSummer interface {
-	PaySum() uint64
-}
-
-// sumAny folds one payload value into the checksum.
-func sumAny(h uint64, v any) uint64 {
-	switch x := v.(type) {
-	case nil:
-		return sumU64(h, 0x9e3779b97f4a7c15)
-	case PayloadSummer:
-		return sumU64(h, x.PaySum())
-	case int:
-		return sumU64(h, uint64(x))
-	case int64:
-		return sumU64(h, uint64(x))
-	case uint64:
-		return sumU64(h, x)
-	case bool:
-		if x {
-			return sumU64(h, 1)
-		}
-		return sumU64(h, 2)
-	case string:
-		return sumStr(h, x)
-	case []byte:
-		for _, b := range x {
-			h ^= uint64(b)
-			h *= fnvPrime
-		}
-		return h
-	case []any:
-		h = sumU64(h, uint64(len(x)))
-		for _, e := range x {
-			h = sumAny(h, e)
-		}
-		return h
-	default:
-		// Last resort: a stable textual rendering. Costs an allocation,
-		// but only for payload types the fast paths do not know.
-		return sumStr(h, fmt.Sprintf("%T:%v", v, v))
+// sumVal folds one machine value into the checksum: every word of it,
+// so a change to the integer, the float bits or the float flag shows.
+func sumVal(h uint64, v value.Val) uint64 {
+	h = sumU64(h, uint64(v.I))
+	h = sumU64(h, math.Float64bits(v.F))
+	if v.Fl {
+		h ^= 1
+	} else {
+		h ^= 2
 	}
+	return h * fnvPrime
 }
 
 // payloadSum computes the integrity tag of a message: everything the
@@ -104,10 +75,10 @@ func payloadSum(m *Message) uint64 {
 	if m.Err != nil {
 		h = sumStr(h, m.Err.Error())
 	}
-	h = sumAny(h, m.Payload)
+	h = sumVal(h, m.Payload)
 	h = sumU64(h, uint64(len(m.Args)))
 	for _, a := range m.Args {
-		h = sumAny(h, a)
+		h = sumVal(h, a)
 	}
 	return h
 }

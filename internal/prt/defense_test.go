@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"privagic/internal/sgx"
+	"privagic/internal/value"
 )
 
 // mutateCont simulates the §4 attacker rewriting a queued message in
@@ -16,9 +17,7 @@ type mutateCont struct{ tag int }
 
 func (m mutateCont) Deliver(to *Worker, msg Message) {
 	if msg.Kind == MsgCont && msg.Tag == m.tag {
-		if p, ok := msg.Payload.(int64); ok {
-			msg.Payload = p ^ 0x5a5a
-		}
+		msg.Payload.I ^= 0x5a5a
 	}
 	to.EnqueueRaw(msg)
 }
@@ -29,10 +28,10 @@ func (m mutateCont) Deliver(to *Worker, msg Message) {
 // timeout instead of consuming the corrupted value, and the rest of the
 // stream — the untouched completion behind it — still flows.
 func TestPayloadTagRejectsMutatedCont(t *testing.T) {
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any {
-			w.SendCont(0, 4, int64(1234))
-			return "done"
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
+			w.SendCont(0, 4, iv(1234))
+			return iv(7001)
 		},
 	})
 	rt.PayloadTags = true
@@ -47,7 +46,7 @@ func TestPayloadTagRejectsMutatedCont(t *testing.T) {
 	}
 	// The rejected message consumed its stream position, so the clean
 	// completion behind it is still admitted.
-	if got, err := u.Join(1); err != nil || got != "done" {
+	if got, err := u.Join(1); err != nil || got != iv(7001) {
 		t.Fatalf("Join after rejected cont = %v, %v", got, err)
 	}
 	if st := rt.SupervisionStats(); st.PayloadTampered != 1 {
@@ -59,9 +58,9 @@ func TestPayloadTagRejectsMutatedCont(t *testing.T) {
 // armed and nothing mutating, the full spawn/cont/join protocol is
 // unchanged and nothing is counted as tampered.
 func TestPayloadTagsCleanPassthrough(t *testing.T) {
-	rt := New(sgx.MachineB(), []string{"blue"}, func(w *Worker, chunkID int, args []any) any {
-		w.SendCont(0, 3, args[0].(int)*2)
-		return args[0].(int) + 1
+	rt := New(sgx.MachineB(), []string{"blue"}, func(w *Worker, chunkID int, args []val) val {
+		w.SendCont(0, 3, iv(args[0].I*2))
+		return iv(args[0].I + 1)
 	})
 	rt.PayloadTags = true
 	rt.Supervise = Supervision{WaitTimeout: time.Second}
@@ -69,11 +68,11 @@ func TestPayloadTagsCleanPassthrough(t *testing.T) {
 	defer func() { th.Close(); rt.Shutdown() }()
 	u := th.Normal()
 	for j := 0; j < 100; j++ {
-		u.Spawn(1, 1, []any{j}, true)
-		if got, err := u.Wait(3); err != nil || got != j*2 {
+		u.Spawn(1, 1, []val{iv(j)}, true)
+		if got, err := u.Wait(3); err != nil || got != iv(j*2) {
 			t.Fatalf("round %d: Wait = %v, %v", j, got, err)
 		}
-		if got, err := u.Join(1); err != nil || got != j+1 {
+		if got, err := u.Join(1); err != nil || got != iv(j+1) {
 			t.Fatalf("round %d: Join = %v, %v", j, got, err)
 		}
 	}
@@ -83,37 +82,41 @@ func TestPayloadTagsCleanPassthrough(t *testing.T) {
 }
 
 // TestPayloadSumSensitivity pins down what the tag covers: every field an
-// in-place mutation could profitably touch — kind, routing, payload word,
-// each argument, and the stream metadata a replay would have to reuse —
-// changes the sum, while an identical copy reproduces it.
+// in-place mutation could profitably touch — kind, routing, each word of
+// the payload, each argument, and the stream metadata a replay would have
+// to reuse — changes the sum, while an identical copy reproduces it.
 func TestPayloadSumSensitivity(t *testing.T) {
 	base := Message{
 		Kind: MsgCont, ChunkID: 3, Tag: 4, From: 1, NeedReply: true,
-		Payload: int64(7), Args: []any{int64(1), "s"},
+		Payload: iv(7), Args: []val{iv(1), value.FV(2.5)},
 		epoch: 5, strSeq: 9,
 	}
 	sum := payloadSum(&base)
 	cp := base
-	cp.Args = []any{int64(1), "s"} // equal contents, distinct backing
+	cp.Args = []val{iv(1), value.FV(2.5)} // equal contents, distinct backing
 	if payloadSum(&cp) != sum {
 		t.Fatal("identical message produced a different sum")
 	}
 	mutate := map[string]func(m *Message){
-		"kind":    func(m *Message) { m.Kind = MsgDone },
-		"chunk":   func(m *Message) { m.ChunkID = 8 },
-		"tag":     func(m *Message) { m.Tag = 5 },
-		"from":    func(m *Message) { m.From = 2 },
-		"reply":   func(m *Message) { m.NeedReply = false },
-		"payload": func(m *Message) { m.Payload = int64(8) },
-		"arg0":    func(m *Message) { m.Args[0] = int64(2) },
-		"arg1":    func(m *Message) { m.Args[1] = "t" },
-		"argN":    func(m *Message) { m.Args = append(m.Args, int64(0)) },
-		"epoch":   func(m *Message) { m.epoch = 6 },
-		"strSeq":  func(m *Message) { m.strSeq = 10 },
+		"kind":       func(m *Message) { m.Kind = MsgDone },
+		"chunk":      func(m *Message) { m.ChunkID = 8 },
+		"tag":        func(m *Message) { m.Tag = 5 },
+		"from":       func(m *Message) { m.From = 2 },
+		"reply":      func(m *Message) { m.NeedReply = false },
+		"payload":    func(m *Message) { m.Payload = iv(8) },
+		"payload.F":  func(m *Message) { m.Payload.F = 1 },
+		"payload.Fl": func(m *Message) { m.Payload.Fl = true },
+		"arg0":       func(m *Message) { m.Args[0] = iv(2) },
+		"arg0.F":     func(m *Message) { m.Args[0].F = 0.5 },
+		"arg1":       func(m *Message) { m.Args[1] = value.FV(2.75) },
+		"arg1.Fl":    func(m *Message) { m.Args[1].Fl = false },
+		"argN":       func(m *Message) { m.Args = append(m.Args, iv(0)) },
+		"epoch":      func(m *Message) { m.epoch = 6 },
+		"strSeq":     func(m *Message) { m.strSeq = 10 },
 	}
 	for name, f := range mutate {
 		m := base
-		m.Args = append([]any(nil), base.Args...)
+		m.Args = append([]val(nil), base.Args...)
 		f(&m)
 		if payloadSum(&m) == sum {
 			t.Errorf("mutating %s did not change the payload sum", name)

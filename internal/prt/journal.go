@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"privagic/internal/obs"
+	"privagic/internal/value"
 )
 
 // The journal is the transactional half of recovery: every spawn is
@@ -61,13 +62,15 @@ type spawnRec struct {
 	mu        sync.Mutex
 	toIdx     int
 	chunkID   int
-	args      []any
+	args      []value.Val // shared with the spawn message
 	replyTo   *Worker
 	needReply bool
 	attempts  int // replays performed so far
 
-	// contsIn, donesIn and allocsIn cache what the executing chunk
-	// consumed — conts, the completions of its own nested spawns (the
+	// contsIn, vecsIn, donesIn and allocsIn cache what the executing
+	// chunk consumed — conts and vectored conts (two logs, each in its
+	// own consumption order, so a scalar entry stays 32 bytes), the
+	// completions of its own nested spawns (the
 	// nested chunk will not complete again), and the results of
 	// allocation service calls (§7.2; the allocator's bump cursor is
 	// runtime state outside the effect transaction, and peers may already
@@ -77,6 +80,7 @@ type spawnRec struct {
 	// sent (the peer consumed them; a fresh copy would be matched against
 	// a later wait or execute the nested chunk a second time).
 	contsIn   replayLog[contIn]
+	vecsIn    replayLog[contVec]
 	donesIn   replayLog[Message]
 	allocsIn  replayLog[uint64]
 	contsOut  suppressCounter
@@ -93,7 +97,13 @@ type spawnRec struct {
 // contIn is one cached cont: the wait point it satisfied and its value.
 type contIn struct {
 	tag     int
-	payload any
+	payload value.Val
+}
+
+// contVec is one cached vectored cont: its wait point and its values.
+type contVec struct {
+	tag  int
+	vals []value.Val
 }
 
 // attempt is one execution of a journaled spawn, held on the executing
@@ -194,7 +204,7 @@ func (c *suppressCounter) suppress() bool {
 func (r *spawnRec) beginAttempt(hint logSize) attempt {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.contsIn.cursor, r.donesIn.cursor, r.allocsIn.cursor = 0, 0, 0
+	r.contsIn.cursor, r.vecsIn.cursor, r.donesIn.cursor, r.allocsIn.cursor = 0, 0, 0, 0
 	r.contsOut.cursor, r.spawnsOut.cursor = 0, 0
 	r.gen++
 	a := attempt{rec: r, gen: r.gen}
@@ -215,20 +225,31 @@ func (a *attempt) publish() {
 // A mismatch falls through to a live wait (the attempt diverged from the
 // cached order; with deterministic chunks this only happens when the
 // cache is exhausted).
-func (r *spawnRec) cachedCont(tag int) (any, bool) {
+// vec selects the vectored-cont cache; the cont comes back as the message
+// the wait would have taken off the queue.
+func (r *spawnRec) cachedCont(tag int, vec bool) (Message, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.contsIn.peek(); ok && c.tag == tag {
+	if vec {
+		if c, ok := r.vecsIn.peek(); ok && c.tag == tag {
+			r.vecsIn.cursor++
+			return Message{Kind: MsgCont, Tag: tag, Args: c.vals}, true
+		}
+	} else if c, ok := r.contsIn.peek(); ok && c.tag == tag {
 		r.contsIn.cursor++
-		return c.payload, true
+		return Message{Kind: MsgCont, Tag: tag, Payload: c.payload}, true
 	}
-	return nil, false
+	return Message{}, false
 }
 
-// recordContIn appends a live-consumed cont to the cache.
-func (r *spawnRec) recordContIn(tag int, payload any) {
+// recordContIn appends a live-consumed cont to the cache vec selects.
+func (r *spawnRec) recordContIn(msg *Message, vec bool) {
 	r.mu.Lock()
-	r.contsIn.record(contIn{tag, payload})
+	if vec {
+		r.vecsIn.record(contVec{msg.Tag, msg.Args})
+	} else {
+		r.contsIn.record(contIn{msg.Tag, msg.Payload})
+	}
 	r.mu.Unlock()
 }
 
@@ -293,7 +314,7 @@ func (r *spawnRec) journalAlloc(alloc func() uint64) uint64 {
 
 // recordSpawn journals a spawn before it is sent. Recovery must be
 // enabled by the caller.
-func (rt *Runtime) recordSpawn(t *Thread, toIdx, chunkID int, args []any, replyTo *Worker, needReply bool) {
+func (rt *Runtime) recordSpawn(t *Thread, toIdx, chunkID int, args []value.Val, replyTo *Worker, needReply bool) {
 	j := &rt.jr
 	j.mu.Lock()
 	if j.inflight == nil {
@@ -371,7 +392,8 @@ func (rt *Runtime) retrySpawn(w *Worker, abort *EnclaveAbort) bool {
 
 // respawn re-sends a journaled spawn to the current worker of its color
 // (after a restart, that is the replacement worker) in the thread's
-// current epoch.
+// current epoch. It runs on the joiner's or a restarter's goroutine, not
+// necessarily rec.replyTo's, so the send takes the raw path.
 func (rt *Runtime) respawn(t *Thread, rec *spawnRec) {
 	target := t.Worker(rec.toIdx)
 	rec.mu.Lock()
@@ -381,7 +403,7 @@ func (rt *Runtime) respawn(t *Thread, rec *spawnRec) {
 	rt.send(rec.replyTo, target, Message{
 		Kind: MsgSpawn, ChunkID: rec.chunkID, Args: rec.args,
 		NeedReply: rec.needReply, ReplyTo: rec.replyTo,
-	})
+	}, nil)
 }
 
 // inflightFor snapshots the in-flight spawns of thread t, optionally

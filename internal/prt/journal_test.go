@@ -21,6 +21,10 @@ func journaledLoad(w *Worker, mem *atomic.Int64) int64 {
 	return int64(binary.LittleEndian.Uint64(buf[:]))
 }
 
+// pair packs two small integers into one value, for chunks that report
+// two loads.
+func pair(a, b int64) val { return val{I: a, F: float64(b)} }
+
 // TestReplayServedCrashedAttemptLoads: a chunk that loads, changes the
 // memory it loaded and then crashes must, on replay, be served the bytes
 // the crashed attempt read, not the changed memory.
@@ -28,15 +32,15 @@ func TestReplayServedCrashedAttemptLoads(t *testing.T) {
 	var mem atomic.Int64
 	mem.Store(7)
 	var execs atomic.Int32
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
 			a := journaledLoad(w, &mem)
 			b := journaledLoad(w, &mem)
 			if execs.Add(1) == 1 {
 				mem.Store(99) // an effect the replay must not observe
 				panic("crash after loading")
 			}
-			return a*100 + b
+			return iv(a*100 + b)
 		},
 	})
 	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
@@ -48,7 +52,7 @@ func TestReplayServedCrashedAttemptLoads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Join: %v", err)
 	}
-	if got != int64(707) {
+	if got != iv(707) {
 		t.Errorf("replay returned %v, want 707 (the crashed attempt's loads)", got)
 	}
 	if n := execs.Load(); n != 2 {
@@ -63,25 +67,25 @@ func TestReplayServedCrashedAttemptLoads(t *testing.T) {
 func TestNestedSpawnKeepsOuterLoadLog(t *testing.T) {
 	var mem atomic.Int64
 	var outerExecs atomic.Int32
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any { // outer
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val { // outer
 			a := journaledLoad(w, &mem)
 			if _, err := w.WaitTimeout(5, 2*time.Second); err != nil {
 				t.Errorf("outer Wait(5): %v", err)
-				return nil
+				return val{}
 			}
 			b := journaledLoad(w, &mem)
 			if outerExecs.Add(1) == 1 {
 				mem.Store(-1)
 				panic("outer crashes after the nested spawn")
 			}
-			return [2]int64{a, b}
+			return pair(a, b)
 		},
-		2: func(w *Worker, args []any) any { // nested, runs inside outer's wait
+		2: func(w *Worker, args []val) val { // nested, runs inside outer's wait
 			v := journaledLoad(w, &mem)
 			journaledLoad(w, &mem)
 			mem.Store(20)
-			return v
+			return iv(v)
 		},
 	})
 	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
@@ -95,12 +99,12 @@ func TestNestedSpawnKeepsOuterLoadLog(t *testing.T) {
 	if err != nil || done.ChunkID != 2 {
 		t.Fatalf("JoinOne = chunk %d, %v; want the nested chunk 2", done.ChunkID, err)
 	}
-	u.SendCont(1, 5, nil)
+	u.SendCont(1, 5, val{})
 	got, err := u.JoinTimeout(1, 5*time.Second)
 	if err != nil {
 		t.Fatalf("Join outer: %v", err)
 	}
-	if want := [2]int64{10, 20}; got != want {
+	if want := pair(10, 20); got != want {
 		t.Errorf("outer replay was served %v, want %v", got, want)
 	}
 	if n := outerExecs.Load(); n != 2 {
@@ -136,11 +140,11 @@ func TestStaleAttemptCannotMoveReplayLog(t *testing.T) {
 	started, release, staleDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	var second atomic.Int64 // the second attempt's live second load
 	ic := &signalAbort{aborted: make(chan struct{})}
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
 			n := execs.Add(1)
 			a := journaledLoad(w, &mem)
-			w.SendCont(0, 7, a)
+			w.SendCont(0, 7, iv(a))
 			switch n {
 			case 1:
 				close(started)
@@ -152,20 +156,20 @@ func TestStaleAttemptCannotMoveReplayLog(t *testing.T) {
 						case <-ic.aborted:
 						case <-time.After(5 * time.Second):
 							t.Error("the second attempt never crashed")
-							return nil
+							return val{}
 						}
 					}
 					mem.Add(1)
 					journaledLoad(w, &mem)
-					w.SendCont(0, 8, i)
+					w.SendCont(0, 8, iv(i))
 				}
-				return "stale"
+				return iv(-1)
 			case 2:
 				close(release)
 				second.Store(journaledLoad(w, &mem))
 				panic("the newer attempt crashes")
 			}
-			return [2]int64{a, journaledLoad(w, &mem)}
+			return pair(a, journaledLoad(w, &mem))
 		},
 	})
 	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
@@ -174,7 +178,7 @@ func TestStaleAttemptCannotMoveReplayLog(t *testing.T) {
 	defer th.Close()
 	u := th.Normal()
 	u.Spawn(1, 1, nil, true)
-	if got, err := u.WaitTimeout(7, 5*time.Second); err != nil || got != int64(100) {
+	if got, err := u.WaitTimeout(7, 5*time.Second); err != nil || got != iv(100) {
 		t.Fatalf("Wait(7) = %v, %v, want 100", got, err)
 	}
 	<-started
@@ -189,7 +193,7 @@ func TestStaleAttemptCannotMoveReplayLog(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Join: %v", err)
 	}
-	if want := [2]int64{100, second.Load()}; got != want || want[1] < 200 {
+	if want := pair(100, second.Load()); got != want || want.F < 200 {
 		t.Errorf("third attempt was served %v, want %v (the second attempt's loads)", got, want)
 	}
 	if n := execs.Load(); n != 3 {

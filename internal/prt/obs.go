@@ -41,7 +41,7 @@ const flightRecordEvents = 64
 // RegisterMetrics publishes the runtime's counters into reg (see
 // OBSERVABILITY.md for the catalogue) and arms the latency histograms.
 // Every prt metric is a gauge closure over a counter the runtime already
-// maintains, so registration adds no hot-path work; only the two
+// maintains, so registration adds no hot-path work; only the three
 // histograms introduce new instrumentation, each guarded by a nil check.
 // Call it after the runtime is configured; workers created later are
 // covered (the queue gauges aggregate over live threads at read time).
@@ -83,6 +83,7 @@ func (rt *Runtime) RegisterMetrics(reg *obs.Registry) {
 
 	rt.hChunkUS = reg.Histogram("prt.chunk_exec_us")
 	rt.hWaitUS = reg.Histogram("prt.wait_block_us")
+	rt.hHopUS = reg.Histogram("prt.queue.hop_us")
 
 	reg.Gauge("obs.trace_events", func() int64 { return rt.Tracer.Recorded() })
 	reg.Gauge("obs.trace_dropped", func() int64 { return rt.Tracer.Dropped() })

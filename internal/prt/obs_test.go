@@ -13,15 +13,15 @@ import (
 // tracer armed and checks the structured stream: spans balance, the
 // transport events carry the receiver, and counts are exact.
 func TestTraceCoversSpawnProtocol(t *testing.T) {
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any { return 7 },
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val { return iv(7) },
 	})
 	rt.Tracer = obs.NewTracer(256)
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
 	u.Spawn(1, 1, nil, true)
-	if got, err := u.Join(1); err != nil || got != 7 {
+	if got, err := u.Join(1); err != nil || got != iv(7) {
 		t.Fatalf("Join = %v, %v", got, err)
 	}
 	counts := rt.Tracer.Counts()
@@ -40,8 +40,8 @@ func TestTraceCoversSpawnProtocol(t *testing.T) {
 // abort surfaces with the tracer's trailing events attached, and the
 // record's last line is the abort itself.
 func TestAbortCarriesFlightRecord(t *testing.T) {
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any { panic("enclave blew up") },
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val { panic("enclave blew up") },
 	})
 	rt.Tracer = obs.NewTracer(256)
 	th := rt.NewThread()
@@ -67,7 +67,7 @@ func TestAbortCarriesFlightRecord(t *testing.T) {
 // timeout's diagnostics include the flight record next to the pending
 // tags and queue depths.
 func TestTimeoutCarriesFlightRecord(t *testing.T) {
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{})
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{})
 	rt.Tracer = obs.NewTracer(256)
 	rt.Supervise = Supervision{WaitTimeout: 20 * time.Millisecond}
 	th := rt.NewThread()
@@ -90,11 +90,11 @@ func TestTimeoutCarriesFlightRecord(t *testing.T) {
 // the wait-latency histogram and that a satisfied blocking wait lands one
 // sample derived from the admit stamp.
 func TestWaitHistogramObservesBlockedWaits(t *testing.T) {
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
 			time.Sleep(2 * time.Millisecond)
-			w.SendCont(0, 5, "done")
-			return nil
+			w.SendCont(0, 5, iv(1014))
+			return val{}
 		},
 	})
 	reg := obs.NewRegistry()
@@ -103,7 +103,7 @@ func TestWaitHistogramObservesBlockedWaits(t *testing.T) {
 	defer th.Close()
 	u := th.Normal()
 	u.Spawn(1, 1, nil, true)
-	if got, err := u.Wait(5); err != nil || got != "done" {
+	if got, err := u.Wait(5); err != nil || got != iv(1014) {
 		t.Fatalf("Wait = %v, %v", got, err)
 	}
 	snap := reg.Snapshot()
@@ -118,5 +118,44 @@ func TestWaitHistogramObservesBlockedWaits(t *testing.T) {
 	snap = reg.Snapshot()
 	if snap["prt.chunk_exec_us.count"] != 1 {
 		t.Fatalf("chunk histogram count = %d, want 1", snap["prt.chunk_exec_us.count"])
+	}
+}
+
+// TestHopHistogramStampsOnlyWhenArmed: with metrics registered, the
+// first message of each stream and every 8th after it record one
+// send-to-admit hop; without metrics, sends carry no clock stamp at all.
+func TestHopHistogramStampsOnlyWhenArmed(t *testing.T) {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val { return iv(7) },
+	})
+	th := rt.NewThread()
+	defer th.Close()
+	u := th.Normal()
+	msg := Message{Kind: MsgCont, Tag: 3}
+	rt.send(u, u, msg, nil)
+	if got, ok := u.DequeueRaw(); !ok || got.sentNS != 0 {
+		t.Fatalf("unarmed send stamped sentNS = %d", got.sentNS)
+	}
+	th.AdvanceEpoch() // the raw dequeue took a stream position: start over
+	reg := obs.NewRegistry()
+	rt.RegisterMetrics(reg)
+	for i := 0; i < 3; i++ {
+		th.AdvanceEpoch() // new streams, as every Call opens
+		u.Spawn(1, 1, nil, true)
+		if _, err := u.Join(1); err != nil {
+			t.Fatalf("Join: %v", err)
+		}
+	}
+	if n, _, _ := rt.hHopUS.Stats(); n != 6 { // a spawn and a Done per round
+		t.Errorf("prt.queue.hop_us recorded %d hops over 3 round trips, want 6", n)
+	}
+	for i := 0; i < 16; i++ { // stream positions 2..17 of the Done stream
+		u.SendCont(0, 5, iv(i))
+		if _, err := u.Wait(5); err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+	}
+	if n, _, _ := rt.hHopUS.Stats(); n != 8 { // positions 9 and 17
+		t.Errorf("prt.queue.hop_us recorded %d hops after 16 more, want 8", n)
 	}
 }

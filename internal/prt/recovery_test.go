@@ -17,12 +17,12 @@ import (
 // the journal must record exactly one commit for the one logical spawn.
 func TestRetryOnAbortRecovers(t *testing.T) {
 	var execs atomic.Int32
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
 			if execs.Add(1) <= 2 {
 				panic("injected crash")
 			}
-			return 42
+			return iv(42)
 		},
 	})
 	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
@@ -34,7 +34,7 @@ func TestRetryOnAbortRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Join after recovery: %v", err)
 	}
-	if got != 42 {
+	if got != iv(42) {
 		t.Errorf("Join = %v, want 42", got)
 	}
 	if n := execs.Load(); n != 3 {
@@ -54,8 +54,8 @@ func TestRetryOnAbortRecovers(t *testing.T) {
 // crash-site stack captured at recover time.
 func TestRetryBudgetExhausted(t *testing.T) {
 	var execs atomic.Int32
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
 			execs.Add(1)
 			panic("always crashing")
 		},
@@ -92,24 +92,24 @@ func TestRetryBudgetExhausted(t *testing.T) {
 // copy could satisfy a later wait on the same tag).
 func TestReplayContCaches(t *testing.T) {
 	var execs atomic.Int32
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
 			a, err := w.WaitTimeout(5, 2*time.Second)
 			if err != nil {
 				t.Errorf("chunk Wait(5): %v", err)
-				return nil
+				return val{}
 			}
 			b, err := w.WaitTimeout(6, 2*time.Second)
 			if err != nil {
 				t.Errorf("chunk Wait(6): %v", err)
-				return nil
+				return val{}
 			}
-			sum := a.(int) + b.(int)
-			w.SendCont(0, 9, sum)
+			sum := a.I + b.I
+			w.SendCont(0, 9, iv(sum))
 			if execs.Add(1) == 1 {
 				panic("crash after consuming and answering")
 			}
-			return sum
+			return iv(sum)
 		},
 	})
 	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
@@ -117,12 +117,12 @@ func TestReplayContCaches(t *testing.T) {
 	defer th.Close()
 	u := th.Normal()
 	u.Spawn(1, 1, nil, true)
-	u.SendCont(1, 5, 20)
-	u.SendCont(1, 6, 22)
-	if got, err := u.WaitTimeout(9, 5*time.Second); err != nil || got != 42 {
+	u.SendCont(1, 5, iv(20))
+	u.SendCont(1, 6, iv(22))
+	if got, err := u.WaitTimeout(9, 5*time.Second); err != nil || got != iv(42) {
 		t.Fatalf("Wait(9) = %v, %v, want 42", got, err)
 	}
-	if got, err := u.JoinTimeout(1, 5*time.Second); err != nil || got != 42 {
+	if got, err := u.JoinTimeout(1, 5*time.Second); err != nil || got != iv(42) {
 		t.Fatalf("Join = %v, %v, want 42", got, err)
 	}
 	if n := execs.Load(); n != 2 {
@@ -146,13 +146,13 @@ func TestReplayContCaches(t *testing.T) {
 func TestRestartEpochFencing(t *testing.T) {
 	release := make(chan struct{})
 	var execs atomic.Int32
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
 			if execs.Add(1) == 1 {
 				<-release // wedged until after the restart
-				return "stale"
+				return iv(1015)
 			}
-			return "fresh"
+			return iv(1016)
 		},
 	})
 	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
@@ -188,7 +188,7 @@ func TestRestartEpochFencing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Join after restart: %v", err)
 	}
-	if got != "fresh" {
+	if got != iv(1016) {
 		t.Errorf("Join = %v, want the replayed chunk's result", got)
 	}
 	if n := execs.Load(); n != 2 {
@@ -216,13 +216,13 @@ func TestRestartEpochFencing(t *testing.T) {
 // point, and per-worker queue depths.
 func TestTimeoutDiagnostics(t *testing.T) {
 	blocked := make(chan struct{})
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
 			close(blocked)
 			if _, err := w.WaitTimeout(5, 5*time.Second); err != nil {
 				t.Errorf("chunk Wait(5): %v", err)
 			}
-			return nil
+			return val{}
 		},
 	})
 	th := rt.NewThread()
@@ -252,7 +252,7 @@ func TestTimeoutDiagnostics(t *testing.T) {
 		}
 	}
 
-	u.SendCont(1, 5, nil) // unblock the enclave chunk
+	u.SendCont(1, 5, val{}) // unblock the enclave chunk
 	if _, err := u.JoinTimeout(1, 5*time.Second); err != nil {
 		t.Fatalf("Join: %v", err)
 	}
@@ -264,12 +264,12 @@ func TestTimeoutDiagnostics(t *testing.T) {
 // arrives in order.
 func TestBackpressureBoundedQueues(t *testing.T) {
 	const conts = 8
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
 			for i := 0; i < conts; i++ {
-				w.SendCont(0, 100+i, i)
+				w.SendCont(0, 100+i, iv(i))
 			}
-			return nil
+			return val{}
 		},
 	})
 	rt.Supervise.QueueCapacity = 2
@@ -290,7 +290,7 @@ func TestBackpressureBoundedQueues(t *testing.T) {
 
 	for i := 0; i < conts; i++ {
 		got, err := u.WaitTimeout(100+i, 2*time.Second)
-		if err != nil || got != i {
+		if err != nil || got != iv(i) {
 			t.Fatalf("Wait(%d) = %v, %v, want %d", 100+i, got, err, i)
 		}
 	}

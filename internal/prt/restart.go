@@ -63,7 +63,7 @@ func (t *Thread) RestartWorker(idx int) int {
 			carried[msg.ChunkID] = true
 		}
 		redelivered++
-		rt.send(nil, repl, msg)
+		rt.send(nil, repl, msg, nil)
 	}
 	// Buffered consumer-side state of the old incarnation is stale by
 	// construction (old epoch); the new worker starts clean.

@@ -38,6 +38,7 @@ import (
 	"privagic/internal/obs"
 	"privagic/internal/queue"
 	"privagic/internal/sgx"
+	"privagic/internal/value"
 )
 
 // MsgKind discriminates runtime messages.
@@ -68,16 +69,19 @@ const authStamp uint32 = 0x5afe
 // against a pathological adversary ballooning memory.
 const reorderBufCap = 1024
 
-// Message is one element of a worker's lock-free channel.
+// Message is one element of a worker's lock-free channel. Its values are
+// typed machine words, so a hop boxes nothing.
 type Message struct {
 	Kind MsgKind
-	// Spawn fields.
+	// Spawn fields. Args also carries the values of a vectored cont.
+	// The slice is shared with the sender (and the journal): nobody may
+	// write into it once it is sent.
 	ChunkID   int
-	Args      []any
+	Args      []value.Val
 	NeedReply bool
 	ReplyTo   *Worker
 	// Cont/Done payload.
-	Payload any
+	Payload value.Val
 	// From is the color index of the sending worker (set on Done).
 	From int
 	// Tag matches a cont message with its wait point. Two producers
@@ -103,12 +107,18 @@ type Message struct {
 	strSeq uint64
 	epoch  uint64
 	paySum uint64
+	// sentNS is the send-time clock of a hop the latency histogram
+	// samples (see hopSampled); zero otherwise. Telemetry, outside the
+	// payload tag.
+	sentNS int64
 }
 
 // ChunkExec executes the body of a chunk; the interpreter and the native
 // benchmark harness plug in here. It runs on the worker's goroutine with
 // the worker's enclave as the active mode.
-type ChunkExec func(w *Worker, chunkID int, args []any) any
+// args is the spawn message's argument vector, shared with the sender and
+// the journal: the callback must not write into it.
+type ChunkExec func(w *Worker, chunkID int, args []value.Val) value.Val
 
 // Interceptor is the fault-injection seam: when installed, every runtime
 // message is handed to Deliver instead of being enqueued directly, and the
@@ -199,10 +209,11 @@ type Runtime struct {
 	// cost of one branch per site. Set it before creating threads.
 	Tracer *obs.Tracer
 
-	// hChunkUS/hWaitUS are the latency histograms RegisterMetrics arms
-	// (nil = no timing instrumentation at all).
+	// hChunkUS/hWaitUS/hHopUS are the latency histograms RegisterMetrics
+	// arms (nil = no timing instrumentation at all).
 	hChunkUS *obs.Histogram
 	hWaitUS  *obs.Histogram
+	hHopUS   *obs.Histogram
 
 	// jr is the spawn redo log backing Recovery.
 	jr journal
@@ -263,6 +274,11 @@ type Worker struct {
 	Mode   sgx.Mode
 
 	q *queue.Queue[Message]
+	// cache holds recycled queue nodes for this worker's own sends.
+	// Touched only on the worker's own goroutine (the app thread, for
+	// index 0); sends made for it from elsewhere (restart re-deliveries,
+	// journal replays) take the raw path.
+	cache queue.Cache[Message]
 	// pendingCont/pendingDone buffer conts and completions that arrived
 	// before anyone waited for them (see dispatch and await).
 	pendingCont []Message
@@ -324,12 +340,13 @@ type Thread struct {
 	epoch   atomic.Uint64
 	closed  atomic.Bool
 
-	// sendMu guards sendSeqs: per-epoch, per-receiver stream counters.
-	// Stamping happens under the lock, so concurrent senders to the same
-	// receiver get distinct consecutive positions; the receiver then
-	// reconstructs exactly this order regardless of delivery order.
+	// sendMu guards sendSeqs: per-epoch, per-receiver stream counters,
+	// one slot for each of the two admissible epochs. Stamping happens
+	// under the lock, so concurrent senders to the same receiver get
+	// distinct consecutive positions; the receiver then reconstructs
+	// exactly this order regardless of delivery order.
 	sendMu   sync.Mutex
-	sendSeqs map[uint64][]uint64
+	sendSeqs [2]epochSeqs
 
 	// ctx is canceled by Close so goroutines sleeping inside a recovery
 	// backoff (retry.Policy.Sleep) wake immediately instead of serving
@@ -338,28 +355,50 @@ type Thread struct {
 	cancel context.CancelFunc
 }
 
+// epochSeqs is one epoch's per-receiver stream counters.
+type epochSeqs struct {
+	epoch uint64
+	seqs  []uint64 // nil until the slot is first used
+}
+
 // nextStrSeq allocates the next stream position for a message to the
-// receiver with the given index, within the given epoch. Counters of
-// epochs older than epoch-1 can no longer produce admissible messages and
-// are pruned.
+// receiver with the given index, within the given epoch. Only epochs e
+// and e-1 can produce admissible messages, so two slots suffice: a new
+// epoch takes over the older slot and its counters. A straggler stamping
+// an epoch older than both slots gets position 0 and evicts nothing —
+// the thread is at least two epochs past it, so the receiver drops the
+// message as stale.
 func (t *Thread) nextStrSeq(epoch uint64, toIdx int) uint64 {
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
-	if t.sendSeqs == nil {
-		t.sendSeqs = make(map[uint64][]uint64, 2)
-	}
-	s := t.sendSeqs[epoch]
-	if s == nil {
-		s = make([]uint64, t.nw)
-		t.sendSeqs[epoch] = s
-		for e := range t.sendSeqs {
-			if e+1 < epoch {
-				delete(t.sendSeqs, e)
-			}
+	a, b := &t.sendSeqs[0], &t.sendSeqs[1]
+	var s *epochSeqs
+	switch {
+	case a.seqs != nil && a.epoch == epoch:
+		s = a
+	case b.seqs != nil && b.epoch == epoch:
+		s = b
+	case a.seqs == nil:
+		s = a
+	case b.seqs == nil:
+		s = b
+	default:
+		if b.epoch < a.epoch {
+			a, b = b, a
 		}
+		if epoch < a.epoch {
+			return 0
+		}
+		s = a // the older slot
 	}
-	s[toIdx]++
-	return s[toIdx]
+	if s.seqs == nil {
+		s.seqs = make([]uint64, t.nw)
+	} else if s.epoch != epoch {
+		clear(s.seqs)
+	}
+	s.epoch = epoch
+	s.seqs[toIdx]++
+	return s.seqs[toIdx]
 }
 
 // newWorkerQueue creates a worker channel honoring the configured queue
@@ -551,9 +590,7 @@ func (w *Worker) next(deadline time.Time) (Message, bool) {
 		if msg, ok := w.reorderBuf[w.expect+1]; ok {
 			delete(w.reorderBuf, w.expect+1)
 			w.expect++
-			now := time.Now().UnixNano()
-			rt.lastAdmit.Store(now)
-			w.admitNS = now
+			w.admit(&msg)
 			if w.accept(msg) {
 				return msg, true
 			}
@@ -606,11 +643,35 @@ func (w *Worker) next(deadline time.Time) (Message, bool) {
 			continue
 		}
 		w.expect++
-		now := time.Now().UnixNano()
-		rt.lastAdmit.Store(now)
-		w.admitNS = now
+		w.admit(&msg)
 		if w.accept(msg) {
 			return msg, true
+		}
+	}
+}
+
+// hopEvery is the hop histogram's sampling period: it times the first
+// message of each stream and every hopEvery-th after it. Timing every hop
+// costs a clock read per send and contended histogram updates per admit,
+// which on the message-heavy hashmap2 workload more than doubled the cost
+// of arming metrics.
+const hopEvery = 8
+
+// hopSampled reports whether the hop histogram times the message at
+// stream position strSeq.
+func hopSampled(strSeq uint64) bool { return strSeq%hopEvery == 1 }
+
+// admit stamps the admission of the next in-order message: the runtime's
+// and the worker's activity clocks and, when armed, the hop-latency
+// histogram (send to admit).
+func (w *Worker) admit(msg *Message) {
+	rt := w.Thread.RT
+	now := time.Now().UnixNano()
+	rt.lastAdmit.Store(now)
+	w.admitNS = now
+	if rt.hHopUS != nil && msg.sentNS != 0 {
+		if d := (now - msg.sentNS) / 1e3; d >= 0 {
+			rt.hHopUS.Observe(d)
 		}
 	}
 }
@@ -686,7 +747,7 @@ func (w *Worker) runSpawn(msg Message) {
 		if msg.ReplyTo != nil {
 			// Still complete the join so legitimate peers cannot be
 			// deadlocked by a rejected injection racing a real spawn.
-			rt.send(w, msg.ReplyTo, Message{Kind: MsgDone, From: w.Index, ChunkID: msg.ChunkID})
+			rt.send(w, msg.ReplyTo, Message{Kind: MsgDone, From: w.Index, ChunkID: msg.ChunkID}, &w.cache)
 		}
 		return
 	}
@@ -714,7 +775,7 @@ func (w *Worker) runSpawn(msg Message) {
 		started = time.Now()
 	}
 	rt.traceAt(started, obs.EvSpawn, w.Index, msg.ChunkID, 0, msg.epoch, 0)
-	var ret any
+	var ret value.Val
 	aborted := func() (aborted bool) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -736,7 +797,7 @@ func (w *Worker) runSpawn(msg Message) {
 				// the record's last line is the abort itself.
 				abort.flight = rt.flightDump()
 				if msg.ReplyTo != nil {
-					rt.send(w, msg.ReplyTo, Message{Kind: MsgDone, From: w.Index, ChunkID: msg.ChunkID, Err: abort})
+					rt.send(w, msg.ReplyTo, Message{Kind: MsgDone, From: w.Index, ChunkID: msg.ChunkID, Err: abort}, &w.cache)
 				}
 			}
 		}()
@@ -752,14 +813,15 @@ func (w *Worker) runSpawn(msg Message) {
 	}
 	rt.traceAt(ended, obs.EvSpawnEnd, w.Index, msg.ChunkID, 0, msg.epoch, 0)
 	if !aborted && msg.ReplyTo != nil {
-		rt.send(w, msg.ReplyTo, Message{Kind: MsgDone, Payload: ret, From: w.Index, ChunkID: msg.ChunkID})
+		rt.send(w, msg.ReplyTo, Message{Kind: MsgDone, Payload: ret, From: w.Index, ChunkID: msg.ChunkID}, &w.cache)
 	}
 }
 
 // send enqueues a message, charging one queue hop. from is the sending
 // worker (epoch provenance); the interceptor, when installed, owns the
-// actual delivery.
-func (rt *Runtime) send(from, to *Worker, msg Message) {
+// actual delivery. c is the calling goroutine's own node cache (nil
+// allocates a fresh node): the sending worker's, when send runs on it.
+func (rt *Runtime) send(from, to *Worker, msg Message, c *queue.Cache[Message]) {
 	rt.Meter.ChargeMessage(&rt.Machine.Cost)
 	msg.auth = authStamp
 	if from != nil {
@@ -782,6 +844,9 @@ func (rt *Runtime) send(from, to *Worker, msg Message) {
 		// and strSeq too, so a mutated copy cannot borrow a stale tag.
 		msg.paySum = payloadSum(&msg)
 	}
+	if rt.hHopUS != nil && hopSampled(msg.strSeq) {
+		msg.sentNS = time.Now().UnixNano()
+	}
 	if box := rt.interceptor.Load(); box != nil {
 		box.ic.Deliver(to, msg)
 		return
@@ -791,13 +856,13 @@ func (rt *Runtime) send(from, to *Worker, msg Message) {
 		// of letting the queue grow without limit (end-to-end
 		// backpressure). The counter is what admission control upstream
 		// (e.g. the memcached front-end) reads to start shedding.
-		if !to.q.TryEnqueue(msg) {
+		if !to.q.TryEnqueue(c, msg) {
 			rt.stats.backpressure.Add(1)
-			to.q.EnqueueBlock(msg)
+			to.q.EnqueueBlock(c, msg)
 		}
 		return
 	}
-	to.q.Enqueue(msg)
+	to.q.EnqueueCached(c, msg)
 }
 
 // JournalLoad threads one memory load of the currently executing chunk
@@ -858,7 +923,9 @@ func (w *Worker) JournalAlloc(alloc func() uint64) uint64 {
 
 // Spawn sends a spawn message for chunkID to the worker of colorIdx in the
 // same thread (§7.3.2). The completion Done is routed back to the caller.
-func (w *Worker) Spawn(colorIdx int, chunkID int, args []any, needReply bool) {
+// args travels with the message (and the journal) uncopied: the caller
+// must not write into it afterwards.
+func (w *Worker) Spawn(colorIdx int, chunkID int, args []value.Val, needReply bool) {
 	rt := w.Thread.RT
 	if w.att.rec != nil && w.att.suppressSpawn() {
 		// A previous attempt of this chunk already issued this nested
@@ -880,21 +947,31 @@ func (w *Worker) Spawn(colorIdx int, chunkID int, args []any, needReply bool) {
 	rt.send(w, target, Message{
 		Kind: MsgSpawn, ChunkID: chunkID, Args: args,
 		NeedReply: needReply, ReplyTo: w,
-	})
+	}, &w.cache)
 }
 
 // SendCont sends a Free value to the worker of colorIdx in the same thread
 // (the cont message of §7.3.2), tagged with its wait point.
-func (w *Worker) SendCont(colorIdx int, tag int, payload any) {
+func (w *Worker) SendCont(colorIdx int, tag int, payload value.Val) {
+	w.sendCont(colorIdx, Message{Kind: MsgCont, Payload: payload, Tag: tag})
+}
+
+// SendContV sends a vectored cont: one message carrying several Free
+// values, received with WaitV. Like Spawn's args, vals travels uncopied.
+func (w *Worker) SendContV(colorIdx int, tag int, vals []value.Val) {
+	w.sendCont(colorIdx, Message{Kind: MsgCont, Args: vals, Tag: tag})
+}
+
+func (w *Worker) sendCont(colorIdx int, msg Message) {
 	if w.att.rec != nil && w.att.suppressSend() {
 		// A previous attempt of this chunk already delivered this cont;
 		// the peer consumed it. Re-sending would stamp a fresh strSeq
 		// (the admit gate would accept it) and the copy could satisfy a
 		// *later* wait on the same tag — so the replay stays silent.
-		w.Thread.RT.trace(obs.EvSuppressCont, w.Index, 0, tag, w.epochNow(), 0)
+		w.Thread.RT.trace(obs.EvSuppressCont, w.Index, 0, msg.Tag, w.epochNow(), 0)
 		return
 	}
-	w.Thread.RT.send(w, w.Thread.Worker(colorIdx), Message{Kind: MsgCont, Payload: payload, Tag: tag})
+	w.Thread.RT.send(w, w.Thread.Worker(colorIdx), msg, &w.cache)
 }
 
 // window resolves the default supervision inactivity window (0 = block
@@ -925,11 +1002,26 @@ func nextDeadline(window time.Duration) time.Time {
 // Under supervision (Runtime.Supervise.WaitTimeout > 0) a lost cont turns
 // into a *TimeoutError once no authentic message arrives for a full
 // window; a stop message turns into ErrStopped instead of a panic.
-func (w *Worker) Wait(tag int) (any, error) { return w.WaitTimeout(tag, w.window()) }
+func (w *Worker) Wait(tag int) (value.Val, error) { return w.WaitTimeout(tag, w.window()) }
 
 // WaitTimeout is Wait with an explicit inactivity window overriding the
 // configured supervision default.
-func (w *Worker) WaitTimeout(tag int, window time.Duration) (any, error) {
+func (w *Worker) WaitTimeout(tag int, window time.Duration) (value.Val, error) {
+	msg, err := w.waitCont(tag, window, false)
+	return msg.Payload, err
+}
+
+// WaitV is Wait for a vectored cont (SendContV): it returns the values the
+// message carries, or nil when the cont was a scalar one.
+func (w *Worker) WaitV(tag int) ([]value.Val, error) {
+	msg, err := w.waitCont(tag, w.window(), true)
+	return msg.Args, err
+}
+
+// waitCont takes the cont with the given tag, from the replay cache of
+// the attempt executing on w (vec selects the vectored conts' cache) or
+// off the queue.
+func (w *Worker) waitCont(tag int, window time.Duration, vec bool) (Message, error) {
 	rt := w.Thread.RT
 	rt.trace(obs.EvWait, w.Index, 0, tag, w.epochNow(), 0)
 	w.prunePending()
@@ -937,19 +1029,19 @@ func (w *Worker) WaitTimeout(tag int, window time.Duration) (any, error) {
 	// the peer will not send them again, so the journal cache serves them.
 	rec := w.att.rec
 	if rec != nil {
-		if payload, ok := rec.cachedCont(tag); ok {
+		if msg, ok := rec.cachedCont(tag, vec); ok {
 			rt.trace(obs.EvReplayCachedCont, w.Index, 0, tag, w.epochNow(), 0)
-			return payload, nil
+			return msg, nil
 		}
 	}
 	msg, err := w.await(opWait, MsgCont, tag, window)
 	if err != nil {
-		return nil, err
+		return Message{}, err
 	}
 	if rec != nil {
-		rec.recordContIn(tag, msg.Payload)
+		rec.recordContIn(&msg, vec)
 	}
-	return msg.Payload, nil
+	return msg, nil
 }
 
 // JoinOne waits for a single spawn completion and returns the whole Done
@@ -965,28 +1057,30 @@ func (w *Worker) JoinOneTimeout(d time.Duration) (Message, error) {
 }
 
 // Join waits for n spawn completions and returns the payload of the last
-// non-nil one (the partitioner arranges for at most one meaningful result).
+// successful one (the partitioner arranges for at most one meaningful
+// result).
 // Spawn messages arriving in the meantime are executed. If a completion is
 // poisoned (the chunk aborted), Join keeps collecting the remaining
 // completions and then reports the first abort.
-func (w *Worker) Join(n int) (any, error) { return w.JoinTimeout(n, w.window()) }
+func (w *Worker) Join(n int) (value.Val, error) { return w.JoinTimeout(n, w.window()) }
 
 // JoinTimeout is Join with an explicit inactivity window.
-func (w *Worker) JoinTimeout(n int, d time.Duration) (any, error) {
+func (w *Worker) JoinTimeout(n int, d time.Duration) (value.Val, error) {
 	w.Thread.RT.trace(obs.EvJoin, w.Index, 0, 0, w.epochNow(), int64(n))
-	var result any
+	var result value.Val
 	var firstErr error
 	for ; n > 0; n-- {
 		msg, err := w.joinStep(opJoin, n, d)
 		if err != nil {
 			return result, err
 		}
-		if msg.Err != nil && firstErr == nil {
-			firstErr = msg.Err
+		if msg.Err != nil {
+			if firstErr == nil {
+				firstErr = msg.Err
+			}
+			continue
 		}
-		if msg.Payload != nil {
-			result = msg.Payload
-		}
+		result = msg.Payload
 	}
 	return result, firstErr
 }

@@ -7,16 +7,17 @@ import (
 	"time"
 
 	"privagic/internal/sgx"
+	"privagic/internal/value"
 )
 
 // testRT builds a runtime whose Exec is a dispatch table of chunk bodies.
-func testRT(t *testing.T, colors []string, chunks map[int]func(w *Worker, args []any) any) *Runtime {
+func testRT(t *testing.T, colors []string, chunks map[int]func(w *Worker, args []val) val) *Runtime {
 	t.Helper()
-	rt := New(sgx.MachineB(), colors, func(w *Worker, chunkID int, args []any) any {
+	rt := New(sgx.MachineB(), colors, func(w *Worker, chunkID int, args []val) val {
 		fn := chunks[chunkID]
 		if fn == nil {
 			t.Errorf("spawned unknown chunk %d", chunkID)
-			return nil
+			return val{}
 		}
 		return fn(w, args)
 	})
@@ -27,21 +28,21 @@ func testRT(t *testing.T, colors []string, chunks map[int]func(w *Worker, args [
 // spawns a chunk into an enclave worker and joins its completion.
 func TestSpawnJoin(t *testing.T) {
 	var ran atomic.Int32
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
 			ran.Add(1)
-			return args[0].(int) * 2
+			return iv(args[0].I * 2)
 		},
 	})
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, []any{21}, true)
+	u.Spawn(1, 1, []val{iv(21)}, true)
 	got, err := u.Join(1)
 	if err != nil {
 		t.Fatalf("Join: %v", err)
 	}
-	if got != 42 {
+	if got != iv(42) {
 		t.Errorf("Join = %v, want 42", got)
 	}
 	if ran.Load() != 1 {
@@ -57,19 +58,19 @@ func TestSpawnJoin(t *testing.T) {
 
 // TestContDelivery checks cont message payload delivery with tags.
 func TestContDelivery(t *testing.T) {
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
 			// The enclave chunk sends a tagged value back to normal
 			// mode, then returns.
-			w.SendCont(0, 7, "payload")
-			return nil
+			w.SendCont(0, 7, iv(1001))
+			return val{}
 		},
 	})
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
 	u.Spawn(1, 1, nil, true)
-	if got, err := u.Wait(7); err != nil || got != "payload" {
+	if got, err := u.Wait(7); err != nil || got != iv(1001) {
 		t.Errorf("Wait(7) = %v, %v", got, err)
 	}
 	if _, err := u.Join(1); err != nil {
@@ -81,14 +82,14 @@ func TestContDelivery(t *testing.T) {
 // producers send differently-tagged conts to the same consumer in an
 // arbitrary order; each wait still receives its own value.
 func TestTaggedWaitsAreOrderFree(t *testing.T) {
-	rt := testRT(t, []string{"blue", "red"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any { // blue
-			w.SendCont(0, 100, "from-blue")
-			return nil
+	rt := testRT(t, []string{"blue", "red"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val { // blue
+			w.SendCont(0, 100, iv(1002))
+			return val{}
 		},
-		2: func(w *Worker, args []any) any { // red
-			w.SendCont(0, 200, "from-red")
-			return nil
+		2: func(w *Worker, args []val) val { // red
+			w.SendCont(0, 200, iv(1003))
+			return val{}
 		},
 	})
 	for i := 0; i < 50; i++ {
@@ -102,7 +103,7 @@ func TestTaggedWaitsAreOrderFree(t *testing.T) {
 		if errR != nil || errB != nil {
 			t.Fatalf("Wait errors: %v / %v", errR, errB)
 		}
-		if red != "from-red" || blue != "from-blue" {
+		if red != iv(1003) || blue != iv(1002) {
 			t.Fatalf("tag routing failed: %v / %v", red, blue)
 		}
 		if _, err := u.Join(2); err != nil {
@@ -118,24 +119,24 @@ func TestTaggedWaitsAreOrderFree(t *testing.T) {
 func TestWaitExecutesSpawns(t *testing.T) {
 	var nested atomic.Int32
 	var rt *Runtime
-	rt = testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any {
+	rt = testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
 			// Enclave chunk: first make normal mode run a nested
 			// chunk, then unblock it.
 			w.Thread.Normal().enqueueSpawnForTest(2, w)
-			w.SendCont(0, 5, 99)
-			return nil
+			w.SendCont(0, 5, iv(99))
+			return val{}
 		},
-		2: func(w *Worker, args []any) any {
+		2: func(w *Worker, args []val) val {
 			nested.Add(1)
-			return nil
+			return val{}
 		},
 	})
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
 	u.Spawn(1, 1, nil, true)
-	if got, err := u.Wait(5); err != nil || got != 99 {
+	if got, err := u.Wait(5); err != nil || got != iv(99) {
 		t.Errorf("Wait = %v, %v", got, err)
 	}
 	if nested.Load() != 1 {
@@ -150,11 +151,11 @@ func TestWaitExecutesSpawns(t *testing.T) {
 // that overtakes the spawn of the chunk waiting for it: the sender's
 // stream order puts the cont first, and the chunk must still find it.
 func TestContBeforeSpawnIsBuffered(t *testing.T) {
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
 			v, err := w.Wait(7)
 			if err != nil {
-				return err
+				return iv(-1) // a failed wait cannot answer 5
 			}
 			return v
 		},
@@ -163,9 +164,9 @@ func TestContBeforeSpawnIsBuffered(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.SendCont(1, 7, 5)
+	u.SendCont(1, 7, iv(5))
 	u.Spawn(1, 1, nil, true)
-	if got, err := u.Join(1); err != nil || got != 5 {
+	if got, err := u.Join(1); err != nil || got != iv(5) {
 		t.Fatalf("Join = %v, %v; want 5 from the early cont", got, err)
 	}
 }
@@ -174,19 +175,19 @@ func TestContBeforeSpawnIsBuffered(t *testing.T) {
 // the buffer after running a spawn: the nested chunk's own wait consumed
 // and buffered the outer wait's cont while it blocked.
 func TestWaitFindsContBufferedByNestedWait(t *testing.T) {
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
 			w.Thread.Normal().enqueueSpawnForTest(2, w)
-			w.SendCont(0, 1, "outer")
-			w.SendCont(0, 2, "inner")
-			return nil
+			w.SendCont(0, 1, iv(1004))
+			w.SendCont(0, 2, iv(1005))
+			return val{}
 		},
-		2: func(w *Worker, args []any) any {
+		2: func(w *Worker, args []val) val {
 			v, err := w.Wait(2)
-			if err != nil || v != "inner" {
+			if err != nil || v != iv(1005) {
 				t.Errorf("nested Wait(2) = %v, %v", v, err)
 			}
-			return nil
+			return val{}
 		},
 	})
 	rt.Supervise = Supervision{WaitTimeout: 50 * time.Millisecond}
@@ -194,7 +195,7 @@ func TestWaitFindsContBufferedByNestedWait(t *testing.T) {
 	defer th.Close()
 	u := th.Normal()
 	u.Spawn(1, 1, nil, true)
-	if got, err := u.Wait(1); err != nil || got != "outer" {
+	if got, err := u.Wait(1); err != nil || got != iv(1004) {
 		t.Fatalf("Wait(1) = %v, %v; want the cont the nested wait buffered", got, err)
 	}
 	if _, err := u.Join(1); err != nil {
@@ -204,15 +205,15 @@ func TestWaitFindsContBufferedByNestedWait(t *testing.T) {
 
 // enqueueSpawnForTest lets a test route a spawn at a specific worker.
 func (w *Worker) enqueueSpawnForTest(chunkID int, from *Worker) {
-	w.Thread.RT.send(from, w, Message{Kind: MsgSpawn, ChunkID: chunkID, ReplyTo: nil})
+	w.Thread.RT.send(from, w, Message{Kind: MsgSpawn, ChunkID: chunkID, ReplyTo: nil}, nil)
 }
 
 // TestJoinOneCarriesSender checks the From field the interface versions
 // use to pick the chunk carrying the return color.
 func TestJoinOneCarriesSender(t *testing.T) {
-	rt := testRT(t, []string{"blue", "red"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any { return "blue-result" },
-		2: func(w *Worker, args []any) any { return "red-result" },
+	rt := testRT(t, []string{"blue", "red"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val { return iv(1006) },
+		2: func(w *Worker, args []val) val { return iv(1007) },
 	})
 	th := rt.NewThread()
 	defer th.Close()
@@ -227,15 +228,15 @@ func TestJoinOneCarriesSender(t *testing.T) {
 		}
 		got[msg.From] = msg.Payload
 	}
-	if got[1] != "blue-result" || got[2] != "red-result" {
+	if got[1] != iv(1006) || got[2] != iv(1007) {
 		t.Errorf("JoinOne senders wrong: %v", got)
 	}
 }
 
 // TestMessageCostAccounting checks that every hop charges the meter.
 func TestMessageCostAccounting(t *testing.T) {
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any { return nil },
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val { return val{} },
 	})
 	th := rt.NewThread()
 	defer th.Close()
@@ -256,8 +257,8 @@ func TestMessageCostAccounting(t *testing.T) {
 // TestParallelThreads checks thread isolation: each application thread has
 // its own workers and queues (paper §8: one worker per thread per enclave).
 func TestParallelThreads(t *testing.T) {
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any { return args[0] },
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val { return args[0] },
 	})
 	done := make(chan bool, 8)
 	for i := 0; i < 8; i++ {
@@ -266,14 +267,14 @@ func TestParallelThreads(t *testing.T) {
 			defer th.Close()
 			u := th.Normal()
 			for j := 0; j < 100; j++ {
-				u.Spawn(1, 1, []any{i*1000 + j}, true)
+				u.Spawn(1, 1, []val{iv(i*1000 + j)}, true)
 				got, err := u.Join(1)
 				if err != nil {
 					t.Errorf("thread %d: Join error: %v", i, err)
 					done <- false
 					return
 				}
-				if got != i*1000+j {
+				if got != iv(i*1000+j) {
 					t.Errorf("thread %d: Join = %v", i, got)
 					done <- false
 					return
@@ -292,8 +293,8 @@ func TestParallelThreads(t *testing.T) {
 // TestSpawnWakesParkedWorker: an idle enclave worker parks on its empty
 // queue, and a spawn sent after it parked still runs and completes.
 func TestSpawnWakesParkedWorker(t *testing.T) {
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any { return args[0].(int) + 1 },
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val { return iv(args[0].I + 1) },
 	})
 	th := rt.NewThread()
 	defer th.Close()
@@ -306,12 +307,80 @@ func TestSpawnWakesParkedWorker(t *testing.T) {
 		runtime.Gosched()
 	}
 	u := th.Normal()
-	u.Spawn(1, 1, []any{41}, true)
+	u.Spawn(1, 1, []val{iv(41)}, true)
 	got, err := u.JoinTimeout(1, 10*time.Second)
 	if err != nil {
 		t.Fatalf("Join: %v", err)
 	}
-	if got != 42 {
+	if got != iv(42) {
 		t.Errorf("Join = %v, want 42", got)
+	}
+}
+
+// val and iv keep the tests' payloads short.
+type val = value.Val
+
+func iv[T ~int | ~int64](x T) val { return value.IV(int64(x)) }
+
+// TestWarmHopsAllocateNothing: with recovery off, a warm spawn→Done round
+// trip and a warm cont hop allocate nothing, on either side: queue nodes
+// are recycled through the senders' caches, and arguments and payloads
+// travel as typed values, not boxes.
+func TestWarmHopsAllocateNothing(t *testing.T) {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val { return iv(args[0].I + 1) },
+	})
+	th := rt.NewThread()
+	defer th.Close()
+	u := th.Normal()
+	args := []val{iv(41)}
+	roundTrip := func() {
+		u.Spawn(1, 1, args, true)
+		if got, err := u.Join(1); err != nil || got != iv(42) {
+			t.Fatalf("Join = %v, %v, want 42", got, err)
+		}
+	}
+	contHop := func() {
+		u.SendCont(0, 5, iv(7)) // self-delivery: 0 is the app thread itself
+		if got, err := u.Wait(5); err != nil || got != iv(7) {
+			t.Fatalf("Wait = %v, %v, want 7", got, err)
+		}
+	}
+	for i := 0; i < 4; i++ { // warm the caches and the stream counters
+		roundTrip()
+		contHop()
+	}
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+		t.Errorf("a warm spawn→Done round trip allocates %.2f objects, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, contHop); allocs != 0 {
+		t.Errorf("a warm cont hop allocates %.2f objects, want 0", allocs)
+	}
+}
+
+// TestStrSeqTwoEpochSlots pins the sender-side stream counters: epochs e
+// and e-1 count independently, a newer epoch takes over the older slot,
+// a straggler older than both evicts nothing, and a warm stamp
+// allocates nothing.
+func TestStrSeqTwoEpochSlots(t *testing.T) {
+	th := &Thread{nw: 2}
+	steps := []struct {
+		epoch uint64
+		to    int
+		want  uint64
+	}{
+		{5, 1, 1}, {5, 1, 2}, {5, 0, 1},
+		{6, 1, 1}, {5, 1, 3}, // e-1 keeps counting beside e
+		{4, 1, 0}, {6, 1, 2}, {5, 1, 4}, // the straggler evicted neither
+		{7, 1, 1}, {6, 1, 3}, // 7 took over 5's slot, not 6's
+		{5, 1, 0},
+	}
+	for i, s := range steps {
+		if got := th.nextStrSeq(s.epoch, s.to); got != s.want {
+			t.Fatalf("step %d: nextStrSeq(%d, %d) = %d, want %d", i, s.epoch, s.to, got, s.want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { th.nextStrSeq(7, 0) }); allocs != 0 {
+		t.Errorf("a warm stamp allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -14,11 +14,11 @@ import (
 // a panic, so teardown during in-flight work is safe.
 func TestStopDuringWaitReturnsErrStopped(t *testing.T) {
 	errCh := make(chan error, 1)
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
 			_, err := w.Wait(42) // blocks: nobody ever sends tag 42
 			errCh <- err
-			return nil
+			return val{}
 		},
 	})
 	th := rt.NewThread()
@@ -40,9 +40,9 @@ func TestStopDuringWaitReturnsErrStopped(t *testing.T) {
 // chunk becomes a poisoned Done carrying *EnclaveAbort instead of
 // deadlocking the joiner forever.
 func TestAbortPropagatesToJoiner(t *testing.T) {
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any { panic("enclave blew up") },
-		2: func(w *Worker, args []any) any { return "ok" },
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val { panic("enclave blew up") },
+		2: func(w *Worker, args []val) val { return iv(1008) },
 	})
 	th := rt.NewThread()
 	defer th.Close()
@@ -59,7 +59,7 @@ func TestAbortPropagatesToJoiner(t *testing.T) {
 	// The worker survived the crash and serves the next request.
 	u.Spawn(1, 2, nil, true)
 	got, err := u.Join(1)
-	if err != nil || got != "ok" {
+	if err != nil || got != iv(1008) {
 		t.Fatalf("worker did not survive the abort: %v, %v", got, err)
 	}
 	if st := rt.SupervisionStats(); st.Aborts != 1 {
@@ -95,8 +95,8 @@ func TestWaitTimeoutOnLostCont(t *testing.T) {
 // TestJoinTimeoutExplicit checks the explicit-deadline variant against a
 // spawn whose completion never comes (dropped by an interceptor).
 func TestJoinTimeoutExplicit(t *testing.T) {
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any { return nil },
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val { return val{} },
 	})
 	rt.SetInterceptor(dropKind{MsgDone})
 	th := rt.NewThread()
@@ -132,17 +132,17 @@ func (dupAll) Deliver(to *Worker, msg Message) {
 // exactly once: 50 spawn/join rounds under a duplicating transport still
 // yield exactly one completion each.
 func TestDuplicateSuppression(t *testing.T) {
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any { return args[0] },
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val { return args[0] },
 	})
 	rt.SetInterceptor(dupAll{})
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
 	for j := 0; j < 50; j++ {
-		u.Spawn(1, 1, []any{j}, true)
+		u.Spawn(1, 1, []val{iv(j)}, true)
 		got, err := u.Join(1)
-		if err != nil || got != j {
+		if err != nil || got != iv(j) {
 			t.Fatalf("round %d: Join = %v, %v", j, got, err)
 		}
 	}
@@ -156,8 +156,8 @@ func TestDuplicateSuppression(t *testing.T) {
 // stamp) and checks they are counted and ignored while the legitimate
 // protocol proceeds.
 func TestHostileMessagesRejected(t *testing.T) {
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any { return "real" },
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val { return iv(1009) },
 	})
 	th := rt.NewThread()
 	defer th.Close()
@@ -165,11 +165,11 @@ func TestHostileMessagesRejected(t *testing.T) {
 	// Forge: a spawn at the enclave worker, a cont and a done at the
 	// app thread (the injected-message surface of §8).
 	th.Worker(1).DeliverHostile(Message{Kind: MsgSpawn, ChunkID: 999})
-	u.DeliverHostile(Message{Kind: MsgCont, Tag: 1, Payload: "evil"})
-	u.DeliverHostile(Message{Kind: MsgDone, Payload: "evil", From: 1})
+	u.DeliverHostile(Message{Kind: MsgCont, Tag: 1, Payload: iv(-666)})
+	u.DeliverHostile(Message{Kind: MsgDone, Payload: iv(-666), From: 1})
 	u.Spawn(1, 1, nil, true)
 	got, err := u.Join(1)
-	if err != nil || got != "real" {
+	if err != nil || got != iv(1009) {
 		t.Fatalf("Join = %v, %v; forged done consumed?", got, err)
 	}
 	st := rt.SupervisionStats()
@@ -182,11 +182,11 @@ func TestHostileMessagesRejected(t *testing.T) {
 // authenticated cont with an unallocated tag is rejected and counted
 // rather than parked forever in the pending buffer.
 func TestContTagValidation(t *testing.T) {
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any {
-			w.SendCont(0, 500, "bogus") // tag outside the whitelist
-			w.SendCont(0, 3, "good")
-			return nil
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
+			w.SendCont(0, 500, iv(1010)) // tag outside the whitelist
+			w.SendCont(0, 3, iv(1011))
+			return val{}
 		},
 	})
 	rt.ValidateCont = func(tag int) bool { return tag <= 10 }
@@ -194,7 +194,7 @@ func TestContTagValidation(t *testing.T) {
 	defer th.Close()
 	u := th.Normal()
 	u.Spawn(1, 1, nil, true)
-	if got, err := u.Wait(3); err != nil || got != "good" {
+	if got, err := u.Wait(3); err != nil || got != iv(1011) {
 		t.Fatalf("Wait(3) = %v, %v", got, err)
 	}
 	if _, err := u.Join(1); err != nil {
@@ -242,8 +242,8 @@ func (h *holdDones) release() {
 // fence: a completion from invocation N delivered during invocation N+1 is
 // discarded, not consumed as N+1's result.
 func TestEpochFencesStaleMessages(t *testing.T) {
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any { return args[0] },
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val { return args[0] },
 	})
 	ic := &holdDones{}
 	rt.SetInterceptor(ic)
@@ -252,7 +252,7 @@ func TestEpochFencesStaleMessages(t *testing.T) {
 	u := th.Normal()
 
 	th.AdvanceEpoch()
-	u.Spawn(1, 1, []any{"old"}, true)
+	u.Spawn(1, 1, []val{iv(1017)}, true)
 	if _, err := u.JoinTimeout(1, 10*time.Millisecond); !errors.Is(err, ErrWaitTimeout) {
 		t.Fatalf("expected timeout while the done is held, got %v", err)
 	}
@@ -261,9 +261,9 @@ func TestEpochFencesStaleMessages(t *testing.T) {
 	th.AdvanceEpoch()
 	rt.SetInterceptor(nil)
 	ic.release()
-	u.Spawn(1, 1, []any{"new"}, true)
+	u.Spawn(1, 1, []val{iv(1012)}, true)
 	got, err := u.Join(1)
-	if err != nil || got != "new" {
+	if err != nil || got != iv(1012) {
 		t.Fatalf("Join = %v, %v; stale completion leaked across epochs", got, err)
 	}
 	if st := rt.SupervisionStats(); st.DroppedStale == 0 {
@@ -296,18 +296,18 @@ func TestWatchdogReportsStall(t *testing.T) {
 		t.Errorf("stall = %+v, want wait on tag 77 at w0", s)
 	}
 	// Unblock and tear down.
-	th.Worker(1).Thread.RT.send(th.Worker(1), u, Message{Kind: MsgCont, Tag: 77})
+	th.Worker(1).Thread.RT.send(th.Worker(1), u, Message{Kind: MsgCont, Tag: 77}, nil)
 	<-done
 }
 
 // TestCloseDrainsLeftovers checks graceful shutdown: queue contents left
 // by a crashed protocol are drained and counted, not leaked.
 func TestCloseDrainsLeftovers(t *testing.T) {
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []any) any{
-		1: func(w *Worker, args []any) any {
-			w.SendCont(0, 9, "never consumed")
-			w.SendCont(0, 10, "never consumed")
-			return nil
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
+			w.SendCont(0, 9, iv(1013))
+			w.SendCont(0, 10, iv(1013))
+			return val{}
 		},
 	})
 	th := rt.NewThread()
@@ -326,8 +326,8 @@ func TestCloseDrainsLeftovers(t *testing.T) {
 // TestSupervisedRoundTripStillCorrect is the zero-fault sanity check: with
 // the full supervision stack on, the ordinary protocol is unchanged.
 func TestSupervisedRoundTripStillCorrect(t *testing.T) {
-	rt := New(sgx.MachineB(), []string{"blue"}, func(w *Worker, chunkID int, args []any) any {
-		return args[0].(int) + 1
+	rt := New(sgx.MachineB(), []string{"blue"}, func(w *Worker, chunkID int, args []val) val {
+		return iv(args[0].I + 1)
 	})
 	rt.Supervise = Supervision{WaitTimeout: time.Second, Watchdog: true}
 	th := rt.NewThread()
@@ -335,9 +335,9 @@ func TestSupervisedRoundTripStillCorrect(t *testing.T) {
 	u := th.Normal()
 	for j := 0; j < 200; j++ {
 		th.AdvanceEpoch()
-		u.Spawn(1, 1, []any{j}, true)
+		u.Spawn(1, 1, []val{iv(j)}, true)
 		got, err := u.Join(1)
-		if err != nil || got != j+1 {
+		if err != nil || got != iv(j+1) {
 			t.Fatalf("round %d: %v, %v", j, got, err)
 		}
 	}

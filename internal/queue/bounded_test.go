@@ -15,10 +15,10 @@ func TestBoundedTryEnqueue(t *testing.T) {
 	if q.Capacity() != 2 {
 		t.Fatalf("Capacity() = %d, want 2", q.Capacity())
 	}
-	if !q.TryEnqueue(1) || !q.TryEnqueue(2) {
+	if !q.TryEnqueue(nil, 1) || !q.TryEnqueue(nil, 2) {
 		t.Fatal("TryEnqueue below capacity must succeed")
 	}
-	if q.TryEnqueue(3) {
+	if q.TryEnqueue(nil, 3) {
 		t.Fatal("TryEnqueue at capacity must fail")
 	}
 	q.Enqueue(3) // raw path ignores the bound
@@ -32,7 +32,7 @@ func TestBoundedTryEnqueue(t *testing.T) {
 		t.Fatal("second Dequeue must succeed")
 	}
 	// Depth is back below the bound, so admission resumes.
-	if !q.TryEnqueue(4) {
+	if !q.TryEnqueue(nil, 4) {
 		t.Fatal("TryEnqueue below capacity must succeed again")
 	}
 }
@@ -51,7 +51,7 @@ func TestBoundedProducerBlocksNotDrops(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
-			q.EnqueueBlock(i)
+			q.EnqueueBlock(nil, i)
 			produced.Add(1)
 		}
 	}()
@@ -108,7 +108,7 @@ func TestBoundedManyProducers(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				q.EnqueueBlock(p*per + i)
+				q.EnqueueBlock(nil, p*per+i)
 			}
 		}(p)
 	}

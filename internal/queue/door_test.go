@@ -119,7 +119,7 @@ func TestDoorStressMPMC(t *testing.T) {
 			for i := 0; i < per; i++ {
 				v := p*per + i
 				if i%2 == 0 {
-					q.EnqueueBlock(v)
+					q.EnqueueBlock(nil, v)
 				} else {
 					q.Enqueue(v)
 				}

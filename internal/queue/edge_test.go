@@ -18,7 +18,7 @@ func TestEnqueueBlockParkedProducerReleased(t *testing.T) {
 	q.Enqueue(2)
 	done := make(chan struct{})
 	go func() {
-		q.EnqueueBlock(3)
+		q.EnqueueBlock(nil, 3)
 		close(done)
 	}()
 	// Wait until the producer is provably parked, not just spinning.
@@ -58,7 +58,7 @@ func TestEnqueueBlockRacingDrain(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				q.EnqueueBlock(p*per + i)
+				q.EnqueueBlock(nil, p*per+i)
 			}
 		}(p)
 	}
@@ -87,12 +87,12 @@ func TestEnqueueBlockRacingDrain(t *testing.T) {
 func TestTryEnqueueFullStaysFull(t *testing.T) {
 	q := NewBounded[int](3)
 	for i := 1; i <= 3; i++ {
-		if !q.TryEnqueue(i) {
+		if !q.TryEnqueue(nil, i) {
 			t.Fatalf("TryEnqueue(%d) below capacity failed", i)
 		}
 	}
 	for attempt := 0; attempt < 50; attempt++ {
-		if q.TryEnqueue(99) {
+		if q.TryEnqueue(nil, 99) {
 			t.Fatalf("TryEnqueue succeeded on a full queue (attempt %d)", attempt)
 		}
 	}
@@ -102,10 +102,10 @@ func TestTryEnqueueFullStaysFull(t *testing.T) {
 	if v, ok := q.Dequeue(); !ok || v != 1 {
 		t.Fatalf("Dequeue = %v,%v, want 1,true — rejected attempts disturbed the queue", v, ok)
 	}
-	if !q.TryEnqueue(4) {
+	if !q.TryEnqueue(nil, 4) {
 		t.Fatal("TryEnqueue after one dequeue must succeed")
 	}
-	if q.TryEnqueue(5) {
+	if q.TryEnqueue(nil, 5) {
 		t.Fatal("second TryEnqueue must fail: only one slot was reopened")
 	}
 	// The surviving contents are intact and in order.

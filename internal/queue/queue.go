@@ -3,10 +3,30 @@
 // channel implemented as a lock-free FIFO queue stored in unsafe memory",
 // citing Michael & Scott and Herlihy & Shavit [21, 28]).
 //
-// The implementation is a Michael–Scott queue on atomic pointers. Go's
-// garbage collector plays the role of the hazard-pointer reclamation scheme
-// of [28], which is exactly the simplification those papers anticipate for
-// managed runtimes.
+// Producers never lock. A queue is a singly linked list behind a sentinel
+// node, and a push is Vyukov's intrusive MPSC publish: swap the new node
+// into tail, then link the previous tail to it. A producer stalled between
+// the swap and the link hides its node, and every node pushed after it,
+// from the consumer until it links: later messages are delayed, none is
+// lost, and the consumer's wait (below) covers the gap like an empty
+// queue.
+//
+// The consumer side holds a mutex. In the runtime one worker goroutine
+// consumes each queue, so the lock is uncontended; it exists for the rare
+// second consumer — a restart draining a dead worker's queue while its old
+// goroutine still reads it, Close's drain, DequeueRaw, and MPMC tests —
+// which would otherwise race to move the head.
+//
+// Nodes are recycled, so a warm hop allocates nothing. Once the head has
+// moved past the old sentinel, no producer can touch that node again: a
+// producer touches only the node it pushes and the node it swapped out of
+// tail, and it links the latter before the head can move past it. So the
+// consumer pushes the old sentinel on the queue's free stack (a Treiber push, capped
+// at freeCap nodes; the rest go to the GC). A sender holding a Cache takes
+// the whole stack with one swap — taking all of it, never one node, is
+// what rules out ABA — and spends its cache before it allocates. Raw
+// Enqueue (re-deliveries, the fault injector playing the attacker, stop
+// messages) allocates a fresh node.
 //
 // Blocking waits go through one door per side. A waiter first spins on the
 // queue's state, then yields, then parks: it registers as a sleeper,
@@ -24,14 +44,30 @@ package queue
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// node is one queue cell.
+// node is one queue cell. On a free stack or in a Cache, next links it to
+// the node below it, and depth (free stack only) counts the nodes from it
+// to the bottom.
 type node[T any] struct {
-	val  T
-	next atomic.Pointer[node[T]]
+	val   T
+	next  atomic.Pointer[node[T]]
+	depth atomic.Int32
+}
+
+// freeCap bounds a queue's free stack. Recycled nodes beyond it go to the
+// GC: a worker that receives far more than it sends would otherwise hoard
+// nodes its senders never come back for.
+const freeCap = 16
+
+// Cache is one sender's private stock of recycled nodes, refilled from the
+// free stack of a queue it sends to. Not safe for concurrent use: each
+// sending goroutine holds its own. The zero value is ready.
+type Cache[T any] struct {
+	free *node[T]
 }
 
 // door is the parked half of one side's blocking wait. A waiter that ran
@@ -57,11 +93,19 @@ func (d *door) open() {
 	}
 }
 
-// Queue is a multi-producer multi-consumer lock-free FIFO.
-// The zero value is not ready; use New.
+// Queue is a multi-producer FIFO with lock-free producers and a locked
+// (normally single) consumer. The zero value is not ready; use New.
 type Queue[T any] struct {
-	head atomic.Pointer[node[T]] // sentinel; head.next is the front
+	// mu serializes consumers. head is the sentinel, head.next the
+	// front; only a holder of mu moves it, and it is atomic so the
+	// unlocked emptiness polls read it race-free.
+	mu   sync.Mutex
+	head atomic.Pointer[node[T]]
+	// tail is the most recently pushed node, linked or not yet.
 	tail atomic.Pointer[node[T]]
+	// free is the stack of recycled nodes senders refill their Caches
+	// from.
+	free atomic.Pointer[node[T]]
 
 	// capacity, when positive, bounds the queue for the cooperative
 	// producer paths (TryEnqueue/EnqueueBlock). Enqueue itself never
@@ -108,47 +152,61 @@ func NewBounded[T any](capacity int) *Queue[T] {
 	return q
 }
 
-// Enqueue appends v (Michael–Scott two-step publish) and wakes a parked
-// consumer.
-func (q *Queue[T]) Enqueue(v T) {
-	n := &node[T]{val: v}
-	for {
-		tail := q.tail.Load()
-		next := tail.next.Load()
-		if tail != q.tail.Load() {
-			continue // tail moved under us
-		}
-		if next != nil {
-			// Help a stalled producer finish swinging the tail.
-			q.tail.CompareAndSwap(tail, next)
-			continue
-		}
-		if tail.next.CompareAndSwap(nil, n) {
-			q.tail.CompareAndSwap(tail, n)
-			q.enqueues.Add(1)
-			q.consumers.open()
-			return
-		}
+// Enqueue appends v in a freshly allocated node and wakes a parked
+// consumer. It is the raw insertion path; senders that own a Cache use
+// EnqueueCached.
+func (q *Queue[T]) Enqueue(v T) { q.push(&node[T]{val: v}) }
+
+// EnqueueCached appends v like Enqueue, in a node from c, refilled from
+// the queue's free stack when empty. It allocates only when both are
+// empty; a nil c always allocates.
+func (q *Queue[T]) EnqueueCached(c *Cache[T], v T) { q.push(q.take(c, v)) }
+
+// take returns a node holding v: the next one in c, after refilling c with
+// the queue's whole free stack if it is empty, or a new one.
+func (q *Queue[T]) take(c *Cache[T], v T) *node[T] {
+	if c == nil {
+		return &node[T]{val: v}
 	}
+	n := c.free
+	if n == nil && q.free.Load() != nil {
+		n = q.free.Swap(nil)
+	}
+	if n == nil {
+		return &node[T]{val: v}
+	}
+	c.free = n.next.Load()
+	n.next.Store(nil)
+	n.val = v
+	return n
 }
 
-// TryEnqueue appends v unless the queue is bounded and at capacity, in
-// which case it reports false without enqueueing. On an unbounded queue it
-// always succeeds.
-func (q *Queue[T]) TryEnqueue(v T) bool {
+// push publishes n (Vyukov: swap it into tail, then link the old tail to
+// it) and wakes a parked consumer. n.next must be nil.
+func (q *Queue[T]) push(n *node[T]) {
+	prev := q.tail.Swap(n)
+	prev.next.Store(n)
+	q.enqueues.Add(1)
+	q.consumers.open()
+}
+
+// TryEnqueue appends v, in a node from c like EnqueueCached, unless the
+// queue is bounded and at capacity, in which case it reports false without
+// enqueueing. On an unbounded queue it always succeeds.
+func (q *Queue[T]) TryEnqueue(c *Cache[T], v T) bool {
 	if q.capacity > 0 && !q.hasRoom() {
 		return false
 	}
-	q.Enqueue(v)
+	q.EnqueueCached(c, v)
 	return true
 }
 
-// EnqueueBlock appends v, waiting at the producers' door while a bounded
-// queue is at capacity. This is the backpressure edge: a producer feeding
-// a saturated consumer slows down to the consumer's pace instead of
-// growing the queue.
-func (q *Queue[T]) EnqueueBlock(v T) {
-	if q.TryEnqueue(v) {
+// EnqueueBlock appends v, in a node from c, waiting at the producers' door
+// while a bounded queue is at capacity. This is the backpressure edge: a
+// producer feeding a saturated consumer slows down to the consumer's pace
+// instead of growing the queue.
+func (q *Queue[T]) EnqueueBlock(c *Cache[T], v T) {
+	if q.TryEnqueue(c, v) {
 		return
 	}
 	q.fullWaits.Add(1)
@@ -156,7 +214,7 @@ func (q *Queue[T]) EnqueueBlock(v T) {
 	for {
 		_, p := q.await(&q.producers, q.hasRoom, time.Time{})
 		parked = parked || p
-		if q.TryEnqueue(v) {
+		if q.TryEnqueue(c, v) {
 			if parked && q.hasRoom() {
 				// One token may stand for several dequeues: pass it
 				// on to the next parked producer.
@@ -168,36 +226,46 @@ func (q *Queue[T]) EnqueueBlock(v T) {
 }
 
 // Dequeue removes and returns the front element, reporting false when the
-// queue is empty. On a bounded queue it wakes a producer parked at
-// capacity.
+// queue is empty (or its front producer has swapped but not yet linked).
+// The old sentinel goes on the free stack. On a bounded queue it wakes a
+// producer parked at capacity.
 func (q *Queue[T]) Dequeue() (T, bool) {
 	var zero T
+	q.mu.Lock()
+	head := q.head.Load()
+	next := head.next.Load()
+	if next == nil {
+		q.mu.Unlock()
+		return zero, false
+	}
+	v := next.val
+	next.val = zero // next is the new sentinel: drop the reference for the GC
+	q.head.Store(next)
+	q.recycle(head)
+	q.mu.Unlock()
+	q.dequeues.Add(1)
+	if q.capacity > 0 {
+		q.producers.open()
+	}
+	return v, true
+}
+
+// recycle pushes a retired sentinel on the free stack unless the stack is
+// full. q.mu must be held: pushes are then serialized, and a sender's
+// Swap(nil) only empties the stack, so the CAS cannot suffer ABA.
+func (q *Queue[T]) recycle(n *node[T]) {
 	for {
-		head := q.head.Load()
-		tail := q.tail.Load()
-		next := head.next.Load()
-		if head != q.head.Load() {
-			continue
-		}
-		if next == nil {
-			return zero, false
-		}
-		if head == tail {
-			// Tail lagging behind: help it.
-			q.tail.CompareAndSwap(tail, next)
-			continue
-		}
-		if q.head.CompareAndSwap(head, next) {
-			// Only the CAS winner may touch val: a pre-CAS read would race
-			// with the winner's zeroing write on a contended node (losers
-			// discard the value, but the unordered access pair is real).
-			v := next.val
-			next.val = zero // drop the reference for the GC
-			q.dequeues.Add(1)
-			if q.capacity > 0 {
-				q.producers.open()
+		top := q.free.Load()
+		depth := int32(1)
+		if top != nil {
+			if depth = top.depth.Load() + 1; depth > freeCap {
+				return
 			}
-			return v, true
+		}
+		n.depth.Store(depth)
+		n.next.Store(top)
+		if q.free.CompareAndSwap(top, n) {
+			return
 		}
 	}
 }

@@ -720,11 +720,13 @@ func (i *Instance) Close() {
 	if i.inj != nil {
 		i.inj.Close()
 	}
+	// The interpreter stops its workers, a timed-out Call's included,
+	// before it drops the mutator's memory observer; only then may the
+	// mutator restore what it corrupted.
+	i.ip.Close()
 	if i.mut != nil {
 		i.mut.Close()
-		i.ip.SetBoundaryObserver(nil)
 	}
-	i.ip.Close()
 }
 
 // MachineA returns the paper's machine A preset (i5-9500, SGXv1, 93 MiB
