@@ -27,8 +27,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
 	"privagic"
@@ -210,7 +212,7 @@ func runMetrics(file, src string, opts privagic.Options) int {
 		if err != nil {
 			fmt.Printf(" (failed: %v)\n", err)
 		} else {
-			fmt.Printf(" (ret %d)\n", ret)
+			fmt.Printf(" (ret %s)\n", formatRet(prog, entry, ret))
 		}
 		fmt.Println(indent(obs.Render(snap), "  "))
 	}
@@ -289,7 +291,7 @@ func runAudit(file, src string, opts privagic.Options) int {
 		if err != nil {
 			fmt.Printf(" (failed: %v)\n", err)
 		} else {
-			fmt.Printf(" (ret %d)\n", ret)
+			fmt.Printf(" (ret %s)\n", formatRet(prog, entry, ret))
 		}
 		fmt.Println("  per-load classification:")
 		fmt.Printf("    %-20s %8d   %s\n", "trusted S-loads", bs.TrustedLoads, "enclave-private memory; no defense needed")
@@ -301,4 +303,13 @@ func runAudit(file, src string, opts privagic.Options) int {
 		fmt.Printf("  payload-tag rejections: %d\n", bs.PayloadTampered)
 	}
 	return 0
+}
+
+// formatRet renders an entry's result word: Call returns a double as its
+// IEEE-754 bits.
+func formatRet(prog *privagic.Program, entry string, ret int64) string {
+	if fn := prog.Module.Func(entry); fn != nil && ir.IsFloat(fn.RetTyp) {
+		return strconv.FormatFloat(math.Float64frombits(uint64(ret)), 'g', -1, 64)
+	}
+	return strconv.FormatInt(ret, 10)
 }

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -19,6 +20,7 @@ import (
 
 	"privagic"
 	"privagic/internal/audit"
+	"privagic/internal/ir"
 	"privagic/internal/partition"
 )
 
@@ -105,9 +107,17 @@ func run() int {
 		}
 		inst := prog.Instantiate(m)
 		defer inst.Close()
+		// Call takes and returns raw words: a double parameter is passed
+		// as its IEEE-754 bits, and a double result is printed as one.
+		fn := prog.Module.Func(*runEntry)
 		var args []int64
-		for _, a := range flag.Args()[1:] {
+		for i, a := range flag.Args()[1:] {
 			v, err := strconv.ParseInt(a, 0, 64)
+			if fn != nil && i < len(fn.Params) && ir.IsFloat(fn.Params[i].Typ) {
+				var f float64
+				f, err = strconv.ParseFloat(a, 64)
+				v = int64(math.Float64bits(f))
+			}
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "privagic: bad argument %q\n", a)
 				return 2
@@ -122,7 +132,11 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		fmt.Printf("%s(%v) = %d\n", *runEntry, args, ret)
+		result := strconv.FormatInt(ret, 10)
+		if fn != nil && ir.IsFloat(fn.RetTyp) {
+			result = strconv.FormatFloat(math.Float64frombits(uint64(ret)), 'g', -1, 64)
+		}
+		fmt.Printf("%s(%s) = %s\n", *runEntry, strings.Join(flag.Args()[1:], " "), result)
 		tr, msg, sys, pf := inst.Meter().Counts()
 		fmt.Printf("simulated: %d transitions, %d queue messages, %d syscalls, %d page faults\n", tr, msg, sys, pf)
 	}

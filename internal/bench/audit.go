@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"privagic"
 	"privagic/internal/audit"
+	"privagic/internal/ir"
 	"privagic/internal/sources"
 )
 
@@ -34,6 +36,53 @@ type AuditRow struct {
 type AuditReport struct {
 	Config AuditConfig
 	Rows   []AuditRow
+	// Verified counts the compiles the IR verifier re-checked after the
+	// full pipeline (every corpus program the type system accepts, per
+	// mode, with and without the crossing optimizer).
+	Verified int
+}
+
+// verifyCorpus is every MiniC program of internal/sources, which the
+// examples and the evaluation compile.
+var verifyCorpus = []struct{ name, src string }{
+	{"figure6", sources.Figure6}, {"wallet", sources.Wallet},
+	{"figure3a", sources.Figure3a}, {"figure3b", sources.Figure3b},
+	{"list", sources.ListPlain}, {"list-c", sources.ListColored},
+	{"treemap", sources.TreemapPlain}, {"treemap-c", sources.TreemapColored},
+	{"hashmap", sources.HashmapPlain}, {"hashmap-1c", sources.HashmapColored1},
+	{"hashmap-2c", sources.HashmapColored2},
+	{"memcached-plain", sources.MemcachedCorePlain}, {"memcached", sources.MemcachedCoreColored},
+}
+
+// verifyIR re-runs the IR verifier over every corpus program after the
+// full pass pipeline: the module, and every chunk body the partitioner
+// and the crossing optimizer emitted. A pass that leaves a malformed
+// block or an operator mixing float and non-float operands behind (the
+// engines pick float or integer arithmetic from the IR type alone) fails
+// the audit here. It returns the number of compiles it checked.
+func verifyIR() (int, error) {
+	n := 0
+	for _, p := range verifyCorpus {
+		for _, mode := range []privagic.Mode{privagic.Hardened, privagic.Relaxed} {
+			for _, opt := range []bool{false, true} {
+				prog, err := privagic.Compile(p.name+".c", p.src, privagic.Options{Mode: mode, OptimizeCrossings: opt})
+				if err != nil {
+					continue // rejected by typing/partitioning: nothing to verify
+				}
+				errs := []error{ir.Verify(prog.Module)}
+				for _, ch := range prog.Partitioned.ChunkByID {
+					if len(ch.Fn.Blocks) > 0 {
+						errs = append(errs, ir.VerifyFunc(ch.Fn))
+					}
+				}
+				if err := errors.Join(errs...); err != nil {
+					return n, fmt.Errorf("IR verifier on %s (%s, crossing optimizer %v): %w", p.name, mode, opt, err)
+				}
+				n++
+			}
+		}
+	}
+	return n, nil
 }
 
 // Audit measures the static leak auditor on every evaluation program that
@@ -47,6 +96,11 @@ func Audit(cfg AuditConfig) (*AuditReport, error) {
 		cfg.Reps = 1
 	}
 	rep := &AuditReport{Config: cfg}
+	verified, err := verifyIR()
+	if err != nil {
+		return nil, err
+	}
+	rep.Verified = verified
 	progs := []struct {
 		name, src string
 		entries   []string
@@ -106,5 +160,6 @@ func (r *AuditReport) String() string {
 			row.CompileUS, row.AuditUS, over)
 	}
 	b.WriteString("every crossing above is re-proved legal; violations would fail the build under -audit=strict\n")
+	fmt.Fprintf(&b, "IR verifier: %d compiles of the source corpus well-formed and type-consistent after the full pipeline\n", r.Verified)
 	return b.String()
 }

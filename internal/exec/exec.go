@@ -4,11 +4,14 @@
 //
 // It owns the pieces both tiers must agree on bit-for-bit:
 //
-//   - Val, the machine value (an integer/encoded pointer or a float),
-//     an alias of value.Val, which prt messages carry as typed payloads;
+//   - Val, the machine value (one 64-bit word: an integer, an encoded
+//     pointer, or a float's bits), an alias of value.Val, which prt
+//     messages carry as typed payloads;
 //   - the arithmetic/comparison/cast semantics (BinOp, Cmp, Cast) — one
 //     implementation, so a divergence between engines can never hide in
-//     a re-implemented operator;
+//     a re-implemented operator. They are the only code that reads a
+//     word as a float, and the instruction's IR type, passed in, says
+//     when;
 //   - RuntimeErr, the panic envelope every execution error travels in;
 //   - Frame/Step/Run, the compiled tier's register machine; and
 //   - Env, the seam interface through which compiled code reaches the
@@ -157,14 +160,15 @@ type SeamlessLoader interface {
 }
 
 // BinOp applies a binary operator with the engines' shared semantics:
-// float arithmetic when either side is a float, 64-bit integer
-// arithmetic otherwise, shifts masked to 6 bits, and division/remainder
-// by zero raising a RuntimeErr. The error strings keep the historical
-// "interp:" prefix — the differential oracle compares them textually
-// across engines.
-func BinOp(op ir.BinOpKind, x, y Val) Val {
-	if x.Fl || y.Fl {
-		a, b := value.ToF(x), value.ToF(y)
+// typ is the operator's IR type (the verifier proves both operands and
+// the result share it), so a float type computes on the words' IEEE-754
+// bits and any other type on 64-bit integers, shifts masked to 6 bits,
+// and division/remainder by zero raising a RuntimeErr. The error strings
+// keep the historical "interp:" prefix — the differential oracle
+// compares them textually across engines.
+func BinOp(op ir.BinOpKind, typ ir.Type, x, y Val) Val {
+	if ir.IsFloat(typ) {
+		a, b := value.F(x), value.F(y)
 		switch op {
 		case ir.OpAdd:
 			return value.FV(a + b)
@@ -211,41 +215,14 @@ func BinOp(op ir.BinOpKind, x, y Val) Val {
 }
 
 // Cmp applies a comparison with the engines' shared semantics, returning
-// integer 1 or 0.
-func Cmp(pred ir.CmpPred, x, y Val) Val {
+// integer 1 or 0. typ is the operands' IR type: floats compare as
+// IEEE-754 values, everything else as signed 64-bit words.
+func Cmp(pred ir.CmpPred, typ ir.Type, x, y Val) Val {
 	var r bool
-	if x.Fl || y.Fl {
-		a, b := value.ToF(x), value.ToF(y)
-		switch pred {
-		case ir.CmpEq:
-			r = a == b
-		case ir.CmpNe:
-			r = a != b
-		case ir.CmpLt:
-			r = a < b
-		case ir.CmpLe:
-			r = a <= b
-		case ir.CmpGt:
-			r = a > b
-		case ir.CmpGe:
-			r = a >= b
-		}
+	if ir.IsFloat(typ) {
+		r = compare(pred, value.F(x), value.F(y))
 	} else {
-		a, b := x.I, y.I
-		switch pred {
-		case ir.CmpEq:
-			r = a == b
-		case ir.CmpNe:
-			r = a != b
-		case ir.CmpLt:
-			r = a < b
-		case ir.CmpLe:
-			r = a <= b
-		case ir.CmpGt:
-			r = a > b
-		case ir.CmpGe:
-			r = a >= b
-		}
+		r = compare(pred, x.I, y.I)
 	}
 	if r {
 		return value.IV(1)
@@ -253,15 +230,34 @@ func Cmp(pred ir.CmpPred, x, y Val) Val {
 	return value.IV(0)
 }
 
-// Cast converts a value to a target type with the engines' shared
-// semantics: integer narrowing sign-extends back to 64 bits, float↔int
-// converts, pointer and function casts preserve the word.
-func Cast(v Val, to ir.Type) Val {
+// compare applies a predicate to two integers or two floats.
+func compare[T int64 | float64](pred ir.CmpPred, a, b T) bool {
+	switch pred {
+	case ir.CmpEq:
+		return a == b
+	case ir.CmpNe:
+		return a != b
+	case ir.CmpLt:
+		return a < b
+	case ir.CmpLe:
+		return a <= b
+	case ir.CmpGt:
+		return a > b
+	case ir.CmpGe:
+		return a >= b
+	}
+	return false
+}
+
+// Cast converts a value of IR type from to type to with the engines'
+// shared semantics: integer narrowing sign-extends back to 64 bits,
+// float↔int converts, pointer and function casts preserve the word.
+func Cast(v Val, from, to ir.Type) Val {
 	switch tt := to.(type) {
 	case ir.IntType:
 		x := v.I
-		if v.Fl {
-			x = int64(v.F)
+		if ir.IsFloat(from) {
+			x = int64(value.F(v))
 		}
 		switch tt.Bits {
 		case 1:
@@ -274,12 +270,12 @@ func Cast(v Val, to ir.Type) Val {
 			return value.IV(x)
 		}
 	case ir.FloatType:
-		if v.Fl {
+		if ir.IsFloat(from) {
 			return v
 		}
 		return value.FV(float64(v.I))
 	default:
 		// Pointer and function casts preserve the word.
-		return value.IV(v.I)
+		return v
 	}
 }

@@ -292,7 +292,7 @@ func (in *Injector) forgeLocked(seen prt.Message) prt.Message {
 		return prt.Message{Kind: prt.MsgSpawn, ChunkID: 1<<20 + in.rng.Intn(1024)}
 	default:
 		// A malformed completion mimicking the message just seen.
-		return prt.Message{Kind: prt.MsgDone, From: seen.From, Payload: value.Val{I: -1, F: 1e300, Fl: true}}
+		return prt.Message{Kind: prt.MsgDone, From: seen.From, Payload: value.FV(1e300)}
 	}
 }
 

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -194,28 +193,19 @@ func (m *Mutator) Deliver(to *prt.Worker, msg prt.Message) {
 
 // mutateMessage rewrites one payload word of the message: a spawn
 // argument (or vectored-cont value) when there are any, the cont/done
-// payload otherwise. The word is xored in place — the integer, or the
-// bits of a float — so the mutated message stays well-typed.
+// payload otherwise. The word is xored in place — an integer, a pointer
+// or a float's bits alike — so the mutated message stays well-typed.
 func mutateMessage(msg prt.Message, xor uint64) prt.Message {
 	if len(msg.Args) > 0 {
 		// Copy the slice: the journal may hold the original for replay,
 		// and the attacker edits the queue node, not the sender's state.
 		args := append([]value.Val(nil), msg.Args...)
-		mutateVal(&args[xor%uint64(len(args))], xor)
+		args[xor%uint64(len(args))].I ^= int64(xor)
 		msg.Args = args
 		return msg
 	}
-	mutateVal(&msg.Payload, xor)
+	msg.Payload.I ^= int64(xor)
 	return msg
-}
-
-// mutateVal xors the word of v that holds its value.
-func mutateVal(v *value.Val, xor uint64) {
-	if v.Fl {
-		v.F = math.Float64frombits(math.Float64bits(v.F) ^ xor)
-		return
-	}
-	v.I ^= int64(xor)
 }
 
 // maybeCorruptLocked draws one decision for a just-read word: smash it if

@@ -9,6 +9,7 @@ import (
 	"privagic/internal/obs"
 	"privagic/internal/partition"
 	"privagic/internal/prt"
+	"privagic/internal/value"
 )
 
 // call evaluates a call instruction's arguments and dispatches it.
@@ -375,7 +376,7 @@ func (ip *Interp) format(w *prt.Worker, args []val) string {
 		case 's':
 			b.WriteString(ip.readString(w, uint64(next().I)))
 		case 'f', 'g', 'e':
-			b.WriteString(strconv.FormatFloat(toF(next()), 'g', -1, 64))
+			b.WriteString(strconv.FormatFloat(value.F(next()), 'g', -1, 64))
 		case 'p':
 			fmt.Fprintf(&b, "%#x", uint64(next().I))
 		case '%':

@@ -25,7 +25,6 @@ package interp
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"privagic/internal/exec"
 	"privagic/internal/ir"
@@ -109,12 +108,10 @@ func (r *diffRecorder) add(op diffOp) { r.ops = append(r.ops, op) }
 // recOf returns the worker's active recorder, or nil.
 func recOf(w *prt.Worker) *diffRecorder { return stateOf(w).rec }
 
-// valEq compares two machine values bitwise (floats by bit pattern, so
+// valEq compares two machine values bitwise (a float by its bits, so
 // NaN compares equal to itself and -0 differs from +0 — the engines must
 // agree on bits, not on IEEE equality).
-func valEq(a, b val) bool {
-	return a.Fl == b.Fl && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F)
-}
+func valEq(a, b val) bool { return a == b }
 
 func vecEq(a, b []val) bool {
 	if len(a) != len(b) {

@@ -12,7 +12,6 @@ package interp
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"privagic/internal/exec"
@@ -189,7 +188,7 @@ func (e *liveEnv) Load(w *prt.Worker, t *ir.Load, addr uint64) exec.Val {
 
 // Store performs the mode-checked store.
 func (e *liveEnv) Store(w *prt.Worker, t *ir.Store, addr uint64, v exec.Val) {
-	e.ip.memStore(w, addr, v, storeType(t))
+	e.ip.memStore(w, addr, v, wordType(t.Val))
 }
 
 // FieldAddr computes a field address with the split-structure
@@ -237,8 +236,5 @@ func (ip *Interp) rawLoad(w *prt.Worker, addr uint64, typ ir.Type) val {
 	}
 	var buf [8]byte
 	ref.Region.Load(ref.Off, buf[:size])
-	if _, ok := typ.(ir.FloatType); ok {
-		return fv(math.Float64frombits(uint64(getInt(buf[:8]))))
-	}
 	return iv(getInt(buf[:size]))
 }

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"math"
 
 	"privagic/internal/exec"
 
@@ -206,7 +205,7 @@ func (ip *Interp) eval(frame map[ir.Value]val, v ir.Value) val {
 	case *ir.ConstInt:
 		return iv(t.V)
 	case *ir.ConstFloat:
-		return fv(t.V)
+		return value.FV(t.V)
 	case *ir.Null:
 		return iv(0)
 	case *ir.Global:
@@ -253,16 +252,16 @@ func (ip *Interp) step(w *prt.Worker, fn *ir.Function, frame map[ir.Value]val, i
 		if addr == 0 {
 			errf("interp: nil dereference: %q in @%s", t.String(), fn.FName)
 		}
-		ip.memStore(w, addr, ip.eval(frame, t.Val), storeType(t))
+		ip.memStore(w, addr, ip.eval(frame, t.Val), wordType(t.Val))
 
 	case *ir.BinOp:
-		frame[t] = ip.binop(t, ip.eval(frame, t.X), ip.eval(frame, t.Y))
+		frame[t] = exec.BinOp(t.Op, t.Type(), ip.eval(frame, t.X), ip.eval(frame, t.Y))
 
 	case *ir.Cmp:
-		frame[t] = ip.cmp(t, ip.eval(frame, t.X), ip.eval(frame, t.Y))
+		frame[t] = exec.Cmp(t.Pred, wordType(t.X), ip.eval(frame, t.X), ip.eval(frame, t.Y))
 
 	case *ir.Cast:
-		frame[t] = castVal(ip.eval(frame, t.Val), t.Type())
+		frame[t] = exec.Cast(ip.eval(frame, t.Val), wordType(t.Val), t.Type())
 
 	case *ir.FieldAddr:
 		frame[t] = ip.fieldAddrAt(w, t, uint64(ip.eval(frame, t.X).I))
@@ -420,16 +419,17 @@ func (ip *Interp) fieldAddrAt(w *prt.Worker, t *ir.FieldAddr, base uint64) val {
 // ir.PtrTo(ir.I8) to ir.Type at each use allocates.
 var bytePtr ir.Type = ir.PtrTo(ir.I8)
 
-// storeType is the type of the value t stores. The constant pointers
-// (null and global addresses) resolve to bytePtr: their Type methods box a
-// fresh PointerType on every call, and a store needs only the word's size
-// and kind.
-func storeType(t *ir.Store) ir.Type {
-	switch t.Val.(type) {
-	case *ir.Null, *ir.Global:
+// wordType is the type of operand v as the engines read its word. The
+// constant pointers (null, global and function addresses) resolve to
+// bytePtr: their Type methods box a fresh type on every call, and an
+// operator or a store needs only the word's size and whether it is a
+// float.
+func wordType(v ir.Value) ir.Type {
+	switch v.(type) {
+	case *ir.Null, *ir.Global, *ir.Function:
 		return bytePtr
 	}
-	return t.Val.Type()
+	return v.Type()
 }
 
 // fieldOffset returns the offset of t's field in its struct's in-memory
@@ -456,12 +456,7 @@ func (ip *Interp) memLoad(w *prt.Worker, addr uint64, typ ir.Type) val {
 	}
 	var buf [8]byte
 	ip.loadBytes(w, addr, buf[:size])
-	var v val
-	if _, ok := typ.(ir.FloatType); ok {
-		v = fv(math.Float64frombits(uint64(getInt(buf[:8]))))
-	} else {
-		v = iv(getInt(buf[:size]))
-	}
+	v := iv(getInt(buf[:size]))
 	if rec := recOf(w); rec != nil {
 		rec.add(diffOp{kind: opLoad, a: int64(addr), v: v})
 	}
@@ -478,30 +473,13 @@ func (ip *Interp) memStore(w *prt.Worker, addr uint64, v val, typ ir.Type) {
 		errf("interp: nil dereference (store)")
 	}
 	var buf [8]byte
-	if _, ok := typ.(ir.FloatType); ok {
-		putInt(buf[:8], int64(math.Float64bits(v.F)))
-		size = 8
-	} else {
-		putInt(buf[:size], v.I)
-		if size == 8 {
-			// A stored word may be a frame address leaving the worker.
-			ip.pinIfLive(&stateOf(w).stack, v.I)
-		}
+	putInt(buf[:size], v.I)
+	if size == 8 {
+		// A stored word may be a frame address leaving the worker.
+		ip.pinIfLive(&stateOf(w).stack, v.I)
 	}
 	ip.storeBytes(w, addr, buf[:size])
 	if rec := recOf(w); rec != nil {
 		rec.add(diffOp{kind: opStore, a: int64(addr), v: v})
 	}
 }
-
-// binop, cmp, and castVal delegate to the shared exec semantics — one
-// implementation serves both engines, so an operator bug cannot hide as
-// a cross-engine divergence.
-func (ip *Interp) binop(t *ir.BinOp, x, y val) val { return exec.BinOp(t.Op, x, y) }
-
-func (ip *Interp) cmp(t *ir.Cmp, x, y val) val { return exec.Cmp(t.Pred, x, y) }
-
-func toF(v val) float64 { return value.ToF(v) }
-
-// castVal converts a value to a target type.
-func castVal(v val, to ir.Type) val { return exec.Cast(v, to) }

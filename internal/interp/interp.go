@@ -29,8 +29,7 @@ import (
 // representation regardless of which engine produced a value.
 type val = exec.Val
 
-func iv(x int64) val   { return val{I: x} }
-func fv(x float64) val { return val{F: x, Fl: true} }
+func iv(x int64) val { return val{I: x} }
 
 // splitLayout is the rewritten memory layout of a multi-color structure
 // (§7.2): colored fields become 8-byte slots holding pointers to
@@ -336,9 +335,14 @@ func (ip *Interp) mainThread() *prt.Thread {
 	return ip.main
 }
 
-// Call invokes an entry point by name with integer arguments and returns
-// its integer result. It runs the interface version (§7.3.4): spawn the
-// enclave chunks, run the U chunk in normal mode, join, pick the result.
+// Call invokes an entry point by name and returns its result. It runs
+// the interface version (§7.3.4): spawn the enclave chunks, run the U
+// chunk in normal mode, join, pick the result.
+//
+// Arguments and the result are raw 64-bit machine words: an integer or a
+// pointer as itself, a double as its IEEE-754 bits (math.Float64bits in,
+// math.Float64frombits out). The entry's IR signature, not the word,
+// says which.
 func (ip *Interp) Call(entry string, args ...int64) (ret int64, err error) {
 	pf := ip.Prog.Entries[entry]
 	if pf == nil {

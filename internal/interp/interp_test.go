@@ -1,9 +1,11 @@
 package interp
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"privagic/internal/ir"
 	"privagic/internal/minic"
 	"privagic/internal/partition"
 	"privagic/internal/passes"
@@ -18,6 +20,12 @@ func build(t *testing.T, mode typing.Mode, src string, entries ...string) *Inter
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
+	return load(t, mod, mode, entries)
+}
+
+// load runs the pass pipeline, analyzes, partitions and loads a module.
+func load(t *testing.T, mod *ir.Module, mode typing.Mode, entries []string) *Interp {
+	t.Helper()
 	passes.RunAll(mod)
 	an := typing.Analyze(mod, typing.Options{Mode: mode, Entries: entries})
 	if err := an.Err(); err != nil {
@@ -176,9 +184,14 @@ entry long name_len() {
 	if _, err := ip.Call("create", int64(sgx.EncodePtr(sgx.Unsafe, nameOff))); err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	if _, err := ip.Call("deposit"); err == nil {
-		// deposit takes a double; passing no args gives v=0, fine.
-		_ = err
+	// A double crosses Call as its IEEE-754 bits, both ways.
+	for i := 0; i < 2; i++ {
+		if _, err := ip.Call("deposit", int64(math.Float64bits(2.5))); err != nil {
+			t.Fatalf("deposit: %v", err)
+		}
+	}
+	if bits, err := ip.Call("balance"); err != nil || math.Float64frombits(uint64(bits)) != 5.0 {
+		t.Errorf("balance = (%v, %v), want (5, nil)", math.Float64frombits(uint64(bits)), err)
 	}
 	if n, err := ip.Call("name_len"); err != nil || n != 5 {
 		t.Errorf("name_len = (%d, %v), want (5, nil)", n, err)

@@ -1,15 +1,20 @@
 package interp
 
 import (
+	"math"
 	"testing"
 
+	"privagic/internal/ir"
+	"privagic/internal/prt"
 	"privagic/internal/typing"
 )
 
-// runMain compiles a colorless program and runs main, expecting a value.
-func runMain(t *testing.T, src string, want int64) {
+// runMain runs a program's main on an engine, expecting a value.
+func runMain(t *testing.T, ip *Interp, eng prt.Engine, want int64) {
 	t.Helper()
-	ip := build(t, typing.Relaxed, src, "main")
+	if err := ip.SetEngine(eng); err != nil {
+		t.Fatalf("SetEngine: %v", err)
+	}
 	got, err := ip.Call("main")
 	if err != nil {
 		t.Fatalf("main: %v", err)
@@ -20,7 +25,9 @@ func runMain(t *testing.T, src string, want int64) {
 }
 
 // TestLanguageSemantics pins down MiniC semantics end to end through the
-// whole pipeline (frontend, SSA, typing, partitioning, execution).
+// whole pipeline (frontend, SSA, typing, partitioning, execution), on
+// every engine: the float cases check that each one reads a word as a
+// float exactly where the IR type says so.
 func TestLanguageSemantics(t *testing.T) {
 	cases := []struct {
 		name string
@@ -50,6 +57,20 @@ func TestLanguageSemantics(t *testing.T) {
 		{"sizeofptr", `entry long main() { return sizeof(long*); }`, 8},
 		{"cast", `entry long main() { double d = 3.9; return (long)d; }`, 3},
 		{"floatarith", `entry long main() { double d = 1.5; d = d * 4.0; return (long)d; }`, 6},
+		{"floatdiv", `entry long main() { double a = 7.0; double b = 2.0; return (long)(a / b * 10.0); }`, 35},
+		// -2.5 < -1.5 as floats, but not as the words' integer bits.
+		{"floatcmp", `entry long main() {
+	double a = -2.5; double b = -1.5;
+	return (a < b) + (a <= b) * 2 + (a > b) * 4 + (a >= b) * 8 + (a == b) * 16 + (a != b) * 32 + (a == -2.5) * 64;
+}`, 99},
+		{"floatnarrow", `entry long main() { double d = 300.7; char c = (char)d; return c; }`, 44},
+		{"intwiden", `entry long main() { long n = -7; double x = (double)n / 2.0; return (long)(x * 10.0); }`, -35},
+		{"floatphi", `entry long main() {
+	double s = 0.0;
+	for (long i = 0; i < 10; i++) s = s + 0.25 * i;
+	return (long)(s * 100.0);
+}`, 1125},
+		{"floatincdec", `entry long main() { double x = 1.5; x++; ++x; x--; return (long)(x * 10.0); }`, 25},
 		{"ptrarith", `
 long arr[8];
 entry long main() {
@@ -129,8 +150,85 @@ entry long main() {
 	}
 	for _, c := range cases {
 		c := c
-		t.Run(c.name, func(t *testing.T) { runMain(t, c.src, c.want) })
+		t.Run(c.name, func(t *testing.T) {
+			for _, eng := range allEngines {
+				t.Run(eng.String(), func(t *testing.T) {
+					runMain(t, build(t, typing.Relaxed, c.src, "main"), eng, c.want)
+				})
+			}
+		})
 	}
+	// MiniC has no 32-bit integer: the f64→i32 narrowing is written in IR
+	// (3007000000 wraps to -1287967296 in 32 bits, and to -64 in 8).
+	const narrow32 = `
+define i64 @main() {
+entry:
+  %d = mul 300.7, 10000000.0
+  %n = cast %d to i32
+  %c = cast %d to i8
+  %w = cast %n to i64
+  %b = cast %c to i64
+  %s = mul %b, 10000000000
+  %r = add %w, %s
+  ret %r
+}
+`
+	t.Run("floatnarrow32", func(t *testing.T) {
+		for _, eng := range allEngines {
+			t.Run(eng.String(), func(t *testing.T) {
+				runMain(t, buildIR(t, narrow32, "main"), eng, -1287967296-640000000000)
+			})
+		}
+	})
+}
+
+// TestFloatWordsCrossMessages sends doubles through every kind of
+// message on every engine: the entry argument x travels to the blue chunk
+// in a spawn and on to bump's red chunk in another, and f's result comes
+// back to the U chunk in a cont (its printf shows the word arrived
+// intact). Call passes and returns a double as its IEEE-754 bits.
+func TestFloatWordsCrossMessages(t *testing.T) {
+	const src = `
+double color(blue) bal = 10.0;
+double color(red) acc = 0.5;
+void bump(double d) { acc = acc + d; }
+double f(double y, double z) { bal = y + z; bump(z); return z * 4.0; }
+entry double run(double x) {
+	double r = f(bal, x);
+	printf("%f\n", r);
+	return r + x;
+}
+`
+	for _, eng := range allEngines {
+		t.Run(eng.String(), func(t *testing.T) {
+			ip := build(t, typing.Relaxed, src, "run")
+			if err := ip.SetEngine(eng); err != nil {
+				t.Fatalf("SetEngine: %v", err)
+			}
+			bits, err := ip.Call("run", int64(math.Float64bits(0.625)))
+			if got := math.Float64frombits(uint64(bits)); err != nil || got != 3.125 {
+				t.Fatalf("run(0.625) = %v, %v; want 3.125", got, err)
+			}
+			if out := ip.Output(); out != "2.5\n" {
+				t.Errorf("output = %q, want %q", out, "2.5\n")
+			}
+			checkGlobal(t, ip, "bal", int64(math.Float64bits(10.625)))
+			checkGlobal(t, ip, "acc", int64(math.Float64bits(1.125)))
+			if _, msgs, _, _ := ip.RT.Meter.Counts(); msgs < 3 {
+				t.Errorf("%d queue messages; want the spawns and the cont", msgs)
+			}
+		})
+	}
+}
+
+// buildIR loads a program written in the textual IR.
+func buildIR(t *testing.T, text string, entries ...string) *Interp {
+	t.Helper()
+	mod, err := ir.ParseModule("test.pir", text)
+	if err != nil {
+		t.Fatalf("ParseModule: %v", err)
+	}
+	return load(t, mod, typing.Relaxed, entries)
 }
 
 // TestDivisionByZeroSurfaces checks runtime errors surface as errors.

@@ -26,6 +26,17 @@ func NewCallInstr(fn *Function, callee Value, args ...Value) *Call {
 	return in
 }
 
+// NewWordCallInstr builds a detached call typed t instead of its
+// callee's return type. The partitioner uses it for the runtime
+// intrinsics that return a message word standing for a value of type t:
+// the word is read as a t unchanged, where a cast from the intrinsic's
+// i64 would convert a float's bits numerically.
+func NewWordCallInstr(fn *Function, t Type, callee Value, args ...Value) *Call {
+	in := NewCallInstr(fn, callee, args...)
+	in.typ = t
+	return in
+}
+
 // NewCastInstr builds a detached cast.
 func NewCastInstr(fn *Function, v Value, to Type) *Cast {
 	in := &Cast{Val: v}

@@ -169,6 +169,36 @@ func TestVerifyCatchesBrokenIR(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsMixedFloatOps: the engines pick float or integer
+// arithmetic from one IR type per operator, so a binop whose operands and
+// result are not all float or all non-float, or a cmp mixing the two, is
+// malformed.
+func TestVerifyRejectsMixedFloatOps(t *testing.T) {
+	f2 := func(v float64) *ConstFloat { return &ConstFloat{Typ: F64, V: v} }
+	for name, emit := range map[string]func(b *Builder){
+		"binop int, float": func(b *Builder) { b.BinOp(OpMul, I64Const(2), f2(2)) },
+		"binop float, int": func(b *Builder) { b.BinOp(OpAdd, f2(2), I64Const(2)) },
+		"binop result":     func(b *Builder) { b.BinOp(OpAdd, f2(1), f2(2)).typ = I64 },
+		"cmp int, float":   func(b *Builder) { b.Cmp(CmpLt, I64Const(0), f2(1)) },
+	} {
+		f := NewFunction("mixed", Void, nil)
+		b := NewBuilder(f)
+		emit(b)
+		b.Ret(nil)
+		if err := VerifyFunc(f); err == nil || !strings.Contains(err.Error(), "mixes float and non-float") {
+			t.Errorf("%s: VerifyFunc = %v, want a mixed-operand error", name, err)
+		}
+	}
+	f := NewFunction("typed", Void, nil)
+	b := NewBuilder(f)
+	b.Cmp(CmpLt, b.BinOp(OpMul, f2(2), f2(3)), f2(1))
+	b.Cmp(CmpEq, &Null{Typ: PtrTo(I8)}, I64Const(0))
+	b.Ret(nil)
+	if err := VerifyFunc(f); err != nil {
+		t.Errorf("consistent float and word ops rejected: %v", err)
+	}
+}
+
 func TestRemoveUnreachable(t *testing.T) {
 	f := NewFunction("u", Void, nil)
 	b := NewBuilder(f)

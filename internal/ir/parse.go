@@ -113,7 +113,13 @@ func (p *irParser) parseType(s string, line int) (Type, error) {
 		if err != nil {
 			return nil, p.errf(line, "bad float type %q", s)
 		}
-		return FloatType{Bits: bits}, nil
+		if bits != 64 {
+			// A value is one 64-bit word and a float travels as its
+			// f64 bits: a narrower float would be stored as 8 bytes
+			// over its neighbours.
+			return nil, p.errf(line, "unsupported float type %q (only f64)", s)
+		}
+		return F64, nil
 	case strings.Contains(s, "("):
 		// Function type ret(params).
 		open := strings.Index(s, "(")

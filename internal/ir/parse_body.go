@@ -112,11 +112,13 @@ func (p *irParser) parseDefineOnce(lines []string, start int) (*Function, bool, 
 			}
 			f.phi.Edges = append(f.phi.Edges, PhiEdge{Val: val, Pred: getBlock(e.pred)})
 		}
-		// The definitive φ type is the type of a register edge.
+		// The definitive φ type is the type of a register edge or of a
+		// float literal (integer literals and null take their type from
+		// the context).
 		name := strings.TrimPrefix(f.phi.Name(), "%")
 		for _, e := range f.phi.Edges {
 			switch e.Val.(type) {
-			case *ConstInt, *ConstFloat, *Null:
+			case *ConstInt, *Null:
 				continue
 			}
 			if !TypesEqual(f.phi.typ, e.Val.Type()) {
@@ -353,7 +355,7 @@ func (p *irParser) parseInstr(fn *Function, env map[string]Value, getBlock func(
 		if err != nil {
 			return nil, nil, err
 		}
-		in := &Cmp{Pred: pred, X: x, Y: y}
+		in := &Cmp{Pred: pred, X: literalAs(x, y), Y: y}
 		setReg(&in.register, I1)
 		return in, nil, nil
 
@@ -472,9 +474,9 @@ func (p *irParser) parseInstr(fn *Function, env map[string]Value, getBlock func(
 		in := &Phi{}
 		setReg(&in.register, I64)
 		// The φ's type comes from its edges. Prefer the type learned on
-		// a previous parsing attempt; otherwise any register edge that
-		// is textually earlier resolves it now (back-edges are fixed up
-		// after the body).
+		// a previous parsing attempt; otherwise a float literal or any
+		// register edge that is textually earlier resolves it now
+		// (back-edges are fixed up after the body).
 		if t, ok := p.phiTypes[resultName]; ok {
 			in.register.typ = t
 		} else {
@@ -484,7 +486,7 @@ func (p *irParser) parseInstr(fn *Function, env map[string]Value, getBlock func(
 					continue
 				}
 				switch v.(type) {
-				case *ConstInt, *ConstFloat, *Null:
+				case *ConstInt, *Null:
 					continue
 				}
 				in.register.typ = v.Type()
@@ -509,16 +511,28 @@ func (p *irParser) parseInstr(fn *Function, env map[string]Value, getBlock func(
 			if err != nil {
 				return nil, nil, err
 			}
-			// Literal-literal: give x the type of y if y is a register.
-			if _, xc := x.(*ConstInt); xc {
-				if yt, ok := y.Type().(IntType); ok {
-					x = &ConstInt{Typ: yt, V: x.(*ConstInt).V}
-				}
-			}
+			x = literalAs(x, y)
 			in := &BinOp{Op: k, X: x, Y: y}
 			setReg(&in.register, x.Type())
 			return in, nil, nil
 		}
 	}
 	return nil, nil, p.errf(ln, "unknown instruction %q", line)
+}
+
+// literalAs gives an integer literal left operand the type of the right
+// operand when that is an integer or float type: x was parsed without
+// type context, and the operands of a binop or cmp share one type.
+func literalAs(x, y Value) Value {
+	c, ok := x.(*ConstInt)
+	if !ok {
+		return x
+	}
+	switch yt := y.Type().(type) {
+	case IntType:
+		return &ConstInt{Typ: yt, V: c.V}
+	case FloatType:
+		return &ConstFloat{Typ: yt, V: float64(c.V)}
+	}
+	return x
 }

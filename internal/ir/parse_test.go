@@ -102,3 +102,52 @@ func TestParseErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestParseFloatLiterals: a float constant prints in a form that parses
+// back as a float, and an integer literal on the left of a float binop or
+// cmp takes the float type of its right operand.
+func TestParseFloatLiterals(t *testing.T) {
+	for v, want := range map[float64]string{2: "2.0", -0.5: "-0.5", 1e21: "1e+21"} {
+		if got := (&ConstFloat{Typ: F64, V: v}).Name(); got != want {
+			t.Errorf("ConstFloat(%v).Name() = %q, want %q", v, got, want)
+		}
+	}
+	mod, err := ParseModule("lit", `
+define i64 @f(f64 %d) {
+entry1:
+  %a = mul 2, %d
+  %b = mul %d, 3
+  %c = cmp lt 0, %a
+  %e = add %b, 2.0
+  ret 0
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range mod.Func("f").Blocks[0].Instrs {
+		switch t2 := in.(type) {
+		case *BinOp:
+			if !IsFloat(t2.X.Type()) || !IsFloat(t2.Y.Type()) || !IsFloat(t2.Type()) {
+				t.Errorf("%s: operands %s, %s, result %s; want all f64", t2, t2.X.Type(), t2.Y.Type(), t2.Type())
+			}
+		case *Cmp:
+			if !IsFloat(t2.X.Type()) || !IsFloat(t2.Y.Type()) {
+				t.Errorf("%s: operands %s, %s; want f64", t2, t2.X.Type(), t2.Y.Type())
+			}
+		}
+	}
+}
+
+// TestParseRejectsNarrowFloats: a value is one 64-bit word, so only f64
+// exists; an f32 field would be stored as 8 bytes over its neighbour.
+func TestParseRejectsNarrowFloats(t *testing.T) {
+	for _, src := range []string{
+		"%P = { f32 a, i32 b }\n",
+		"@g = global f16\n",
+	} {
+		if _, err := ParseModule("narrow", src); err == nil || !strings.Contains(err.Error(), "only f64") {
+			t.Errorf("ParseModule(%q) error = %v, want an only-f64 rejection", src, err)
+		}
+	}
+}

@@ -25,9 +25,18 @@ type IntType struct {
 	Bits int
 }
 
-// FloatType is an IEEE-754 floating point type (f32 or f64).
+// FloatType is an IEEE-754 floating point type. The machine holds only
+// f64: a value is one 64-bit word, so the IR parser rejects other widths.
 type FloatType struct {
 	Bits int
+}
+
+// IsFloat reports whether t is a floating-point type: the engines read a
+// value of such a type as IEEE-754 bits, every other value as an integer
+// word.
+func IsFloat(t Type) bool {
+	_, ok := t.(FloatType)
+	return ok
 }
 
 // PointerType is a pointer to an element type. Color is the color of the

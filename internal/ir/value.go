@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Pos is a source position threaded from the MiniC frontend through the IR
@@ -58,8 +59,15 @@ type ConstFloat struct {
 	V   float64
 }
 
-// Name returns the literal text.
-func (c *ConstFloat) Name() string { return strconv.FormatFloat(c.V, 'g', -1, 64) }
+// Name returns the literal text, always in a form that parses back as a
+// float: 2.0, not 2 (exponents, Inf and NaN already do).
+func (c *ConstFloat) Name() string {
+	s := strconv.FormatFloat(c.V, 'g', -1, 64)
+	if !strings.ContainsAny(s, ".eIN") {
+		s += ".0"
+	}
+	return s
+}
 
 // Type returns the float type.
 func (c *ConstFloat) Type() Type { return c.Typ }

@@ -7,9 +7,11 @@ import (
 
 // Verify checks structural well-formedness of the module: every block ends
 // in exactly one terminator, operands are defined, φ-nodes match their
-// predecessors, and unions of colors inside a single memory word do not
-// exist (the paper's fundamental property: a memory location has at most
-// one color, §4).
+// predecessors, a binop's operands and result and a cmp's operands are
+// all float or all non-float (the engines pick float or integer
+// arithmetic from that one type, DESIGN.md §18), and unions of colors
+// inside a single memory word do not exist (the paper's fundamental
+// property: a memory location has at most one color, §4).
 func Verify(m *Module) error {
 	var errs []error
 	for _, f := range m.Funcs {
@@ -65,13 +67,32 @@ func VerifyFunc(f *Function) error {
 					errs = append(errs, fmt.Errorf("ir: @%s: use of undefined value %s in %q", f.FName, v.Name(), in.String()))
 				}
 			}
-			if phi, ok := in.(*Phi); ok {
-				if len(phi.Edges) != len(b.preds) {
+			switch t := in.(type) {
+			case *Phi:
+				if len(t.Edges) != len(b.preds) {
 					errs = append(errs, fmt.Errorf("ir: @%s: φ %s has %d edges, block %%%s has %d preds",
-						f.FName, phi.Name(), len(phi.Edges), b.BName, len(b.preds)))
+						f.FName, t.Name(), len(t.Edges), b.BName, len(b.preds)))
+				}
+			case *BinOp:
+				if t.X != nil && t.Y != nil && !sameKind(t.Type(), t.X.Type(), t.Y.Type()) {
+					errs = append(errs, fmt.Errorf("ir: @%s: %q mixes float and non-float operands", f.FName, t.String()))
+				}
+			case *Cmp:
+				if t.X != nil && t.Y != nil && !sameKind(t.X.Type(), t.Y.Type()) {
+					errs = append(errs, fmt.Errorf("ir: @%s: %q mixes float and non-float operands", f.FName, t.String()))
 				}
 			}
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// sameKind reports whether the types are all float or all non-float.
+func sameKind(first Type, rest ...Type) bool {
+	for _, t := range rest {
+		if IsFloat(t) != IsFloat(first) {
+			return false
+		}
+	}
+	return true
 }

@@ -427,12 +427,11 @@ func (fl *funcLower) incDec(ex *IncDec) ir.Value {
 		}
 		nv = fl.b.IndexAddr(old, ir.I64Const(step))
 	} else {
-		it, _ := old.Type().(ir.IntType)
 		op := ir.OpAdd
 		if ex.Dec {
 			op = ir.OpSub
 		}
-		nv = fl.b.BinOp(op, old, ir.NewConstInt(it, 1))
+		nv = fl.b.BinOp(op, old, fl.convert(ir.I64Const(1), old.Type(), ex.Pos))
 	}
 	fl.b.Store(nv, dst)
 	if ex.Post {

@@ -260,12 +260,7 @@ func (p *Program) transportSends(ch *Chunk, in ir.Instr, oi ir.Instr) []ir.Instr
 	}
 	fn := ch.Fn
 	var seq []ir.Instr
-	var payload ir.Value = v
-	if !ir.TypesEqual(v.Type(), ir.I64) {
-		cast := ir.NewCastInstr(fn, v, ir.I64)
-		seq = append(seq, cast)
-		payload = cast
-	}
+	payload := p.sendWord(fn, &seq, v)
 	for _, d := range tr.Consumers {
 		if d == ch.Color {
 			continue
@@ -291,14 +286,7 @@ func (p *Program) dropOrReceive(ch *Chunk, b *ir.Block, idx int, in ir.Instr, oi
 	}
 	if oi != nil && transports[oi] != nil && contains(transports[oi].Consumers, ch.Color) {
 		if v, ok := in.(ir.Value); ok {
-			wait := ir.NewCallInstr(fn, p.intrWait, ir.I64Const(int64(transports[oi].Tag)))
-			seq = append(seq, wait)
-			var got ir.Value = wait
-			if !ir.TypesEqual(v.Type(), ir.I64) {
-				cast := ir.NewCastInstr(fn, wait, v.Type())
-				seq = append(seq, cast)
-				got = cast
-			}
+			got := p.recvWord(fn, &seq, v.Type(), p.intrWait, ir.I64Const(int64(transports[oi].Tag)))
 			fn.ReplaceUses(v, got)
 			b.Splice(idx, seq...)
 			return len(seq)
@@ -514,17 +502,16 @@ func (p *Program) rewriteCall(ch *Chunk, b *ir.Block, idx int, call *ir.Call, pl
 	case c == plan.Owner && plan.ResultFromJoin:
 		// The join returns the completion payload carrying the result.
 	case contains(plan.Waiters, c):
-		wait := ir.NewCallInstr(fn, p.intrWait, ir.I64Const(int64(plan.Tag)))
-		seq = append(seq, wait)
-		result = p.coerce(fn, &seq, wait, call.Type())
+		result = p.recvWord(fn, &seq, call.Type(), p.intrWait, ir.I64Const(int64(plan.Tag)))
 	}
 
 	if c == plan.Owner {
 		if len(plan.Spawns) > 0 {
-			join := ir.NewCallInstr(fn, p.intrJoin, ir.I64Const(int64(len(plan.Spawns))))
-			seq = append(seq, join)
+			n := ir.I64Const(int64(len(plan.Spawns)))
 			if plan.ResultFromJoin && result == nil {
-				result = p.coerce(fn, &seq, join, call.Type())
+				result = p.recvWord(fn, &seq, call.Type(), p.intrJoin, n)
+			} else {
+				seq = append(seq, ir.NewCallInstr(fn, p.intrJoin, n))
 			}
 		}
 		// Distribute the Free result to the waiting chunks
@@ -533,7 +520,7 @@ func (p *Program) rewriteCall(ch *Chunk, b *ir.Block, idx int, call *ir.Call, pl
 			if _, isVoid := result.Type().(ir.VoidType); !isVoid {
 				for _, w := range plan.Waiters {
 					widx := ir.I64Const(int64(p.ColorIndex(w)))
-					payload := p.coerce(fn, &seq, result, ir.I64)
+					payload := p.sendWord(fn, &seq, result)
 					seq = append(seq, ir.NewCallInstr(fn, p.intrSend,
 						widx, ir.I64Const(int64(plan.Tag)), payload))
 				}
@@ -554,6 +541,34 @@ func (p *Program) rewriteCall(ch *Chunk, b *ir.Block, idx int, call *ir.Call, pl
 	}
 	b.Splice(idx, seq...)
 	return len(seq)
+}
+
+// Message words: the transport intrinsics are declared over i64, and a
+// message carries one untyped 64-bit word per value. A cast to and from
+// i64 keeps an integer's or a pointer's word, but would convert a float
+// numerically, so a float travels uncast: it is sent as it is, and the
+// intrinsic call that receives it is typed as the float.
+
+// sendWord returns the payload word of v for a send intrinsic, appending
+// a cast to seq when v is a non-float of another type than i64.
+func (p *Program) sendWord(fn *ir.Function, seq *[]ir.Instr, v ir.Value) ir.Value {
+	if ir.IsFloat(v.Type()) {
+		return v
+	}
+	return p.coerce(fn, seq, v, ir.I64)
+}
+
+// recvWord appends to seq the call of a receiving intrinsic whose word
+// stands for a value of type want, and returns that value.
+func (p *Program) recvWord(fn *ir.Function, seq *[]ir.Instr, want ir.Type, intr *ir.Function, args ...ir.Value) ir.Value {
+	if ir.IsFloat(want) {
+		call := ir.NewWordCallInstr(fn, want, intr, args...)
+		*seq = append(*seq, call)
+		return call
+	}
+	call := ir.NewCallInstr(fn, intr, args...)
+	*seq = append(*seq, call)
+	return p.coerce(fn, seq, call, want)
 }
 
 // coerce casts v to want when needed, appending the cast to seq.

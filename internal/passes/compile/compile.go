@@ -423,9 +423,9 @@ func (c *fnCompiler) emitInstr(b *ir.Block, in ir.Instr) {
 	case *ir.Cast:
 		dst := c.slots[t]
 		vo := c.operand(t.Val)
-		to := t.Type()
+		from, to := t.Val.Type(), t.Type()
 		c.code = append(c.code, func(fr *exec.Frame) int {
-			fr.Regs[dst] = exec.Cast(vo.get(fr), to)
+			fr.Regs[dst] = exec.Cast(vo.get(fr), from, to)
 			return next
 		})
 
@@ -487,92 +487,68 @@ func (c *fnCompiler) emitInstr(b *ir.Block, in ir.Instr) {
 	}
 }
 
-// emitBinOp specializes the hot integer operators into fused steps (the
-// float and error paths fall back to the shared exec.BinOp semantics).
+// emitBinOp lowers a binary operator. The IR type picks the closure at
+// compile time: a float operator calls the shared exec.BinOp, and the hot
+// integer operators become fused steps (the rest, and their error paths,
+// fall back to exec.BinOp too).
 func (c *fnCompiler) emitBinOp(t *ir.BinOp, next int) {
 	dst := c.slots[t]
 	xo, yo := c.operand(t.X), c.operand(t.Y)
-	switch t.Op {
-	case ir.OpAdd:
-		c.code = append(c.code, func(fr *exec.Frame) int {
-			x, y := xo.get(fr), yo.get(fr)
-			if x.Fl || y.Fl {
-				fr.Regs[dst] = exec.BinOp(ir.OpAdd, x, y)
-			} else {
-				fr.Regs[dst] = exec.Val{I: x.I + y.I}
-			}
+	op, typ := t.Op, t.Type()
+	var step exec.Step
+	switch {
+	case ir.IsFloat(typ):
+		// exec.BinOp below.
+	case op == ir.OpAdd:
+		step = func(fr *exec.Frame) int {
+			fr.Regs[dst] = exec.Val{I: xo.get(fr).I + yo.get(fr).I}
 			return next
-		})
-	case ir.OpSub:
-		c.code = append(c.code, func(fr *exec.Frame) int {
-			x, y := xo.get(fr), yo.get(fr)
-			if x.Fl || y.Fl {
-				fr.Regs[dst] = exec.BinOp(ir.OpSub, x, y)
-			} else {
-				fr.Regs[dst] = exec.Val{I: x.I - y.I}
-			}
+		}
+	case op == ir.OpSub:
+		step = func(fr *exec.Frame) int {
+			fr.Regs[dst] = exec.Val{I: xo.get(fr).I - yo.get(fr).I}
 			return next
-		})
-	case ir.OpMul:
-		c.code = append(c.code, func(fr *exec.Frame) int {
-			x, y := xo.get(fr), yo.get(fr)
-			if x.Fl || y.Fl {
-				fr.Regs[dst] = exec.BinOp(ir.OpMul, x, y)
-			} else {
-				fr.Regs[dst] = exec.Val{I: x.I * y.I}
-			}
+		}
+	case op == ir.OpMul:
+		step = func(fr *exec.Frame) int {
+			fr.Regs[dst] = exec.Val{I: xo.get(fr).I * yo.get(fr).I}
 			return next
-		})
-	case ir.OpAnd:
-		c.code = append(c.code, func(fr *exec.Frame) int {
-			x, y := xo.get(fr), yo.get(fr)
-			if x.Fl || y.Fl {
-				fr.Regs[dst] = exec.BinOp(ir.OpAnd, x, y)
-			} else {
-				fr.Regs[dst] = exec.Val{I: x.I & y.I}
-			}
+		}
+	case op == ir.OpAnd:
+		step = func(fr *exec.Frame) int {
+			fr.Regs[dst] = exec.Val{I: xo.get(fr).I & yo.get(fr).I}
 			return next
-		})
-	case ir.OpOr:
-		c.code = append(c.code, func(fr *exec.Frame) int {
-			x, y := xo.get(fr), yo.get(fr)
-			if x.Fl || y.Fl {
-				fr.Regs[dst] = exec.BinOp(ir.OpOr, x, y)
-			} else {
-				fr.Regs[dst] = exec.Val{I: x.I | y.I}
-			}
+		}
+	case op == ir.OpOr:
+		step = func(fr *exec.Frame) int {
+			fr.Regs[dst] = exec.Val{I: xo.get(fr).I | yo.get(fr).I}
 			return next
-		})
-	case ir.OpXor:
-		c.code = append(c.code, func(fr *exec.Frame) int {
-			x, y := xo.get(fr), yo.get(fr)
-			if x.Fl || y.Fl {
-				fr.Regs[dst] = exec.BinOp(ir.OpXor, x, y)
-			} else {
-				fr.Regs[dst] = exec.Val{I: x.I ^ y.I}
-			}
+		}
+	case op == ir.OpXor:
+		step = func(fr *exec.Frame) int {
+			fr.Regs[dst] = exec.Val{I: xo.get(fr).I ^ yo.get(fr).I}
 			return next
-		})
-	default:
-		op := t.Op
-		c.code = append(c.code, func(fr *exec.Frame) int {
-			fr.Regs[dst] = exec.BinOp(op, xo.get(fr), yo.get(fr))
-			return next
-		})
+		}
 	}
+	if step == nil {
+		step = func(fr *exec.Frame) int {
+			fr.Regs[dst] = exec.BinOp(op, typ, xo.get(fr), yo.get(fr))
+			return next
+		}
+	}
+	c.code = append(c.code, step)
 }
 
-// emitCmp specializes the integer comparisons (float operands fall back
-// to the shared exec.Cmp semantics).
+// emitCmp lowers a comparison. The operands' IR type picks the closure
+// at compile time: float operands call the shared exec.Cmp, integer and
+// pointer operands compare their words in a fused step.
 func (c *fnCompiler) emitCmp(t *ir.Cmp, next int) {
 	dst := c.slots[t]
 	xo, yo := c.operand(t.X), c.operand(t.Y)
-	intCmp := func(test func(a, b int64) bool, pred ir.CmpPred) exec.Step {
+	pred, typ := t.Pred, t.X.Type()
+	intCmp := func(test func(a, b int64) bool) exec.Step {
 		return func(fr *exec.Frame) int {
-			x, y := xo.get(fr), yo.get(fr)
-			if x.Fl || y.Fl {
-				fr.Regs[dst] = exec.Cmp(pred, x, y)
-			} else if test(x.I, y.I) {
+			if test(xo.get(fr).I, yo.get(fr).I) {
 				fr.Regs[dst] = exec.Val{I: 1}
 			} else {
 				fr.Regs[dst] = exec.Val{}
@@ -580,24 +556,28 @@ func (c *fnCompiler) emitCmp(t *ir.Cmp, next int) {
 			return next
 		}
 	}
-	switch t.Pred {
-	case ir.CmpEq:
-		c.code = append(c.code, intCmp(func(a, b int64) bool { return a == b }, t.Pred))
-	case ir.CmpNe:
-		c.code = append(c.code, intCmp(func(a, b int64) bool { return a != b }, t.Pred))
-	case ir.CmpLt:
-		c.code = append(c.code, intCmp(func(a, b int64) bool { return a < b }, t.Pred))
-	case ir.CmpLe:
-		c.code = append(c.code, intCmp(func(a, b int64) bool { return a <= b }, t.Pred))
-	case ir.CmpGt:
-		c.code = append(c.code, intCmp(func(a, b int64) bool { return a > b }, t.Pred))
-	case ir.CmpGe:
-		c.code = append(c.code, intCmp(func(a, b int64) bool { return a >= b }, t.Pred))
-	default:
-		pred := t.Pred
-		c.code = append(c.code, func(fr *exec.Frame) int {
-			fr.Regs[dst] = exec.Cmp(pred, xo.get(fr), yo.get(fr))
-			return next
-		})
+	var step exec.Step
+	switch {
+	case ir.IsFloat(typ):
+		// exec.Cmp below.
+	case pred == ir.CmpEq:
+		step = intCmp(func(a, b int64) bool { return a == b })
+	case pred == ir.CmpNe:
+		step = intCmp(func(a, b int64) bool { return a != b })
+	case pred == ir.CmpLt:
+		step = intCmp(func(a, b int64) bool { return a < b })
+	case pred == ir.CmpLe:
+		step = intCmp(func(a, b int64) bool { return a <= b })
+	case pred == ir.CmpGt:
+		step = intCmp(func(a, b int64) bool { return a > b })
+	case pred == ir.CmpGe:
+		step = intCmp(func(a, b int64) bool { return a >= b })
 	}
+	if step == nil {
+		step = func(fr *exec.Frame) int {
+			fr.Regs[dst] = exec.Cmp(pred, typ, xo.get(fr), yo.get(fr))
+			return next
+		}
+	}
+	c.code = append(c.code, step)
 }

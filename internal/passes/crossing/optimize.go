@@ -529,7 +529,9 @@ func (o *optimizer) applyCoalesce(pf *partition.PartFunc, prod *partition.Chunk,
 		rw.block.Splice(headIdx, head, rw.waits[0])
 		for _, w := range rw.waits {
 			tag, _ := constArg(w, 0)
-			elem := ir.NewCallInstr(rw.ch.Fn, intrElem, ir.I64Const(int64(newTag)), ir.I64Const(int64(vecIdx[int(tag)])))
+			// The element read takes the wait's type (f64 for a float
+			// word, see partition's recvWord).
+			elem := ir.NewWordCallInstr(rw.ch.Fn, w.Type(), intrElem, ir.I64Const(int64(newTag)), ir.I64Const(int64(vecIdx[int(tag)])))
 			wi := rw.block.IndexOf(w)
 			rw.block.Splice(wi, elem)
 			rw.ch.Fn.ReplaceUses(w, elem)

@@ -1,10 +1,6 @@
 package prt
 
-import (
-	"math"
-
-	"privagic/internal/value"
-)
+import "privagic/internal/value"
 
 // Payload integrity tags (the third leg of the runtime Iago defense, next
 // to copy-in snapshots and pointer sanitization in internal/interp).
@@ -14,7 +10,7 @@ import (
 // live in the same U-memory queue node as the payload, and the §4
 // attacker can rewrite the payload words in place after enqueue without
 // touching either. payloadSum closes that window: a checksum over the
-// message's kind, routing fields and typed payload words (every word of
+// message's kind, routing fields and typed payload words (the one word of
 // every Val), computed inside the sender's enclave after the routing
 // metadata is final and re-verified inside the receiver's enclave at the
 // admit gate. It stands in for the
@@ -45,18 +41,9 @@ func sumStr(h uint64, s string) uint64 {
 	return h
 }
 
-// sumVal folds one machine value into the checksum: every word of it,
-// so a change to the integer, the float bits or the float flag shows.
-func sumVal(h uint64, v value.Val) uint64 {
-	h = sumU64(h, uint64(v.I))
-	h = sumU64(h, math.Float64bits(v.F))
-	if v.Fl {
-		h ^= 1
-	} else {
-		h ^= 2
-	}
-	return h * fnvPrime
-}
+// sumVal folds one machine value into the checksum: its one word, so a
+// change to any bit of an integer, a pointer or a float shows.
+func sumVal(h uint64, v value.Val) uint64 { return sumU64(h, uint64(v.I)) }
 
 // payloadSum computes the integrity tag of a message: everything the
 // receiver acts on, except ReplyTo (a host pointer, re-validated by the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"time"
+	"unsafe"
 
 	"privagic/internal/sgx"
 	"privagic/internal/value"
@@ -82,8 +83,8 @@ func TestPayloadTagsCleanPassthrough(t *testing.T) {
 }
 
 // TestPayloadSumSensitivity pins down what the tag covers: every field an
-// in-place mutation could profitably touch — kind, routing, each word of
-// the payload, each argument, and the stream metadata a replay would have
+// in-place mutation could profitably touch — kind, routing, the payload
+// word, each argument word (a float's bits included), and the stream metadata a replay would have
 // to reuse — changes the sum, while an identical copy reproduces it.
 func TestPayloadSumSensitivity(t *testing.T) {
 	base := Message{
@@ -98,21 +99,18 @@ func TestPayloadSumSensitivity(t *testing.T) {
 		t.Fatal("identical message produced a different sum")
 	}
 	mutate := map[string]func(m *Message){
-		"kind":       func(m *Message) { m.Kind = MsgDone },
-		"chunk":      func(m *Message) { m.ChunkID = 8 },
-		"tag":        func(m *Message) { m.Tag = 5 },
-		"from":       func(m *Message) { m.From = 2 },
-		"reply":      func(m *Message) { m.NeedReply = false },
-		"payload":    func(m *Message) { m.Payload = iv(8) },
-		"payload.F":  func(m *Message) { m.Payload.F = 1 },
-		"payload.Fl": func(m *Message) { m.Payload.Fl = true },
-		"arg0":       func(m *Message) { m.Args[0] = iv(2) },
-		"arg0.F":     func(m *Message) { m.Args[0].F = 0.5 },
-		"arg1":       func(m *Message) { m.Args[1] = value.FV(2.75) },
-		"arg1.Fl":    func(m *Message) { m.Args[1].Fl = false },
-		"argN":       func(m *Message) { m.Args = append(m.Args, iv(0)) },
-		"epoch":      func(m *Message) { m.epoch = 6 },
-		"strSeq":     func(m *Message) { m.strSeq = 10 },
+		"kind":     func(m *Message) { m.Kind = MsgDone },
+		"chunk":    func(m *Message) { m.ChunkID = 8 },
+		"tag":      func(m *Message) { m.Tag = 5 },
+		"from":     func(m *Message) { m.From = 2 },
+		"reply":    func(m *Message) { m.NeedReply = false },
+		"payload":  func(m *Message) { m.Payload = iv(8) },
+		"arg0":     func(m *Message) { m.Args[0] = iv(2) },
+		"arg1":     func(m *Message) { m.Args[1] = value.FV(2.75) },
+		"arg1.bit": func(m *Message) { m.Args[1].I ^= 1 }, // lowest mantissa bit of the float
+		"argN":     func(m *Message) { m.Args = append(m.Args, iv(0)) },
+		"epoch":    func(m *Message) { m.epoch = 6 },
+		"strSeq":   func(m *Message) { m.strSeq = 10 },
 	}
 	for name, f := range mutate {
 		m := base
@@ -121,5 +119,17 @@ func TestPayloadSumSensitivity(t *testing.T) {
 		if payloadSum(&m) == sum {
 			t.Errorf("mutating %s did not change the payload sum", name)
 		}
+	}
+}
+
+// TestWordLayout pins the one-word value representation: a Val is a
+// single 64-bit word (a float travels as its bits, typed by the IR), so
+// a Message carries its payload in one word.
+func TestWordLayout(t *testing.T) {
+	if n := unsafe.Sizeof(value.Val{}); n != 8 {
+		t.Errorf("value.Val is %d bytes, want 8", n)
+	}
+	if n := unsafe.Sizeof(Message{}); n > 136 {
+		t.Errorf("prt.Message is %d bytes, want at most 136", n)
 	}
 }

@@ -23,7 +23,7 @@ func journaledLoad(w *Worker, mem *atomic.Int64) int64 {
 
 // pair packs two small integers into one value, for chunks that report
 // two loads.
-func pair(a, b int64) val { return val{I: a, F: float64(b)} }
+func pair(a, b int64) val { return iv(a<<32 | b) }
 
 // TestReplayServedCrashedAttemptLoads: a chunk that loads, changes the
 // memory it loaded and then crashes must, on replay, be served the bytes
@@ -193,7 +193,7 @@ func TestStaleAttemptCannotMoveReplayLog(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Join: %v", err)
 	}
-	if want := pair(100, second.Load()); got != want || want.F < 200 {
+	if want := pair(100, second.Load()); got != want || second.Load() < 200 {
 		t.Errorf("third attempt was served %v, want %v (the second attempt's loads)", got, want)
 	}
 	if n := execs.Load(); n != 3 {

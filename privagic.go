@@ -284,6 +284,10 @@ func (p *Program) Instantiate(m *sgx.Machine) *Instance {
 }
 
 // Call invokes an entry point through its interface version (§7.3.4).
+// Arguments and the result are raw 64-bit words: an integer or a pointer
+// as itself, a double as its IEEE-754 bits, so a caller passes
+// int64(math.Float64bits(x)) for a double parameter and reads a double
+// result with math.Float64frombits(uint64(r)).
 func (i *Instance) Call(entry string, args ...int64) (int64, error) {
 	if i.engineErr != nil {
 		return 0, i.engineErr
