@@ -8,17 +8,18 @@ import (
 // workerState is the interpreter's per-worker state, kept in the
 // worker's one embedder slot (prt.Worker.Local): the executing chunk's
 // effect transaction and copy-in snapshot (saved and restored around a
-// nested spawn on the same worker), the size of the last transaction
-// (which sizes the next), the differential recorder, the compiled
-// tier's frame free list and the worker's stacks. Touched only on the
-// worker's own goroutine.
+// nested spawn on the same worker), the finished transactions kept for
+// reuse, the differential recorder, the compiled tier's frame free list,
+// the worker's stacks and the bulk builtins' staging buffer. Touched
+// only on the worker's own goroutine.
 type workerState struct {
 	tx     *effectTx
-	txHint txSize
+	txs    txStack
 	snap   *boundarySnap
 	rec    *diffRecorder
 	frames frameList
 	stack  stackSet
+	bulk   []byte
 }
 
 // stateOf returns the worker's state, creating it on first use.
@@ -117,11 +118,19 @@ func (ip *Interp) writeBack(r *sgx.Region, off uint64, data []byte) {
 	ip.bobs.GuardedStore(sgx.EncodePtr(sgx.Unsafe, off), len(own), func() { r.Store(off, own) })
 }
 
-// bulkBuf allocates the staging buffer of a bulk builtin after bounding
+// bulkRetain bounds the bulk builtins' staging buffer a worker keeps;
+// a longer copy stages through a buffer of its own.
+const bulkRetain = 4 << 10
+
+// bulkBuf returns the staging buffer of a bulk builtin after bounding
 // the program-supplied length n, which in the §4 threat model may come
 // from U memory: a negative n, or a range from any of addrs past
 // sgx.MaxOffset, is refused before anything is allocated — as a typed
 // Iago violation when the sanitizer is armed, a runtime error otherwise.
+// Up to bulkRetain bytes, the buffer is the worker's own, reused by its
+// next bulk builtin: the caller overwrites all of it before reading, and
+// nothing keeps it (a buffered store copies it into the transaction's
+// arena, a load into the load log).
 func (ip *Interp) bulkBuf(w *prt.Worker, name string, n int64, addrs ...uint64) []byte {
 	for _, addr := range addrs {
 		if _, off := sgx.DecodePtr(addr); n < 0 || off > sgx.MaxOffset || uint64(n) > sgx.MaxOffset-off {
@@ -131,5 +140,12 @@ func (ip *Interp) bulkBuf(w *prt.Worker, name string, n int64, addrs ...uint64) 
 			errf("interp: %s of %d bytes at %#x runs past the region ceiling", name, n, addr)
 		}
 	}
-	return make([]byte, n)
+	if n > bulkRetain {
+		return make([]byte, n)
+	}
+	ws := stateOf(w)
+	if int64(cap(ws.bulk)) < n {
+		ws.bulk = make([]byte, n)
+	}
+	return ws.bulk[:n]
 }

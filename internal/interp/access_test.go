@@ -194,7 +194,7 @@ entry long main(long x) {
 				ws.snap = ip.beginSnap()
 			case "recovery":
 				ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 1})
-				ws.tx = ip.beginTx(0, txSize{})
+				ws.tx = ip.beginTx(0, &ws.txs)
 			}
 			args := []val{iv(1)}
 			ip.runCompiled(cf, w, args, ip.live)
@@ -215,5 +215,48 @@ entry long main(long x) {
 				t.Errorf("buffered stores = %d, want 102", len(ws.tx.redo))
 			}
 		})
+	}
+}
+
+// TestBulkBuiltinsReuseWorkerBuffer: once warm, a compiled memcpy,
+// memset and hash64 of up to bulkRetain bytes stage through the worker's
+// own buffer and allocate nothing; a longer one still runs correctly.
+func TestBulkBuiltinsReuseWorkerBuffer(t *testing.T) {
+	const src = `
+char a[8192];
+char b[8192];
+entry long main(long n) {
+	memset(b, 7, n);
+	memcpy(a, b, n);
+	return hash64(a, n);
+}
+`
+	ip := build(t, typing.Relaxed, src, "main")
+	if err := ip.SetEngine(prt.EngineCompiled); err != nil {
+		t.Fatalf("SetEngine: %v", err)
+	}
+	cf := ip.compiledFn(ip.Prog.Entries["main"].Chunks[ir.U].Fn)
+	if cf == nil {
+		t.Fatal("main's U chunk was not compiled")
+	}
+	w := ip.mainThread().Normal()
+	for _, n := range []int64{64, bulkRetain, bulkRetain + 1} {
+		args := []val{iv(n)}
+		got := ip.runCompiled(cf, w, args, ip.live)
+		var h uint64 = 14695981039346656037
+		for i := int64(0); i < n; i++ {
+			h ^= 7
+			h *= 1099511628211
+		}
+		if got != iv(int64(h)) {
+			t.Fatalf("main(%d) = %v, want %d", n, got, int64(h))
+		}
+		allocs := testing.AllocsPerRun(20, func() { ip.runCompiled(cf, w, args, ip.live) })
+		if n <= bulkRetain && allocs != 0 {
+			t.Errorf("bulk builtins of %d bytes allocate %.1f times per run, want 0", n, allocs)
+		}
+		if n > bulkRetain && allocs == 0 {
+			t.Errorf("bulk builtins of %d bytes, past the %d-byte buffer, did not allocate", n, bulkRetain)
+		}
 	}
 }

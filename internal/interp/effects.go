@@ -47,9 +47,9 @@ type writeRec struct {
 }
 
 // txSize is an effect transaction's size: overlay words, buffered stores
-// and buffered bytes. The worker's last one sizes its next transaction,
-// so a chunk that buffers as much as its predecessor never grows a
-// buffer mid-run; nothing outlives the transaction.
+// and buffered bytes. The worker's last one sizes its next fresh
+// transaction, so a chunk that buffers as much as its predecessor never
+// grows a buffer mid-run.
 type txSize struct{ words, stores, bytes int }
 
 // size reports the transaction's size, the next one's sizing hint.
@@ -57,19 +57,62 @@ func (tx *effectTx) size() txSize {
 	return txSize{tx.overlay.n, len(tx.redo), len(tx.arena)}
 }
 
+const (
+	// txFreeCap bounds the finished transactions a worker keeps: one per
+	// level of spawns nested on the worker.
+	txFreeCap = 4
+	// txRetainBytes bounds the buffers of a transaction a worker keeps.
+	// A bigger one (a memcached batch buffers tens of KiB) is dropped: it
+	// would pin its buffers for the rest of the run for the rare spawn
+	// that needs them.
+	txRetainBytes = 16 << 10
+)
+
+// txStack is a worker's stack of finished transactions, emptied for
+// reuse, and the size of its last transaction.
+type txStack struct {
+	free []*effectTx
+	hint txSize
+}
+
 // beginTx opens an effect transaction for a spawned chunk when recovery
-// is enabled (nil otherwise), sized for hint.
-func (ip *Interp) beginTx(chunkID int, hint txSize) *effectTx {
+// is enabled (nil otherwise): the top of the worker's stack, or a fresh
+// one sized for the last. A nested spawn, whose outer transaction is
+// still open, takes the next one down.
+func (ip *Interp) beginTx(chunkID int, s *txStack) *effectTx {
 	if !ip.RT.Recovery.Enabled() {
 		return nil
 	}
-	tx := &effectTx{
-		chunkID: chunkID,
-		redo:    make([]writeRec, 0, hint.stores),
-		arena:   make([]byte, 0, hint.bytes),
+	var tx *effectTx
+	if n := len(s.free); n > 0 {
+		tx = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		tx = &effectTx{
+			redo:  make([]writeRec, 0, s.hint.stores),
+			arena: make([]byte, 0, s.hint.bytes),
+		}
+		tx.overlay.reserve(s.hint.words)
 	}
-	tx.overlay.reserve(hint.words)
+	tx.chunkID = chunkID
 	return tx
+}
+
+// put takes back a transaction that committed or was discarded: its size
+// becomes the next hint, and it is emptied and kept unless the stack is
+// full or its buffers are past txRetainBytes.
+func (s *txStack) put(tx *effectTx) {
+	s.hint = tx.size()
+	// Overlay slots and redo records are 16 bytes each.
+	retained := 16*(len(tx.overlay.slots)+cap(tx.redo)) + cap(tx.arena) + cap(tx.out)
+	if len(s.free) == txFreeCap || retained > txRetainBytes {
+		return
+	}
+	clear(tx.overlay.slots)
+	tx.overlay.n = 0
+	tx.redo, tx.arena, tx.out = tx.redo[:0], tx.arena[:0], tx.out[:0]
+	s.free = append(s.free, tx)
 }
 
 // commitTx applies the buffered effects: redo log in store order, then

@@ -44,7 +44,7 @@ entry long main(long x) {
 			ip.RT.Space.Region(id).Store(base, mem)
 			backing[id] = mem
 		}
-		tx := ip.beginTx(0, hint)
+		tx := ip.beginTx(0, &txStack{hint: hint})
 		reserved := len(tx.overlay.slots)
 		want := map[byteKey]byte{}
 		var issued []writeRec
@@ -112,5 +112,53 @@ entry long main(long x) {
 				t.Fatalf("sized=%v: after commit, region %d+%#x = %#x, want %#x (the last store)", sized, k.id, k.off, got[0], b)
 			}
 		}
+	}
+}
+
+// TestTxRecycling: a finished transaction goes back to its worker's
+// stack emptied and is reused by the next spawned chunk, a nested one
+// takes another, and a transaction the size of a memcached batch's
+// (about 2,500 overlay words, 1,000 stores, 32 KiB) is dropped instead
+// of kept.
+func TestTxRecycling(t *testing.T) {
+	ip := build(t, typing.Relaxed, `entry long main(long x) { return x; }`, "main")
+	ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 1})
+	w := ip.mainThread().Normal()
+	s := &stateOf(w).txs
+	ref := ip.RT.Space.Resolve(sgx.EncodePtr(sgx.Unsafe, 4096))
+	a, b := ip.beginTx(1, s), ip.beginTx(2, s)
+	s.put(a)
+	s.put(b)
+	outer := ip.beginTx(1, s)
+	ip.buffer(w, outer, ref, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	inner := ip.beginTx(2, s)
+	if outer != b || inner != a {
+		t.Fatalf("an outer and a nested chunk got %p and %p, want the finished %p and %p", outer, inner, b, a)
+	}
+	s.put(inner)
+	s.put(outer)
+	if got := ip.beginTx(3, s); got != outer || got.chunkID != 3 || got.overlay.n != 0 || len(got.redo) != 0 || len(got.arena) != 0 {
+		t.Fatalf("the next chunk got %p (chunk %d, %d words, %d stores), want the emptied %p", got, got.chunkID, got.overlay.n, len(got.redo), outer)
+	} else {
+		buf := make([]byte, 8)
+		got.overlay.patch(ref, buf)
+		if !bytes.Equal(buf, make([]byte, 8)) {
+			t.Errorf("a recycled overlay still serves %x", buf)
+		}
+	}
+	batch := ip.beginTx(4, s)
+	data := make([]byte, 32)
+	for i := 0; i < 1024; i++ {
+		ip.buffer(w, batch, ip.RT.Space.Resolve(sgx.EncodePtr(sgx.Unsafe, uint64(4096+40*i))), data)
+	}
+	size := batch.size()
+	s.put(batch)
+	for _, tx := range s.free {
+		if tx == batch {
+			t.Fatalf("a batch-sized transaction (%+v) was kept for reuse", size)
+		}
+	}
+	if s.hint != size {
+		t.Errorf("hint = %+v, want the batch's size %+v", s.hint, size)
 	}
 }

@@ -35,7 +35,7 @@ func (ip *Interp) execChunk(w *prt.Worker, chunkID int, args []val) (result val)
 	st.depth++
 	m := st.mark()
 	prevTx, prevSnap := ws.tx, ws.snap
-	tx := ip.beginTx(chunkID, ws.txHint)
+	tx := ip.beginTx(chunkID, &ws.txs)
 	ws.tx, ws.snap = tx, ip.beginSnap()
 	if tx != nil {
 		st.enterTx(prevTx != nil)
@@ -46,7 +46,9 @@ func (ip *Interp) execChunk(w *prt.Worker, chunkID int, args []val) (result val)
 		r := recover()
 		_, injected := r.(interface{ InjectedFault() })
 		if tx != nil {
-			ws.txHint = tx.size()
+			// The transaction goes back to the worker once it has
+			// committed or been discarded, however this ends.
+			defer ws.txs.put(tx)
 			if injected {
 				ip.pinTx(st)
 			}

@@ -1,6 +1,7 @@
 package prt
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -37,6 +38,9 @@ import (
 type journal struct {
 	mu       sync.Mutex
 	inflight map[spawnKey]*spawnRec
+	// free holds committed records for reuse, at most recFreeCap (see
+	// completeSpawn).
+	free []*spawnRec
 
 	journaled atomic.Int64 // spawns recorded
 	commits   atomic.Int64 // completions that closed an entry
@@ -54,6 +58,20 @@ type spawnKey struct {
 	chunk int
 }
 
+// Recycling. A committed record whose spawn ran exactly once goes back
+// to the journal's free list with its logs emptied but not freed, so a
+// warm journaled spawn allocates nothing. A record with a load log or a
+// replay cache past its retention cap is dropped instead of kept: a
+// large batch (memcached's) would otherwise pin its buffers for the rest
+// of the run. The size hints still size the logs of records that come
+// fresh.
+const (
+	recFreeCap        = 16      // records kept on the free list
+	logRetainBytes    = 8 << 10 // load-log bytes a recycled record keeps
+	logRetainLoads    = 1 << 10 // load-log entries a recycled record keeps
+	replayRetainCount = 64      // entries a recycled replay cache keeps
+)
+
 // spawnRec is the redo-log entry of one spawn: everything needed to
 // replay it, plus the replay caches. Fields are guarded by mu — the
 // executing worker (cont caching) and the joiner (retry bookkeeping) can
@@ -65,7 +83,11 @@ type spawnRec struct {
 	args      []value.Val // shared with the spawn message
 	replyTo   *Worker
 	needReply bool
-	attempts  int // replays performed so far
+	// attempts counts the replays spent so far. It is only raised with
+	// the journal's mu held as well, so completeSpawn, which decides
+	// under that lock whether the record is reused, sees every replay a
+	// restart or a retry has committed to.
+	attempts int
 
 	// contsIn, vecsIn, donesIn and allocsIn cache what the executing
 	// chunk consumed — conts and vectored conts (two logs, each in its
@@ -182,6 +204,13 @@ func (l *replayLog[T]) record(v T) {
 	}
 }
 
+// reset empties the cache for a recycled record, clearing the values so
+// they pin nothing.
+func (l *replayLog[T]) reset() {
+	clear(l.vals)
+	l.vals, l.cursor = l.vals[:0], 0
+}
+
 // suppressCounter counts an attempt's sends against the most any earlier
 // attempt made: the first sent of them were already delivered.
 type suppressCounter struct{ sent, cursor int }
@@ -198,9 +227,11 @@ func (c *suppressCounter) suppress() bool {
 }
 
 // beginAttempt rewinds the replay cursors for a (re-)execution and opens
-// the attempt that runs it. The attempt's load log starts as a copy of the
-// published one, sized for hint if that is larger: its own appends must
-// not touch memory a stale attempt may still read.
+// the attempt that runs it. A first attempt logs its loads into the
+// record's own (empty) buffers: no other attempt exists, and a recycled
+// record's previous one has finished. A later attempt's load log starts
+// as a copy of the published one, sized for hint if that is larger: its
+// own appends must not touch memory a stale attempt may still read.
 func (r *spawnRec) beginAttempt(hint logSize) attempt {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -208,6 +239,11 @@ func (r *spawnRec) beginAttempt(hint logSize) attempt {
 	r.contsOut.cursor, r.spawnsOut.cursor = 0, 0
 	r.gen++
 	a := attempt{rec: r, gen: r.gen}
+	if r.gen == 1 {
+		a.loads.lens = slices.Grow(r.loads.lens, hint.loads)
+		a.loads.buf = slices.Grow(r.loads.buf, hint.bytes)
+		return a
+	}
 	a.loads.lens = append(make([]int32, 0, max(hint.loads, len(r.loads.lens))), r.loads.lens...)
 	a.loads.buf = append(make([]byte, 0, max(hint.bytes, len(r.loads.buf))), r.loads.buf...)
 	return a
@@ -322,7 +358,16 @@ func (rt *Runtime) recordSpawn(t *Thread, toIdx, chunkID int, args []value.Val, 
 	}
 	key := spawnKey{t, toIdx, chunkID}
 	if _, exists := j.inflight[key]; !exists {
-		j.inflight[key] = &spawnRec{toIdx: toIdx, chunkID: chunkID, args: args, replyTo: replyTo, needReply: needReply}
+		var rec *spawnRec
+		if n := len(j.free); n > 0 {
+			rec = j.free[n-1]
+			j.free[n-1] = nil
+			j.free = j.free[:n-1]
+		} else {
+			rec = &spawnRec{}
+		}
+		rec.toIdx, rec.chunkID, rec.args, rec.replyTo, rec.needReply = toIdx, chunkID, args, replyTo, needReply
+		j.inflight[key] = rec
 		j.journaled.Add(1)
 	}
 	j.mu.Unlock()
@@ -340,15 +385,68 @@ func (rt *Runtime) lookupSpawn(t *Thread, toIdx, chunkID int) *spawnRec {
 
 // completeSpawn commits the journal entry of a consumed successful
 // completion. Unknown completions (recovery off, forged) are ignored.
+//
+// The record is recycled only if the completion came from its one and
+// only execution: one attempt began (gen == 1) and no replay or restart
+// was spent on it (attempts == 0). That attempt sent the completion as
+// its last act, so nothing holds the record any more. A record any other
+// attempt could still touch — a stale attempt a restart replaced keeps
+// running, publishing and counting its sends — goes to the collector.
 func (rt *Runtime) completeSpawn(t *Thread, fromIdx, chunkID int) {
 	j := &rt.jr
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	key := spawnKey{t, fromIdx, chunkID}
-	if _, ok := j.inflight[key]; ok {
-		delete(j.inflight, key)
-		j.commits.Add(1)
+	rec, ok := j.inflight[key]
+	if !ok {
+		return
 	}
-	j.mu.Unlock()
+	delete(j.inflight, key)
+	j.commits.Add(1)
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.gen == 1 && rec.attempts == 0 && rec.fits() && len(j.free) < recFreeCap {
+		rec.reset()
+		j.free = append(j.free, rec)
+	}
+}
+
+// fits reports whether the record's load log and replay caches are all
+// within their retention caps. rec.mu must be held.
+func (r *spawnRec) fits() bool {
+	return cap(r.loads.buf) <= logRetainBytes && cap(r.loads.lens) <= logRetainLoads &&
+		max(cap(r.contsIn.vals), cap(r.vecsIn.vals), cap(r.donesIn.vals), cap(r.allocsIn.vals)) <= replayRetainCount
+}
+
+// reset empties a committed record for reuse, keeping its buffers.
+// rec.mu must be held.
+func (r *spawnRec) reset() {
+	r.args, r.replyTo = nil, nil
+	r.gen = 0
+	r.contsIn.reset()
+	r.vecsIn.reset()
+	r.donesIn.reset()
+	r.allocsIn.reset()
+	r.contsOut, r.spawnsOut = suppressCounter{}, suppressCounter{}
+	r.loads = loadLog{buf: r.loads.buf[:0], lens: r.loads.lens[:0]}
+}
+
+// spendAttempt charges one replay to the in-flight spawn key names and
+// returns its record and the attempt count (nil when the spawn is not
+// in flight). Charging under the journal's mu keeps a completion racing
+// the replay from recycling the record.
+func (rt *Runtime) spendAttempt(key spawnKey) (*spawnRec, int) {
+	j := &rt.jr
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	rec := j.inflight[key]
+	if rec == nil {
+		return nil, 0
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	rec.attempts++
+	return rec, rec.attempts
 }
 
 // retrySpawn decides the fate of a poisoned completion consumed by w:
@@ -362,14 +460,10 @@ func (rt *Runtime) retrySpawn(w *Worker, abort *EnclaveAbort) bool {
 		return false
 	}
 	t := w.Thread
-	rec := rt.lookupSpawn(t, abort.Worker, abort.ChunkID)
+	rec, attempt := rt.spendAttempt(spawnKey{t, abort.Worker, abort.ChunkID})
 	if rec == nil {
 		return false
 	}
-	rec.mu.Lock()
-	rec.attempts++
-	attempt := rec.attempts
-	rec.mu.Unlock()
 	if attempt > rt.Recovery.MaxAttempts {
 		j := &rt.jr
 		j.mu.Lock()
@@ -406,15 +500,18 @@ func (rt *Runtime) respawn(t *Thread, rec *spawnRec) {
 	}, nil)
 }
 
-// inflightFor snapshots the in-flight spawns of thread t, optionally
-// restricted to one target worker (toIdx < 0 means all).
-func (rt *Runtime) inflightFor(t *Thread, toIdx int) []*spawnRec {
+// spendRestart snapshots the in-flight spawns of thread t for a restart
+// and charges each one replay, under the journal's mu like spendAttempt.
+func (rt *Runtime) spendRestart(t *Thread) []*spawnRec {
 	j := &rt.jr
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var out []*spawnRec
 	for k, rec := range j.inflight {
-		if k.t == t && (toIdx < 0 || k.toIdx == toIdx) {
+		if k.t == t {
+			rec.mu.Lock()
+			rec.attempts++
+			rec.mu.Unlock()
 			out = append(out, rec)
 		}
 	}

@@ -121,6 +121,48 @@ func TestWaitHistogramObservesBlockedWaits(t *testing.T) {
 	}
 }
 
+// TestWaitHistogramCountsEveryWait: a cont already buffered when its Wait
+// starts and one that arrives while the Wait blocks each add one sample,
+// so the count is the number of waits, not of waits that happened to
+// block. The buffered one is observed as 0 us.
+func TestWaitHistogramCountsEveryWait(t *testing.T) {
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
+			time.Sleep(2 * time.Millisecond)
+			w.SendCont(0, 6, iv(2))
+			return val{}
+		},
+	})
+	reg := obs.NewRegistry()
+	rt.RegisterMetrics(reg)
+	th := rt.NewThread()
+	defer th.Close()
+	u := th.Normal()
+	u.SendCont(0, 5, iv(1)) // buffered before its Wait
+	u.Spawn(1, 1, nil, true)
+	if got, err := u.Wait(6); err != nil || got != iv(2) {
+		t.Fatalf("Wait(6) = %v, %v", got, err)
+	}
+	blocked := reg.Snapshot()
+	if blocked["prt.wait_block_us.count"] != 1 {
+		t.Fatalf("after the blocking wait, count = %d, want 1", blocked["prt.wait_block_us.count"])
+	}
+	if got, err := u.Wait(5); err != nil || got != iv(1) {
+		t.Fatalf("Wait(5) = %v, %v", got, err)
+	}
+	snap := reg.Snapshot()
+	if snap["prt.wait_block_us.count"] != 2 || snap["prt.wait_block_us.sum"] != blocked["prt.wait_block_us.sum"] {
+		t.Fatalf("after the buffered wait, count = %d, sum = %d; want 2 and an unchanged %d",
+			snap["prt.wait_block_us.count"], snap["prt.wait_block_us.sum"], blocked["prt.wait_block_us.sum"])
+	}
+	if _, err := u.JoinOne(); err != nil {
+		t.Fatalf("JoinOne: %v", err)
+	}
+	if n := reg.Snapshot()["prt.wait_block_us.count"]; n != 2 {
+		t.Errorf("a join was observed as a wait: count = %d, want 2", n)
+	}
+}
+
 // TestHopHistogramStampsOnlyWhenArmed: with metrics registered, the
 // first message of each stream and every 8th after it record one
 // send-to-admit hop; without metrics, sends carry no clock stamp at all.

@@ -72,10 +72,9 @@ func (t *Thread) RestartWorker(idx int) int {
 	// spawns are gone with the old goroutine; spawns on *other* workers
 	// were fenced along with the epoch advance, so the whole invocation's
 	// spawn set is re-issued. Each replay spends one attempt.
-	for _, rec := range rt.inflightFor(t, -1) {
+	for _, rec := range rt.spendRestart(t) {
 		rec.mu.Lock()
 		skip := rec.toIdx == idx && carried[rec.chunkID]
-		rec.attempts++
 		exhausted := rec.attempts > rt.Recovery.MaxAttempts
 		rec.mu.Unlock()
 		if skip {

@@ -802,6 +802,10 @@ func (w *Worker) runSpawn(msg Message) {
 			}
 		}()
 		ret = rt.Exec(w, msg.ChunkID, msg.Args)
+		// A completed attempt publishes every load, like a crashed one:
+		// its log is what a replay after a fenced completion is served,
+		// and what a recycled record's next spawn logs into.
+		w.PublishLoads()
 		return false
 	}()
 	var ended time.Time
@@ -1031,6 +1035,7 @@ func (w *Worker) waitCont(tag int, window time.Duration, vec bool) (Message, err
 	if rec != nil {
 		if msg, ok := rec.cachedCont(tag, vec); ok {
 			rt.trace(obs.EvReplayCachedCont, w.Index, 0, tag, w.epochNow(), 0)
+			w.observeWait(MsgCont, time.Time{})
 			return msg, nil
 		}
 	}
@@ -1111,8 +1116,13 @@ func (w *Worker) joinStep(op waitOp, pending int, window time.Duration) (Message
 // completion recovery does not swallow (kind MsgDone), from the buffers or
 // off the queue, and dispatches everything else. For joins, arg is the
 // number of completions still missing; it only feeds diagnostics.
+//
+// Every cont it returns is observed once in the wait histogram: 0 us when
+// the buffers already held it, else the time from blocking to the last
+// admitted message, the cont or the spawn it arrived during.
 func (w *Worker) await(op waitOp, kind MsgKind, arg int, window time.Duration) (Message, error) {
 	if msg, ok := w.take(kind, arg); ok {
+		w.observeWait(kind, time.Time{})
 		return msg, nil
 	}
 	// Before blocking, give buffered completions their recovery pass: a
@@ -1153,13 +1163,7 @@ func (w *Worker) await(op waitOp, kind MsgKind, arg int, window time.Duration) (
 		}
 		switch {
 		case msg.Kind == MsgCont && kind == MsgCont && msg.Tag == arg:
-			if rt.hWaitUS != nil {
-				// Block duration from the admit stamp next() already
-				// took — no clock read on the satisfied-wait path.
-				if d := (w.admitNS - start.UnixNano()) / 1e3; d >= 0 {
-					rt.hWaitUS.Observe(d)
-				}
-			}
+			w.observeWait(kind, start)
 			return msg, nil
 		case msg.Kind == MsgDone && kind == MsgDone:
 			if !w.handleDone(msg) {
@@ -1174,10 +1178,30 @@ func (w *Worker) await(op waitOp, kind MsgKind, arg int, window time.Duration) (
 			// the message this one is waiting for.
 			if msg.Kind == MsgSpawn {
 				if msg, ok := w.take(kind, arg); ok {
+					w.observeWait(kind, start)
 					return msg, nil
 				}
 			}
 		}
+	}
+}
+
+// observeWait records one satisfied cont wait in the wait histogram,
+// when metrics are armed: 0 us for a wait that never blocked (a zero
+// start), else the time from blocking at start to the last admitted
+// message, from the admit stamp next() already took (no clock read on
+// the satisfied-wait path). Completions are not observed.
+func (w *Worker) observeWait(kind MsgKind, start time.Time) {
+	rt := w.Thread.RT
+	if kind != MsgCont || rt.hWaitUS == nil {
+		return
+	}
+	var d int64
+	if !start.IsZero() {
+		d = (w.admitNS - start.UnixNano()) / 1e3
+	}
+	if d >= 0 {
+		rt.hWaitUS.Observe(d)
 	}
 }
 
