@@ -43,7 +43,7 @@ type Config struct {
 	// commands beyond it shed with SERVER_ERROR busy. 0 disables.
 	MaxInflight int32
 	// Saturated, when set, is each shard's backend-pressure probe (wired
-	// into memcached.Admission; e.g. a privagic Instance's Saturated).
+	// into memcached.Admission.Saturated).
 	Saturated func(shard int) func() bool
 }
 

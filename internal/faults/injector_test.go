@@ -190,7 +190,7 @@ func TestCrashInjectionBecomesTypedAbort(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, []value.Val{value.IV(1)}, true)
+	u.Spawn(1, 1, []value.Val{value.IV(1)})
 	_, err := u.JoinTimeout(1, 5*time.Second)
 	if !errors.Is(err, prt.ErrEnclaveAbort) {
 		t.Fatalf("Join under crash injection = %v, want EnclaveAbort", err)
@@ -209,7 +209,7 @@ func TestCrashInjectionBecomesTypedAbort(t *testing.T) {
 // the meter shows what that cost.
 func TestRetransmitRecoversFromTotalLoss(t *testing.T) {
 	rt := echoRT()
-	rt.Supervise = prt.Supervision{WaitTimeout: 5 * time.Second}
+	rt.WaitTimeout = 5 * time.Second
 	inj := faults.Attach(rt, faults.Config{
 		Seed: 6, Drop: 1.0, Retransmit: true, RetransmitAfter: time.Millisecond,
 	})
@@ -218,7 +218,7 @@ func TestRetransmitRecoversFromTotalLoss(t *testing.T) {
 	defer th.Close()
 	u := th.Normal()
 	for i := 0; i < 10; i++ {
-		u.Spawn(1, 1, []value.Val{value.IV(int64(i))}, true)
+		u.Spawn(1, 1, []value.Val{value.IV(int64(i))})
 		got, err := u.Join(1)
 		if err != nil || got != value.IV(int64(i)) {
 			t.Fatalf("round %d under total first-loss: %v, %v", i, got, err)
@@ -236,7 +236,7 @@ func TestRetransmitRecoversFromTotalLoss(t *testing.T) {
 // answers correctly and every forged message is counted at the admit gate.
 func TestForgedMessagesAllRejected(t *testing.T) {
 	rt := echoRT()
-	rt.Supervise = prt.Supervision{WaitTimeout: 5 * time.Second}
+	rt.WaitTimeout = 5 * time.Second
 	rt.ValidateSpawn = func(workerIdx, chunkID int) bool { return chunkID == 1 }
 	inj := faults.Attach(rt, faults.Config{Seed: 7, Forge: 0.9})
 	defer inj.Close()
@@ -244,7 +244,7 @@ func TestForgedMessagesAllRejected(t *testing.T) {
 	defer th.Close()
 	u := th.Normal()
 	for i := 0; i < 50; i++ {
-		u.Spawn(1, 1, []value.Val{value.IV(int64(i))}, true)
+		u.Spawn(1, 1, []value.Val{value.IV(int64(i))})
 		got, err := u.Join(1)
 		if err != nil || got != value.IV(int64(i)) {
 			t.Fatalf("round %d under forgery: %v, %v", i, got, err)

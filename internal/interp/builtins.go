@@ -25,6 +25,15 @@ func (ip *Interp) call(w *prt.Worker, frame map[ir.Value]val, t *ir.Call) val {
 	return ip.dispatchCall(w, t, callee, args)
 }
 
+// spawnArgs rebuilds a spawned chunk's argument vector: the Free args the
+// spawn carries, in parameter order (§7.3.2), zero-padded to the chunk's
+// parameter count.
+func spawnArgs(ch *partition.Chunk, fargs []val) []val {
+	payload := make([]val, len(ch.Fn.Params))
+	copy(payload, fargs)
+	return payload
+}
+
 // dispatchCall dispatches a call instruction with its evaluated callee
 // value and arguments: runtime intrinsics, direct chunk calls, builtins
 // (the mini-libc of §6.3 plus host I/O), and indirect calls through the
@@ -62,21 +71,9 @@ func (ip *Interp) dispatchCall(w *prt.Worker, t *ir.Call, callee val, args []val
 		chunkID := int(args[0].I)
 		needReply := args[1].I != 0
 		ch := ip.Prog.ChunkByID[chunkID]
-		payload := make([]val, 0, len(ch.Fn.Params))
-		// Rebuild the callee's argument vector: Free args are carried
-		// by the spawn message in parameter order (§7.3.2).
-		fargs := args[2:]
-		fi := 0
-		for range ch.Fn.Params {
-			if fi < len(fargs) {
-				payload = append(payload, fargs[fi])
-				fi++
-			} else {
-				payload = append(payload, val{})
-			}
-		}
-		ip.pinEscapes(w, fargs)
-		w.Spawn(ip.Prog.ColorIndex(ch.Color), chunkID, payload, needReply)
+		payload := spawnArgs(ch, args[2:])
+		ip.pinEscapes(w, args[2:])
+		w.Spawn(ip.Prog.ColorIndex(ch.Color), chunkID, payload)
 		if rec := recOf(w); rec != nil {
 			nr := int64(0)
 			if needReply {

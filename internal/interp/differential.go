@@ -380,18 +380,7 @@ func (e *diffEnv) Call(w *prt.Worker, t *ir.Call, callee exec.Val, args []exec.V
 	case partition.IntrSpawn:
 		chunkID := int(args[0].I)
 		needReply := args[1].I != 0
-		ch := e.ip.Prog.ChunkByID[chunkID]
-		payload := make([]val, 0, 8)
-		fargs := args[2:]
-		fi := 0
-		for range ch.Fn.Params {
-			if fi < len(fargs) {
-				payload = append(payload, fargs[fi])
-				fi++
-			} else {
-				payload = append(payload, val{})
-			}
-		}
+		payload := spawnArgs(e.ip.Prog.ChunkByID[chunkID], args[2:])
 		op := e.pop(opSpawn)
 		nr := int64(0)
 		if needReply {

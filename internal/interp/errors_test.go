@@ -28,7 +28,7 @@ int color(blue) blue = 1;
 int f(int y) { return y + blue; }
 entry int main() { return f(2); }
 `, "main")
-	ip.RT.Supervise = prt.Supervision{WaitTimeout: 25 * time.Millisecond}
+	ip.RT.WaitTimeout = 25 * time.Millisecond
 	cause := &prt.EnclaveAbort{Worker: 1, ChunkID: 3, Cause: errors.New("boom")}
 	ip.recordErr(cause)
 	ip.RT.SetInterceptor(dropAll{}) // every spawn is lost: main's join must time out
@@ -64,7 +64,7 @@ int color(blue) blue = 1;
 int f(int y) { return y + blue; }
 entry int main() { return f(2); }
 `, "main")
-	ip.RT.Supervise = prt.Supervision{WaitTimeout: 25 * time.Millisecond}
+	ip.RT.WaitTimeout = 25 * time.Millisecond
 	ip.RT.SetInterceptor(dropAll{})
 	_, err := ip.Call("main")
 	if !errors.Is(err, prt.ErrWaitTimeout) {

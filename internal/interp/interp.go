@@ -15,6 +15,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"privagic/internal/exec"
 	"privagic/internal/ir"
@@ -179,17 +180,15 @@ func (ip *Interp) EnableContValidation() {
 	ip.RT.ValidateCont = func(tag int) bool { return tag > 0 && tag <= maxTag }
 }
 
-// EnableSupervision turns on the runtime's fault-tolerance layer: every
-// wait/join is bounded by the timeout (a lost message degrades into a
-// typed error instead of a hang) and, when watchdog is set, a supervisor
-// goroutine reports which tag/join a stuck worker is blocked on. Call it
-// before the first Call.
-func (ip *Interp) EnableSupervision(s prt.Supervision) {
-	ip.RT.Supervise = s
+// EnableSupervision sets the runtime's inactivity window: every wait/join
+// gives up once the runtime has admitted nothing authentic for window, so
+// a lost message degrades into a typed error instead of a hang (0 blocks
+// forever). Call it before the first Call.
+func (ip *Interp) EnableSupervision(window time.Duration) {
+	ip.RT.WaitTimeout = window
 }
 
-// Close stops all worker threads and the runtime's supervisor, then
-// removes the boundary observer.
+// Close stops all worker threads, then removes the boundary observer.
 func (ip *Interp) Close() {
 	ip.threads.Wait()
 	if ip.main != nil {
@@ -412,7 +411,7 @@ func (ip *Interp) invokeInterface(w *prt.Worker, pf *partition.PartFunc, args []
 			if ch == nil {
 				continue
 			}
-			w.Spawn(ip.Prog.ColorIndex(c), ch.ID, args, true)
+			w.Spawn(ip.Prog.ColorIndex(c), ch.ID, args)
 			spawned++
 		}
 	}

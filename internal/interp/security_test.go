@@ -48,7 +48,7 @@ entry long get_secret() {
 	before := ip.RT.RejectedSpawns()
 	// Inject: normal-mode attacker enqueues a spawn for the U chunk on
 	// the blue worker (never legitimate: U chunks run in normal mode).
-	th.Normal().Spawn(1, uChunkID, nil, true)
+	th.Normal().Spawn(1, uChunkID, nil)
 	th.Normal().JoinOne() // the rejection still completes the join
 	if got := ip.RT.RejectedSpawns(); got != before+1 {
 		t.Errorf("RejectedSpawns = %d, want %d", got, before+1)
@@ -91,7 +91,7 @@ entry long read_counter() { return counter; }
 		t.Fatal("bump.blue not found")
 	}
 	th := ip.mainThread()
-	th.Normal().Spawn(1, bumpBlue, []val{}, true)
+	th.Normal().Spawn(1, bumpBlue, []val{})
 	th.Normal().JoinOne()
 	v, err := ip.Call("read_counter")
 	if err != nil {

@@ -144,7 +144,7 @@ func TestMemcachedBatchExtentFlat(t *testing.T) {
 		t.Run(e.String(), func(t *testing.T) {
 			ip := withEngine(t, build(t, typing.Hardened, mcBatchSrc, "batch"), e)
 			ip.EnableBoundaryDefense(FullBoundary())
-			ip.EnableSupervision(prt.Supervision{WaitTimeout: 10 * time.Second})
+			ip.EnableSupervision(10 * time.Second)
 			ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 3})
 			store := ip.RT.Space.Region(sgx.RegionID(ip.Prog.ColorIndex(ir.Named("store"))))
 			want := callOK(t, ip, "batch")
@@ -319,7 +319,7 @@ func TestReplayKeepsFrameAddress(t *testing.T) {
 	for _, e := range allEngines {
 		t.Run(e.String(), func(t *testing.T) {
 			ip := withEngine(t, build(t, typing.Relaxed, replaySrc, "run", "peek"), e)
-			ip.EnableSupervision(prt.Supervision{WaitTimeout: 10 * time.Second})
+			ip.EnableSupervision(10 * time.Second)
 			ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 3})
 			fU := -1
 			for id, ch := range ip.Prog.ChunkByID {
@@ -349,6 +349,82 @@ func TestReplayKeepsFrameAddress(t *testing.T) {
 			}
 			if r := ip.RT.RecoveryStats().Replays; r != 200 {
 				t.Errorf("%d replays, want 200", r)
+			}
+		})
+	}
+}
+
+// mallocReplaySrc is replaySrc with the buffer on the heap: f().U
+// mallocs arr, sends its address to f().blue and stores through it.
+const mallocReplaySrc = `
+ignore long reveal(long color(blue) v);
+long color(blue) seen;
+long color(blue) held;
+void f() {
+	long* arr = malloc(sizeof(long) * 4);
+	arr[0] = 5;
+	arr[1] = 5;
+	held = (long) arr;
+}
+void outer() {
+	long color(blue) c = seen + 1;
+	seen = c;
+	f();
+	long* p = (long*) reveal(held);
+	seen = p[0] + c;
+}
+entry void run() { outer(); }
+entry long peek() { return reveal(seen); }
+`
+
+// TestReplayKeepsMallocAddress crashes f().U at its first store, after it
+// sent the address malloc returned. The replay must be served that address
+// from the attempt's load log, without allocating again: its writes land
+// where the peer reads, and the region's allocation cursor moves once per
+// Call, crash or not.
+func TestReplayKeepsMallocAddress(t *testing.T) {
+	for _, e := range allEngines {
+		t.Run(e.String(), func(t *testing.T) {
+			ip := withEngine(t, build(t, typing.Relaxed, mallocReplaySrc, "run", "peek"), e)
+			ip.EnableSupervision(10 * time.Second)
+			ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 3})
+			fU := -1
+			for id, ch := range ip.Prog.ChunkByID {
+				if ch.Fn.FName == "f().U" {
+					fU = id
+				}
+			}
+			if fU < 0 {
+				t.Fatal("no f().U chunk")
+			}
+			armed := false
+			ip.SetCrashPoint(func(_, chunk, store int) any {
+				if armed && chunk == fU && store == 1 {
+					armed = false
+					return injectedCrash{}
+				}
+				return nil
+			})
+			heap := ip.RT.Space.Region(sgx.Unsafe)
+			var seen int64
+			step := int64(-1) // cursor advance of one uncrashed run
+			for i := 0; i < 50; i++ {
+				armed = i > 0
+				before := heap.Used()
+				callOK(t, ip, "run")
+				used := heap.Used() - before
+				want := seen + 6
+				if seen = callOK(t, ip, "peek"); seen != want {
+					t.Fatalf("call %d: seen = %d, want %d", i, seen, want)
+				}
+				if step < 0 {
+					step = used
+				} else if used != step {
+					t.Fatalf("call %d: a crashed run moved the allocation cursor by %d bytes, an uncrashed one by %d", i, used, step)
+				}
+			}
+			if r := ip.RT.RecoveryStats().Replays; r != 49 {
+				t.Errorf("%d replays, want 49", r)
 			}
 		})
 	}

@@ -54,16 +54,16 @@ type Server struct {
 // Admission is the server's overload policy. Shedding answers fast and
 // keeps the connection framed (a shed set still swallows its body), so a
 // loaded server degrades into explicit SERVER_ERROR busy responses rather
-// than into unbounded queueing and timeouts — the shed-vs-queue half of
-// the runtime's end-to-end backpressure story.
+// than into unbounded queueing and timeouts. This is where overload is
+// shed: before a request reaches the partitioned runtime.
 type Admission struct {
 	// MaxInflight caps commands being processed concurrently (0 = no
 	// cap). With one command per pool worker this is effectively "how
 	// many workers may be busy before new commands are shed".
 	MaxInflight int32
-	// Saturated, when set, is probed per command; true sheds it. Wire it
-	// to prt.Runtime.Saturated so a full worker queue in the partitioned
-	// backend pushes back to the network edge.
+	// Saturated, when set, is probed per command; true sheds it. It is
+	// the embedder's own backend-pressure signal: the partitioned runtime
+	// exposes none, because its queues are unbounded.
 	Saturated func() bool
 }
 

@@ -27,11 +27,9 @@ var Catalog = []MetricDef{
 	{Name: "prt.aborts", Type: "gauge", Unit: "1", Subsystem: "prt", Help: "chunk executions that panicked and were converted to EnclaveAbort"},
 	{Name: "prt.timeouts", Type: "gauge", Unit: "1", Subsystem: "prt", Help: "waits that exceeded the quiescence window and returned ErrWaitTimeout"},
 	{Name: "prt.drained", Type: "gauge", Unit: "1", Subsystem: "prt", Help: "messages drained during graceful worker shutdown"},
-	{Name: "prt.restarts", Type: "gauge", Unit: "1", Subsystem: "prt", Help: "worker restarts (crash recovery or stuck-worker watchdog)"},
+	{Name: "prt.restarts", Type: "gauge", Unit: "1", Subsystem: "prt", Help: "enclave workers torn down and re-created in a fresh epoch (Thread.RestartWorker)"},
 	{Name: "prt.redelivered", Type: "gauge", Unit: "1", Subsystem: "prt", Help: "in-flight messages re-enqueued across a worker restart"},
-	{Name: "prt.backpressure_waits", Type: "gauge", Unit: "1", Subsystem: "prt", Help: "sends that blocked on a full bounded queue"},
 	{Name: "prt.payload_tampered", Type: "gauge", Unit: "1", Subsystem: "prt", Help: "messages whose FNV-1a payload tag failed verification at the admit gate"},
-	{Name: "prt.stalls", Type: "gauge", Unit: "1", Subsystem: "prt", Help: "watchdog detections of a worker making no progress"},
 
 	// prt recovery journal (gauges over journal counters in internal/prt/journal.go).
 	{Name: "prt.journal.spawns", Type: "gauge", Unit: "1", Subsystem: "prt", Help: "spawns journaled for deterministic replay"},
@@ -45,7 +43,6 @@ var Catalog = []MetricDef{
 	{Name: "prt.queue.dequeues", Type: "gauge", Unit: "1", Subsystem: "queue", Help: "total messages dequeued across all worker queues"},
 	{Name: "prt.queue.parks", Type: "gauge", Unit: "1", Subsystem: "queue", Help: "blocking waits that parked"},
 	{Name: "prt.queue.park_us", Type: "gauge", Unit: "us", Subsystem: "queue", Help: "total microseconds blocking waits spent parked"},
-	{Name: "prt.queue.full_waits", Type: "gauge", Unit: "1", Subsystem: "queue", Help: "producer waits on a full bounded queue"},
 
 	// prt latency histograms (count/sum/max exported as name.count etc).
 	{Name: "prt.chunk_exec_us", Type: "histogram", Unit: "us", Subsystem: "prt", Help: "wall time of one chunk execution, spawn accept to Done publish"},

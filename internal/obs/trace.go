@@ -41,7 +41,6 @@ const (
 	EvReplaySpawn
 	EvGiveUp
 	EvRestart
-	EvStall
 	EvRouteRetry
 	EvRouteShed
 	EvFailover
@@ -97,7 +96,6 @@ var kindNames = [nEventKinds]string{
 	EvReplaySpawn:      "replay.spawn",
 	EvGiveUp:           "replay.giveup",
 	EvRestart:          "restart",
-	EvStall:            "stall",
 	EvRouteRetry:       "route.retry",
 	EvRouteShed:        "route.shed",
 	EvFailover:         "failover",

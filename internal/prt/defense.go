@@ -54,9 +54,6 @@ func payloadSum(m *Message) uint64 {
 	h = sumU64(h, uint64(m.ChunkID))
 	h = sumU64(h, uint64(m.Tag))
 	h = sumU64(h, uint64(m.From))
-	if m.NeedReply {
-		h = sumU64(h, 1)
-	}
 	h = sumU64(h, m.epoch)
 	h = sumU64(h, m.strSeq)
 	if m.Err != nil {

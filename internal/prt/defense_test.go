@@ -36,12 +36,12 @@ func TestPayloadTagRejectsMutatedCont(t *testing.T) {
 		},
 	})
 	rt.PayloadTags = true
-	rt.Supervise = Supervision{WaitTimeout: 50 * time.Millisecond}
+	rt.WaitTimeout = 50 * time.Millisecond
 	rt.SetInterceptor(mutateCont{tag: 4})
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	if _, err := u.Wait(4); !errors.Is(err, ErrWaitTimeout) {
 		t.Fatalf("Wait on mutated cont = %v, want ErrWaitTimeout", err)
 	}
@@ -64,12 +64,12 @@ func TestPayloadTagsCleanPassthrough(t *testing.T) {
 		return iv(args[0].I + 1)
 	})
 	rt.PayloadTags = true
-	rt.Supervise = Supervision{WaitTimeout: time.Second}
+	rt.WaitTimeout = time.Second
 	th := rt.NewThread()
 	defer func() { th.Close(); rt.Shutdown() }()
 	u := th.Normal()
 	for j := 0; j < 100; j++ {
-		u.Spawn(1, 1, []val{iv(j)}, true)
+		u.Spawn(1, 1, []val{iv(j)})
 		if got, err := u.Wait(3); err != nil || got != iv(j*2) {
 			t.Fatalf("round %d: Wait = %v, %v", j, got, err)
 		}
@@ -88,7 +88,7 @@ func TestPayloadTagsCleanPassthrough(t *testing.T) {
 // to reuse — changes the sum, while an identical copy reproduces it.
 func TestPayloadSumSensitivity(t *testing.T) {
 	base := Message{
-		Kind: MsgCont, ChunkID: 3, Tag: 4, From: 1, NeedReply: true,
+		Kind: MsgCont, ChunkID: 3, Tag: 4, From: 1,
 		Payload: iv(7), Args: []val{iv(1), value.FV(2.5)},
 		epoch: 5, strSeq: 9,
 	}
@@ -103,7 +103,6 @@ func TestPayloadSumSensitivity(t *testing.T) {
 		"chunk":    func(m *Message) { m.ChunkID = 8 },
 		"tag":      func(m *Message) { m.Tag = 5 },
 		"from":     func(m *Message) { m.From = 2 },
-		"reply":    func(m *Message) { m.NeedReply = false },
 		"payload":  func(m *Message) { m.Payload = iv(8) },
 		"arg0":     func(m *Message) { m.Args[0] = iv(2) },
 		"arg1":     func(m *Message) { m.Args[1] = value.FV(2.75) },
@@ -129,7 +128,7 @@ func TestWordLayout(t *testing.T) {
 	if n := unsafe.Sizeof(value.Val{}); n != 8 {
 		t.Errorf("value.Val is %d bytes, want 8", n)
 	}
-	if n := unsafe.Sizeof(Message{}); n > 136 {
-		t.Errorf("prt.Message is %d bytes, want at most 136", n)
+	if n := unsafe.Sizeof(Message{}); n > 128 {
+		t.Errorf("prt.Message is %d bytes, want at most 128", n)
 	}
 }

@@ -21,7 +21,7 @@ var ErrEnclaveAbort = errors.New("prt: enclave aborted")
 
 // TimeoutError reports which wait point gave up: the simulated analogue of
 // a lost message on the untrusted queue that no retransmit recovered. It
-// carries the diagnostics the watchdog computes anyway — which cont tags
+// carries the protocol state at expiry — which cont tags
 // the thread's workers were still blocked on and how deep each worker's
 // queue was at expiry — so a timeout names the stuck protocol state, not
 // just the symptom.

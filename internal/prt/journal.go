@@ -77,34 +77,30 @@ const (
 // executing worker (cont caching) and the joiner (retry bookkeeping) can
 // race when a restart replays while a stale attempt still runs.
 type spawnRec struct {
-	mu        sync.Mutex
-	toIdx     int
-	chunkID   int
-	args      []value.Val // shared with the spawn message
-	replyTo   *Worker
-	needReply bool
+	mu      sync.Mutex
+	toIdx   int
+	chunkID int
+	args    []value.Val // shared with the spawn message
+	replyTo *Worker
 	// attempts counts the replays spent so far. It is only raised with
 	// the journal's mu held as well, so completeSpawn, which decides
 	// under that lock whether the record is reused, sees every replay a
 	// restart or a retry has committed to.
 	attempts int
 
-	// contsIn, vecsIn, donesIn and allocsIn cache what the executing
-	// chunk consumed — conts and vectored conts (two logs, each in its
-	// own consumption order, so a scalar entry stays 32 bytes), the
-	// completions of its own nested spawns (the
-	// nested chunk will not complete again), and the results of
-	// allocation service calls (§7.2; the allocator's bump cursor is
-	// runtime state outside the effect transaction, and peers may already
-	// have committed writes through pointers derived from them). A replay
-	// re-consumes them from the cache. contsOut and spawnsOut suppress
+	// contsIn, vecsIn and donesIn cache what the executing chunk
+	// consumed — conts and vectored conts (two logs, each in its own
+	// consumption order, so a scalar entry stays 32 bytes) and the
+	// completions of its own nested spawns (the nested chunk will not
+	// complete again). A replay re-consumes them from the cache. Words
+	// the runtime supplies (alloca and malloc addresses) go through the
+	// attempt's load log instead. contsOut and spawnsOut suppress
 	// re-sending the conts and nested spawns a previous attempt already
 	// sent (the peer consumed them; a fresh copy would be matched against
 	// a later wait or execute the nested chunk a second time).
 	contsIn   replayLog[contIn]
 	vecsIn    replayLog[contVec]
 	donesIn   replayLog[Message]
-	allocsIn  replayLog[uint64]
 	contsOut  suppressCounter
 	spawnsOut suppressCounter
 
@@ -155,6 +151,10 @@ type loadLog struct {
 	cursor int
 	off    int
 }
+
+// logged reports whether the next position is already in the log: a
+// replay is served it.
+func (l *loadLog) logged() bool { return l.cursor < len(l.lens) }
 
 // size is the log's length, the next attempt's sizing hint.
 func (l *loadLog) size() logSize { return logSize{len(l.lens), len(l.buf)} }
@@ -235,7 +235,7 @@ func (c *suppressCounter) suppress() bool {
 func (r *spawnRec) beginAttempt(hint logSize) attempt {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.contsIn.cursor, r.vecsIn.cursor, r.donesIn.cursor, r.allocsIn.cursor = 0, 0, 0, 0
+	r.contsIn.cursor, r.vecsIn.cursor, r.donesIn.cursor = 0, 0, 0
 	r.contsOut.cursor, r.spawnsOut.cursor = 0, 0
 	r.gen++
 	a := attempt{rec: r, gen: r.gen}
@@ -329,28 +329,9 @@ func (r *spawnRec) recordDoneIn(msg Message) {
 	r.mu.Unlock()
 }
 
-// journalAlloc serves the next allocation from the replay cache, or runs
-// alloc live and records its result. On a cache hit alloc is not called:
-// the addresses (and the side allocations behind them) already exist from
-// the attempt the cache recorded.
-func (r *spawnRec) journalAlloc(alloc func() uint64) uint64 {
-	r.mu.Lock()
-	if ptr, ok := r.allocsIn.peek(); ok {
-		r.allocsIn.cursor++
-		r.mu.Unlock()
-		return ptr
-	}
-	r.mu.Unlock()
-	ptr := alloc()
-	r.mu.Lock()
-	r.allocsIn.record(ptr)
-	r.mu.Unlock()
-	return ptr
-}
-
 // recordSpawn journals a spawn before it is sent. Recovery must be
 // enabled by the caller.
-func (rt *Runtime) recordSpawn(t *Thread, toIdx, chunkID int, args []value.Val, replyTo *Worker, needReply bool) {
+func (rt *Runtime) recordSpawn(t *Thread, toIdx, chunkID int, args []value.Val, replyTo *Worker) {
 	j := &rt.jr
 	j.mu.Lock()
 	if j.inflight == nil {
@@ -366,7 +347,7 @@ func (rt *Runtime) recordSpawn(t *Thread, toIdx, chunkID int, args []value.Val, 
 		} else {
 			rec = &spawnRec{}
 		}
-		rec.toIdx, rec.chunkID, rec.args, rec.replyTo, rec.needReply = toIdx, chunkID, args, replyTo, needReply
+		rec.toIdx, rec.chunkID, rec.args, rec.replyTo = toIdx, chunkID, args, replyTo
 		j.inflight[key] = rec
 		j.journaled.Add(1)
 	}
@@ -415,7 +396,7 @@ func (rt *Runtime) completeSpawn(t *Thread, fromIdx, chunkID int) {
 // within their retention caps. rec.mu must be held.
 func (r *spawnRec) fits() bool {
 	return cap(r.loads.buf) <= logRetainBytes && cap(r.loads.lens) <= logRetainLoads &&
-		max(cap(r.contsIn.vals), cap(r.vecsIn.vals), cap(r.donesIn.vals), cap(r.allocsIn.vals)) <= replayRetainCount
+		max(cap(r.contsIn.vals), cap(r.vecsIn.vals), cap(r.donesIn.vals)) <= replayRetainCount
 }
 
 // reset empties a committed record for reuse, keeping its buffers.
@@ -426,7 +407,6 @@ func (r *spawnRec) reset() {
 	r.contsIn.reset()
 	r.vecsIn.reset()
 	r.donesIn.reset()
-	r.allocsIn.reset()
 	r.contsOut, r.spawnsOut = suppressCounter{}, suppressCounter{}
 	r.loads = loadLog{buf: r.loads.buf[:0], lens: r.loads.lens[:0]}
 }
@@ -494,10 +474,7 @@ func (rt *Runtime) respawn(t *Thread, rec *spawnRec) {
 	attempt := rec.attempts
 	rec.mu.Unlock()
 	rt.trace(obs.EvReplaySpawn, rec.toIdx, rec.chunkID, 0, t.epoch.Load(), int64(attempt))
-	rt.send(rec.replyTo, target, Message{
-		Kind: MsgSpawn, ChunkID: rec.chunkID, Args: rec.args,
-		NeedReply: rec.needReply, ReplyTo: rec.replyTo,
-	}, nil)
+	rt.send(rec.replyTo, target, Message{Kind: MsgSpawn, ChunkID: rec.chunkID, Args: rec.args, ReplyTo: rec.replyTo}, nil)
 }
 
 // spendRestart snapshots the in-flight spawns of thread t for a restart
@@ -535,20 +512,16 @@ type RecoveryStats struct {
 	// worker.
 	Restarts    int64
 	Redelivered int64
-	// BackpressureWaits counts sends that found a bounded queue full and
-	// had to wait for the consumer.
-	BackpressureWaits int64
 }
 
-// RecoveryStats snapshots restart/replay/backpressure counters.
+// RecoveryStats snapshots the restart and replay counters.
 func (rt *Runtime) RecoveryStats() RecoveryStats {
 	return RecoveryStats{
-		SpawnsJournaled:   rt.jr.journaled.Load(),
-		Commits:           rt.jr.commits.Load(),
-		Replays:           rt.jr.replays.Load(),
-		Giveups:           rt.jr.giveups.Load(),
-		Restarts:          rt.stats.restarts.Load(),
-		Redelivered:       rt.stats.redelivered.Load(),
-		BackpressureWaits: rt.stats.backpressure.Load(),
+		SpawnsJournaled: rt.jr.journaled.Load(),
+		Commits:         rt.jr.commits.Load(),
+		Replays:         rt.jr.replays.Load(),
+		Giveups:         rt.jr.giveups.Load(),
+		Restarts:        rt.stats.restarts.Load(),
+		Redelivered:     rt.stats.redelivered.Load(),
 	}
 }

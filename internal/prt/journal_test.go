@@ -48,7 +48,7 @@ func TestReplayServedCrashedAttemptLoads(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	got, err := u.JoinTimeout(1, 5*time.Second)
 	if err != nil {
 		t.Fatalf("Join: %v", err)
@@ -94,8 +94,8 @@ func TestNestedSpawnKeepsOuterLoadLog(t *testing.T) {
 	defer th.Close()
 	u := th.Normal()
 	mem.Store(10)
-	u.Spawn(1, 1, nil, true)
-	u.Spawn(1, 2, nil, true)
+	u.Spawn(1, 1, nil)
+	u.Spawn(1, 2, nil)
 	done, err := u.JoinOneTimeout(5 * time.Second)
 	if err != nil || done.ChunkID != 2 {
 		t.Fatalf("JoinOne = chunk %d, %v; want the nested chunk 2", done.ChunkID, err)
@@ -178,7 +178,7 @@ func TestStaleAttemptCannotMoveReplayLog(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	if got, err := u.WaitTimeout(7, 5*time.Second); err != nil || got != iv(100) {
 		t.Fatalf("Wait(7) = %v, %v, want 100", got, err)
 	}
@@ -241,7 +241,7 @@ func TestWarmJournaledHopsAllocateNothing(t *testing.T) {
 	u := th.Normal()
 	args := []val{iv(1)}
 	roundTrip := func() {
-		u.Spawn(1, 1, args, true)
+		u.Spawn(1, 1, args)
 		u.SendCont(1, 5, iv(1))
 		if got, err := u.Join(1); err != nil || got != iv(42) {
 			t.Fatalf("Join = %v, %v, want 42", got, err)
@@ -293,7 +293,7 @@ func TestRecycledRecordsKeepSmallLogs(t *testing.T) {
 	defer th.Close()
 	u := th.Normal()
 	spawn := func(loads int) (*spawnRec, bool) {
-		u.Spawn(1, 1, []val{iv(loads)}, true)
+		u.Spawn(1, 1, []val{iv(loads)})
 		rec := rt.lookupSpawn(th, 1, 1)
 		if _, err := u.JoinTimeout(1, 5*time.Second); err != nil {
 			t.Fatalf("Join: %v", err)
@@ -330,7 +330,7 @@ func TestReplayedRecordNotReused(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	rec := rt.lookupSpawn(th, 1, 1)
 	if got, err := u.JoinTimeout(1, 5*time.Second); err != nil || got != iv(1) {
 		t.Fatalf("Join = %v, %v, want 1", got, err)
@@ -377,7 +377,7 @@ func TestRestartedRecordNotReused(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	rec := rt.lookupSpawn(th, 1, 1)
 	<-started
 	th.RestartWorker(1)
@@ -394,7 +394,7 @@ func TestRestartedRecordNotReused(t *testing.T) {
 		t.Fatal("the stale attempt never finished")
 	}
 	mem.Store(500)
-	u.Spawn(1, 2, nil, true)
+	u.Spawn(1, 2, nil)
 	if got, err := u.WaitTimeout(9, 2*time.Second); err != nil || got != iv(500) {
 		t.Fatalf("Wait(9) = %v, %v; want 500 from the next spawn", got, err)
 	}

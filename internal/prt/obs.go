@@ -61,13 +61,7 @@ func (rt *Runtime) RegisterMetrics(reg *obs.Registry) {
 	reg.Gauge("prt.drained", rt.stats.drained.Load)
 	reg.Gauge("prt.restarts", rt.stats.restarts.Load)
 	reg.Gauge("prt.redelivered", rt.stats.redelivered.Load)
-	reg.Gauge("prt.backpressure_waits", rt.stats.backpressure.Load)
 	reg.Gauge("prt.payload_tampered", rt.stats.payloadTampered.Load)
-	reg.Gauge("prt.stalls", func() int64 {
-		rt.stats.stallMu.Lock()
-		defer rt.stats.stallMu.Unlock()
-		return int64(len(rt.stats.stalls))
-	})
 
 	reg.Gauge("prt.journal.spawns", rt.jr.journaled.Load)
 	reg.Gauge("prt.journal.commits", rt.jr.commits.Load)
@@ -79,7 +73,6 @@ func (rt *Runtime) RegisterMetrics(reg *obs.Registry) {
 	reg.Gauge("prt.queue.dequeues", rt.sumQueues(func(q *queue.Queue[Message]) int64 { _, d := q.Stats(); return d }))
 	reg.Gauge("prt.queue.parks", rt.sumQueues((*queue.Queue[Message]).Parks))
 	reg.Gauge("prt.queue.park_us", rt.sumQueues(func(q *queue.Queue[Message]) int64 { return q.ParkTime().Microseconds() }))
-	reg.Gauge("prt.queue.full_waits", rt.sumQueues((*queue.Queue[Message]).FullWaits))
 
 	rt.hChunkUS = reg.Histogram("prt.chunk_exec_us")
 	rt.hWaitUS = reg.Histogram("prt.wait_block_us")

@@ -20,7 +20,7 @@ func TestTraceCoversSpawnProtocol(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	if got, err := u.Join(1); err != nil || got != iv(7) {
 		t.Fatalf("Join = %v, %v", got, err)
 	}
@@ -47,7 +47,7 @@ func TestAbortCarriesFlightRecord(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	_, err := u.Join(1)
 	var abort *EnclaveAbort
 	if !errors.As(err, &abort) {
@@ -69,7 +69,7 @@ func TestAbortCarriesFlightRecord(t *testing.T) {
 func TestTimeoutCarriesFlightRecord(t *testing.T) {
 	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{})
 	rt.Tracer = obs.NewTracer(256)
-	rt.Supervise = Supervision{WaitTimeout: 20 * time.Millisecond}
+	rt.WaitTimeout = 20 * time.Millisecond
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
@@ -102,7 +102,7 @@ func TestWaitHistogramObservesBlockedWaits(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	if got, err := u.Wait(5); err != nil || got != iv(1014) {
 		t.Fatalf("Wait = %v, %v", got, err)
 	}
@@ -139,7 +139,7 @@ func TestWaitHistogramCountsEveryWait(t *testing.T) {
 	defer th.Close()
 	u := th.Normal()
 	u.SendCont(0, 5, iv(1)) // buffered before its Wait
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	if got, err := u.Wait(6); err != nil || got != iv(2) {
 		t.Fatalf("Wait(6) = %v, %v", got, err)
 	}
@@ -183,7 +183,7 @@ func TestHopHistogramStampsOnlyWhenArmed(t *testing.T) {
 	rt.RegisterMetrics(reg)
 	for i := 0; i < 3; i++ {
 		th.AdvanceEpoch() // new streams, as every Call opens
-		u.Spawn(1, 1, nil, true)
+		u.Spawn(1, 1, nil)
 		if _, err := u.Join(1); err != nil {
 			t.Fatalf("Join: %v", err)
 		}

@@ -3,6 +3,7 @@ package prt
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,7 +11,7 @@ import (
 
 // These tests exercise the recovery layer end to end at the runtime level:
 // replay-on-abort, the attempt budget, the cont replay caches, worker
-// restart with epoch fencing, timeout diagnostics, and backpressure.
+// restart with epoch fencing, and timeout diagnostics.
 
 // TestRetryOnAbortRecovers: a chunk that crashes twice and then succeeds
 // must complete the join with the correct value and no visible error, and
@@ -29,7 +30,7 @@ func TestRetryOnAbortRecovers(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	got, err := u.JoinTimeout(1, 5*time.Second)
 	if err != nil {
 		t.Fatalf("Join after recovery: %v", err)
@@ -64,7 +65,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	_, err := u.JoinTimeout(1, 5*time.Second)
 	if !errors.Is(err, ErrEnclaveAbort) {
 		t.Fatalf("Join = %v, want ErrEnclaveAbort after exhausted budget", err)
@@ -116,7 +117,7 @@ func TestReplayContCaches(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	u.SendCont(1, 5, iv(20))
 	u.SendCont(1, 6, iv(22))
 	if got, err := u.WaitTimeout(9, 5*time.Second); err != nil || got != iv(42) {
@@ -160,7 +161,7 @@ func TestRestartEpochFencing(t *testing.T) {
 	defer th.Close()
 	u := th.Normal()
 	oldW := th.Worker(1)
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	deadline := time.Now().Add(2 * time.Second)
 	for execs.Load() < 1 {
 		if time.Now().After(deadline) {
@@ -228,9 +229,15 @@ func TestTimeoutDiagnostics(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	<-blocked
-	time.Sleep(5 * time.Millisecond) // let the chunk publish its block point
+	// Wait until the chunk has published its block point.
+	for {
+		if bi, ok := th.Worker(1).block.load(); ok && bi.tag == 5 {
+			break
+		}
+		runtime.Gosched()
+	}
 
 	_, err := u.WaitTimeout(9, 60*time.Millisecond)
 	var te *TimeoutError
@@ -255,52 +262,5 @@ func TestTimeoutDiagnostics(t *testing.T) {
 	u.SendCont(1, 5, val{}) // unblock the enclave chunk
 	if _, err := u.JoinTimeout(1, 5*time.Second); err != nil {
 		t.Fatalf("Join: %v", err)
-	}
-}
-
-// TestBackpressureBoundedQueues: with a bounded queue capacity, a producer
-// outrunning its consumer blocks (and is counted) instead of growing the
-// queue, Runtime.Saturated reports the pressure, and every message still
-// arrives in order.
-func TestBackpressureBoundedQueues(t *testing.T) {
-	const conts = 8
-	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
-		1: func(w *Worker, args []val) val {
-			for i := 0; i < conts; i++ {
-				w.SendCont(0, 100+i, iv(i))
-			}
-			return val{}
-		},
-	})
-	rt.Supervise.QueueCapacity = 2
-	th := rt.NewThread()
-	defer th.Close()
-	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
-
-	// The enclave floods our bounded queue; it must fill and stay full
-	// (the producer blocked in EnqueueBlock) until we start draining.
-	deadline := time.Now().Add(2 * time.Second)
-	for !rt.Saturated() {
-		if time.Now().After(deadline) {
-			t.Fatal("bounded queue never reached capacity")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	for i := 0; i < conts; i++ {
-		got, err := u.WaitTimeout(100+i, 2*time.Second)
-		if err != nil || got != iv(i) {
-			t.Fatalf("Wait(%d) = %v, %v, want %d", 100+i, got, err, i)
-		}
-	}
-	if _, err := u.JoinTimeout(1, 2*time.Second); err != nil {
-		t.Fatalf("Join: %v", err)
-	}
-	if bp := rt.RecoveryStats().BackpressureWaits; bp == 0 {
-		t.Error("producer never felt backpressure on the bounded queue")
-	}
-	if rt.Saturated() {
-		t.Error("Saturated still true after the queues drained")
 	}
 }

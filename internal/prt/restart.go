@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"privagic/internal/obs"
+	"privagic/internal/queue"
 )
 
 // RestartWorker tears down the enclave worker bound to color index idx and
@@ -16,8 +17,8 @@ import (
 // chunk, its eventual completions carry the dead epoch and cannot commit
 // (the epoch fence is what makes "exactly once" survive a restart).
 //
-// Restart is the watchdog's escalation for a stuck worker and a test's
-// crash lever; callers must hold no runtime locks. Returns the number of
+// Nothing in the runtime restarts a worker on its own: tests use it as
+// the lever that simulates a crash. Callers must hold no runtime locks. Returns the number of
 // queued messages carried over.
 func (t *Thread) RestartWorker(idx int) int {
 	rt := t.RT
@@ -31,7 +32,7 @@ func (t *Thread) RestartWorker(idx int) int {
 		Index:   idx,
 		Mode:    old.Mode,
 		Engine:  old.Engine,
-		q:       rt.newWorkerQueue(),
+		q:       queue.New[Message](),
 		stopped: make(chan struct{}),
 	}
 	t.Workers[idx] = repl

@@ -20,8 +20,8 @@
 // pipelines order-sensitive same-tag cont streams, so FIFO delivery is a
 // correctness requirement, not an optimization), and an epoch (staleness
 // fencing across invocations). See Worker.next. The supervision layer
-// (supervise.go) adds inactivity deadlines, abort propagation and a
-// watchdog so a crashed enclave or a lost cont degrades into a typed
+// (supervise.go, errors.go) adds one inactivity window and abort
+// propagation, so a crashed enclave or a lost cont degrades into a typed
 // error instead of a deadlock.
 package prt
 
@@ -76,10 +76,9 @@ type Message struct {
 	// Spawn fields. Args also carries the values of a vectored cont.
 	// The slice is shared with the sender (and the journal): nobody may
 	// write into it once it is sent.
-	ChunkID   int
-	Args      []value.Val
-	NeedReply bool
-	ReplyTo   *Worker
+	ChunkID int
+	Args    []value.Val
+	ReplyTo *Worker
 	// Cont/Done payload.
 	Payload value.Val
 	// From is the color index of the sending worker (set on Done).
@@ -188,9 +187,15 @@ type Runtime struct {
 	// cannot see. Set it before creating threads.
 	PayloadTags bool
 
-	// Supervise configures the fault-tolerance layer (zero = off).
-	// Set it before creating threads.
-	Supervise Supervision
+	// WaitTimeout is the inactivity window of every Wait/Join/JoinOne,
+	// the runtime's one liveness mechanism: a blocked worker gives up
+	// once the whole runtime has admitted no authentic message for this
+	// long, returning a *TimeoutError instead of hanging on a lost
+	// message. Admitted traffic on any worker restarts the window (a
+	// long protocol that keeps making progress never trips it);
+	// rejected forgeries do not. 0 = block forever, the paper's trusting
+	// runtime. Set it before creating threads.
+	WaitTimeout time.Duration
 
 	// Recovery configures bounded restart/replay of aborted spawns
 	// (zero = off, the surface-the-error behavior). Set it before
@@ -229,10 +234,7 @@ type Runtime struct {
 	// for a full window — which a genuine loss or deadlock forces.
 	lastAdmit atomic.Int64
 
-	stats        supCounters
-	watchdogOnce sync.Once
-	watchdogStop chan struct{}
-	shutdownOnce sync.Once
+	stats supCounters
 
 	mu      sync.Mutex
 	threads []*Thread
@@ -319,8 +321,8 @@ type Worker struct {
 	// a restarted worker starts without it.
 	Local any
 
-	// block publishes what the worker is blocked on, for the watchdog
-	// and for timeout diagnostics.
+	// block publishes what the worker is blocked on, for timeout
+	// diagnostics.
 	block blockState
 }
 
@@ -401,16 +403,6 @@ func (t *Thread) nextStrSeq(epoch uint64, toIdx int) uint64 {
 	return s.seqs[toIdx]
 }
 
-// newWorkerQueue creates a worker channel honoring the configured queue
-// capacity: bounded when Supervise.QueueCapacity > 0 (senders then feel
-// backpressure through rt.send), unbounded otherwise.
-func (rt *Runtime) newWorkerQueue() *queue.Queue[Message] {
-	if c := rt.Supervise.QueueCapacity; c > 0 {
-		return queue.NewBounded[Message](c)
-	}
-	return queue.New[Message]()
-}
-
 // NewThread creates the workers of one application thread and starts the
 // enclave goroutines.
 func (rt *Runtime) NewThread() *Thread {
@@ -422,7 +414,7 @@ func (rt *Runtime) NewThread() *Thread {
 			Index:   i,
 			Mode:    rt.RegionOf(i),
 			Engine:  rt.Engine,
-			q:       rt.newWorkerQueue(),
+			q:       queue.New[Message](),
 			stopped: make(chan struct{}),
 		}
 		t.Workers = append(t.Workers, w)
@@ -437,7 +429,6 @@ func (rt *Runtime) NewThread() *Thread {
 	rt.mu.Lock()
 	rt.threads = append(rt.threads, t)
 	rt.mu.Unlock()
-	rt.maybeStartWatchdog()
 	return t
 }
 
@@ -821,10 +812,11 @@ func (w *Worker) runSpawn(msg Message) {
 	}
 }
 
-// send enqueues a message, charging one queue hop. from is the sending
-// worker (epoch provenance); the interceptor, when installed, owns the
-// actual delivery. c is the calling goroutine's own node cache (nil
-// allocates a fresh node): the sending worker's, when send runs on it.
+// send enqueues a message, charging one queue hop. It never blocks: worker
+// queues are unbounded. from is the sending worker (epoch provenance);
+// the interceptor, when installed, owns the actual delivery. c is the
+// calling goroutine's own node cache (nil allocates a fresh node): the
+// sending worker's, when send runs on it.
 func (rt *Runtime) send(from, to *Worker, msg Message, c *queue.Cache[Message]) {
 	rt.Meter.ChargeMessage(&rt.Machine.Cost)
 	msg.auth = authStamp
@@ -853,17 +845,6 @@ func (rt *Runtime) send(from, to *Worker, msg Message, c *queue.Cache[Message]) 
 	}
 	if box := rt.interceptor.Load(); box != nil {
 		box.ic.Deliver(to, msg)
-		return
-	}
-	if to.q.Capacity() > 0 {
-		// Bounded queue: make the producer feel a full consumer instead
-		// of letting the queue grow without limit (end-to-end
-		// backpressure). The counter is what admission control upstream
-		// (e.g. the memcached front-end) reads to start shedding.
-		if !to.q.TryEnqueue(c, msg) {
-			rt.stats.backpressure.Add(1)
-			to.q.EnqueueBlock(c, msg)
-		}
 		return
 	}
 	to.q.EnqueueCached(c, msg)
@@ -913,23 +894,24 @@ func (w *Worker) PublishLoads() {
 }
 
 // JournalAlloc threads an allocation service call through the executing
-// chunk's replay cache: a replay reuses the address the crashed attempt
-// obtained instead of running alloc (the allocator's bump cursor is not
-// part of the effect transaction, and peers may hold committed writes
-// behind the original address). Live attempts run alloc and record the
-// result. Calls alloc directly when the executing chunk is not journaled.
+// attempt's load log, like JournalWord: a position the log already holds
+// is served the address the crashed attempt obtained, without running
+// alloc (the allocator's bump cursor is not part of the effect
+// transaction, and peers may hold committed writes behind the original
+// address); past that, alloc runs and its result is logged. Calls alloc
+// directly when the executing chunk is not journaled.
 func (w *Worker) JournalAlloc(alloc func() uint64) uint64 {
-	if rec := w.att.rec; rec != nil {
-		return rec.journalAlloc(alloc)
+	if w.att.rec != nil && w.att.loads.logged() {
+		return w.JournalWord(0)
 	}
-	return alloc()
+	return w.JournalWord(alloc())
 }
 
 // Spawn sends a spawn message for chunkID to the worker of colorIdx in the
 // same thread (§7.3.2). The completion Done is routed back to the caller.
 // args travels with the message (and the journal) uncopied: the caller
 // must not write into it afterwards.
-func (w *Worker) Spawn(colorIdx int, chunkID int, args []value.Val, needReply bool) {
+func (w *Worker) Spawn(colorIdx int, chunkID int, args []value.Val) {
 	rt := w.Thread.RT
 	if w.att.rec != nil && w.att.suppressSpawn() {
 		// A previous attempt of this chunk already issued this nested
@@ -940,18 +922,14 @@ func (w *Worker) Spawn(colorIdx int, chunkID int, args []value.Val, needReply bo
 	}
 	if rt.Recovery.Enabled() {
 		// Journal before sending: if the chunk aborts, the spawn is
-		// replayed from exactly these arguments. Every spawn is journaled,
-		// not just needs-reply ones — the partitioner joins every spawn it
-		// emits (the completion is the chunk barrier even when the payload
-		// is unused), so every spawn's abort reaches a joiner and must be
-		// replayable.
-		rt.recordSpawn(w.Thread, colorIdx, chunkID, args, w, needReply)
+		// replayed from exactly these arguments. Every spawn is journaled:
+		// the partitioner joins every spawn it emits (the completion is the
+		// chunk barrier even when the payload is unused), so every spawn's
+		// abort reaches a joiner and must be replayable.
+		rt.recordSpawn(w.Thread, colorIdx, chunkID, args, w)
 	}
 	target := w.Thread.Worker(colorIdx)
-	rt.send(w, target, Message{
-		Kind: MsgSpawn, ChunkID: chunkID, Args: args,
-		NeedReply: needReply, ReplyTo: w,
-	}, &w.cache)
+	rt.send(w, target, Message{Kind: MsgSpawn, ChunkID: chunkID, Args: args, ReplyTo: w}, &w.cache)
 }
 
 // SendCont sends a Free value to the worker of colorIdx in the same thread
@@ -987,7 +965,7 @@ func (w *Worker) sendCont(colorIdx int, msg Message) {
 // Rejected (forged/stale/duplicate) messages do not restart it — a
 // hostile flood cannot suppress the timeout.
 func (w *Worker) window() time.Duration {
-	return w.Thread.RT.Supervise.WaitTimeout
+	return w.Thread.RT.WaitTimeout
 }
 
 // nextDeadline starts (or restarts) the inactivity window.
@@ -1003,7 +981,7 @@ func nextDeadline(window time.Duration) time.Time {
 // meantime (this is what lets Figure 7's main.U run g.U between its two
 // waits). Conts with other tags are buffered for their own wait points.
 //
-// Under supervision (Runtime.Supervise.WaitTimeout > 0) a lost cont turns
+// Under supervision (Runtime.WaitTimeout > 0) a lost cont turns
 // into a *TimeoutError once no authentic message arrives for a full
 // window; a stop message turns into ErrStopped instead of a panic.
 func (w *Worker) Wait(tag int) (value.Val, error) { return w.WaitTimeout(tag, w.window()) }
@@ -1142,7 +1120,7 @@ func (w *Worker) await(op waitOp, kind MsgKind, arg int, window time.Duration) (
 	}
 	rt := w.Thread.RT
 	start := time.Now()
-	w.block.publish(op, arg, start)
+	w.block.publish(op, arg)
 	defer w.block.clear()
 	for {
 		msg, ok := w.next(nextDeadline(window))

@@ -37,7 +37,7 @@ func TestSpawnJoin(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, []val{iv(21)}, true)
+	u.Spawn(1, 1, []val{iv(21)})
 	got, err := u.Join(1)
 	if err != nil {
 		t.Fatalf("Join: %v", err)
@@ -69,7 +69,7 @@ func TestContDelivery(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	if got, err := u.Wait(7); err != nil || got != iv(1001) {
 		t.Errorf("Wait(7) = %v, %v", got, err)
 	}
@@ -95,8 +95,8 @@ func TestTaggedWaitsAreOrderFree(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		th := rt.NewThread()
 		u := th.Normal()
-		u.Spawn(1, 1, nil, true)
-		u.Spawn(2, 2, nil, true)
+		u.Spawn(1, 1, nil)
+		u.Spawn(2, 2, nil)
 		// Consume in the opposite order of a possible arrival order.
 		red, errR := u.Wait(200)
 		blue, errB := u.Wait(100)
@@ -135,7 +135,7 @@ func TestWaitExecutesSpawns(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	if got, err := u.Wait(5); err != nil || got != iv(99) {
 		t.Errorf("Wait = %v, %v", got, err)
 	}
@@ -160,12 +160,12 @@ func TestContBeforeSpawnIsBuffered(t *testing.T) {
 			return v
 		},
 	})
-	rt.Supervise = Supervision{WaitTimeout: 50 * time.Millisecond}
+	rt.WaitTimeout = 50 * time.Millisecond
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
 	u.SendCont(1, 7, iv(5))
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	if got, err := u.Join(1); err != nil || got != iv(5) {
 		t.Fatalf("Join = %v, %v; want 5 from the early cont", got, err)
 	}
@@ -190,11 +190,11 @@ func TestWaitFindsContBufferedByNestedWait(t *testing.T) {
 			return val{}
 		},
 	})
-	rt.Supervise = Supervision{WaitTimeout: 50 * time.Millisecond}
+	rt.WaitTimeout = 50 * time.Millisecond
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	if got, err := u.Wait(1); err != nil || got != iv(1004) {
 		t.Fatalf("Wait(1) = %v, %v; want the cont the nested wait buffered", got, err)
 	}
@@ -218,8 +218,8 @@ func TestJoinOneCarriesSender(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
-	u.Spawn(2, 2, nil, true)
+	u.Spawn(1, 1, nil)
+	u.Spawn(2, 2, nil)
 	got := map[int]any{}
 	for i := 0; i < 2; i++ {
 		msg, err := u.JoinOne()
@@ -244,7 +244,7 @@ func TestMessageCostAccounting(t *testing.T) {
 	_ = before
 	_, msgBefore, _, _ := rt.Meter.Counts()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	if _, err := u.Join(1); err != nil {
 		t.Fatalf("Join: %v", err)
 	}
@@ -267,7 +267,7 @@ func TestParallelThreads(t *testing.T) {
 			defer th.Close()
 			u := th.Normal()
 			for j := 0; j < 100; j++ {
-				u.Spawn(1, 1, []val{iv(i*1000 + j)}, true)
+				u.Spawn(1, 1, []val{iv(i*1000 + j)})
 				got, err := u.Join(1)
 				if err != nil {
 					t.Errorf("thread %d: Join error: %v", i, err)
@@ -307,7 +307,7 @@ func TestSpawnWakesParkedWorker(t *testing.T) {
 		runtime.Gosched()
 	}
 	u := th.Normal()
-	u.Spawn(1, 1, []val{iv(41)}, true)
+	u.Spawn(1, 1, []val{iv(41)})
 	got, err := u.JoinTimeout(1, 10*time.Second)
 	if err != nil {
 		t.Fatalf("Join: %v", err)
@@ -335,7 +335,7 @@ func TestWarmHopsAllocateNothing(t *testing.T) {
 	u := th.Normal()
 	args := []val{iv(41)}
 	roundTrip := func() {
-		u.Spawn(1, 1, args, true)
+		u.Spawn(1, 1, args)
 		if got, err := u.Join(1); err != nil || got != iv(42) {
 			t.Fatalf("Join = %v, %v, want 42", got, err)
 		}

@@ -23,7 +23,7 @@ func TestStopDuringWaitReturnsErrStopped(t *testing.T) {
 	})
 	th := rt.NewThread()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, false)
+	u.Spawn(1, 1, nil)
 	time.Sleep(5 * time.Millisecond) // let the chunk reach its wait
 	th.Close()                       // must not deadlock or panic
 	select {
@@ -47,7 +47,7 @@ func TestAbortPropagatesToJoiner(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	_, err := u.Join(1)
 	if !errors.Is(err, ErrEnclaveAbort) {
 		t.Fatalf("Join after crash = %v, want EnclaveAbort", err)
@@ -57,7 +57,7 @@ func TestAbortPropagatesToJoiner(t *testing.T) {
 		t.Fatalf("abort details wrong: %+v", abort)
 	}
 	// The worker survived the crash and serves the next request.
-	u.Spawn(1, 2, nil, true)
+	u.Spawn(1, 2, nil)
 	got, err := u.Join(1)
 	if err != nil || got != iv(1008) {
 		t.Fatalf("worker did not survive the abort: %v, %v", got, err)
@@ -71,7 +71,7 @@ func TestAbortPropagatesToJoiner(t *testing.T) {
 // timeout instead of a hang.
 func TestWaitTimeoutOnLostCont(t *testing.T) {
 	rt := testRT(t, []string{"blue"}, nil)
-	rt.Supervise = Supervision{WaitTimeout: 20 * time.Millisecond}
+	rt.WaitTimeout = 20 * time.Millisecond
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
@@ -81,7 +81,7 @@ func TestWaitTimeoutOnLostCont(t *testing.T) {
 		t.Fatalf("Wait on lost cont = %v, want ErrWaitTimeout", err)
 	}
 	var te *TimeoutError
-	if !errors.As(err, &te) || te.Tag != 7 || te.Op != "wait" {
+	if !errors.As(err, &te) || te.Tag != 7 || te.Op != "wait" || te.Worker != 0 {
 		t.Fatalf("timeout details wrong: %+v", te)
 	}
 	if el := time.Since(start); el > 5*time.Second {
@@ -102,7 +102,7 @@ func TestJoinTimeoutExplicit(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	_, err := u.JoinTimeout(1, 20*time.Millisecond)
 	if !errors.Is(err, ErrWaitTimeout) {
 		t.Fatalf("JoinTimeout = %v, want ErrWaitTimeout", err)
@@ -140,7 +140,7 @@ func TestDuplicateSuppression(t *testing.T) {
 	defer th.Close()
 	u := th.Normal()
 	for j := 0; j < 50; j++ {
-		u.Spawn(1, 1, []val{iv(j)}, true)
+		u.Spawn(1, 1, []val{iv(j)})
 		got, err := u.Join(1)
 		if err != nil || got != iv(j) {
 			t.Fatalf("round %d: Join = %v, %v", j, got, err)
@@ -167,7 +167,7 @@ func TestHostileMessagesRejected(t *testing.T) {
 	th.Worker(1).DeliverHostile(Message{Kind: MsgSpawn, ChunkID: 999})
 	u.DeliverHostile(Message{Kind: MsgCont, Tag: 1, Payload: iv(-666)})
 	u.DeliverHostile(Message{Kind: MsgDone, Payload: iv(-666), From: 1})
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	got, err := u.Join(1)
 	if err != nil || got != iv(1009) {
 		t.Fatalf("Join = %v, %v; forged done consumed?", got, err)
@@ -193,7 +193,7 @@ func TestContTagValidation(t *testing.T) {
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	if got, err := u.Wait(3); err != nil || got != iv(1011) {
 		t.Fatalf("Wait(3) = %v, %v", got, err)
 	}
@@ -252,7 +252,7 @@ func TestEpochFencesStaleMessages(t *testing.T) {
 	u := th.Normal()
 
 	th.AdvanceEpoch()
-	u.Spawn(1, 1, []val{iv(1017)}, true)
+	u.Spawn(1, 1, []val{iv(1017)})
 	if _, err := u.JoinTimeout(1, 10*time.Millisecond); !errors.Is(err, ErrWaitTimeout) {
 		t.Fatalf("expected timeout while the done is held, got %v", err)
 	}
@@ -261,7 +261,7 @@ func TestEpochFencesStaleMessages(t *testing.T) {
 	th.AdvanceEpoch()
 	rt.SetInterceptor(nil)
 	ic.release()
-	u.Spawn(1, 1, []val{iv(1012)}, true)
+	u.Spawn(1, 1, []val{iv(1012)})
 	got, err := u.Join(1)
 	if err != nil || got != iv(1012) {
 		t.Fatalf("Join = %v, %v; stale completion leaked across epochs", got, err)
@@ -269,35 +269,6 @@ func TestEpochFencesStaleMessages(t *testing.T) {
 	if st := rt.SupervisionStats(); st.DroppedStale == 0 {
 		t.Error("stale message was not counted as dropped")
 	}
-}
-
-// TestWatchdogReportsStall checks the diagnostic half of supervision: a
-// worker blocked past the deadline is reported with the tag it is stuck on.
-func TestWatchdogReportsStall(t *testing.T) {
-	rt := testRT(t, []string{"blue"}, nil)
-	rt.Supervise = Supervision{Watchdog: true, WatchdogInterval: 2 * time.Millisecond}
-	th := rt.NewThread()
-	defer func() { th.Close(); rt.Shutdown() }()
-	u := th.Normal()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		u.Wait(77) // blocks until the cont below arrives
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(rt.Stalls()) == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	stalls := rt.Stalls()
-	if len(stalls) == 0 {
-		t.Fatal("watchdog never reported the blocked worker")
-	}
-	if s := stalls[0]; s.Op != "wait" || s.Tag != 77 || s.Worker != 0 {
-		t.Errorf("stall = %+v, want wait on tag 77 at w0", s)
-	}
-	// Unblock and tear down.
-	th.Worker(1).Thread.RT.send(th.Worker(1), u, Message{Kind: MsgCont, Tag: 77}, nil)
-	<-done
 }
 
 // TestCloseDrainsLeftovers checks graceful shutdown: queue contents left
@@ -312,7 +283,7 @@ func TestCloseDrainsLeftovers(t *testing.T) {
 	})
 	th := rt.NewThread()
 	u := th.Normal()
-	u.Spawn(1, 1, nil, true)
+	u.Spawn(1, 1, nil)
 	if _, err := u.Join(1); err != nil {
 		t.Fatalf("Join: %v", err)
 	}
@@ -324,18 +295,18 @@ func TestCloseDrainsLeftovers(t *testing.T) {
 }
 
 // TestSupervisedRoundTripStillCorrect is the zero-fault sanity check: with
-// the full supervision stack on, the ordinary protocol is unchanged.
+// the wait window armed, the ordinary protocol is unchanged.
 func TestSupervisedRoundTripStillCorrect(t *testing.T) {
 	rt := New(sgx.MachineB(), []string{"blue"}, func(w *Worker, chunkID int, args []val) val {
 		return iv(args[0].I + 1)
 	})
-	rt.Supervise = Supervision{WaitTimeout: time.Second, Watchdog: true}
+	rt.WaitTimeout = time.Second
 	th := rt.NewThread()
 	defer func() { th.Close(); rt.Shutdown() }()
 	u := th.Normal()
 	for j := 0; j < 200; j++ {
 		th.AdvanceEpoch()
-		u.Spawn(1, 1, []val{iv(j)}, true)
+		u.Spawn(1, 1, []val{iv(j)})
 		got, err := u.Join(1)
 		if err != nil || got != iv(j+1) {
 			t.Fatalf("round %d: %v, %v", j, got, err)
@@ -344,5 +315,52 @@ func TestSupervisedRoundTripStillCorrect(t *testing.T) {
 	st := rt.SupervisionStats()
 	if st.Timeouts != 0 || st.Aborts != 0 || st.HostileTotal() != 0 {
 		t.Errorf("clean run tripped counters: %+v", st)
+	}
+}
+
+// TestCrossSendsBeforeWaitNeverBlock pins the promise supervision makes:
+// a wait ends in a value or a typed error, never a hang. Two workers each
+// send 64 conts to the other before either waits, so each send lands in
+// the queue of a worker that is itself still sending. Sends never block,
+// so every value arrives. (With a send that blocks at a queue bound of 2,
+// both workers wedge inside their sends, outside any wait window.)
+func TestCrossSendsBeforeWaitNeverBlock(t *testing.T) {
+	const conts = 64
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val {
+			for i := 0; i < conts; i++ {
+				w.SendCont(0, 100+i, iv(i))
+			}
+			sum := int64(0)
+			for i := 0; i < conts; i++ {
+				v, err := w.Wait(200 + i)
+				if err != nil {
+					t.Errorf("enclave Wait(%d): %v", 200+i, err)
+					return val{}
+				}
+				sum += v.I
+			}
+			return iv(sum)
+		},
+	})
+	rt.WaitTimeout = 10 * time.Second
+	th := rt.NewThread()
+	defer th.Close()
+	u := th.Normal()
+	u.Spawn(1, 1, nil)
+	for i := 0; i < conts; i++ {
+		u.SendCont(1, 200+i, iv(1000+i))
+	}
+	for i := 0; i < conts; i++ {
+		if got, err := u.Wait(100 + i); err != nil || got != iv(i) {
+			t.Fatalf("Wait(%d) = %v, %v, want %d", 100+i, got, err, i)
+		}
+	}
+	got, err := u.Join(1)
+	if want := iv(conts*1000 + conts*(conts-1)/2); err != nil || got != want {
+		t.Fatalf("Join = %v, %v, want %v", got, err, want)
+	}
+	if st := rt.SupervisionStats(); st.Timeouts != 0 {
+		t.Errorf("Timeouts = %d, want 0", st.Timeouts)
 	}
 }

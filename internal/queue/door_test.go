@@ -104,22 +104,23 @@ func TestDoorTimeoutLeavesNoSleeper(t *testing.T) {
 	}
 }
 
-// TestDoorStressMPMC: 4 producers and 3 consumers on a bounded queue, so
-// both doors see several waiters at once. Producers mix EnqueueBlock and
-// Enqueue; consumers mix DequeueBlock and short DequeueTimeouts. Every
+// TestDoorStressMPMC: 4 producers and 3 consumers, so the door sees
+// several parked consumers at once. Producers mix cached and raw
+// enqueues; consumers mix DequeueBlock and short DequeueTimeouts. Every
 // value arrives exactly once and no waiter is left registered.
 func TestDoorStressMPMC(t *testing.T) {
 	const producers, consumers, per = 4, 3, 3000
-	q := NewBounded[int](4)
+	q := New[int]()
 	var pwg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		pwg.Add(1)
 		go func(p int) {
 			defer pwg.Done()
+			var c Cache[int]
 			for i := 0; i < per; i++ {
 				v := p*per + i
 				if i%2 == 0 {
-					q.EnqueueBlock(nil, v)
+					q.EnqueueCached(&c, v)
 				} else {
 					q.Enqueue(v)
 				}
@@ -178,9 +179,9 @@ func TestDoorStressMPMC(t *testing.T) {
 	if n != producers*per {
 		t.Fatalf("delivered %d values, want %d", n, producers*per)
 	}
-	t.Logf("parks=%d full_waits=%d", q.Parks(), q.FullWaits())
-	if c, p := q.consumers.sleepers.Load(), q.producers.sleepers.Load(); c != 0 || p != 0 {
-		t.Fatalf("sleepers left registered: consumers=%d producers=%d", c, p)
+	t.Logf("parks=%d", q.Parks())
+	if n := q.consumers.sleepers.Load(); n != 0 {
+		t.Fatalf("sleepers left registered: %d", n)
 	}
 }
 

@@ -28,18 +28,17 @@
 // Enqueue (re-deliveries, the fault injector playing the attacker, stop
 // messages) allocates a fresh node.
 //
-// Blocking waits go through one door per side. A waiter first spins on the
+// Queues are unbounded, so an enqueue never blocks. A blocking dequeue
+// goes through the consumers' door: the waiter first spins on the
 // queue's state, then yields, then parks: it registers as a sleeper,
-// re-checks, and blocks on a one-slot token channel. The other side hands
-// over a token, without blocking, whenever it changes the state while a
-// sleeper is registered: Enqueue wakes a parked consumer, and a Dequeue on
-// a bounded queue wakes a producer parked at capacity. A message that
-// arrives after its consumer parked is therefore delivered at the cost of
-// one goroutine wakeup, not at the end of a sleep.
+// re-checks, and blocks on a one-slot token channel. Enqueue hands over a
+// token, without blocking, whenever a sleeper is registered. A message
+// that arrives after its consumer parked is therefore delivered at the
+// cost of one goroutine wakeup, not at the end of a sleep.
 //
-// Each queue tracks its own depth, enqueue/dequeue totals, parks, park
-// time and full-queue waits; the runtime aggregates them across workers
-// into the prt.queue.* gauges (see OBSERVABILITY.md).
+// Each queue tracks its own depth, enqueue/dequeue totals, parks and park
+// time; the runtime aggregates them across workers into the prt.queue.*
+// gauges (see OBSERVABILITY.md).
 package queue
 
 import (
@@ -70,10 +69,9 @@ type Cache[T any] struct {
 	free *node[T]
 }
 
-// door is the parked half of one side's blocking wait. A waiter that ran
-// out of spins registers in sleepers, re-checks its condition and blocks
-// on token; the other side, right after changing the state the waiter
-// polls, calls open. Sleepers is incremented before the re-check and
+// door is the parked half of the consumers' blocking wait. A waiter that
+// ran out of spins registers in sleepers, re-checks the queue and blocks
+// on token; Enqueue, right after publishing an element, calls open. Sleepers is incremented before the re-check and
 // loaded after the state change (both sequentially consistent atomics),
 // so either the waiter sees the change or open sees the waiter: a wakeup
 // is never lost.
@@ -107,48 +105,25 @@ type Queue[T any] struct {
 	// from.
 	free atomic.Pointer[node[T]]
 
-	// capacity, when positive, bounds the queue for the cooperative
-	// producer paths (TryEnqueue/EnqueueBlock). Enqueue itself never
-	// blocks or fails: it is the raw insertion path (re-deliveries, the
-	// fault injector playing the attacker), and an attacker does not
-	// honor backpressure. The bound is therefore a protocol contract,
-	// not a memory guarantee — and because Len is a racy difference of
-	// counters, the bound is approximate by up to the number of
-	// concurrent producers.
-	capacity int64
-
 	consumers door // waiting for an element; opened by Enqueue
-	producers door // waiting for room; bounded queues only, opened by Dequeue
 	// timer is a stopped, drained deadline timer kept for the next timed
 	// park, so parking allocates nothing. A waiter takes it with Swap; a
 	// second concurrent timed waiter makes its own.
 	timer atomic.Pointer[time.Timer]
 
-	enqueues  atomic.Int64
-	dequeues  atomic.Int64
-	parks     atomic.Int64
-	parkNS    atomic.Int64
-	fullWaits atomic.Int64
+	enqueues atomic.Int64
+	dequeues atomic.Int64
+	parks    atomic.Int64
+	parkNS   atomic.Int64
 }
 
-// New creates an empty, unbounded queue.
+// New creates an empty queue.
 func New[T any]() *Queue[T] {
 	q := &Queue[T]{}
 	sentinel := &node[T]{}
 	q.head.Store(sentinel)
 	q.tail.Store(sentinel)
 	q.consumers.token = make(chan struct{}, 1)
-	return q
-}
-
-// NewBounded creates a queue whose cooperative producers (TryEnqueue,
-// EnqueueBlock) respect a capacity; cap < 1 means unbounded.
-func NewBounded[T any](capacity int) *Queue[T] {
-	q := New[T]()
-	if capacity > 0 {
-		q.capacity = int64(capacity)
-		q.producers.token = make(chan struct{}, 1)
-	}
 	return q
 }
 
@@ -190,45 +165,9 @@ func (q *Queue[T]) push(n *node[T]) {
 	q.consumers.open()
 }
 
-// TryEnqueue appends v, in a node from c like EnqueueCached, unless the
-// queue is bounded and at capacity, in which case it reports false without
-// enqueueing. On an unbounded queue it always succeeds.
-func (q *Queue[T]) TryEnqueue(c *Cache[T], v T) bool {
-	if q.capacity > 0 && !q.hasRoom() {
-		return false
-	}
-	q.EnqueueCached(c, v)
-	return true
-}
-
-// EnqueueBlock appends v, in a node from c, waiting at the producers' door
-// while a bounded queue is at capacity. This is the backpressure edge: a
-// producer feeding a saturated consumer slows down to the consumer's pace
-// instead of growing the queue.
-func (q *Queue[T]) EnqueueBlock(c *Cache[T], v T) {
-	if q.TryEnqueue(c, v) {
-		return
-	}
-	q.fullWaits.Add(1)
-	parked := false
-	for {
-		_, p := q.await(&q.producers, q.hasRoom, time.Time{})
-		parked = parked || p
-		if q.TryEnqueue(c, v) {
-			if parked && q.hasRoom() {
-				// One token may stand for several dequeues: pass it
-				// on to the next parked producer.
-				q.producers.open()
-			}
-			return
-		}
-	}
-}
-
 // Dequeue removes and returns the front element, reporting false when the
 // queue is empty (or its front producer has swapped but not yet linked).
-// The old sentinel goes on the free stack. On a bounded queue it wakes a
-// producer parked at capacity.
+// The old sentinel goes on the free stack.
 func (q *Queue[T]) Dequeue() (T, bool) {
 	var zero T
 	q.mu.Lock()
@@ -244,9 +183,6 @@ func (q *Queue[T]) Dequeue() (T, bool) {
 	q.recycle(head)
 	q.mu.Unlock()
 	q.dequeues.Add(1)
-	if q.capacity > 0 {
-		q.producers.open()
-	}
 	return v, true
 }
 
@@ -320,7 +256,7 @@ func (q *Queue[T]) dequeueDeadline(deadline time.Time) (T, bool) {
 			}
 			return v, true
 		}
-		ok, p := q.await(&q.consumers, q.nonEmpty, deadline)
+		ok, p := q.await(deadline)
 		parked = parked || p
 		if !ok {
 			var zero T
@@ -333,31 +269,31 @@ func (q *Queue[T]) dequeueDeadline(deadline time.Time) (T, bool) {
 // copies nor zeroes an element.
 func (q *Queue[T]) nonEmpty() bool { return q.head.Load().next.Load() != nil }
 
-// hasRoom reports whether a bounded queue is below capacity.
-func (q *Queue[T]) hasRoom() bool { return q.Len() < q.capacity }
-
-// await returns once ready holds (ok) or the deadline passes (!ok; a zero
-// deadline never passes): it spins, yields, then parks on d. parked
-// reports whether it reached the door. A true ok is a hint: the caller
-// retries its operation, which another waiter may have won.
-func (q *Queue[T]) await(d *door, ready func() bool, deadline time.Time) (ok, parked bool) {
+// await returns once the queue is non-empty (ok) or the deadline passes
+// (!ok; a zero deadline never passes): it spins, yields, then parks on
+// the consumers' door. parked reports whether it reached the door. A true
+// ok is a hint: the caller retries its dequeue, which another consumer
+// may have won.
+func (q *Queue[T]) await(deadline time.Time) (ok, parked bool) {
 	for i := 0; i < spinIters+yieldIters; i++ {
-		if ready() {
+		if q.nonEmpty() {
 			return true, false
 		}
 		if i >= spinIters {
 			runtime.Gosched()
 		}
 	}
-	return q.park(d, ready, deadline), true
+	return q.park(deadline), true
 }
 
-// park blocks on d until a token arrives or the deadline passes. The clock
-// is read here only, once on each side of the block.
-func (q *Queue[T]) park(d *door, ready func() bool, deadline time.Time) bool {
+// park blocks on the consumers' door until a token arrives or the
+// deadline passes. The clock is read here only, once on each side of the
+// block.
+func (q *Queue[T]) park(deadline time.Time) bool {
+	d := &q.consumers
 	d.sleepers.Add(1)
 	defer d.sleepers.Add(-1)
-	if ready() {
+	if q.nonEmpty() {
 		return true
 	}
 	start := time.Now()
@@ -392,7 +328,7 @@ func (q *Queue[T]) park(d *door, ready func() bool, deadline time.Time) bool {
 		q.timer.Store(t)
 	}
 	q.parkNS.Add(int64(time.Since(start)))
-	return woken || ready()
+	return woken || q.nonEmpty()
 }
 
 // Len returns an instantaneous (racy) element count, useful for stats.
@@ -410,9 +346,9 @@ func (q *Queue[T]) Stats() (enqueues, dequeues int64) {
 	return q.enqueues.Load(), q.dequeues.Load()
 }
 
-// Parks counts the blocking waits (consumers, and producers at capacity)
-// that parked on a door instead of finishing in the spin — the observable
-// difference between a parked idle worker and a hot one.
+// Parks counts the blocking waits that parked on the door instead of
+// finishing in the spin — the observable difference between a parked
+// idle worker and a hot one.
 func (q *Queue[T]) Parks() int64 { return q.parks.Load() }
 
 // ParkTime is the total time the waits counted by Parks spent parked.
@@ -420,10 +356,3 @@ func (q *Queue[T]) ParkTime() time.Duration { return time.Duration(q.parkNS.Load
 
 // Depth is the queue-depth gauge (an alias of Len, named for metrics).
 func (q *Queue[T]) Depth() int64 { return q.Len() }
-
-// Capacity returns the cooperative bound (0 = unbounded).
-func (q *Queue[T]) Capacity() int64 { return q.capacity }
-
-// FullWaits counts how many EnqueueBlock calls found the queue at capacity
-// and had to wait — the backpressure events seen by producers.
-func (q *Queue[T]) FullWaits() int64 { return q.fullWaits.Load() }

@@ -346,28 +346,15 @@ type SupervisionOptions struct {
 	// the window, so it bounds stalls, not total call duration. 0 keeps
 	// the paper's trusting block-forever behavior.
 	WaitTimeout time.Duration
-	// Watchdog starts a supervisor goroutine reporting which tag/join a
-	// stuck worker is blocked on (see SupervisionStats().Stalls).
-	Watchdog bool
-	// QueueCapacity bounds every runtime worker queue (0 = unbounded).
-	// Full queues make producers wait — end-to-end backpressure — and
-	// surface through Saturated for admission control at the edge.
-	QueueCapacity int
-	// RestartStuck lets the watchdog escalate a stalled enclave worker
-	// into a restart: tear down, fresh epoch, replay of in-flight spawns
-	// (needs Watchdog and EnableRecovery).
-	RestartStuck bool
 }
 
-// EnableSupervision turns on timeouts, the watchdog, and the cont-tag
-// whitelist (alongside EnableSpawnValidation's spawn whitelist). Call it
-// before the first Call.
+// EnableSupervision turns on the inactivity window, the runtime's one
+// liveness mechanism, and the cont-tag whitelist (alongside
+// EnableSpawnValidation's spawn whitelist). Call it before the first
+// Call.
 func (i *Instance) EnableSupervision(o SupervisionOptions) {
 	i.ip.EnableContValidation()
-	i.ip.EnableSupervision(prt.Supervision{
-		WaitTimeout: o.WaitTimeout, Watchdog: o.Watchdog,
-		QueueCapacity: o.QueueCapacity, RestartStuck: o.RestartStuck,
-	})
+	i.ip.EnableSupervision(o.WaitTimeout)
 }
 
 // RecoveryOptions configures bounded restart/replay of crashed chunks.
@@ -389,9 +376,8 @@ type RecoveryOptions struct {
 // work: spawns are journaled, a chunk's visible effects (memory writes,
 // output) buffer until it completes, and a poisoned completion replays
 // the spawn with backoff instead of reaching the caller — until the
-// attempt budget runs out. Combine with EnableSupervision (the timeout
-// converts a wedged worker into an error recovery can act on) and, for
-// stuck-worker restarts, SupervisionOptions.RestartStuck. Call before
+// attempt budget runs out. Combine with EnableSupervision: the timeout
+// converts a lost message into an error instead of a hang. Call before
 // the first Call.
 func (i *Instance) EnableRecovery(o RecoveryOptions) {
 	i.ip.EnableRecovery(prt.RecoveryPolicy{
@@ -426,16 +412,8 @@ func (i *Instance) RecoveryStats() RecoveryStats {
 
 // SupervisionStats snapshots the runtime's robustness counters: hostile
 // messages rejected, duplicates and stale stragglers suppressed, aborts,
-// timeouts, drained messages, and watchdog stalls.
+// timeouts and drained messages.
 func (i *Instance) SupervisionStats() prt.SupStats { return i.ip.RT.SupervisionStats() }
-
-// Saturated reports whether any bounded runtime worker queue is at
-// capacity right now (needs SupervisionOptions.QueueCapacity). It is the
-// backend-pressure probe behind memcached.Admission.Saturated and
-// cluster.Config.Saturated: wiring it there makes a congested partitioned
-// backend shed at the network edge with SERVER_ERROR busy instead of
-// queueing without bound.
-func (i *Instance) Saturated() bool { return i.ip.RT.Saturated() }
 
 // Typed failure sentinels, for errors.Is against Call's error: a bounded
 // wait that gave up, a chunk that crashed inside its enclave (the
