@@ -11,7 +11,7 @@ import (
 	"privagic/internal/sources"
 )
 
-// The recovery experiment is the ablation for the restart/replay layer:
+// The recovery experiment is the ablation for the replay layer:
 // the two-color hashmap runs (a) bare, (b) with recovery armed but no
 // faults — the cost of effect buffering and the journal's load/cont
 // caches on the fault-free path — and (c) under seeded crash schedules
@@ -48,9 +48,8 @@ type RecoveryRow struct {
 	Scenario string
 	Tally
 
-	Crashes  int64 // crashes injected across the scenario
-	Replays  int64 // replays performed
-	Restarts int64 // workers torn down and re-created
+	Crashes int64 // crashes injected across the scenario
+	Replays int64 // replays performed
 
 	Wall Timing
 
@@ -151,9 +150,7 @@ func Recovery(cfg RecoveryConfig) (*RecoveryReport, error) {
 				} else if row.Timeouts > 0 && row.Stall == "" {
 					row.Stall = stallDump(inst)
 				}
-				rs := inst.RecoveryStats()
-				row.Replays += rs.Replays
-				row.Restarts += rs.Restarts
+				row.Replays += inst.RecoveryStats().Replays
 			})
 			return nil
 		}
@@ -189,10 +186,10 @@ func (r *RecoveryReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Recovery ablation — two-color hashmap, %d hits fault-free, budget %d, window %v\n",
 		r.Want, r.Config.Budget, r.Config.WaitTimeout)
-	fmt.Fprintf(&b, "%-28s %s %8s %8s %9s %9s\n", "scenario", tallyHeader, "crashes", "replays", "restarts", "min-us")
+	fmt.Fprintf(&b, "%-28s %s %8s %8s %9s\n", "scenario", tallyHeader, "crashes", "replays", "min-us")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-28s %s %8d %8d %9d %9.0f\n", row.Scenario, row.Tally,
-			row.Crashes, row.Replays, row.Restarts, row.Wall.MinMicros())
+		fmt.Fprintf(&b, "%-28s %s %8d %8d %9.0f\n", row.Scenario, row.Tally,
+			row.Crashes, row.Replays, row.Wall.MinMicros())
 	}
 	fmt.Fprintf(&b, "fault-free overhead of arming recovery: %+.1f%% (median of paired ratios)\n", r.OverheadPct)
 	fmt.Fprintf(&b, "Go allocations per journaled spawn, armed and fault-free, compiled tier: %.2f\n", r.AllocsPerSpawn)

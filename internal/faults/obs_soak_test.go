@@ -50,7 +50,6 @@ func reconcile(t *testing.T, seed int64, inst *privagic.Instance) bool {
 		{"drop.duplicate", "prt.dropped_duplicates"},
 		{"replay.spawn", "prt.journal.replays"},
 		{"replay.giveup", "prt.journal.giveups"},
-		{"restart", "prt.restarts"},
 	}
 	for _, p := range pairs {
 		if counts[p.event] != snap[p.metric] {

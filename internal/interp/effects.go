@@ -160,7 +160,7 @@ func (ip *Interp) SetCrashPoint(hook func(workerIdx, chunkID, storeN int) any) {
 	ip.crashPoint = hook
 }
 
-// EnableRecovery turns on bounded restart/replay in the runtime and
+// EnableRecovery turns on bounded replay in the runtime and
 // effect buffering in the interpreter (the two halves are only correct
 // together: replay without buffering double-applies writes, buffering
 // without replay just delays them). Call before the first Call.

@@ -348,17 +348,15 @@ func (ip *Interp) Call(entry string, args ...int64) (ret int64, err error) {
 		return 0, fmt.Errorf("interp: no entry point %q", entry)
 	}
 	main := ip.mainThread()
-	restarts := ip.RT.RecoveryStats().Restarts
 	defer func() {
 		// The Call boundary: every activation on the normal worker has
 		// returned (or unwound), so its stacks go back to their floor.
-		// The pins go too unless the Call failed or a worker restarted
-		// meanwhile: stragglers may then still hold frame addresses.
-		clean := err == nil && ip.RT.RecoveryStats().Restarts == restarts
-		if !clean {
+		// The pins go too unless the Call failed: stragglers may then
+		// still hold frame addresses.
+		if err != nil {
 			ip.callFailures.Add(1)
 		}
-		stateOf(main.Normal()).stack.reset(clean)
+		stateOf(main.Normal()).stack.reset(err == nil)
 	}()
 	defer func() {
 		if r := recover(); r != nil {

@@ -20,9 +20,9 @@ import (
 // boundary, when every chunk of the Call has been joined (the partitioner
 // joins each spawn at its own call site, partition.rewriteCall): the
 // normal worker drops them when Interp.Call returns, an enclave worker
-// when it starts the first spawn of a newer epoch. A Call that failed, or
-// a worker restart, may leave stragglers holding frame addresses, so
-// their pins are kept for the worker's lifetime instead.
+// when it starts the first spawn of a newer epoch. A Call that failed may
+// leave stragglers holding frame addresses, so its pins are kept for the
+// worker's lifetime instead.
 
 const (
 	// stackMinSeg is the first segment of a stack, and the least any
@@ -84,7 +84,7 @@ type stackSet struct {
 	regs []regionStack // by region ID; a region's segs stay nil until its first alloca there
 	undo []stackUndo
 	// depth counts the chunk activations running on the worker (execChunk
-	// nesting); epoch and seen are the executing epoch and disruption
+	// nesting); epoch and seen are the executing epoch and failed-Call
 	// count at the last Call-boundary reset.
 	depth int
 	epoch uint64
@@ -225,8 +225,8 @@ func (st *stackSet) exitTx() {
 
 // reset returns every stack to its floor at a Call boundary, with no
 // activation live on the worker. A clean boundary drops the Call's pins;
-// after a failed Call or a restart, stragglers of the old epoch may still
-// hold frame addresses, so the pins become the stack's permanent floor.
+// after a failed Call, stragglers of the old epoch may still hold frame
+// addresses, so the pins become the stack's permanent floor.
 func (st *stackSet) reset(clean bool) {
 	for i := range st.regs {
 		s := &st.regs[i]
@@ -238,12 +238,6 @@ func (st *stackSet) reset(clean bool) {
 	st.undo = st.undo[:0]
 }
 
-// disruptions counts the events after which a Call boundary keeps its
-// pins: Calls that returned an error and worker restarts.
-func (ip *Interp) disruptions() int64 {
-	return ip.callFailures.Load() + ip.RT.RecoveryStats().Restarts
-}
-
 // stackEpoch resets an enclave worker's stacks when it starts the first
 // spawn of a newer epoch from the top of its loop: the Calls of earlier
 // epochs have joined every chunk they spawned.
@@ -252,7 +246,7 @@ func (ip *Interp) stackEpoch(w *prt.Worker, st *stackSet) {
 		return
 	}
 	if e := w.Epoch(); e != st.epoch {
-		d := ip.disruptions()
+		d := ip.callFailures.Load()
 		st.reset(d == st.seen)
 		st.epoch, st.seen = e, d
 	}

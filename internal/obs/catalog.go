@@ -27,8 +27,6 @@ var Catalog = []MetricDef{
 	{Name: "prt.aborts", Type: "gauge", Unit: "1", Subsystem: "prt", Help: "chunk executions that panicked and were converted to EnclaveAbort"},
 	{Name: "prt.timeouts", Type: "gauge", Unit: "1", Subsystem: "prt", Help: "waits that exceeded the quiescence window and returned ErrWaitTimeout"},
 	{Name: "prt.drained", Type: "gauge", Unit: "1", Subsystem: "prt", Help: "messages drained during graceful worker shutdown"},
-	{Name: "prt.restarts", Type: "gauge", Unit: "1", Subsystem: "prt", Help: "enclave workers torn down and re-created in a fresh epoch (Thread.RestartWorker)"},
-	{Name: "prt.redelivered", Type: "gauge", Unit: "1", Subsystem: "prt", Help: "in-flight messages re-enqueued across a worker restart"},
 	{Name: "prt.payload_tampered", Type: "gauge", Unit: "1", Subsystem: "prt", Help: "messages whose FNV-1a payload tag failed verification at the admit gate"},
 
 	// prt recovery journal (gauges over journal counters in internal/prt/journal.go).

@@ -40,7 +40,6 @@ const (
 	EvSuppressCont
 	EvReplaySpawn
 	EvGiveUp
-	EvRestart
 	EvRouteRetry
 	EvRouteShed
 	EvFailover
@@ -95,7 +94,6 @@ var kindNames = [nEventKinds]string{
 	EvSuppressCont:     "suppress.cont",
 	EvReplaySpawn:      "replay.spawn",
 	EvGiveUp:           "replay.giveup",
-	EvRestart:          "restart",
 	EvRouteRetry:       "route.retry",
 	EvRouteShed:        "route.shed",
 	EvFailover:         "failover",

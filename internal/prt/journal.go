@@ -49,9 +49,12 @@ type journal struct {
 }
 
 // spawnKey identifies one in-flight spawn. A thread's protocol is
-// sequential per chunk (a new spawn of the same chunk only happens after
-// the previous one's completion was consumed), so (thread, target worker,
-// chunk) is unique among in-flight spawns.
+// sequential per chunk within a Call (a new spawn of the same chunk only
+// happens after the previous one's completion was consumed), so (thread,
+// target worker, chunk) is unique among one epoch's in-flight spawns. An
+// entry left behind by an earlier epoch (a Call that timed out before its
+// spawn's completion was consumed) is replaced by the next spawn under
+// the key: see recordSpawn.
 type spawnKey struct {
 	t     *Thread
 	toIdx int
@@ -73,19 +76,21 @@ const (
 )
 
 // spawnRec is the redo-log entry of one spawn: everything needed to
-// replay it, plus the replay caches. Fields are guarded by mu — the
-// executing worker (cont caching) and the joiner (retry bookkeeping) can
-// race when a restart replays while a stale attempt still runs.
+// replay it, plus the replay caches. The caches and the load log are
+// guarded by mu: the executing attempt, the attempts after it and the
+// joiner reach them from different goroutines, and a stale attempt of a
+// timed-out Call may keep running on the record.
 type spawnRec struct {
 	mu      sync.Mutex
 	toIdx   int
 	chunkID int
 	args    []value.Val // shared with the spawn message
 	replyTo *Worker
-	// attempts counts the replays spent so far. It is only raised with
-	// the journal's mu held as well, so completeSpawn, which decides
-	// under that lock whether the record is reused, sees every replay a
-	// restart or a retry has committed to.
+	// epoch is the epoch the spawn was sent in; only a spawn message or a
+	// completion of that epoch matches the entry. attempts counts the
+	// replays spent so far. Both are guarded by the journal's mu, under
+	// which completeSpawn decides whether the record is reused.
+	epoch    uint64
 	attempts int
 
 	// contsIn, vecsIn and donesIn cache what the executing chunk
@@ -132,8 +137,8 @@ type contVec struct {
 // send, before its effects commit, and when it aborts. A peer can only
 // have reacted to loads made before one of those points, so a replay
 // served the published prefix re-reads exactly the memory the protocol
-// already depends on. A stale attempt (one a restart replaced) never
-// publishes, so it cannot move what its successor is served.
+// already depends on. A stale attempt (one a later attempt replaced)
+// never publishes, so it cannot move what its successor is served.
 type attempt struct {
 	rec   *spawnRec
 	gen   uint64
@@ -329,57 +334,74 @@ func (r *spawnRec) recordDoneIn(msg Message) {
 	r.mu.Unlock()
 }
 
-// recordSpawn journals a spawn before it is sent. Recovery must be
-// enabled by the caller.
-func (rt *Runtime) recordSpawn(t *Thread, toIdx, chunkID int, args []value.Val, replyTo *Worker) {
+// recordSpawn journals a spawn of the given epoch before it is sent.
+// Recovery must be enabled by the caller. An entry of an older epoch
+// under the same key is a timed-out Call's, whose completion was never
+// consumed: it is replaced by a fresh record, never reused (its stale
+// attempt may still run on it, and its logs and counts are another
+// Call's). A spawn of an older epoch than the entry's is not journaled:
+// the receiver drops it as stale.
+func (rt *Runtime) recordSpawn(t *Thread, toIdx, chunkID int, args []value.Val, replyTo *Worker, epoch uint64) {
 	j := &rt.jr
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.inflight == nil {
 		j.inflight = make(map[spawnKey]*spawnRec, 8)
 	}
 	key := spawnKey{t, toIdx, chunkID}
-	if _, exists := j.inflight[key]; !exists {
-		var rec *spawnRec
-		if n := len(j.free); n > 0 {
-			rec = j.free[n-1]
-			j.free[n-1] = nil
-			j.free = j.free[:n-1]
-		} else {
-			rec = &spawnRec{}
-		}
-		rec.toIdx, rec.chunkID, rec.args, rec.replyTo = toIdx, chunkID, args, replyTo
-		j.inflight[key] = rec
-		j.journaled.Add(1)
+	if old := j.inflight[key]; old != nil && old.epoch >= epoch {
+		return
 	}
-	j.mu.Unlock()
+	var rec *spawnRec
+	if n := len(j.free); n > 0 {
+		rec = j.free[n-1]
+		j.free[n-1] = nil
+		j.free = j.free[:n-1]
+	} else {
+		rec = &spawnRec{}
+	}
+	rec.toIdx, rec.chunkID, rec.args, rec.replyTo, rec.epoch = toIdx, chunkID, args, replyTo, epoch
+	j.inflight[key] = rec
+	j.journaled.Add(1)
 }
 
-// lookupSpawn finds the in-flight entry for a spawn executing on worker
-// toIdx of thread t (nil when recovery is off or the spawn predates it).
-func (rt *Runtime) lookupSpawn(t *Thread, toIdx, chunkID int) *spawnRec {
+// inflightAt returns the entry under key if it was journaled in epoch.
+// j.mu must be held.
+func (j *journal) inflightAt(key spawnKey, epoch uint64) *spawnRec {
+	if rec := j.inflight[key]; rec != nil && rec.epoch == epoch {
+		return rec
+	}
+	return nil
+}
+
+// lookupSpawn finds the in-flight entry for a spawn of the given epoch
+// executing on worker toIdx of thread t (nil when recovery is off or the
+// spawn was not journaled).
+func (rt *Runtime) lookupSpawn(t *Thread, toIdx, chunkID int, epoch uint64) *spawnRec {
 	j := &rt.jr
 	j.mu.Lock()
-	rec := j.inflight[spawnKey{t, toIdx, chunkID}]
-	j.mu.Unlock()
-	return rec
+	defer j.mu.Unlock()
+	return j.inflightAt(spawnKey{t, toIdx, chunkID}, epoch)
 }
 
 // completeSpawn commits the journal entry of a consumed successful
-// completion. Unknown completions (recovery off, forged) are ignored.
+// completion of the given epoch. Unknown completions (recovery off,
+// forged, an entry another epoch journaled) are ignored.
 //
 // The record is recycled only if the completion came from its one and
-// only execution: one attempt began (gen == 1) and no replay or restart
-// was spent on it (attempts == 0). That attempt sent the completion as
-// its last act, so nothing holds the record any more. A record any other
-// attempt could still touch — a stale attempt a restart replaced keeps
-// running, publishing and counting its sends — goes to the collector.
-func (rt *Runtime) completeSpawn(t *Thread, fromIdx, chunkID int) {
+// only execution: one attempt began (gen == 1) and no replay was spent
+// on it (attempts == 0). That attempt sent the completion as its last
+// act, so nothing holds the record any more. Any other record goes to
+// the collector. A timed-out Call's record never gets here: the next
+// Call's spawn replaces it (recordSpawn), and its stale attempt may
+// still run on it.
+func (rt *Runtime) completeSpawn(t *Thread, fromIdx, chunkID int, epoch uint64) {
 	j := &rt.jr
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	key := spawnKey{t, fromIdx, chunkID}
-	rec, ok := j.inflight[key]
-	if !ok {
+	rec := j.inflightAt(key, epoch)
+	if rec == nil {
 		return
 	}
 	delete(j.inflight, key)
@@ -411,45 +433,44 @@ func (r *spawnRec) reset() {
 	r.loads = loadLog{buf: r.loads.buf[:0], lens: r.loads.lens[:0]}
 }
 
-// spendAttempt charges one replay to the in-flight spawn key names and
-// returns its record and the attempt count (nil when the spawn is not
-// in flight). Charging under the journal's mu keeps a completion racing
+// spendAttempt charges one replay to the in-flight spawn key names, if
+// it was journaled in epoch, and returns its record and the attempt count
+// (nil when no such spawn is in flight). A spawn past its budget leaves
+// the journal. Charging under the journal's mu keeps a completion racing
 // the replay from recycling the record.
-func (rt *Runtime) spendAttempt(key spawnKey) (*spawnRec, int) {
+func (rt *Runtime) spendAttempt(key spawnKey, epoch uint64) (*spawnRec, int) {
 	j := &rt.jr
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	rec := j.inflight[key]
+	rec := j.inflightAt(key, epoch)
 	if rec == nil {
 		return nil, 0
 	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
 	rec.attempts++
+	if rec.attempts > rt.Recovery.MaxAttempts {
+		delete(j.inflight, key)
+	}
 	return rec, rec.attempts
 }
 
-// retrySpawn decides the fate of a poisoned completion consumed by w:
-// true means the spawn was replayed (the completion is swallowed and the
-// joiner keeps waiting for the replacement), false means the budget is
-// exhausted (or the spawn was never journaled) and the error surfaces.
+// retrySpawn decides the fate of a poisoned completion of the given
+// epoch consumed by w: true means the spawn was replayed (the completion
+// is swallowed and the joiner keeps waiting for the replacement), false
+// means the budget is exhausted (or the spawn was never journaled) and
+// the error surfaces.
 // Runs on the joiner's goroutine; the backoff sleep happens here, where
 // the caller is blocked anyway.
-func (rt *Runtime) retrySpawn(w *Worker, abort *EnclaveAbort) bool {
+func (rt *Runtime) retrySpawn(w *Worker, abort *EnclaveAbort, epoch uint64) bool {
 	if !rt.Recovery.Enabled() {
 		return false
 	}
 	t := w.Thread
-	rec, attempt := rt.spendAttempt(spawnKey{t, abort.Worker, abort.ChunkID})
+	rec, attempt := rt.spendAttempt(spawnKey{t, abort.Worker, abort.ChunkID}, epoch)
 	if rec == nil {
 		return false
 	}
 	if attempt > rt.Recovery.MaxAttempts {
-		j := &rt.jr
-		j.mu.Lock()
-		delete(j.inflight, spawnKey{t, abort.Worker, abort.ChunkID})
-		j.mu.Unlock()
-		j.giveups.Add(1)
+		rt.jr.giveups.Add(1)
 		rt.trace(obs.EvGiveUp, abort.Worker, abort.ChunkID, 0, t.epoch.Load(), int64(attempt-1))
 		return false
 	}
@@ -460,39 +481,11 @@ func (rt *Runtime) retrySpawn(w *Worker, abort *EnclaveAbort) bool {
 		return false
 	}
 	rt.jr.replays.Add(1)
-	rt.respawn(t, rec)
-	return true
-}
-
-// respawn re-sends a journaled spawn to the current worker of its color
-// (after a restart, that is the replacement worker) in the thread's
-// current epoch. It runs on the joiner's or a restarter's goroutine, not
-// necessarily rec.replyTo's, so the send takes the raw path.
-func (rt *Runtime) respawn(t *Thread, rec *spawnRec) {
-	target := t.Worker(rec.toIdx)
-	rec.mu.Lock()
-	attempt := rec.attempts
-	rec.mu.Unlock()
 	rt.trace(obs.EvReplaySpawn, rec.toIdx, rec.chunkID, 0, t.epoch.Load(), int64(attempt))
-	rt.send(rec.replyTo, target, Message{Kind: MsgSpawn, ChunkID: rec.chunkID, Args: rec.args, ReplyTo: rec.replyTo}, nil)
-}
-
-// spendRestart snapshots the in-flight spawns of thread t for a restart
-// and charges each one replay, under the journal's mu like spendAttempt.
-func (rt *Runtime) spendRestart(t *Thread) []*spawnRec {
-	j := &rt.jr
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var out []*spawnRec
-	for k, rec := range j.inflight {
-		if k.t == t {
-			rec.mu.Lock()
-			rec.attempts++
-			rec.mu.Unlock()
-			out = append(out, rec)
-		}
-	}
-	return out
+	// The joiner re-sends the spawn as its own, in the epoch it executes
+	// in: the epoch of the completion it consumed, the spawn's own.
+	rt.send(w, t.Worker(rec.toIdx), Message{Kind: MsgSpawn, ChunkID: rec.chunkID, Args: rec.args, ReplyTo: rec.replyTo}, &w.cache)
+	return true
 }
 
 // RecoveryStats snapshots the recovery layer's counters.
@@ -507,21 +500,14 @@ type RecoveryStats struct {
 	// the attempt budget and surfaced their typed error.
 	Replays int64
 	Giveups int64
-	// Restarts counts enclave workers torn down and re-created;
-	// Redelivered counts queued messages carried over to a replacement
-	// worker.
-	Restarts    int64
-	Redelivered int64
 }
 
-// RecoveryStats snapshots the restart and replay counters.
+// RecoveryStats snapshots the replay counters.
 func (rt *Runtime) RecoveryStats() RecoveryStats {
 	return RecoveryStats{
 		SpawnsJournaled: rt.jr.journaled.Load(),
 		Commits:         rt.jr.commits.Load(),
 		Replays:         rt.jr.replays.Load(),
 		Giveups:         rt.jr.giveups.Load(),
-		Restarts:        rt.stats.restarts.Load(),
-		Redelivered:     rt.stats.redelivered.Load(),
 	}
 }

@@ -59,8 +59,6 @@ func (rt *Runtime) RegisterMetrics(reg *obs.Registry) {
 	reg.Gauge("prt.aborts", rt.stats.aborts.Load)
 	reg.Gauge("prt.timeouts", rt.stats.timeouts.Load)
 	reg.Gauge("prt.drained", rt.stats.drained.Load)
-	reg.Gauge("prt.restarts", rt.stats.restarts.Load)
-	reg.Gauge("prt.redelivered", rt.stats.redelivered.Load)
 	reg.Gauge("prt.payload_tampered", rt.stats.payloadTampered.Load)
 
 	reg.Gauge("prt.journal.spawns", rt.jr.journaled.Load)
@@ -92,10 +90,7 @@ func (rt *Runtime) sumQueues(stat func(*queue.Queue[Message]) int64) func() int6
 		rt.mu.Unlock()
 		var total int64
 		for _, t := range threads {
-			t.wmu.RLock()
-			workers := append([]*Worker(nil), t.Workers...)
-			t.wmu.RUnlock()
-			for _, w := range workers {
+			for _, w := range t.Workers {
 				total += stat(w.q)
 			}
 		}

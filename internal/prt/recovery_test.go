@@ -10,8 +10,9 @@ import (
 )
 
 // These tests exercise the recovery layer end to end at the runtime level:
-// replay-on-abort, the attempt budget, the cont replay caches, worker
-// restart with epoch fencing, and timeout diagnostics.
+// replay-on-abort, the attempt budget, the cont replay caches, the epoch
+// fence around a timed-out Call's journal entries, and timeout
+// diagnostics.
 
 // TestRetryOnAbortRecovers: a chunk that crashes twice and then succeeds
 // must complete the join with the correct value and no visible error, and
@@ -140,75 +141,102 @@ func TestReplayContCaches(t *testing.T) {
 	}
 }
 
-// TestRestartEpochFencing is the exactly-once story of a worker restart: a
-// straggler completion from the pre-restart incarnation is fenced off as
-// stale, while the replayed spawn's completion in the new epoch commits —
-// exactly once.
-func TestRestartEpochFencing(t *testing.T) {
-	release := make(chan struct{})
+// dropFirstDone is a test interceptor that loses the first completion
+// and delivers everything else.
+type dropFirstDone struct{ dropped atomic.Bool }
+
+func (d *dropFirstDone) Deliver(to *Worker, msg Message) {
+	if msg.Kind == MsgDone && d.dropped.CompareAndSwap(false, true) {
+		return
+	}
+	to.EnqueueRaw(msg)
+}
+
+// TestTimedOutCallEntryNotReused: a Call that timed out because its
+// spawn's completion was lost leaves that spawn's journal entry in
+// flight. The next Call's spawn of the same chunk is journaled afresh
+// and runs on live memory: it is not served the dead Call's loads.
+func TestTimedOutCallEntryNotReused(t *testing.T) {
+	var mem atomic.Int64
+	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
+		1: func(w *Worker, args []val) val { return iv(journaledLoad(w, &mem)) },
+	})
+	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
+	rt.WaitTimeout = 50 * time.Millisecond
+	rt.SetInterceptor(&dropFirstDone{})
+	th := rt.NewThread()
+	defer th.Close()
+	u := th.Normal()
+	call := func(v int64) (val, error) {
+		th.AdvanceEpoch()
+		mem.Store(v)
+		u.Spawn(1, 1, nil)
+		return u.Join(1)
+	}
+	if _, err := call(1); !errors.Is(err, ErrWaitTimeout) {
+		t.Fatalf("Call 1 = %v, want a timeout: its completion was lost", err)
+	}
+	if got, err := call(2); err != nil || got != iv(2) {
+		t.Fatalf("Call 2 = %v, %v; want 2 (live memory, not Call 1's load)", got, err)
+	}
+	if rs := rt.RecoveryStats(); rs.SpawnsJournaled != 2 || rs.Commits != 1 || rs.Replays != 0 {
+		t.Errorf("journaled %d, commits %d, replays %d; want 2/1/0",
+			rs.SpawnsJournaled, rs.Commits, rs.Replays)
+	}
+}
+
+// TestStaleCompletionNeverCommits: the completion of a stale attempt,
+// one still running when its Call timed out, is dropped as stale: it
+// neither commits nor answers the next Call's join, which gets the
+// completion of its own spawn, exactly once.
+func TestStaleCompletionNeverCommits(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
 	var execs atomic.Int32
 	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
 		1: func(w *Worker, args []val) val {
 			if execs.Add(1) == 1 {
-				<-release // wedged until after the restart
+				close(started)
+				<-release // wedged until the next Call has spawned
 				return iv(1015)
 			}
 			return iv(1016)
 		},
 	})
 	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
+	rt.WaitTimeout = 50 * time.Millisecond
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
-	oldW := th.Worker(1)
+
+	th.AdvanceEpoch()
 	u.Spawn(1, 1, nil)
-	deadline := time.Now().Add(2 * time.Second)
-	for execs.Load() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("spawn never started executing")
-		}
-		time.Sleep(time.Millisecond)
+	stale := rt.lookupSpawn(th, 1, 1, th.epoch.Load())
+	<-started
+	if _, err := u.Join(1); !errors.Is(err, ErrWaitTimeout) {
+		t.Fatalf("Call 1 Join = %v, want a timeout: its chunk is wedged", err)
 	}
 
-	th.RestartWorker(1)
-	if th.Worker(1) == oldW {
-		t.Fatal("RestartWorker did not swap in a replacement")
-	}
-
-	// Unwedge the dead incarnation and wait for it to finish: its "stale"
-	// completion is now in our queue, stamped with the dead epoch.
+	th.AdvanceEpoch()
+	u.Spawn(1, 1, nil)
 	close(release)
-	select {
-	case <-oldW.stopped:
-	case <-time.After(2 * time.Second):
-		t.Fatal("old worker goroutine never exited")
+	// The worker finishes the stale attempt before it runs the new spawn,
+	// so the stale completion reaches the join first.
+	if got, err := u.Join(1); err != nil || got != iv(1016) {
+		t.Fatalf("Call 2 Join = %v, %v; want 1016 from its own spawn", got, err)
 	}
-
-	// The join must see exactly the replay's completion.
-	got, err := u.JoinTimeout(1, 5*time.Second)
-	if err != nil {
-		t.Fatalf("Join after restart: %v", err)
-	}
-	if got != iv(1016) {
-		t.Errorf("Join = %v, want the replayed chunk's result", got)
-	}
-	if n := execs.Load(); n != 2 {
-		t.Errorf("chunk executed %d times, want 2", n)
-	}
-	// No second completion may ever be admitted.
 	if _, err := u.JoinOneTimeout(60 * time.Millisecond); !errors.Is(err, ErrWaitTimeout) {
-		t.Errorf("straggler completion was admitted: JoinOne = %v, want timeout", err)
+		t.Errorf("a second completion was admitted: JoinOne = %v, want timeout", err)
 	}
 	rs := rt.RecoveryStats()
-	if rs.Restarts != 1 || rs.Replays != 1 || rs.Commits != 1 || rs.SpawnsJournaled != 1 {
-		t.Errorf("restarts=%d replays=%d commits=%d journaled=%d, want 1/1/1/1",
-			rs.Restarts, rs.Replays, rs.Commits, rs.SpawnsJournaled)
-	}
-	if rs.Giveups != 0 {
-		t.Errorf("giveups=%d, want 0", rs.Giveups)
+	if rs.SpawnsJournaled != 2 || rs.Commits != 1 || rs.Replays != 0 || rs.Giveups != 0 {
+		t.Errorf("journaled %d, commits %d, replays %d, giveups %d; want 2/1/0/0",
+			rs.SpawnsJournaled, rs.Commits, rs.Replays, rs.Giveups)
 	}
 	if ds := rt.SupervisionStats().DroppedStale; ds < 1 {
-		t.Errorf("dropped-stale=%d, want >=1 (the fenced straggler)", ds)
+		t.Errorf("dropped-stale = %d, want >= 1 (the stale completion)", ds)
+	}
+	if freeHolds(rt, stale) {
+		t.Error("the record of the timed-out Call's spawn was recycled")
 	}
 }
 

@@ -1,4 +1,4 @@
-// Recovery (this file, journal.go, restart.go) is the second half of the
+// Recovery (this file and journal.go) is the second half of the
 // fault story supervision started: supervision turns a crashed or wedged
 // enclave into a typed error; recovery turns the typed error back into a
 // completed request. A poisoned completion (the chunk aborted) is not
@@ -20,7 +20,7 @@ package prt
 
 import "privagic/internal/retry"
 
-// RecoveryPolicy bounds the runtime's restart/replay behavior. The zero
+// RecoveryPolicy bounds the runtime's replay behavior. The zero
 // value disables recovery (PR 1's surface-the-error behavior). It is the
 // shared retry.Policy: MaxAttempts is the per-spawn replay budget,
 // Backoff/MaxBackoff/Jitter shape the delay before each replay.

@@ -132,8 +132,8 @@ type interceptorBox struct{ ic Interceptor }
 
 // Engine selects the chunk execution tier workers run their bodies on.
 // The runtime itself is engine-agnostic — the value is plumbed to each
-// Worker at creation (and across restarts) so the embedder's ChunkExec
-// callback can pick the tier per worker; see internal/interp.
+// Worker at creation so the embedder's ChunkExec callback can pick the
+// tier per worker; see internal/interp.
 type Engine uint8
 
 const (
@@ -197,19 +197,18 @@ type Runtime struct {
 	// runtime. Set it before creating threads.
 	WaitTimeout time.Duration
 
-	// Recovery configures bounded restart/replay of aborted spawns
-	// (zero = off, the surface-the-error behavior). Set it before
-	// creating threads; see retry.go and journal.go.
+	// Recovery configures bounded replay of aborted spawns (zero = off,
+	// the surface-the-error behavior). Set it before creating threads;
+	// see retry.go and journal.go.
 	Recovery RecoveryPolicy
 
 	// Engine is the execution tier copied to every worker created after
 	// it is set (SetEngine on the interpreter sets it before the first
-	// thread exists). Restarted workers inherit their predecessor's
-	// engine, so a mid-run restart cannot silently change tiers.
+	// thread exists).
 	Engine Engine
 
 	// Tracer, when set, records a structured event per runtime decision
-	// (admit-gate rejects, spawns, waits, replays, restarts — see
+	// (admit-gate rejects, spawns, waits, replays — see
 	// internal/obs and OBSERVABILITY.md). Nil disables tracing at the
 	// cost of one branch per site. Set it before creating threads.
 	Tracer *obs.Tracer
@@ -278,8 +277,7 @@ type Worker struct {
 	q *queue.Queue[Message]
 	// cache holds recycled queue nodes for this worker's own sends.
 	// Touched only on the worker's own goroutine (the app thread, for
-	// index 0); sends made for it from elsewhere (restart re-deliveries,
-	// journal replays) take the raw path.
+	// index 0); a send made for it from elsewhere takes the raw path.
 	cache queue.Cache[Message]
 	// pendingCont/pendingDone buffer conts and completions that arrived
 	// before anyone waited for them (see dispatch and await).
@@ -312,13 +310,12 @@ type Worker struct {
 	loadHint logSize
 
 	// Engine is the execution tier this worker runs chunk bodies on,
-	// copied from Runtime.Engine at creation (and from the predecessor
-	// on restart).
+	// copied from Runtime.Engine at creation: a later SetEngine does not
+	// move a running worker to another tier.
 	Engine Engine
 
 	// Local is the embedder's per-worker state, one value of the
-	// embedder's own type. Touched only on the worker's own goroutine;
-	// a restarted worker starts without it.
+	// embedder's own type. Touched only on the worker's own goroutine.
 	Local any
 
 	// block publishes what the worker is blocked on, for timeout
@@ -331,13 +328,10 @@ type Worker struct {
 // Privagic runs one worker thread per enclave", §8).
 type Thread struct {
 	RT *Runtime
-	// Workers holds the live worker of each color (index 0 is the app
-	// thread itself, normal mode). A restart swaps a replacement in
-	// under wmu; use Worker()/Normal() rather than indexing directly
-	// when restarts may be live.
+	// Workers holds the worker of each color (index 0 is the app thread
+	// itself, normal mode), fixed from NewThread to Close.
 	Workers []*Worker
-	wmu     sync.RWMutex
-	nw      int // worker count, fixed at creation (len(Workers))
+	nw      int // worker count (len(Workers))
 	wg      sync.WaitGroup
 	epoch   atomic.Uint64
 	closed  atomic.Bool
@@ -448,17 +442,14 @@ func (t *Thread) Close() {
 	if t.cancel != nil {
 		t.cancel()
 	}
-	t.wmu.RLock()
-	workers := append([]*Worker(nil), t.Workers...)
-	t.wmu.RUnlock()
-	for _, w := range workers[1:] {
+	for _, w := range t.Workers[1:] {
 		// Control messages bypass the interceptor: the attacker owns
 		// the data plane, not the host's ability to stop a worker.
 		w.q.Enqueue(Message{Kind: msgStop, auth: authStamp})
 	}
 	t.wg.Wait()
 	drained := int64(0)
-	for _, w := range workers {
+	for _, w := range t.Workers {
 		for {
 			if _, ok := w.q.Dequeue(); !ok {
 				break
@@ -476,14 +467,8 @@ func (t *Thread) Close() {
 // Normal returns the normal-mode context of the thread.
 func (t *Thread) Normal() *Worker { return t.Worker(0) }
 
-// Worker returns the live worker bound to colorIdx (0 = normal mode).
-// After a restart this is the replacement, not the dead incarnation.
-func (t *Thread) Worker(colorIdx int) *Worker {
-	t.wmu.RLock()
-	w := t.Workers[colorIdx]
-	t.wmu.RUnlock()
-	return w
-}
+// Worker returns the worker bound to colorIdx (0 = normal mode).
+func (t *Thread) Worker(colorIdx int) *Worker { return t.Workers[colorIdx] }
 
 // EnqueueRaw places a message on the worker's queue exactly as given,
 // preserving its trusted-side metadata. This is how an interceptor
@@ -749,7 +734,7 @@ func (w *Worker) runSpawn(msg Message) {
 	prevAtt := w.att
 	w.att = attempt{}
 	if rt.Recovery.Enabled() {
-		if rec := rt.lookupSpawn(w.Thread, w.Index, msg.ChunkID); rec != nil {
+		if rec := rt.lookupSpawn(w.Thread, w.Index, msg.ChunkID, msg.epoch); rec != nil {
 			w.att = rec.beginAttempt(w.loadHint)
 		}
 	}
@@ -794,8 +779,8 @@ func (w *Worker) runSpawn(msg Message) {
 		}()
 		ret = rt.Exec(w, msg.ChunkID, msg.Args)
 		// A completed attempt publishes every load, like a crashed one:
-		// its log is what a replay after a fenced completion is served,
-		// and what a recycled record's next spawn logs into.
+		// the record keeps the log, which a recycled record's next spawn
+		// logs into.
 		w.PublishLoads()
 		return false
 	}()
@@ -881,10 +866,10 @@ func (w *Worker) JournalWord(v uint64) uint64 {
 
 // PublishLoads hands the executing attempt's load log to its journal
 // entry. The embedder calls it just before the chunk's buffered effects
-// commit: a restart may still replay a spawn that completed (its fenced
-// completion never reaches the joiner), and that replay must be served
-// every load behind the effects it would otherwise re-apply on top of
-// themselves. A no-op when the chunk is not journaled.
+// commit: a chunk that crashes after its effects committed is still
+// replayed, and that replay must be served every load behind the
+// effects it would otherwise re-apply on top of themselves. A no-op when
+// the chunk is not journaled.
 func (w *Worker) PublishLoads() {
 	if rec := w.att.rec; rec != nil {
 		rec.mu.Lock()
@@ -926,7 +911,7 @@ func (w *Worker) Spawn(colorIdx int, chunkID int, args []value.Val) {
 		// the partitioner joins every spawn it emits (the completion is the
 		// chunk barrier even when the payload is unused), so every spawn's
 		// abort reaches a joiner and must be replayable.
-		rt.recordSpawn(w.Thread, colorIdx, chunkID, args, w)
+		rt.recordSpawn(w.Thread, colorIdx, chunkID, args, w, w.epochNow())
 	}
 	target := w.Thread.Worker(colorIdx)
 	rt.send(w, target, Message{Kind: MsgSpawn, ChunkID: chunkID, Args: args, ReplyTo: w}, &w.cache)
@@ -1225,10 +1210,10 @@ func (w *Worker) handleDone(msg Message) bool {
 		return false
 	}
 	if msg.Err == nil {
-		rt.completeSpawn(w.Thread, msg.From, msg.ChunkID)
+		rt.completeSpawn(w.Thread, msg.From, msg.ChunkID, msg.epoch)
 		return false
 	}
-	if abort, ok := msg.Err.(*EnclaveAbort); ok && rt.retrySpawn(w, abort) {
+	if abort, ok := msg.Err.(*EnclaveAbort); ok && rt.retrySpawn(w, abort, msg.epoch) {
 		return true
 	}
 	return false
@@ -1237,15 +1222,12 @@ func (w *Worker) handleDone(msg Message) bool {
 // timeoutDiag fills a TimeoutError's diagnostic fields: per-worker queue
 // depths and the set of cont tags the thread's workers were blocked on.
 func (t *Thread) timeoutDiag(te *TimeoutError) {
-	t.wmu.RLock()
-	workers := append([]*Worker(nil), t.Workers...)
-	t.wmu.RUnlock()
-	te.QueueDepths = make([]int64, len(workers))
+	te.QueueDepths = make([]int64, len(t.Workers))
 	tags := map[int]bool{}
 	if te.Op == "wait" {
 		tags[te.Tag] = true
 	}
-	for i, w := range workers {
+	for i, w := range t.Workers {
 		te.QueueDepths[i] = w.q.Depth()
 		if bi, ok := w.block.load(); ok && bi.op == opWait {
 			tags[bi.tag] = true

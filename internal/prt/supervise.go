@@ -15,8 +15,6 @@ type supCounters struct {
 	aborts            atomic.Int64
 	timeouts          atomic.Int64
 	drained           atomic.Int64
-	restarts          atomic.Int64
-	redelivered       atomic.Int64
 	payloadTampered   atomic.Int64
 }
 

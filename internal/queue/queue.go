@@ -13,9 +13,9 @@
 //
 // The consumer side holds a mutex. In the runtime one worker goroutine
 // consumes each queue, so the lock is uncontended; it exists for the rare
-// second consumer — a restart draining a dead worker's queue while its old
-// goroutine still reads it, Close's drain, DequeueRaw, and MPMC tests —
-// which would otherwise race to move the head.
+// second consumer — DequeueRaw inspecting a queue its worker still reads,
+// Close's drain, and MPMC tests — which would otherwise race to move the
+// head.
 //
 // Nodes are recycled, so a warm hop allocates nothing. Once the head has
 // moved past the old sentinel, no producer can touch that node again: a
@@ -25,8 +25,8 @@
 // at freeCap nodes; the rest go to the GC). A sender holding a Cache takes
 // the whole stack with one swap — taking all of it, never one node, is
 // what rules out ABA — and spends its cache before it allocates. Raw
-// Enqueue (re-deliveries, the fault injector playing the attacker, stop
-// messages) allocates a fresh node.
+// Enqueue (the fault injector playing the attacker, stop messages)
+// allocates a fresh node.
 //
 // Queues are unbounded, so an enqueue never blocks. A blocking dequeue
 // goes through the consumers' door: the waiter first spins on the

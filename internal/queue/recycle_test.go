@@ -72,8 +72,8 @@ func TestFreeStackStaysUnderCap(t *testing.T) {
 }
 
 // TestRecycleStressTwoConsumers runs cached and raw producers against a
-// regular consumer and a second one that drains in bursts, as a restart
-// drains a dead worker's queue while its old goroutine still reads it.
+// regular consumer and a second one that drains in bursts, as DequeueRaw
+// may drain a queue while its worker still reads it.
 // Every element arrives exactly once, and each consumer sees each
 // producer's elements in the order they were sent. Run it under -race:
 // it covers node reuse against the unlocked emptiness polls.
@@ -134,7 +134,7 @@ func TestRecycleStressTwoConsumers(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // the restart drain
+	go func() { // the burst drain
 		defer cwg.Done()
 		last := newLast()
 		for {

@@ -357,19 +357,14 @@ func (i *Instance) EnableSupervision(o SupervisionOptions) {
 	i.ip.EnableSupervision(o.WaitTimeout)
 }
 
-// RecoveryOptions configures bounded restart/replay of crashed chunks.
+// RecoveryOptions configures bounded replay of crashed chunks.
 type RecoveryOptions struct {
 	// MaxAttempts is the per-spawn replay budget: a chunk that aborts is
 	// re-executed from its journaled arguments up to this many times
 	// before the original typed error surfaces from Call. 0 disables
-	// recovery.
+	// recovery. Each replay waits a backoff first: 100µs, doubling per
+	// replay up to 2ms, randomized by ±20% to decorrelate mass failures.
 	MaxAttempts int
-	// Backoff is the delay before the first replay (default 100µs),
-	// doubling per replay up to MaxBackoff (default 2ms), randomized by
-	// ±Jitter (default 0.2) to decorrelate mass failures.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	Jitter     float64
 }
 
 // EnableRecovery turns crashed chunks from surfaced errors into replayed
@@ -380,13 +375,10 @@ type RecoveryOptions struct {
 // converts a lost message into an error instead of a hang. Call before
 // the first Call.
 func (i *Instance) EnableRecovery(o RecoveryOptions) {
-	i.ip.EnableRecovery(prt.RecoveryPolicy{
-		MaxAttempts: o.MaxAttempts,
-		Backoff:     o.Backoff, MaxBackoff: o.MaxBackoff, Jitter: o.Jitter,
-	})
+	i.ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: o.MaxAttempts})
 }
 
-// RecoveryStats merges the runtime's restart/replay counters with the
+// RecoveryStats merges the runtime's replay counters with the
 // interpreter's effect-transaction counters. After a quiescent fully
 // recovered workload, Commits == SpawnsJournaled and Giveups == 0 — the
 // exactly-once invariant.
@@ -491,7 +483,7 @@ type ObservabilityOptions struct {
 	// two latency histograms add per-event work.
 	Metrics bool
 	// Trace arms the structured event tracer: every runtime decision
-	// (spawn, wait, reject, replay, restart) is recorded into per-worker
+	// (spawn, wait, reject, replay) is recorded into per-worker
 	// ring buffers, exportable as Chrome trace_event JSON via
 	// WriteChromeTrace and attached to aborts/timeouts as a text flight
 	// record. Costs one uncontended mutex acquisition per message event.
