@@ -11,6 +11,7 @@ import (
 
 	"privagic"
 	"privagic/internal/bench"
+	"privagic/internal/e2e"
 	"privagic/internal/sources"
 )
 
@@ -166,5 +167,38 @@ func BenchmarkPartitionedExecution(b *testing.B) {
 		if _, err := inst.Call("run_ycsb"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWorkload runs each end-to-end workload of BENCHMARK.json for a
+// short end-to-end run per iteration, so a CPU profile of one workload
+// needs no wrapper:
+//
+//	go test -run '^$' -bench 'Workload/memcached-hardened' -cpuprofile cpu.out .
+//
+// It reports the run's median latency and throughput; the benchmark's
+// own ns/op is the whole run, setup included.
+func BenchmarkWorkload(b *testing.B) {
+	units := map[string]string{"latency_p50_us": "p50-us", "throughput_ops_s": "ops/s"}
+	for _, name := range e2e.Workloads() {
+		b.Run(name, func(b *testing.B) {
+			var res *e2e.Result
+			for i := 0; i < b.N; i++ {
+				var log strings.Builder
+				var err error
+				res, err = e2e.Run(name, e2e.Options{Seed: 1, Seconds: 2, EndToEnd: true, Log: &log})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Correct() {
+					b.Fatalf("%s: %d wrong answers:\n%s", name, res.Wrong, log.String())
+				}
+			}
+			for _, m := range res.Metrics {
+				if u, ok := units[m.Name]; ok {
+					b.ReportMetric(m.Value, u)
+				}
+			}
+		})
 	}
 }

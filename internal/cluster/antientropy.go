@@ -48,7 +48,7 @@ func (r *Router) antiEntropy(shard int) {
 	if kind == syncNone {
 		return
 	}
-	r.tracer.Record(obs.EvReplSyncStart, shard, 0, 0, 0, int64(kind))
+	r.ins().tracer.Record(obs.EvReplSyncStart, shard, 0, 0, 0, int64(kind))
 	for round := 0; round < maxSyncRounds; round++ {
 		r.mu.Lock()
 		if st.fenced || st.syncPending == syncNone || r.ring.up[shard] {
@@ -122,15 +122,15 @@ func (r *Router) antiEntropy(shard int) {
 		r.syncs.Add(1)
 		if kind == syncPromote {
 			r.promotions.Add(1)
-			r.tracer.Record(obs.EvPromote, shard, 0, 0, st.epoch, int64(newGen))
+			r.ins().tracer.Record(obs.EvPromote, shard, 0, 0, st.epoch, int64(newGen))
 		} else {
 			r.readmits.Add(1)
-			r.tracer.Record(obs.EvReadmit, shard, 0, 0, st.epoch, int64(newGen))
+			r.ins().tracer.Record(obs.EvReadmit, shard, 0, 0, st.epoch, int64(newGen))
 		}
 		elapsed := time.Since(start).Microseconds()
-		r.tracer.Record(obs.EvReplSyncDone, shard, 0, 0, newGen, elapsed)
+		r.ins().tracer.Record(obs.EvReplSyncDone, shard, 0, 0, newGen, elapsed)
 		r.mu.Unlock()
-		r.syncHist.Observe(elapsed)
+		r.ins().syncHist.Observe(elapsed)
 		return
 	}
 }
@@ -264,7 +264,7 @@ func (r *Router) pullSegment(shard int, pool *connPool, src syncSource) bool {
 			// shard simply misses this key and read-repair refills it
 			// from a member whose copy verifies.
 			r.corruptRejects.Add(1)
-			r.tracer.Record(obs.EvCorruptReject, shard, 0, 0, uint64(flags), int64(len(raw)))
+			r.ins().tracer.Record(obs.EvCorruptReject, shard, 0, 0, uint64(flags), int64(len(raw)))
 			continue
 		}
 		// Forced store: a pull may legitimately carry a stamp below the
@@ -316,8 +316,8 @@ func (r *Router) drainHints(shard int, pool *connPool) bool {
 			r.hintsDrained.Add(1)
 		}
 		pool.put(c)
-		r.drainHist.Observe(time.Since(start).Microseconds())
-		r.tracer.Record(obs.EvReplDrain, shard, 0, 0, 0, int64(len(batch)))
+		r.ins().drainHist.Observe(time.Since(start).Microseconds())
+		r.ins().tracer.Record(obs.EvReplDrain, shard, 0, 0, 0, int64(len(batch)))
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"privagic/internal/obs"
 )
 
 // fastProbes is the aggressive probe config the lifecycle tests use so a
@@ -284,4 +286,23 @@ func TestClusterEpochsAdvance(t *testing.T) {
 	if !c.Running(0) {
 		t.Fatal("respawned shard not running")
 	}
+}
+
+// TestInstrumentWhileProbing arms a router's telemetry while its prober
+// runs: the prober samples once uninstrumented, Instrument publishes the
+// sinks, and the next sample must land in the new RTT histogram. Nothing
+// orders Instrument against the prober but the publication itself, so
+// under -race an unsynchronised write of the sinks fails here.
+func TestInstrumentWhileProbing(t *testing.T) {
+	c := newTestCluster(t, 1)
+	r := newTestRouter(t, c, fastProbes())
+	st := r.shards[0]
+	waitFor(t, 2*time.Second, "an uninstrumented canary sample", func() bool { return st.rtt.Load() != 0 })
+	reg := obs.NewRegistry()
+	r.Instrument(reg, obs.NewTracer(64))
+	rtt := reg.Histogram("cluster.data_rtt_us")
+	waitFor(t, 2*time.Second, "an instrumented canary sample", func() bool {
+		n, _, _ := rtt.Stats()
+		return n > 0
+	})
 }

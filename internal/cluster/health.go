@@ -54,16 +54,16 @@ func (r *Router) sample(shard int, st *shardState, rtt time.Duration, ok bool) {
 
 	if ok {
 		st.dataDown.Store(0)
-		r.rttHist.Observe(us)
+		r.ins().rttHist.Observe(us)
 		if st.breaker.Success() {
-			r.tracer.Record(obs.EvBreakerClose, shard, 0, 0, 0, 0)
+			r.ins().tracer.Record(obs.EvBreakerClose, shard, 0, 0, 0, 0)
 		}
 		return
 	}
 	st.dataDown.CompareAndSwap(0, time.Now().UnixNano())
 	if st.breaker.Failure() {
 		r.breakerTrips.Add(1)
-		r.tracer.Record(obs.EvBreakerOpen, shard, 0, 0, 0, 0)
+		r.ins().tracer.Record(obs.EvBreakerOpen, shard, 0, 0, 0, 0)
 		since := time.Time{}
 		if ns := st.dataDown.Load(); ns > 0 {
 			since = time.Unix(0, ns)
@@ -89,9 +89,9 @@ func (r *Router) demote(shard int, since time.Time) {
 	gen := r.ring.setUp(shard, false)
 	r.demotions.Add(1)
 	if !since.IsZero() {
-		r.demoteHist.Observe(time.Since(since).Microseconds())
+		r.ins().demoteHist.Observe(time.Since(since).Microseconds())
 	}
-	r.tracer.Record(obs.EvDemote, shard, 0, 0, st.epoch, int64(gen))
+	r.ins().tracer.Record(obs.EvDemote, shard, 0, 0, st.epoch, int64(gen))
 	r.mu.Unlock()
 }
 
@@ -122,8 +122,8 @@ func (r *Router) evaluateHealth(i int) {
 				st.slowStrikes, st.fastStrikes = 0, 0
 				gen := r.ring.setUp(i, false)
 				r.demotions.Add(1)
-				r.demoteHist.Observe(time.Since(st.slowSince).Microseconds())
-				r.tracer.Record(obs.EvDemote, i, 0, 0, st.epoch, int64(gen))
+				r.ins().demoteHist.Observe(time.Since(st.slowSince).Microseconds())
+				r.ins().tracer.Record(obs.EvDemote, i, 0, 0, st.epoch, int64(gen))
 			}
 		} else {
 			st.slowStrikes = 0
@@ -146,7 +146,7 @@ func (r *Router) evaluateHealth(i int) {
 			} else {
 				gen := r.ring.setUp(i, true)
 				r.promotions.Add(1)
-				r.tracer.Record(obs.EvPromote, i, 0, 0, st.epoch, int64(gen))
+				r.ins().tracer.Record(obs.EvPromote, i, 0, 0, st.epoch, int64(gen))
 			}
 		}
 	} else {

@@ -157,7 +157,7 @@ func (p *hedgePair) fire() {
 		return
 	}
 	r.hedges.Add(1)
-	r.tracer.Record(obs.EvHedge, t.shard, 0, 0, 0, p.delay.Microseconds())
+	r.ins().tracer.Record(obs.EvHedge, t.shard, 0, 0, 0, p.delay.Microseconds())
 	res := r.getOnConn(t.shard, t.st, t.pool, t.acquired, p.key, hc, &p.hedge, true)
 	p.ch <- res
 	// A cross-replica hedge may only preempt the primary with a hit or a
@@ -226,7 +226,7 @@ func (r *Router) getAttempt(shard int, st *shardState, pool *connPool, acquired 
 			case hres := <-p.ch:
 				if adopt(hres) {
 					r.hedgeWins.Add(1)
-					r.tracer.Record(obs.EvHedgeWin, p.target.shard, 0, 0, 0, delay.Microseconds())
+					r.ins().tracer.Record(obs.EvHedgeWin, p.target.shard, 0, 0, 0, delay.Microseconds())
 					return hres
 				}
 			default:
@@ -240,7 +240,7 @@ func (r *Router) getAttempt(shard int, st *shardState, pool *connPool, acquired 
 	hres := <-p.ch
 	if hres.err == nil {
 		r.hedgeWins.Add(1)
-		r.tracer.Record(obs.EvHedgeWin, p.target.shard, 0, 0, 0, delay.Microseconds())
+		r.ins().tracer.Record(obs.EvHedgeWin, p.target.shard, 0, 0, 0, delay.Microseconds())
 	}
 	return hres
 }
@@ -304,7 +304,7 @@ func (r *Router) getOnConn(shard int, st *shardState, pool *connPool, acquired u
 			// read-repair (equal or older stamps lose to the served copy)
 			// or by the next write's higher stamp.
 			r.corruptRejects.Add(1)
-			r.tracer.Record(obs.EvCorruptReject, shard, 0, 0, uint64(flags), int64(len(stored)))
+			r.ins().tracer.Record(obs.EvCorruptReject, shard, 0, 0, uint64(flags), int64(len(stored)))
 		} else if flags&tombBit != 0 {
 			// A trusted tombstone: the key was deleted, and the stamp
 			// proves no newer write exists here — an authoritative miss

@@ -116,7 +116,7 @@ func (r *Router) prepareWrite(key string, value []byte, tomb bool) (writePlan, b
 		// membership-change bound shows up in this counter long before
 		// it misorders a write.
 		r.stampClamps.Add(1)
-		r.tracer.Record(obs.EvReplStampClamp, seg.shard[0], 0, 0, r.ring.gen, int64(stamp))
+		r.ins().tracer.Record(obs.EvReplStampClamp, seg.shard[0], 0, 0, r.ring.gen, int64(stamp))
 	}
 	r.stamps[key] = stamp
 	flags := stamp
@@ -133,10 +133,10 @@ func (r *Router) prepareWrite(key string, value []byte, tomb bool) (writePlan, b
 		if err != nil {
 			r.hintOverflows.Add(1)
 			r.hintsDiscarded.Add(int64(discarded))
-			r.tracer.Record(obs.EvReplOverflow, s, 0, 0, plan.gen, int64(discarded))
+			r.ins().tracer.Record(obs.EvReplOverflow, s, 0, 0, plan.gen, int64(discarded))
 		} else {
 			r.hintsQueued.Add(1)
-			r.tracer.Record(obs.EvReplHint, s, 0, 0, plan.gen, int64(stamp))
+			r.ins().tracer.Record(obs.EvReplHint, s, 0, 0, plan.gen, int64(stamp))
 		}
 	}
 	return plan, true
@@ -214,7 +214,7 @@ func (r *Router) write(key string, value []byte, tomb bool) error {
 			continue // a probe may readmit a shard within the budget
 		}
 		if attempt > 0 {
-			r.tracer.Record(obs.EvRouteRetry, plan.seg.shard[0], 0, 0, plan.gen, int64(attempt))
+			r.ins().tracer.Record(obs.EvRouteRetry, plan.seg.shard[0], 0, 0, plan.gen, int64(attempt))
 		}
 		// Ack-all means one open breaker fails the whole attempt: fail
 		// it instantly instead of burning a timeout on a known-bad wire.
@@ -237,7 +237,7 @@ func (r *Router) write(key string, value []byte, tomb bool) error {
 		r.routes.Add(1)
 		if tomb {
 			r.tombstones.Add(1)
-			r.tracer.Record(obs.EvReplTombstone, plan.seg.shard[0], 0, 0, plan.gen, int64(plan.flags&stampMask))
+			r.ins().tracer.Record(obs.EvReplTombstone, plan.seg.shard[0], 0, 0, plan.gen, int64(plan.flags&stampMask))
 		}
 		return nil
 	}
@@ -383,7 +383,7 @@ func (r *Router) Get(key string) (value []byte, ok bool, err error) {
 			continue
 		}
 		if attempt > 0 {
-			r.tracer.Record(obs.EvRouteRetry, seg.shard[0], 0, 0, 0, int64(attempt))
+			r.ins().tracer.Record(obs.EvRouteRetry, seg.shard[0], 0, 0, 0, int64(attempt))
 		}
 		res, done := r.getReplicated(key, seg, pools)
 		if done {
@@ -430,13 +430,13 @@ func (r *Router) getReplicated(key string, seg segment, pools [maxReplication]*c
 			// Trusted tombstone: the key was deleted — authoritative.
 			if idx > 0 {
 				r.fallbackReads.Add(1)
-				r.tracer.Record(obs.EvReplFallback, shard, 0, 0, 0, int64(idx))
+				r.ins().tracer.Record(obs.EvReplFallback, shard, 0, 0, 0, int64(idx))
 			}
 			return getRes{}, true
 		case res.hit:
 			if idx > 0 {
 				r.fallbackReads.Add(1)
-				r.tracer.Record(obs.EvReplFallback, shard, 0, 0, 0, int64(idx))
+				r.ins().tracer.Record(obs.EvReplFallback, shard, 0, 0, 0, int64(idx))
 			}
 			// Members passed over with a trusted miss are missing this
 			// value: repair them now, CAS-guarded, so divergence heals at
@@ -489,7 +489,7 @@ func (r *Router) readRepair(key string, shard int, pool *connPool, served getRes
 		switch {
 		case aerr == nil && ok:
 			r.readRepairs.Add(1)
-			r.tracer.Record(obs.EvReplRepair, shard, 0, 0, 0, int64(served.stamp&stampMask))
+			r.ins().tracer.Record(obs.EvReplRepair, shard, 0, 0, 0, int64(served.stamp&stampMask))
 		case aerr == nil:
 			r.repairConflicts.Add(1) // a write landed first; it is newer
 		case errors.Is(aerr, memcached.ErrBusy):
@@ -515,7 +515,7 @@ func (r *Router) readRepair(key string, shard int, pool *connPool, served getRes
 		switch cerr := c.Cas(key, sealed, served.stamp, casid); {
 		case cerr == nil:
 			r.readRepairs.Add(1)
-			r.tracer.Record(obs.EvReplRepair, shard, 0, 0, 0, int64(served.stamp&stampMask))
+			r.ins().tracer.Record(obs.EvReplRepair, shard, 0, 0, 0, int64(served.stamp&stampMask))
 		case errors.Is(cerr, memcached.ErrCasConflict) || errors.Is(cerr, memcached.ErrNotFound):
 			r.repairConflicts.Add(1) // a newer write won; stand down
 		case errors.Is(cerr, memcached.ErrBusy):

@@ -262,6 +262,16 @@ type Router struct {
 
 	counterList []obs.NamedCounter
 
+	// inst holds the telemetry sinks Instrument arms. The probers run
+	// from NewRouter on, so Instrument publishes a whole set at once and
+	// every reader loads it (see ins).
+	inst atomic.Pointer[instruments]
+}
+
+// instruments are the router's telemetry sinks: the tracer and the
+// histograms. A router that was never instrumented has the zero set,
+// whose nil sinks record nothing.
+type instruments struct {
 	tracer     *obs.Tracer
 	detectHist *obs.Histogram
 	demoteHist *obs.Histogram
@@ -269,6 +279,9 @@ type Router struct {
 	syncHist   *obs.Histogram
 	drainHist  *obs.Histogram
 }
+
+// ins returns the router's current telemetry sinks.
+func (r *Router) ins() *instruments { return r.inst.Load() }
 
 // NewRouter builds a router over dir and starts its probers.
 func NewRouter(dir Directory, cfg RouterConfig) (*Router, error) {
@@ -336,6 +349,7 @@ func NewRouter(dir Directory, cfg RouterConfig) (*Router, error) {
 		stop:    make(chan struct{}),
 	}
 	r.counterList = r.namedCounters()
+	r.inst.Store(&instruments{})
 	r.ctx, r.cancel = context.WithCancel(context.Background())
 	for i := 0; i < n; i++ {
 		addr, epoch, running := dir.Addr(i)
@@ -375,12 +389,14 @@ func (r *Router) Close() {
 // of the catalogue: gauges over the router's own atomics plus the
 // failover-detection histogram) and arms trace events on tracer.
 func (r *Router) Instrument(reg *obs.Registry, tracer *obs.Tracer) {
-	r.tracer = tracer
-	r.detectHist = reg.Histogram("cluster.failover_detect_us")
-	r.demoteHist = reg.Histogram("cluster.demote_detect_us")
-	r.rttHist = reg.Histogram("cluster.data_rtt_us")
-	r.syncHist = reg.Histogram("repl.sync_us")
-	r.drainHist = reg.Histogram("repl.handoff_drain_us")
+	r.inst.Store(&instruments{
+		tracer:     tracer,
+		detectHist: reg.Histogram("cluster.failover_detect_us"),
+		demoteHist: reg.Histogram("cluster.demote_detect_us"),
+		rttHist:    reg.Histogram("cluster.data_rtt_us"),
+		syncHist:   reg.Histogram("repl.sync_us"),
+		drainHist:  reg.Histogram("repl.handoff_drain_us"),
+	})
 	reg.Gauge("cluster.demotions", r.demotions.Load)
 	reg.Gauge("cluster.promotions", r.promotions.Load)
 	reg.Gauge("cluster.breaker_trips", r.breakerTrips.Load)
@@ -551,7 +567,7 @@ func (r *Router) routeSet(key string) (seg segment, pools [maxReplication]*connP
 func (r *Router) finishAttempts(lastErr error) error {
 	if errors.Is(lastErr, memcached.ErrBusy) {
 		r.sheds.Add(1)
-		r.tracer.Record(obs.EvRouteShed, 0, 0, 0, 0, int64(r.cfg.Retry.MaxAttempts))
+		r.ins().tracer.Record(obs.EvRouteShed, 0, 0, 0, 0, int64(r.cfg.Retry.MaxAttempts))
 	} else {
 		r.routeErrors.Add(1)
 	}
@@ -631,7 +647,7 @@ func (r *Router) maintain() {
 			pool.put(c)
 			if n > 0 {
 				r.tombsPurged.Add(int64(n))
-				r.tracer.Record(obs.EvReplPurge, i, 0, 0, uint64(floor), int64(n))
+				r.ins().tracer.Record(obs.EvReplPurge, i, 0, 0, uint64(floor), int64(n))
 			}
 		case errors.Is(perr, memcached.ErrBusy):
 			pool.put(c)
@@ -737,7 +753,7 @@ func (r *Router) probeOnce(i int, conn **memcached.Client, connAddr *string) {
 		st.fails = 0
 		if st.wasDown {
 			st.wasDown = false
-			r.tracer.Record(obs.EvProbeUp, i, 0, 0, epoch, 0)
+			r.ins().tracer.Record(obs.EvProbeUp, i, 0, 0, epoch, 0)
 		}
 		switch {
 		case st.fenced && epoch > st.fencedEpoch:
@@ -756,7 +772,7 @@ func (r *Router) probeOnce(i int, conn **memcached.Client, connAddr *string) {
 			} else {
 				gen := r.ring.setUp(i, true)
 				r.readmits.Add(1)
-				r.tracer.Record(obs.EvReadmit, i, 0, 0, epoch, int64(gen))
+				r.ins().tracer.Record(obs.EvReadmit, i, 0, 0, epoch, int64(gen))
 			}
 			r.mu.Unlock()
 			old.close()
@@ -795,7 +811,7 @@ func (r *Router) probeOnce(i int, conn **memcached.Client, connAddr *string) {
 		st.downSince = time.Now()
 		if !st.wasDown {
 			st.wasDown = true
-			r.tracer.Record(obs.EvProbeDown, i, 0, 0, st.epoch, 0)
+			r.ins().tracer.Record(obs.EvProbeDown, i, 0, 0, st.epoch, 0)
 		}
 	}
 	if !st.fenced && st.fails >= r.cfg.ProbeFails {
@@ -805,8 +821,8 @@ func (r *Router) probeOnce(i int, conn **memcached.Client, connAddr *string) {
 		fencedEpoch = st.epoch
 		gen := r.ring.setUp(i, false)
 		r.failovers.Add(1)
-		r.detectHist.Observe(time.Since(st.downSince).Microseconds())
-		r.tracer.Record(obs.EvFailover, i, 0, 0, st.epoch, int64(gen))
+		r.ins().detectHist.Observe(time.Since(st.downSince).Microseconds())
+		r.ins().tracer.Record(obs.EvFailover, i, 0, 0, st.epoch, int64(gen))
 		onFence = r.cfg.OnFence
 	}
 	r.mu.Unlock()

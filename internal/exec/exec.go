@@ -123,9 +123,13 @@ type Env interface {
 	Alloca(w *prt.Worker, t *ir.Alloca) Val
 	// Malloc services a heap allocation of count elements.
 	Malloc(w *prt.Worker, t *ir.Malloc, count Val) Val
-	// Load performs the mode-checked load of t's type at addr.
+	// Load performs the mode-checked load of t's type at addr: the
+	// embedder's checked access, one pass of its word core when the
+	// value lies inside one aligned 8-byte word, the byte path when it
+	// straddles two.
 	Load(w *prt.Worker, t *ir.Load, addr uint64) Val
-	// Store performs the mode-checked store of v at addr.
+	// Store performs the mode-checked store of v at addr, through the
+	// same word core as Load.
 	Store(w *prt.Worker, t *ir.Store, addr uint64, v Val)
 	// FieldAddr computes a field address, following the split-structure
 	// indirection for colored fields. Compiled code calls it only for

@@ -1,6 +1,9 @@
 package interp
 
 import (
+	"encoding/binary"
+	"math/bits"
+
 	"privagic/internal/prt"
 	"privagic/internal/sgx"
 )
@@ -10,8 +13,8 @@ import (
 // effect transaction and copy-in snapshot (saved and restored around a
 // nested spawn on the same worker), the finished transactions kept for
 // reuse, the differential recorder, the compiled tier's frame free list,
-// the worker's stacks and the bulk builtins' staging buffer. Touched
-// only on the worker's own goroutine.
+// the worker's stacks, the bulk builtins' staging buffer and the boundary
+// counts not yet published. Touched only on the worker's own goroutine.
 type workerState struct {
 	tx     *effectTx
 	txs    txStack
@@ -20,6 +23,7 @@ type workerState struct {
 	frames frameList
 	stack  stackSet
 	bulk   []byte
+	counts boundaryCounts
 }
 
 // stateOf returns the worker's state, creating it on first use.
@@ -33,39 +37,135 @@ func stateOf(w *prt.Worker) *workerState {
 	return ws
 }
 
-// loadBytes is the one checked load. In order: the pointer sanitizer
-// (when armed), the boundary stats, the machine's access check, the
-// backing read (through the snapshot or observer for unsafe memory while
-// either is engaged), the transaction overlay so a chunk observes its
-// own buffered writes, the replay journal, and the OnAccess hook.
-func (ip *Interp) loadBytes(w *prt.Worker, addr uint64, buf []byte) {
-	ws := stateOf(w)
+// The checked access. Every load and store of a chunk goes through one
+// core that works on a single aligned 8-byte word: a scalar access that
+// lies inside one word (almost all of them: no IR scalar is wider than a
+// word) is one pass of it, and a byte range (the bulk builtins, a scalar
+// straddling two words) checks the whole range once and then runs the
+// same core once per touched word. The value travels as a uint64 whose
+// bytes are the memory's bytes in little-endian order, so no access
+// assembles a word byte by byte.
+
+// lowBytes is the bit mask of the low n (at most 8) bytes of a word.
+func lowBytes(n int) uint64 { return ^uint64(0) >> (64 - 8*uint(n)) }
+
+// checkAccess is the first step of every checked access, run once for
+// the whole n-byte range at addr: resolve the address, run the pointer
+// sanitizer (when armed), count the load's boundary class, and apply the
+// machine's access check — the same one for loads, direct stores and
+// stores an effect transaction buffers, so a buffered store obeys the
+// mode and ceiling rules at the faulting instruction exactly like a
+// direct one.
+func (ip *Interp) checkAccess(w *prt.Worker, ws *workerState, addr uint64, n int, store bool) sgx.Ref {
 	ref := ip.RT.Space.Resolve(addr)
 	if ip.boundary.SanitizePointers {
-		ip.sanitize(w, ref, len(buf), false)
+		ip.sanitize(w, ws, ref, n, store)
 	}
-	if ip.boundary.any() {
+	if !store && ip.boundary.any() {
 		if ref.ID != sgx.Unsafe {
-			ip.bStats.trustedLoads.Add(1)
+			ws.counts.trustedLoads++
 		} else if !ip.boundary.Snapshots || ws.snap == nil {
-			ip.bStats.unsafeLoads.Add(1)
+			ws.counts.unsafeLoads++
 		}
 	}
-	if err := ref.Check(w.Mode, len(buf), false); err != nil {
+	if err := ref.Check(w.Mode, n, store); err != nil {
 		panic(runtimeErr{Err: err})
 	}
+	return ref
+}
+
+// readWord is the per-word core of a checked load: the aligned word at
+// wordOff of ref's region as the chunk sees it. The backing read goes
+// through the snapshot or observer for unsafe memory while either is
+// engaged; the transaction's buffered bytes are then merged over it, so
+// a chunk observes its own writes.
+func (ip *Interp) readWord(w *prt.Worker, ws *workerState, ref sgx.Ref, wordOff uint64) uint64 {
+	var v uint64
 	if ref.ID == sgx.Unsafe && (ip.boundary.Snapshots || ip.bobs != nil) {
-		ip.snapLoad(ws.snap, w.Mode != sgx.Unsafe, ref, buf)
+		v = ip.snapWord(ws, w.Mode != sgx.Unsafe, ref.Region, wordOff)
 	} else {
-		ref.Region.Load(ref.Off, buf)
+		v = ref.Region.LoadWord(wordOff)
 	}
+	if tx := ws.tx; tx != nil && tx.overlay.n > 0 {
+		v = tx.overlay.merge(ovWord(ref, wordOff), v)
+	}
+	return v
+}
+
+// writeWord is the per-word core of a checked store: the bits of v
+// under mask go into the word at wordOff of ref's region — buffered in
+// the transaction's overlay when one is open, else written back with the
+// snapshot kept coherent (a copied-in word the chunk just overwrote must
+// serve the new bytes).
+func (ip *Interp) writeWord(ws *workerState, ref sgx.Ref, wordOff, v, mask uint64) {
 	if tx := ws.tx; tx != nil {
-		if tx.overlay.n > 0 {
-			tx.overlay.patch(ref, buf)
+		tx.overlay.store(ovWord(ref, wordOff), v, mask)
+		return
+	}
+	ip.backWord(ref.Region, wordOff, v, mask)
+	if ws.snap != nil && ref.ID == sgx.Unsafe {
+		ws.snap.sync(wordOff, v, mask)
+	}
+}
+
+// loadWord is the checked load of n bytes at addr, a range inside one
+// aligned word: the check, one readWord, one load-log entry (the
+// post-overlay bytes: a replayed chunk re-reads them from the journal
+// instead of live memory, which committed nested effects may have moved
+// past the crashed attempt's view) and the OnAccess hook. The bytes come
+// back zero-extended.
+func (ip *Interp) loadWord(w *prt.Worker, addr uint64, n int) uint64 {
+	ws := stateOf(w)
+	ref := ip.checkAccess(w, ws, addr, n, false)
+	sh := ref.Off & 7 * 8
+	v := ip.readWord(w, ws, ref, ref.Off&^7) >> sh & lowBytes(n)
+	if ws.tx != nil {
+		v = w.JournalLoadWord(v, n)
+	}
+	if ip.OnAccess != nil {
+		ip.OnAccess(addr, int64(n), false, w.Mode)
+	}
+	return v
+}
+
+// storeWord is the checked store of the low n bytes of v at addr, a range
+// inside one aligned word: the check, the transaction's store record
+// when one is open, one writeWord and the OnAccess hook.
+func (ip *Interp) storeWord(w *prt.Worker, addr uint64, n int, v uint64) {
+	ws := stateOf(w)
+	ref := ip.checkAccess(w, ws, addr, n, true)
+	if tx := ws.tx; tx != nil {
+		ip.buffer(w, tx, ref, n)
+		end := len(tx.arena) + n
+		tx.arena = binary.LittleEndian.AppendUint64(tx.arena, v)[:end]
+	}
+	sh := ref.Off & 7 * 8
+	ip.writeWord(ws, ref, ref.Off&^7, v<<sh, lowBytes(n)<<sh)
+	if ip.OnAccess != nil {
+		ip.OnAccess(addr, int64(n), true, w.Mode)
+	}
+}
+
+// loadBytes is the checked load of a byte range: the check once for the
+// whole range, readWord once per touched word, one load-log entry for
+// the range and the OnAccess hook — loadWord's steps, with the word core
+// in a loop.
+func (ip *Interp) loadBytes(w *prt.Worker, addr uint64, buf []byte) {
+	ws := stateOf(w)
+	ref := ip.checkAccess(w, ws, addr, len(buf), false)
+	for i := 0; i < len(buf); {
+		off := ref.Off + uint64(i)
+		v := ip.readWord(w, ws, ref, off&^7)
+		if off&7 == 0 && len(buf)-i >= 8 {
+			binary.LittleEndian.PutUint64(buf[i:], v)
+			i += 8
+			continue
 		}
-		// Journal the post-overlay bytes: a replayed chunk re-reads them
-		// from the journal instead of live memory, which committed nested
-		// effects may have moved past the crashed attempt's view.
+		for b := off & 7; b < 8 && i < len(buf); b, i = b+1, i+1 {
+			buf[i] = byte(v >> (8 * b))
+		}
+	}
+	if ws.tx != nil {
 		w.JournalLoad(buf)
 	}
 	if ip.OnAccess != nil {
@@ -73,49 +173,51 @@ func (ip *Interp) loadBytes(w *prt.Worker, addr uint64, buf []byte) {
 	}
 }
 
-// storeBytes is the one checked store. In order: the pointer sanitizer
-// (when armed), the machine's access check — the same one loads use, so
-// a store buffered by an effect transaction obeys the mode and ceiling
-// rules at the faulting instruction exactly like a direct store — then
-// either buffering in the active transaction or the write-back with the
-// snapshot kept coherent, and the OnAccess hook.
+// storeBytes is the checked store of a byte range: the check once for
+// the whole range, the transaction's store record (one per call, however
+// many words it touches), writeWord once per touched word and the
+// OnAccess hook — storeWord's steps, with the word core in a loop.
 func (ip *Interp) storeBytes(w *prt.Worker, addr uint64, data []byte) {
 	ws := stateOf(w)
-	ref := ip.RT.Space.Resolve(addr)
-	if ip.boundary.SanitizePointers {
-		ip.sanitize(w, ref, len(data), true)
-	}
-	if err := ref.Check(w.Mode, len(data), true); err != nil {
-		panic(runtimeErr{Err: err})
-	}
+	ref := ip.checkAccess(w, ws, addr, len(data), true)
 	if tx := ws.tx; tx != nil {
-		ip.buffer(w, tx, ref, data)
-	} else {
-		ip.writeBack(ref.Region, ref.Off, data)
-		// A copied-in word the chunk just overwrote must serve the new
-		// bytes.
-		if ws.snap != nil && ref.ID == sgx.Unsafe {
-			ws.snap.sync(ref.Off, data)
-		}
+		ip.buffer(w, tx, ref, len(data))
+		tx.arena = append(tx.arena, data...)
 	}
+	sgx.ForWords(ref.Off, data, func(wordOff, v, mask uint64) {
+		ip.writeWord(ws, ref, wordOff, v, mask)
+	})
 	if ip.OnAccess != nil {
 		ip.OnAccess(addr, int64(len(data)), true, w.Mode)
 	}
 }
 
-// writeBack applies checked bytes to backing memory, for a direct store
-// or a transaction commit. A write to unsafe memory runs inside the
-// observer, when one is installed, so a pending corruption of those
-// words is resolved before legitimate data lands.
+// writeBack applies checked bytes to backing memory, for a transaction
+// commit: one backWord per touched word.
 func (ip *Interp) writeBack(r *sgx.Region, off uint64, data []byte) {
+	sgx.ForWords(off, data, func(wordOff, v, mask uint64) { ip.backWord(r, wordOff, v, mask) })
+}
+
+// backWord writes the bits of v under mask into the backing word at
+// wordOff, for a direct store or a commit. A write to unsafe memory runs
+// inside the observer, when one is installed — one GuardedStore per word,
+// naming the bytes written — so a pending corruption of the word is
+// resolved before legitimate data lands.
+func (ip *Interp) backWord(r *sgx.Region, wordOff, v, mask uint64) {
 	if ip.bobs == nil || r.ID != sgx.Unsafe {
-		r.Store(off, data)
+		r.MergeWord(wordOff, v, mask)
 		return
 	}
-	// The callback gets its own copy: capturing data would make every
-	// caller's buffer escape to the heap, observer or not.
-	own := append([]byte(nil), data...)
-	ip.bobs.GuardedStore(sgx.EncodePtr(sgx.Unsafe, off), len(own), func() { r.Store(off, own) })
+	ip.guardedStore(r, wordOff, v, mask)
+}
+
+// guardedStore is backWord's observed write. It is its own function so
+// the values the callback captures move to the heap only when an
+// observer is installed.
+func (ip *Interp) guardedStore(r *sgx.Region, wordOff, v, mask uint64) {
+	first := uint64(bits.TrailingZeros64(mask) / 8)
+	n := bits.OnesCount64(mask) / 8
+	ip.bobs.GuardedStore(sgx.EncodePtr(sgx.Unsafe, wordOff+first), n, func() { r.MergeWord(wordOff, v, mask) })
 }
 
 // bulkRetain bounds the bulk builtins' staging buffer a worker keeps;

@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"encoding/binary"
 	"sync/atomic"
 
 	"privagic/internal/prt"
@@ -89,8 +88,10 @@ func (ip *Interp) SetBoundaryObserver(o BoundaryObserver) {
 	ip.bobs = o
 }
 
-// boundaryCounters classifies boundary crossings (atomic: chunk bodies run
-// on worker goroutines). Counted only while the defense is armed.
+// boundaryCounters classifies boundary crossings, summed over every
+// worker. Counted only while the defense is armed. A worker counts in
+// its own boundaryCounts and adds them here when an activation ends
+// (publishCounts); violations are added as they are raised.
 type boundaryCounters struct {
 	snapCopyIns  atomic.Int64 // U words copied into a snapshot (first read)
 	snapServed   atomic.Int64 // U word reads served from the snapshot
@@ -98,6 +99,38 @@ type boundaryCounters struct {
 	unsafeLoads  atomic.Int64 // U loads not covered by a snapshot
 	sanChecks    atomic.Int64 // addresses validated before dereference
 	violations   atomic.Int64 // typed Iago violations raised
+}
+
+// boundaryCounts are one worker's boundary counts not yet published:
+// plain fields, touched only on the worker's goroutine, so a checked
+// access counts without touching a cache line other workers write.
+type boundaryCounts struct {
+	snapCopyIns, snapServed, trustedLoads, unsafeLoads, sanChecks int64
+}
+
+// publishCounts adds the worker's boundary counts to the interpreter's
+// and zeroes them. Every activation publishes when it returns (runFn,
+// runCompiled) and, when it unwinds, where the panic is recovered
+// (execChunk, Call, a thread_create thread), so a chunk's counts are
+// published before its Done or result leaves the worker.
+func (ip *Interp) publishCounts(ws *workerState) {
+	c := &ws.counts
+	if *c == (boundaryCounts{}) {
+		return
+	}
+	addCount(&ip.bStats.snapCopyIns, c.snapCopyIns)
+	addCount(&ip.bStats.snapServed, c.snapServed)
+	addCount(&ip.bStats.trustedLoads, c.trustedLoads)
+	addCount(&ip.bStats.unsafeLoads, c.unsafeLoads)
+	addCount(&ip.bStats.sanChecks, c.sanChecks)
+	*c = boundaryCounts{}
+}
+
+// addCount adds n to a shared counter, skipping the write when n is 0.
+func addCount(sum *atomic.Int64, n int64) {
+	if n != 0 {
+		sum.Add(n)
+	}
 }
 
 // BoundaryStats is a snapshot of the interpreter-side defense counters
@@ -130,7 +163,7 @@ func (ip *Interp) BoundaryStats() BoundaryStats {
 // an observer needs the freshness classification): words are recorded but
 // reads still hit backing memory.
 type boundarySnap struct {
-	words map[uint64][8]byte
+	words map[uint64]uint64
 	serve bool
 }
 
@@ -140,7 +173,7 @@ func (ip *Interp) beginSnap() *boundarySnap {
 	if !ip.boundary.Snapshots && ip.bobs == nil {
 		return nil
 	}
-	return &boundarySnap{words: make(map[uint64][8]byte, 16), serve: ip.boundary.Snapshots}
+	return &boundarySnap{words: make(map[uint64]uint64, 16), serve: ip.boundary.Snapshots}
 }
 
 // snapBarrier starts a new barrier interval on the worker: the snapshot
@@ -154,41 +187,34 @@ func (ip *Interp) snapBarrier(w *prt.Worker) {
 	}
 }
 
-// snapLoad is the backing read of unsafe memory while snapshots or an
-// observer are engaged, one aligned 8-byte word at a time: a word the
-// snapshot already holds is served from it, any other word is read
-// (through the observer, when installed) and copied in. Enclave memory
-// never comes here: it is trusted by the SGX model itself.
-func (ip *Interp) snapLoad(sn *boundarySnap, enclave bool, ref sgx.Ref, buf []byte) {
-	off := ref.Off
-	for i := 0; i < len(buf); {
-		wordOff := (off + uint64(i)) &^ 7
-		var wb [8]byte
-		cached := false
-		if sn != nil {
-			wb, cached = sn.words[wordOff]
-		}
-		if cached && sn.serve {
-			ip.bStats.snapServed.Add(1)
-		} else {
-			var v uint64
-			if ip.bobs != nil {
-				v = ip.guardedWord(ref.Region, wordOff, enclave, !cached)
-			} else {
-				v = ref.Region.LoadWord(wordOff)
-			}
-			binary.LittleEndian.PutUint64(wb[:], v)
-			if sn != nil && !cached {
-				sn.words[wordOff] = wb
-				if ip.boundary.Snapshots {
-					ip.bStats.snapCopyIns.Add(1)
-				}
-			}
-		}
-		for ; i < len(buf) && (off+uint64(i))&^7 == wordOff; i++ {
-			buf[i] = wb[(off+uint64(i))&7]
+// snapWord is the backing read of one aligned unsafe word while
+// snapshots or an observer are engaged: a word the snapshot already
+// holds is served from it, any other word is read (through the observer,
+// when installed) and copied in. Enclave memory never comes here: it is
+// trusted by the SGX model itself.
+func (ip *Interp) snapWord(ws *workerState, enclave bool, r *sgx.Region, wordOff uint64) uint64 {
+	sn := ws.snap
+	var v uint64
+	cached := false
+	if sn != nil {
+		v, cached = sn.words[wordOff]
+	}
+	if cached && sn.serve {
+		ws.counts.snapServed++
+		return v
+	}
+	if ip.bobs != nil {
+		v = ip.guardedWord(r, wordOff, enclave, !cached)
+	} else {
+		v = r.LoadWord(wordOff)
+	}
+	if sn != nil && !cached {
+		sn.words[wordOff] = v
+		if ip.boundary.Snapshots {
+			ws.counts.snapCopyIns++
 		}
 	}
+	return v
 }
 
 // guardedWord reads one unsafe word inside the observer's GuardedLoad.
@@ -202,22 +228,12 @@ func (ip *Interp) guardedWord(r *sgx.Region, wordOff uint64, enclave, fresh bool
 }
 
 // sync keeps the snapshot coherent with the chunk's own direct stores: a
-// word the chunk already copied in is updated so later snapshot-served
-// reads see the chunk's write (under a transaction, reads patch the
-// effect overlay instead).
-func (sn *boundarySnap) sync(off uint64, data []byte) {
-	if len(sn.words) == 0 {
-		return
-	}
-	for i := 0; i < len(data); {
-		wordOff := (off + uint64(i)) &^ 7
-		wb, cached := sn.words[wordOff]
-		for ; i < len(data) && (off+uint64(i))&^7 == wordOff; i++ {
-			wb[(off+uint64(i))&7] = data[i]
-		}
-		if cached {
-			sn.words[wordOff] = wb
-		}
+// word the chunk already copied in takes the bits of v under mask, so
+// later snapshot-served reads see the chunk's write (under a
+// transaction, reads merge the effect overlay instead).
+func (sn *boundarySnap) sync(wordOff, v, mask uint64) {
+	if old, cached := sn.words[wordOff]; cached {
+		sn.words[wordOff] = old&^mask | v&mask
 	}
 }
 
@@ -228,8 +244,8 @@ func (sn *boundarySnap) sync(off uint64, data []byte) {
 // may legitimately overshoot the final allocation and rely on the
 // machine's zero fill). A failure is the typed Iago violation of the
 // hardened mode.
-func (ip *Interp) sanitize(w *prt.Worker, ref sgx.Ref, n int, store bool) {
-	ip.bStats.sanChecks.Add(1)
+func (ip *Interp) sanitize(w *prt.Worker, ws *workerState, ref sgx.Ref, n int, store bool) {
+	ws.counts.sanChecks++
 	if ref.Region != nil {
 		ext := ref.Region.Extent()
 		if ref.Off < ext && (!store || ref.Off+uint64(n) <= ext) {

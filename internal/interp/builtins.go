@@ -295,8 +295,10 @@ func (ip *Interp) builtin(w *prt.Worker, fn *ir.Function, t *ir.Call, args []val
 			defer th.Close()
 			defer func() {
 				// A crashed thread must not kill the process;
-				// the error surfaces as missing output.
+				// the error surfaces as missing output. Its
+				// boundary counts are published all the same.
 				recover() //nolint:errcheck
+				ip.publishCounts(stateOf(th.Normal()))
 			}()
 			ip.invokeInterface(th.Normal(), pf, []val{arg})
 		}()

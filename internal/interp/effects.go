@@ -168,18 +168,18 @@ func (ip *Interp) EnableRecovery(p prt.RecoveryPolicy) {
 	ip.RT.Recovery = p
 }
 
-// buffer records an already checked store in the transaction instead of
-// applying it: the redo log keeps it for commit, the overlay serves it
-// to the chunk's own later loads. Each buffered store is one crash point.
-func (ip *Interp) buffer(w *prt.Worker, tx *effectTx, ref sgx.Ref, data []byte) {
+// buffer records an already checked n-byte store at ref in the
+// transaction's redo log instead of applying it; the caller appends its
+// bytes to the arena and buffers them in the overlay, which serves them
+// to the chunk's own later loads. Each buffered store is one crash
+// point, however many words it touches.
+func (ip *Interp) buffer(w *prt.Worker, tx *effectTx, ref sgx.Ref, n int) {
 	if hook := ip.crashPoint; hook != nil {
 		if f := hook(w.Index, tx.chunkID, len(tx.redo)+1); f != nil {
 			panic(f)
 		}
 	}
-	tx.arena = append(tx.arena, data...)
-	tx.redo = append(tx.redo, writeRec{off: ref.Off, n: int32(len(data)), id: int32(ref.ID)})
-	tx.overlay.store(ref, data)
+	tx.redo = append(tx.redo, writeRec{off: ref.Off, n: int32(n), id: int32(ref.ID)})
 }
 
 // ovTable is the overlay: a flat open-addressed table of buffered 8-byte
@@ -194,10 +194,11 @@ type ovTable struct {
 
 // ovSlot is one buffered word. key packs the word (see ovWord) with the
 // mask of buffered bytes in its top byte; a buffered word has a nonzero
-// mask, so a zero key is an empty slot.
+// mask, so a zero key is an empty slot. val holds the buffered bytes in
+// place, little-endian like the memory word.
 type ovSlot struct {
-	key   uint64
-	bytes [8]byte
+	key uint64
+	val uint64
 }
 
 const (
@@ -212,6 +213,22 @@ const (
 // ovWord is the key of the word holding byte off of ref's region.
 func ovWord(ref sgx.Ref, off uint64) uint64 {
 	return uint64(ref.ID)<<ovRegionShift | off>>3
+}
+
+// byteBits widens a mask of bytes (bit i for byte i) to the bit mask of
+// those bytes.
+func byteBits(m uint8) uint64 {
+	x := uint64(m)
+	x = (x | x<<28) & 0x0000000F0000000F
+	x = (x | x<<14) & 0x0003000300030003
+	x = (x | x<<7) & 0x0101010101010101
+	return x * 0xFF
+}
+
+// bitBytes narrows a byte-aligned bit mask to its mask of bytes, the
+// inverse of byteBits.
+func bitBytes(mask uint64) uint8 {
+	return uint8((mask & 0x0101010101010101) * 0x0102040810204080 >> 56)
 }
 
 // reserve sizes an empty table for words buffered words.
@@ -249,44 +266,26 @@ func (t *ovTable) find(word uint64) int {
 	}
 }
 
-// store buffers data at ref, one probe per touched word.
-func (t *ovTable) store(ref sgx.Ref, data []byte) {
-	for i := 0; i < len(data); {
-		off := ref.Off + uint64(i)
-		if 2*(t.n+1) > len(t.slots) {
-			t.resize(2 * len(t.slots))
-		}
-		word := ovWord(ref, off)
-		s := &t.slots[t.find(word)]
-		if s.key == 0 {
-			t.n++
-		}
-		mask := uint8(s.key >> 56)
-		for b := off & 7; b < 8 && i < len(data); b, i = b+1, i+1 {
-			s.bytes[b] = data[i]
-			mask |= 1 << b
-		}
-		s.key = word | uint64(mask)<<56
+// store buffers the bits of v under mask (whole bytes) into word: one
+// probe, one masked merge.
+func (t *ovTable) store(word, v, mask uint64) {
+	if 2*(t.n+1) > len(t.slots) {
+		t.resize(2 * len(t.slots))
 	}
+	s := &t.slots[t.find(word)]
+	if s.key == 0 {
+		t.n++
+	}
+	s.val = s.val&^mask | v&mask
+	s.key = word | uint64(uint8(s.key>>56)|bitBytes(mask))<<56
 }
 
-// patch applies the buffered bytes over a load's result, one probe per
-// touched word. The table must not be empty.
-func (t *ovTable) patch(ref sgx.Ref, buf []byte) {
-	for i := 0; i < len(buf); {
-		off := ref.Off + uint64(i)
-		s := &t.slots[t.find(ovWord(ref, off))]
-		b := int(off & 7)
-		n := min(8-b, len(buf)-i)
-		if mask := uint8(s.key >> 56); mask != 0 {
-			for j := 0; j < n; j++ {
-				if mask&(1<<(b+j)) != 0 {
-					buf[i+j] = s.bytes[b+j]
-				}
-			}
-		}
-		i += n
-	}
+// merge returns v, a backing word, with the bytes buffered for word in
+// their place: one probe, one masked merge. The table must not be empty.
+func (t *ovTable) merge(word, v uint64) uint64 {
+	s := &t.slots[t.find(word)]
+	m := byteBits(uint8(s.key >> 56))
+	return v&^m | s.val&m
 }
 
 // printTx routes program output through the active transaction.

@@ -5,18 +5,22 @@ import (
 	"math/rand"
 	"testing"
 
+	"privagic/internal/ir"
 	"privagic/internal/prt"
 	"privagic/internal/sgx"
 	"privagic/internal/typing"
 )
 
-// TestOverlayMatchesByteMap drives random buffered stores of 1, 2, 4 and
-// 8 bytes — unaligned, straddling words, at the same offsets in two
-// regions — through the overlay's growth from empty, interleaved with
-// loads that must each read what a plain byte map of the buffered bytes
-// over the untouched backing memory reads. Commit must then leave memory
-// as the stores issued it, last store winning. A second transaction sized
-// from the first's hint must serve the same stream without growing.
+// TestOverlayMatchesByteMap drives random buffered scalar stores of 1,
+// 2, 4 and 8 bytes — unaligned, straddling words, at the same offsets in
+// two regions — through the overlay's growth from empty, interleaved
+// with scalar loads that must each read what a plain byte map of the
+// buffered bytes over the untouched backing memory reads. Both go
+// through memStore and memLoad, so a scalar inside one word takes the
+// word core and a straddling one the byte path. Commit must then leave
+// memory as the stores issued it, last store winning. A second
+// transaction sized from the first's hint must serve the same stream
+// without growing.
 func TestOverlayMatchesByteMap(t *testing.T) {
 	const src = `
 long color(blue) g = 0;
@@ -35,6 +39,8 @@ entry long main(long x) {
 		ip := build(t, typing.Relaxed, src, "main")
 		ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 1})
 		w := ip.mainThread().Normal()
+		// Run as the blue chunk would: its mode reaches both regions.
+		w.Mode = 1
 		regions := []sgx.RegionID{sgx.Unsafe, 1}
 		rng := rand.New(rand.NewSource(1))
 		backing := map[sgx.RegionID][]byte{}
@@ -45,6 +51,7 @@ entry long main(long x) {
 			backing[id] = mem
 		}
 		tx := ip.beginTx(0, &txStack{hint: hint})
+		stateOf(w).tx = tx
 		reserved := len(tx.overlay.slots)
 		want := map[byteKey]byte{}
 		var issued []writeRec
@@ -52,21 +59,19 @@ entry long main(long x) {
 			id := regions[rng.Intn(len(regions))]
 			n := []int{1, 2, 4, 8}[rng.Intn(4)]
 			off := base + uint64(rng.Intn(span))
-			ref := ip.RT.Space.Resolve(sgx.EncodePtr(id, off))
+			addr := sgx.EncodePtr(id, off)
+			typ := ir.IntType{Bits: 8 * n}
 			buf := make([]byte, n)
 			if rng.Intn(3) > 0 {
 				rng.Read(buf)
-				ip.buffer(w, tx, ref, buf)
+				ip.memStore(w, addr, iv(getInt(buf)), typ)
 				issued = append(issued, writeRec{off: off, n: int32(n), id: int32(id)})
 				for j, b := range buf {
 					want[byteKey{id, off + uint64(j)}] = b
 				}
 				continue
 			}
-			ref.Region.Load(ref.Off, buf)
-			if tx.overlay.n > 0 {
-				tx.overlay.patch(ref, buf)
-			}
+			putInt(buf, ip.memLoad(w, addr, typ).I)
 			exp := make([]byte, n)
 			for j := range exp {
 				b, ok := want[byteKey{id, off + uint64(j)}]
@@ -104,6 +109,7 @@ entry long main(long x) {
 			}
 		}
 		hint = tx.size()
+		stateOf(w).tx = nil
 		ip.commitTx(w, tx)
 		for k, b := range want {
 			var got [1]byte
@@ -130,7 +136,7 @@ func TestTxRecycling(t *testing.T) {
 	s.put(a)
 	s.put(b)
 	outer := ip.beginTx(1, s)
-	ip.buffer(w, outer, ref, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	storeIn(ip, w, outer, ref.Addr, []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	inner := ip.beginTx(2, s)
 	if outer != b || inner != a {
 		t.Fatalf("an outer and a nested chunk got %p and %p, want the finished %p and %p", outer, inner, b, a)
@@ -139,17 +145,13 @@ func TestTxRecycling(t *testing.T) {
 	s.put(outer)
 	if got := ip.beginTx(3, s); got != outer || got.chunkID != 3 || got.overlay.n != 0 || len(got.redo) != 0 || len(got.arena) != 0 {
 		t.Fatalf("the next chunk got %p (chunk %d, %d words, %d stores), want the emptied %p", got, got.chunkID, got.overlay.n, len(got.redo), outer)
-	} else {
-		buf := make([]byte, 8)
-		got.overlay.patch(ref, buf)
-		if !bytes.Equal(buf, make([]byte, 8)) {
-			t.Errorf("a recycled overlay still serves %x", buf)
-		}
+	} else if v := got.overlay.merge(ovWord(ref, ref.Off), 0); v != 0 {
+		t.Errorf("a recycled overlay still serves %#x", v)
 	}
 	batch := ip.beginTx(4, s)
 	data := make([]byte, 32)
 	for i := 0; i < 1024; i++ {
-		ip.buffer(w, batch, ip.RT.Space.Resolve(sgx.EncodePtr(sgx.Unsafe, uint64(4096+40*i))), data)
+		storeIn(ip, w, batch, sgx.EncodePtr(sgx.Unsafe, uint64(4096+40*i)), data)
 	}
 	size := batch.size()
 	s.put(batch)
@@ -161,4 +163,14 @@ func TestTxRecycling(t *testing.T) {
 	if s.hint != size {
 		t.Errorf("hint = %+v, want the batch's size %+v", s.hint, size)
 	}
+}
+
+// storeIn issues a checked store of data at addr on w as the chunk whose
+// effect transaction is tx.
+func storeIn(ip *Interp, w *prt.Worker, tx *effectTx, addr uint64, data []byte) {
+	ws := stateOf(w)
+	prev := ws.tx
+	ws.tx = tx
+	ip.storeBytes(w, addr, data)
+	ws.tx = prev
 }

@@ -94,8 +94,9 @@ func (ip *Interp) compiledFn(fn *ir.Function) *compile.Fn {
 // body returns; a panicking body drops its frame. args may alias the
 // caller's frame (the call step's argument area), so they are copied in
 // before the body runs and never kept. The activation gives its stack
-// frames back when it returns, like runFn; the differential shadow pass
-// replays the live pass's alloca addresses, so it has none to give back.
+// frames back, and publishes its boundary counts, when it returns, like
+// runFn; the differential shadow pass replays the live pass's alloca
+// addresses, so it has no frames to give back.
 func (ip *Interp) runCompiled(cf *compile.Fn, w *prt.Worker, args []val, env exec.Env) val {
 	ws := stateOf(w)
 	fl := &ws.frames
@@ -109,6 +110,7 @@ func (ip *Interp) runCompiled(cf *compile.Fn, w *prt.Worker, args []val, env exe
 	m := ws.stack.mark()
 	ret := exec.Run(cf.Code, fr)
 	ws.stack.release(m)
+	ip.publishCounts(ws)
 	fl.put(fr)
 	return ret
 }

@@ -43,6 +43,8 @@ func (ip *Interp) execChunk(w *prt.Worker, chunkID int, args []val) (result val)
 	defer func() {
 		ws.tx, ws.snap = prevTx, prevSnap
 		st.depth--
+		// Publish before the Done (or the abort) leaves the worker.
+		ip.publishCounts(ws)
 		r := recover()
 		_, injected := r.(interface{ InjectedFault() })
 		if tx != nil {
@@ -119,14 +121,15 @@ func (ip *Interp) runOn(w *prt.Worker, fn *ir.Function, args []val) val {
 }
 
 // runFn interprets one function (a chunk or a helper) with the worker's
-// mode governing every memory access. The activation's stack frames are
-// given back when it returns; a panicking activation's frames go back
-// where the panic is recovered.
+// mode governing every memory access. The activation gives its stack
+// frames back, and publishes its boundary counts, when it returns; a
+// panicking activation's are handled where the panic is recovered.
 func (ip *Interp) runFn(w *prt.Worker, fn *ir.Function, args []val) val {
-	st := &stateOf(w).stack
-	m := st.mark()
+	ws := stateOf(w)
+	m := ws.stack.mark()
 	v := ip.interpret(w, fn, args)
-	st.release(m)
+	ws.stack.release(m)
+	ip.publishCounts(ws)
 	return v
 }
 
@@ -447,7 +450,9 @@ func (ip *Interp) fieldOffset(t *ir.FieldAddr) (int64, bool) {
 	return st.Fields[t.Index].Offset, true
 }
 
-// memLoad performs a mode-checked load.
+// memLoad performs a mode-checked scalar load: one pass of the word core
+// when the value lies inside one aligned word, the byte path when it
+// straddles two.
 func (ip *Interp) memLoad(w *prt.Worker, addr uint64, typ ir.Type) val {
 	size := typ.Size()
 	if size > 8 {
@@ -456,16 +461,22 @@ func (ip *Interp) memLoad(w *prt.Worker, addr uint64, typ ir.Type) val {
 	if addr == 0 {
 		errf("interp: nil dereference (load)")
 	}
-	var buf [8]byte
-	ip.loadBytes(w, addr, buf[:size])
-	v := iv(getInt(buf[:size]))
+	var v val
+	if addr&7+uint64(size) <= 8 {
+		v = iv(signExtend(ip.loadWord(w, addr, int(size)), int(size)))
+	} else {
+		var buf [8]byte
+		ip.loadBytes(w, addr, buf[:size])
+		v = iv(getInt(buf[:size]))
+	}
 	if rec := recOf(w); rec != nil {
 		rec.add(diffOp{kind: opLoad, a: int64(addr), v: v})
 	}
 	return v
 }
 
-// memStore performs a mode-checked store.
+// memStore performs a mode-checked scalar store, through the word core
+// like memLoad.
 func (ip *Interp) memStore(w *prt.Worker, addr uint64, v val, typ ir.Type) {
 	size := typ.Size()
 	if size > 8 {
@@ -474,13 +485,17 @@ func (ip *Interp) memStore(w *prt.Worker, addr uint64, v val, typ ir.Type) {
 	if addr == 0 {
 		errf("interp: nil dereference (store)")
 	}
-	var buf [8]byte
-	putInt(buf[:size], v.I)
 	if size == 8 {
 		// A stored word may be a frame address leaving the worker.
 		ip.pinIfLive(&stateOf(w).stack, v.I)
 	}
-	ip.storeBytes(w, addr, buf[:size])
+	if addr&7+uint64(size) <= 8 {
+		ip.storeWord(w, addr, int(size), uint64(v.I))
+	} else {
+		var buf [8]byte
+		putInt(buf[:size], v.I)
+		ip.storeBytes(w, addr, buf[:size])
+	}
 	if rec := recOf(w); rec != nil {
 		rec.add(diffOp{kind: opStore, a: int64(addr), v: v})
 	}

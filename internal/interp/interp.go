@@ -356,7 +356,10 @@ func (ip *Interp) Call(entry string, args ...int64) (ret int64, err error) {
 		if err != nil {
 			ip.callFailures.Add(1)
 		}
-		stateOf(main.Normal()).stack.reset(err == nil)
+		ws := stateOf(main.Normal())
+		// An unwound U chunk publishes its boundary counts here.
+		ip.publishCounts(ws)
+		ws.stack.reset(err == nil)
 	}()
 	defer func() {
 		if r := recover(); r != nil {
@@ -468,13 +471,13 @@ func getInt(buf []byte) int64 {
 	for i := range buf {
 		v |= uint64(buf[i]) << (8 * i)
 	}
-	// Sign-extend.
-	bits := uint(len(buf) * 8)
-	if bits < 64 {
-		shift := 64 - bits
-		return int64(v<<shift) >> shift
-	}
-	return int64(v)
+	return signExtend(v, len(buf))
+}
+
+// signExtend widens the low n bytes of v to a signed word.
+func signExtend(v uint64, n int) int64 {
+	shift := 64 - 8*uint(n)
+	return int64(v<<shift) >> shift
 }
 
 func floatBits(f float64) uint64 { return math.Float64bits(f) }

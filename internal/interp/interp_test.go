@@ -14,7 +14,7 @@ import (
 )
 
 // build compiles, analyzes, partitions and loads a program.
-func build(t *testing.T, mode typing.Mode, src string, entries ...string) *Interp {
+func build(t testing.TB, mode typing.Mode, src string, entries ...string) *Interp {
 	t.Helper()
 	mod, err := minic.Compile("test.c", src)
 	if err != nil {
@@ -24,7 +24,7 @@ func build(t *testing.T, mode typing.Mode, src string, entries ...string) *Inter
 }
 
 // load runs the pass pipeline, analyzes, partitions and loads a module.
-func load(t *testing.T, mod *ir.Module, mode typing.Mode, entries []string) *Interp {
+func load(t testing.TB, mod *ir.Module, mode typing.Mode, entries []string) *Interp {
 	t.Helper()
 	passes.RunAll(mod)
 	an := typing.Analyze(mod, typing.Options{Mode: mode, Entries: entries})

@@ -52,12 +52,12 @@ var Catalog = []MetricDef{
 	{Name: "interp.effect_discards", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "effect-transaction overlays discarded on abort"},
 	{Name: "interp.stack_pins", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "worker-stack pins: frames held to the Call boundary because their address left the worker or a crashed attempt reached them"},
 	{Name: "interp.region_mapped_bytes", Type: "gauge", Unit: "bytes", Subsystem: "interp", Help: "bytes held by mapped 4 KiB pages of simulated memory, summed over regions"},
-	{Name: "interp.boundary.snapshot_copyins", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "U words copied into enclave-private snapshots at barrier entry"},
-	{Name: "interp.boundary.snapshot_served", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "U reads served from a snapshot instead of live U memory"},
-	{Name: "interp.boundary.trusted_loads", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "loads that resolved to S memory and bypassed the defense path"},
-	{Name: "interp.boundary.unsafe_loads", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "loads that touched live U memory under relaxed mode"},
-	{Name: "interp.boundary.sanitize_checks", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "U-sourced pointers validated against the memory map"},
-	{Name: "interp.boundary.violations", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "sanitization failures surfaced as ErrIagoViolation"},
+	{Name: "interp.boundary.snapshot_copyins", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "U words copied into enclave-private snapshots at barrier entry; counted per worker, published when an activation ends"},
+	{Name: "interp.boundary.snapshot_served", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "U word reads served from a snapshot instead of live U memory; counted per worker, published when an activation ends"},
+	{Name: "interp.boundary.trusted_loads", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "loads that resolved to S memory and bypassed the defense path; counted per worker, published when an activation ends"},
+	{Name: "interp.boundary.unsafe_loads", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "loads that touched live U memory outside snapshot coverage; counted per worker, published when an activation ends"},
+	{Name: "interp.boundary.sanitize_checks", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "addresses validated against the memory map, one per checked access; counted per worker, published when an activation ends"},
+	{Name: "interp.boundary.violations", Type: "gauge", Unit: "1", Subsystem: "interp", Help: "sanitization failures surfaced as ErrIagoViolation; counted as raised"},
 
 	// fault injection (CounterSource under the "inject" prefix).
 	{Name: "inject.delivered", Type: "counter", Unit: "1", Subsystem: "faults", Help: "messages the injector passed through unmodified"},

@@ -1,6 +1,7 @@
 package prt
 
 import (
+	"encoding/binary"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -182,6 +183,28 @@ func (l *loadLog) load(buf []byte) {
 	}
 	l.cursor++
 	l.off += n
+}
+
+// loadWord threads a load of the low n (at most 8) bytes of v through
+// the log, like load, and returns v with a replayed position's bytes in
+// their place. Recording into a log with room for a whole word appends
+// the word without a byte copy (the bytes it writes past the entry lie
+// past the log, so nothing logged moves); a replay, or a log without
+// that room, goes through load, so the log grows exactly as it would
+// byte by byte.
+func (l *loadLog) loadWord(v uint64, n int) uint64 {
+	if l.cursor < len(l.lens) || cap(l.buf)-len(l.buf) < 8 {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		l.load(b[:n])
+		return binary.LittleEndian.Uint64(b[:])
+	}
+	end := len(l.buf) + n
+	l.buf = binary.LittleEndian.AppendUint64(l.buf, v)[:end]
+	l.lens = append(l.lens, int32(n))
+	l.cursor++
+	l.off += n
+	return v
 }
 
 // replayLog is one replay cache: the values earlier attempts consumed, in

@@ -393,3 +393,49 @@ func TestRestartedRecordNotReused(t *testing.T) {
 		t.Fatalf("Join = %v, %v, want 500", got, err)
 	}
 }
+
+// TestLoadWordMatchesLoad threads the same loads of 1 to 8 bytes through
+// logs as words (loadWord, into a log with room for whole words and into
+// one without) and through another as bytes (load): the logs must hold
+// the same entries, and a replay of any, through either entry point,
+// must serve every position the bytes recorded there.
+func TestLoadWordMatchesLoad(t *testing.T) {
+	const v = 0x8877665544332211
+	byWord := loadLog{buf: make([]byte, 0, 64)}
+	var tight, byBytes loadLog
+	for n := 1; n <= 8; n++ {
+		low := v & (uint64(1)<<(8*n) - 1)
+		for _, l := range []*loadLog{&byWord, &tight} {
+			if got := l.loadWord(low, n); got != low {
+				t.Fatalf("recording %d bytes returned %#x", n, got)
+			}
+		}
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v)
+		byBytes.load(buf[:n])
+	}
+	for _, l := range []loadLog{byWord, tight} {
+		if !slices.Equal(l.lens, byBytes.lens) || !slices.Equal(l.buf, byBytes.buf) {
+			t.Fatalf("word log %v %x, byte log %v %x", l.lens, l.buf, byBytes.lens, byBytes.buf)
+		}
+	}
+	for _, log := range []loadLog{byWord, tight, byBytes} {
+		asWord := loadLog{buf: log.buf, lens: log.lens}
+		asBytes := loadLog{buf: log.buf, lens: log.lens}
+		for n := 1; n <= 8; n++ {
+			mask := uint64(1)<<(8*n) - 1
+			// Live memory has moved on: the replay must not see it.
+			if got := asWord.loadWord(0, n); got != v&mask {
+				t.Errorf("word replay of %d bytes served %#x, want %#x", n, got, v&mask)
+			}
+			var buf [8]byte
+			asBytes.load(buf[:n])
+			if got := binary.LittleEndian.Uint64(buf[:]); got != v&mask {
+				t.Errorf("byte replay of %d bytes served %#x, want %#x", n, got, v&mask)
+			}
+		}
+		if asWord.logged() || asBytes.logged() {
+			t.Errorf("a replay left entries unserved")
+		}
+	}
+}

@@ -27,7 +27,6 @@ package prt
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"runtime/debug"
 	"sort"
@@ -849,19 +848,25 @@ func (w *Worker) JournalLoad(buf []byte) {
 	}
 }
 
+// JournalLoadWord is JournalLoad for a load of n (at most 8) bytes
+// held as the low bytes of v: it returns v, or on a replay v with the
+// bytes the crashed attempt read at this position in their place. The
+// interpreter's scalar loads use it, so a word never goes through a
+// byte buffer.
+func (w *Worker) JournalLoadWord(v uint64, n int) uint64 {
+	if w.att.rec == nil {
+		return v
+	}
+	return w.att.loads.loadWord(v, n)
+}
+
 // JournalWord threads one 8-byte value the executing chunk obtained from
 // the runtime, an alloca address, through its attempt's load log like a
 // load: a replay is served the value the crashed attempt got, which
 // peers may hold; past that, v is recorded. Returns v when the executing
 // chunk is not journaled. Lock-free, like JournalLoad.
 func (w *Worker) JournalWord(v uint64) uint64 {
-	if w.att.rec == nil {
-		return v
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	w.att.loads.load(buf[:])
-	return binary.LittleEndian.Uint64(buf[:])
+	return w.JournalLoadWord(v, 8)
 }
 
 // PublishLoads hands the executing attempt's load log to its journal

@@ -247,27 +247,45 @@ func (r *Region) Load(off uint64, buf []byte) {
 	}
 }
 
-// Store copies buf into the region at off, mapping pages as it goes. An
-// aligned whole word is one atomic write; the bytes of a partial word
-// are merged into it with a compare-and-swap, so concurrent stores to
-// other bytes of the same word are never lost.
+// MergeWord writes the bits of v under mask into the 8-byte word at off,
+// which must be 8-aligned, mapping its page if needed. A whole word is
+// one atomic write; a partial one is merged with a compare-and-swap, so
+// concurrent stores to the word's other bits are never lost.
+func (r *Region) MergeWord(off, v, mask uint64) {
+	w := &r.mapPage(off)[off%pageSize/8]
+	if mask == ^uint64(0) {
+		w.Store(v)
+		return
+	}
+	v &= mask
+	for old := w.Load(); !w.CompareAndSwap(old, old&^mask|v); old = w.Load() {
+	}
+}
+
+// Store copies buf into the region at off, one MergeWord per touched
+// word.
 func (r *Region) Store(off uint64, buf []byte) {
-	for i := 0; i < len(buf); {
+	ForWords(off, buf, r.MergeWord)
+}
+
+// ForWords splits the bytes of data, destined for offset off, into the
+// aligned 8-byte words they touch, and calls fn with each word's offset,
+// the bytes in their places in the word and the bit mask of those bytes.
+func ForWords(off uint64, data []byte, fn func(wordOff, v, mask uint64)) {
+	for i := 0; i < len(data); {
 		at := off + uint64(i)
-		w := &r.mapPage(at)[at%pageSize/8]
-		if at%8 == 0 && len(buf)-i >= 8 {
-			w.Store(binary.LittleEndian.Uint64(buf[i:]))
+		if at%8 == 0 && len(data)-i >= 8 {
+			fn(at, binary.LittleEndian.Uint64(data[i:]), ^uint64(0))
 			i += 8
 			continue
 		}
-		var bits, mask uint64
-		for sh := (at % 8) * 8; sh < 64 && i < len(buf); sh += 8 {
-			bits |= uint64(buf[i]) << sh
+		var v, mask uint64
+		for sh := (at % 8) * 8; sh < 64 && i < len(data); sh += 8 {
+			v |= uint64(data[i]) << sh
 			mask |= 0xff << sh
 			i++
 		}
-		for old := w.Load(); !w.CompareAndSwap(old, old&^mask|bits); old = w.Load() {
-		}
+		fn(at&^7, v, mask)
 	}
 }
 
