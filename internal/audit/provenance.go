@@ -37,15 +37,6 @@ func (t *Trace) String() string {
 	return strings.Join(lines, "\n")
 }
 
-// Source returns the final step of the trace — the annotation (or
-// declassification point) the leak originates from.
-func (t *Trace) Source() TraceStep {
-	if t == nil || len(t.Steps) == 0 {
-		return TraceStep{}
-	}
-	return t.Steps[len(t.Steps)-1]
-}
-
 // maxTraceDepth caps the backward walk; deep chains end with a truncation
 // step rather than recursing without bound through mutual recursion.
 const maxTraceDepth = 8

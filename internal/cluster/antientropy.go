@@ -20,47 +20,26 @@ import (
 // final drained-queue check under the router mutex — enter the ring
 // with full trust (ring.enter).
 
-// syncPending states (shardState.syncPending, guarded by Router.mu).
-const (
-	syncNone    = iota
-	syncReadmit // respawned after a fence: cold store
-	syncPromote // latency-health recovery: store missed writes while demoted
-	syncAdopt   // incarnation replaced without a fence: cold store
-)
-
 // maxSyncRounds bounds one antiEntropy call; if the ring keeps moving
 // or hints keep racing in past this, the prober's next round resumes.
 const maxSyncRounds = 16
 
-// antiEntropy runs shard's sync-then-enter flow on the shard's prober
-// goroutine (never under the router mutex during network I/O). On any
-// member error it returns without entering; syncPending stays set, so
-// the next prober round retries. Readmission ordering is the invariant:
-// ring.enter happens only under the mutex, only after the segment scan
-// matched the generation it planned against and the hint queue is
-// empty.
+// antiEntropy runs shard's sync-then-enter flow, if it is syncing, on
+// the shard's prober goroutine (never under the router mutex during
+// network I/O). On any member error it returns without entering; the
+// shard stays syncing, so the next prober round retries. A shard fenced
+// or demoted meanwhile is no longer syncing, and the flow stands down (a
+// demoted one syncs again once promoted). Readmission ordering is the
+// invariant: ring.enter happens only under the mutex, only after the
+// segment scan matched the generation it planned against and the hint
+// queue is empty.
 func (r *Router) antiEntropy(shard int) {
 	st := r.shards[shard]
 	start := time.Now()
-	r.mu.Lock()
-	kind := st.syncPending
-	r.mu.Unlock()
-	if kind == syncNone {
-		return
-	}
-	r.ins().tracer.Record(obs.EvReplSyncStart, shard, 0, 0, 0, int64(kind))
 	for round := 0; round < maxSyncRounds; round++ {
 		r.mu.Lock()
-		if st.fenced || st.syncPending == syncNone || r.ring.up[shard] {
-			st.syncPending = syncNone
-			r.mu.Unlock()
-			return
-		}
-		if st.demoted {
-			// Demoted mid-sync (the canary tripped the breaker): entering
-			// now would put a degraded wire in the ring. Health promotion
-			// re-arms the sync when the shard recovers.
-			st.syncPending = syncNone
+		kind := st.health
+		if !kind.syncing() {
 			r.mu.Unlock()
 			return
 		}
@@ -70,6 +49,9 @@ func (r *Router) antiEntropy(shard int) {
 		ovf := r.hints.overflowEpoch(shard)
 		pool := st.pool
 		r.mu.Unlock()
+		if round == 0 {
+			r.ins().tracer.Record(obs.EvReplSyncStart, shard, 0, 0, 0, int64(kind))
+		}
 
 		if !r.reconcileSegments(shard, pool, plan, full) {
 			return // a member came apart mid-sync; retry next prober round
@@ -82,8 +64,7 @@ func (r *Router) antiEntropy(shard int) {
 			hook(shard)
 		}
 		r.mu.Lock()
-		if st.fenced || st.demoted || st.syncPending == syncNone {
-			st.syncPending = syncNone
+		if !st.health.syncing() {
 			r.mu.Unlock()
 			return
 		}
@@ -116,21 +97,8 @@ func (r *Router) antiEntropy(shard int) {
 			r.hints.clearFullSync(shard)
 			r.fullSyncs.Add(1)
 		}
-		kind = st.syncPending
-		st.syncPending = syncNone
-		newGen := r.ring.enter(shard)
-		r.syncs.Add(1)
-		if kind == syncPromote {
-			r.promotions.Add(1)
-			r.ins().tracer.Record(obs.EvPromote, shard, 0, 0, st.epoch, int64(newGen))
-		} else {
-			r.readmits.Add(1)
-			r.ins().tracer.Record(obs.EvReadmit, shard, 0, 0, st.epoch, int64(newGen))
-		}
-		elapsed := time.Since(start).Microseconds()
-		r.ins().tracer.Record(obs.EvReplSyncDone, shard, 0, 0, newGen, elapsed)
+		r.setHealthLocked(shard, healthUp, start)
 		r.mu.Unlock()
-		r.ins().syncHist.Observe(elapsed)
 		return
 	}
 }

@@ -33,11 +33,125 @@ const ewmaKeep = 0.7
 // bypassing the ring (ownership is irrelevant to an RTT measure).
 const canaryKey = "__privagic_canary__"
 
+// promoteStrikes is how many consecutive probe-round verdicts under
+// FastRTT, with the breaker closed, promote a demoted shard: one
+// scheduler hiccup never flips membership.
+const promoteStrikes = 2
+
+// health is a shard's place in the router's one health state machine
+// (docs/design/distribution.md has the full transition table). The
+// three health signals — version probes (fence), the latency EWMA and
+// the circuit breaker (demote) — are its inputs; setHealthLocked is its
+// only writer. A shard is a ring member exactly when its health is
+// healthUp.
+type health uint8
+
+const (
+	healthUp          health = iota // in the ring, serving
+	healthSyncReadmit               // respawned after a fence: cold store, syncing before entry
+	healthSyncPromote               // recovered from a demotion: store missed writes, syncing
+	healthSyncAdopt                 // replaced without a fence: cold store, syncing
+	healthDemoted                   // too slow or breaker tripped: out, incarnation still trusted
+	healthFenced                    // probes failed: out until a fresh epoch answers
+)
+
+// syncing reports whether the shard awaits anti-entropy before entry.
+// The syncing values double as the repl.sync.start trace argument.
+func (h health) syncing() bool { return h >= healthSyncReadmit && h <= healthSyncAdopt }
+
+// setHealthLocked moves shard i to health to — every health transition
+// goes through here. It moves ring membership, bumps the transition's
+// counter, records its trace event and observes its histogram, where
+// since anchors the measurement: detection start for a fence or a
+// demotion (zero: nothing measured), sync start for entry. Caller holds
+// r.mu and has already pointed st at a new incarnation (addr, epoch,
+// pool) when to is healthSyncReadmit or healthSyncAdopt.
+//
+// A syncing target is where R=1 and R≥2 part. With replication the
+// shard leaves the ring (if it has not already) and the prober's
+// antiEntropy enters it with full trust once its store is proven
+// complete (to == healthUp, ring.enter). R=1 has no live member to sync
+// from, so the shard re-enters at once through ring.setUp — distrusted
+// until the fresh generation, costing misses, never wrong answers.
+func (r *Router) setHealthLocked(i int, to health, since time.Time) {
+	st := r.shards[i]
+	from := st.health
+	if to == healthDemoted && (from == healthDemoted || from == healthFenced || r.ring.nUp <= 1) {
+		// Only a serving or syncing shard demotes, and never the last
+		// one in the ring: a degraded answer path beats ErrNoShards.
+		return
+	}
+	if to == healthSyncReadmit || to == healthSyncAdopt {
+		// The new incarnation shares no history with the wire that earned
+		// the old one its latency estimate or breaker debt.
+		st.rtt.Store(0)
+		st.dataDown.Store(0)
+		st.breaker.Reset()
+	}
+	if to == healthSyncAdopt {
+		r.adoptions.Add(1)
+	}
+	if to != healthUp {
+		// Entry keeps the slow strikes counted while syncing: the same
+		// wire stays under the same verdict.
+		st.slowStrikes, st.fastStrikes = 0, 0
+	}
+	ins := r.ins()
+	switch {
+	case to == healthFenced:
+		gen := r.ring.setUp(i, false)
+		if !since.IsZero() {
+			// A zero since is a shard already dead when the router
+			// started: no failure was detected, so none is counted.
+			r.failovers.Add(1)
+			ins.detectHist.Observe(time.Since(since).Microseconds())
+			ins.tracer.Record(obs.EvFailover, i, 0, 0, st.epoch, int64(gen))
+		}
+	case to == healthDemoted:
+		gen := r.ring.setUp(i, false)
+		r.demotions.Add(1)
+		if !since.IsZero() {
+			ins.demoteHist.Observe(time.Since(since).Microseconds())
+		}
+		ins.tracer.Record(obs.EvDemote, i, 0, 0, st.epoch, int64(gen))
+	case to == healthUp:
+		gen := r.ring.enter(i)
+		r.syncs.Add(1)
+		r.countEntry(i, from, gen)
+		elapsed := time.Since(since).Microseconds()
+		ins.tracer.Record(obs.EvReplSyncDone, i, 0, 0, gen, elapsed)
+		ins.syncHist.Observe(elapsed)
+	case r.cfg.Replication > 1:
+		r.ring.setUp(i, false)
+	default:
+		gen := r.ring.setUp(i, true)
+		if to != healthSyncAdopt {
+			r.countEntry(i, to, gen)
+		}
+		to = healthUp
+	}
+	st.health = to
+}
+
+// countEntry counts shard i's entry into the ring at generation gen by
+// why it was out: a promotion after a demotion, a readmission after a
+// new incarnation (respawn or adoption).
+func (r *Router) countEntry(i int, why health, gen uint64) {
+	if why == healthSyncPromote {
+		r.promotions.Add(1)
+		r.ins().tracer.Record(obs.EvPromote, i, 0, 0, r.shards[i].epoch, int64(gen))
+		return
+	}
+	r.readmits.Add(1)
+	r.ins().tracer.Record(obs.EvReadmit, i, 0, 0, r.shards[i].epoch, int64(gen))
+}
+
 // sample records the outcome of one data-path operation against shard:
 // the RTT estimate, the RTT histogram (successes only — a penalty sample
 // is a modeling device, not a measurement), the failure-streak anchor,
 // and the circuit breaker. Breaker transitions surface here: a trip
-// demotes the shard out of the ring immediately — consecutive hard
+// demotes the shard out of the ring immediately (keeping its
+// incarnation trusted, unlike a fence) — consecutive hard
 // failures are stronger evidence than a slow EWMA, and the asymmetric
 // partition that kills only the data path never trips the fence at all.
 func (r *Router) sample(shard int, st *shardState, rtt time.Duration, ok bool) {
@@ -68,36 +182,15 @@ func (r *Router) sample(shard int, st *shardState, rtt time.Duration, ok bool) {
 		if ns := st.dataDown.Load(); ns > 0 {
 			since = time.Unix(0, ns)
 		}
-		r.demote(shard, since)
-	}
-}
-
-// demote takes shard out of the ring for latency/breaker reasons while
-// keeping its incarnation trusted (contrast fence: a demoted shard's
-// store is intact and generation stamps age out nothing it owns, so
-// promotion back at the same epoch is safe). The last up shard is never
-// demoted — a degraded answer path beats ErrNoShards.
-func (r *Router) demote(shard int, since time.Time) {
-	st := r.shards[shard]
-	r.mu.Lock()
-	if st.fenced || st.demoted || r.ring.nUp <= 1 {
+		r.mu.Lock()
+		r.setHealthLocked(shard, healthDemoted, since)
 		r.mu.Unlock()
-		return
 	}
-	st.demoted = true
-	st.slowStrikes, st.fastStrikes = 0, 0
-	gen := r.ring.setUp(shard, false)
-	r.demotions.Add(1)
-	if !since.IsZero() {
-		r.ins().demoteHist.Observe(time.Since(since).Microseconds())
-	}
-	r.ins().tracer.Record(obs.EvDemote, shard, 0, 0, st.epoch, int64(gen))
-	r.mu.Unlock()
 }
 
 // evaluateHealth runs shard i's per-probe-round latency verdict:
 // DemoteStrikes consecutive rounds with the EWMA above SlowRTT demote;
-// PromoteStrikes consecutive rounds below FastRTT (with the breaker
+// promoteStrikes consecutive rounds below FastRTT (with the breaker
 // closed) promote a demoted shard back.
 func (r *Router) evaluateHealth(i int) {
 	st := r.shards[i]
@@ -106,53 +199,34 @@ func (r *Router) evaluateHealth(i int) {
 	fast := float64(r.cfg.FastRTT.Microseconds())
 
 	r.mu.Lock()
-	if st.fenced {
-		st.slowStrikes, st.fastStrikes = 0, 0
-		r.mu.Unlock()
-		return
-	}
-	if !st.demoted {
+	defer r.mu.Unlock()
+	switch st.health {
+	case healthFenced:
+		// Only a respawn leaves a fence; latency has no say.
+	case healthDemoted:
+		// Look for sustained recovery. The breaker must be closed — a
+		// half-open wire is not a recovered wire.
+		if ewma > 0 && ewma < fast && st.breaker.State() == retry.BreakerClosed {
+			st.fastStrikes++
+			if st.fastStrikes >= promoteStrikes {
+				r.setHealthLocked(i, healthSyncPromote, time.Time{})
+			}
+		} else {
+			st.fastStrikes = 0
+		}
+	default: // up or syncing
 		if ewma > slow {
 			if st.slowStrikes == 0 {
 				st.slowSince = time.Now()
 			}
 			st.slowStrikes++
-			if st.slowStrikes >= r.cfg.DemoteStrikes && r.ring.nUp > 1 {
-				st.demoted = true
-				st.slowStrikes, st.fastStrikes = 0, 0
-				gen := r.ring.setUp(i, false)
-				r.demotions.Add(1)
-				r.ins().demoteHist.Observe(time.Since(st.slowSince).Microseconds())
-				r.ins().tracer.Record(obs.EvDemote, i, 0, 0, st.epoch, int64(gen))
+			if st.slowStrikes >= r.cfg.DemoteStrikes {
+				r.setHealthLocked(i, healthDemoted, st.slowSince)
 			}
 		} else {
 			st.slowStrikes = 0
 		}
-		r.mu.Unlock()
-		return
 	}
-	// Demoted: look for sustained recovery. The breaker must be closed —
-	// a half-open wire is not a recovered wire.
-	if ewma > 0 && ewma < fast && st.breaker.State() == retry.BreakerClosed {
-		st.fastStrikes++
-		if st.fastStrikes >= r.cfg.PromoteStrikes {
-			st.demoted = false
-			st.slowStrikes, st.fastStrikes = 0, 0
-			if r.cfg.Replication > 1 {
-				// The store missed every write acked while the shard was
-				// demoted; under replication it must sync before serving
-				// (promotions ticks at ring entry, see antientropy.go).
-				st.syncPending = syncPromote
-			} else {
-				gen := r.ring.setUp(i, true)
-				r.promotions.Add(1)
-				r.ins().tracer.Record(obs.EvPromote, i, 0, 0, st.epoch, int64(gen))
-			}
-		}
-	} else {
-		st.fastStrikes = 0
-	}
-	r.mu.Unlock()
 }
 
 // canaryOnce sends shard i's data-path canary get and runs the health
@@ -166,7 +240,7 @@ func (r *Router) canaryOnce(i int, dconn **memcached.Client, dconnAddr *string) 
 	st := r.shards[i]
 	addr, _, running := r.dir.Addr(i)
 	r.mu.Lock()
-	fenced := st.fenced
+	fenced := st.health == healthFenced
 	r.mu.Unlock()
 	if !running || fenced {
 		if *dconn != nil {

@@ -83,16 +83,14 @@ type RouterConfig struct {
 	// of the ring — even while its version probes answer, which is
 	// exactly the slow-but-alive gray failure fencing cannot see. A
 	// demoted shard whose EWMA falls back below FastRTT (hysteresis) for
-	// PromoteStrikes rounds, with its breaker closed, is promoted back;
-	// generation stamps make the round trip safe without invalidation.
+	// two rounds, with its breaker closed, is promoted back; generation
+	// stamps make the round trip safe without invalidation.
 	// Defaults: SlowRTT = OpTimeout/2, FastRTT = SlowRTT/4.
 	SlowRTT time.Duration
 	FastRTT time.Duration
-	// DemoteStrikes / PromoteStrikes are the consecutive-evaluation
-	// requirements (defaults 3 / 2): one scheduler hiccup never flips
-	// membership.
-	DemoteStrikes  int
-	PromoteStrikes int
+	// DemoteStrikes is the consecutive-evaluation requirement (default
+	// 3): one scheduler hiccup never flips membership.
+	DemoteStrikes int
 
 	// HedgeDelay controls hedged Gets: a Get whose primary attempt has
 	// not answered after this long launches a second identical request
@@ -129,33 +127,22 @@ type RouterConfig struct {
 // synchronized) and rtt/dataDown (atomics sampled lock-free on the data
 // path).
 type shardState struct {
-	addr        string
-	epoch       uint64
-	pool        *connPool
-	fenced      bool
-	fencedEpoch uint64
-	fails       int       // consecutive probe failures
-	downSince   time.Time // first failure of the current streak
-	wasDown     bool      // a probe.down was recorded without a probe.up yet
-	kick        chan struct{}
+	addr      string
+	epoch     uint64 // while fenced, the fenced one: only a newer epoch readmits
+	pool      *connPool
+	health    health    // see setHealthLocked
+	fails     int       // consecutive probe failures
+	downSince time.Time // first failure of the current streak
+	wasDown   bool      // a probe.down was recorded without a probe.up yet
+	kick      chan struct{}
 
-	// Gray-failure defenses (DESIGN.md §15). demoted is the
-	// latency-health twin of fenced: the shard is out of the ring but
-	// its incarnation is still trusted, so promotion back at the same
-	// epoch is safe (generation stamps fence staleness). slowStrikes /
-	// fastStrikes count consecutive over/under-threshold probe-round
-	// evaluations; slowSince anchors the demote-detection histogram.
+	// Gray-failure inputs (DESIGN.md §15). slowStrikes / fastStrikes
+	// count consecutive over/under-threshold probe-round evaluations;
+	// slowSince anchors the demote-detection histogram.
 	breaker     *retry.Breaker
-	demoted     bool
 	slowStrikes int
 	fastStrikes int
 	slowSince   time.Time
-
-	// syncPending arms the prober's anti-entropy flow: the shard is out
-	// of the ring awaiting sync-then-enter (see antientropy.go). Why it
-	// is pending (readmit / promote / adopt) picks the counter bumped at
-	// entry.
-	syncPending int
 
 	// rtt is the EWMA of data-path RTT in µs (float bits; 0 = no samples
 	// yet). Updated with a benign racy read-modify-write: losing a
@@ -322,9 +309,6 @@ func NewRouter(dir Directory, cfg RouterConfig) (*Router, error) {
 	if cfg.DemoteStrikes <= 0 {
 		cfg.DemoteStrikes = 3
 	}
-	if cfg.PromoteStrikes <= 0 {
-		cfg.PromoteStrikes = 2
-	}
 	if cfg.Replication <= 0 {
 		cfg.Replication = 2
 	}
@@ -356,12 +340,10 @@ func NewRouter(dir Directory, cfg RouterConfig) (*Router, error) {
 		st := &shardState{addr: addr, epoch: epoch, kick: make(chan struct{}, 1)}
 		st.breaker = retry.NewBreaker(cfg.Breaker)
 		st.pool = newConnPool(addr, cfg.PoolConns, cfg.OpTimeout)
-		if !running {
-			st.fenced = true
-			st.fencedEpoch = epoch
-			r.ring.setUp(i, false)
-		}
 		r.shards[i] = st
+		if !running {
+			r.setHealthLocked(i, healthFenced, time.Time{})
+		}
 	}
 	if !cfg.DisableProbes {
 		for i := 0; i < n; i++ {
@@ -574,18 +556,6 @@ func (r *Router) finishAttempts(lastErr error) error {
 	return lastErr
 }
 
-// resetHealthLocked clears a shard's gray-failure state when its
-// incarnation changes (readmit or adopt): the new process shares no
-// history with the wire that earned the old one its demotion, strikes,
-// latency estimate, or breaker debt. Caller holds r.mu.
-func (r *Router) resetHealthLocked(st *shardState) {
-	st.demoted = false
-	st.slowStrikes, st.fastStrikes = 0, 0
-	st.rtt.Store(0)
-	st.dataDown.Store(0)
-	st.breaker.Reset()
-}
-
 // maintain is the generation-floor garbage sweep (DESIGN.md §16). Both
 // per-key state stores grow with key cardinality: the router's stamps
 // map keeps one entry per key ever written, and every shard store keeps
@@ -702,12 +672,7 @@ func (r *Router) prober(i int) {
 		}
 		r.probeOnce(i, &conn, &connAddr)
 		r.canaryOnce(i, &dconn, &dconnAddr)
-		r.mu.Lock()
-		pending := st.syncPending != syncNone && !st.fenced
-		r.mu.Unlock()
-		if pending {
-			r.antiEntropy(i)
-		}
+		r.antiEntropy(i)
 		r.maintain()
 		timer.Reset(r.cfg.ProbeInterval)
 	}
@@ -755,54 +720,28 @@ func (r *Router) probeOnce(i int, conn **memcached.Client, connAddr *string) {
 			st.wasDown = false
 			r.ins().tracer.Record(obs.EvProbeUp, i, 0, 0, epoch, 0)
 		}
-		switch {
-		case st.fenced && epoch > st.fencedEpoch:
-			// A fresh incarnation (cold store, new epoch) answered. With
-			// replication the epoch fence is only the first gate: the cold
-			// store must complete anti-entropy before re-entering the ring
-			// (readmits ticks at entry, not here). R=1 has no live member
-			// to sync from, so it re-enters directly as before.
-			st.fenced = false
-			st.addr, st.epoch = addr, epoch
-			r.resetHealthLocked(st)
-			old := st.pool
-			st.pool = newConnPool(addr, r.cfg.PoolConns, r.cfg.OpTimeout)
-			if r.cfg.Replication > 1 {
-				st.syncPending = syncReadmit
-			} else {
-				gen := r.ring.setUp(i, true)
-				r.readmits.Add(1)
-				r.ins().tracer.Record(obs.EvReadmit, i, 0, 0, epoch, int64(gen))
-			}
+		fenced := st.health == healthFenced
+		if epoch == st.epoch || (fenced && epoch < st.epoch) {
+			// Nothing new — or the fenced incarnation woke up (a hang
+			// passing): its store predates the fence, so it is never
+			// re-trusted; only a respawn (epoch bump) readmits.
 			r.mu.Unlock()
-			old.close()
-			return
-		case st.fenced:
-			// The fenced incarnation woke up (a hang passing): its store
-			// predates the fence, so it is never re-trusted — only a
-			// respawn (epoch bump) readmits.
-		case epoch != st.epoch:
-			// Replaced under us without the fence ever tripping: adopt the
-			// new incarnation's address. Its store is cold; under
-			// replication it leaves the ring for a sync first (a cold
-			// in-ring member would serve false authoritative misses), at
-			// R=1 cold costs misses, never wrong answers.
-			st.addr, st.epoch = addr, epoch
-			r.adoptions.Add(1)
-			if r.cfg.Replication > 1 {
-				r.ring.setUp(i, false)
-				st.syncPending = syncAdopt
-			} else if st.demoted {
-				r.ring.setUp(i, true)
-			}
-			r.resetHealthLocked(st)
-			old := st.pool
-			st.pool = newConnPool(addr, r.cfg.PoolConns, r.cfg.OpTimeout)
-			r.mu.Unlock()
-			old.close()
 			return
 		}
+		// A new incarnation (cold store, new epoch) answered: a respawn
+		// after the fence (readmit), or a replacement the fence never
+		// caught (adopt). Either way it syncs before serving (see
+		// setHealthLocked for R=1).
+		to := healthSyncAdopt
+		if fenced {
+			to = healthSyncReadmit
+		}
+		st.addr, st.epoch = addr, epoch
+		old := st.pool
+		st.pool = newConnPool(addr, r.cfg.PoolConns, r.cfg.OpTimeout)
+		r.setHealthLocked(i, to, time.Time{})
 		r.mu.Unlock()
+		old.close()
 		return
 	}
 	r.probeFailures.Add(1)
@@ -814,15 +753,10 @@ func (r *Router) probeOnce(i int, conn **memcached.Client, connAddr *string) {
 			r.ins().tracer.Record(obs.EvProbeDown, i, 0, 0, st.epoch, 0)
 		}
 	}
-	if !st.fenced && st.fails >= r.cfg.ProbeFails {
-		st.fenced = true
-		st.fencedEpoch = st.epoch
-		st.syncPending = syncNone // a mid-sync death restarts from respawn
+	if st.health != healthFenced && st.fails >= r.cfg.ProbeFails {
+		// A mid-sync death restarts from the respawn.
+		r.setHealthLocked(i, healthFenced, st.downSince)
 		fencedEpoch = st.epoch
-		gen := r.ring.setUp(i, false)
-		r.failovers.Add(1)
-		r.ins().detectHist.Observe(time.Since(st.downSince).Microseconds())
-		r.ins().tracer.Record(obs.EvFailover, i, 0, 0, st.epoch, int64(gen))
 		onFence = r.cfg.OnFence
 	}
 	r.mu.Unlock()

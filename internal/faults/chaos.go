@@ -1,8 +1,6 @@
 package faults
 
 import (
-	"math/rand"
-	"sync"
 	"time"
 
 	"privagic/internal/obs"
@@ -70,40 +68,21 @@ type ChaosConfig struct {
 // through Counters; unlike the Injector it operates on wall-clock time —
 // shard failure detection is itself a timing phenomenon, so the soak
 // asserts invariants that hold for every interleaving rather than
-// replaying one.
+// replaying one. Start, Wait, Stop and Counters come from the shared
+// scheduler (see monkey).
 type Chaos struct {
+	monkey
 	cfg     ChaosConfig
 	cluster ShardCluster
-	rng     *rand.Rand
 
-	mu        sync.Mutex
-	disrupted map[int]bool
+	disrupted map[int]bool // guarded by mu
 	kills     int64
 	hangs     int64
 	respawns  int64
-
-	counterList []obs.NamedCounter
-
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	doneCh   chan struct{}
-	wg       sync.WaitGroup
 }
 
 // NewChaos builds a chaos monkey over cluster. Call Start to unleash it.
 func NewChaos(cluster ShardCluster, cfg ChaosConfig) *Chaos {
-	if cfg.Actions <= 0 {
-		cfg.Actions = 1
-	}
-	if cfg.MinDelay <= 0 {
-		cfg.MinDelay = time.Millisecond
-	}
-	if cfg.MaxDelay < cfg.MinDelay {
-		cfg.MaxDelay = 5 * time.Millisecond
-		if cfg.MaxDelay < cfg.MinDelay {
-			cfg.MaxDelay = cfg.MinDelay
-		}
-	}
 	if cfg.HangFor <= 0 {
 		cfg.HangFor = 20 * time.Millisecond
 	}
@@ -117,13 +96,12 @@ func NewChaos(cluster ShardCluster, cfg ChaosConfig) *Chaos {
 		}
 	}
 	c := &Chaos{
+		monkey:    newMonkey(cfg.Seed, cfg.Actions, cfg.MinDelay, cfg.MaxDelay),
 		cfg:       cfg,
 		cluster:   cluster,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		disrupted: map[int]bool{},
-		stopCh:    make(chan struct{}),
-		doneCh:    make(chan struct{}),
 	}
+	c.act = c.strike
 	c.counterList = []obs.NamedCounter{
 		{Name: "kills", Load: c.locked(&c.kills)},
 		{Name: "hangs", Load: c.locked(&c.hangs)},
@@ -132,52 +110,9 @@ func NewChaos(cluster ShardCluster, cfg ChaosConfig) *Chaos {
 	return c
 }
 
-// locked adapts a mutex-guarded tally to the NamedCounter Load shape.
-func (c *Chaos) locked(v *int64) func() int64 {
-	return func() int64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return *v
-	}
-}
-
-// Start launches the chaos loop.
-func (c *Chaos) Start() {
-	go c.run()
-}
-
-// Wait blocks until every configured action has been injected and every
-// scheduled respawn has completed — the cluster is whole again.
-func (c *Chaos) Wait() {
-	<-c.doneCh
-	c.wg.Wait()
-}
-
-// Stop aborts the remaining actions and waits for in-flight respawns, so
-// teardown never races a resurrecting shard.
-func (c *Chaos) Stop() {
-	c.stopOnce.Do(func() { close(c.stopCh) })
-	<-c.doneCh
-	c.wg.Wait()
-}
-
-func (c *Chaos) run() {
-	defer close(c.doneCh)
-	for n := 0; n < c.cfg.Actions; n++ {
-		span := int64(c.cfg.MaxDelay-c.cfg.MinDelay) + 1
-		delay := c.cfg.MinDelay + time.Duration(c.rng.Int63n(span))
-		select {
-		case <-c.stopCh:
-			return
-		case <-time.After(delay):
-		}
-		c.act()
-	}
-}
-
-// act injects one fault against a random undisrupted shard, honoring the
-// survivor floor, and schedules the victim's resurrection.
-func (c *Chaos) act() {
+// strike injects one fault against a random undisrupted shard, honoring
+// the survivor floor, and schedules the victim's resurrection.
+func (c *Chaos) strike() {
 	hang := c.rng.Float64() < c.cfg.HangFraction
 
 	c.mu.Lock()
@@ -211,53 +146,31 @@ func (c *Chaos) act() {
 		c.mu.Unlock()
 		return
 	}
-	c.mu.Lock()
 	if hang {
-		c.hangs++
+		c.count(&c.hangs)
 	} else {
-		c.kills++
+		c.count(&c.kills)
 	}
-	c.mu.Unlock()
 
 	// Resurrection restores capacity and — because Respawn always means a
 	// cold store at a fresh epoch — is the only path back into the ring.
-	c.wg.Add(1)
-	time.AfterFunc(c.cfg.RespawnAfter, func() {
-		defer c.wg.Done()
+	c.after(c.cfg.RespawnAfter, func() {
 		if c.cluster.Respawn(victim) == nil {
-			c.mu.Lock()
-			c.respawns++
-			c.mu.Unlock()
+			c.count(&c.respawns)
 		}
 		// A respawned shard is not recovered until it settles: with
 		// replication the router readmits it only after anti-entropy
 		// sync, and releasing the MaxDown budget before that would let
 		// the monkey take down a second shard while this one is still
 		// outside the ring — silently exceeding the failure model the
-		// zero-loss oracle assumes.
-		if c.cfg.SettleFunc != nil {
-			for !c.cfg.SettleFunc(victim) {
-				select {
-				case <-c.stopCh:
-					c.mu.Lock()
-					delete(c.disrupted, victim)
-					c.mu.Unlock()
-					return
-				case <-time.After(time.Millisecond):
-				}
-			}
+		// zero-loss oracle assumes. A stop releases the budget at once.
+		if f := c.cfg.SettleFunc; f != nil {
+			c.settle(func() bool { return f(victim) })
 		}
 		c.mu.Lock()
 		delete(c.disrupted, victim)
 		c.mu.Unlock()
 	})
-}
-
-// Counters reports the monkey's activity (CounterSource; snapshots show
-// these under the chaos. prefix — obs.SnapshotCounters over the static
-// list built in NewChaos).
-func (c *Chaos) Counters() map[string]int64 {
-	return obs.SnapshotCounters(c.counterList)
 }
 
 // RegisterMetrics folds the monkey's counters into reg under the chaos.

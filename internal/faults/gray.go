@@ -1,8 +1,6 @@
 package faults
 
 import (
-	"math/rand"
-	"sync"
 	"time"
 
 	"privagic/internal/netfaults"
@@ -17,27 +15,20 @@ import (
 // after a bounded dwell. Every shard stays alive the whole time; only
 // the network lies. The gray soak runs the router's traffic through
 // these links and asserts the same oracle as the crash soak: every read
-// fresh-or-miss, every failure typed, never a wrong answer.
+// fresh-or-miss, every failure typed, never a wrong answer. Start, Wait,
+// Stop and Counters come from the shared scheduler (see monkey).
 type GrayChaos struct {
+	monkey
 	cfg   GrayChaosConfig
 	links []*netfaults.Link
-	rng   *rand.Rand
 
-	mu               sync.Mutex
-	degraded         map[int]bool
+	degraded         map[int]bool // guarded by mu
 	latencySpikes    int64
 	throttles        int64
 	partitions       int64
 	resetsArmed      int64
 	corruptionsArmed int64
 	heals            int64
-
-	counterList []obs.NamedCounter
-
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	doneCh   chan struct{}
-	wg       sync.WaitGroup
 }
 
 // GrayChaosConfig tunes the gray monkey. The zero value arms one fault
@@ -90,18 +81,6 @@ type GrayChaosConfig struct {
 
 // NewGrayChaos builds a gray monkey over links. Call Start to unleash it.
 func NewGrayChaos(links []*netfaults.Link, cfg GrayChaosConfig) *GrayChaos {
-	if cfg.Actions <= 0 {
-		cfg.Actions = 1
-	}
-	if cfg.MinDelay <= 0 {
-		cfg.MinDelay = time.Millisecond
-	}
-	if cfg.MaxDelay < cfg.MinDelay {
-		cfg.MaxDelay = 5 * time.Millisecond
-		if cfg.MaxDelay < cfg.MinDelay {
-			cfg.MaxDelay = cfg.MinDelay
-		}
-	}
 	if cfg.HealAfter <= 0 {
 		cfg.HealAfter = 15 * time.Millisecond
 	}
@@ -127,13 +106,12 @@ func NewGrayChaos(links []*netfaults.Link, cfg GrayChaosConfig) *GrayChaos {
 		cfg.CorruptEvery = 3
 	}
 	g := &GrayChaos{
+		monkey:   newMonkey(cfg.Seed, cfg.Actions, cfg.MinDelay, cfg.MaxDelay),
 		cfg:      cfg,
 		links:    links,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		degraded: map[int]bool{},
-		stopCh:   make(chan struct{}),
-		doneCh:   make(chan struct{}),
 	}
+	g.act = g.arm
 	g.counterList = []obs.NamedCounter{
 		{Name: "latency_spikes", Load: g.locked(&g.latencySpikes)},
 		{Name: "throttles", Load: g.locked(&g.throttles)},
@@ -145,61 +123,14 @@ func NewGrayChaos(links []*netfaults.Link, cfg GrayChaosConfig) *GrayChaos {
 	return g
 }
 
-// locked adapts a mutex-guarded tally to the NamedCounter Load shape.
-func (g *GrayChaos) locked(v *int64) func() int64 {
-	return func() int64 {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return *v
+// arm arms one gray fault against a random clean link, honoring the
+// clean-path floor, and schedules the link's heal. With a SettleFunc it
+// first waits for the system to settle; a stop during the wait arms
+// nothing.
+func (g *GrayChaos) arm() {
+	if !g.settle(g.cfg.SettleFunc) {
+		return
 	}
-}
-
-// Start launches the gray loop.
-func (g *GrayChaos) Start() {
-	go g.run()
-}
-
-// Wait blocks until every configured fault has been armed and every
-// scheduled heal has completed — the network is clean again.
-func (g *GrayChaos) Wait() {
-	<-g.doneCh
-	g.wg.Wait()
-}
-
-// Stop aborts the remaining actions and waits for in-flight heals, so
-// teardown never races a healing link.
-func (g *GrayChaos) Stop() {
-	g.stopOnce.Do(func() { close(g.stopCh) })
-	<-g.doneCh
-	g.wg.Wait()
-}
-
-func (g *GrayChaos) run() {
-	defer close(g.doneCh)
-	for n := 0; n < g.cfg.Actions; n++ {
-		span := int64(g.cfg.MaxDelay-g.cfg.MinDelay) + 1
-		delay := g.cfg.MinDelay + time.Duration(g.rng.Int63n(span))
-		select {
-		case <-g.stopCh:
-			return
-		case <-time.After(delay):
-		}
-		if g.cfg.SettleFunc != nil {
-			for !g.cfg.SettleFunc() {
-				select {
-				case <-g.stopCh:
-					return
-				case <-time.After(time.Millisecond):
-				}
-			}
-		}
-		g.act()
-	}
-}
-
-// act arms one gray fault against a random clean link, honoring the
-// clean-path floor, and schedules the link's heal.
-func (g *GrayChaos) act() {
 	g.mu.Lock()
 	if len(g.degraded) >= g.cfg.MaxDegraded {
 		g.mu.Unlock()
@@ -255,28 +186,13 @@ func (g *GrayChaos) act() {
 		g.count(&g.corruptionsArmed)
 	}
 
-	g.wg.Add(1)
-	time.AfterFunc(g.cfg.HealAfter, func() {
-		defer g.wg.Done()
+	g.after(g.cfg.HealAfter, func() {
 		link.Heal()
 		g.mu.Lock()
 		g.heals++
 		delete(g.degraded, victim)
 		g.mu.Unlock()
 	})
-}
-
-func (g *GrayChaos) count(c *int64) {
-	g.mu.Lock()
-	*c++
-	g.mu.Unlock()
-}
-
-// Counters reports the monkey's activity (CounterSource; snapshots show
-// these under the gray. prefix — obs.SnapshotCounters over the static
-// list built in NewGrayChaos).
-func (g *GrayChaos) Counters() map[string]int64 {
-	return obs.SnapshotCounters(g.counterList)
 }
 
 // RegisterMetrics folds the monkey's counters into reg under the gray.

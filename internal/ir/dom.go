@@ -153,16 +153,6 @@ func (t *DomTree) Children(b *Block) []*Block {
 	return out
 }
 
-// Roots returns the tree roots (the entry block for dominators; the exit
-// blocks for post-dominators).
-func (t *DomTree) Roots() []*Block {
-	var out []*Block
-	for _, ci := range t.children[0] {
-		out = append(out, t.blocks[ci])
-	}
-	return out
-}
-
 // Idom returns the immediate (post-)dominator of b, or nil when b is a root
 // of the tree (dominated only by the virtual root) or unreachable.
 func (t *DomTree) Idom(b *Block) *Block {

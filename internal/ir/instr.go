@@ -43,9 +43,6 @@ func (r *register) setParent(b *Block) { r.parent = b }
 // InstrPos returns the source position.
 func (r *register) InstrPos() Pos { return r.pos }
 
-// SetName renames the result register (used when cloning).
-func (r *register) SetName(n string) { r.name = n }
-
 // noResult is the common embedded state of instructions without a result.
 type noResult struct {
 	pos    Pos

@@ -180,14 +180,6 @@ func (f *Function) NewBlock(hint string) *Block {
 	return b
 }
 
-// Entry returns the entry block (the first block), or nil for declarations.
-func (f *Function) EntryBlock() *Block {
-	if len(f.Blocks) == 0 {
-		return nil
-	}
-	return f.Blocks[0]
-}
-
 // regName allocates a fresh register name.
 func (f *Function) regName() string {
 	f.nextReg++

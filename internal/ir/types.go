@@ -307,9 +307,3 @@ func TypesEqual(a, b Type) bool {
 	}
 	return false
 }
-
-// IsPointer reports whether t is a pointer type and returns its element.
-func IsPointer(t Type) (PointerType, bool) {
-	p, ok := t.(PointerType)
-	return p, ok
-}

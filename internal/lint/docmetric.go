@@ -6,7 +6,7 @@ package lint
 // executed) plus the obs kindNames literal; on the doc side it is the
 // backticked first cell of each table row under the "## Metric catalogue"
 // and "## Trace events" headings. The analyzer also walks every
-// registration call site (.Counter/.Gauge/.Histogram/.RegisterSource with
+// registration call site (.Gauge/.Histogram/.RegisterSource with
 // a literal name) so a metric cannot be exported without a catalogue
 // entry, nor a catalogue entry go stale once its registration is deleted.
 //
@@ -28,7 +28,7 @@ import (
 type docmetricState struct {
 	catalog    map[string]token.Position // obs.Catalog Name: entries
 	kinds      map[string]token.Position // obs kindNames entries
-	registered map[string]token.Position // literal names at Counter/Gauge/Histogram sites
+	registered map[string]token.Position // literal names at Gauge/Histogram sites
 	prefixes   map[string]token.Position // literal prefixes at RegisterSource sites
 }
 
@@ -118,7 +118,7 @@ func (s *docmetricState) collectRegistrations(fset *token.FileSet, file *ast.Fil
 			return true
 		}
 		switch sel.Sel.Name {
-		case "Counter", "Gauge", "Histogram":
+		case "Gauge", "Histogram":
 			s.registered[name] = fset.Position(call.Args[0].Pos())
 		case "RegisterSource":
 			s.prefixes[name] = fset.Position(call.Args[0].Pos())

@@ -99,7 +99,7 @@ func TestDocmetricFindsEveryDrift(t *testing.T) {
 `
 	badReg := regFixture + `
 func armMore(reg *Registry) {
-	reg.Counter("prt.undocumented")
+	reg.Gauge("prt.undocumented", func() int64 { return 0 })
 }
 `
 	got := docmetricIssues(t, map[string]string{

@@ -171,13 +171,3 @@ var Catalog = []MetricDef{
 	{Name: "obs.trace_events", Type: "gauge", Unit: "1", Subsystem: "obs", Help: "trace events recorded since the tracer was armed"},
 	{Name: "obs.trace_dropped", Type: "gauge", Unit: "1", Subsystem: "obs", Help: "recorded events already overwritten by ring wraparound"},
 }
-
-// CatalogNames returns every catalogued metric name, for the docmetric
-// analyzer and tests.
-func CatalogNames() []string {
-	out := make([]string, len(Catalog))
-	for i, d := range Catalog {
-		out[i] = d.Name
-	}
-	return out
-}

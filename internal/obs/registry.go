@@ -16,47 +16,6 @@ type CounterSource interface {
 	Counters() map[string]int64
 }
 
-// counterShards is the number of cache-line-padded cells per Counter;
-// writers pick one by worker index so hot increments never contend.
-const counterShards = 16
-
-// counterCell pads each shard to its own cache line (64B on every target
-// we run on) so two workers bumping adjacent shards do not false-share.
-type counterCell struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a sharded monotonic counter. Safe on a nil receiver.
-type Counter struct {
-	name   string
-	shards [counterShards]counterCell
-}
-
-// Inc adds one on the given shard (any int — callers pass their worker
-// index; it is reduced mod the shard count).
-func (c *Counter) Inc(shard int) { c.Add(shard, 1) }
-
-// Add adds d on the given shard.
-func (c *Counter) Add(shard int, d int64) {
-	if c == nil {
-		return
-	}
-	c.shards[uint(shard)%counterShards].n.Add(d)
-}
-
-// Value sums the shards.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	var total int64
-	for i := range c.shards {
-		total += c.shards[i].n.Load()
-	}
-	return total
-}
-
 // Histogram is a power-of-two-bucket histogram (bucket i counts values v
 // with 2^(i-1) <= v < 2^i; bucket 0 counts v <= 0 and v < 1). It keeps
 // exact count/sum/max so snapshots can report averages and tails without
@@ -113,42 +72,24 @@ func (h *Histogram) Buckets() (bounds, counts []int64) {
 }
 
 // Registry holds the metric namespace of one instrumented instance.
-// Subsystems register counters, gauge closures over counters they already
-// maintain (zero added hot-path cost), histograms, and prefixed
-// CounterSources; Snapshot flattens everything into name -> value. All
-// methods are safe on a nil receiver — the disabled fast path.
+// Subsystems register gauge closures over counters they already maintain
+// (zero added hot-path cost), histograms, and prefixed CounterSources;
+// Snapshot flattens everything into name -> value. All methods are safe
+// on a nil receiver — the disabled fast path.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]func() int64
-	hists    map[string]*Histogram
-	sources  map[string]CounterSource
+	mu      sync.Mutex
+	gauges  map[string]func() int64
+	hists   map[string]*Histogram
+	sources map[string]CounterSource
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]func() int64{},
-		hists:    map[string]*Histogram{},
-		sources:  map[string]CounterSource{},
+		gauges:  map[string]func() int64{},
+		hists:   map[string]*Histogram{},
+		sources: map[string]CounterSource{},
 	}
-}
-
-// Counter returns the sharded counter registered under name, creating it
-// on first use. Returns nil (a safe no-op counter) on a nil registry.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{name: name}
-		r.counters[name] = c
-	}
-	return c
 }
 
 // Gauge registers a read-on-snapshot closure under name, replacing any
@@ -192,8 +133,8 @@ func (r *Registry) RegisterSource(prefix string, src CounterSource) {
 	r.mu.Unlock()
 }
 
-// Snapshot flattens the registry into name -> value: counters by their
-// shard sum, gauges by calling their closure, histograms as
+// Snapshot flattens the registry into name -> value: gauges by calling
+// their closure, histograms as
 // name.count/name.sum/name.max, and each source's counters under its
 // prefix.
 func (r *Registry) Snapshot() map[string]int64 {
@@ -201,10 +142,6 @@ func (r *Registry) Snapshot() map[string]int64 {
 		return nil
 	}
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
 	gauges := make(map[string]func() int64, len(r.gauges))
 	for k, v := range r.gauges {
 		gauges[k] = v
@@ -220,9 +157,6 @@ func (r *Registry) Snapshot() map[string]int64 {
 	r.mu.Unlock()
 
 	out := map[string]int64{}
-	for name, c := range counters {
-		out[name] = c.Value()
-	}
 	for name, fn := range gauges {
 		out[name] = fn()
 	}

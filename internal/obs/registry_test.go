@@ -3,28 +3,32 @@ package obs
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-func TestCounterShardedSum(t *testing.T) {
+func TestGaugeConcurrentSum(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("x")
+	var n atomic.Int64
+	r.Gauge("x", n.Load)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.Inc(w)
+				n.Add(1)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	if got := c.Value(); got != 8000 {
-		t.Fatalf("Value = %d, want 8000", got)
+	if got := r.Snapshot()["x"]; got != 8000 {
+		t.Fatalf("snap[x] = %d, want 8000", got)
 	}
-	if r.Counter("x") != c {
-		t.Fatal("Counter must return the same instance per name")
+	// Re-registering a name replaces the closure: one value per name.
+	r.Gauge("x", func() int64 { return 1 })
+	if got := r.Snapshot()["x"]; got != 1 {
+		t.Fatalf("replaced gauge still reports %d", got)
 	}
 }
 
@@ -62,7 +66,7 @@ func (s fakeSource) Counters() map[string]int64 { return s }
 
 func TestSnapshotAndSources(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("hits").Add(0, 3)
+	r.Gauge("hits", func() int64 { return 3 })
 	r.Gauge("depth", func() int64 { return 7 })
 	r.Histogram("lat").Observe(9)
 	r.RegisterSource("inject", fakeSource{"delivered": 42})
@@ -94,12 +98,7 @@ func TestRenderSorted(t *testing.T) {
 
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x")
-	c.Inc(0)
-	c.Add(1, 5)
-	if c.Value() != 0 {
-		t.Fatal("nil-registry counter must stay zero")
-	}
+	r.Gauge("x", func() int64 { return 5 })
 	h := r.Histogram("y")
 	h.Observe(3)
 	if n, _, _ := h.Stats(); n != 0 {

@@ -424,20 +424,6 @@ func (p *Program) transportsOf(pf *PartFunc) map[ir.Instr]*Transport {
 	return pf.transports
 }
 
-// dropInstr removes a foreign-colored instruction, replacing any remaining
-// uses of its result with a zero constant (the typing rules guarantee such
-// uses can only sit in instructions that are themselves dropped or in
-// positions whose value is never consumed by this chunk).
-func (p *Program) dropInstr(fn *ir.Function, b *ir.Block, idx *int, in ir.Instr) {
-	if v, ok := in.(ir.Value); ok {
-		if _, isVoid := v.Type().(ir.VoidType); !isVoid {
-			fn.ReplaceUses(v, zeroConst(v.Type()))
-		}
-	}
-	b.Splice(*idx)
-	*idx--
-}
-
 func zeroConst(t ir.Type) ir.Value {
 	switch tt := t.(type) {
 	case ir.IntType:

@@ -145,9 +145,6 @@ type Meter struct {
 	retransmits atomic.Int64
 }
 
-// Charge adds raw cycles.
-func (mt *Meter) Charge(cycles int64) { mt.cycles.Add(cycles) }
-
 // ChargeTransition records an enclave boundary crossing.
 func (mt *Meter) ChargeTransition(c *CostModel) {
 	mt.transitions.Add(1)

@@ -253,13 +253,8 @@ func (a *Analysis) assignReg(s *FuncSpec, v ir.Value, c ir.Color, pos ir.Pos, wh
 	}
 }
 
-// checkCompat implements "x̄ ~ ȳ" from Table 3.
-func (a *Analysis) checkCompat(s *FuncSpec, x, y ir.Color, kind ErrKind, pos ir.Pos, format string, args ...any) bool {
-	return a.checkCompatv(s, x, y, nil, kind, pos, format, args...)
-}
-
-// checkCompatv is checkCompat carrying the offending value for the leak
-// trace.
+// checkCompatv implements "x̄ ~ ȳ" from Table 3, carrying the offending
+// value for the leak trace.
 func (a *Analysis) checkCompatv(s *FuncSpec, x, y ir.Color, val ir.Value, kind ErrKind, pos ir.Pos, format string, args ...any) bool {
 	if ir.Compatible(x, y) {
 		return true

@@ -598,13 +598,6 @@ func (i *Instance) MutatorStats() faults.MutStats {
 	return i.mut.Stats()
 }
 
-// UnsafeExtent returns the allocation watermark of unsafe memory: offsets
-// below it are mapped. Tests scanning U memory for pointer slots bound
-// their scan with it.
-func (i *Instance) UnsafeExtent() uint64 {
-	return i.ip.RT.Space.Region(sgx.Unsafe).Extent()
-}
-
 // FaultOptions configures the deterministic fault injector. Probabilities
 // are per message (or per spawned chunk, for Crash), in [0,1].
 type FaultOptions struct {
