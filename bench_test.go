@@ -145,8 +145,8 @@ func BenchmarkAblationSpawnValidation(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if inst.RejectedSpawns() != 0 {
-			b.Fatalf("validation rejected legitimate spawns: %d", inst.RejectedSpawns())
+		if inst.SupervisionStats().RejectedSpawns != 0 {
+			b.Fatalf("validation rejected legitimate spawns: %d", inst.SupervisionStats().RejectedSpawns)
 		}
 	})
 }

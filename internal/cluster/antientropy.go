@@ -31,8 +31,8 @@ const maxSyncRounds = 16
 // or demoted meanwhile is no longer syncing, and the flow stands down (a
 // demoted one syncs again once promoted). Readmission ordering is the
 // invariant: ring.enter happens only under the mutex, only after the
-// segment scan matched the generation it planned against and the hint
-// queue is empty.
+// segment scan matched the generation and the pool it planned against
+// and the hint queue is empty.
 func (r *Router) antiEntropy(shard int) {
 	st := r.shards[shard]
 	start := time.Now()
@@ -68,9 +68,11 @@ func (r *Router) antiEntropy(shard int) {
 			r.mu.Unlock()
 			return
 		}
-		if r.ring.gen != gen {
-			// Membership moved while syncing: the plan may be stale
-			// (segments gained or lost) — replan and re-verify.
+		if r.ring.gen != gen || st.pool != pool {
+			// Membership moved while syncing, so the plan may be stale
+			// (segments gained or lost), or the prober adopted a new
+			// incarnation, whose store the sync never filled: replan and
+			// re-verify against the current pool.
 			r.syncRetries.Add(1)
 			r.mu.Unlock()
 			continue

@@ -294,11 +294,18 @@ func TestRouterPoolNeverReusesPoisonedConn(t *testing.T) {
 		k, want := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
 		var v []byte
 		var ok bool
-		waitFor(t, 5*time.Second, "post-heal get "+k, func() bool {
-			var err error
-			v, ok, err = r.Get(k)
-			return err == nil
-		})
+		var err error
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if v, ok, err = r.Get(k); err == nil {
+				break
+			}
+			if time.Now().After(deadline) {
+				// Name the cause: the last error, the router's counters
+				// and where each shard stands in its health machine.
+				t.Fatalf("timed out waiting for post-heal get %s: last error %v; counters %v; shard health %s",
+					k, err, r.Counters(), shardHealth(r))
+			}
+		}
 		if !ok || string(v) != want {
 			t.Fatalf("Get(%s) = %q,%v after heal, want %q (poisoned conn reused?)", k, v, ok, want)
 		}
@@ -306,6 +313,21 @@ func TestRouterPoolNeverReusesPoisonedConn(t *testing.T) {
 	if got := r.Counters()["corrupt_rejects"]; got != 0 {
 		t.Fatalf("corrupt_rejects = %d after clean heal, want 0", got)
 	}
+}
+
+// shardHealth lists each shard's health state by name.
+func shardHealth(r *Router) string {
+	names := [...]string{
+		healthUp: "up", healthSyncReadmit: "sync-readmit", healthSyncPromote: "sync-promote",
+		healthSyncAdopt: "sync-adopt", healthDemoted: "demoted", healthFenced: "fenced",
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]string, len(r.shards))
+	for i, st := range r.shards {
+		out[i] = names[st.health]
+	}
+	return fmt.Sprint(out)
 }
 
 // TestRouterNoSpuriousGrayTripsOnHealthyNetwork: the relaxed control in

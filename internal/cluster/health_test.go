@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -284,5 +285,52 @@ func TestHealthTransitions(t *testing.T) {
 				t.Errorf("health events = %v, want %v", got, tc.events)
 			}
 		})
+	}
+}
+
+// TestSyncRestartsWhenAdoptedMidSync: a respawn the prober adopts while
+// a readmit's sync runs unlocked replaces the pool the sync copied into.
+// The sync must take another round against the new incarnation before
+// the shard enters the ring, so every key it serves is there.
+func TestSyncRestartsWhenAdoptedMidSync(t *testing.T) {
+	h := newHealthRig(t, 3, 2, false)
+	keys := make([]string, 50)
+	for k := range keys {
+		keys[k] = fmt.Sprintf("k%d", k)
+		if err := h.r.Set(keys[k], []byte("v")); err != nil {
+			t.Fatalf("Set(%s): %v", keys[k], err)
+		}
+	}
+	h.fence(0)
+	h.respawn(0) // readmit: the shard syncs before it enters
+	h.r.cfg.SyncHook = func(shard int) { h.respawn(shard) }
+	h.sync(0)
+	if !h.r.InRing(0) {
+		t.Fatal("shard 0 did not enter the ring after its sync")
+	}
+	if m := h.r.Counters(); m["adoptions"] != 1 {
+		t.Fatalf("adoptions = %d, want 1 (the respawn in the sync window)", m["adoptions"])
+	}
+	store := h.c.Store(0)
+	served := 0
+	for _, key := range keys {
+		h.r.mu.Lock()
+		seg, _ := h.r.ring.lookupSet(keyHash(key))
+		h.r.mu.Unlock()
+		for k := 0; k < seg.n; k++ {
+			if seg.shard[k] != 0 {
+				continue
+			}
+			served++
+			if _, _, ok := store.Get(key); !ok {
+				t.Errorf("shard 0 serves %s but its store lacks it", key)
+			}
+		}
+		if v, ok, err := h.r.Get(key); err != nil || !ok || string(v) != "v" {
+			t.Errorf("Get(%s) = %q, %v, %v; want v", key, v, ok, err)
+		}
+	}
+	if served == 0 {
+		t.Fatal("shard 0 serves none of the keys")
 	}
 }

@@ -169,7 +169,7 @@ func Attach(rt *prt.Runtime, cfg Config) *Injector {
 	rt.SetInterceptor(in)
 	if cfg.Crash > 0 {
 		orig := rt.Exec
-		rt.Exec = func(w *prt.Worker, chunkID int, args []value.Val) value.Val {
+		rt.Exec = func(w *prt.Worker, chunkID int, args []value.Val) (value.Val, error) {
 			if in.decide(cfg.Crash) && in.takeCrashBudget() {
 				panic(&InjectedCrash{ChunkID: chunkID})
 			}

@@ -178,7 +178,7 @@ func TestDelayHoldsForHops(t *testing.T) {
 // argument (the minimal spawn/join protocol for end-to-end fault tests).
 func echoRT() *prt.Runtime {
 	return prt.New(sgx.MachineB(), []string{"blue"},
-		func(w *prt.Worker, chunkID int, args []value.Val) value.Val { return args[0] })
+		func(w *prt.Worker, chunkID int, args []value.Val) (value.Val, error) { return args[0], nil })
 }
 
 // TestCrashInjectionBecomesTypedAbort: an injected crash surfaces as an

@@ -1,6 +1,7 @@
 package faults_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -20,6 +21,13 @@ import (
 // the exactly-once invariants: no spawn gives up, every journaled spawn
 // commits exactly once, every injected crash is answered by exactly one
 // replay, and no crashed attempt's buffered effects leak.
+//
+// Each sweep runs its schedules twice: under the supervision window, and
+// with no window at all, where only the failure channel (a crashed
+// chunk's Done ends the waits it starves) can end a wait. A third pass
+// lets the crashes outnumber the replay budget, again with no window:
+// every Call must then return the exact answer or ErrEnclaveAbort, and
+// never hang.
 
 // recoveryBudget is both the per-spawn replay budget and the per-run crash
 // cap. Cap <= budget is what makes recovery deterministic: even if every
@@ -53,20 +61,27 @@ func recoveryFaultsFor(seed int64) privagic.FaultOptions {
 
 // recoveryTotals aggregates the audit counters over a sweep.
 type recoveryTotals struct {
-	crashes, replays, discards int64
+	crashes, replays, discards, giveups int64
+}
+
+// recoveryInstance instantiates prog for one crash schedule with recovery
+// on, under the given wait window (0 = none).
+func recoveryInstance(prog *privagic.Program, window time.Duration, maxAttempts int, faults privagic.FaultOptions) *privagic.Instance {
+	inst := prog.Instantiate(nil)
+	inst.EnableSpawnValidation()
+	inst.EnableSupervision(privagic.SupervisionOptions{WaitTimeout: window})
+	inst.EnableRecovery(privagic.RecoveryOptions{MaxAttempts: maxAttempts})
+	inst.EnableFaultInjection(faults)
+	return inst
 }
 
 // runRecoverySchedule executes one entry call under one crash schedule with
 // recovery enabled and asserts full recovery plus the journal invariants.
-func runRecoverySchedule(t *testing.T, prog *privagic.Program, entry string, seed int64,
+func runRecoverySchedule(t *testing.T, prog *privagic.Program, entry string, seed int64, window time.Duration,
 	check func(ret int64, inst *privagic.Instance) string, tot *recoveryTotals) {
 	t.Helper()
-	inst := prog.Instantiate(nil)
+	inst := recoveryInstance(prog, window, recoveryBudget, recoveryFaultsFor(seed))
 	defer inst.Close()
-	inst.EnableSpawnValidation()
-	inst.EnableSupervision(privagic.SupervisionOptions{WaitTimeout: recoveryWaitTimeout})
-	inst.EnableRecovery(privagic.RecoveryOptions{MaxAttempts: recoveryBudget})
-	inst.EnableFaultInjection(recoveryFaultsFor(seed))
 
 	res := callWithDeadline(t, inst, entry, seed, func() string {
 		return fmt.Sprintf("faults: %+v, recovery: %+v", inst.FaultStats(), inst.RecoveryStats())
@@ -104,6 +119,65 @@ func runRecoverySchedule(t *testing.T, prog *privagic.Program, entry string, see
 	tot.discards += rs.EffectDiscards
 }
 
+// runSpentSchedule executes one entry call with no wait window under a
+// crash schedule that may outlast the replay budget: more crashes than
+// attempts. The Call must return the exact answer or ErrEnclaveAbort.
+func runSpentSchedule(t *testing.T, prog *privagic.Program, entry string, seed int64,
+	check func(ret int64, inst *privagic.Instance) string, tot *recoveryTotals) {
+	t.Helper()
+	o := recoveryFaultsFor(seed)
+	o.MaxCrashes = 2 * recoveryBudget
+	inst := recoveryInstance(prog, 0, 1, o)
+	defer inst.Close()
+
+	res := callWithDeadline(t, inst, entry, seed, func() string {
+		return fmt.Sprintf("faults: %+v, recovery: %+v", inst.FaultStats(), inst.RecoveryStats())
+	})
+	fs, rs := inst.FaultStats(), inst.RecoveryStats()
+	switch {
+	case res.err == nil:
+		if msg := check(res.ret, inst); msg != "" {
+			t.Fatalf("seed %d: WRONG ANSWER with the budget spent: %s (faults: %+v, recovery: %+v)",
+				seed, msg, fs, rs)
+		}
+	case !errors.Is(res.err, privagic.ErrEnclaveAbort):
+		t.Fatalf("seed %d: %v with the budget spent, want the answer or ErrEnclaveAbort (faults: %+v, recovery: %+v)",
+			seed, res.err, fs, rs)
+	case rs.Giveups == 0:
+		t.Fatalf("seed %d: ErrEnclaveAbort but no spawn gave up (faults: %+v, recovery: %+v)", seed, fs, rs)
+	}
+	tot.crashes += fs.Crashes
+	tot.giveups += rs.Giveups
+}
+
+// sweepRecovery runs seeds 1..n of the recovery soak for one workload:
+// the capped schedules under the supervision window and with none, then
+// the spent-budget schedules with none.
+func sweepRecovery(t *testing.T, prog *privagic.Program, entry string, n int,
+	check func(ret int64, inst *privagic.Instance) string) {
+	t.Helper()
+	for _, window := range []time.Duration{recoveryWaitTimeout, 0} {
+		var tot recoveryTotals
+		for seed := int64(1); seed <= int64(n); seed++ {
+			runRecoverySchedule(t, prog, entry, seed, window, check, &tot)
+		}
+		t.Logf("%s recovery soak over %d schedules, window %v: %d crashes injected, %d replays, %d effect discards — all recovered",
+			entry, n, window, tot.crashes, tot.replays, tot.discards)
+		if tot.crashes == 0 {
+			t.Errorf("window %v: sweep injected no crashes; the soak proved nothing", window)
+		}
+	}
+	var tot recoveryTotals
+	for seed := int64(1); seed <= int64(n); seed++ {
+		runSpentSchedule(t, prog, entry, seed, check, &tot)
+	}
+	t.Logf("%s spent-budget soak over %d schedules, no window: %d crashes injected, %d spawns gave up",
+		entry, n, tot.crashes, tot.giveups)
+	if tot.giveups == 0 {
+		t.Error("spent-budget sweep exhausted no budget; the soak proved nothing")
+	}
+}
+
 // TestSoakRecoveryFigure6 sweeps the walkthrough program through crash
 // schedules with recovery on: ret must be 42 with g's output printed
 // exactly once, every time.
@@ -115,23 +189,15 @@ func TestSoakRecoveryFigure6(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := soakCount(faults.Schedules().RecoveryFigure6, testing.Short())
-	var tot recoveryTotals
-	for seed := int64(1); seed <= int64(n); seed++ {
-		runRecoverySchedule(t, prog, "main", seed, func(ret int64, inst *privagic.Instance) string {
-			if ret != 42 {
-				return "ret != 42"
-			}
-			if c := strings.Count(inst.Output(), "Hello"); c != 1 {
-				return fmt.Sprintf("g's output appeared %d times, want exactly once", c)
-			}
-			return ""
-		}, &tot)
-	}
-	t.Logf("figure6 recovery soak over %d schedules: %d crashes injected, %d replays, %d effect discards — all recovered",
-		n, tot.crashes, tot.replays, tot.discards)
-	if tot.crashes == 0 {
-		t.Error("sweep injected no crashes; the soak proved nothing")
-	}
+	sweepRecovery(t, prog, "main", n, func(ret int64, inst *privagic.Instance) string {
+		if ret != 42 {
+			return "ret != 42"
+		}
+		if c := strings.Count(inst.Output(), "Hello"); c != 1 {
+			return fmt.Sprintf("g's output appeared %d times, want exactly once", c)
+		}
+		return ""
+	})
 }
 
 // TestSoakRecoveryTwoColorHashmap sweeps the two-color hashmap — the
@@ -154,18 +220,10 @@ func TestSoakRecoveryTwoColorHashmap(t *testing.T) {
 		t.Fatalf("clean run returned %d hits; workload is degenerate", want)
 	}
 	n := soakCount(faults.Schedules().RecoveryTwoColor, testing.Short())
-	var tot recoveryTotals
-	for seed := int64(1); seed <= int64(n); seed++ {
-		runRecoverySchedule(t, prog, "run_ycsb", seed, func(ret int64, _ *privagic.Instance) string {
-			if ret != want {
-				return "hit count diverged from the clean run"
-			}
-			return ""
-		}, &tot)
-	}
-	t.Logf("two-color recovery soak over %d schedules (want %d hits): %d crashes, %d replays, %d effect discards — all recovered",
-		n, want, tot.crashes, tot.replays, tot.discards)
-	if tot.crashes == 0 {
-		t.Error("sweep injected no crashes; the soak proved nothing")
-	}
+	sweepRecovery(t, prog, "run_ycsb", n, func(ret int64, _ *privagic.Instance) string {
+		if ret != want {
+			return "hit count diverged from the clean run"
+		}
+		return ""
+	})
 }

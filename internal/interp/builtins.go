@@ -289,27 +289,52 @@ func (ip *Interp) builtin(w *prt.Worker, fn *ir.Function, t *ir.Call, args []val
 		pf := ip.ifaceTable[idx-1]
 		arg := args[1]
 		th := ip.RT.NewThread()
+		at := &appThread{}
 		ip.threads.Add(1)
+		ip.bgMu.Lock()
+		ip.bg = append(ip.bg, at)
+		ip.bgMu.Unlock()
 		go func() {
 			defer ip.threads.Done()
 			defer th.Close()
 			defer func() {
-				// A crashed thread must not kill the process;
-				// the error surfaces as missing output. Its
-				// boundary counts are published all the same.
-				recover() //nolint:errcheck
+				// A failed thread must not kill the process: its
+				// failure surfaces at thread_join. Its boundary
+				// counts are published all the same.
+				if r := recover(); r != nil {
+					if re, ok := r.(runtimeErr); ok {
+						at.err = re.Err
+					} else {
+						at.err = fmt.Errorf("interp: thread panicked: %v", r)
+					}
+				}
 				ip.publishCounts(stateOf(th.Normal()))
 			}()
 			ip.invokeInterface(th.Normal(), pf, []val{arg})
 		}()
 		return iv(0)
 	case "thread_join":
+		// Every thread taken here was counted in ip.threads before it
+		// was listed, so the Wait orders its err before the read.
+		ip.bgMu.Lock()
+		joined := ip.bg
+		ip.bg = nil
+		ip.bgMu.Unlock()
 		ip.threads.Wait()
+		for _, at := range joined {
+			if at.err != nil {
+				panic(runtimeErr{Err: at.err})
+			}
+		}
 		return val{}
 	}
 	errf("interp: call to unimplemented external @%s", fn.FName)
 	return val{}
 }
+
+// appThread is one thread_create'd application thread: err is the
+// failure that ended it, which the thread_join that joins it returns.
+type appThread struct{ err error }
 
 func indexByte(b []byte, c byte) int {
 	for i, x := range b {

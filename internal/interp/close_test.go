@@ -42,7 +42,7 @@ long color(blue) acc = 0;
 long in = 3;
 entry long f(long* p) { acc = acc + *p; *p = 7; return 0; }
 `, "f")
-	ip.EnableSupervision(50 * time.Millisecond)
+	ip.RT.WaitTimeout = 50 * time.Millisecond
 	o := &stallingObserver{entered: make(chan struct{}), release: make(chan struct{})}
 	ip.SetBoundaryObserver(o)
 	in := ip.globals[ip.Prog.Mod.Global("in")]

@@ -13,17 +13,19 @@ import (
 )
 
 // execChunk is the prt.ChunkExec callback: it runs a chunk body on the
-// worker's goroutine, inside the worker's enclave. Runtime errors in a
-// spawned chunk are recorded and surfaced by the next Call; the worker
-// itself survives (a crashed enclave must not take the process down).
-// Injected faults (values with an InjectedFault method) re-panic instead:
-// they must reach the runtime's recover to become an EnclaveAbort the
-// recovery layer can replay, not a recorded program error.
+// worker's goroutine, inside the worker's enclave. A runtime error ends
+// the chunk and is returned, named by the chunk, for its Done to carry to
+// the spawner; the worker itself survives (a crashed enclave must not take
+// the process down). Injected faults (values with an InjectedFault method)
+// re-panic instead: they must reach the runtime's recover to become an
+// EnclaveAbort the recovery layer can replay, not a program error.
 //
 // Under recovery the chunk runs inside an effect transaction: stores and
 // output buffer until the chunk completes, so a crashed attempt leaves no
-// trace and its replay is idempotent.
-func (ip *Interp) execChunk(w *prt.Worker, chunkID int, args []val) (result val) {
+// trace and its replay is idempotent. A chunk that ends in a runtime error
+// completes all the same (recovery does not replay program bugs), so its
+// effects commit, as they do with recovery off.
+func (ip *Interp) execChunk(w *prt.Worker, chunkID int, args []val) (result val, err error) {
 	// The chunk's first barrier interval starts here: open the copy-in
 	// snapshot (when the boundary defense or an observer is engaged). A
 	// nested spawn on the same worker restores the outer chunk's
@@ -40,6 +42,7 @@ func (ip *Interp) execChunk(w *prt.Worker, chunkID int, args []val) (result val)
 	if tx != nil {
 		st.enterTx(prevTx != nil)
 	}
+	ch := ip.Prog.ChunkByID[chunkID]
 	defer func() {
 		ws.tx, ws.snap = prevTx, prevSnap
 		st.depth--
@@ -57,35 +60,21 @@ func (ip *Interp) execChunk(w *prt.Worker, chunkID int, args []val) (result val)
 			st.exitTx()
 		}
 		st.release(m)
-		if r == nil {
-			ip.commitTx(w, tx)
-			return
-		}
 		if injected {
 			ip.discardTx(tx)
 			panic(r)
 		}
-		re, ok := r.(runtimeErr)
-		if !ok {
-			re = runtimeErr{Err: fmt.Errorf("interp: chunk %d panicked: %v", chunkID, r)}
-		}
-		ip.recordErr(re.Err)
-		// A recorded program error completes the chunk (recovery does not
-		// replay program bugs), so its effects commit like any other
-		// completion — matching the recovery-off behavior.
-		ip.commitTx(w, tx)
-		result = val{}
-	}()
-	ch := ip.Prog.ChunkByID[chunkID]
-	defer func() {
-		if r := recover(); r != nil {
+		if r != nil {
 			if re, ok := r.(runtimeErr); ok {
-				panic(runtimeErr{Err: fmt.Errorf("in chunk %s: %w", ch.Fn.FName, re.Err)})
+				err = fmt.Errorf("in chunk %s: %w", ch.Fn.FName, re.Err)
+			} else {
+				err = fmt.Errorf("interp: chunk %d panicked: %v", chunkID, r)
 			}
-			panic(r)
+			result = val{}
 		}
+		ip.commitTx(w, tx)
 	}()
-	return ip.runChunkBody(w, ch, args)
+	return ip.runChunkBody(w, ch, args), nil
 }
 
 // runChunkBody runs a chunk body on the worker's selected engine: the

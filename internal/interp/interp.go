@@ -15,7 +15,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"privagic/internal/exec"
 	"privagic/internal/ir"
@@ -54,16 +53,16 @@ type Interp struct {
 	ifaceIndex map[string]int
 
 	// Output collects printf/puts text (the simulated console).
-	mu       sync.Mutex
-	output   []byte
-	asyncErr error
+	mu     sync.Mutex
+	output []byte
 
 	mainOnce sync.Once
 	main     *prt.Thread
 	threads  sync.WaitGroup
-	// spawned background application threads (thread_create builtin).
+	// bg holds the background application threads (thread_create
+	// builtin) the next thread_join waits for.
 	bgMu sync.Mutex
-	bg   []*prt.Thread
+	bg   []*appThread
 
 	// OnAccess, when set, observes every checked memory access (the
 	// cache simulator attaches here).
@@ -180,26 +179,12 @@ func (ip *Interp) EnableContValidation() {
 	ip.RT.ValidateCont = func(tag int) bool { return tag > 0 && tag <= maxTag }
 }
 
-// EnableSupervision sets the runtime's inactivity window: every wait/join
-// gives up once the runtime has admitted nothing authentic for window, so
-// a lost message degrades into a typed error instead of a hang (0 blocks
-// forever). Call it before the first Call.
-func (ip *Interp) EnableSupervision(window time.Duration) {
-	ip.RT.WaitTimeout = window
-}
-
 // Close stops all worker threads, then removes the boundary observer.
 func (ip *Interp) Close() {
 	ip.threads.Wait()
 	if ip.main != nil {
 		ip.main.Close()
 	}
-	ip.bgMu.Lock()
-	for _, t := range ip.bg {
-		t.Close()
-	}
-	ip.bg = nil
-	ip.bgMu.Unlock()
 	ip.RT.Shutdown()
 	// Every worker has exited, a timed-out Call's included: nothing reads
 	// the observer any more.
@@ -211,24 +196,6 @@ func (ip *Interp) Output() string {
 	ip.mu.Lock()
 	defer ip.mu.Unlock()
 	return string(ip.output)
-}
-
-// recordErr stashes the first error raised on a worker goroutine.
-func (ip *Interp) recordErr(err error) {
-	ip.mu.Lock()
-	if ip.asyncErr == nil {
-		ip.asyncErr = err
-	}
-	ip.mu.Unlock()
-}
-
-// takeErr returns and clears the stashed worker error.
-func (ip *Interp) takeErr() error {
-	ip.mu.Lock()
-	defer ip.mu.Unlock()
-	err := ip.asyncErr
-	ip.asyncErr = nil
-	return err
 }
 
 func (ip *Interp) print(s string) {
@@ -336,7 +303,11 @@ func (ip *Interp) mainThread() *prt.Thread {
 
 // Call invokes an entry point by name and returns its result. It runs
 // the interface version (§7.3.4): spawn the enclave chunks, run the U
-// chunk in normal mode, join, pick the result.
+// chunk in normal mode, join, pick the result. A chunk that fails, here or
+// in any enclave, fails the Call with its error: the failure travels in
+// the chunk's Done and ends the first wait it reaches, which unwinds the U
+// chunk. The failed Call's leftover messages are fenced off by the next
+// Call's epoch.
 //
 // Arguments and the result are raw 64-bit machine words: an integer or a
 // pointer as itself, a double as its IEEE-754 bits (math.Float64bits in,
@@ -365,18 +336,6 @@ func (ip *Interp) Call(entry string, args ...int64) (ret int64, err error) {
 		if r := recover(); r != nil {
 			if re, ok := r.(runtimeErr); ok {
 				err = re.Err
-				// A worker-recorded error is the root cause of whatever
-				// the main goroutine then tripped over (a chunk that
-				// aborts mid-protocol starves the join into a timeout):
-				// lead with the cause, but keep the symptom joined in —
-				// a *TimeoutError carries the pending tags and queue
-				// depths of the stuck protocol state, which the caller
-				// loses if the cause simply replaces it. errors.Is/As see
-				// through the join to both. Taking the stash also keeps
-				// it from leaking into a later Call.
-				if aerr := ip.takeErr(); aerr != nil {
-					err = errors.Join(aerr, re.Err)
-				}
 				return
 			}
 			panic(r)
@@ -390,11 +349,7 @@ func (ip *Interp) Call(entry string, args ...int64) (ret int64, err error) {
 	// (possibly timed-out or crashed) call are fenced off instead of being
 	// matched against this call's waits.
 	main.AdvanceEpoch()
-	v := ip.invokeInterface(main.Normal(), pf, vargs)
-	if aerr := ip.takeErr(); aerr != nil {
-		return v.I, aerr
-	}
-	return v.I, nil
+	return ip.invokeInterface(main.Normal(), pf, vargs).I, nil
 }
 
 // invokeInterface runs the interface version of a partitioned function from
@@ -440,15 +395,9 @@ func (ip *Interp) invokeInterface(w *prt.Worker, pf *partition.PartFunc, args []
 	for range spawned {
 		msg, err := w.JoinOne()
 		if err != nil {
-			// Shutdown or a timed-out completion: further completions
-			// of this invocation will not arrive either; bail out.
+			// A failed completion, a timeout or shutdown fails the
+			// invocation at once.
 			panic(runtimeErr{Err: err})
-		}
-		if msg.Err != nil {
-			// Poisoned completion: the spawned chunk aborted. Record it
-			// and keep joining so the remaining spawns complete.
-			ip.recordErr(msg.Err)
-			continue
 		}
 		if from := ip.Prog.ColorAt(msg.From); from == retColor || !haveResult {
 			result = msg.Payload

@@ -45,12 +45,12 @@ entry long get_secret() {
 	}
 	th := ip.mainThread()
 	blueWorker := th.Worker(1)
-	before := ip.RT.RejectedSpawns()
+	before := ip.RT.SupervisionStats().RejectedSpawns
 	// Inject: normal-mode attacker enqueues a spawn for the U chunk on
 	// the blue worker (never legitimate: U chunks run in normal mode).
 	th.Normal().Spawn(1, uChunkID, nil)
 	th.Normal().JoinOne() // the rejection still completes the join
-	if got := ip.RT.RejectedSpawns(); got != before+1 {
+	if got := ip.RT.SupervisionStats().RejectedSpawns; got != before+1 {
 		t.Errorf("RejectedSpawns = %d, want %d", got, before+1)
 	}
 	_ = blueWorker
@@ -100,7 +100,7 @@ entry long read_counter() { return counter; }
 	if v != 1 {
 		t.Errorf("counter = %d; the injected spawn should have run (validation off)", v)
 	}
-	if ip.RT.RejectedSpawns() != 0 {
+	if ip.RT.SupervisionStats().RejectedSpawns != 0 {
 		t.Error("spawns rejected without validation enabled")
 	}
 }

@@ -144,7 +144,7 @@ func TestMemcachedBatchExtentFlat(t *testing.T) {
 		t.Run(e.String(), func(t *testing.T) {
 			ip := withEngine(t, build(t, typing.Hardened, mcBatchSrc, "batch"), e)
 			ip.EnableBoundaryDefense(FullBoundary())
-			ip.EnableSupervision(10 * time.Second)
+			ip.RT.WaitTimeout = 10 * time.Second
 			ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 3})
 			store := ip.RT.Space.Region(sgx.RegionID(ip.Prog.ColorIndex(ir.Named("store"))))
 			want := callOK(t, ip, "batch")
@@ -319,7 +319,7 @@ func TestReplayKeepsFrameAddress(t *testing.T) {
 	for _, e := range allEngines {
 		t.Run(e.String(), func(t *testing.T) {
 			ip := withEngine(t, build(t, typing.Relaxed, replaySrc, "run", "peek"), e)
-			ip.EnableSupervision(10 * time.Second)
+			ip.RT.WaitTimeout = 10 * time.Second
 			ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 3})
 			fU := -1
 			for id, ch := range ip.Prog.ChunkByID {
@@ -386,7 +386,7 @@ func TestReplayKeepsMallocAddress(t *testing.T) {
 	for _, e := range allEngines {
 		t.Run(e.String(), func(t *testing.T) {
 			ip := withEngine(t, build(t, typing.Relaxed, mallocReplaySrc, "run", "peek"), e)
-			ip.EnableSupervision(10 * time.Second)
+			ip.RT.WaitTimeout = 10 * time.Second
 			ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 3})
 			fU := -1
 			for id, ch := range ip.Prog.ChunkByID {

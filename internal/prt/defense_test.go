@@ -59,9 +59,9 @@ func TestPayloadTagRejectsMutatedCont(t *testing.T) {
 // armed and nothing mutating, the full spawn/cont/join protocol is
 // unchanged and nothing is counted as tampered.
 func TestPayloadTagsCleanPassthrough(t *testing.T) {
-	rt := New(sgx.MachineB(), []string{"blue"}, func(w *Worker, chunkID int, args []val) val {
+	rt := New(sgx.MachineB(), []string{"blue"}, func(w *Worker, chunkID int, args []val) (val, error) {
 		w.SendCont(0, 3, iv(args[0].I*2))
-		return iv(args[0].I + 1)
+		return iv(args[0].I + 1), nil
 	})
 	rt.PayloadTags = true
 	rt.WaitTimeout = time.Second

@@ -87,8 +87,8 @@ type Message struct {
 	// which goroutine scheduling can break; the static tag (assigned
 	// per transport by the partitioner) makes delivery order-free.
 	Tag int
-	// Err poisons a Done: the spawned chunk aborted (EnclaveAbort)
-	// instead of completing, and the joiner must surface the error.
+	// Err fails a Done: the spawned chunk crashed (EnclaveAbort) or
+	// ended in a runtime error, and the failure ends the wait it reaches.
 	Err error
 
 	// Trusted-side metadata (see package comment). Unexported on
@@ -113,10 +113,12 @@ type Message struct {
 
 // ChunkExec executes the body of a chunk; the interpreter and the native
 // benchmark harness plug in here. It runs on the worker's goroutine with
-// the worker's enclave as the active mode.
+// the worker's enclave as the active mode, and returns the chunk's result
+// or the runtime error that ended it, which its Done carries to the
+// spawner. A crash panics instead (see runSpawn).
 // args is the spawn message's argument vector, shared with the sender and
 // the journal: the callback must not write into it.
-type ChunkExec func(w *Worker, chunkID int, args []value.Val) value.Val
+type ChunkExec func(w *Worker, chunkID int, args []value.Val) (value.Val, error)
 
 // Interceptor is the fault-injection seam: when installed, every runtime
 // message is handed to Deliver instead of being enqueued directly, and the
@@ -186,14 +188,16 @@ type Runtime struct {
 	// cannot see. Set it before creating threads.
 	PayloadTags bool
 
-	// WaitTimeout is the inactivity window of every Wait/Join/JoinOne,
-	// the runtime's one liveness mechanism: a blocked worker gives up
-	// once the whole runtime has admitted no authentic message for this
-	// long, returning a *TimeoutError instead of hanging on a lost
-	// message. Admitted traffic on any worker restarts the window (a
-	// long protocol that keeps making progress never trips it);
-	// rejected forgeries do not. 0 = block forever, the paper's trusting
-	// runtime. Set it before creating threads.
+	// WaitTimeout is the inactivity window of every Wait/Join/JoinOne:
+	// a blocked worker gives up once the whole runtime has admitted no
+	// authentic message for this long, returning a *TimeoutError instead
+	// of hanging on a lost message. A chunk's own failure needs no window:
+	// its Done ends the wait it reaches (see await), so the window guards
+	// only against lost or hostile messages. Admitted traffic on any
+	// worker restarts the window (a long protocol that keeps making
+	// progress never trips it); rejected forgeries do not. 0 = block
+	// forever, the paper's trusting runtime. Set it before creating
+	// threads.
 	WaitTimeout time.Duration
 
 	// Recovery configures bounded replay of aborted spawns (zero = off,
@@ -237,9 +241,6 @@ type Runtime struct {
 	mu      sync.Mutex
 	threads []*Thread
 }
-
-// RejectedSpawns reports how many spawn messages validation refused.
-func (rt *Runtime) RejectedSpawns() int64 { return rt.stats.rejectedSpawns.Load() }
 
 // SetInterceptor installs (or removes, with nil) the fault-injection hook.
 func (rt *Runtime) SetInterceptor(ic Interceptor) {
@@ -294,6 +295,12 @@ type Worker struct {
 	reorderBuf map[uint64]Message
 	execEpoch  uint64 // epoch of the spawn currently executing
 	stopping   bool   // a stop was consumed mid-protocol
+	// failure is the error of the last failed completion that ended a
+	// wait here, and failures counts them: a wait that ran a nested
+	// chunk ends with the failure the nested chunk's wait took (see
+	// await).
+	failure  error
+	failures uint64
 	// admitNS is the wall clock of this worker's most recent admitted
 	// message — the per-worker twin of rt.lastAdmit, reusing the same
 	// clock read. The wait-latency histogram derives block durations
@@ -707,9 +714,10 @@ func (w *Worker) prunePending() {
 	w.pendingDone = prune(w.pendingDone)
 }
 
-// runSpawn executes a spawned chunk and reports completion. A panicking
+// runSpawn executes a spawned chunk and reports completion: its Done
+// carries the result, or the runtime error the chunk ended in. A panicking
 // chunk is the simulated AEX: instead of killing the worker goroutine (and
-// deadlocking the joiner forever), the panic is converted into a poisoned
+// deadlocking the joiner forever), the panic is converted into a failed
 // MsgDone carrying an *EnclaveAbort, and the worker survives to serve the
 // next request.
 func (w *Worker) runSpawn(msg Message) {
@@ -751,6 +759,7 @@ func (w *Worker) runSpawn(msg Message) {
 	}
 	rt.traceAt(started, obs.EvSpawn, w.Index, msg.ChunkID, 0, msg.epoch, 0)
 	var ret value.Val
+	var failure error
 	aborted := func() (aborted bool) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -776,7 +785,7 @@ func (w *Worker) runSpawn(msg Message) {
 				}
 			}
 		}()
-		ret = rt.Exec(w, msg.ChunkID, msg.Args)
+		ret, failure = rt.Exec(w, msg.ChunkID, msg.Args)
 		// A completed attempt publishes every load, like a crashed one:
 		// the record keeps the log, which a recycled record's next spawn
 		// logs into.
@@ -792,7 +801,7 @@ func (w *Worker) runSpawn(msg Message) {
 	}
 	rt.traceAt(ended, obs.EvSpawnEnd, w.Index, msg.ChunkID, 0, msg.epoch, 0)
 	if !aborted && msg.ReplyTo != nil {
-		rt.send(w, msg.ReplyTo, Message{Kind: MsgDone, Payload: ret, From: w.Index, ChunkID: msg.ChunkID}, &w.cache)
+		rt.send(w, msg.ReplyTo, Message{Kind: MsgDone, Payload: ret, From: w.Index, ChunkID: msg.ChunkID, Err: failure}, &w.cache)
 	}
 }
 
@@ -971,9 +980,10 @@ func nextDeadline(window time.Duration) time.Time {
 // meantime (this is what lets Figure 7's main.U run g.U between its two
 // waits). Conts with other tags are buffered for their own wait points.
 //
-// Under supervision (Runtime.WaitTimeout > 0) a lost cont turns
-// into a *TimeoutError once no authentic message arrives for a full
-// window; a stop message turns into ErrStopped instead of a panic.
+// A failed completion that reaches the worker ends the wait with its
+// error (see await). Under supervision (Runtime.WaitTimeout > 0) a lost
+// cont turns into a *TimeoutError once no authentic message arrives for a
+// full window; a stop message turns into ErrStopped instead of a panic.
 func (w *Worker) Wait(tag int) (value.Val, error) { return w.WaitTimeout(tag, w.window()) }
 
 // WaitTimeout is Wait with an explicit inactivity window overriding the
@@ -1019,9 +1029,9 @@ func (w *Worker) waitCont(tag int, window time.Duration, vec bool) (Message, err
 
 // JoinOne waits for a single spawn completion and returns the whole Done
 // message (the interface versions of §7.3.4 need the sender identity to
-// pick the chunk carrying the return color; a poisoned completion carries
-// its abort in Message.Err). Spawns arriving in the meantime are executed;
-// conts are buffered.
+// pick the chunk carrying the return color); a failed completion's
+// Message.Err is returned as the error. Spawns arriving in the meantime
+// are executed; conts are buffered.
 func (w *Worker) JoinOne() (Message, error) { return w.JoinOneTimeout(w.window()) }
 
 // JoinOneTimeout is JoinOne with an explicit inactivity window.
@@ -1030,32 +1040,23 @@ func (w *Worker) JoinOneTimeout(d time.Duration) (Message, error) {
 }
 
 // Join waits for n spawn completions and returns the payload of the last
-// successful one (the partitioner arranges for at most one meaningful
-// result).
-// Spawn messages arriving in the meantime are executed. If a completion is
-// poisoned (the chunk aborted), Join keeps collecting the remaining
-// completions and then reports the first abort.
+// one (the partitioner arranges for at most one meaningful result).
+// Spawn messages arriving in the meantime are executed. The first failed
+// completion ends the join with its error.
 func (w *Worker) Join(n int) (value.Val, error) { return w.JoinTimeout(n, w.window()) }
 
 // JoinTimeout is Join with an explicit inactivity window.
 func (w *Worker) JoinTimeout(n int, d time.Duration) (value.Val, error) {
 	w.Thread.RT.trace(obs.EvJoin, w.Index, 0, 0, w.epochNow(), int64(n))
 	var result value.Val
-	var firstErr error
 	for ; n > 0; n-- {
 		msg, err := w.joinStep(opJoin, n, d)
 		if err != nil {
 			return result, err
 		}
-		if msg.Err != nil {
-			if firstErr == nil {
-				firstErr = msg.Err
-			}
-			continue
-		}
 		result = msg.Payload
 	}
-	return result, firstErr
+	return result, nil
 }
 
 // joinStep takes one completion for JoinOne or Join; pending is the
@@ -1079,34 +1080,28 @@ func (w *Worker) joinStep(op waitOp, pending int, window time.Duration) (Message
 	return msg, err
 }
 
-// await is the one blocking receive loop behind Wait, JoinOne and Join:
-// it returns the first cont with the given tag (kind MsgCont) or the first
-// completion recovery does not swallow (kind MsgDone), from the buffers or
-// off the queue, and dispatches everything else. For joins, arg is the
-// number of completions still missing; it only feeds diagnostics.
+// await is the one blocking receive loop behind Wait, WaitV, JoinOne and
+// Join: it returns the first cont with the given tag (kind MsgCont) or the
+// first completion recovery does not swallow (kind MsgDone), from the
+// buffers or off the queue, and dispatches everything else. For joins, arg
+// is the number of completions still missing; it only feeds diagnostics.
+//
+// A failed completion recovery does not swallow ends any wait it reaches,
+// a cont wait included, and is returned with its error: MiniC has no
+// error handler, so the failure fails the Call, and the message the wait
+// expects may never be sent. A failure a nested chunk's wait takes ends
+// the wait that ran the chunk too: it may be the frame the failure was
+// owed to, and the nested chunk's own failed Done goes to its spawner,
+// not to that frame. The Call's leftover messages are fenced by the next
+// epoch.
 //
 // Every cont it returns is observed once in the wait histogram: 0 us when
 // the buffers already held it, else the time from blocking to the last
 // admitted message, the cont or the spawn it arrived during.
 func (w *Worker) await(op waitOp, kind MsgKind, arg int, window time.Duration) (Message, error) {
 	if msg, ok := w.take(kind, arg); ok {
-		w.observeWait(kind, time.Time{})
-		return msg, nil
-	}
-	// Before blocking, give buffered completions their recovery pass: a
-	// poisoned Done parked by loop() while no joiner was active may belong
-	// to the very chunk whose replay is the only sender of the awaited
-	// message. handleDone swallows retried aborts; everything else stays
-	// buffered for the eventual join (commits are idempotent).
-	if len(w.pendingDone) > 0 {
-		kept := w.pendingDone[:0]
-		for _, msg := range w.pendingDone {
-			if !w.handleDone(msg) {
-				kept = append(kept, msg)
-			}
-		}
-		clear(w.pendingDone[len(kept):])
-		w.pendingDone = kept
+		w.observeWait(msg.Kind, time.Time{})
+		return msg, w.fail(msg)
 	}
 	rt := w.Thread.RT
 	start := time.Now()
@@ -1133,32 +1128,47 @@ func (w *Worker) await(op waitOp, kind MsgKind, arg int, window time.Duration) (
 		case msg.Kind == MsgCont && kind == MsgCont && msg.Tag == arg:
 			w.observeWait(kind, start)
 			return msg, nil
-		case msg.Kind == MsgDone && kind == MsgDone:
+		case msg.Kind == MsgDone && (kind == MsgDone || msg.Err != nil):
 			if !w.handleDone(msg) {
-				return msg, nil
+				return msg, w.fail(msg)
 			}
 		default:
+			failures := w.failures
 			w.dispatch(msg)
 			if w.stopping {
 				return Message{}, ErrStopped
 			}
-			// A nested wait inside the spawn just run may have buffered
-			// the message this one is waiting for.
+			// A nested wait inside the spawn just run may have taken a
+			// failure, or buffered the message this one is waiting for.
 			if msg.Kind == MsgSpawn {
+				if w.failures != failures {
+					return Message{}, w.failure
+				}
 				if msg, ok := w.take(kind, arg); ok {
-					w.observeWait(kind, start)
-					return msg, nil
+					w.observeWait(msg.Kind, start)
+					return msg, w.fail(msg)
 				}
 			}
 		}
 	}
 }
 
+// fail records the error of a completion that ends a wait, if it failed,
+// and returns it.
+func (w *Worker) fail(msg Message) error {
+	if msg.Err != nil {
+		w.failure = msg.Err
+		w.failures++
+	}
+	return msg.Err
+}
+
 // observeWait records one satisfied cont wait in the wait histogram,
 // when metrics are armed: 0 us for a wait that never blocked (a zero
 // start), else the time from blocking at start to the last admitted
 // message, from the admit stamp next() already took (no clock read on
-// the satisfied-wait path). Completions are not observed.
+// the satisfied-wait path). kind is the returned message's: completions
+// are not observed.
 func (w *Worker) observeWait(kind MsgKind, start time.Time) {
 	rt := w.Thread.RT
 	if kind != MsgCont || rt.hWaitUS == nil {
@@ -1173,24 +1183,31 @@ func (w *Worker) observeWait(kind MsgKind, start time.Time) {
 	}
 }
 
-// take pops the awaited message from the worker's buffers: the oldest cont
-// with the given tag, or the oldest completion recovery does not swallow.
-// Pops shift the tail down so the buffers keep their capacity.
+// take pops the awaited message from the worker's buffers: the oldest
+// completion recovery does not swallow, if it failed or the wait is a
+// join, else the oldest cont with the given tag. A failed Done parked by
+// loop() while no joiner was active gets its recovery pass here, before
+// any wait blocks: it may belong to the very chunk whose replay is the
+// only sender of the awaited message. Pops shift the tail down so the
+// buffers keep their capacity.
 func (w *Worker) take(kind MsgKind, tag int) (Message, bool) {
+	for i := 0; i < len(w.pendingDone); {
+		msg := w.pendingDone[i]
+		if msg.Err == nil && kind != MsgDone {
+			i++
+			continue
+		}
+		w.pendingDone = popAt(w.pendingDone, i)
+		if !w.handleDone(msg) {
+			return msg, true
+		}
+	}
 	if kind == MsgCont {
 		for i, msg := range w.pendingCont {
 			if msg.Tag == tag {
 				w.pendingCont = popAt(w.pendingCont, i)
 				return msg, true
 			}
-		}
-		return Message{}, false
-	}
-	for len(w.pendingDone) > 0 {
-		msg := w.pendingDone[0]
-		w.pendingDone = popAt(w.pendingDone, 0)
-		if !w.handleDone(msg) {
-			return msg, true
 		}
 	}
 	return Message{}, false
@@ -1205,22 +1222,20 @@ func popAt(buf []Message, i int) []Message {
 }
 
 // handleDone gives the recovery layer first refusal on a consumed
-// completion: a successful Done commits its journal entry (and is then
-// delivered normally, so false), a poisoned Done whose spawn still has
-// attempt budget is swallowed and the spawn replayed (true — the caller
-// keeps waiting for the replacement completion).
+// completion: a crash (*EnclaveAbort) whose spawn still has attempt budget
+// is swallowed and the spawn replayed (true — the caller keeps waiting for
+// the replacement completion). Any other Done, a runtime error included
+// (recovery does not replay program bugs), commits its journal entry and
+// is delivered normally (false).
 func (w *Worker) handleDone(msg Message) bool {
 	rt := w.Thread.RT
 	if !rt.Recovery.Enabled() {
 		return false
 	}
-	if msg.Err == nil {
-		rt.completeSpawn(w.Thread, msg.From, msg.ChunkID, msg.epoch)
-		return false
+	if abort, ok := msg.Err.(*EnclaveAbort); ok {
+		return rt.retrySpawn(w, abort, msg.epoch)
 	}
-	if abort, ok := msg.Err.(*EnclaveAbort); ok && rt.retrySpawn(w, abort, msg.epoch) {
-		return true
-	}
+	rt.completeSpawn(w.Thread, msg.From, msg.ChunkID, msg.epoch)
 	return false
 }
 

@@ -13,13 +13,13 @@ import (
 // testRT builds a runtime whose Exec is a dispatch table of chunk bodies.
 func testRT(t *testing.T, colors []string, chunks map[int]func(w *Worker, args []val) val) *Runtime {
 	t.Helper()
-	rt := New(sgx.MachineB(), colors, func(w *Worker, chunkID int, args []val) val {
+	rt := New(sgx.MachineB(), colors, func(w *Worker, chunkID int, args []val) (val, error) {
 		fn := chunks[chunkID]
 		if fn == nil {
 			t.Errorf("spawned unknown chunk %d", chunkID)
-			return val{}
+			return val{}, nil
 		}
-		return fn(w, args)
+		return fn(w, args), nil
 	})
 	return rt
 }

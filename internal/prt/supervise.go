@@ -3,7 +3,7 @@ package prt
 import "sync/atomic"
 
 // supCounters aggregates the hostile-message and failure counters of one
-// runtime (the "alongside RejectedSpawns" surface of the robustness work).
+// runtime, reported by SupervisionStats.
 type supCounters struct {
 	rejectedSpawns    atomic.Int64
 	rejectedConts     atomic.Int64

@@ -297,8 +297,8 @@ func TestCloseDrainsLeftovers(t *testing.T) {
 // TestSupervisedRoundTripStillCorrect is the zero-fault sanity check: with
 // the wait window armed, the ordinary protocol is unchanged.
 func TestSupervisedRoundTripStillCorrect(t *testing.T) {
-	rt := New(sgx.MachineB(), []string{"blue"}, func(w *Worker, chunkID int, args []val) val {
-		return iv(args[0].I + 1)
+	rt := New(sgx.MachineB(), []string{"blue"}, func(w *Worker, chunkID int, args []val) (val, error) {
+		return iv(args[0].I + 1), nil
 	})
 	rt.WaitTimeout = time.Second
 	th := rt.NewThread()
@@ -362,5 +362,38 @@ func TestCrossSendsBeforeWaitNeverBlock(t *testing.T) {
 	}
 	if st := rt.SupervisionStats(); st.Timeouts != 0 {
 		t.Errorf("Timeouts = %d, want 0", st.Timeouts)
+	}
+}
+
+// TestNestedWaitFailureEndsOuterWait: a failure taken by the wait of a
+// chunk nested in another wait on the same worker ends that outer wait
+// too. Blue starts a chunk on U, nested in U's join, and fails before
+// joining it; its failed Done reaches the nested chunk's wait, not the
+// join it is owed to. No window is armed.
+func TestNestedWaitFailureEndsOuterWait(t *testing.T) {
+	rt := New(sgx.MachineB(), []string{"blue"}, func(w *Worker, chunkID int, args []val) (val, error) {
+		if chunkID == 1 {
+			w.Spawn(0, 2, nil)
+			return val{}, errors.New("blue failed")
+		}
+		_, err := w.Wait(9) // nobody sends tag 9
+		return val{}, err
+	})
+	th := rt.NewThread()
+	defer th.Close()
+	u := th.Normal()
+	u.Spawn(1, 1, nil)
+	done := make(chan error, 1)
+	go func() {
+		_, err := u.Join(1)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || err.Error() != "blue failed" {
+			t.Fatalf("Join = %v, want blue's failure", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the join never ended: the nested chunk's wait took the failure")
 	}
 }

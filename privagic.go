@@ -333,28 +333,25 @@ func (i *Instance) ReadUnsafe(addr uint64, n int) []byte {
 // the compiler never scheduled on them.
 func (i *Instance) EnableSpawnValidation() { i.ip.EnableSpawnValidation() }
 
-// RejectedSpawns reports how many injected spawn messages validation
-// refused.
-func (i *Instance) RejectedSpawns() int64 { return i.ip.RT.RejectedSpawns() }
-
 // SupervisionOptions configures the runtime's fault-tolerance layer.
 type SupervisionOptions struct {
 	// WaitTimeout is the inactivity window of every runtime wait/join: a
 	// lost message degrades into an error satisfying errors.Is(err,
 	// ErrWaitTimeout) once nothing authentic has arrived for this long,
 	// instead of hanging the calling thread forever. Progress restarts
-	// the window, so it bounds stalls, not total call duration. 0 keeps
+	// the window, so it bounds stalls, not total call duration. A chunk's
+	// own failure needs no window: it ends the waits it reaches. 0 keeps
 	// the paper's trusting block-forever behavior.
 	WaitTimeout time.Duration
 }
 
-// EnableSupervision turns on the inactivity window, the runtime's one
-// liveness mechanism, and the cont-tag whitelist (alongside
+// EnableSupervision turns on the inactivity window, which guards against
+// lost or hostile messages, and the cont-tag whitelist (alongside
 // EnableSpawnValidation's spawn whitelist). Call it before the first
 // Call.
 func (i *Instance) EnableSupervision(o SupervisionOptions) {
 	i.ip.EnableContValidation()
-	i.ip.EnableSupervision(o.WaitTimeout)
+	i.ip.RT.WaitTimeout = o.WaitTimeout
 }
 
 // RecoveryOptions configures bounded replay of crashed chunks.
@@ -371,9 +368,9 @@ type RecoveryOptions struct {
 // work: spawns are journaled, a chunk's visible effects (memory writes,
 // output) buffer until it completes, and a poisoned completion replays
 // the spawn with backoff instead of reaching the caller — until the
-// attempt budget runs out. Combine with EnableSupervision: the timeout
-// converts a lost message into an error instead of a hang. Call before
-// the first Call.
+// attempt budget runs out, when the crash's error reaches the caller.
+// Combine with EnableSupervision: the timeout converts a lost message
+// into an error instead of a hang. Call before the first Call.
 func (i *Instance) EnableRecovery(o RecoveryOptions) {
 	i.ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: o.MaxAttempts})
 }
