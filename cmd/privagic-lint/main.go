@@ -1,8 +1,9 @@
 // Command privagic-lint runs the project's vet-style checks (see
 // internal/lint): colorcmp (no direct ir.U / ir.S comparisons outside the
-// type-system core), rawsend (no unstamped prt queue messages), and
-// docmetric (OBSERVABILITY.md, obs.Catalog, and every metric registration
-// site agree on every metric and trace-event name).
+// type-system core), rawsend (no unstamped prt queue messages), rawsleep
+// (no bare time.Sleep in the cancelable runtime packages), and docmetric
+// (OBSERVABILITY.md and every metric registration site agree on every
+// metric and trace-event name).
 //
 // Usage:
 //

@@ -172,7 +172,6 @@ func grayDemotion(cfg GrayFailConfig, rep *GrayFailReport) error {
 		ProbeInterval: grayProbeInterval,
 		ProbeTimeout:  5 * time.Millisecond,
 		SlowRTT:       8 * time.Millisecond,
-		FastRTT:       2 * time.Millisecond,
 	}
 	rt, err := cluster.NewRouter(pd, rcfg)
 	if err != nil {
@@ -191,7 +190,7 @@ func grayDemotion(cfg GrayFailConfig, rep *GrayFailReport) error {
 			return err
 		}
 		pd.links[0].Heal()
-		// Promotion needs the EWMA to decay below FastRTT and then two
+		// Promotion needs the EWMA to decay below SlowRTT/4 and then two
 		// clean strikes — slower than detection by design (hysteresis).
 		if err := grayWait(10*time.Second, "promotion", func() bool {
 			m := rt.Counters()

@@ -35,10 +35,6 @@ type Config struct {
 	// worker serves one connection at a time, so it bounds per-shard
 	// concurrency the same way the paper's worker threads do.
 	Workers int
-	// StoreBuckets is each shard's hash-table bucket count (default 4096).
-	StoreBuckets int
-	// StoreBytes bounds each shard's LRU (0 = unbounded).
-	StoreBytes int64
 	// MaxInflight is each shard's admission cap (PR-2 backpressure):
 	// commands beyond it shed with SERVER_ERROR busy. 0 disables.
 	MaxInflight int32
@@ -46,6 +42,9 @@ type Config struct {
 	// into memcached.Admission.Saturated).
 	Saturated func(shard int) func() bool
 }
+
+// storeBuckets is each shard's hash-table bucket count.
+const storeBuckets = 1 << 12
 
 // shardSlot is one shard's lifecycle cell.
 type shardSlot struct {
@@ -83,9 +82,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8
 	}
-	if cfg.StoreBuckets <= 0 {
-		cfg.StoreBuckets = 1 << 12
-	}
 	c := &Cluster{cfg: cfg, shards: make([]*shardSlot, cfg.Shards)}
 	c.counterList = []obs.NamedCounter{
 		{Name: "kills", Load: c.kills.Load},
@@ -108,7 +104,7 @@ func (c *Cluster) start(i int) error {
 	sl := c.shards[i]
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	store := memcached.NewStore(c.cfg.StoreBuckets, c.cfg.StoreBytes)
+	store := memcached.NewStore(storeBuckets, 0) // no LRU bound
 	srv, err := memcached.NewServer("127.0.0.1:0", store, c.cfg.Workers)
 	if err != nil {
 		return fmt.Errorf("cluster: shard %d: %w", i, err)

@@ -57,7 +57,6 @@ func (pd *proxyDirectory) Addr(i int) (string, uint64, bool) {
 func grayRouterConfig() RouterConfig {
 	cfg := fastProbes()
 	cfg.SlowRTT = 4 * time.Millisecond
-	cfg.FastRTT = 1 * time.Millisecond
 	return cfg
 }
 

@@ -33,10 +33,14 @@ const ewmaKeep = 0.7
 // bypassing the ring (ownership is irrelevant to an RTT measure).
 const canaryKey = "__privagic_canary__"
 
-// promoteStrikes is how many consecutive probe-round verdicts under
-// FastRTT, with the breaker closed, promote a demoted shard: one
-// scheduler hiccup never flips membership.
-const promoteStrikes = 2
+// demoteStrikes is how many consecutive probe-round verdicts over
+// SlowRTT demote a shard, and promoteStrikes how many under SlowRTT/4,
+// with the breaker closed, promote a demoted one: one scheduler hiccup
+// never flips membership.
+const (
+	demoteStrikes  = 3
+	promoteStrikes = 2
+)
 
 // health is a shard's place in the router's one health state machine
 // (docs/design/distribution.md has the full transition table). The
@@ -189,14 +193,14 @@ func (r *Router) sample(shard int, st *shardState, rtt time.Duration, ok bool) {
 }
 
 // evaluateHealth runs shard i's per-probe-round latency verdict:
-// DemoteStrikes consecutive rounds with the EWMA above SlowRTT demote;
-// promoteStrikes consecutive rounds below FastRTT (with the breaker
+// demoteStrikes consecutive rounds with the EWMA above SlowRTT demote;
+// promoteStrikes consecutive rounds below SlowRTT/4 (with the breaker
 // closed) promote a demoted shard back.
 func (r *Router) evaluateHealth(i int) {
 	st := r.shards[i]
 	ewma := math.Float64frombits(st.rtt.Load())
 	slow := float64(r.cfg.SlowRTT.Microseconds())
-	fast := float64(r.cfg.FastRTT.Microseconds())
+	fast := slow / 4
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -220,7 +224,7 @@ func (r *Router) evaluateHealth(i int) {
 				st.slowSince = time.Now()
 			}
 			st.slowStrikes++
-			if st.slowStrikes >= r.cfg.DemoteStrikes {
+			if st.slowStrikes >= demoteStrikes {
 				r.setHealthLocked(i, healthDemoted, st.slowSince)
 			}
 		} else {

@@ -85,12 +85,12 @@ func (h *healthRig) rtt(i int, us float64, n int) {
 	}
 }
 
-// slow holds shard i's EWMA above SlowRTT for DemoteStrikes verdicts.
+// slow holds shard i's EWMA above SlowRTT for demoteStrikes verdicts.
 func (h *healthRig) slow(i int) {
-	h.rtt(i, float64(10*h.r.cfg.SlowRTT.Microseconds()), h.r.cfg.DemoteStrikes)
+	h.rtt(i, float64(10*h.r.cfg.SlowRTT.Microseconds()), demoteStrikes)
 }
 
-// recover holds shard i's EWMA under FastRTT for two verdicts, the
+// recover holds shard i's EWMA under SlowRTT/4 for two verdicts, the
 // promotion requirement.
 func (h *healthRig) recover(i int) { h.rtt(i, 1, 2) }
 

@@ -26,13 +26,12 @@ import "sort"
 //
 // The ring itself is not goroutine-safe; the Router serializes access.
 type ring struct {
-	replicas int // virtual nodes per shard
-	rf       int // replication factor: members per segment (≥1)
-	points   []ringPoint
-	up       []bool // by shard
-	nUp      int
-	gen      uint64
-	segs     []segment // by segment (segment i ends at points[i])
+	rf     int // replication factor: members per segment (≥1)
+	points []ringPoint
+	up     []bool // by shard
+	nUp    int
+	gen    uint64
+	segs   []segment // by segment (segment i ends at points[i])
 }
 
 // maxReplication bounds rf so per-segment member sets are fixed arrays
@@ -52,11 +51,11 @@ type ringPoint struct {
 	shard int
 }
 
+// ringReplicas is the number of virtual nodes per shard on the ring.
+const ringReplicas = 32
+
 // newRing builds the table with every shard up, at generation 1.
-func newRing(shards, replicas, rf int) *ring {
-	if replicas <= 0 {
-		replicas = 32
-	}
+func newRing(shards, rf int) *ring {
 	if rf <= 0 {
 		rf = 1
 	}
@@ -67,16 +66,15 @@ func newRing(shards, replicas, rf int) *ring {
 		rf = shards
 	}
 	r := &ring{
-		replicas: replicas,
-		rf:       rf,
-		points:   make([]ringPoint, 0, shards*replicas),
-		up:       make([]bool, shards),
-		nUp:      shards,
-		gen:      1,
+		rf:     rf,
+		points: make([]ringPoint, 0, shards*ringReplicas),
+		up:     make([]bool, shards),
+		nUp:    shards,
+		gen:    1,
 	}
 	for s := 0; s < shards; s++ {
 		r.up[s] = true
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < ringReplicas; v++ {
 			r.points = append(r.points, ringPoint{pos: pointHash(s, v), shard: s})
 		}
 	}

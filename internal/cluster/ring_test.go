@@ -10,7 +10,7 @@ import (
 // third of its fair share.
 func TestRingBalance(t *testing.T) {
 	const shards, keys = 4, 20000
-	r := newRing(shards, 0, 1)
+	r := newRing(shards, 1)
 	counts := make([]int, shards)
 	for i := 0; i < keys; i++ {
 		s, _, ok := r.lookup(keyHash(fmt.Sprintf("user%d", i)))
@@ -31,7 +31,7 @@ func TestRingBalance(t *testing.T) {
 // node identically — the point set is a pure function of (shard, replica),
 // so routers built at different times agree.
 func TestRingFixedPoints(t *testing.T) {
-	a, b := newRing(5, 16, 1), newRing(5, 16, 1)
+	a, b := newRing(5, 1), newRing(5, 1)
 	if len(a.points) != len(b.points) {
 		t.Fatalf("point counts differ: %d vs %d", len(a.points), len(b.points))
 	}
@@ -46,7 +46,7 @@ func TestRingFixedPoints(t *testing.T) {
 // surviving shard already owned.
 func TestRingMinimalMovement(t *testing.T) {
 	const shards, keys = 4, 5000
-	r := newRing(shards, 0, 1)
+	r := newRing(shards, 1)
 	before := make([]int, keys)
 	for i := range before {
 		before[i], _, _ = r.lookup(keyHash(fmt.Sprintf("k%d", i)))
@@ -84,7 +84,7 @@ func findKeyOwnedBy(t *testing.T, r *ring, shard int) string {
 // stamped during a previous owner's tenure must compare below the current
 // acquisition generation exactly when it could be a stale survivor copy.
 func TestRingAcquiredGenerations(t *testing.T) {
-	r := newRing(2, 0, 1)
+	r := newRing(2, 1)
 	key := findKeyOwnedBy(t, r, 0)
 	h := keyHash(key)
 
@@ -126,7 +126,7 @@ func TestRingAcquiredGenerations(t *testing.T) {
 // TestRingUnchangedSegmentsKeepStamps: a membership change elsewhere must
 // not invalidate values on segments whose owner did not change.
 func TestRingUnchangedSegmentsKeepStamps(t *testing.T) {
-	r := newRing(4, 0, 1)
+	r := newRing(4, 1)
 	key := findKeyOwnedBy(t, r, 3)
 	h := keyHash(key)
 	stamp := r.gen
@@ -141,7 +141,7 @@ func TestRingUnchangedSegmentsKeepStamps(t *testing.T) {
 // shards, primary first, and fencing a member replaces only it — the
 // survivor keeps both its slot and its tenure stamp.
 func TestRingReplicaSets(t *testing.T) {
-	r := newRing(3, 0, 2)
+	r := newRing(3, 2)
 	for i := range r.segs {
 		seg := r.segs[i]
 		if seg.n != 2 {
@@ -179,7 +179,7 @@ func TestRingReplicaSets(t *testing.T) {
 // honored; the same shard admitted through setUp is distrusted at the
 // fresh generation.
 func TestRingEnterFullTrust(t *testing.T) {
-	a, b := newRing(3, 0, 2), newRing(3, 0, 2)
+	a, b := newRing(3, 2), newRing(3, 2)
 	a.setUp(0, false)
 	b.setUp(0, false)
 	a.enter(0)
@@ -208,7 +208,7 @@ func TestRingEnterFullTrust(t *testing.T) {
 // key's converged (all-up) replica set — the shards a write routed now
 // must queue hints for.
 func TestRingHintTargets(t *testing.T) {
-	r := newRing(3, 0, 2)
+	r := newRing(3, 2)
 	r.setUp(1, false)
 	var buf [maxReplication]int
 	sawHint := false
@@ -240,7 +240,7 @@ func TestRingHintTargets(t *testing.T) {
 // entering shard will serve, and every planned arc routes to that
 // segment (the store-digest bounds line up with segIndex).
 func TestRingWouldServe(t *testing.T) {
-	r := newRing(3, 0, 2)
+	r := newRing(3, 2)
 	r.setUp(2, false)
 	plan := r.wouldServe(2)
 	if len(plan) == 0 {
@@ -265,7 +265,7 @@ func TestRingWouldServe(t *testing.T) {
 
 // TestRingAllDown: lookup reports no owner rather than inventing one.
 func TestRingAllDown(t *testing.T) {
-	r := newRing(2, 0, 1)
+	r := newRing(2, 1)
 	r.setUp(0, false)
 	r.setUp(1, false)
 	if _, _, ok := r.lookup(keyHash("k")); ok {

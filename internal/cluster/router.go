@@ -37,8 +37,6 @@ var ErrBreakerOpen = errors.New("cluster: shard circuit breaker open")
 // RouterConfig tunes the client router. Zero values take the documented
 // defaults.
 type RouterConfig struct {
-	// Replicas is the virtual nodes per shard on the hash ring (default 32).
-	Replicas int
 	// PoolConns caps data connections per shard (default 4). Each open
 	// connection pins one shard worker, so PoolConns plus the probe
 	// connection must stay at or below Config.Workers.
@@ -47,10 +45,9 @@ type RouterConfig struct {
 	// fired deadline poisons the connection; the router redials.
 	OpTimeout time.Duration
 	// Retry is the per-operation retry budget with exponential backoff and
-	// jitter (the shared internal/retry policy, also used by prt recovery).
-	// A zero policy defaults to 4 attempts with the policy's standard
-	// 100µs-doubling-to-2ms backoff; set MaxAttempts to 1 to disable
-	// retries.
+	// jitter (internal/retry). A zero policy defaults to 4 attempts with
+	// the policy's standard 100µs-doubling-to-2ms backoff; set
+	// MaxAttempts to 1 to disable retries.
 	Retry retry.Policy
 	// ProbeInterval is the per-shard health-probe period (default 25ms).
 	ProbeInterval time.Duration
@@ -77,20 +74,15 @@ type RouterConfig struct {
 	// one half-open trial.
 	Breaker retry.BreakerConfig
 
-	// SlowRTT and FastRTT are the latency-health thresholds over each
-	// shard's EWMA of data-path RTT. A shard whose EWMA stays above
-	// SlowRTT for DemoteStrikes consecutive probe rounds is demoted out
-	// of the ring — even while its version probes answer, which is
-	// exactly the slow-but-alive gray failure fencing cannot see. A
-	// demoted shard whose EWMA falls back below FastRTT (hysteresis) for
-	// two rounds, with its breaker closed, is promoted back; generation
-	// stamps make the round trip safe without invalidation.
-	// Defaults: SlowRTT = OpTimeout/2, FastRTT = SlowRTT/4.
+	// SlowRTT is the latency-health threshold over each shard's EWMA of
+	// data-path RTT (default OpTimeout/2). A shard whose EWMA stays above
+	// it for demoteStrikes consecutive probe rounds is demoted out of the
+	// ring — even while its version probes answer, which is exactly the
+	// slow-but-alive gray failure fencing cannot see. A demoted shard
+	// whose EWMA falls back below SlowRTT/4 (hysteresis) for
+	// promoteStrikes rounds, with its breaker closed, is promoted back;
+	// generation stamps make the round trip safe without invalidation.
 	SlowRTT time.Duration
-	FastRTT time.Duration
-	// DemoteStrikes is the consecutive-evaluation requirement (default
-	// 3): one scheduler hiccup never flips membership.
-	DemoteStrikes int
 
 	// HedgeDelay controls hedged Gets: a Get whose primary attempt has
 	// not answered after this long launches a second identical request
@@ -303,12 +295,6 @@ func NewRouter(dir Directory, cfg RouterConfig) (*Router, error) {
 	if cfg.SlowRTT <= 0 {
 		cfg.SlowRTT = cfg.OpTimeout / 2
 	}
-	if cfg.FastRTT <= 0 {
-		cfg.FastRTT = cfg.SlowRTT / 4
-	}
-	if cfg.DemoteStrikes <= 0 {
-		cfg.DemoteStrikes = 3
-	}
 	if cfg.Replication <= 0 {
 		cfg.Replication = 2
 	}
@@ -324,7 +310,7 @@ func NewRouter(dir Directory, cfg RouterConfig) (*Router, error) {
 	r := &Router{
 		cfg:     cfg,
 		dir:     dir,
-		ring:    newRing(n, cfg.Replicas, cfg.Replication),
+		ring:    newRing(n, cfg.Replication),
 		shards:  make([]*shardState, n),
 		stamps:  map[string]uint32{},
 		writing: map[string]int{},

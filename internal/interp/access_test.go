@@ -36,7 +36,7 @@ entry long poke(long k) {
 				}
 				buffered := 0
 				if recovery {
-					ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 2})
+					ip.EnableRecovery(2)
 					ip.SetCrashPoint(func(_, _, _ int) any { buffered++; return nil })
 				}
 				blue := ip.RT.Space.Region(1)
@@ -193,7 +193,7 @@ entry long main(long x) {
 				ip.EnableBoundaryDefense(FullBoundary())
 				ws.snap = ip.beginSnap()
 			case "recovery":
-				ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 1})
+				ip.EnableRecovery(1)
 				ws.tx = ip.beginTx(0, &ws.txs)
 			}
 			args := []val{iv(1)}

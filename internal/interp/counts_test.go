@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"privagic/internal/ir"
-	"privagic/internal/prt"
 	"privagic/internal/sgx"
 	"privagic/internal/typing"
 )
@@ -39,7 +38,7 @@ func TestReplayServesWordAndBytePaths(t *testing.T) {
 			wantH := callOK(t, clean, "peek")
 
 			ip := withEngine(t, build(t, typing.Relaxed, replayWordSrc, "probe", "peek"), e)
-			ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 2})
+			ip.EnableRecovery(2)
 			ref := ip.RT.Space.Resolve(ip.globals[ip.Prog.Mod.Global("g")])
 			crashed := false
 			ip.SetCrashPoint(func(_, _, store int) any {
@@ -141,7 +140,7 @@ func TestBoundaryCountsPublished(t *testing.T) {
 				ip.OnAccess = tally.hook
 				cut := int64(0)
 				if c.crash {
-					ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 1})
+					ip.EnableRecovery(1)
 					ip.SetCrashPoint(func(_, _, store int) any {
 						if store != 1 {
 							return nil
@@ -192,7 +191,7 @@ entry long main(long x) { return g + x; }
 				ws.snap = ip.beginSnap()
 			}
 			if cfg == "boundary+recovery" {
-				ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 1})
+				ip.EnableRecovery(1)
 				ws.tx = ip.beginTx(0, &ws.txs)
 			}
 			addr := ip.globals[ip.Prog.Mod.Global("g")]

@@ -80,7 +80,7 @@ type txStack struct {
 // one sized for the last. A nested spawn, whose outer transaction is
 // still open, takes the next one down.
 func (ip *Interp) beginTx(chunkID int, s *txStack) *effectTx {
-	if !ip.RT.Recovery.Enabled() {
+	if ip.RT.ReplayBudget <= 0 {
 		return nil
 	}
 	var tx *effectTx
@@ -160,12 +160,13 @@ func (ip *Interp) SetCrashPoint(hook func(workerIdx, chunkID, storeN int) any) {
 	ip.crashPoint = hook
 }
 
-// EnableRecovery turns on bounded replay in the runtime and
-// effect buffering in the interpreter (the two halves are only correct
-// together: replay without buffering double-applies writes, buffering
-// without replay just delays them). Call before the first Call.
-func (ip *Interp) EnableRecovery(p prt.RecoveryPolicy) {
-	ip.RT.Recovery = p
+// EnableRecovery turns on bounded replay in the runtime, up to budget
+// replays per crashed spawn, and effect buffering in the interpreter (the
+// two halves are only correct together: replay without buffering
+// double-applies writes, buffering without replay just delays them).
+// Call before the first Call.
+func (ip *Interp) EnableRecovery(budget int) {
+	ip.RT.ReplayBudget = budget
 }
 
 // buffer records an already checked n-byte store at ref in the

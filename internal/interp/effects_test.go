@@ -37,7 +37,7 @@ entry long main(long x) {
 	var hint txSize
 	for _, sized := range []bool{false, true} {
 		ip := build(t, typing.Relaxed, src, "main")
-		ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 1})
+		ip.EnableRecovery(1)
 		w := ip.mainThread().Normal()
 		// Run as the blue chunk would: its mode reaches both regions.
 		w.Mode = 1
@@ -128,7 +128,7 @@ entry long main(long x) {
 // of kept.
 func TestTxRecycling(t *testing.T) {
 	ip := build(t, typing.Relaxed, `entry long main(long x) { return x; }`, "main")
-	ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 1})
+	ip.EnableRecovery(1)
 	w := ip.mainThread().Normal()
 	s := &stateOf(w).txs
 	ref := ip.RT.Space.Resolve(sgx.EncodePtr(sgx.Unsafe, 4096))

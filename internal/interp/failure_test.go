@@ -186,7 +186,7 @@ func TestChunkFailureEndsStarvedWaits(t *testing.T) {
 			// journal entry and effects (k's increment) commit.
 			name: "colored division under recovery", src: coloredDivSrc, modes: []typing.Mode{typing.Relaxed, typing.Hardened},
 			arm: func(ip *Interp) func() {
-				ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 3})
+				ip.EnableRecovery(3)
 				return nil
 			},
 			calls:  []failCall{{7, 0, isDivision}, {1, 5, nil}},
@@ -212,7 +212,7 @@ func TestChunkFailureEndsStarvedWaits(t *testing.T) {
 			// one replay the budget allows is spent.
 			name: "spent replay budget", src: countsSrc, modes: []typing.Mode{typing.Relaxed},
 			arm: func(ip *Interp) func() {
-				ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 1})
+				ip.EnableRecovery(1)
 				ip.SetCrashPoint(func(_, _, store int) any {
 					if store == 1 {
 						return injectedCrash{}

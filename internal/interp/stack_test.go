@@ -145,7 +145,7 @@ func TestMemcachedBatchExtentFlat(t *testing.T) {
 			ip := withEngine(t, build(t, typing.Hardened, mcBatchSrc, "batch"), e)
 			ip.EnableBoundaryDefense(FullBoundary())
 			ip.RT.WaitTimeout = 10 * time.Second
-			ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 3})
+			ip.EnableRecovery(3)
 			store := ip.RT.Space.Region(sgx.RegionID(ip.Prog.ColorIndex(ir.Named("store"))))
 			want := callOK(t, ip, "batch")
 			for i := 0; i < 20; i++ {
@@ -267,7 +267,7 @@ func TestNestedSpawnAboveOuterTx(t *testing.T) {
 	for _, e := range allEngines {
 		t.Run(e.String(), func(t *testing.T) {
 			ip := withEngine(t, build(t, typing.Relaxed, nestedTxSrc, "run", "peek"), e)
-			ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 3})
+			ip.EnableRecovery(3)
 			var seen int64
 			for i := 0; i < 200; i++ {
 				callOK(t, ip, "run")
@@ -320,7 +320,7 @@ func TestReplayKeepsFrameAddress(t *testing.T) {
 		t.Run(e.String(), func(t *testing.T) {
 			ip := withEngine(t, build(t, typing.Relaxed, replaySrc, "run", "peek"), e)
 			ip.RT.WaitTimeout = 10 * time.Second
-			ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 3})
+			ip.EnableRecovery(3)
 			fU := -1
 			for id, ch := range ip.Prog.ChunkByID {
 				if ch.Fn.FName == "f().U" {
@@ -387,7 +387,7 @@ func TestReplayKeepsMallocAddress(t *testing.T) {
 		t.Run(e.String(), func(t *testing.T) {
 			ip := withEngine(t, build(t, typing.Relaxed, mallocReplaySrc, "run", "peek"), e)
 			ip.RT.WaitTimeout = 10 * time.Second
-			ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 3})
+			ip.EnableRecovery(3)
 			fU := -1
 			for id, ch := range ip.Prog.ChunkByID {
 				if ch.Fn.FName == "f().U" {
@@ -463,7 +463,7 @@ func TestCrashPinsAttemptFrames(t *testing.T) {
 	for _, e := range allEngines {
 		t.Run(e.String(), func(t *testing.T) {
 			ip := withEngine(t, build(t, typing.Relaxed, nestedTxSrc, "run", "peek"), e)
-			ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 3})
+			ip.EnableRecovery(3)
 			fill := -1
 			for id, ch := range ip.Prog.ChunkByID {
 				if ch.Fn.FName == "fill(F).U" {

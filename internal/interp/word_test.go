@@ -118,7 +118,7 @@ func want(img []byte, k uint64, p wordProbe) uint64 {
 // byte as a plain byte image of the two reads.
 func TestWordCoreMatchesBytePathOverOverlay(t *testing.T) {
 	rg := newWordRig(t, 1)
-	rg.ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 1})
+	rg.ip.EnableRecovery(1)
 	ws := stateOf(rg.w)
 	ws.tx = rg.ip.beginTx(0, &ws.txs)
 	stores := []struct {
@@ -160,7 +160,7 @@ func TestWordCoreMatchesBytePathStores(t *testing.T) {
 		id := sgx.RegionID(1)
 		switch mode {
 		case "buffered":
-			rg.ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: 1})
+			rg.ip.EnableRecovery(1)
 		case "snapshot":
 			id = sgx.Unsafe
 			rg.ip.EnableBoundaryDefense(FullBoundary())

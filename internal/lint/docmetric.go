@@ -1,14 +1,13 @@
 package lint
 
 // docmetric is the third analyzer: it proves OBSERVABILITY.md and the
-// code agree on every metric and trace-event name. The source of truth on
-// the code side is the obs.Catalog literal (parsed with go/ast, never
-// executed) plus the obs kindNames literal; on the doc side it is the
-// backticked first cell of each table row under the "## Metric catalogue"
-// and "## Trace events" headings. The analyzer also walks every
-// registration call site (.Gauge/.Histogram/.RegisterSource with
-// a literal name) so a metric cannot be exported without a catalogue
-// entry, nor a catalogue entry go stale once its registration is deleted.
+// code agree on every metric and trace-event name. On the code side the
+// metrics are the registration call sites (.Gauge/.Histogram/
+// .RegisterSource with a literal name, parsed with go/ast, never
+// executed) and the events are the obs kindNames literal; on the doc side
+// both are the backticked first cell of each table row under the
+// "## Metric catalogue" and "## Trace events" headings. A metric cannot
+// be exported without a row, nor a row outlive its registration.
 //
 // Unlike colorcmp and rawsend, docmetric is a whole-repo check: state
 // accumulates across files during Run's walk and the verdicts land in a
@@ -26,7 +25,6 @@ import (
 
 // docmetricState accumulates the code-side facts during the walk.
 type docmetricState struct {
-	catalog    map[string]token.Position // obs.Catalog Name: entries
 	kinds      map[string]token.Position // obs kindNames entries
 	registered map[string]token.Position // literal names at Gauge/Histogram sites
 	prefixes   map[string]token.Position // literal prefixes at RegisterSource sites
@@ -34,7 +32,6 @@ type docmetricState struct {
 
 func newDocmetric() *docmetricState {
 	return &docmetricState{
-		catalog:    map[string]token.Position{},
 		kinds:      map[string]token.Position{},
 		registered: map[string]token.Position{},
 		prefixes:   map[string]token.Position{},
@@ -45,14 +42,13 @@ func newDocmetric() *docmetricState {
 func (s *docmetricState) collect(fset *token.FileSet, rel string, file *ast.File) {
 	dir := filepath.ToSlash(filepath.Dir(rel))
 	if strings.HasSuffix(dir, "internal/obs") {
-		s.collectLiterals(fset, file)
+		s.collectKinds(fset, file)
 	}
 	s.collectRegistrations(fset, file)
 }
 
-// collectLiterals pulls the Name fields out of the Catalog literal and the
-// string values out of the kindNames literal.
-func (s *docmetricState) collectLiterals(fset *token.FileSet, file *ast.File) {
+// collectKinds pulls the string values out of the kindNames literal.
+func (s *docmetricState) collectKinds(fset *token.FileSet, file *ast.File) {
 	for _, decl := range file.Decls {
 		gd, ok := decl.(*ast.GenDecl)
 		if !ok || gd.Tok != token.VAR {
@@ -60,41 +56,20 @@ func (s *docmetricState) collectLiterals(fset *token.FileSet, file *ast.File) {
 		}
 		for _, spec := range gd.Specs {
 			vs, ok := spec.(*ast.ValueSpec)
-			if !ok || len(vs.Names) != 1 || len(vs.Values) != 1 {
+			if !ok || len(vs.Names) != 1 || len(vs.Values) != 1 || vs.Names[0].Name != "kindNames" {
 				continue
 			}
 			lit, ok := vs.Values[0].(*ast.CompositeLit)
 			if !ok {
 				continue
 			}
-			switch vs.Names[0].Name {
-			case "Catalog":
-				for _, el := range lit.Elts {
-					entry, ok := el.(*ast.CompositeLit)
-					if !ok {
-						continue
-					}
-					for _, f := range entry.Elts {
-						kv, ok := f.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						if id, ok := kv.Key.(*ast.Ident); ok && id.Name == "Name" {
-							if name, ok := stringLit(kv.Value); ok {
-								s.catalog[name] = fset.Position(kv.Pos())
-							}
-						}
-					}
+			for _, el := range lit.Elts {
+				kv, ok := el.(*ast.KeyValueExpr)
+				if !ok {
+					continue
 				}
-			case "kindNames":
-				for _, el := range lit.Elts {
-					kv, ok := el.(*ast.KeyValueExpr)
-					if !ok {
-						continue
-					}
-					if name, ok := stringLit(kv.Value); ok && name != "" {
-						s.kinds[name] = fset.Position(kv.Pos())
-					}
+				if name, ok := stringLit(kv.Value); ok && name != "" {
+					s.kinds[name] = fset.Position(kv.Pos())
 				}
 			}
 		}
@@ -128,10 +103,10 @@ func (s *docmetricState) collectRegistrations(fset *token.FileSet, file *ast.Fil
 }
 
 // finalize reads OBSERVABILITY.md at root and emits the verdicts. With no
-// Catalog literal in the tree (a partial tree under test), the check is
+// registration in the tree (a partial tree under test), the check is
 // inert.
 func (s *docmetricState) finalize(root string) []Issue {
-	if len(s.catalog) == 0 {
+	if len(s.registered) == 0 && len(s.prefixes) == 0 {
 		return nil
 	}
 	docPath := filepath.Join(root, "OBSERVABILITY.md")
@@ -140,7 +115,7 @@ func (s *docmetricState) finalize(root string) []Issue {
 		return []Issue{{
 			Pos:      token.Position{Filename: docPath},
 			Analyzer: "docmetric",
-			Msg:      "obs.Catalog exists but OBSERVABILITY.md is missing; every exported metric must be documented",
+			Msg:      "metrics are registered but OBSERVABILITY.md is missing; every exported metric must be documented",
 		}}
 	}
 	docMetrics, docEvents := parseObservabilityDoc(string(data))
@@ -151,59 +126,44 @@ func (s *docmetricState) finalize(root string) []Issue {
 	add := func(pos token.Position, msg string) {
 		issues = append(issues, Issue{Pos: pos, Analyzer: "docmetric", Msg: msg})
 	}
-
-	// A: catalogue <-> doc metric table, both directions.
-	for _, name := range sortedKeys(s.catalog) {
-		if _, ok := docMetrics[name]; !ok {
-			add(s.catalog[name], "metric "+name+" is in obs.Catalog but has no row in OBSERVABILITY.md's metric catalogue")
+	underPrefix := func(name string) bool {
+		for prefix := range s.prefixes {
+			if strings.HasPrefix(name, prefix+".") {
+				return true
+			}
 		}
-	}
-	for _, name := range sortedKeys(docMetrics) {
-		if _, ok := s.catalog[name]; !ok {
-			add(docPos(docMetrics[name]), "metric "+name+" is documented but missing from obs.Catalog")
-		}
+		return false
 	}
 
-	// B: every registration call site names a catalogued metric; every
-	// source prefix covers at least one catalogued entry.
+	// A: every registration call site names a documented metric; every
+	// source prefix covers at least one documented row.
 	for _, name := range sortedKeys(s.registered) {
-		if _, ok := s.catalog[name]; !ok {
-			add(s.registered[name], "metric "+name+" is registered but missing from obs.Catalog (add it there and to OBSERVABILITY.md)")
+		if _, ok := docMetrics[name]; !ok {
+			add(s.registered[name], "metric "+name+" is registered but has no row in OBSERVABILITY.md's metric catalogue")
 		}
 	}
 	for _, prefix := range sortedKeys(s.prefixes) {
 		covered := false
-		for name := range s.catalog {
+		for name := range docMetrics {
 			if strings.HasPrefix(name, prefix+".") {
 				covered = true
 				break
 			}
 		}
 		if !covered {
-			add(s.prefixes[prefix], "source prefix "+prefix+" has no "+prefix+".* entries in obs.Catalog")
+			add(s.prefixes[prefix], "source prefix "+prefix+" has no "+prefix+".* rows in OBSERVABILITY.md's metric catalogue")
 		}
 	}
 
-	// C: every catalogued metric is actually exported — registered by
-	// name, derived from a registered histogram, or fed by a source
-	// prefix.
-	for _, name := range sortedKeys(s.catalog) {
-		if _, ok := s.registered[name]; ok {
-			continue
-		}
-		covered := false
-		for prefix := range s.prefixes {
-			if strings.HasPrefix(name, prefix+".") {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			add(s.catalog[name], "metric "+name+" is catalogued but never registered (stale entry, or a registration using a non-literal name)")
+	// B: every documented metric is actually exported — registered by
+	// name or fed by a source prefix.
+	for _, name := range sortedKeys(docMetrics) {
+		if _, ok := s.registered[name]; !ok && !underPrefix(name) {
+			add(docPos(docMetrics[name]), "metric "+name+" is documented but never registered (stale row, or a registration using a non-literal name)")
 		}
 	}
 
-	// D: trace-event vocabulary <-> doc event table, both directions.
+	// C: trace-event vocabulary <-> doc event table, both directions.
 	for _, name := range sortedKeys(s.kinds) {
 		if _, ok := docEvents[name]; !ok {
 			add(s.kinds[name], "trace event "+name+" is in obs kindNames but has no row in OBSERVABILITY.md's trace-event table")

@@ -5,16 +5,9 @@ import (
 	"testing"
 )
 
-// obsFixture is a minimal internal/obs with a two-entry Catalog, one event
-// kind, and registrations for one catalogued metric plus a source prefix.
+// obsFixture is a minimal internal/obs with one event kind; regFixture
+// registers one metric by name and one source prefix.
 const obsFixture = `package obs
-type MetricDef struct {
-	Name, Type, Unit, Subsystem, Help string
-}
-var Catalog = []MetricDef{
-	{Name: "prt.aborts", Type: "gauge", Unit: "1", Subsystem: "prt", Help: "aborts"},
-	{Name: "inject.dropped", Type: "counter", Unit: "1", Subsystem: "faults", Help: "drops"},
-}
 var kindNames = [1]string{0: "spawn"}
 `
 
@@ -59,29 +52,29 @@ func docmetricIssues(t *testing.T, files map[string]string) []string {
 
 func TestDocmetricAgreementPasses(t *testing.T) {
 	got := docmetricIssues(t, map[string]string{
-		"internal/obs/catalog.go": obsFixture,
-		"internal/prt/obs.go":     regFixture,
-		"OBSERVABILITY.md":        goodDoc,
+		"internal/obs/trace.go": obsFixture,
+		"internal/prt/obs.go":   regFixture,
+		"OBSERVABILITY.md":      goodDoc,
 	})
 	if len(got) != 0 {
 		t.Fatalf("agreeing tree flagged: %v", got)
 	}
 }
 
-func TestDocmetricInertWithoutCatalog(t *testing.T) {
-	// Trees with no obs.Catalog (like the other analyzers' fixtures) must
-	// not demand an OBSERVABILITY.md.
+func TestDocmetricInertWithoutRegistrations(t *testing.T) {
+	// Trees that register no metric (like the other analyzers' fixtures)
+	// must not demand an OBSERVABILITY.md.
 	got := docmetricIssues(t, map[string]string{
-		"internal/prt/obs.go": regFixture,
+		"internal/obs/trace.go": obsFixture,
 	})
 	if len(got) != 0 {
-		t.Fatalf("catalog-free tree flagged: %v", got)
+		t.Fatalf("registration-free tree flagged: %v", got)
 	}
 }
 
 func TestDocmetricFindsEveryDrift(t *testing.T) {
-	// Doc drops one metric row and the event row; code registers an
-	// uncatalogued metric; catalogue gains a never-registered entry.
+	// Doc drops the event row and gains a never-registered metric row;
+	// code registers an undocumented metric.
 	staleDoc := `# Observability
 
 ## Metric catalogue
@@ -103,13 +96,13 @@ func armMore(reg *Registry) {
 }
 `
 	got := docmetricIssues(t, map[string]string{
-		"internal/obs/catalog.go": obsFixture,
-		"internal/prt/obs.go":     badReg,
-		"OBSERVABILITY.md":        staleDoc,
+		"internal/obs/trace.go": obsFixture,
+		"internal/prt/obs.go":   badReg,
+		"OBSERVABILITY.md":      staleDoc,
 	})
 	wantSubstrings := []string{
-		"prt.ghost is documented but missing from obs.Catalog",
-		"prt.undocumented is registered but missing from obs.Catalog",
+		"prt.ghost is documented but never registered",
+		"prt.undocumented is registered but has no row",
 		"spawn is in obs kindNames but has no row",
 	}
 	for _, want := range wantSubstrings {
@@ -128,8 +121,8 @@ func armMore(reg *Registry) {
 
 func TestDocmetricMissingDocFile(t *testing.T) {
 	got := docmetricIssues(t, map[string]string{
-		"internal/obs/catalog.go": obsFixture,
-		"internal/prt/obs.go":     regFixture,
+		"internal/obs/trace.go": obsFixture,
+		"internal/prt/obs.go":   regFixture,
 	})
 	if len(got) != 1 || !strings.Contains(got[0], "OBSERVABILITY.md is missing") {
 		t.Fatalf("issues = %v, want the missing-doc finding", got)
@@ -137,16 +130,16 @@ func TestDocmetricMissingDocFile(t *testing.T) {
 }
 
 func TestDocmetricUnregisteredCatalogEntry(t *testing.T) {
-	// Drop the RegisterSource call: inject.dropped is catalogued and
-	// documented but nothing exports it.
+	// Drop the RegisterSource call: inject.dropped has a row in the
+	// doc's metric catalogue but nothing exports it.
 	got := docmetricIssues(t, map[string]string{
-		"internal/obs/catalog.go": obsFixture,
+		"internal/obs/trace.go": obsFixture,
 		"internal/prt/obs.go": `package prt
 func arm(reg *Registry) { reg.Gauge("prt.aborts", func() int64 { return 0 }) }
 `,
 		"OBSERVABILITY.md": goodDoc,
 	})
-	if len(got) != 1 || !strings.Contains(got[0], "inject.dropped is catalogued but never registered") {
-		t.Fatalf("issues = %v, want the stale-catalogue finding", got)
+	if len(got) != 1 || !strings.Contains(got[0], "inject.dropped is documented but never registered") {
+		t.Fatalf("issues = %v, want the stale-row finding", got)
 	}
 }

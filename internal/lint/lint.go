@@ -23,9 +23,9 @@
 //     Close. The context-aware retry.Policy.Sleep is the sanctioned
 //     primitive (its own nil-ctx fallback is the one exempt site).
 //
-//   - docmetric: the obs.Catalog literal, the registration call sites,
-//     and the tables in OBSERVABILITY.md must agree on every metric and
-//     trace-event name, in both directions (see docmetric.go).
+//   - docmetric: the registration call sites and the obs kindNames
+//     literal must agree with the tables in OBSERVABILITY.md on every
+//     metric and trace-event name, in both directions (see docmetric.go).
 package lint
 
 import (

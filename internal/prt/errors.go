@@ -30,6 +30,8 @@ type TimeoutError struct {
 	Worker  int    // color index of the blocked worker
 	Tag     int    // cont tag (Op == "wait")
 	Pending int    // completions still missing (Op == "join")
+	// Elapsed is the windows the wait served, the last one quiet: at
+	// least that long, not counting the spins before each window opened.
 	Elapsed time.Duration
 
 	// PendingTags is the sorted set of cont tags still unresolved across

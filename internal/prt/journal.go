@@ -10,6 +10,17 @@ import (
 	"privagic/internal/value"
 )
 
+// Recovery (this file) is the second half of the fault story supervision
+// started: supervision turns a crashed or wedged enclave into a typed
+// error; recovery turns the typed error back into a completed request. A
+// poisoned completion (the chunk aborted) is not surfaced to the joiner —
+// the spawn is replayed at once from its journaled arguments, until it
+// commits or Runtime.ReplayBudget is spent. Only then does the original
+// typed error escape. SecV and EnclaveDom both observe that
+// partitioned-enclave systems amplify failure domains (every cross-domain
+// call is a new place to wedge); bounding the amplification inside the
+// runtime is what lets every caller stay oblivious.
+//
 // The journal is the transactional half of recovery: every spawn is
 // recorded with its argument vector before it leaves the sender,
 // and stays in-flight until its completion commits. A poisoned completion
@@ -470,7 +481,7 @@ func (rt *Runtime) spendAttempt(key spawnKey, epoch uint64) (*spawnRec, int) {
 		return nil, 0
 	}
 	rec.attempts++
-	if rec.attempts > rt.Recovery.MaxAttempts {
+	if rec.attempts > rt.ReplayBudget {
 		delete(j.inflight, key)
 	}
 	return rec, rec.attempts
@@ -480,27 +491,24 @@ func (rt *Runtime) spendAttempt(key spawnKey, epoch uint64) (*spawnRec, int) {
 // epoch consumed by w: true means the spawn was replayed (the completion
 // is swallowed and the joiner keeps waiting for the replacement), false
 // means the budget is exhausted (or the spawn was never journaled) and
-// the error surfaces.
-// Runs on the joiner's goroutine; the backoff sleep happens here, where
-// the caller is blocked anyway.
+// the error surfaces. Runs on the joiner's goroutine. The replay is sent
+// at once: a delay would relieve no shared resource (the joiner is
+// blocked anyway, and the replay runs on an in-process worker), and the
+// peers' wait windows would see no admit while it lasted.
 func (rt *Runtime) retrySpawn(w *Worker, abort *EnclaveAbort, epoch uint64) bool {
-	if !rt.Recovery.Enabled() {
-		return false
-	}
 	t := w.Thread
 	rec, attempt := rt.spendAttempt(spawnKey{t, abort.Worker, abort.ChunkID}, epoch)
 	if rec == nil {
 		return false
 	}
-	if attempt > rt.Recovery.MaxAttempts {
+	if attempt > rt.ReplayBudget {
 		rt.jr.giveups.Add(1)
 		rt.trace(obs.EvGiveUp, abort.Worker, abort.ChunkID, 0, t.epoch.Load(), int64(attempt-1))
 		return false
 	}
-	// Context-aware backoff: a Close during the wait cuts it short and
-	// surfaces the abort instead of replaying into a dead thread. The
-	// replay is counted only after the sleep commits to it.
-	if err := rt.Recovery.Sleep(t.ctx, attempt); err != nil {
+	// A closing thread surfaces the abort instead of replaying into
+	// workers that are stopping.
+	if t.closed.Load() {
 		return false
 	}
 	rt.jr.replays.Add(1)

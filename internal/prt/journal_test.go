@@ -44,7 +44,7 @@ func TestReplayServedCrashedAttemptLoads(t *testing.T) {
 			return iv(a*100 + b)
 		},
 	})
-	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
+	rt.ReplayBudget = 3
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
@@ -89,7 +89,7 @@ func TestNestedSpawnKeepsOuterLoadLog(t *testing.T) {
 			return iv(v)
 		},
 	})
-	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
+	rt.ReplayBudget = 3
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
@@ -145,7 +145,7 @@ func TestStaleAttemptCannotMoveReplayLog(t *testing.T) {
 			return iv(-1)
 		},
 	})
-	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
+	rt.ReplayBudget = 3
 	rt.WaitTimeout = 50 * time.Millisecond
 	th := rt.NewThread()
 	defer th.Close()
@@ -215,7 +215,7 @@ func TestWarmJournaledHopsAllocateNothing(t *testing.T) {
 			return iv(a + b.I + args[0].I)
 		},
 	})
-	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
+	rt.ReplayBudget = 3
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
@@ -268,7 +268,7 @@ func TestRecycledRecordsKeepSmallLogs(t *testing.T) {
 			return val{}
 		},
 	})
-	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
+	rt.ReplayBudget = 3
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
@@ -306,7 +306,7 @@ func TestReplayedRecordNotReused(t *testing.T) {
 			return iv(1)
 		},
 	})
-	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
+	rt.ReplayBudget = 3
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
@@ -355,7 +355,7 @@ func TestRestartedRecordNotReused(t *testing.T) {
 			return iv(a)
 		},
 	})
-	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
+	rt.ReplayBudget = 3
 	rt.WaitTimeout = 50 * time.Millisecond
 	th := rt.NewThread()
 	defer th.Close()

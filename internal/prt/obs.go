@@ -66,7 +66,7 @@ func (rt *Runtime) RegisterMetrics(reg *obs.Registry) {
 	reg.Gauge("prt.journal.replays", rt.jr.replays.Load)
 	reg.Gauge("prt.journal.giveups", rt.jr.giveups.Load)
 
-	reg.Gauge("prt.queue.depth", rt.sumQueues((*queue.Queue[Message]).Depth))
+	reg.Gauge("prt.queue.depth", rt.sumQueues((*queue.Queue[Message]).Len))
 	reg.Gauge("prt.queue.enqueues", rt.sumQueues(func(q *queue.Queue[Message]) int64 { e, _ := q.Stats(); return e }))
 	reg.Gauge("prt.queue.dequeues", rt.sumQueues(func(q *queue.Queue[Message]) int64 { _, d := q.Stats(); return d }))
 	reg.Gauge("prt.queue.parks", rt.sumQueues((*queue.Queue[Message]).Parks))

@@ -27,7 +27,7 @@ func TestRetryOnAbortRecovers(t *testing.T) {
 			return iv(42)
 		},
 	})
-	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
+	rt.ReplayBudget = 3
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
@@ -62,7 +62,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 			panic("always crashing")
 		},
 	})
-	rt.Recovery = RecoveryPolicy{MaxAttempts: 2}
+	rt.ReplayBudget = 2
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
@@ -114,7 +114,7 @@ func TestReplayContCaches(t *testing.T) {
 			return iv(sum)
 		},
 	})
-	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
+	rt.ReplayBudget = 3
 	th := rt.NewThread()
 	defer th.Close()
 	u := th.Normal()
@@ -161,7 +161,7 @@ func TestTimedOutCallEntryNotReused(t *testing.T) {
 	rt := testRT(t, []string{"blue"}, map[int]func(w *Worker, args []val) val{
 		1: func(w *Worker, args []val) val { return iv(journaledLoad(w, &mem)) },
 	})
-	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
+	rt.ReplayBudget = 3
 	rt.WaitTimeout = 50 * time.Millisecond
 	rt.SetInterceptor(&dropFirstDone{})
 	th := rt.NewThread()
@@ -202,7 +202,7 @@ func TestStaleCompletionNeverCommits(t *testing.T) {
 			return iv(1016)
 		},
 	})
-	rt.Recovery = RecoveryPolicy{MaxAttempts: 3}
+	rt.ReplayBudget = 3
 	rt.WaitTimeout = 50 * time.Millisecond
 	th := rt.NewThread()
 	defer th.Close()

@@ -26,7 +26,6 @@
 package prt
 
 import (
-	"context"
 	"fmt"
 	"runtime/debug"
 	"sort"
@@ -189,21 +188,21 @@ type Runtime struct {
 	PayloadTags bool
 
 	// WaitTimeout is the inactivity window of every Wait/Join/JoinOne:
-	// a blocked worker gives up once the whole runtime has admitted no
-	// authentic message for this long, returning a *TimeoutError instead
-	// of hanging on a lost message. A chunk's own failure needs no window:
-	// its Done ends the wait it reaches (see await), so the window guards
-	// only against lost or hostile messages. Admitted traffic on any
-	// worker restarts the window (a long protocol that keeps making
-	// progress never trips it); rejected forgeries do not. 0 = block
-	// forever, the paper's trusting runtime. Set it before creating
-	// threads.
+	// a blocked worker gives up once a whole window passes in which the
+	// runtime admits no authentic message, returning a *TimeoutError
+	// instead of hanging on a lost message. A chunk's own failure needs no
+	// window: its Done ends the wait it reaches (see await), so the window
+	// guards only against lost or hostile messages. Admitted traffic on
+	// any worker keeps the wait alive for another window (a long protocol
+	// that keeps making progress never trips it); rejected forgeries do
+	// not. 0 = block forever, the paper's trusting runtime. Set it before
+	// creating threads.
 	WaitTimeout time.Duration
 
-	// Recovery configures bounded replay of aborted spawns (zero = off,
-	// the surface-the-error behavior). Set it before creating threads;
-	// see retry.go and journal.go.
-	Recovery RecoveryPolicy
+	// ReplayBudget is how many times recovery replays one crashed spawn
+	// before its abort surfaces (0 = off, the surface-the-error behavior).
+	// Set it before creating threads; see journal.go.
+	ReplayBudget int
 
 	// Engine is the execution tier copied to every worker created after
 	// it is set (SetEngine on the interpreter sets it before the first
@@ -226,15 +225,6 @@ type Runtime struct {
 	jr journal
 
 	interceptor atomic.Pointer[interceptorBox]
-
-	// lastAdmit is the UnixNano timestamp of the most recent admitted
-	// message anywhere in the runtime. The inactivity window measures
-	// system-wide quiescence against it: a waiter whose own queue is
-	// silent keeps waiting while other workers are still making
-	// progress (a deep protocol phase may not touch every worker for a
-	// while), and gives up only once the whole runtime has been quiet
-	// for a full window — which a genuine loss or deadlock forces.
-	lastAdmit atomic.Int64
 
 	stats supCounters
 
@@ -301,11 +291,14 @@ type Worker struct {
 	// await).
 	failure  error
 	failures uint64
-	// admitNS is the wall clock of this worker's most recent admitted
-	// message — the per-worker twin of rt.lastAdmit, reusing the same
-	// clock read. The wait-latency histogram derives block durations
-	// from it instead of reading the clock again.
-	admitNS int64
+	// admits counts the messages this worker admitted. Only the worker's
+	// own goroutine writes it; a wait whose window runs out sums it over
+	// the runtime's workers (see await). win is the window of the
+	// worker's current blocking next, and winBase the runtime's admit sum
+	// when it opened.
+	admits  atomic.Uint64
+	win     queue.Window
+	winBase uint64
 
 	// att is the attempt currently executing on this worker: its journal
 	// entry (nil when recovery is off or the spawn is not journaled),
@@ -349,12 +342,6 @@ type Thread struct {
 	// exactly this order regardless of delivery order.
 	sendMu   sync.Mutex
 	sendSeqs [2]epochSeqs
-
-	// ctx is canceled by Close so goroutines sleeping inside a recovery
-	// backoff (retry.Policy.Sleep) wake immediately instead of serving
-	// out the delay against a thread that is already shutting down.
-	ctx    context.Context
-	cancel context.CancelFunc
 }
 
 // epochSeqs is one epoch's per-receiver stream counters.
@@ -407,7 +394,6 @@ func (t *Thread) nextStrSeq(epoch uint64, toIdx int) uint64 {
 // enclave goroutines.
 func (rt *Runtime) NewThread() *Thread {
 	t := &Thread{RT: rt}
-	t.ctx, t.cancel = context.WithCancel(context.Background())
 	for i := 0; i <= len(rt.Colors); i++ {
 		w := &Worker{
 			Thread:  t,
@@ -417,6 +403,7 @@ func (rt *Runtime) NewThread() *Thread {
 			q:       queue.New[Message](),
 			stopped: make(chan struct{}),
 		}
+		w.win.Opened = w.openWindow
 		t.Workers = append(t.Workers, w)
 	}
 	t.nw = len(t.Workers)
@@ -444,9 +431,6 @@ func (t *Thread) AdvanceEpoch() { t.epoch.Add(1) }
 func (t *Thread) Close() {
 	if !t.closed.CompareAndSwap(false, true) {
 		return
-	}
-	if t.cancel != nil {
-		t.cancel()
 	}
 	for _, w := range t.Workers[1:] {
 		// Control messages bypass the interceptor: the attacker owns
@@ -521,7 +505,7 @@ func (w *Worker) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer close(w.stopped)
 	for !w.stopping {
-		msg, _ := w.next(time.Time{})
+		msg, _ := w.next(0)
 		if msg.Kind == MsgDone {
 			// A completion with no joiner: its spawner crashed before
 			// joining. It stays unhandled until the next blocking point
@@ -557,12 +541,14 @@ func (w *Worker) dispatch(msg Message) {
 // stale stragglers (older epoch) are rejected outright, and authentic
 // messages are reassembled by strSeq — a replay arrives at or below the
 // consumed watermark and is dropped as a duplicate, an overtaking message
-// parks in reorderBuf until the gap before it fills. A zero deadline
-// blocks forever; otherwise ok=false on timeout (parked out-of-order
-// arrivals do not count as progress, so a permanent gap still times out).
-// Runs only on the worker's consumer goroutine.
-func (w *Worker) next(deadline time.Time) (Message, bool) {
+// parks in reorderBuf until the gap before it fills. A zero window
+// blocks forever; otherwise ok=false once the window, opened when the
+// wait first parks, runs out (rejected messages and parked out-of-order
+// arrivals do not restart it, so a permanent gap still times out). Runs
+// only on the worker's consumer goroutine.
+func (w *Worker) next(window time.Duration) (Message, bool) {
 	rt := w.Thread.RT
+	w.win.Reset(window)
 	for {
 		// The stream state follows the thread's epoch.
 		if e := w.Thread.epoch.Load(); w.ordEpoch != e {
@@ -578,7 +564,7 @@ func (w *Worker) next(deadline time.Time) (Message, bool) {
 			}
 			continue
 		}
-		msg, ok := w.q.DequeueUntil(deadline)
+		msg, ok := w.q.DequeueWithin(&w.win)
 		if !ok {
 			return Message{}, false
 		}
@@ -643,28 +629,37 @@ const hopEvery = 8
 // stream position strSeq.
 func hopSampled(strSeq uint64) bool { return strSeq%hopEvery == 1 }
 
-// admit stamps the admission of the next in-order message: the runtime's
-// and the worker's activity clocks and, when armed, the hop-latency
-// histogram (send to admit).
+// admit counts the admission of the next in-order message and, when the
+// hop histogram is armed, observes its latency (send to admit). It reads
+// no clock otherwise.
 func (w *Worker) admit(msg *Message) {
-	rt := w.Thread.RT
-	now := time.Now().UnixNano()
-	rt.lastAdmit.Store(now)
-	w.admitNS = now
-	if rt.hHopUS != nil && msg.sentNS != 0 {
-		if d := (now - msg.sentNS) / 1e3; d >= 0 {
+	w.admits.Add(1)
+	if rt := w.Thread.RT; rt.hHopUS != nil && msg.sentNS != 0 {
+		if d := (time.Now().UnixNano() - msg.sentNS) / 1e3; d >= 0 {
 			rt.hHopUS.Observe(d)
 		}
 	}
 }
 
-// sysActiveWithin reports whether any worker of the runtime admitted a
-// message in the last d. Hostile, duplicate and stale rejects do not
-// count: a forged or replayed flood cannot keep a doomed wait alive.
-func (rt *Runtime) sysActiveWithin(d time.Duration) bool {
-	last := rt.lastAdmit.Load()
-	return last != 0 && time.Since(time.Unix(0, last)) < d
+// admitted sums the admit counts of every worker of the runtime. Hostile,
+// duplicate and stale rejects are not counted, so a forged or replayed
+// flood cannot keep a doomed wait alive. Only a wait window's opening and
+// expiry read it, never the message path.
+func (rt *Runtime) admitted() uint64 {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	var n uint64
+	for _, t := range rt.threads {
+		for _, w := range t.Workers {
+			n += w.admits.Load()
+		}
+	}
+	return n
 }
+
+// openWindow records the runtime's admit sum as the window of a blocking
+// next opens (queue.Window.Opened).
+func (w *Worker) openWindow() { w.winBase = w.Thread.RT.admitted() }
 
 // resetStream rebases the consumer's stream state onto a new epoch,
 // discarding parked messages of the old one.
@@ -740,7 +735,7 @@ func (w *Worker) runSpawn(msg Message) {
 	// does not clobber the outer chunk's attempt.
 	prevAtt := w.att
 	w.att = attempt{}
-	if rt.Recovery.Enabled() {
+	if rt.ReplayBudget > 0 {
 		if rec := rt.lookupSpawn(w.Thread, w.Index, msg.ChunkID, msg.epoch); rec != nil {
 			w.att = rec.beginAttempt(w.loadHint)
 		}
@@ -919,7 +914,7 @@ func (w *Worker) Spawn(colorIdx int, chunkID int, args []value.Val) {
 		rt.trace(obs.EvSuppressSpawn, w.Index, chunkID, 0, w.epochNow(), 0)
 		return
 	}
-	if rt.Recovery.Enabled() {
+	if rt.ReplayBudget > 0 {
 		// Journal before sending: if the chunk aborts, the spawn is
 		// replayed from exactly these arguments. Every spawn is journaled:
 		// the partitioner joins every spawn it emits (the completion is the
@@ -957,22 +952,15 @@ func (w *Worker) sendCont(colorIdx int, msg Message) {
 
 // window resolves the default supervision inactivity window (0 = block
 // forever, the unsupervised behavior). The window bounds *quiescence*,
-// not total time: any admitted message anywhere in the runtime restarts
-// it, so a long protocol that keeps making progress — even on workers
-// other than the blocked one — never times out, while a genuine loss or
-// deadlock quiesces the whole runtime and fails within one window.
-// Rejected (forged/stale/duplicate) messages do not restart it — a
-// hostile flood cannot suppress the timeout.
+// not total time: a window in which any worker of the runtime admitted a
+// message is followed by another, so a long protocol that keeps making
+// progress — even on workers other than the blocked one — never times
+// out, while a genuine loss or deadlock quiesces the whole runtime and
+// fails once a window passes without an admit. Rejected
+// (forged/stale/duplicate) messages are not counted — a hostile flood
+// cannot suppress the timeout.
 func (w *Worker) window() time.Duration {
 	return w.Thread.RT.WaitTimeout
-}
-
-// nextDeadline starts (or restarts) the inactivity window.
-func nextDeadline(window time.Duration) time.Time {
-	if window > 0 {
-		return time.Now().Add(window)
-	}
-	return time.Time{}
 }
 
 // Wait blocks until the cont message with the given tag arrives and
@@ -1095,26 +1083,34 @@ func (w *Worker) joinStep(op waitOp, pending int, window time.Duration) (Message
 // not to that frame. The Call's leftover messages are fenced by the next
 // epoch.
 //
+// Each blocking next opens one window. When it runs out with the
+// runtime's admit sum unchanged since it opened, the wait times out;
+// TimeoutError.Elapsed is the windows it served.
+//
 // Every cont it returns is observed once in the wait histogram: 0 us when
-// the buffers already held it, else the time from blocking to the last
-// admitted message, the cont or the spawn it arrived during.
+// the buffers already held it, else the time from blocking to its return.
 func (w *Worker) await(op waitOp, kind MsgKind, arg int, window time.Duration) (Message, error) {
 	if msg, ok := w.take(kind, arg); ok {
 		w.observeWait(msg.Kind, time.Time{})
 		return msg, w.fail(msg)
 	}
 	rt := w.Thread.RT
-	start := time.Now()
+	var start time.Time
+	if rt.hWaitUS != nil {
+		start = time.Now()
+	}
 	w.block.publish(op, arg)
 	defer w.block.clear()
+	var served time.Duration // windows that ran out
 	for {
-		msg, ok := w.next(nextDeadline(window))
+		msg, ok := w.next(window)
 		if !ok {
-			if rt.sysActiveWithin(window) {
+			served++
+			if rt.admitted() != w.winBase {
 				continue // the system is alive; only our queue is quiet
 			}
 			rt.stats.timeouts.Add(1)
-			err := &TimeoutError{Op: op.String(), Worker: w.Index, Elapsed: time.Since(start)}
+			err := &TimeoutError{Op: op.String(), Worker: w.Index, Elapsed: served * window}
 			if kind == MsgCont {
 				err.Tag = arg
 			} else {
@@ -1165,10 +1161,8 @@ func (w *Worker) fail(msg Message) error {
 
 // observeWait records one satisfied cont wait in the wait histogram,
 // when metrics are armed: 0 us for a wait that never blocked (a zero
-// start), else the time from blocking at start to the last admitted
-// message, from the admit stamp next() already took (no clock read on
-// the satisfied-wait path). kind is the returned message's: completions
-// are not observed.
+// start), else the time since it blocked at start. kind is the returned
+// message's: completions are not observed.
 func (w *Worker) observeWait(kind MsgKind, start time.Time) {
 	rt := w.Thread.RT
 	if kind != MsgCont || rt.hWaitUS == nil {
@@ -1176,11 +1170,9 @@ func (w *Worker) observeWait(kind MsgKind, start time.Time) {
 	}
 	var d int64
 	if !start.IsZero() {
-		d = (w.admitNS - start.UnixNano()) / 1e3
+		d = time.Since(start).Microseconds()
 	}
-	if d >= 0 {
-		rt.hWaitUS.Observe(d)
-	}
+	rt.hWaitUS.Observe(d)
 }
 
 // take pops the awaited message from the worker's buffers: the oldest
@@ -1229,7 +1221,7 @@ func popAt(buf []Message, i int) []Message {
 // is delivered normally (false).
 func (w *Worker) handleDone(msg Message) bool {
 	rt := w.Thread.RT
-	if !rt.Recovery.Enabled() {
+	if rt.ReplayBudget <= 0 {
 		return false
 	}
 	if abort, ok := msg.Err.(*EnclaveAbort); ok {
@@ -1248,7 +1240,7 @@ func (t *Thread) timeoutDiag(te *TimeoutError) {
 		tags[te.Tag] = true
 	}
 	for i, w := range t.Workers {
-		te.QueueDepths[i] = w.q.Depth()
+		te.QueueDepths[i] = w.q.Len()
 		if bi, ok := w.block.load(); ok && bi.op == opWait {
 			tags[bi.tag] = true
 		}

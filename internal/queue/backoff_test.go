@@ -7,13 +7,13 @@ import (
 )
 
 // TestDequeueTimeoutEmpty checks the timeout path: an empty queue returns
-// within (roughly) the deadline, reporting false.
+// within (roughly) the window, reporting false.
 func TestDequeueTimeoutEmpty(t *testing.T) {
 	q := New[int]()
 	start := time.Now()
-	_, ok := q.DequeueTimeout(20 * time.Millisecond)
+	_, ok := within(q, 20*time.Millisecond)
 	if ok {
-		t.Fatal("DequeueTimeout returned a value from an empty queue")
+		t.Fatal("a timed dequeue returned a value from an empty queue")
 	}
 	if el := time.Since(start); el < 15*time.Millisecond || el > 2*time.Second {
 		t.Fatalf("timeout fired after %v, want ~20ms", el)
@@ -28,9 +28,9 @@ func TestDequeueTimeoutDelivers(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		q.Enqueue(7)
 	}()
-	v, ok := q.DequeueTimeout(5 * time.Second)
+	v, ok := within(q, 5*time.Second)
 	if !ok || v != 7 {
-		t.Fatalf("DequeueTimeout = (%v, %v), want (7, true)", v, ok)
+		t.Fatalf("timed dequeue = (%v, %v), want (7, true)", v, ok)
 	}
 }
 
@@ -40,26 +40,14 @@ func TestDequeueTimeoutDelivers(t *testing.T) {
 func TestDequeueBlockParksWhenIdle(t *testing.T) {
 	q := New[int]()
 	done := make(chan int)
-	go func() { done <- q.DequeueBlock() }()
+	go func() { done <- block(q) }()
 	time.Sleep(30 * time.Millisecond)
 	if q.Parks() == 0 {
-		t.Error("idle DequeueBlock never parked (still hot-spinning)")
+		t.Error("idle blocking dequeue never parked (still hot-spinning)")
 	}
 	q.Enqueue(1)
 	if v := <-done; v != 1 {
-		t.Fatalf("DequeueBlock = %d", v)
-	}
-}
-
-// TestDequeueTimeoutNonPositive degrades to one non-blocking attempt.
-func TestDequeueTimeoutNonPositive(t *testing.T) {
-	q := New[int]()
-	if _, ok := q.DequeueTimeout(0); ok {
-		t.Fatal("zero timeout on empty queue returned ok")
-	}
-	q.Enqueue(3)
-	if v, ok := q.DequeueTimeout(-1); !ok || v != 3 {
-		t.Fatalf("DequeueTimeout(-1) = (%v, %v)", v, ok)
+		t.Fatalf("blocking dequeue = %d", v)
 	}
 }
 
@@ -85,7 +73,7 @@ func benchmarkHop(b *testing.B, idleWaiters int) {
 	for i := range idle {
 		idle[i] = New[int]()
 		go func(q *Queue[int]) {
-			for q.DequeueBlock() != -1 {
+			for block(q) != -1 {
 			}
 		}(idle[i])
 	}
@@ -99,7 +87,7 @@ func benchmarkHop(b *testing.B, idleWaiters int) {
 	req, resp := New[int](), New[int]()
 	go func() {
 		for {
-			v := req.DequeueBlock()
+			v := block(req)
 			if v == -1 {
 				return
 			}
@@ -109,7 +97,7 @@ func benchmarkHop(b *testing.B, idleWaiters int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req.Enqueue(i)
-		resp.DequeueBlock()
+		block(resp)
 	}
 	b.StopTimer()
 	req.Enqueue(-1)

@@ -20,18 +20,18 @@ func waitParks(t *testing.T, q *Queue[int], n int64) {
 	}
 }
 
-// TestDoorWakesParkedConsumer: a consumer parked in DequeueBlock is
+// TestDoorWakesParkedConsumer: a consumer parked in a blocking dequeue is
 // released by a single Enqueue, and leaves the door unregistered.
 func TestDoorWakesParkedConsumer(t *testing.T) {
 	q := New[int]()
 	done := make(chan int)
-	go func() { done <- q.DequeueBlock() }()
+	go func() { done <- block(q) }()
 	waitParks(t, q, 0)
 	q.Enqueue(42)
 	select {
 	case v := <-done:
 		if v != 42 {
-			t.Fatalf("DequeueBlock = %d, want 42", v)
+			t.Fatalf("blocking dequeue = %d, want 42", v)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("parked consumer was not woken by Enqueue")
@@ -52,7 +52,7 @@ func TestDoorWakesEveryParkedConsumer(t *testing.T) {
 	q := New[int]()
 	done := make(chan int, consumers)
 	for c := 0; c < consumers; c++ {
-		go func() { done <- q.DequeueBlock() }()
+		go func() { done <- block(q) }()
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for q.consumers.sleepers.Load() < consumers || q.Parks() < consumers {
@@ -70,7 +70,7 @@ func TestDoorWakesEveryParkedConsumer(t *testing.T) {
 		case v := <-done:
 			sum += v
 		case <-time.After(10 * time.Second):
-			t.Fatalf("consumer %d stayed parked with depth=%d", c, q.Depth())
+			t.Fatalf("consumer %d stayed parked with depth=%d", c, q.Len())
 		}
 	}
 	if sum != 1+2+3 {
@@ -78,12 +78,12 @@ func TestDoorWakesEveryParkedConsumer(t *testing.T) {
 	}
 }
 
-// TestDoorTimeoutLeavesNoSleeper: a DequeueTimeout that expires while
+// TestDoorTimeoutLeavesNoSleeper: a timed dequeue that expires while
 // parked deregisters, and the queue still delivers afterwards.
 func TestDoorTimeoutLeavesNoSleeper(t *testing.T) {
 	q := New[int]()
-	if _, ok := q.DequeueTimeout(5 * time.Millisecond); ok {
-		t.Fatal("DequeueTimeout returned a value from an empty queue")
+	if _, ok := within(q, 5*time.Millisecond); ok {
+		t.Fatal("a timed dequeue returned a value from an empty queue")
 	}
 	if q.Parks() == 0 {
 		t.Fatal("a 5ms wait on an empty queue never parked")
@@ -93,20 +93,20 @@ func TestDoorTimeoutLeavesNoSleeper(t *testing.T) {
 	}
 	q.Enqueue(7)
 	done := make(chan int)
-	go func() { done <- q.DequeueBlock() }()
+	go func() { done <- block(q) }()
 	select {
 	case v := <-done:
 		if v != 7 {
-			t.Fatalf("DequeueBlock = %d, want 7", v)
+			t.Fatalf("blocking dequeue = %d, want 7", v)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("DequeueBlock after a timed-out park never returned")
+		t.Fatal("a blocking dequeue after a timed-out park never returned")
 	}
 }
 
 // TestDoorStressMPMC: 4 producers and 3 consumers, so the door sees
 // several parked consumers at once. Producers mix cached and raw
-// enqueues; consumers mix DequeueBlock and short DequeueTimeouts. Every
+// enqueues; consumers mix blocking and short timed dequeues. Every
 // value arrives exactly once and no waiter is left registered.
 func TestDoorStressMPMC(t *testing.T) {
 	const producers, consumers, per = 4, 3, 3000
@@ -140,10 +140,10 @@ func TestDoorStressMPMC(t *testing.T) {
 			for i := 0; ; i++ {
 				var v int
 				if i%2 == 0 {
-					v = q.DequeueBlock()
+					v = block(q)
 				} else {
 					var ok bool
-					if v, ok = q.DequeueTimeout(50 * time.Microsecond); !ok {
+					if v, ok = within(q, 50*time.Microsecond); !ok {
 						continue
 					}
 				}
@@ -163,7 +163,7 @@ func TestDoorStressMPMC(t *testing.T) {
 	select {
 	case <-finished:
 	case <-time.After(30 * time.Second):
-		t.Fatalf("consumers wedged: depth=%d sleepers=%d", q.Depth(), q.consumers.sleepers.Load())
+		t.Fatalf("consumers wedged: depth=%d sleepers=%d", q.Len(), q.consumers.sleepers.Load())
 	}
 	seen := make([]bool, producers*per)
 	n := 0
@@ -185,7 +185,7 @@ func TestDoorStressMPMC(t *testing.T) {
 	}
 }
 
-// TestDoorParkAllocatesNothing: a park-and-wake in DequeueTimeout, timer
+// TestDoorParkAllocatesNothing: a park-and-wake in a timed dequeue, timer
 // included, allocates nothing beyond the node Enqueue allocates.
 func TestDoorParkAllocatesNothing(t *testing.T) {
 	q := New[int]()
@@ -201,8 +201,8 @@ func TestDoorParkAllocatesNothing(t *testing.T) {
 	}()
 	parkAndWake := testing.AllocsPerRun(50, func() {
 		kick <- q.Parks()
-		if _, ok := q.DequeueTimeout(time.Minute); !ok {
-			t.Fatal("DequeueTimeout timed out although a producer was kicked")
+		if _, ok := within(q, time.Minute); !ok {
+			t.Fatal("the timed dequeue timed out although a producer was kicked")
 		}
 	})
 	node := testing.AllocsPerRun(50, func() {

@@ -220,32 +220,24 @@ const (
 	yieldIters = 256
 )
 
-// DequeueBlock waits until an element arrives. The Privagic runtime's
-// wait primitive is built on it.
-func (q *Queue[T]) DequeueBlock() T {
-	v, _ := q.dequeueDeadline(time.Time{})
-	return v
+// Window bounds a blocking dequeue. It opens when the wait first parks,
+// so a wait that the spin or yield phase ends reads no clock, and it runs
+// out Len later. Dequeues given the same Window share one deadline until
+// Reset. A nil Window, or a zero Len, never runs out.
+type Window struct {
+	Len time.Duration
+	// Opened, when set, runs on the waiting goroutine as the window opens.
+	Opened func()
+	end    time.Time
 }
 
-// DequeueTimeout waits like DequeueBlock but gives up after d, reporting
-// false. A non-positive d degrades to a single non-blocking attempt.
-func (q *Queue[T]) DequeueTimeout(d time.Duration) (T, bool) {
-	if d <= 0 {
-		return q.Dequeue()
-	}
-	return q.dequeueDeadline(time.Now().Add(d))
-}
+// Reset re-arms the window with length d: it opens again at the next
+// park.
+func (win *Window) Reset(d time.Duration) { win.Len, win.end = d, time.Time{} }
 
-// DequeueUntil waits like DequeueBlock but gives up at deadline, reporting
-// false; a zero deadline waits forever. The clock is read only if the
-// wait parks.
-func (q *Queue[T]) DequeueUntil(deadline time.Time) (T, bool) {
-	return q.dequeueDeadline(deadline)
-}
-
-// dequeueDeadline is the consumers' blocking wait; a zero deadline means
-// forever.
-func (q *Queue[T]) dequeueDeadline(deadline time.Time) (T, bool) {
+// DequeueWithin waits until an element arrives, reporting false once win
+// runs out. The clock is read only if the wait parks.
+func (q *Queue[T]) DequeueWithin(win *Window) (T, bool) {
 	parked := false
 	for {
 		if v, ok := q.Dequeue(); ok {
@@ -256,7 +248,7 @@ func (q *Queue[T]) dequeueDeadline(deadline time.Time) (T, bool) {
 			}
 			return v, true
 		}
-		ok, p := q.await(deadline)
+		ok, p := q.await(win)
 		parked = parked || p
 		if !ok {
 			var zero T
@@ -269,12 +261,11 @@ func (q *Queue[T]) dequeueDeadline(deadline time.Time) (T, bool) {
 // copies nor zeroes an element.
 func (q *Queue[T]) nonEmpty() bool { return q.head.Load().next.Load() != nil }
 
-// await returns once the queue is non-empty (ok) or the deadline passes
-// (!ok; a zero deadline never passes): it spins, yields, then parks on
-// the consumers' door. parked reports whether it reached the door. A true
+// await returns once the queue is non-empty (ok) or win runs out (!ok):
+// it spins, yields, then parks on the consumers' door. parked reports whether it reached the door. A true
 // ok is a hint: the caller retries its dequeue, which another consumer
 // may have won.
-func (q *Queue[T]) await(deadline time.Time) (ok, parked bool) {
+func (q *Queue[T]) await(win *Window) (ok, parked bool) {
 	for i := 0; i < spinIters+yieldIters; i++ {
 		if q.nonEmpty() {
 			return true, false
@@ -283,13 +274,13 @@ func (q *Queue[T]) await(deadline time.Time) (ok, parked bool) {
 			runtime.Gosched()
 		}
 	}
-	return q.park(deadline), true
+	return q.park(win), true
 }
 
-// park blocks on the consumers' door until a token arrives or the
-// deadline passes. The clock is read here only, once on each side of the
-// block.
-func (q *Queue[T]) park(deadline time.Time) bool {
+// park blocks on the consumers' door until a token arrives or win runs
+// out, opening win if this is its first park. The clock is read here
+// only, once on each side of the block.
+func (q *Queue[T]) park(win *Window) bool {
 	d := &q.consumers
 	d.sleepers.Add(1)
 	defer d.sleepers.Add(-1)
@@ -298,9 +289,15 @@ func (q *Queue[T]) park(deadline time.Time) bool {
 	}
 	start := time.Now()
 	var t *time.Timer
-	var expired <-chan time.Time // nil, so never ready, without a deadline
-	if !deadline.IsZero() {
-		wait := deadline.Sub(start)
+	var expired <-chan time.Time // nil, so never ready, without a window
+	if win != nil && win.Len > 0 {
+		if win.end.IsZero() {
+			win.end = start.Add(win.Len)
+			if win.Opened != nil {
+				win.Opened()
+			}
+		}
+		wait := win.end.Sub(start)
 		if wait <= 0 {
 			return false
 		}
@@ -353,6 +350,3 @@ func (q *Queue[T]) Parks() int64 { return q.parks.Load() }
 
 // ParkTime is the total time the waits counted by Parks spent parked.
 func (q *Queue[T]) ParkTime() time.Duration { return time.Duration(q.parkNS.Load()) }
-
-// Depth is the queue-depth gauge (an alias of Len, named for metrics).
-func (q *Queue[T]) Depth() int64 { return q.Len() }

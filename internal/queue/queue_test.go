@@ -4,7 +4,19 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
+
+// block waits for an element with no window.
+func block[T any](q *Queue[T]) T {
+	v, _ := q.DequeueWithin(nil)
+	return v
+}
+
+// within waits for an element for at most a window of d.
+func within[T any](q *Queue[T], d time.Duration) (T, bool) {
+	return q.DequeueWithin(&Window{Len: d})
+}
 
 func TestFIFOOrder(t *testing.T) {
 	q := New[int]()
@@ -107,7 +119,7 @@ func TestPerProducerOrder(t *testing.T) {
 	go func() { wg.Wait() }()
 	last := map[int]int{}
 	for n := 0; n < producers*perProducer; n++ {
-		v := q.DequeueBlock()
+		v := block(q)
 		p, i := v[0], v[1]
 		if prev, ok := last[p]; ok && i <= prev {
 			t.Fatalf("producer %d out of order: %d after %d", p, i, prev)

@@ -122,7 +122,7 @@ func TestRecycleStressTwoConsumers(t *testing.T) {
 		defer cwg.Done()
 		last := newLast()
 		for {
-			v, ok := q.DequeueTimeout(200 * time.Microsecond)
+			v, ok := within(q, 200*time.Microsecond)
 			if ok {
 				check(t, last, v)
 				continue

@@ -1,9 +1,8 @@
-// Package retry is the one bounded retry-with-backoff policy the runtime
-// shares: the recovery layer replays crashed spawns with it (internal/prt)
-// and the cluster router re-sends failed shard requests with it
-// (internal/cluster). Extracting it keeps the two consumers honest — one
-// implementation, one set of tests, one place where "exponential backoff
-// with decorrelating jitter, bounded attempts" is defined.
+// Package retry is the cluster router's bounded retry-with-backoff
+// policy and its per-shard circuit breaker (internal/cluster): one place
+// where "exponential backoff with decorrelating jitter, bounded attempts"
+// is defined and tested. The runtime's crash replays (internal/prt) do
+// not use it: they are sent at once, under a plain attempt budget.
 package retry
 
 import (

@@ -337,9 +337,10 @@ func (i *Instance) EnableSpawnValidation() { i.ip.EnableSpawnValidation() }
 type SupervisionOptions struct {
 	// WaitTimeout is the inactivity window of every runtime wait/join: a
 	// lost message degrades into an error satisfying errors.Is(err,
-	// ErrWaitTimeout) once nothing authentic has arrived for this long,
-	// instead of hanging the calling thread forever. Progress restarts
-	// the window, so it bounds stalls, not total call duration. A chunk's
+	// ErrWaitTimeout) once a whole window passes in which nothing
+	// authentic arrives anywhere in the instance, instead of hanging the
+	// calling thread forever. A window with progress is followed by
+	// another, so it bounds stalls, not total call duration. A chunk's
 	// own failure needs no window: it ends the waits it reaches. 0 keeps
 	// the paper's trusting block-forever behavior.
 	WaitTimeout time.Duration
@@ -359,20 +360,19 @@ type RecoveryOptions struct {
 	// MaxAttempts is the per-spawn replay budget: a chunk that aborts is
 	// re-executed from its journaled arguments up to this many times
 	// before the original typed error surfaces from Call. 0 disables
-	// recovery. Each replay waits a backoff first: 100µs, doubling per
-	// replay up to 2ms, randomized by ±20% to decorrelate mass failures.
+	// recovery. A replay is sent as soon as the crash is seen.
 	MaxAttempts int
 }
 
 // EnableRecovery turns crashed chunks from surfaced errors into replayed
 // work: spawns are journaled, a chunk's visible effects (memory writes,
 // output) buffer until it completes, and a poisoned completion replays
-// the spawn with backoff instead of reaching the caller — until the
+// the spawn instead of reaching the caller — until the
 // attempt budget runs out, when the crash's error reaches the caller.
 // Combine with EnableSupervision: the timeout converts a lost message
 // into an error instead of a hang. Call before the first Call.
 func (i *Instance) EnableRecovery(o RecoveryOptions) {
-	i.ip.EnableRecovery(prt.RecoveryPolicy{MaxAttempts: o.MaxAttempts})
+	i.ip.EnableRecovery(o.MaxAttempts)
 }
 
 // RecoveryStats merges the runtime's replay counters with the
