@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: tier1 lint fmtcheck audit tier2 soak tier3-soak tier3-iago tier3-obs tier3-cluster tier3-grayfail tier3-replication tier3-compile tier3-stack fuzz bench artifacts fmt
+.PHONY: tier1 lint fmtcheck audit tier2 race soak tier3-soak tier3-iago tier3-obs tier3-cluster tier3-grayfail tier3-replication tier3-compile tier3-stack fuzz bench artifacts fmt
 
 tier1: lint fmtcheck
 	$(GO) build ./...
@@ -34,7 +34,13 @@ audit:
 
 tier2: tier1
 	$(GO) vet ./...
-	$(GO) test -race ./internal/prt ./internal/queue ./internal/faults ./internal/cluster ./internal/netfaults ./internal/memcached ./internal/passes/compile ./internal/interp ./internal/sgx
+	$(MAKE) race
+
+# The race-tested packages, one list for tier2 and CI's tier-2 job
+# (which passes RACEFLAGS=-short).
+RACEFLAGS ?=
+race:
+	$(GO) test -race $(RACEFLAGS) ./internal/prt ./internal/queue ./internal/faults ./internal/cluster ./internal/netfaults ./internal/memcached ./internal/passes/compile ./internal/interp ./internal/sgx
 
 # The full 1000+-schedule robustness sweep, race-free build for speed.
 soak:

@@ -116,6 +116,7 @@ func runIagoSchedule(t *testing.T, prog *privagic.Program, entry string, seed in
 	case errors.Is(res.err, privagic.ErrStopped):
 		out.stopped++
 	default:
+		logState(t, inst, seed, "at the failure")
 		t.Fatalf("seed %d: untyped failure %v (mutator: %+v, boundary: %+v)", seed, res.err, ms, bs)
 	}
 	out.mutations += ms.Total()

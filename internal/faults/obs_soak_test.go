@@ -106,6 +106,7 @@ func TestSoakTraceReconcile(t *testing.T) {
 		case errors.Is(res.err, privagic.ErrStopped):
 			out.stopped++
 		default:
+			logState(t, inst, seed, "at the failure")
 			t.Fatalf("seed %d: untyped failure %v", seed, res.err)
 		}
 		// Close first: it joins the worker goroutines, so in-flight chunk

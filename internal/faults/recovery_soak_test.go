@@ -88,6 +88,7 @@ func runRecoverySchedule(t *testing.T, prog *privagic.Program, entry string, see
 	})
 	fs, rs := inst.FaultStats(), inst.RecoveryStats()
 	if res.err != nil {
+		logState(t, inst, seed, "at the failure")
 		t.Fatalf("seed %d: USER-VISIBLE ERROR despite recovery: %v (faults: %+v, recovery: %+v)",
 			seed, res.err, fs, rs)
 	}
@@ -141,6 +142,7 @@ func runSpentSchedule(t *testing.T, prog *privagic.Program, entry string, seed i
 				seed, msg, fs, rs)
 		}
 	case !errors.Is(res.err, privagic.ErrEnclaveAbort):
+		logState(t, inst, seed, "at the failure")
 		t.Fatalf("seed %d: %v with the budget spent, want the answer or ErrEnclaveAbort (faults: %+v, recovery: %+v)",
 			seed, res.err, fs, rs)
 	case rs.Giveups == 0:

@@ -103,12 +103,20 @@ func callWithDeadline(t *testing.T, inst *privagic.Instance, entry string, seed 
 		return res
 	case <-time.After(10 * time.Second):
 	}
-	stacks := make([]byte, 4<<20)
-	stacks = stacks[:runtime.Stack(stacks, true)]
-	t.Logf("seed %d: goroutines at the deadline:\n%s", seed, stacks)
-	t.Logf("seed %d: trace at the deadline (empty when tracing is off):\n%s", seed, inst.TraceDump(256))
+	logState(t, inst, seed, "at the deadline")
 	t.Fatalf("seed %d: DEADLOCK: call did not complete in 10s (%s)", seed, stats())
 	return callResult{}
+}
+
+// logState logs every goroutine's stack and the instance's trace. Every
+// fatal soak path calls it before failing, so the report names the wait
+// or message that led there.
+func logState(t *testing.T, inst *privagic.Instance, seed int64, when string) {
+	t.Helper()
+	stacks := make([]byte, 4<<20)
+	stacks = stacks[:runtime.Stack(stacks, true)]
+	t.Logf("seed %d: goroutines %s:\n%s", seed, when, stacks)
+	t.Logf("seed %d: trace %s (empty when tracing is off):\n%s", seed, when, inst.TraceDump(256))
 }
 
 // soakOutcome tallies how a schedule sweep ended.
@@ -144,6 +152,7 @@ func runSchedule(t *testing.T, prog *privagic.Program, entry string, seed int64,
 	case errors.Is(res.err, privagic.ErrStopped):
 		out.stopped++
 	default:
+		logState(t, inst, seed, "at the failure")
 		t.Fatalf("seed %d: untyped failure %v (faults: %+v)", seed, res.err, inst.FaultStats())
 	}
 }

@@ -9,21 +9,32 @@ import (
 )
 
 // workerState is the interpreter's per-worker state, kept in the
-// worker's one embedder slot (prt.Worker.Local): the executing chunk's
-// effect transaction and copy-in snapshot (saved and restored around a
-// nested spawn on the same worker), the finished transactions kept for
-// reuse, the differential recorder, the compiled tier's frame free list,
-// the worker's stacks, the bulk builtins' staging buffer and the boundary
-// counts not yet published. Touched only on the worker's own goroutine.
+// worker's one embedder slot (prt.Worker.Local). A worker belongs to one
+// application thread and one enclave, so this is the state of one app
+// thread in one enclave:
+//   - the executing chunk's effect transaction and copy-in snapshot
+//     (saved and restored around a nested spawn on the same worker), and
+//     the finished transactions kept for reuse;
+//   - the differential recorder and the compiled tier's frame free list;
+//   - the worker's stacks, the bulk builtins' staging buffer and the
+//     boundary counts not yet published;
+//   - vecs, the last vector __pv_waitv received per cont tag, which
+//     __pv_elem reads;
+//   - children, the thread_create threads started here that the next
+//     thread_join on this worker waits for.
+//
+// Touched only on the worker's own goroutine, so none of it is locked.
 type workerState struct {
-	tx     *effectTx
-	txs    txStack
-	snap   *boundarySnap
-	rec    *diffRecorder
-	frames frameList
-	stack  stackSet
-	bulk   []byte
-	counts boundaryCounts
+	tx       *effectTx
+	txs      txStack
+	snap     *boundarySnap
+	rec      *diffRecorder
+	frames   frameList
+	stack    stackSet
+	bulk     []byte
+	counts   boundaryCounts
+	vecs     map[int][]val
+	children []*appThread
 }
 
 // stateOf returns the worker's state, creating it on first use.

@@ -179,7 +179,7 @@ entry long main(long x) {
 	for _, cfg := range []string{"none", "boundary", "recovery"} {
 		t.Run(cfg, func(t *testing.T) {
 			ip := build(t, typing.Relaxed, src, "main")
-			if err := ip.SetEngine(prt.EngineCompiled); err != nil {
+			if err := ip.SetEngine(EngineCompiled); err != nil {
 				t.Fatalf("SetEngine: %v", err)
 			}
 			cf := ip.compiledFn(ip.Prog.Entries["main"].Chunks[ir.U].Fn)
@@ -232,7 +232,7 @@ entry long main(long n) {
 }
 `
 	ip := build(t, typing.Relaxed, src, "main")
-	if err := ip.SetEngine(prt.EngineCompiled); err != nil {
+	if err := ip.SetEngine(EngineCompiled); err != nil {
 		t.Fatalf("SetEngine: %v", err)
 	}
 	cf := ip.compiledFn(ip.Prog.Entries["main"].Chunks[ir.U].Fn)

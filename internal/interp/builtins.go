@@ -139,9 +139,11 @@ func (ip *Interp) dispatchCall(w *prt.Worker, t *ir.Call, callee val, args []val
 		if vec == nil {
 			panic(runtimeErr{Err: fmt.Errorf("interp: waitv(%d) received a scalar cont", tag)})
 		}
-		ip.vecMu.Lock()
-		ip.vecStash[[2]int{w.Index, tag}] = vec
-		ip.vecMu.Unlock()
+		ws := stateOf(w)
+		if ws.vecs == nil {
+			ws.vecs = map[int][]val{}
+		}
+		ws.vecs[tag] = vec
 		ip.cross.vecWaits.Add(1)
 		ip.RT.Tracer.Record(obs.EvVecWait, w.Index, 0, tag, 0, int64(len(vec)))
 		var v val
@@ -154,9 +156,7 @@ func (ip *Interp) dispatchCall(w *prt.Worker, t *ir.Call, callee val, args []val
 		return v
 	case partition.IntrElem:
 		tag, idx := int(args[0].I), int(args[1].I)
-		ip.vecMu.Lock()
-		vec := ip.vecStash[[2]int{w.Index, tag}]
-		ip.vecMu.Unlock()
+		vec := stateOf(w).vecs[tag]
 		if idx < 0 || idx >= len(vec) {
 			panic(runtimeErr{Err: fmt.Errorf("interp: elem(%d, %d) outside the received vector (len %d)", tag, idx, len(vec))})
 		}
@@ -289,13 +289,13 @@ func (ip *Interp) builtin(w *prt.Worker, fn *ir.Function, t *ir.Call, args []val
 		pf := ip.ifaceTable[idx-1]
 		arg := args[1]
 		th := ip.RT.NewThread()
-		at := &appThread{}
+		at := &appThread{done: make(chan struct{})}
+		ws := stateOf(w)
+		ws.children = append(ws.children, at)
 		ip.threads.Add(1)
-		ip.bgMu.Lock()
-		ip.bg = append(ip.bg, at)
-		ip.bgMu.Unlock()
 		go func() {
 			defer ip.threads.Done()
+			defer close(at.done)
 			defer th.Close()
 			defer func() {
 				// A failed thread must not kill the process: its
@@ -314,17 +314,20 @@ func (ip *Interp) builtin(w *prt.Worker, fn *ir.Function, t *ir.Call, args []val
 		}()
 		return iv(0)
 	case "thread_join":
-		// Every thread taken here was counted in ip.threads before it
-		// was listed, so the Wait orders its err before the read.
-		ip.bgMu.Lock()
-		joined := ip.bg
-		ip.bg = nil
-		ip.bgMu.Unlock()
-		ip.threads.Wait()
-		for _, at := range joined {
-			if at.err != nil {
-				panic(runtimeErr{Err: at.err})
+		// Only this worker's own children: a created thread that joins
+		// its own children does not wait for itself.
+		ws := stateOf(w)
+		children := ws.children
+		ws.children = nil
+		var err error
+		for _, at := range children {
+			<-at.done
+			if err == nil {
+				err = at.err
 			}
+		}
+		if err != nil {
+			panic(runtimeErr{Err: err})
 		}
 		return val{}
 	}
@@ -332,9 +335,13 @@ func (ip *Interp) builtin(w *prt.Worker, fn *ir.Function, t *ir.Call, args []val
 	return val{}
 }
 
-// appThread is one thread_create'd application thread: err is the
-// failure that ended it, which the thread_join that joins it returns.
-type appThread struct{ err error }
+// appThread is one thread_create'd application thread: done closes once
+// it has ended and its workers have stopped, and err, read after done, is
+// the failure that ended it, which the thread_join that joins it returns.
+type appThread struct {
+	done chan struct{}
+	err  error
+}
 
 func indexByte(b []byte, c byte) int {
 	for i, x := range b {

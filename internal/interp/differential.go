@@ -1,6 +1,6 @@
 package interp
 
-// The differential oracle (prt.EngineDifferential): every chunk
+// The differential oracle (EngineDifferential): every chunk
 // activation runs twice. The live pass is the reference interpreter with
 // a recorder installed — each operation with an effect or an
 // environment-supplied result (loads, stores, allocations, spawns,

@@ -20,13 +20,41 @@ import (
 	"privagic/internal/prt"
 )
 
-// SetEngine selects the chunk execution tier. Call it before the first
-// Call (workers copy the engine at creation). The compiled and
-// differential tiers lower every chunk body through
-// internal/passes/compile on first selection; the returned error reports
-// a compile-time failure (which leaves the interpreter engine active).
-func (ip *Interp) SetEngine(e prt.Engine) (err error) {
-	if e != prt.EngineInterp && ip.unit == nil {
+// Engine selects the chunk execution tier every body of an Interp runs
+// on. The zero value is the interpreter.
+type Engine uint8
+
+const (
+	// EngineInterp runs chunk bodies on the reference interpreter.
+	EngineInterp Engine = iota
+	// EngineCompiled runs chunk bodies as closure-compiled step arrays
+	// (internal/passes/compile).
+	EngineCompiled
+	// EngineDifferential runs the interpreter live, then replays the
+	// compiled tier against the recorded trace and hard-errors on any
+	// divergence (the differential oracle, DESIGN.md §18).
+	EngineDifferential
+)
+
+// String names the engine for diagnostics.
+func (e Engine) String() string {
+	switch e {
+	case EngineCompiled:
+		return "compiled"
+	case EngineDifferential:
+		return "differential"
+	default:
+		return "interp"
+	}
+}
+
+// SetEngine selects the execution tier every chunk body of the instance
+// runs on. Call it before the first Call: the workers read it without a
+// lock. The compiled and differential tiers lower every chunk body
+// through internal/passes/compile on first selection; the returned error
+// reports a compile-time failure (which leaves the engine as it was).
+func (ip *Interp) SetEngine(e Engine) (err error) {
+	if e != EngineInterp && ip.unit == nil {
 		defer func() {
 			if r := recover(); r != nil {
 				if re, ok := r.(runtimeErr); ok {
@@ -41,12 +69,9 @@ func (ip *Interp) SetEngine(e prt.Engine) (err error) {
 		ip.es.compileUS.Store(time.Since(start).Microseconds())
 		ip.unit = unit
 	}
-	ip.RT.Engine = e
+	ip.engine = e
 	return nil
 }
-
-// Engine reports the runtime's selected execution tier.
-func (ip *Interp) Engine() prt.Engine { return ip.RT.Engine }
 
 // OverrideUnit replaces the compiled unit — a test lever (the negative
 // differential-oracle test compiles a deliberately seam-skipping unit).

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"privagic/internal/passes/compile"
-	"privagic/internal/prt"
 	"privagic/internal/typing"
 )
 
@@ -114,7 +113,7 @@ entry long main() {
 // compiled tier, and the differential oracle, requiring identical
 // results and output — and that the compiled tier actually dispatched.
 func TestEnginesAgree(t *testing.T) {
-	engines := []prt.Engine{prt.EngineInterp, prt.EngineCompiled, prt.EngineDifferential}
+	engines := []Engine{EngineInterp, EngineCompiled, EngineDifferential}
 	for _, p := range enginePrograms {
 		for _, eng := range engines {
 			t.Run(p.name+"/"+eng.String(), func(t *testing.T) {
@@ -133,7 +132,7 @@ func TestEnginesAgree(t *testing.T) {
 					t.Errorf("output = %q, want %q", got, p.wantOut)
 				}
 				st := ip.ExecStats()
-				if eng == prt.EngineCompiled && st.CompiledDispatches == 0 {
+				if eng == EngineCompiled && st.CompiledDispatches == 0 {
 					t.Errorf("compiled engine ran but CompiledDispatches = 0")
 				}
 				if st.OracleDivergences != 0 {
@@ -153,7 +152,7 @@ entry long main(long d) {
 	return 10 / d;
 }
 `
-	for _, eng := range []prt.Engine{prt.EngineInterp, prt.EngineCompiled, prt.EngineDifferential} {
+	for _, eng := range []Engine{EngineInterp, EngineCompiled, EngineDifferential} {
 		t.Run(eng.String(), func(t *testing.T) {
 			ip := build(t, typing.Relaxed, src, "main")
 			if err := ip.SetEngine(eng); err != nil {
@@ -186,7 +185,7 @@ entry long main() {
 	return stash;
 }
 `, "main")
-	if err := ip.SetEngine(prt.EngineDifferential); err != nil {
+	if err := ip.SetEngine(EngineDifferential); err != nil {
 		t.Fatalf("SetEngine: %v", err)
 	}
 	ip.OverrideUnit(compile.Options{SkipLoadSeam: true})

@@ -77,30 +77,23 @@ func (ip *Interp) execChunk(w *prt.Worker, chunkID int, args []val) (result val,
 	return ip.runChunkBody(w, ch, args), nil
 }
 
-// runChunkBody runs a chunk body on the worker's selected engine: the
+// runChunkBody runs a chunk body on the instance's engine: the
 // interpreter (the reference), the compiled tier, or both under the
 // differential oracle. Chunks the compiler skipped (empty bodies) fall
 // back to the interpreter on every engine.
 func (ip *Interp) runChunkBody(w *prt.Worker, ch *partition.Chunk, args []val) val {
-	switch w.Engine {
-	case prt.EngineCompiled:
-		if cf := ip.compiledFn(ch.Fn); cf != nil {
-			ip.es.compiledRuns.Add(1)
-			return ip.runCompiled(cf, w, args, ip.live)
-		}
-		return ip.runFn(w, ch.Fn, args)
-	case prt.EngineDifferential:
+	if ip.engine == EngineDifferential {
 		return ip.runDifferential(w, ch, args)
-	default:
-		return ip.runFn(w, ch.Fn, args)
 	}
+	return ip.runOn(w, ch.Fn, args)
 }
 
-// runOn runs a directly-called function body on the worker's engine (the
-// differential tier interprets here: its live pass is the interpreter,
-// and the recorder captures the callee's operations inline).
+// runOn runs a function body on the instance's engine: a chunk body
+// outside the oracle, or a directly-called body (the differential tier
+// interprets here: its live pass is the interpreter, and the recorder
+// captures the callee's operations inline).
 func (ip *Interp) runOn(w *prt.Worker, fn *ir.Function, args []val) val {
-	if w.Engine == prt.EngineCompiled {
+	if ip.engine == EngineCompiled {
 		if cf := ip.compiledFn(fn); cf != nil {
 			ip.es.compiledRuns.Add(1)
 			return ip.runCompiled(cf, w, args, ip.live)

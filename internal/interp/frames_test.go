@@ -6,13 +6,12 @@ import (
 	"testing"
 
 	"privagic/internal/ir"
-	"privagic/internal/prt"
 	"privagic/internal/sgx"
 	"privagic/internal/sources"
 	"privagic/internal/typing"
 )
 
-var allEngines = []prt.Engine{prt.EngineInterp, prt.EngineCompiled, prt.EngineDifferential}
+var allEngines = []Engine{EngineInterp, EngineCompiled, EngineDifferential}
 
 // TestCompiledDirectCallAllocationFree drives a compiled body that calls
 // a helper directly and requires zero allocations per activation once
@@ -31,7 +30,7 @@ entry long main(long x) {
 	return s;
 }
 `, "main")
-	if err := ip.SetEngine(prt.EngineCompiled); err != nil {
+	if err := ip.SetEngine(EngineCompiled); err != nil {
 		t.Fatalf("SetEngine: %v", err)
 	}
 	cf := ip.compiledFn(ip.Prog.Entries["main"].Chunks[ir.U].Fn)

@@ -58,11 +58,9 @@ type Interp struct {
 
 	mainOnce sync.Once
 	main     *prt.Thread
-	threads  sync.WaitGroup
-	// bg holds the background application threads (thread_create
-	// builtin) the next thread_join waits for.
-	bgMu sync.Mutex
-	bg   []*appThread
+	// threads counts the running thread_create threads, which Close
+	// waits for.
+	threads sync.WaitGroup
 
 	// OnAccess, when set, observes every checked memory access (the
 	// cache simulator attaches here).
@@ -91,17 +89,16 @@ type Interp struct {
 	// form) can be counted and traced.
 	chunkOf map[*ir.Function]*partition.Chunk
 	// cross counts the crossing optimizer's runtime effects (cross.*
-	// metrics); vecMu/vecStash hold the last vector received per
-	// (worker, tag) for the __pv_elem intrinsic.
-	cross    crossCounters
-	vecMu    sync.Mutex
-	vecStash map[[2]int][]val
+	// metrics).
+	cross crossCounters
 
-	// unit is the closure-compiled form of the program's chunk bodies,
-	// built by SetEngine for the compiled and differential tiers (nil
-	// while the engine is interp); es backs the exec.* metric gauges.
-	unit *compile.Unit
-	es   execCounters
+	// engine is the tier every chunk body runs on (SetEngine). unit is
+	// the closure-compiled form of the program's chunk bodies, built by
+	// SetEngine for the compiled and differential tiers (nil while the
+	// engine is interp); es backs the exec.* metric gauges.
+	engine Engine
+	unit   *compile.Unit
+	es     execCounters
 	// live is the interpreter's exec.Env for the compiled tier, shared
 	// by every activation.
 	live *liveEnv
@@ -138,7 +135,6 @@ func New(prog *partition.Program, machine *sgx.Machine) *Interp {
 		layouts:    map[string]*splitLayout{},
 		ifaceIndex: map[string]int{},
 		chunkOf:    map[*ir.Function]*partition.Chunk{},
-		vecStash:   map[[2]int][]val{},
 	}
 	ip.live = &liveEnv{ip}
 	for _, ch := range prog.ChunkByID {

@@ -5,12 +5,11 @@ import (
 	"testing"
 
 	"privagic/internal/ir"
-	"privagic/internal/prt"
 	"privagic/internal/typing"
 )
 
 // runMain runs a program's main on an engine, expecting a value.
-func runMain(t *testing.T, ip *Interp, eng prt.Engine, want int64) {
+func runMain(t *testing.T, ip *Interp, eng Engine, want int64) {
 	t.Helper()
 	if err := ip.SetEngine(eng); err != nil {
 		t.Fatalf("SetEngine: %v", err)

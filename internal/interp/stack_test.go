@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"privagic/internal/ir"
-	"privagic/internal/prt"
 	"privagic/internal/sgx"
 	"privagic/internal/sources"
 	"privagic/internal/typing"
@@ -64,7 +63,7 @@ entry long batch() {
 }
 `
 
-func withEngine(t *testing.T, ip *Interp, e prt.Engine) *Interp {
+func withEngine(t *testing.T, ip *Interp, e Engine) *Interp {
 	t.Helper()
 	if err := ip.SetEngine(e); err != nil {
 		t.Fatalf("SetEngine(%v): %v", e, err)

@@ -23,6 +23,11 @@
 // (supervise.go, errors.go) adds one inactivity window and abort
 // propagation, so a crashed enclave or a lost cont degrades into a typed
 // error instead of a deadlock.
+//
+// The runtime does not know how a chunk body executes. The embedder's
+// ChunkExec runs every body (internal/interp picks the execution engine
+// for the whole instance), and any per-worker state it needs lives in
+// the worker's one embedder slot, Worker.Local.
 package prt
 
 import (
@@ -110,11 +115,11 @@ type Message struct {
 	sentNS int64
 }
 
-// ChunkExec executes the body of a chunk; the interpreter and the native
-// benchmark harness plug in here. It runs on the worker's goroutine with
-// the worker's enclave as the active mode, and returns the chunk's result
-// or the runtime error that ended it, which its Done carries to the
-// spawner. A crash panics instead (see runSpawn).
+// ChunkExec executes the body of a chunk: the embedder (internal/interp)
+// plugs in here, and it alone decides how a body runs. It runs on the
+// worker's goroutine with the worker's enclave as the active mode, and
+// returns the chunk's result or the runtime error that ended it, which
+// its Done carries to the spawner. A crash panics instead (see runSpawn).
 // args is the spawn message's argument vector, shared with the sender and
 // the journal: the callback must not write into it.
 type ChunkExec func(w *Worker, chunkID int, args []value.Val) (value.Val, error)
@@ -129,36 +134,6 @@ type Interceptor interface {
 
 // interceptorBox wraps the interface for atomic.Pointer storage.
 type interceptorBox struct{ ic Interceptor }
-
-// Engine selects the chunk execution tier workers run their bodies on.
-// The runtime itself is engine-agnostic — the value is plumbed to each
-// Worker at creation so the embedder's ChunkExec callback can pick the
-// tier per worker; see internal/interp.
-type Engine uint8
-
-const (
-	// EngineInterp runs chunk bodies on the reference interpreter.
-	EngineInterp Engine = iota
-	// EngineCompiled runs chunk bodies as closure-compiled step arrays
-	// (internal/passes/compile).
-	EngineCompiled
-	// EngineDifferential runs the interpreter live, then replays the
-	// compiled tier against the recorded trace and hard-errors on any
-	// divergence (the differential oracle, DESIGN.md §18).
-	EngineDifferential
-)
-
-// String names the engine for diagnostics.
-func (e Engine) String() string {
-	switch e {
-	case EngineCompiled:
-		return "compiled"
-	case EngineDifferential:
-		return "differential"
-	default:
-		return "interp"
-	}
-}
 
 // Runtime owns the enclaves and cost accounting of one partitioned
 // application execution.
@@ -203,11 +178,6 @@ type Runtime struct {
 	// before its abort surfaces (0 = off, the surface-the-error behavior).
 	// Set it before creating threads; see journal.go.
 	ReplayBudget int
-
-	// Engine is the execution tier copied to every worker created after
-	// it is set (SetEngine on the interpreter sets it before the first
-	// thread exists).
-	Engine Engine
 
 	// Tracer, when set, records a structured event per runtime decision
 	// (admit-gate rejects, spawns, waits, replays — see
@@ -308,11 +278,6 @@ type Worker struct {
 	att      attempt
 	loadHint logSize
 
-	// Engine is the execution tier this worker runs chunk bodies on,
-	// copied from Runtime.Engine at creation: a later SetEngine does not
-	// move a running worker to another tier.
-	Engine Engine
-
 	// Local is the embedder's per-worker state, one value of the
 	// embedder's own type. Touched only on the worker's own goroutine.
 	Local any
@@ -399,7 +364,6 @@ func (rt *Runtime) NewThread() *Thread {
 			Thread:  t,
 			Index:   i,
 			Mode:    rt.RegionOf(i),
-			Engine:  rt.Engine,
 			q:       queue.New[Message](),
 			stopped: make(chan struct{}),
 		}

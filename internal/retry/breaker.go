@@ -18,9 +18,9 @@ import (
 //	Closed    — requests flow; Failures consecutive failures trip to Open.
 //	Open      — requests are refused (Allow() == false) until Cooldown
 //	            has passed, then the breaker half-opens.
-//	HalfOpen  — exactly one trial request is admitted at a time; Trials
-//	            consecutive successes close the breaker, any failure
-//	            re-opens it and restarts the cooldown.
+//	HalfOpen  — exactly one trial request is admitted at a time; its
+//	            success closes the breaker, its failure re-opens it and
+//	            restarts the cooldown.
 //
 // The trial in half-open is how probing stays bounded: the router wires
 // its per-shard data-path canary through Allow(), so a broken shard is
@@ -33,7 +33,6 @@ type Breaker struct {
 	mu       sync.Mutex
 	state    BreakerState
 	fails    int // consecutive failures while Closed
-	oks      int // consecutive trial successes while HalfOpen
 	openedAt time.Time
 	trial    bool // a half-open trial is in flight
 }
@@ -69,9 +68,6 @@ type BreakerConfig struct {
 	// Cooldown is how long the breaker stays Open before admitting a
 	// half-open trial (default 50ms).
 	Cooldown time.Duration
-	// Trials is how many consecutive half-open successes close the
-	// breaker again (default 1).
-	Trials int
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -80,9 +76,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 50 * time.Millisecond
-	}
-	if c.Trials <= 0 {
-		c.Trials = 1
 	}
 	return c
 }
@@ -108,7 +101,6 @@ func (b *Breaker) Allow() bool {
 			return false
 		}
 		b.state = BreakerHalfOpen
-		b.oks = 0
 		b.trial = true
 		return true
 	default: // BreakerHalfOpen
@@ -121,7 +113,7 @@ func (b *Breaker) Allow() bool {
 }
 
 // Success records a successful request. In HalfOpen it completes the
-// in-flight trial; Trials consecutive successes close the breaker.
+// in-flight trial and closes the breaker.
 // Returns true when this call transitioned the breaker to Closed.
 func (b *Breaker) Success() (closed bool) {
 	b.mu.Lock()
@@ -131,12 +123,9 @@ func (b *Breaker) Success() (closed bool) {
 		b.fails = 0
 	case BreakerHalfOpen:
 		b.trial = false
-		b.oks++
-		if b.oks >= b.cfg.Trials {
-			b.state = BreakerClosed
-			b.fails = 0
-			return true
-		}
+		b.state = BreakerClosed
+		b.fails = 0
+		return true
 	}
 	// A success while Open belongs to a request admitted before the
 	// trip; the verdict is stale, ignore it.
@@ -181,6 +170,6 @@ func (b *Breaker) Reset() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.state = BreakerClosed
-	b.fails, b.oks = 0, 0
+	b.fails = 0
 	b.trial = false
 }

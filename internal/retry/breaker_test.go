@@ -69,29 +69,6 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	}
 }
 
-// TestBreakerMultiTrialClose: Trials > 1 requires that many consecutive
-// half-open successes before closing.
-func TestBreakerMultiTrialClose(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Failures: 1, Cooldown: time.Millisecond, Trials: 2})
-	b.Failure()
-	time.Sleep(3 * time.Millisecond)
-	if !b.Allow() {
-		t.Fatal("no first trial")
-	}
-	if b.Success() {
-		t.Fatal("closed after 1 of 2 trials")
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state = %v, want half-open between trials", b.State())
-	}
-	if !b.Allow() {
-		t.Fatal("no second trial")
-	}
-	if !b.Success() {
-		t.Fatal("second trial success did not close")
-	}
-}
-
 // TestBreakerReset force-closes from any state.
 func TestBreakerReset(t *testing.T) {
 	b := NewBreaker(BreakerConfig{Failures: 1, Cooldown: time.Hour})
@@ -110,7 +87,7 @@ func TestBreakerReset(t *testing.T) {
 	}
 }
 
-// TestBreakerDefaults: zero config takes 5 failures / 50ms / 1 trial.
+// TestBreakerDefaults: zero config takes 5 failures / 50ms.
 func TestBreakerDefaults(t *testing.T) {
 	b := NewBreaker(BreakerConfig{})
 	for i := 0; i < 4; i++ {

@@ -59,12 +59,14 @@ const (
 // Engine selects the chunk execution tier (Options.Engine).
 type Engine string
 
-// Execution engines: the reference interpreter (the default), the
-// closure-compiled tier (every SSA instruction fused into a pre-resolved
-// step closure; same seams, ~an order of magnitude faster on
-// compute-bound chunks), and the differential oracle (runs both engines
-// lockstep per chunk and turns any disagreement in results, effects,
-// message plans, or typed errors into an ErrDivergence — the harness the
+// Execution engines: the closure-compiled tier (the default: every SSA
+// instruction fused into a pre-resolved step closure, crossing the same
+// seams as the interpreter, ~an order of magnitude faster on
+// compute-bound chunks), the reference interpreter (the baseline the
+// compiled tier's speedup is measured against), and the differential
+// oracle (runs the interpreter live and the compiled tier as its shadow
+// per chunk, and turns any disagreement in results, effects, message
+// plans, or typed errors into an ErrDivergence — the harness the
 // compiled tier is validated under).
 const (
 	EngineInterp       Engine = "interp"
@@ -72,17 +74,18 @@ const (
 	EngineDifferential Engine = "differential"
 )
 
-// prtEngine maps the public engine name to the runtime's selector.
-func (e Engine) prtEngine() (prt.Engine, error) {
+// interpEngine maps the public engine name to the interpreter's
+// selector; the empty name is the compiled tier.
+func (e Engine) interpEngine() (interp.Engine, error) {
 	switch e {
-	case "", EngineInterp:
-		return prt.EngineInterp, nil
-	case EngineCompiled:
-		return prt.EngineCompiled, nil
+	case "", EngineCompiled:
+		return interp.EngineCompiled, nil
+	case EngineInterp:
+		return interp.EngineInterp, nil
 	case EngineDifferential:
-		return prt.EngineDifferential, nil
+		return interp.EngineDifferential, nil
 	}
-	return prt.EngineInterp, fmt.Errorf("privagic: unknown engine %q (want %q, %q, or %q)",
+	return 0, fmt.Errorf("privagic: unknown engine %q (want %q, %q, or %q)",
 		string(e), EngineInterp, EngineCompiled, EngineDifferential)
 }
 
@@ -101,8 +104,9 @@ type Options struct {
 	// skips the pass.
 	Audit audit.Level
 	// Engine selects the chunk execution tier for instances of the
-	// program: EngineInterp (default), EngineCompiled, or
-	// EngineDifferential. Unknown names are a compile error.
+	// program: EngineCompiled (the default, also chosen by the empty
+	// name), EngineInterp, or EngineDifferential. Unknown names are a
+	// compile error.
 	Engine Engine
 	// OptimizeCrossings runs the crossing-cost-guided partition
 	// optimizer after partitioning: message-free unsafe chunks fuse into
@@ -126,7 +130,8 @@ type Program struct {
 	// CrossingOpt records what the crossing optimizer did (nil when
 	// Options.OptimizeCrossings was off).
 	CrossingOpt *crossing.OptResult
-	// Engine is the validated execution tier instances will run on.
+	// Engine is the validated execution tier instances will run on (the
+	// empty name is the compiled tier).
 	Engine Engine
 }
 
@@ -151,7 +156,7 @@ func Compile(filename, src string, opts Options) (*Program, error) {
 // strict re-validation of the rewritten plan), and the requested audit
 // level.
 func finishProgram(mod *ir.Module, an *typing.Analysis, opts Options) (*Program, error) {
-	if _, err := opts.Engine.prtEngine(); err != nil {
+	if _, err := opts.Engine.interpEngine(); err != nil {
 		return nil, err
 	}
 	prog, err := partition.Partition(an)
@@ -275,7 +280,7 @@ func (p *Program) Instantiate(m *sgx.Machine) *Instance {
 		m = sgx.MachineB()
 	}
 	inst := &Instance{ip: interp.New(p.Partitioned, m)}
-	eng, err := p.Engine.prtEngine()
+	eng, err := p.Engine.interpEngine()
 	if err == nil {
 		err = inst.ip.SetEngine(eng)
 	}
