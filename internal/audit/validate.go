@@ -640,8 +640,8 @@ func (st *chunkState) checkSendV(call *ir.Call, pos ir.Pos, key, name string) {
 // the stay-within-a-color rule: a cross-color direct call is legal only
 // in relaxed mode, only onto an unsafe chunk, and only when that chunk's
 // body provably exchanges no messages of its own — no intrinsics, no
-// calls into other chunks, no sanctioned boundary copies, no split
-// allocations. The optimizer derives the same fact before fusing; this
+// calls into other chunks, no sanctioned boundary copies, no thread
+// creates or joins, no split allocations. The optimizer derives the same fact before fusing; this
 // is the translation validator's own derivation, not a shared one.
 func (v *validator) fusedCallBlocker(tch *partition.Chunk) string {
 	if v.prog.Mode == typing.Hardened {
@@ -668,6 +668,8 @@ func (v *validator) fusedCallBlocker(tch *partition.Chunk) string {
 				blocked = fmt.Sprintf("callee body exchanges messages (%s)", fn.FName)
 			case "classify", "declassify", "classify_key":
 				blocked = fmt.Sprintf("callee body contains a sanctioned boundary copy (@%s)", fn.FName)
+			case "thread_create", "thread_join":
+				blocked = fmt.Sprintf("callee body calls @%s (a thread's children belong to the worker that created them)", fn.FName)
 			default:
 				if v.chunkOf[fn] != nil {
 					blocked = fmt.Sprintf("callee body calls another chunk (%s)", fn.FName)

@@ -49,6 +49,30 @@ entry long run() {
 }
 `
 
+// fuseAcrossThreadCreate spawns an unsafe chunk that creates a thread,
+// which the caller's unsafe code then joins. A thread's children are
+// kept by the worker that created them, so fusing the create onto the
+// enclave's worker would hide the child from the join.
+const fuseAcrossThreadCreate = `
+long out[2];
+long color(red) key;
+
+void leaf(long id) { out[id] = id; }
+
+void spawnLeaf(long id) { thread_create(leaf, id); }
+
+void encStep(long id) {
+    key = key + id;
+    spawnLeaf(id);
+}
+
+entry long run() {
+    encStep(1);
+    thread_join();
+    return out[1];
+}
+`
+
 // coalesceAcrossStore produces two cont transports with an intervening U
 // def-use between the consumer's waits: the first value feeds U state
 // (read of g1) before the second value arrives. Coalescing them would
@@ -109,35 +133,48 @@ func findRejection(res *crossing.OptResult, kind, want string) *crossing.Rejecti
 }
 
 func TestNegativeFusionAcrossDeclassify(t *testing.T) {
-	// Layer 1: the optimizer rejects the fusion, naming the declassify.
-	prog := compileNegative(t, "fusedecl", fuseAcrossDeclassify, true)
-	if rej := findRejection(prog.CrossingOpt, "fuse", "declassify"); rej == nil {
-		t.Fatalf("optimizer did not reject the fusion across a declassify; rejections: %+v",
-			prog.CrossingOpt.Rejected)
+	checkFusionRejected(t, "fusedecl", fuseAcrossDeclassify, "publish", "declassify")
+}
+
+func TestNegativeFusionAcrossThreadCreate(t *testing.T) {
+	checkFusionRejected(t, "fusethread", fuseAcrossThreadCreate, "spawnLeaf", "thread_create")
+}
+
+// checkFusionRejected asserts both layers for a program whose unsafe
+// chunk of function fn must not be fused: the optimizer rejects the
+// fusion naming reason, and the audit catches the same fusion forced
+// onto a fresh plan.
+func checkFusionRejected(t *testing.T, name, src, fn, reason string) {
+	t.Helper()
+	// Layer 1: the optimizer rejects the fusion, naming the blocker.
+	prog := compileNegative(t, name, src, true)
+	if rej := findRejection(prog.CrossingOpt, "fuse", reason); rej == nil {
+		t.Fatalf("optimizer did not reject the fusion across a %s; rejections: %+v",
+			reason, prog.CrossingOpt.Rejected)
 	}
 	if len(prog.CrossingOpt.Fused) != 0 {
-		t.Fatalf("optimizer fused %+v despite the declassify", prog.CrossingOpt.Fused)
+		t.Fatalf("optimizer fused %+v despite the %s", prog.CrossingOpt.Fused, reason)
 	}
 
 	// Layer 2: force the same fusion onto a fresh plan; the audit
 	// validator must catch the cross-color direct call on its own.
-	fresh := compileNegative(t, "fusedecl", fuseAcrossDeclassify, false)
+	fresh := compileNegative(t, name, src, false)
 	pp := fresh.Partitioned
 	target := ""
 	for _, ch := range pp.ChunkByID {
-		if ch.Color.IsUntrusted() && strings.HasPrefix(ch.Part.Spec.Key, "publish") {
+		if ch.Color.IsUntrusted() && strings.HasPrefix(ch.Part.Spec.Key, fn) {
 			target = ch.Name()
 		}
 	}
 	if target == "" {
-		t.Fatal("no unsafe publish chunk in the partition")
+		t.Fatalf("no unsafe %s chunk in the partition", fn)
 	}
 	if !crossing.ForceFuse(pp, target) {
 		t.Fatalf("ForceFuse did not rewrite any spawn of %s", target)
 	}
 	res := audit.Run(pp)
 	if res.Err() == nil {
-		t.Fatal("audit passed a forced fusion across a declassify; the validator must re-derive the rule")
+		t.Fatalf("audit passed a forced fusion across a %s; the validator must re-derive the rule", reason)
 	}
 	if !strings.Contains(res.Err().Error(), "direct calls stay within a color") {
 		t.Errorf("audit rejected the forced fusion for an unexpected reason:\n%v", res.Err())

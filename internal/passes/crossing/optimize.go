@@ -224,6 +224,8 @@ func FuseBlocker(pp *partition.Program, tc *partition.Chunk) string {
 				blocked = fmt.Sprintf("body exchanges messages (%s)", fn.FName)
 			case "classify", "declassify", "classify_key":
 				blocked = fmt.Sprintf("body contains a sanctioned boundary copy (@%s); declassification sites stay pinned to their own worker", fn.FName)
+			case "thread_create", "thread_join":
+				blocked = fmt.Sprintf("body calls @%s; a thread's children belong to the worker that created them, so thread sites stay pinned to their own worker", fn.FName)
 			default:
 				if fnChunk[fn] {
 					blocked = fmt.Sprintf("body calls another chunk (%s)", fn.FName)

@@ -191,13 +191,28 @@ void mid(long id) { thread_create(leaf, id + 1); thread_join(); out[id] = 7; }
 entry long run() { thread_create(mid, 0); thread_join(); return out[0] + out[1]; }
 `
 
+// threadFusedSrc creates its thread in an unsafe function that an
+// enclave function calls, the shape the crossing optimizer fuses onto
+// the enclave's worker when nothing pins it, and joins it in the
+// caller's unsafe code. leafFail makes the child fail instead, which
+// the join must return.
+const threadFusedSrc = `
+long out[2];
+long color(red) key;
+void leaf(long id) { long s = 0; for (long i = 0; i < 100000; i++) { s = s + i; } out[id] = s; }
+void leafFail(long id) { abort(); }
+void spawnLeaf(long id) { if (id > 0) { thread_create(leaf, id); } else { thread_create(leafFail, 1); } }
+void encStep(long id) { key = key + id; spawnLeaf(id); }
+entry long run(long id) { encStep(id); thread_join(); return out[1]; }
+`
+
 // threadDeadline bounds every Call and Close of the thread tests, so a
 // thread_join that waits for itself fails the test instead of hanging.
 const threadDeadline = 10 * time.Second
 
-// runWithin instantiates prog, calls run once and closes the instance,
-// each under threadDeadline.
-func runWithin(t *testing.T, prog *Program) (int64, error) {
+// runWithin instantiates prog, calls run once with args and closes the
+// instance, each under threadDeadline.
+func runWithin(t *testing.T, prog *Program, args ...int64) (int64, error) {
 	t.Helper()
 	inst := prog.Instantiate(nil)
 	type result struct {
@@ -206,7 +221,7 @@ func runWithin(t *testing.T, prog *Program) (int64, error) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		v, err := inst.Call("run")
+		v, err := inst.Call("run", args...)
 		done <- result{v, err}
 	}()
 	var r result
@@ -255,6 +270,16 @@ func TestAppThreadsOwnTheirState(t *testing.T) {
 			}
 			if v, err := runWithin(t, nested); err != nil || v != 17 {
 				t.Fatalf("run() = %d, %v; want 17", v, err)
+			}
+			fused, err := Compile("threadfused.c", threadFusedSrc, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, err := runWithin(t, fused, 1); err != nil || v != 4999950000 {
+				t.Fatalf("run(1) = %d, %v; want 4999950000", v, err)
+			}
+			if _, err := runWithin(t, fused, 0); err == nil || !strings.Contains(err.Error(), "aborted") {
+				t.Fatalf("run(0) = %v; want the child's abort", err)
 			}
 		})
 	}
