@@ -42,18 +42,6 @@ const (
 	soakDeadline = 30 * time.Second // per schedule; hit = deadlock
 )
 
-// soakCount mirrors the faults package's tier-1 shrink: -short runs a
-// tenth of the schedules (min 8) so the full sweeps stay nightly-only.
-func soakCount(n int, short bool) int {
-	if short {
-		n /= 10
-		if n < 8 {
-			n = 8
-		}
-	}
-	return n
-}
-
 func soakRouterConfig() cluster.RouterConfig {
 	return cluster.RouterConfig{
 		OpTimeout:     15 * time.Millisecond,
@@ -407,7 +395,7 @@ func runSweep(t *testing.T, n int, chaosOn bool, reg *obs.Registry, tracer *obs.
 // replication defenses (hinted handoff, drain) visibly doing the work
 // that makes zero-loss true.
 func TestClusterChaosSoak(t *testing.T) {
-	n := soakCount(faults.Schedules().ClusterChaos, testing.Short())
+	n := faults.SoakCount(faults.Schedules().ClusterChaos, testing.Short())
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(256)
 	agg := runSweep(t, n, true, reg, tracer)
@@ -454,7 +442,7 @@ func TestClusterChaosSoak(t *testing.T) {
 // for the replication defenses to heal, so any of them firing means
 // overload was misread as failure.
 func TestClusterRelaxedSoak(t *testing.T) {
-	n := soakCount(faults.Schedules().ClusterRelaxed, testing.Short())
+	n := faults.SoakCount(faults.Schedules().ClusterRelaxed, testing.Short())
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(256)
 	agg := runSweep(t, n, false, reg, tracer)

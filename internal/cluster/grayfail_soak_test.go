@@ -342,7 +342,7 @@ func runGraySweep(t *testing.T, n int, grayOn bool, reg *obs.Registry, tracer *o
 // actually exercised: demotions, breaker trips and heals all observed
 // across the sweep.
 func TestClusterGrayFailSoak(t *testing.T) {
-	n := soakCount(faults.Schedules().GrayChaos, testing.Short())
+	n := faults.SoakCount(faults.Schedules().GrayChaos, testing.Short())
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(256)
 	agg := runGraySweep(t, n, true, reg, tracer)
@@ -387,7 +387,7 @@ func TestClusterGrayFailSoak(t *testing.T) {
 // through clean proxies. Gray defenses must stay silent — zero breaker
 // trips, zero demotions, zero corruption rejects.
 func TestClusterGrayControlSoak(t *testing.T) {
-	n := soakCount(faults.Schedules().GrayControl, testing.Short())
+	n := faults.SoakCount(faults.Schedules().GrayControl, testing.Short())
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(256)
 	agg := runGraySweep(t, n, false, reg, tracer)

@@ -82,8 +82,9 @@ type Frame struct {
 	Steps int
 }
 
-// Step is one fused instruction: it mutates the frame and returns the
-// next program counter, or a negative value to finish the activation.
+// Step is one compiled instruction, or a superinstruction covering
+// several: it mutates the frame and returns the next program counter, or
+// a negative value to finish the activation.
 type Step func(fr *Frame) int
 
 // Run drives a compiled activation to completion and returns its result.

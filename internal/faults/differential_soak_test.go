@@ -103,7 +103,7 @@ func assertNoDivergence(t *testing.T, seed int64, err error, inst *privagic.Inst
 // and no schedule may report a divergence.
 func TestSoakDifferentialChaos(t *testing.T) {
 	workloads := diffWorkloadsFor(t)
-	n := soakCount(faults.Schedules().DiffChaos, testing.Short())
+	n := faults.SoakCount(faults.Schedules().DiffChaos, testing.Short())
 	var crashes, replays int64
 	for seed := int64(1); seed <= int64(n); seed++ {
 		wl := workloads[seed%int64(len(workloads))]
@@ -146,7 +146,7 @@ func TestSoakDifferentialChaos(t *testing.T) {
 // U memory must present identically to both engines.
 func TestSoakDifferentialIago(t *testing.T) {
 	workloads := diffWorkloadsFor(t)
-	n := soakCount(faults.Schedules().DiffIago, testing.Short())
+	n := faults.SoakCount(faults.Schedules().DiffIago, testing.Short())
 	var out iagoOutcome
 	for seed := int64(1); seed <= int64(n); seed++ {
 		wl := workloads[seed%int64(len(workloads))]

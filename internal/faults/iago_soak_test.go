@@ -135,7 +135,7 @@ func TestSoakIagoFigure6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := soakCount(faults.Schedules().IagoFigure6, testing.Short())
+	n := faults.SoakCount(faults.Schedules().IagoFigure6, testing.Short())
 	var out iagoOutcome
 	for seed := int64(1); seed <= int64(n); seed++ {
 		runIagoSchedule(t, prog, "main", seed, func(ret int64, inst *privagic.Instance) string {
@@ -178,7 +178,7 @@ func TestSoakIagoTwoColorHashmap(t *testing.T) {
 	if want <= 0 {
 		t.Fatalf("clean run returned %d hits; workload is degenerate", want)
 	}
-	n := soakCount(faults.Schedules().IagoTwoColor, testing.Short())
+	n := faults.SoakCount(faults.Schedules().IagoTwoColor, testing.Short())
 	var out iagoOutcome
 	for seed := int64(1); seed <= int64(n); seed++ {
 		runIagoSchedule(t, prog, "run_ycsb", seed, func(ret int64, _ *privagic.Instance) string {

@@ -77,7 +77,7 @@ func TestSoakTraceReconcile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := soakCount(faults.Schedules().Figure6, testing.Short())
+	n := faults.SoakCount(faults.Schedules().Figure6, testing.Short())
 	var out soakOutcome
 	spawned := 0
 	for seed := int64(1); seed <= int64(n); seed++ {

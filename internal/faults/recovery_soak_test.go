@@ -190,7 +190,7 @@ func TestSoakRecoveryFigure6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := soakCount(faults.Schedules().RecoveryFigure6, testing.Short())
+	n := faults.SoakCount(faults.Schedules().RecoveryFigure6, testing.Short())
 	sweepRecovery(t, prog, "main", n, func(ret int64, inst *privagic.Instance) string {
 		if ret != 42 {
 			return "ret != 42"
@@ -221,7 +221,7 @@ func TestSoakRecoveryTwoColorHashmap(t *testing.T) {
 	if want <= 0 {
 		t.Fatalf("clean run returned %d hits; workload is degenerate", want)
 	}
-	n := soakCount(faults.Schedules().RecoveryTwoColor, testing.Short())
+	n := faults.SoakCount(faults.Schedules().RecoveryTwoColor, testing.Short())
 	sweepRecovery(t, prog, "run_ycsb", n, func(ret int64, _ *privagic.Instance) string {
 		if ret != want {
 			return "hit count diverged from the clean run"

@@ -50,6 +50,21 @@ type SoakBudget struct {
 // Schedules returns the build's soak schedule counts.
 func Schedules() SoakBudget { return soakBudget }
 
+// SoakCount is the number of schedules a sweep of n runs. Under -short
+// a race-free build runs a tenth of them (at least 8), so the full
+// sweeps stay nightly-only; a race build's budget is already the reduced
+// one and runs as it is, since a tenth of it is too few schedules to
+// meet the sweep-level bars.
+func SoakCount(n int, short bool) int {
+	if short && !raceBuild {
+		n /= 10
+		if n < 8 {
+			n = 8
+		}
+	}
+	return n
+}
+
 // CounterSource is the uniform counter surface every fault class
 // exports: adversary activity as name -> count, so harnesses can
 // aggregate and print what an attack did without knowing which

@@ -2,6 +2,9 @@
 
 package faults
 
+// raceBuild reports whether the race detector is compiled in.
+const raceBuild = false
+
 // Full soak sweeps (race-free build). Each pair of sweeps clears the
 // 1000-schedule acceptance floor of its soak on its own: 700 + 320.
 var soakBudget = SoakBudget{

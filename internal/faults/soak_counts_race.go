@@ -2,6 +2,9 @@
 
 package faults
 
+// raceBuild reports whether the race detector is compiled in.
+const raceBuild = true
+
 // Reduced sweeps for `go test -race`: the detector slows every queue
 // operation by an order of magnitude, so the full 1000+ schedules per
 // soak would dominate CI. Each reduced sweep still covers all of its

@@ -157,16 +157,6 @@ func runSchedule(t *testing.T, prog *privagic.Program, entry string, seed int64,
 	}
 }
 
-func soakCount(n int, short bool) int {
-	if short {
-		n /= 10
-		if n < 8 {
-			n = 8
-		}
-	}
-	return n
-}
-
 // TestSoakFigure6 sweeps the paper's walkthrough program through seeded
 // fault schedules.
 func TestSoakFigure6(t *testing.T) {
@@ -176,7 +166,7 @@ func TestSoakFigure6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := soakCount(faults.Schedules().Figure6, testing.Short())
+	n := faults.SoakCount(faults.Schedules().Figure6, testing.Short())
 	var out soakOutcome
 	for seed := int64(1); seed <= int64(n); seed++ {
 		runSchedule(t, prog, "main", seed, func(ret int64, inst *privagic.Instance) string {
@@ -216,7 +206,7 @@ func TestSoakTwoColorHashmap(t *testing.T) {
 	if want <= 0 {
 		t.Fatalf("clean run returned %d hits; workload is degenerate", want)
 	}
-	n := soakCount(faults.Schedules().TwoColor, testing.Short())
+	n := faults.SoakCount(faults.Schedules().TwoColor, testing.Short())
 	var out soakOutcome
 	for seed := int64(1); seed <= int64(n); seed++ {
 		runSchedule(t, prog, "run_ycsb", seed, func(ret int64, _ *privagic.Instance) string {

@@ -176,31 +176,48 @@ entry long main(long d) {
 // compiled with the test-only SkipLoadSeam option reads backing memory
 // directly, bypassing the boundary-snapshot/transaction/journal seams.
 // The live pass records the seam-crossing load; the shadow never
-// consumes it; the oracle must report a divergence.
+// consumes it; the oracle must report a divergence. The struct program's
+// loads are field loads, which the compiler fuses with their fieldaddr
+// into one step: the fused step must skip the seam too, and be caught.
 func TestDifferentialCatchesSkippedSeam(t *testing.T) {
-	ip := build(t, typing.Relaxed, `
+	for _, p := range []struct{ name, src string }{
+		{"global", `
 long stash = 7;
 entry long main() {
 	stash = stash + 35;
 	return stash;
 }
-`, "main")
-	if err := ip.SetEngine(EngineDifferential); err != nil {
-		t.Fatalf("SetEngine: %v", err)
-	}
-	ip.OverrideUnit(compile.Options{SkipLoadSeam: true})
-	_, err := ip.Call("main")
-	if err == nil {
-		t.Fatal("Call succeeded; want a divergence from the skipped load seam")
-	}
-	if !errors.Is(err, ErrDivergence) {
-		t.Fatalf("Call error = %v, want ErrDivergence", err)
-	}
-	var de *DivergenceError
-	if !errors.As(err, &de) {
-		t.Fatalf("Call error = %v, want a *DivergenceError", err)
-	}
-	if ip.ExecStats().OracleDivergences == 0 {
-		t.Error("OracleDivergences = 0 after a reported divergence")
+`},
+		{"struct_field", `
+struct box { long pad; long v; };
+entry long main() {
+	struct box* b = malloc(sizeof(struct box));
+	b->v = 7;
+	b->v = b->v + 35;
+	return b->v;
+}
+`},
+	} {
+		t.Run(p.name, func(t *testing.T) {
+			ip := build(t, typing.Relaxed, p.src, "main")
+			if err := ip.SetEngine(EngineDifferential); err != nil {
+				t.Fatalf("SetEngine: %v", err)
+			}
+			ip.OverrideUnit(compile.Options{SkipLoadSeam: true})
+			_, err := ip.Call("main")
+			if err == nil {
+				t.Fatal("Call succeeded; want a divergence from the skipped load seam")
+			}
+			if !errors.Is(err, ErrDivergence) {
+				t.Fatalf("Call error = %v, want ErrDivergence", err)
+			}
+			var de *DivergenceError
+			if !errors.As(err, &de) {
+				t.Fatalf("Call error = %v, want a *DivergenceError", err)
+			}
+			if ip.ExecStats().OracleDivergences == 0 {
+				t.Error("OracleDivergences = 0 after a reported divergence")
+			}
+		})
 	}
 }

@@ -1,9 +1,30 @@
 // Package compile lowers partitioned chunk bodies to closure-compiled
-// Go: every SSA instruction becomes one fused exec.Step in a flat
-// per-function array, with operands pre-resolved to dense register slots
-// (or baked-in immediates), block jump targets pre-resolved to step
-// indices, and φ-nodes turned into parallel edge copies executed by the
-// incoming branch step.
+// Go: a flat per-function array of exec.Steps, one position per SSA
+// instruction, with operands pre-resolved to dense register slots (or
+// baked-in immediates), block jump targets pre-resolved to step indices,
+// and φ-nodes turned into parallel edge copies executed by the incoming
+// branch step.
+//
+// Each step's closure is picked at compile time by its operands' kinds
+// (slot or immediate), so a step never tests what an operand is; exec's
+// BinOp, Cmp and Cast remain the fallback for floats and rare operators.
+// Three hot patterns compile into superinstructions, one step at the
+// position of the pattern's first instruction:
+//
+//   - compare-and-branch: an integer cmp, optionally the cast and
+//     `cmp ne …, 0` of minic's truth idiom, and the condbr that ends the
+//     block on it. The step writes every slot of the pattern before the
+//     branch runs its φ copies, which may read them;
+//   - field access: a plain fieldaddr and the load or store through it.
+//     The step writes the fieldaddr's slot and makes the same nil check
+//     and Env call as the unfused pair;
+//   - a br without φ copies skips the copy loop.
+//
+// The positions of absorbed instructions hold one shared step that no
+// jump reaches (absorbed instructions are never the first of a block), so
+// Fn.BlockPC and the step count are those of the unfused layout. Error
+// texts (nil dereference, step budget, fall-through) are rendered only
+// when the error happens.
 //
 // The security and robustness seams are not re-implemented: memory,
 // allocation, field indirection, and call dispatch compile into calls on
@@ -23,7 +44,6 @@
 package compile
 
 import (
-	"fmt"
 	"time"
 
 	"privagic/internal/exec"
@@ -119,6 +139,9 @@ type operand struct {
 	imm  exec.Val
 }
 
+// get reads the operand, testing its kind at run time. The specialized
+// steps never call it; it serves call arguments, φ copies, the seam
+// arguments of allocation and split-field steps, and the exec fallbacks.
 func (o operand) get(fr *exec.Frame) exec.Val {
 	if o.slot >= 0 {
 		return fr.Regs[o.slot]
@@ -132,21 +155,28 @@ type edgeCopy struct {
 	src operand
 }
 
-// applyCopies performs a branch edge's φ copies with parallel-assignment
-// semantics: all sources are read before any destination is written.
-func applyCopies(fr *exec.Frame, copies []edgeCopy) {
-	switch len(copies) {
+// edge is one block exit: the φ copies it performs and the step it
+// lands on.
+type edge struct {
+	copies []edgeCopy
+	pc     int
+}
+
+// apply performs the edge's φ copies with parallel-assignment semantics:
+// all sources are read before any destination is written.
+func (e *edge) apply(fr *exec.Frame) {
+	switch len(e.copies) {
 	case 0:
 	case 1:
-		fr.Regs[copies[0].dst] = copies[0].src.get(fr)
+		fr.Regs[e.copies[0].dst] = e.copies[0].src.get(fr)
 	default:
 		var buf [8]exec.Val
 		vals := buf[:0]
-		for i := range copies {
-			vals = append(vals, copies[i].src.get(fr))
+		for i := range e.copies {
+			vals = append(vals, e.copies[i].src.get(fr))
 		}
-		for i := range copies {
-			fr.Regs[copies[i].dst] = vals[i]
+		for i := range e.copies {
+			fr.Regs[e.copies[i].dst] = vals[i]
 		}
 	}
 }
@@ -262,101 +292,95 @@ func (c *fnCompiler) operand(v ir.Value) operand {
 	return operand{slot: -1}
 }
 
-// edgePlan collects the φ copies a jump from `from` into `to` performs.
-// A φ without an edge for the predecessor receives the zero value,
-// matching the interpreter.
-func (c *fnCompiler) edgePlan(from, to *ir.Block) []edgeCopy {
-	var out []edgeCopy
+// edge resolves the exit from block `from` into `to`: its target pc and
+// the φ copies it performs. A φ without an edge for the predecessor
+// receives the zero value, matching the interpreter.
+func (c *fnCompiler) edge(from, to *ir.Block) edge {
+	e := edge{pc: c.blockPC[to]}
 	for _, in := range to.Instrs {
 		phi, ok := in.(*ir.Phi)
 		if !ok {
 			break
 		}
 		src := operand{slot: -1}
-		for _, e := range phi.Edges {
-			if e.Pred == from {
-				src = c.operand(e.Val)
+		for _, pe := range phi.Edges {
+			if pe.Pred == from {
+				src = c.operand(pe.Val)
 				break
 			}
 		}
-		out = append(out, edgeCopy{dst: c.slots[phi], src: src})
+		e.copies = append(e.copies, edgeCopy{dst: c.slots[phi], src: src})
 	}
-	return out
+	return e
 }
 
 func (c *fnCompiler) emitBlock(b *ir.Block) {
-	nphi := countPhis(b)
-	for _, in := range b.Instrs[nphi:] {
-		c.emitInstr(b, in)
+	body := b.Instrs[countPhis(b):]
+	for i := 0; i < len(body); {
+		step, n := c.lower(b, body[i:])
+		c.code = append(c.code, step)
+		for k := 1; k < n; k++ {
+			c.code = append(c.code, absorbed)
+		}
+		i += n
 	}
 	if b.Terminator() == nil {
-		msg := fmt.Sprintf("interp: block %%%s of @%s falls through", b.BName, c.fn.FName)
+		fn := c.fn
 		c.code = append(c.code, func(fr *exec.Frame) int {
-			exec.Errs(msg)
+			exec.Errf("interp: block %%%s of @%s falls through", b.BName, fn.FName)
 			return -1
 		})
 	}
 }
 
-// budget enforces the shared step budget; branch steps call it so a
-// livelocked compiled chunk fails with the interpreter's error.
-func (c *fnCompiler) budgetMsg() string {
-	return fmt.Sprintf("interp: instruction budget exceeded in @%s (livelock?)", c.fn.FName)
-}
-
-func (c *fnCompiler) emitInstr(b *ir.Block, in ir.Instr) {
+// lower compiles the instruction body[0] of block b into a step and
+// reports how many instructions of body the step executes: more than one
+// for a superinstruction, whose step returns the pc after the last of
+// them (or its branch target).
+func (c *fnCompiler) lower(b *ir.Block, body []ir.Instr) (exec.Step, int) {
 	next := len(c.code) + 1
-	switch t := in.(type) {
+	fn := c.fn
+	switch t := body[0].(type) {
 	case *ir.Ret:
 		if t.Val == nil {
-			c.code = append(c.code, func(fr *exec.Frame) int {
-				fr.Ret = exec.Val{}
-				return -1
-			})
-			return
+			return func(fr *exec.Frame) int { fr.Ret = exec.Val{}; return -1 }, 1
 		}
-		vo := c.operand(t.Val)
-		c.code = append(c.code, func(fr *exec.Frame) int {
-			fr.Ret = vo.get(fr)
-			return -1
-		})
+		v := c.operand(t.Val)
+		if v.slot < 0 {
+			k := v.imm
+			return func(fr *exec.Frame) int { fr.Ret = k; return -1 }, 1
+		}
+		s := v.slot
+		return func(fr *exec.Frame) int { fr.Ret = fr.Regs[s]; return -1 }, 1
 
 	case *ir.Br:
-		target := c.blockPC[t.Target]
-		copies := c.edgePlan(b, t.Target)
-		over := c.budgetMsg()
-		c.code = append(c.code, func(fr *exec.Frame) int {
-			if fr.Steps++; fr.Steps > exec.StepBudget {
-				exec.Errs(over)
-			}
-			applyCopies(fr, copies)
-			return target
-		})
+		e := c.edge(b, t.Target)
+		if len(e.copies) != 0 {
+			return func(fr *exec.Frame) int {
+				tick(fr, fn)
+				e.apply(fr)
+				return e.pc
+			}, 1
+		}
+		target := e.pc
+		return func(fr *exec.Frame) int { tick(fr, fn); return target }, 1
 
 	case *ir.CondBr:
+		br := c.branch(b, t)
 		co := c.operand(t.Cond)
-		thenPC, elsePC := c.blockPC[t.Then], c.blockPC[t.Else]
-		thenCopies := c.edgePlan(b, t.Then)
-		elseCopies := c.edgePlan(b, t.Else)
-		over := c.budgetMsg()
-		c.code = append(c.code, func(fr *exec.Frame) int {
-			if fr.Steps++; fr.Steps > exec.StepBudget {
-				exec.Errs(over)
-			}
-			if co.get(fr).I != 0 {
-				applyCopies(fr, thenCopies)
-				return thenPC
-			}
-			applyCopies(fr, elseCopies)
-			return elsePC
-		})
+		if co.slot < 0 {
+			k := co.imm.I != 0
+			return func(fr *exec.Frame) int { return br.take(fr, k) }, 1
+		}
+		s := co.slot
+		return func(fr *exec.Frame) int { return br.take(fr, fr.Regs[s].I != 0) }, 1
 
 	case *ir.Alloca:
 		dst := c.slots[t]
-		c.code = append(c.code, func(fr *exec.Frame) int {
+		return func(fr *exec.Frame) int {
 			fr.Regs[dst] = fr.Env.Alloca(fr.W, t)
 			return next
-		})
+		}, 1
 
 	case *ir.Malloc:
 		dst := c.slots[t]
@@ -364,95 +388,96 @@ func (c *fnCompiler) emitInstr(b *ir.Block, in ir.Instr) {
 		if t.Count != nil {
 			co = c.operand(t.Count)
 		}
-		c.code = append(c.code, func(fr *exec.Frame) int {
+		return func(fr *exec.Frame) int {
 			fr.Regs[dst] = fr.Env.Malloc(fr.W, t, co.get(fr))
 			return next
-		})
+		}, 1
 
 	case *ir.Free:
 		// The bump allocator does not reclaim; free is a no-op step.
-		c.code = append(c.code, func(fr *exec.Frame) int { return next })
+		return func(fr *exec.Frame) int { return next }, 1
 
 	case *ir.Load:
-		dst := c.slots[t]
-		po := c.operand(t.Ptr)
-		nilMsg := fmt.Sprintf("interp: nil dereference: %q in @%s", t.String(), c.fn.FName)
-		if c.opts.SkipLoadSeam {
-			c.code = append(c.code, func(fr *exec.Frame) int {
-				addr := uint64(po.get(fr).I)
-				if addr == 0 {
-					exec.Errs(nilMsg)
-				}
-				if sl, ok := fr.Env.(exec.SeamlessLoader); ok {
-					fr.Regs[dst] = sl.SeamlessLoad(fr.W, t, addr)
-				} else {
-					fr.Regs[dst] = fr.Env.Load(fr.W, t, addr)
-				}
-				return next
-			})
-			return
-		}
-		c.code = append(c.code, func(fr *exec.Frame) int {
-			addr := uint64(po.get(fr).I)
-			if addr == 0 {
-				exec.Errs(nilMsg)
-			}
-			fr.Regs[dst] = fr.Env.Load(fr.W, t, addr)
-			return next
-		})
+		return c.load(t, next), 1
 
 	case *ir.Store:
-		po := c.operand(t.Ptr)
-		vo := c.operand(t.Val)
-		nilMsg := fmt.Sprintf("interp: nil dereference: %q in @%s", t.String(), c.fn.FName)
-		c.code = append(c.code, func(fr *exec.Frame) int {
-			addr := uint64(po.get(fr).I)
-			if addr == 0 {
-				exec.Errs(nilMsg)
-			}
-			fr.Env.Store(fr.W, t, addr, vo.get(fr))
-			return next
-		})
+		return c.store(t, next), 1
 
 	case *ir.BinOp:
-		c.emitBinOp(t, next)
+		dst, x, y := c.slots[t], c.operand(t.X), c.operand(t.Y)
+		op, typ := t.Op, t.Type()
+		if !ir.IsFloat(typ) {
+			if step := intBinOp(op, dst, x, y, next); step != nil {
+				return step, 1
+			}
+		}
+		return func(fr *exec.Frame) int {
+			fr.Regs[dst] = exec.BinOp(op, typ, x.get(fr), y.get(fr))
+			return next
+		}, 1
 
 	case *ir.Cmp:
-		c.emitCmp(t, next)
+		dst, x, y := c.slots[t], c.operand(t.X), c.operand(t.Y)
+		pred, typ := t.Pred, t.X.Type()
+		if ir.IsFloat(typ) {
+			return func(fr *exec.Frame) int {
+				fr.Regs[dst] = exec.Cmp(pred, typ, x.get(fr), y.get(fr))
+				return next
+			}, 1
+		}
+		tl, n := c.cmpBranch(b, body, next)
+		return intCmp(pred, typ, x, y, tl), n
 
 	case *ir.Cast:
-		dst := c.slots[t]
-		vo := c.operand(t.Val)
+		dst, v := c.slots[t], c.operand(t.Val)
 		from, to := t.Val.Type(), t.Type()
-		c.code = append(c.code, func(fr *exec.Frame) int {
-			fr.Regs[dst] = exec.Cast(vo.get(fr), from, to)
+		switch {
+		case v.slot < 0:
+			return set(dst, exec.Cast(v.imm, from, to), next), 1
+		case preservesWord(from, to):
+			return move(dst, v.slot, next), 1
+		}
+		s := v.slot
+		return func(fr *exec.Frame) int {
+			fr.Regs[dst] = exec.Cast(fr.Regs[s], from, to)
 			return next
-		})
+		}, 1
 
 	case *ir.FieldAddr:
-		dst := c.slots[t]
-		bo := c.operand(t.X)
-		if off, plain := c.env.FieldOffset(t); plain {
-			c.code = append(c.code, func(fr *exec.Frame) int {
-				fr.Regs[dst] = exec.Val{I: bo.get(fr).I + off}
+		dst, x := c.slots[t], c.operand(t.X)
+		off, plain := c.env.FieldOffset(t)
+		switch {
+		case !plain:
+			return func(fr *exec.Frame) int {
+				fr.Regs[dst] = fr.Env.FieldAddr(fr.W, t, x.get(fr))
 				return next
-			})
-			return
+			}, 1
+		case x.slot < 0:
+			return set(dst, exec.Val{I: x.imm.I + off}, next), 1
 		}
-		c.code = append(c.code, func(fr *exec.Frame) int {
-			fr.Regs[dst] = fr.Env.FieldAddr(fr.W, t, bo.get(fr))
-			return next
-		})
+		if len(body) > 1 {
+			if step := c.fieldAccess(t, x.slot, off, body[1], next+1); step != nil {
+				return step, 2
+			}
+		}
+		return offset(dst, x.slot, off, next), 1
 
 	case *ir.IndexAddr:
-		dst := c.slots[t]
-		bo := c.operand(t.X)
-		io := c.operand(t.Index)
+		dst, x, i := c.slots[t], c.operand(t.X), c.operand(t.Index)
 		stride := c.env.ElemStride(t.Type().(ir.PointerType).Elem)
-		c.code = append(c.code, func(fr *exec.Frame) int {
-			fr.Regs[dst] = exec.Val{I: bo.get(fr).I + io.get(fr).I*stride}
-			return next
-		})
+		xs, is, kx, ki := x.slot, i.slot, x.imm.I, i.imm.I
+		switch kindsOf(x, i) {
+		case ss:
+			return func(fr *exec.Frame) int {
+				fr.Regs[dst].I = fr.Regs[xs].I + fr.Regs[is].I*stride
+				return next
+			}, 1
+		case sk:
+			return offset(dst, xs, ki*stride, next), 1
+		case ks:
+			return func(fr *exec.Frame) int { fr.Regs[dst].I = kx + fr.Regs[is].I*stride; return next }, 1
+		}
+		return set(dst, exec.Val{I: kx + ki*stride}, next), 1
 
 	case *ir.Call:
 		dst := c.slots[t]
@@ -463,7 +488,7 @@ func (c *fnCompiler) emitInstr(b *ir.Block, in ir.Instr) {
 		}
 		lo := c.argBase
 		hi := lo + len(argOps)
-		c.code = append(c.code, func(fr *exec.Frame) int {
+		return func(fr *exec.Frame) int {
 			// The argument area is scratch owned by this frame: Env.Call
 			// copies whatever it keeps, so the window is reused by the
 			// next call step.
@@ -473,111 +498,195 @@ func (c *fnCompiler) emitInstr(b *ir.Block, in ir.Instr) {
 			}
 			fr.Regs[dst] = fr.Env.Call(fr.W, t, co.get(fr), args)
 			return next
-		})
+		}, 1
+	}
+	// Totality guard: an instruction kind the compiler does not know
+	// lowers to a step that raises the interpreter's error at runtime,
+	// so compiling a unit can never fail.
+	in := body[0]
+	return func(fr *exec.Frame) int {
+		exec.Errf("interp: unknown instruction %T", in)
+		return -1
+	}, 1
+}
 
-	default:
-		// Totality guard: an instruction kind the compiler does not
-		// know lowers to a step that raises the interpreter's error at
-		// runtime, so compiling a unit can never fail.
-		msg := fmt.Sprintf("interp: unknown instruction %T", in)
-		c.code = append(c.code, func(fr *exec.Frame) int {
-			exec.Errs(msg)
-			return -1
-		})
+// branch resolves a condbr's two edges.
+func (c *fnCompiler) branch(b *ir.Block, t *ir.CondBr) *branch {
+	return &branch{
+		then: c.edge(b, t.Then),
+		els:  c.edge(b, t.Else),
+		fn:   c.fn,
 	}
 }
 
-// emitBinOp lowers a binary operator. The IR type picks the closure at
-// compile time: a float operator calls the shared exec.BinOp, and the hot
-// integer operators become fused steps (the rest, and their error paths,
-// fall back to exec.BinOp too).
-func (c *fnCompiler) emitBinOp(t *ir.BinOp, next int) {
-	dst := c.slots[t]
-	xo, yo := c.operand(t.X), c.operand(t.Y)
-	op, typ := t.Op, t.Type()
-	var step exec.Step
+// cmpBranch matches a compare-and-branch at body[0], an integer
+// comparison: the comparison, optionally the cast and `cmp ne …, 0` that
+// re-test its result (minic's truth idiom), then the condbr on the last
+// of them that ends the block. It returns where the comparison's step
+// puts its result and how many instructions the step executes.
+func (c *fnCompiler) cmpBranch(b *ir.Block, body []ir.Instr, next int) (*cmpTail, int) {
+	cmp := body[0].(*ir.Cmp)
+	dst := c.slots[cmp]
+	tl := &cmpTail{dsts: [3]int{dst, dst, dst}, next: next}
+	switch len(body) {
+	case 2:
+		if br, ok := body[1].(*ir.CondBr); ok && br.Cond == cmp {
+			tl.br = c.branch(b, br)
+			return tl, 2
+		}
+	case 4:
+		cast, ok1 := body[1].(*ir.Cast)
+		ne, ok2 := body[2].(*ir.Cmp)
+		br, ok3 := body[3].(*ir.CondBr)
+		if ok1 && ok2 && ok3 && cast.Val == cmp && !ir.IsFloat(cast.Type()) &&
+			ne.Pred == ir.CmpNe && ne.X == cast && isZero(ne.Y) && br.Cond == ne {
+			tl.dsts[1], tl.dsts[2] = c.slots[cast], c.slots[ne]
+			tl.br = c.branch(b, br)
+			return tl, 4
+		}
+	}
+	return tl, 1
+}
+
+func isZero(v ir.Value) bool {
+	k, ok := v.(*ir.ConstInt)
+	return ok && k.V == 0
+}
+
+// load lowers a load by its pointer's kind.
+func (c *fnCompiler) load(t *ir.Load, next int) exec.Step {
+	dst, p, fn := c.slots[t], c.operand(t.Ptr), c.fn
 	switch {
-	case ir.IsFloat(typ):
-		// exec.BinOp below.
-	case op == ir.OpAdd:
-		step = func(fr *exec.Frame) int {
-			fr.Regs[dst] = exec.Val{I: xo.get(fr).I + yo.get(fr).I}
-			return next
-		}
-	case op == ir.OpSub:
-		step = func(fr *exec.Frame) int {
-			fr.Regs[dst] = exec.Val{I: xo.get(fr).I - yo.get(fr).I}
-			return next
-		}
-	case op == ir.OpMul:
-		step = func(fr *exec.Frame) int {
-			fr.Regs[dst] = exec.Val{I: xo.get(fr).I * yo.get(fr).I}
-			return next
-		}
-	case op == ir.OpAnd:
-		step = func(fr *exec.Frame) int {
-			fr.Regs[dst] = exec.Val{I: xo.get(fr).I & yo.get(fr).I}
-			return next
-		}
-	case op == ir.OpOr:
-		step = func(fr *exec.Frame) int {
-			fr.Regs[dst] = exec.Val{I: xo.get(fr).I | yo.get(fr).I}
-			return next
-		}
-	case op == ir.OpXor:
-		step = func(fr *exec.Frame) int {
-			fr.Regs[dst] = exec.Val{I: xo.get(fr).I ^ yo.get(fr).I}
-			return next
-		}
-	}
-	if step == nil {
-		step = func(fr *exec.Frame) int {
-			fr.Regs[dst] = exec.BinOp(op, typ, xo.get(fr), yo.get(fr))
-			return next
-		}
-	}
-	c.code = append(c.code, step)
-}
-
-// emitCmp lowers a comparison. The operands' IR type picks the closure
-// at compile time: float operands call the shared exec.Cmp, integer and
-// pointer operands compare their words in a fused step.
-func (c *fnCompiler) emitCmp(t *ir.Cmp, next int) {
-	dst := c.slots[t]
-	xo, yo := c.operand(t.X), c.operand(t.Y)
-	pred, typ := t.Pred, t.X.Type()
-	intCmp := func(test func(a, b int64) bool) exec.Step {
+	case c.opts.SkipLoadSeam:
 		return func(fr *exec.Frame) int {
-			if test(xo.get(fr).I, yo.get(fr).I) {
-				fr.Regs[dst] = exec.Val{I: 1}
-			} else {
-				fr.Regs[dst] = exec.Val{}
+			addr := uint64(p.get(fr).I)
+			if addr == 0 {
+				nilDeref(t, fn)
 			}
+			fr.Regs[dst] = seamlessLoad(fr, t, addr)
+			return next
+		}
+	case p.slot < 0:
+		addr := uint64(p.imm.I)
+		return func(fr *exec.Frame) int {
+			if addr == 0 {
+				nilDeref(t, fn)
+			}
+			fr.Regs[dst] = fr.Env.Load(fr.W, t, addr)
 			return next
 		}
 	}
-	var step exec.Step
-	switch {
-	case ir.IsFloat(typ):
-		// exec.Cmp below.
-	case pred == ir.CmpEq:
-		step = intCmp(func(a, b int64) bool { return a == b })
-	case pred == ir.CmpNe:
-		step = intCmp(func(a, b int64) bool { return a != b })
-	case pred == ir.CmpLt:
-		step = intCmp(func(a, b int64) bool { return a < b })
-	case pred == ir.CmpLe:
-		step = intCmp(func(a, b int64) bool { return a <= b })
-	case pred == ir.CmpGt:
-		step = intCmp(func(a, b int64) bool { return a > b })
-	case pred == ir.CmpGe:
-		step = intCmp(func(a, b int64) bool { return a >= b })
+	ps := p.slot
+	return func(fr *exec.Frame) int {
+		addr := uint64(fr.Regs[ps].I)
+		if addr == 0 {
+			nilDeref(t, fn)
+		}
+		fr.Regs[dst] = fr.Env.Load(fr.W, t, addr)
+		return next
 	}
-	if step == nil {
-		step = func(fr *exec.Frame) int {
-			fr.Regs[dst] = exec.Cmp(pred, typ, xo.get(fr), yo.get(fr))
+}
+
+// store lowers a store by its pointer's and its value's kinds.
+func (c *fnCompiler) store(t *ir.Store, next int) exec.Step {
+	p, v, fn := c.operand(t.Ptr), c.operand(t.Val), c.fn
+	ps, vs, addr, k := p.slot, v.slot, uint64(p.imm.I), v.imm
+	switch kindsOf(p, v) {
+	case ss:
+		return func(fr *exec.Frame) int {
+			addr := uint64(fr.Regs[ps].I)
+			if addr == 0 {
+				nilDeref(t, fn)
+			}
+			fr.Env.Store(fr.W, t, addr, fr.Regs[vs])
+			return next
+		}
+	case sk:
+		return func(fr *exec.Frame) int {
+			addr := uint64(fr.Regs[ps].I)
+			if addr == 0 {
+				nilDeref(t, fn)
+			}
+			fr.Env.Store(fr.W, t, addr, k)
+			return next
+		}
+	case ks:
+		return func(fr *exec.Frame) int {
+			if addr == 0 {
+				nilDeref(t, fn)
+			}
+			fr.Env.Store(fr.W, t, addr, fr.Regs[vs])
 			return next
 		}
 	}
-	c.code = append(c.code, step)
+	return func(fr *exec.Frame) int {
+		if addr == 0 {
+			nilDeref(t, fn)
+		}
+		fr.Env.Store(fr.W, t, addr, k)
+		return next
+	}
+}
+
+// fieldAccess fuses a plain fieldaddr (base slot b, field offset off)
+// with the load or store through it that follows, or returns nil when
+// use is neither. The step writes the fieldaddr's slot, then makes the
+// load's or store's nil check and Env call.
+func (c *fnCompiler) fieldAccess(fa *ir.FieldAddr, b int, off int64, use ir.Instr, next int) exec.Step {
+	fs, fn := c.slots[fa], c.fn
+	switch t := use.(type) {
+	case *ir.Load:
+		if t.Ptr != fa {
+			return nil
+		}
+		dst := c.slots[t]
+		if c.opts.SkipLoadSeam {
+			return func(fr *exec.Frame) int {
+				addr := fr.Regs[b].I + off
+				fr.Regs[fs].I = addr
+				if addr == 0 {
+					nilDeref(t, fn)
+				}
+				fr.Regs[dst] = seamlessLoad(fr, t, uint64(addr))
+				return next
+			}
+		}
+		return func(fr *exec.Frame) int {
+			addr := fr.Regs[b].I + off
+			fr.Regs[fs].I = addr
+			if addr == 0 {
+				nilDeref(t, fn)
+			}
+			fr.Regs[dst] = fr.Env.Load(fr.W, t, uint64(addr))
+			return next
+		}
+	case *ir.Store:
+		if t.Ptr != fa {
+			return nil
+		}
+		v := c.operand(t.Val)
+		if v.slot < 0 {
+			k := v.imm
+			return func(fr *exec.Frame) int {
+				addr := fr.Regs[b].I + off
+				fr.Regs[fs].I = addr
+				if addr == 0 {
+					nilDeref(t, fn)
+				}
+				fr.Env.Store(fr.W, t, uint64(addr), k)
+				return next
+			}
+		}
+		vs := v.slot
+		return func(fr *exec.Frame) int {
+			addr := fr.Regs[b].I + off
+			fr.Regs[fs].I = addr
+			if addr == 0 {
+				nilDeref(t, fn)
+			}
+			fr.Env.Store(fr.W, t, uint64(addr), fr.Regs[vs])
+			return next
+		}
+	}
+	return nil
 }
