@@ -65,10 +65,13 @@ type recoveryTotals struct {
 }
 
 // recoveryInstance instantiates prog for one crash schedule with recovery
-// on, under the given wait window (0 = none).
-func recoveryInstance(prog *privagic.Program, window time.Duration, maxAttempts int, faults privagic.FaultOptions) *privagic.Instance {
+// on, under the given wait window (0 = none) and boundary defense (the
+// zero value arms none).
+func recoveryInstance(prog *privagic.Program, def privagic.BoundaryDefenseOptions, window time.Duration,
+	maxAttempts int, faults privagic.FaultOptions) *privagic.Instance {
 	inst := prog.Instantiate(nil)
 	inst.EnableSpawnValidation()
+	inst.EnableBoundaryDefense(def)
 	inst.EnableSupervision(privagic.SupervisionOptions{WaitTimeout: window})
 	inst.EnableRecovery(privagic.RecoveryOptions{MaxAttempts: maxAttempts})
 	inst.EnableFaultInjection(faults)
@@ -77,10 +80,10 @@ func recoveryInstance(prog *privagic.Program, window time.Duration, maxAttempts 
 
 // runRecoverySchedule executes one entry call under one crash schedule with
 // recovery enabled and asserts full recovery plus the journal invariants.
-func runRecoverySchedule(t *testing.T, prog *privagic.Program, entry string, seed int64, window time.Duration,
-	check func(ret int64, inst *privagic.Instance) string, tot *recoveryTotals) {
+func runRecoverySchedule(t *testing.T, prog *privagic.Program, def privagic.BoundaryDefenseOptions, entry string,
+	seed int64, window time.Duration, check func(ret int64, inst *privagic.Instance) string, tot *recoveryTotals) {
 	t.Helper()
-	inst := recoveryInstance(prog, window, recoveryBudget, recoveryFaultsFor(seed))
+	inst := recoveryInstance(prog, def, window, recoveryBudget, recoveryFaultsFor(seed))
 	defer inst.Close()
 
 	res := callWithDeadline(t, inst, entry, seed, func() string {
@@ -123,12 +126,12 @@ func runRecoverySchedule(t *testing.T, prog *privagic.Program, entry string, see
 // runSpentSchedule executes one entry call with no wait window under a
 // crash schedule that may outlast the replay budget: more crashes than
 // attempts. The Call must return the exact answer or ErrEnclaveAbort.
-func runSpentSchedule(t *testing.T, prog *privagic.Program, entry string, seed int64,
-	check func(ret int64, inst *privagic.Instance) string, tot *recoveryTotals) {
+func runSpentSchedule(t *testing.T, prog *privagic.Program, def privagic.BoundaryDefenseOptions, entry string,
+	seed int64, check func(ret int64, inst *privagic.Instance) string, tot *recoveryTotals) {
 	t.Helper()
 	o := recoveryFaultsFor(seed)
 	o.MaxCrashes = 2 * recoveryBudget
-	inst := recoveryInstance(prog, 0, 1, o)
+	inst := recoveryInstance(prog, def, 0, 1, o)
 	defer inst.Close()
 
 	res := callWithDeadline(t, inst, entry, seed, func() string {
@@ -152,16 +155,17 @@ func runSpentSchedule(t *testing.T, prog *privagic.Program, entry string, seed i
 	tot.giveups += rs.Giveups
 }
 
-// sweepRecovery runs seeds 1..n of the recovery soak for one workload:
-// the capped schedules under the supervision window and with none, then
-// the spent-budget schedules with none.
-func sweepRecovery(t *testing.T, prog *privagic.Program, entry string, n int,
+// sweepRecovery runs seeds 1..n of the recovery soak for one workload,
+// with the boundary defense def armed: the capped schedules under the
+// supervision window and with none, then the spent-budget schedules with
+// none.
+func sweepRecovery(t *testing.T, prog *privagic.Program, def privagic.BoundaryDefenseOptions, entry string, n int,
 	check func(ret int64, inst *privagic.Instance) string) {
 	t.Helper()
 	for _, window := range []time.Duration{recoveryWaitTimeout, 0} {
 		var tot recoveryTotals
 		for seed := int64(1); seed <= int64(n); seed++ {
-			runRecoverySchedule(t, prog, entry, seed, window, check, &tot)
+			runRecoverySchedule(t, prog, def, entry, seed, window, check, &tot)
 		}
 		t.Logf("%s recovery soak over %d schedules, window %v: %d crashes injected, %d replays, %d effect discards — all recovered",
 			entry, n, window, tot.crashes, tot.replays, tot.discards)
@@ -171,7 +175,7 @@ func sweepRecovery(t *testing.T, prog *privagic.Program, entry string, n int,
 	}
 	var tot recoveryTotals
 	for seed := int64(1); seed <= int64(n); seed++ {
-		runSpentSchedule(t, prog, entry, seed, check, &tot)
+		runSpentSchedule(t, prog, def, entry, seed, check, &tot)
 	}
 	t.Logf("%s spent-budget soak over %d schedules, no window: %d crashes injected, %d spawns gave up",
 		entry, n, tot.crashes, tot.giveups)
@@ -191,7 +195,7 @@ func TestSoakRecoveryFigure6(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := faults.SoakCount(faults.Schedules().RecoveryFigure6, testing.Short())
-	sweepRecovery(t, prog, "main", n, func(ret int64, inst *privagic.Instance) string {
+	sweepRecovery(t, prog, privagic.BoundaryDefenseOptions{}, "main", n, func(ret int64, inst *privagic.Instance) string {
 		if ret != 42 {
 			return "ret != 42"
 		}
@@ -222,9 +226,62 @@ func TestSoakRecoveryTwoColorHashmap(t *testing.T) {
 		t.Fatalf("clean run returned %d hits; workload is degenerate", want)
 	}
 	n := faults.SoakCount(faults.Schedules().RecoveryTwoColor, testing.Short())
-	sweepRecovery(t, prog, "run_ycsb", n, func(ret int64, _ *privagic.Instance) string {
+	sweepRecovery(t, prog, privagic.BoundaryDefenseOptions{}, "run_ycsb", n, func(ret int64, _ *privagic.Instance) string {
 		if ret != want {
 			return "hit count diverged from the clean run"
+		}
+		return ""
+	})
+}
+
+// memcachedBatchSrc is the memcached core plus one 300-op batch entry,
+// the shape of the benchmark's batches. Its store chunk sends nothing
+// before its Done, so the sweep replays a leaf: a replay runs fresh, and
+// the answer counts hits and inserts, so a lost or double-applied insert
+// shows in it.
+const memcachedBatchSrc = sources.MemcachedCoreColored + `
+entry long soak_batch() {
+	long seed = 7;
+	long hits = 0;
+	for (long i = 0; i < 300; i++) {
+		seed = (seed * 1103515245 + 12345) & 2147483647;
+		long key = (seed >> 12) & 255;
+		if (((seed >> 24) & 1) == 0) { mc_set(key, inbuf); }
+		else { hits = hits + mc_get(key); }
+	}
+	return hits * 100000 + mc_items();
+}
+`
+
+// TestSoakRecoveryMemcachedBatch sweeps a hardened memcached batch, with
+// every boundary defense armed, through the crash schedules: each
+// journaled spawn of the batch is a leaf, whose replays run fresh.
+func TestSoakRecoveryMemcachedBatch(t *testing.T) {
+	prog, err := privagic.Compile("memcached_batch.c", memcachedBatchSrc, privagic.Options{
+		Mode: privagic.Hardened, Entries: []string{"soak_batch"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := prog.Instantiate(nil)
+	clean.EnableBoundaryDefense(privagic.FullBoundaryDefense())
+	clean.EnableRecovery(privagic.RecoveryOptions{MaxAttempts: recoveryBudget})
+	want, err := clean.Call("soak_batch")
+	rs := clean.RecoveryStats()
+	clean.Close()
+	if err != nil {
+		t.Fatalf("clean run failed: %v", err)
+	}
+	if want/100000 == 0 || want%100000 == 0 {
+		t.Fatalf("clean run returned %d (hits*100000 + items); workload is degenerate", want)
+	}
+	if rs.SpawnsJournaled == 0 || rs.Unlogged != rs.SpawnsJournaled {
+		t.Fatalf("%d of %d journaled spawns unlogged; the batch must be a leaf", rs.Unlogged, rs.SpawnsJournaled)
+	}
+	n := faults.SoakCount(faults.Schedules().RecoveryMemcached, testing.Short())
+	sweepRecovery(t, prog, privagic.FullBoundaryDefense(), "soak_batch", n, func(ret int64, _ *privagic.Instance) string {
+		if ret != want {
+			return fmt.Sprintf("soak_batch() = %d, want %d (hits*100000 + items)", ret, want)
 		}
 		return ""
 	})

@@ -13,9 +13,11 @@ type SoakBudget struct {
 	TwoColor int
 
 	// Recovery soak (recovery_soak_test.go): injected crashes capped at
-	// the replay budget, every run must fully recover.
-	RecoveryFigure6  int
-	RecoveryTwoColor int
+	// the replay budget, every run must fully recover. The memcached
+	// sweep is the one whose journaled spawns are leaves.
+	RecoveryFigure6   int
+	RecoveryTwoColor  int
+	RecoveryMemcached int
 
 	// Iago soak (iago_soak_test.go): the U-memory mutator adversary,
 	// hardened mode must return the exact answer or a typed violation.

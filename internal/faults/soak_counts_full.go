@@ -11,8 +11,9 @@ var soakBudget = SoakBudget{
 	Figure6:  700,
 	TwoColor: 320,
 
-	RecoveryFigure6:  700,
-	RecoveryTwoColor: 320,
+	RecoveryFigure6:   700,
+	RecoveryTwoColor:  320,
+	RecoveryMemcached: 300,
 
 	IagoFigure6:  700,
 	IagoTwoColor: 320,

@@ -13,8 +13,9 @@ var soakBudget = SoakBudget{
 	Figure6:  80,
 	TwoColor: 24,
 
-	RecoveryFigure6:  60,
-	RecoveryTwoColor: 20,
+	RecoveryFigure6:   60,
+	RecoveryTwoColor:  20,
+	RecoveryMemcached: 20,
 
 	IagoFigure6:  60,
 	IagoTwoColor: 20,

@@ -11,7 +11,8 @@ import (
 
 // replayWordSrc reads the blue word g three ways before its first store:
 // whole (the word core), one byte of it (the word core, at an offset)
-// and all eight bytes through hash64 (the byte path).
+// and all eight bytes through hash64 (the byte path). probe's blue chunk
+// sends nothing before its Done: it is a leaf.
 const replayWordSrc = `
 ignore long reveal(long color(blue) v);
 long color(blue) g = 72623859790382856;
@@ -26,35 +27,111 @@ entry void probe() {
 entry long peek() { return reveal(h); }
 `
 
+// replaySentSrc is replayWordSrc with one cont before the first store:
+// probe's blue chunk reveals the g it read to its U chunk, which returns
+// it. The chunk is not a leaf.
+const replaySentSrc = `
+ignore long reveal(long color(blue) v);
+long color(blue) g = 72623859790382856;
+long color(blue) h = 0;
+long seen = 0;
+entry long probe() {
+	long a = g;
+	char color(blue)* p = (char color(blue)*) &g;
+	long c = p[3];
+	long b = hash64(&g, 8);
+	seen = reveal(a);
+	h = a + b + c;
+	return seen;
+}
+entry long peek() { return reveal(h); }
+`
+
+// crashAfterRewrite arms a crash at the first buffered store of the first
+// spawned chunk that makes one, after rewriting g to all ones.
+func crashAfterRewrite(ip *Interp) {
+	ref := ip.RT.Space.Resolve(ip.globals[ip.Prog.Mod.Global("g")])
+	crashed := false
+	ip.SetCrashPoint(func(_, _, store int) any {
+		if crashed || store != 1 {
+			return nil
+		}
+		crashed = true
+		ref.Region.StoreWord(ref.Off, ^uint64(0))
+		return injectedCrash{}
+	})
+}
+
+// probeIsLeaf reports whether probe's blue chunk is a leaf.
+func probeIsLeaf(ip *Interp) bool {
+	for _, ch := range ip.Prog.ChunkByID {
+		if ch.Part.Spec.Fn.FName == "probe" && ch.Color.IsEnclave() {
+			return ip.RT.Leaves[ch.ID]
+		}
+	}
+	return false
+}
+
 // TestReplayServesWordAndBytePaths crashes probe's blue chunk at its
-// first store, after the crash hook rewrote g. The replay must be served
-// from the load log, for the word core's loads as for the byte path's:
-// h comes out as on an undisturbed run, not from the rewritten g.
+// first store, after the crash hook rewrote g. The chunk already sent
+// the g it read to its U chunk, so the replay must be served from the
+// load log, for the word core's loads as for the byte path's: h comes
+// out as on an undisturbed run, not from the rewritten g.
 func TestReplayServesWordAndBytePaths(t *testing.T) {
 	for _, e := range allEngines {
 		t.Run(e.String(), func(t *testing.T) {
+			clean := withEngine(t, build(t, typing.Relaxed, replaySentSrc, "probe", "peek"), e)
+			wantSeen := callOK(t, clean, "probe")
+			wantH := callOK(t, clean, "peek")
+
+			ip := withEngine(t, build(t, typing.Relaxed, replaySentSrc, "probe", "peek"), e)
+			if probeIsLeaf(ip) {
+				t.Fatal("probe's blue chunk sends a cont but is marked a leaf")
+			}
+			ip.EnableRecovery(2)
+			crashAfterRewrite(ip)
+			if got := callOK(t, ip, "probe"); got != wantSeen {
+				t.Errorf("probe() = %d, want %d", got, wantSeen)
+			}
+			if rs := ip.RT.RecoveryStats(); rs.Replays != 1 || rs.Unlogged != 0 {
+				t.Errorf("%d replays, %d unlogged spawns; want 1 and 0", rs.Replays, rs.Unlogged)
+			}
+			if got := callOK(t, ip, "peek"); got != wantH {
+				t.Errorf("h = %d after the replay, want %d (the crashed attempt's loads)", got, wantH)
+			}
+		})
+	}
+}
+
+// TestLeafReplayRunsFresh is TestReplayServesWordAndBytePaths on the
+// leaf probe: no peer saw the crashed attempt, so its replay keeps no
+// load log and runs fresh. h is computed from the rewritten g, with one
+// replay and one commit.
+func TestLeafReplayRunsFresh(t *testing.T) {
+	for _, e := range allEngines {
+		t.Run(e.String(), func(t *testing.T) {
 			clean := withEngine(t, build(t, typing.Relaxed, replayWordSrc, "probe", "peek"), e)
+			ref := clean.RT.Space.Resolve(clean.globals[clean.Prog.Mod.Global("g")])
+			ref.Region.StoreWord(ref.Off, ^uint64(0))
 			callOK(t, clean, "probe")
 			wantH := callOK(t, clean, "peek")
 
 			ip := withEngine(t, build(t, typing.Relaxed, replayWordSrc, "probe", "peek"), e)
-			ip.EnableRecovery(2)
-			ref := ip.RT.Space.Resolve(ip.globals[ip.Prog.Mod.Global("g")])
-			crashed := false
-			ip.SetCrashPoint(func(_, _, store int) any {
-				if crashed || store != 1 {
-					return nil
-				}
-				crashed = true
-				ref.Region.StoreWord(ref.Off, ^uint64(0))
-				return injectedCrash{}
-			})
-			callOK(t, ip, "probe")
-			if got := callOK(t, ip, "peek"); got != wantH {
-				t.Errorf("h = %d after the replay, want %d (the crashed attempt's loads)", got, wantH)
+			if !probeIsLeaf(ip) {
+				t.Fatal("probe's blue chunk is not marked a leaf")
 			}
-			if r := ip.RT.RecoveryStats().Replays; r != 1 {
-				t.Errorf("%d replays, want 1", r)
+			ip.EnableRecovery(2)
+			crashAfterRewrite(ip)
+			callOK(t, ip, "probe")
+			rs := ip.RT.RecoveryStats()
+			if commits, _ := ip.EffectStats(); rs.Replays != 1 || rs.Commits != 1 || commits != 1 {
+				t.Errorf("%d replays, %d journal and %d effect commits; want 1 of each", rs.Replays, rs.Commits, commits)
+			}
+			if rs.Unlogged != rs.SpawnsJournaled {
+				t.Errorf("%d of %d journaled spawns unlogged, want all", rs.Unlogged, rs.SpawnsJournaled)
+			}
+			if got := callOK(t, ip, "peek"); got != wantH {
+				t.Errorf("h = %d after the replay, want %d (a fresh run on the rewritten g)", got, wantH)
 			}
 		})
 	}

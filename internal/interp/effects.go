@@ -116,14 +116,15 @@ func (s *txStack) put(tx *effectTx) {
 }
 
 // commitTx applies the buffered effects: redo log in store order, then
-// the buffered output. The attempt's loads are published first, so a
-// replay of the completed spawn is served every load these effects
-// were computed from.
+// the buffered output. The runtime is told first (prt.Worker.BeginCommit):
+// a logged attempt publishes its loads, so a replay of the completed
+// spawn is served every load these effects were computed from, and a
+// leaf's spawn passes its point of no return.
 func (ip *Interp) commitTx(w *prt.Worker, tx *effectTx) {
 	if tx == nil {
 		return
 	}
-	w.PublishLoads()
+	w.BeginCommit()
 	pos := 0
 	for _, rec := range tx.redo {
 		ip.writeBack(ip.RT.Space.Region(sgx.RegionID(rec.id)), rec.off, tx.arena[pos:pos+int(rec.n)])

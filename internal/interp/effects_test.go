@@ -2,6 +2,7 @@ package interp
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -173,4 +174,57 @@ func storeIn(ip *Interp, w *prt.Worker, tx *effectTx, addr uint64, data []byte) 
 	ws.tx = tx
 	ip.storeBytes(w, addr, data)
 	ws.tx = prev
+}
+
+// commitPanic is a BoundaryObserver that panics at the first backing
+// store to unsafe memory, which only a commit makes here.
+type commitPanic struct{ fired bool }
+
+func (o *commitPanic) GuardedLoad(_ uint64, _ int, _, _ bool, load func()) { load() }
+
+func (o *commitPanic) GuardedStore(_ uint64, _ int, store func()) {
+	if !o.fired {
+		o.fired = true
+		panic("store refused mid-commit")
+	}
+	store()
+}
+
+// TestLeafCommitIsPointOfNoReturn: bump's blue chunk is a leaf whose
+// commit applies acc before out. The observer aborts the commit between
+// the two. A fresh re-run would read the applied acc and apply it again,
+// so the spawn surfaces its typed error instead of replaying, and acc
+// is applied once.
+func TestLeafCommitIsPointOfNoReturn(t *testing.T) {
+	const src = `
+ignore void declassify(char* dst, char color(blue)* src, long n);
+ignore long reveal(long color(blue) v);
+long color(blue) acc = 0;
+char color(blue) val[8];
+char out[8];
+entry void bump() {
+	acc = acc + 1;
+	declassify(out, val, 8);
+}
+entry long peek() { return reveal(acc); }
+`
+	for _, e := range allEngines {
+		t.Run(e.String(), func(t *testing.T) {
+			ip := withEngine(t, build(t, typing.Relaxed, src, "bump", "peek"), e)
+			ip.EnableRecovery(2)
+			ip.SetBoundaryObserver(&commitPanic{})
+			_, err := ip.Call("bump")
+			var abort *prt.EnclaveAbort
+			if !errors.As(err, &abort) {
+				t.Fatalf("bump() = %v, want an EnclaveAbort", err)
+			}
+			rs := ip.RT.RecoveryStats()
+			if rs.Unlogged != 1 || rs.Replays != 0 || rs.Giveups != 1 {
+				t.Errorf("%d unlogged, %d replays, %d giveups; want 1, 0 and 1", rs.Unlogged, rs.Replays, rs.Giveups)
+			}
+			if got := callOK(t, ip, "peek"); got != 1 {
+				t.Errorf("acc = %d after the aborted commit, want 1 (applied once)", got)
+			}
+		})
+	}
 }

@@ -141,6 +141,9 @@ func New(prog *partition.Program, machine *sgx.Machine) *Interp {
 		ip.chunkOf[ch.Fn] = ch
 	}
 	ip.RT = prt.New(machine, colors, ip.execChunk)
+	// The bodies are final here (the crossing optimizer has run): a
+	// journaled spawn of a leaf keeps no load log.
+	ip.RT.Leaves = prog.Leaves()
 	ip.computeLayouts()
 	ip.allocGlobals()
 	for name := range prog.Entries {

@@ -188,9 +188,14 @@ func preferNamed(colors []ir.Color) ir.Color {
 	return best
 }
 
-// resultUsedFreely reports whether the call's result flows into Free
-// (replicated) instructions, which makes every chunk a potential consumer.
+// resultUsedFreely reports whether the call has a Free result that the
+// caller uses, which makes every caller chunk a potential consumer. A
+// concretely colored result stays in its enclave, as in transportsOf:
+// shipping it would carry it through the untrusted queues.
 func (p *Program) resultUsedFreely(spec *typing.FuncSpec, call *ir.Call) bool {
+	if !spec.ValueColor(call).IsFree() {
+		return false
+	}
 	used := false
 	spec.Fn.Instrs(func(_ *ir.Block, in ir.Instr) {
 		for _, op := range in.Ops() {

@@ -47,6 +47,15 @@ import (
 // cached/suppressed values exact, which is what the paper's §5 execution
 // model guarantees: a chunk is a pure function of its arguments and its
 // barrier inputs, plus writes that are buffered here.
+//
+// A leaf chunk (Runtime.Leaves) needs none of the load log. It sends
+// nothing before its Done, so no peer has reacted to anything a crashed
+// leaf attempt read, and its replay is a fresh run of the journaled
+// arguments: the schedule in which the spawn arrived later. Its attempts
+// log nothing, runtime-supplied words included (a fresh run may branch
+// differently, so its allocations are fresh too, and a crashed attempt's
+// leak). Without a log a re-run is idempotent only before the commit, so
+// a leaf's commit is the spawn's point of no return (Worker.BeginCommit).
 type journal struct {
 	mu       sync.Mutex
 	inflight map[spawnKey]*spawnRec
@@ -55,9 +64,10 @@ type journal struct {
 	free []*spawnRec
 
 	journaled atomic.Int64 // spawns recorded
+	unlogged  atomic.Int64 // spawns recorded of a leaf chunk: no load log
 	commits   atomic.Int64 // completions that closed an entry
 	replays   atomic.Int64 // re-executions performed
-	giveups   atomic.Int64 // spawns that exhausted the attempt budget
+	giveups   atomic.Int64 // spawns whose typed error surfaced
 }
 
 // spawnKey identifies one in-flight spawn. A thread's protocol is
@@ -111,7 +121,7 @@ type spawnRec struct {
 	// completions of its own nested spawns (the nested chunk will not
 	// complete again). A replay re-consumes them from the cache. Words
 	// the runtime supplies (alloca and malloc addresses) go through the
-	// attempt's load log instead. contsOut and spawnsOut suppress
+	// attempt's load log instead (a leaf's go nowhere). contsOut and spawnsOut suppress
 	// re-sending the conts and nested spawns a previous attempt already
 	// sent (the peer consumed them; a fresh copy would be matched against
 	// a later wait or execute the nested chunk a second time).
@@ -127,6 +137,9 @@ type spawnRec struct {
 	// attempt), which the next attempt is served from.
 	gen   uint64
 	loads loadLog
+	// sealed is set once a leaf attempt's commit began: the spawn is
+	// past its point of no return (see Worker.BeginCommit).
+	sealed bool
 }
 
 // contIn is one cached cont: the wait point it satisfied and its value.
@@ -151,9 +164,15 @@ type contVec struct {
 // served the published prefix re-reads exactly the memory the protocol
 // already depends on. A stale attempt (one a later attempt replaced)
 // never publishes, so it cannot move what its successor is served.
+//
+// A leaf chunk's attempt keeps no log at all (logs is false): a leaf
+// sends nothing before its Done, so no peer can have reacted to a
+// crashed attempt, and its replay is a fresh run of the journaled
+// arguments, as if the spawn had arrived later.
 type attempt struct {
 	rec   *spawnRec
 	gen   uint64
+	logs  bool
 	loads loadLog
 }
 
@@ -266,18 +285,22 @@ func (c *suppressCounter) suppress() bool {
 }
 
 // beginAttempt rewinds the replay cursors for a (re-)execution and opens
-// the attempt that runs it. A first attempt logs its loads into the
-// record's own (empty) buffers: no other attempt exists, and a recycled
-// record's previous one has finished. A later attempt's load log starts
-// as a copy of the published one, sized for hint if that is larger: its
-// own appends must not touch memory a stale attempt may still read.
-func (r *spawnRec) beginAttempt(hint logSize) attempt {
+// the attempt that runs it. A leaf's attempt opens no load log. A first
+// attempt logs its loads into the record's own (empty) buffers: no other
+// attempt exists, and a recycled record's previous one has finished. A
+// later attempt's load log starts as a copy of the published one, sized
+// for hint if that is larger: its own appends must not touch memory a
+// stale attempt may still read.
+func (r *spawnRec) beginAttempt(hint logSize, leaf bool) attempt {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.contsIn.cursor, r.vecsIn.cursor, r.donesIn.cursor = 0, 0, 0
 	r.contsOut.cursor, r.spawnsOut.cursor = 0, 0
 	r.gen++
-	a := attempt{rec: r, gen: r.gen}
+	a := attempt{rec: r, gen: r.gen, logs: !leaf}
+	if leaf {
+		return a
+	}
 	if r.gen == 1 {
 		a.loads.lens = slices.Grow(r.loads.lens, hint.loads)
 		a.loads.buf = slices.Grow(r.loads.buf, hint.bytes)
@@ -288,10 +311,10 @@ func (r *spawnRec) beginAttempt(hint logSize) attempt {
 	return a
 }
 
-// publish hands the attempt's load log to its entry, if no later attempt
-// has begun. rec.mu must be held.
+// publish hands the attempt's load log to its entry, if it keeps one and
+// no later attempt has begun. rec.mu must be held.
 func (a *attempt) publish() {
-	if a.gen == a.rec.gen {
+	if a.logs && a.gen == a.rec.gen {
 		a.rec.loads.buf, a.rec.loads.lens = a.loads.buf, a.loads.lens
 	}
 }
@@ -397,6 +420,9 @@ func (rt *Runtime) recordSpawn(t *Thread, toIdx, chunkID int, args []value.Val, 
 	rec.toIdx, rec.chunkID, rec.args, rec.replyTo, rec.epoch = toIdx, chunkID, args, replyTo, epoch
 	j.inflight[key] = rec
 	j.journaled.Add(1)
+	if rt.leaf(chunkID) {
+		j.unlogged.Add(1)
+	}
 }
 
 // inflightAt returns the entry under key if it was journaled in epoch.
@@ -459,7 +485,7 @@ func (r *spawnRec) fits() bool {
 // rec.mu must be held.
 func (r *spawnRec) reset() {
 	r.args, r.replyTo = nil, nil
-	r.gen = 0
+	r.gen, r.sealed = 0, false
 	r.contsIn.reset()
 	r.vecsIn.reset()
 	r.donesIn.reset()
@@ -468,40 +494,45 @@ func (r *spawnRec) reset() {
 }
 
 // spendAttempt charges one replay to the in-flight spawn key names, if
-// it was journaled in epoch, and returns its record and the attempt count
-// (nil when no such spawn is in flight). A spawn past its budget leaves
-// the journal. Charging under the journal's mu keeps a completion racing
-// the replay from recycling the record.
-func (rt *Runtime) spendAttempt(key spawnKey, epoch uint64) (*spawnRec, int) {
+// it was journaled in epoch, and returns its record, the attempt count
+// and whether the spawn may replay (a nil record when no such spawn is in
+// flight). A spawn past its budget, or a leaf whose commit began, leaves
+// the journal and may not. Charging under the journal's mu keeps a
+// completion racing the replay from recycling the record.
+func (rt *Runtime) spendAttempt(key spawnKey, epoch uint64) (*spawnRec, int, bool) {
 	j := &rt.jr
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	rec := j.inflightAt(key, epoch)
 	if rec == nil {
-		return nil, 0
+		return nil, 0, false
 	}
 	rec.attempts++
-	if rec.attempts > rt.ReplayBudget {
+	rec.mu.Lock()
+	ok := rec.attempts <= rt.ReplayBudget && !rec.sealed
+	rec.mu.Unlock()
+	if !ok {
 		delete(j.inflight, key)
 	}
-	return rec, rec.attempts
+	return rec, rec.attempts, ok
 }
 
 // retrySpawn decides the fate of a poisoned completion of the given
 // epoch consumed by w: true means the spawn was replayed (the completion
 // is swallowed and the joiner keeps waiting for the replacement), false
-// means the budget is exhausted (or the spawn was never journaled) and
-// the error surfaces. Runs on the joiner's goroutine. The replay is sent
-// at once: a delay would relieve no shared resource (the joiner is
-// blocked anyway, and the replay runs on an in-process worker), and the
-// peers' wait windows would see no admit while it lasted.
+// means the budget is exhausted or a leaf aborted inside its commit (or
+// the spawn was never journaled) and the error surfaces. Runs on the
+// joiner's goroutine. The replay is sent at once: a delay would relieve
+// no shared resource (the joiner is blocked anyway, and the replay runs
+// on an in-process worker), and the peers' wait windows would see no
+// admit while it lasted.
 func (rt *Runtime) retrySpawn(w *Worker, abort *EnclaveAbort, epoch uint64) bool {
 	t := w.Thread
-	rec, attempt := rt.spendAttempt(spawnKey{t, abort.Worker, abort.ChunkID}, epoch)
+	rec, attempt, ok := rt.spendAttempt(spawnKey{t, abort.Worker, abort.ChunkID}, epoch)
 	if rec == nil {
 		return false
 	}
-	if attempt > rt.ReplayBudget {
+	if !ok {
 		rt.jr.giveups.Add(1)
 		rt.trace(obs.EvGiveUp, abort.Worker, abort.ChunkID, 0, t.epoch.Load(), int64(attempt-1))
 		return false
@@ -527,8 +558,12 @@ type RecoveryStats struct {
 	// invariant the soak asserts.
 	SpawnsJournaled int64
 	Commits         int64
-	// Replays counts re-executions; Giveups counts spawns that exhausted
-	// the attempt budget and surfaced their typed error.
+	// Unlogged counts the journaled spawns of leaf chunks, whose
+	// attempts keep no load log.
+	Unlogged int64
+	// Replays counts re-executions; Giveups counts spawns that surfaced
+	// their typed error: they exhausted the attempt budget, or a leaf
+	// aborted after its commit began.
 	Replays int64
 	Giveups int64
 }
@@ -537,6 +572,7 @@ type RecoveryStats struct {
 func (rt *Runtime) RecoveryStats() RecoveryStats {
 	return RecoveryStats{
 		SpawnsJournaled: rt.jr.journaled.Load(),
+		Unlogged:        rt.jr.unlogged.Load(),
 		Commits:         rt.jr.commits.Load(),
 		Replays:         rt.jr.replays.Load(),
 		Giveups:         rt.jr.giveups.Load(),

@@ -187,7 +187,7 @@ func TestStaleAttemptCannotMoveReplayLog(t *testing.T) {
 func TestJournaledLoadAllocationFree(t *testing.T) {
 	rec := &spawnRec{}
 	w := &Worker{}
-	w.att = rec.beginAttempt(logSize{loads: 1024, bytes: 8 * 1024})
+	w.att = rec.beginAttempt(logSize{loads: 1024, bytes: 8 * 1024}, false)
 	buf := make([]byte, 8)
 	if allocs := testing.AllocsPerRun(1000, func() { w.JournalLoad(buf) }); allocs != 0 {
 		t.Errorf("a journaled load allocates %.1f times, want 0", allocs)

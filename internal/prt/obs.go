@@ -62,6 +62,7 @@ func (rt *Runtime) RegisterMetrics(reg *obs.Registry) {
 	reg.Gauge("prt.payload_tampered", rt.stats.payloadTampered.Load)
 
 	reg.Gauge("prt.journal.spawns", rt.jr.journaled.Load)
+	reg.Gauge("prt.journal.unlogged", rt.jr.unlogged.Load)
 	reg.Gauge("prt.journal.commits", rt.jr.commits.Load)
 	reg.Gauge("prt.journal.replays", rt.jr.replays.Load)
 	reg.Gauge("prt.journal.giveups", rt.jr.giveups.Load)

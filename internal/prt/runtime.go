@@ -179,6 +179,14 @@ type Runtime struct {
 	// Set it before creating threads; see journal.go.
 	ReplayBudget int
 
+	// Leaves marks, by chunk ID, the leaf chunks: a leaf spawns, joins,
+	// waits for and sends nothing, makes no indirect call and starts or
+	// joins no thread, so no peer can react to it before its Done. A
+	// journaled spawn of a leaf keeps no load log, and its replay is a
+	// fresh run of the journaled arguments (see journal.go). Set it
+	// before creating threads; nil marks no chunk a leaf.
+	Leaves []bool
+
 	// Tracer, when set, records a structured event per runtime decision
 	// (admit-gate rejects, spawns, waits, replays — see
 	// internal/obs and OBSERVABILITY.md). Nil disables tracing at the
@@ -220,6 +228,11 @@ func New(m *sgx.Machine, colors []string, exec ChunkExec) *Runtime {
 		Colors:  colors,
 		Exec:    exec,
 	}
+}
+
+// leaf reports whether chunkID names a leaf chunk (see Leaves).
+func (rt *Runtime) leaf(chunkID int) bool {
+	return chunkID >= 0 && chunkID < len(rt.Leaves) && rt.Leaves[chunkID]
 }
 
 // RegionOf maps a color index (0 = unsafe) to its region.
@@ -272,9 +285,10 @@ type Worker struct {
 
 	// att is the attempt currently executing on this worker: its journal
 	// entry (nil when recovery is off or the spawn is not journaled),
-	// where the cont replay caches live, and its own load log. loadHint
-	// is the size of the last attempt's load log, which sizes the next
-	// one's. Touched only on the worker's own goroutine.
+	// where the cont replay caches live, and its own load log (none for a
+	// leaf). loadHint is the size of the last logged attempt's load log,
+	// which sizes the next one's. Touched only on the worker's own
+	// goroutine.
 	att      attempt
 	loadHint logSize
 
@@ -701,11 +715,11 @@ func (w *Worker) runSpawn(msg Message) {
 	w.att = attempt{}
 	if rt.ReplayBudget > 0 {
 		if rec := rt.lookupSpawn(w.Thread, w.Index, msg.ChunkID, msg.epoch); rec != nil {
-			w.att = rec.beginAttempt(w.loadHint)
+			w.att = rec.beginAttempt(w.loadHint, rt.leaf(msg.ChunkID))
 		}
 	}
 	defer func() {
-		if w.att.rec != nil {
+		if w.att.logs {
 			w.loadHint = w.att.loads.size()
 		}
 		w.att = prevAtt
@@ -735,7 +749,7 @@ func (w *Worker) runSpawn(msg Message) {
 				rt.trace(obs.EvAbort, w.Index, msg.ChunkID, 0, msg.epoch, 0)
 				// A crash publishes every load: the replay is served
 				// exactly what this attempt read.
-				w.PublishLoads()
+				w.publishLoads()
 				// Snapshot the flight record after the abort event, so
 				// the record's last line is the abort itself.
 				abort.flight = rt.flightDump()
@@ -748,7 +762,7 @@ func (w *Worker) runSpawn(msg Message) {
 		// A completed attempt publishes every load, like a crashed one:
 		// the record keeps the log, which a recycled record's next spawn
 		// logs into.
-		w.PublishLoads()
+		w.publishLoads()
 		return false
 	}()
 	var ended time.Time
@@ -805,13 +819,13 @@ func (rt *Runtime) send(from, to *Worker, msg Message, c *queue.Cache[Message]) 
 // JournalLoad threads one memory load of the currently executing chunk
 // through its attempt's load log: on a replay, buf is overwritten with
 // the bytes the crashed attempt read at this position; past that, buf is
-// recorded. A no-op when the executing chunk is not journaled. The
-// embedder (the interpreter) calls this on every mode-checked load so a
-// replay observes the memory of the attempt its peers already reacted to,
-// not whatever committed nested effects have since made of it. Lock-free:
-// the log is the attempt's own until it is published.
+// recorded. A no-op when the executing chunk is not journaled or is a
+// leaf. The embedder (the interpreter) calls this on every mode-checked
+// load so a replay observes the memory of the attempt its peers already
+// reacted to, not whatever committed nested effects have since made of
+// it. Lock-free: the log is the attempt's own until it is published.
 func (w *Worker) JournalLoad(buf []byte) {
-	if w.att.rec != nil {
+	if w.att.logs {
 		w.att.loads.load(buf)
 	}
 }
@@ -822,7 +836,7 @@ func (w *Worker) JournalLoad(buf []byte) {
 // interpreter's scalar loads use it, so a word never goes through a
 // byte buffer.
 func (w *Worker) JournalLoadWord(v uint64, n int) uint64 {
-	if w.att.rec == nil {
+	if !w.att.logs {
 		return v
 	}
 	return w.att.loads.loadWord(v, n)
@@ -832,23 +846,43 @@ func (w *Worker) JournalLoadWord(v uint64, n int) uint64 {
 // the runtime, an alloca address, through its attempt's load log like a
 // load: a replay is served the value the crashed attempt got, which
 // peers may hold; past that, v is recorded. Returns v when the executing
-// chunk is not journaled. Lock-free, like JournalLoad.
+// chunk is not journaled or is a leaf (a leaf's replay allocates afresh).
+// Lock-free, like JournalLoad.
 func (w *Worker) JournalWord(v uint64) uint64 {
 	return w.JournalLoadWord(v, 8)
 }
 
-// PublishLoads hands the executing attempt's load log to its journal
-// entry. The embedder calls it just before the chunk's buffered effects
-// commit: a chunk that crashes after its effects committed is still
-// replayed, and that replay must be served every load behind the
-// effects it would otherwise re-apply on top of themselves. A no-op when
-// the chunk is not journaled.
-func (w *Worker) PublishLoads() {
+// publishLoads hands the executing attempt's load log to its journal
+// entry. A no-op when the chunk is not journaled or is a leaf.
+func (w *Worker) publishLoads() {
 	if rec := w.att.rec; rec != nil {
 		rec.mu.Lock()
 		w.att.publish()
 		rec.mu.Unlock()
 	}
+}
+
+// BeginCommit marks the start of the executing chunk's commit: the
+// embedder calls it just before the chunk's buffered effects are
+// applied. A chunk that crashes after its effects began to commit could
+// re-apply them on top of themselves. A logged attempt therefore
+// publishes its load log, and its replay is served every load behind
+// those effects, which makes the re-run idempotent. A leaf's attempt has
+// no log to serve, so its commit is the spawn's point of no return: an
+// abort from here on surfaces as the spawn's error (a giveup) instead of
+// a fresh re-run over half-applied effects. A no-op when the chunk is
+// not journaled.
+func (w *Worker) BeginCommit() {
+	rec := w.att.rec
+	if rec == nil {
+		return
+	}
+	rec.mu.Lock()
+	if !w.att.logs && w.att.gen == rec.gen {
+		rec.sealed = true
+	}
+	w.att.publish()
+	rec.mu.Unlock()
 }
 
 // JournalAlloc threads an allocation service call through the executing
@@ -857,9 +891,12 @@ func (w *Worker) PublishLoads() {
 // alloc (the allocator's bump cursor is not part of the effect
 // transaction, and peers may hold committed writes behind the original
 // address); past that, alloc runs and its result is logged. Calls alloc
-// directly when the executing chunk is not journaled.
+// directly when the executing chunk is not journaled or is a leaf: a
+// leaf's replay may branch differently from its crashed attempt, so a
+// positional log could hand one site's address to another, and each
+// crashed leaf attempt leaks its own allocations instead.
 func (w *Worker) JournalAlloc(alloc func() uint64) uint64 {
-	if w.att.rec != nil && w.att.loads.logged() {
+	if w.att.logs && w.att.loads.logged() {
 		return w.JournalWord(0)
 	}
 	return w.JournalWord(alloc())

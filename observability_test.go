@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"privagic/internal/sources"
 )
 
 // TestObservabilityFacade exercises the public observability surface end
@@ -105,5 +107,44 @@ func TestObservabilityDisabledIsInert(t *testing.T) {
 	}
 	if err := inst.WriteChromeTrace(&bytes.Buffer{}); err == nil {
 		t.Error("WriteChromeTrace must error with no tracer armed")
+	}
+}
+
+// TestJournalUnloggedGauge: prt.journal.unlogged counts the journaled
+// spawns of leaf chunks. The memcached core's batch spawns only its leaf
+// store chunk, so the gauge equals prt.journal.spawns; the two-color
+// hashmap's spawned chunks all exchange conts, so it reads 0.
+func TestJournalUnloggedGauge(t *testing.T) {
+	cases := []struct {
+		name, src string
+		mode      Mode
+		all       bool
+	}{
+		{"memcached", sources.MemcachedCoreColored, Hardened, true},
+		{"hashmap2", sources.HashmapColored2, Relaxed, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			prog, err := Compile(c.name+".c", c.src, Options{Mode: c.mode, Entries: []string{"run_ycsb"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst := prog.Instantiate(nil)
+			defer inst.Close()
+			inst.EnableRecovery(RecoveryOptions{MaxAttempts: 1})
+			inst.EnableObservability(ObservabilityOptions{Metrics: true})
+			if _, err := inst.Call("run_ycsb"); err != nil {
+				t.Fatal(err)
+			}
+			snap := inst.MetricsSnapshot()
+			spawns, unlogged := snap["prt.journal.spawns"], snap["prt.journal.unlogged"]
+			want := int64(0)
+			if c.all {
+				want = spawns
+			}
+			if spawns == 0 || unlogged != want {
+				t.Errorf("prt.journal.unlogged = %d of %d journaled spawns, want %d", unlogged, spawns, want)
+			}
+		})
 	}
 }
