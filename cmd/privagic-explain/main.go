@@ -50,7 +50,7 @@ func run() int {
 	runtimeAudit := flag.Bool("audit", false, "run the entries under the full boundary defense and report per-load classification")
 	metrics := flag.Bool("metrics", false, "run the entries with the metrics registry armed and print the snapshot (see OBSERVABILITY.md)")
 	crossings := flag.Bool("crossings", false, "print the static crossing-cost report per entry (every spawn/cont/barrier edge weighted by loop depth and trip count); with -entries, also run each entry under the tracer and print the measured crossings/op next to the prediction")
-	optimize := flag.Bool("optimize", false, "apply the crossing optimizer (fuse/coalesce/merge) before reporting; implies strict re-validation of the rewritten plan")
+	optimize := flag.Bool("optimize", false, "apply the crossing optimizer's four rewrites (fuse/coalesce/merge/sink) before reporting; implies strict re-validation of the rewritten plan")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: privagic-explain [flags] file.c")

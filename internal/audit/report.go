@@ -177,6 +177,11 @@ func (r *reporter) scanChunk(pf *partition.PartFunc, ch *partition.Chunk) {
 	})
 }
 
+// sunkJustification covers a cont the crossing optimizer sank out of a
+// search loop: it carries the loop's exit iteration, a function of the
+// per-iteration values the reference plan released.
+const sunkJustification = "loop-exit iteration of a sunk search-loop cont, once per loop activation (§7.3.2)"
+
 func sharedJustification(m typing.Mode) string {
 	if m == typing.Hardened {
 		return "explicit U access from enclave code (§5, hardened)"
@@ -207,6 +212,8 @@ func (r *reporter) scanCall(pf *partition.PartFunc, ch *partition.Chunk, call *i
 		kind, just := "cont-send", "cont message of the call plan (§7.3.2)"
 		if barrierTag[int(tag)] {
 			kind, just = "barrier-send", "visible-effect synchronization barrier (§7.3.3)"
+		} else if pf.Sunk[int(tag)] != nil {
+			just = sunkJustification
 		}
 		r.add(Crossing{Pos: pos, Fn: key, Chunk: name, Kind: kind,
 			Detail:        fmt.Sprintf("tag %d to chunk of color %s through the untrusted queue", tag, r.prog.ColorAt(int(dst))),
@@ -216,6 +223,8 @@ func (r *reporter) scanCall(pf *partition.PartFunc, ch *partition.Chunk, call *i
 		kind, just := "cont-wait", "cont message of the call plan (§7.3.2)"
 		if barrierTag[int(tag)] {
 			kind, just = "barrier-wait", "visible-effect synchronization barrier (§7.3.3)"
+		} else if pf.Sunk[int(tag)] != nil {
+			just = sunkJustification
 		}
 		r.add(Crossing{Pos: pos, Fn: key, Chunk: name, Kind: kind,
 			Detail:        fmt.Sprintf("tag %d from the untrusted queue", tag),

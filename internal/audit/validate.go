@@ -85,6 +85,7 @@ func (v *validator) validate() {
 			v.checkChunk(ch)
 		}
 		v.checkMessagePlan(pf)
+		v.checkSunk(pf)
 	}
 }
 
@@ -895,6 +896,15 @@ func sortedRecs(m map[sendRec][]ir.Pos) []sendRec {
 // annotation that colored the producing computation.
 func (v *validator) tagTrace(pf *partition.PartFunc, tag int, sink string) *Trace {
 	spec := pf.Spec
+	if sc := pf.Sunk[tag]; sc != nil {
+		for oi, tr := range v.prog.Transports(pf) {
+			if tr.Tag == sc.From {
+				return v.specTrace(spec, oi, spec.InstrColor[oi], sink,
+					fmt.Sprintf("the search loop of %s compares this value, produced in enclave %s; tag %d carries the iteration at which that compare left the loop (0 if it never did) to chunks %v once per loop activation, in place of the per-iteration value (tag %d)",
+						sc.Producer.Name(), spec.InstrColor[oi], tag, sc.Consumers, sc.From))
+			}
+		}
+	}
 	for oi, tr := range v.prog.Transports(pf) {
 		if tr.Tag != tag {
 			continue

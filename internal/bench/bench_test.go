@@ -189,8 +189,8 @@ func TestCrossOptGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireGates(t, rep.Gates())
-	if rep.Fused < 1 || rep.Coalesced < 1 || rep.Merged < 1 {
-		t.Errorf("expected all three rewrites to fire, got fused=%d coalesced=%d merged=%d",
-			rep.Fused, rep.Coalesced, rep.Merged)
+	if rep.Fused < 1 || rep.Coalesced < 1 || rep.Merged < 1 || rep.Sunk < 1 {
+		t.Errorf("expected all four rewrites to fire, got fused=%d coalesced=%d merged=%d sunk=%d",
+			rep.Fused, rep.Coalesced, rep.Merged, rep.Sunk)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // twice — reference pipeline vs. OptimizeCrossings — runs both on the
 // simulated SGX machine, and reports the measured crossings/op beside
 // the analyzer's static prediction. The workload is built so each of
-// the optimizer's three rewrites has exactly one firing opportunity per
+// the optimizer's four rewrites has exactly one firing opportunity per
 // iteration:
 //
 //   - step's red chunk feeds three straight-line cont transports to its
@@ -19,7 +19,10 @@ import (
 //   - step writes two U globals from the enclave, producing two
 //     adjacent visible-effect barriers (merged into one),
 //   - enc_update spawns the message-free U chunk note every iteration
-//     (fused into a direct call, killing the spawn/done pair).
+//     (fused into a direct call, killing the spawn/done pair),
+//   - probe walks a four-node chain whose red keys it reveals node by
+//     node, and its U copy walks along (the per-node cont is sunk into
+//     one cont per walk).
 //
 // The two runs must agree exactly — any divergence is a correctness bug
 // in the optimizer and fails the experiment rather than skewing it.
@@ -37,6 +40,10 @@ long acc[8];
 long acc2[8];
 long audit_count;
 
+struct node { long color(red) key; struct node* next; };
+struct node* chain;
+long probe_hits;
+
 void note(long v) { audit_count = audit_count + v; }
 
 void enc_update(long i) {
@@ -53,14 +60,31 @@ void step(long i) {
     acc2[i & 7] = t + 1;
 }
 
+void push(long k) {
+    struct node* n = malloc(sizeof(struct node));
+    n->key = k;
+    n->next = chain;
+    chain = n;
+}
+
+void probe(long k) {
+    struct node* n = chain;
+    while (n != 0) {
+        if (reveal(n->key == k)) { probe_hits = probe_hits + 1; return; }
+        n = n->next;
+    }
+}
+
 entry long run_loop() {
+    for (long k = 0; k < 4; k++) { push(k); }
     long sum = 0;
     for (long i = 0; i < %d; i++) {
         step(i);
         enc_update(i);
+        probe(i & 7);
         sum = sum + 1;
     }
-    return sum + audit_count;
+    return sum + audit_count + probe_hits;
 }
 `
 
@@ -81,6 +105,7 @@ type CrossOptReport struct {
 	Fused     int
 	Coalesced int
 	Merged    int
+	Sunk      int
 	Rejected  int
 
 	// Static predictions (crossings/op) from the analyzer over each plan.
@@ -132,6 +157,7 @@ func CrossOpt(cfg CrossOptConfig) (*CrossOptReport, error) {
 		rep.Fused = len(o.Fused)
 		rep.Coalesced = len(o.Coalesced)
 		rep.Merged = len(o.Merged)
+		rep.Sunk = len(o.Sunk)
 		rep.Rejected = len(o.Rejected)
 	}
 	if r := ref.CrossingReports(nil)["run_loop"]; r != nil {
@@ -186,8 +212,8 @@ func (r *CrossOptReport) Gates() []Gate {
 func (r *CrossOptReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "crossing optimizer — loop-heavy workload (%d iterations)\n", r.Config.Iters)
-	fmt.Fprintf(&b, "  rewrites: %d spawn sites fused, %d transport groups coalesced, %d barriers merged (%d candidates rejected)\n",
-		r.Fused, r.Coalesced, r.Merged, r.Rejected)
+	fmt.Fprintf(&b, "  rewrites: %d spawn sites fused, %d transport groups coalesced, %d barriers merged, %d loop conts sunk (%d candidates rejected)\n",
+		r.Fused, r.Coalesced, r.Merged, r.Sunk, r.Rejected)
 	fmt.Fprintf(&b, "  %-28s %12s %12s\n", "", "reference", "optimized")
 	fmt.Fprintf(&b, "  %-28s %12.3f %12.3f\n", "static crossings/op", r.StaticRefPerOp, r.StaticOptPerOp)
 	fmt.Fprintf(&b, "  %-28s %12.3f %12.3f\n", "measured crossings/op", r.RefPerOp, r.OptPerOp)

@@ -163,12 +163,22 @@ func TestSoakIagoFigure6(t *testing.T) {
 // targets, and whose hit count a single silently corrupted word would
 // flip.
 func TestSoakIagoTwoColorHashmap(t *testing.T) {
-	prog, err := privagic.Compile("hashmap2.c", sources.HashmapColored2, privagic.Options{
-		Mode: privagic.Relaxed, Entries: []string{"run_ycsb"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	soakIagoTwoColor(t, compileTwoColor(t, false, privagic.EngineCompiled), faults.SoakCount(faults.Schedules().IagoTwoColor, testing.Short()))
+}
+
+// TestSoakIagoTwoColorHashmapOptimized runs the same sweep over the
+// hashmap compiled with the crossing optimizer on, as the benchmark
+// compiles it: its consumers now walk their chains after the producer's
+// walk, so a flipped U word may be read at a different moment than in
+// lockstep, and the answer must still be exact or a typed error.
+func TestSoakIagoTwoColorHashmapOptimized(t *testing.T) {
+	soakIagoTwoColor(t, compileTwoColor(t, true, privagic.EngineCompiled), faults.SoakCount(faults.Schedules().IagoTwoColorOptimized, testing.Short()))
+}
+
+// soakIagoTwoColor sweeps one build of the hashmap through n mutator
+// schedules.
+func soakIagoTwoColor(t *testing.T, prog *privagic.Program, n int) {
+	t.Helper()
 	clean := prog.Instantiate(nil)
 	want, err := clean.Call("run_ycsb")
 	clean.Close()
@@ -178,7 +188,6 @@ func TestSoakIagoTwoColorHashmap(t *testing.T) {
 	if want <= 0 {
 		t.Fatalf("clean run returned %d hits; workload is degenerate", want)
 	}
-	n := faults.SoakCount(faults.Schedules().IagoTwoColor, testing.Short())
 	var out iagoOutcome
 	for seed := int64(1); seed <= int64(n); seed++ {
 		runIagoSchedule(t, prog, "run_ycsb", seed, func(ret int64, _ *privagic.Instance) string {

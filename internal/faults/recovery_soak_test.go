@@ -210,12 +210,42 @@ func TestSoakRecoveryFigure6(t *testing.T) {
 // workload whose enclave state a double-applied or lost replay effect
 // would silently corrupt — through crash schedules with recovery on.
 func TestSoakRecoveryTwoColorHashmap(t *testing.T) {
+	prog := compileTwoColor(t, false, privagic.EngineCompiled)
+	soakRecoveryTwoColor(t, prog, faults.SoakCount(faults.Schedules().RecoveryTwoColor, testing.Short()))
+}
+
+// TestSoakRecoveryTwoColorHashmapOptimized runs the same sweep over the
+// hashmap compiled as the benchmark compiles it, with the crossing
+// optimizer on: a crash may now land in a walk whose cont was sunk to
+// the loop's exit, and the replay must still end in the exact answer.
+func TestSoakRecoveryTwoColorHashmapOptimized(t *testing.T) {
+	prog := compileTwoColor(t, true, privagic.EngineCompiled)
+	soakRecoveryTwoColor(t, prog, faults.SoakCount(faults.Schedules().RecoveryTwoColorOptimized, testing.Short()))
+}
+
+// compileTwoColor compiles the two-color hashmap's run_ycsb in relaxed
+// mode on the given engine, with or without the crossing optimizer. The
+// optimized build must sink the search loops' conts, or its sweeps would
+// not cover the rewrite.
+func compileTwoColor(t *testing.T, optimize bool, engine privagic.Engine) *privagic.Program {
+	t.Helper()
 	prog, err := privagic.Compile("hashmap2.c", sources.HashmapColored2, privagic.Options{
 		Mode: privagic.Relaxed, Entries: []string{"run_ycsb"},
+		OptimizeCrossings: optimize, Engine: engine,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if optimize && len(prog.CrossingOpt.Sunk) == 0 {
+		t.Fatalf("the optimizer sank no loop cont (%s)", prog.CrossingOpt.Summary())
+	}
+	return prog
+}
+
+// soakRecoveryTwoColor sweeps one build of the hashmap through n crash
+// schedules; every run must return the clean run's hit count.
+func soakRecoveryTwoColor(t *testing.T, prog *privagic.Program, n int) {
+	t.Helper()
 	clean := prog.Instantiate(nil)
 	want, err := clean.Call("run_ycsb")
 	clean.Close()
@@ -225,7 +255,6 @@ func TestSoakRecoveryTwoColorHashmap(t *testing.T) {
 	if want <= 0 {
 		t.Fatalf("clean run returned %d hits; workload is degenerate", want)
 	}
-	n := faults.SoakCount(faults.Schedules().RecoveryTwoColor, testing.Short())
 	sweepRecovery(t, prog, privagic.BoundaryDefenseOptions{}, "run_ycsb", n, func(ret int64, _ *privagic.Instance) string {
 		if ret != want {
 			return "hit count diverged from the clean run"

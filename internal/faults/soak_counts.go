@@ -18,11 +18,16 @@ type SoakBudget struct {
 	RecoveryFigure6   int
 	RecoveryTwoColor  int
 	RecoveryMemcached int
+	// The optimized classes compile the two-color hashmap with the
+	// crossing optimizer on, as the benchmark does, so its rewrites run
+	// under each soak's oracle.
+	RecoveryTwoColorOptimized int
 
 	// Iago soak (iago_soak_test.go): the U-memory mutator adversary,
 	// hardened mode must return the exact answer or a typed violation.
-	IagoFigure6  int
-	IagoTwoColor int
+	IagoFigure6           int
+	IagoTwoColor          int
+	IagoTwoColorOptimized int
 
 	// Cluster soak (internal/cluster/chaos_soak_test.go): shard-level
 	// chaos (kill/hang/respawn mid-run) against the router, every Get
@@ -47,6 +52,9 @@ type SoakBudget struct {
 	// error with zero divergences.
 	DiffChaos int
 	DiffIago  int
+	// DiffOptimized runs each seed's crash schedule and mutator class
+	// over the optimized two-color hashmap.
+	DiffOptimized int
 }
 
 // Schedules returns the build's soak schedule counts.

@@ -15,8 +15,12 @@ var soakBudget = SoakBudget{
 	RecoveryTwoColor:  320,
 	RecoveryMemcached: 300,
 
+	RecoveryTwoColorOptimized: 320,
+
 	IagoFigure6:  700,
 	IagoTwoColor: 320,
+
+	IagoTwoColorOptimized: 320,
 
 	ClusterChaos:   520,
 	ClusterRelaxed: 130,
@@ -26,4 +30,6 @@ var soakBudget = SoakBudget{
 
 	DiffChaos: 360,
 	DiffIago:  200,
+
+	DiffOptimized: 200,
 }

@@ -17,8 +17,12 @@ var soakBudget = SoakBudget{
 	RecoveryTwoColor:  20,
 	RecoveryMemcached: 20,
 
+	RecoveryTwoColorOptimized: 20,
+
 	IagoFigure6:  60,
 	IagoTwoColor: 20,
+
+	IagoTwoColorOptimized: 20,
 
 	ClusterChaos:   32,
 	ClusterRelaxed: 12,
@@ -28,4 +32,6 @@ var soakBudget = SoakBudget{
 
 	DiffChaos: 40,
 	DiffIago:  24,
+
+	DiffOptimized: 24,
 }

@@ -74,6 +74,9 @@ type PartFunc struct {
 	// Interface is the entry-point wrapper executed in normal mode
 	// (§7.3.4), nil for internal functions.
 	Interface *InterfaceFn
+	// Sunk records the conts the crossing optimizer sank out of
+	// replicated search loops, keyed by the sunk cont's tag.
+	Sunk map[int]*SunkCont
 
 	// transports caches the cross-chunk value transport analysis.
 	transports map[ir.Instr]*Transport
@@ -114,6 +117,22 @@ type CallPlan struct {
 	ResultFromJoin bool
 	// Tag matches the owner's result sends with the waiters' waits.
 	Tag int
+}
+
+// SunkCont is the provenance of a cont that the crossing optimizer sank
+// out of a replicated search loop. The producer no longer sends the
+// per-iteration value of transport From. Once per loop activation that
+// reaches the old send site, it sends one cont with tag Tag, carrying the
+// 1-based iteration at which the loop's replicated exit compare fired, or
+// 0 when the loop left another way. Each consumer receives it at its old
+// wait site, at the first iteration, and runs the rest of its loop
+// without waiting.
+type SunkCont struct {
+	Tag       int
+	From      int
+	Producer  *Chunk
+	Header    *ir.Block // the producer's loop header
+	Consumers []ir.Color
 }
 
 // SplitStruct records a multi-color structure rewritten with an indirection

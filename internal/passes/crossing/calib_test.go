@@ -137,3 +137,73 @@ func TestOptimizerDifferential(t *testing.T) {
 		})
 	}
 }
+
+// kvSrc is the Fig 10 hashmap with a one-op entry, the shape the
+// benchmark drives: kind 1 reads a key, anything else writes it.
+const kvSrc = sources.HashmapColored2 + `
+entry long kv_op(long kind, long key) {
+	char color(blue) buf[64];
+	if (kind == 1) { return map_get(key); }
+	map_put(key, buf);
+	return 1;
+}
+`
+
+// TestSunkEdgesPricedPerActivation checks the analyzer's pricing of sunk
+// conts against the tracer: once per loop activation, not per node. The
+// map is loaded first, so every measured get and put finds its key, its
+// walk enters the loop, and each consumer receives exactly one cont per
+// activation — the static 0.5 per op (a get or a put, each half the
+// time) — however long the chain it walked.
+func TestSunkEdgesPricedPerActivation(t *testing.T) {
+	prog, err := privagic.Compile("kv.c", kvSrc, privagic.Options{
+		Mode: privagic.Relaxed, Entries: []string{"kv_op"}, OptimizeCrossings: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := prog.CrossingReports(nil)["kv_op"]
+	inst := prog.Instantiate(nil)
+	defer inst.Close()
+	inst.EnableObservability(privagic.ObservabilityOptions{Trace: true, TraceBuffer: 1 << 14})
+	const keys, ops = 40, 400
+	call := func(kind, key int64) {
+		t.Helper()
+		if _, err := inst.Call("kv_op", kind, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sendsByKey := func() map[crossing.EdgeKey]float64 {
+		var sends []crossing.TraceSend
+		for _, ev := range inst.TraceEvents() {
+			if ev.Kind == obs.EvSend {
+				sends = append(sends, crossing.TraceSend{Chunk: int(ev.Chunk), Tag: int(ev.Tag), Dst: int(ev.Worker)})
+			}
+		}
+		return crossing.MeasuredEdges(sends, 1)
+	}
+	for k := int64(0); k < keys; k++ {
+		call(2, k)
+	}
+	before := sendsByKey()
+	for i := int64(0); i < ops; i++ {
+		call(1+i%2, (i*7)%keys)
+	}
+	after := sendsByKey()
+	sunk := 0
+	for _, e := range rep.Edges {
+		if e.Kind != crossing.KindSunk {
+			continue
+		}
+		sunk++
+		k := crossing.EdgeKey{Kind: crossing.KindCont, Tag: e.Tag, DstChunk: e.DstChunk}
+		measured := (after[k] - before[k]) / ops
+		t.Logf("%s -> %s tag %d: static %.3f, measured %.3f per op", e.From, e.To, e.Tag, e.PerOp, measured)
+		if d := e.PerOp - measured; d > 0.005 || d < -0.005 {
+			t.Errorf("sunk edge %s -> %s (tag %d): static %.3f/op, measured %.3f/op", e.From, e.To, e.Tag, e.PerOp, measured)
+		}
+	}
+	if sunk != 3 {
+		t.Fatalf("report has %d sunk edges, want 3 (map_get to blue, map_put to U and blue)", sunk)
+	}
+}

@@ -11,10 +11,7 @@ import (
 // an illegal fusion the optimizer would reject must also be caught when
 // something else (a bug, a hand-edited plan) applies it anyway.
 func ForceFuse(pp *partition.Program, chunkName string) bool {
-	o := &optimizer{pp: pp, res: &OptResult{}, fnChunk: map[*ir.Function]*partition.Chunk{}}
-	for _, ch := range pp.ChunkByID {
-		o.fnChunk[ch.Fn] = ch
-	}
+	o := newOptimizer(pp)
 	for _, tc := range pp.ChunkByID {
 		if tc.Name() != chunkName {
 			continue
@@ -76,6 +73,22 @@ func ForceCoalesceProducer(pp *partition.Program, prodName string, tags []int) b
 			for i := len(sites) - 2; i >= 0; i-- {
 				b.Splice(sites[i].idx)
 			}
+			return true
+		}
+	}
+	return false
+}
+
+// ForceSink sinks the transport with the given tag while skipping the
+// loop-body legality checks of both sides (sinkBlocker). The
+// negative-corpus tests use it to prove the audit validator re-derives
+// the consumer-side rule: a sink the optimizer would reject must also be
+// caught when something else applies it anyway.
+func ForceSink(pp *partition.Program, tag int) bool {
+	o := newOptimizer(pp)
+	for _, pf := range pp.Funcs {
+		if sk, _, _ := o.matchSink(pf, tag); sk != nil {
+			o.applySink(pf, sk)
 			return true
 		}
 	}

@@ -34,6 +34,9 @@ func DefaultEstimator() Estimator {
 type Freq struct {
 	Block map[*ir.Block]float64
 	Loops *LoopInfo
+	// Activations is each loop's entry count: the mass reaching its
+	// header from outside the loop.
+	Activations map[*Loop]float64
 }
 
 // EstimateFreq propagates execution frequency from the entry block over
@@ -43,7 +46,7 @@ type Freq struct {
 // other two-way branches split by BranchProb.
 func EstimateFreq(fn *ir.Function, est Estimator) *Freq {
 	li := AnalyzeLoops(fn)
-	fr := &Freq{Block: map[*ir.Block]float64{}, Loops: li}
+	fr := &Freq{Block: map[*ir.Block]float64{}, Loops: li, Activations: map[*Loop]float64{}}
 	if len(fn.Blocks) == 0 {
 		return fr
 	}
@@ -65,6 +68,7 @@ func EstimateFreq(fn *ir.Function, est Estimator) *Freq {
 		}
 		entryMass := f
 		if l := li.ByHeader[b]; l != nil {
+			fr.Activations[l] = entryMass
 			f *= trip(l, est)
 		}
 		fr.Block[b] = f

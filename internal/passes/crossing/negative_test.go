@@ -8,12 +8,16 @@ package crossing_test
 // the partition invariants; it never trusts the optimizer's verdict).
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"privagic"
 	"privagic/internal/audit"
+	"privagic/internal/ir"
+	"privagic/internal/partition"
 	"privagic/internal/passes/crossing"
+	"privagic/internal/sources"
 )
 
 // fuseAcrossDeclassify spawns an unsafe chunk whose body performs a
@@ -221,5 +225,163 @@ func TestNegativeCoalesceAcrossStore(t *testing.T) {
 	res := audit.Run(pp)
 	if res.Err() == nil {
 		t.Fatal("audit passed a one-sided coalesce; the message-plan cross-check must flag the orphaned waits")
+	}
+}
+
+// sinkAcrossStore walks a revealed search loop whose blue copy counts
+// its steps in blue memory. Sinking the per-node cont would run those
+// stores after red's whole walk, so the consumer side must refuse it.
+const sinkAcrossStore = `
+ignore long reveal(long color(red) v);
+struct node { long color(red) key; struct node* next; };
+struct node* head;
+long color(blue) steps;
+
+long find(long k) {
+    struct node* n = head;
+    while (n != 0) {
+        steps = steps + 1;
+        if (reveal(n->key == k)) { return 1; }
+        n = n->next;
+    }
+    return 0;
+}
+void push(long k) {
+    struct node* n = malloc(sizeof(struct node));
+    n->key = k;
+    n->next = head;
+    head = n;
+}
+entry long run() {
+    for (long i = 0; i < 8; i++) { push(i * 3); }
+    long hits = 0;
+    for (long i = 0; i < 16; i++) { hits = hits + find(i); }
+    return hits;
+}
+`
+
+// sinkSummedValue sums the revealed compare into a local, so the value
+// is needed on every iteration, not only by the loop's exit test.
+const sinkSummedValue = `
+ignore long reveal(long color(red) v);
+ignore long reveal_val(long color(blue) v);
+struct node { long color(red) key; long color(blue) val; struct node* next; };
+struct node* head;
+
+long find(long k) {
+    struct node* n = head;
+    long seen = 0;
+    while (n != 0) {
+        long hit = reveal(n->key == k);
+        seen = seen + hit;
+        if (hit) { return seen + reveal_val(n->val); }
+        n = n->next;
+    }
+    return seen;
+}
+void push(long k) {
+    struct node* n = malloc(sizeof(struct node));
+    n->key = k;
+    n->val = k + 1;
+    n->next = head;
+    head = n;
+}
+entry long run() {
+    for (long i = 0; i < 8; i++) { push(i * 3); }
+    long hits = 0;
+    for (long i = 0; i < 16; i++) { hits = hits + find(i); }
+    return hits;
+}
+`
+
+// loopTag returns the one transport tag of the partitioned function
+// whose key starts with fn.
+func loopTag(t *testing.T, pp *partition.Program, fn string) int {
+	t.Helper()
+	for _, pf := range pp.Funcs {
+		if !strings.HasPrefix(pf.Spec.Key, fn) {
+			continue
+		}
+		for _, tr := range pp.Transports(pf) {
+			return tr.Tag
+		}
+	}
+	t.Fatalf("no transport in %s", fn)
+	return 0
+}
+
+func TestNegativeSinkAcrossConsumerStore(t *testing.T) {
+	// Layer 1: the optimizer refuses, naming the consumer's store.
+	prog := compileNegative(t, "sinkstore", sinkAcrossStore, true)
+	if rej := findRejection(prog.CrossingOpt, "sink", "consumer loop stores through @steps"); rej == nil {
+		t.Fatalf("optimizer did not reject the sink across a consumer store; rejections: %+v", prog.CrossingOpt.Rejected)
+	}
+	if len(prog.CrossingOpt.Sunk) != 0 {
+		t.Fatalf("optimizer sank %+v despite the consumer's store", prog.CrossingOpt.Sunk)
+	}
+
+	// Layer 2: force the same sink; the audit must catch it on its own.
+	fresh := compileNegative(t, "sinkstore", sinkAcrossStore, false)
+	pp := fresh.Partitioned
+	if !crossing.ForceSink(pp, loopTag(t, pp, "find")) {
+		t.Fatal("ForceSink did not sink the find loop's cont")
+	}
+	res := audit.Run(pp)
+	if res.Err() == nil {
+		t.Fatal("audit passed a forced sink across a consumer store; the validator must re-derive the rule")
+	}
+	if !strings.Contains(res.Err().Error(), "its loop stores through @steps") {
+		t.Errorf("audit rejected the forced sink for an unexpected reason:\n%v", res.Err())
+	}
+}
+
+func TestNegativeSinkSummedValue(t *testing.T) {
+	prog := compileNegative(t, "sinksum", sinkSummedValue, true)
+	if rej := findRejection(prog.CrossingOpt, "sink", "is used outside the loop's exit compare"); rej == nil {
+		t.Fatalf("optimizer did not reject the sink of a summed value; rejections: %+v", prog.CrossingOpt.Rejected)
+	}
+	if len(prog.CrossingOpt.Sunk) != 0 {
+		t.Fatalf("optimizer sank %+v although the value is summed", prog.CrossingOpt.Sunk)
+	}
+}
+
+func TestNegativeSinkTwoWaitSites(t *testing.T) {
+	// The partitioner emits one wait per transport, so the shape is made
+	// by hand: map_get's blue copy receives the tag a second time in the
+	// loop, and red sends it a second time.
+	prog, err := privagic.Compile("hashmap2.c", sources.HashmapColored2, privagic.Options{
+		Mode: privagic.Relaxed, Entries: []string{"run_ycsb"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp := prog.Partitioned
+	tag := loopTag(t, pp, "map_get")
+	dup := func(name, intr string) {
+		for _, ch := range pp.ChunkByID {
+			if ch.Name() != name {
+				continue
+			}
+			for _, b := range ch.Fn.Blocks {
+				for i, in := range b.Instrs {
+					if c, ok := in.(*ir.Call); ok && c.Callee.(*ir.Function).FName == intr {
+						b.Splice(i, c, ir.NewCallInstr(ch.Fn, c.Callee, c.Args...))
+						return
+					}
+				}
+			}
+		}
+		t.Fatalf("no %s in %s", intr, name)
+	}
+	dup("map_get(F).red", partition.IntrSend)
+	dup("map_get(F).blue", partition.IntrWait)
+	res := crossing.Optimize(pp)
+	if rej := findRejection(res, "sink", fmt.Sprintf("consumer waits for tag %d at 2 sites", tag)); rej == nil {
+		t.Fatalf("optimizer did not reject a sink with two wait sites; rejections: %+v", res.Rejected)
+	}
+	for _, s := range res.Sunk {
+		if s.Tag == tag {
+			t.Fatalf("optimizer sank tag %d despite its two wait sites", tag)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"privagic/internal/typing"
 )
 
-// The partition optimizer: three crossing-report-guided rewrites over
+// The partition optimizer: four crossing-report-guided rewrites over
 // built chunk bodies, each with a self-contained legality check and each
 // re-proved independently by internal/audit strict validation after the
 // pass runs (the caller re-runs the auditor; see privagic.Compile).
@@ -31,22 +31,25 @@ import (
 //     interval's token/ack round trips disappear, and with them the
 //     boundary snapshot refresh between the two effects, which the
 //     purity check proves no sibling could have observed.
+//  4. Sinking (sink.go): a cont sent once per iteration of a replicated
+//     search loop, deciding only the loop's exit, is sent once when the
+//     producer's loop exits; each consumer receives it on its first
+//     iteration and walks the rest of its pure loop without waiting.
 
 // OptResult records what the optimizer did (and refused to do).
 type OptResult struct {
 	Fused     []FusedChunk
 	Coalesced []CoalescedGroup
 	Merged    []MergedBarrier
+	Sunk      []SunkLoop
 	Rejected  []Rejection
 }
 
-// Crossings returns the predicted number of messages per relevant
-// execution saved by the recorded rewrites (2 per fused activation, one
-// per extra coalesced tag per consumer, 2 per merged barrier per
-// sibling); it is the static side of the crossopt experiment.
+// Summary renders what the optimizer did in one line: the rewrites it
+// applied and how many candidates its legality checks refused.
 func (r *OptResult) Summary() string {
-	return fmt.Sprintf("fused %d spawn sites, coalesced %d transport groups, merged %d barriers (%d candidates rejected)",
-		len(r.Fused), len(r.Coalesced), len(r.Merged), len(r.Rejected))
+	return fmt.Sprintf("fused %d spawn sites, coalesced %d transport groups, merged %d barriers, sank %d loop conts (%d candidates rejected)",
+		len(r.Fused), len(r.Coalesced), len(r.Merged), len(r.Sunk), len(r.Rejected))
 }
 
 // FusedChunk is one fused spawn site.
@@ -81,18 +84,16 @@ type Rejection struct {
 	Reason string
 }
 
-// Optimize applies the three rewrites to pp in place. The caller must
+// Optimize applies the four rewrites to pp in place. The caller must
 // re-run strict audit validation afterwards; Optimize itself only
 // guarantees its own legality checks.
 func Optimize(pp *partition.Program) *OptResult {
-	o := &optimizer{pp: pp, res: &OptResult{}, fnChunk: map[*ir.Function]*partition.Chunk{}}
-	for _, ch := range pp.ChunkByID {
-		o.fnChunk[ch.Fn] = ch
-	}
+	o := newOptimizer(pp)
 	if pp.Mode != typing.Hardened {
 		o.fusePass()
 		o.coalescePass()
 		o.barrierPass()
+		o.sinkPass()
 	}
 	return o.res
 }
@@ -101,6 +102,14 @@ type optimizer struct {
 	pp      *partition.Program
 	res     *OptResult
 	fnChunk map[*ir.Function]*partition.Chunk
+}
+
+func newOptimizer(pp *partition.Program) *optimizer {
+	o := &optimizer{pp: pp, res: &OptResult{}, fnChunk: map[*ir.Function]*partition.Chunk{}}
+	for _, ch := range pp.ChunkByID {
+		o.fnChunk[ch.Fn] = ch
+	}
+	return o
 }
 
 func (o *optimizer) reject(kind, where, reason string) {
@@ -218,18 +227,15 @@ func FuseBlocker(pp *partition.Program, tc *partition.Chunk) string {
 				blocked = "body contains an indirect call"
 				return
 			}
-			switch fn.FName {
-			case partition.IntrSpawn, partition.IntrSend, partition.IntrSendV,
-				partition.IntrWait, partition.IntrWaitV, partition.IntrJoin, partition.IntrElem:
+			switch {
+			case isMessage(fn.FName):
 				blocked = fmt.Sprintf("body exchanges messages (%s)", fn.FName)
-			case "classify", "declassify", "classify_key":
+			case fn.FName == "classify" || fn.FName == "declassify" || fn.FName == "classify_key":
 				blocked = fmt.Sprintf("body contains a sanctioned boundary copy (@%s); declassification sites stay pinned to their own worker", fn.FName)
-			case "thread_create", "thread_join":
+			case fn.FName == "thread_create" || fn.FName == "thread_join":
 				blocked = fmt.Sprintf("body calls @%s; a thread's children belong to the worker that created them, so thread sites stay pinned to their own worker", fn.FName)
-			default:
-				if fnChunk[fn] {
-					blocked = fmt.Sprintf("body calls another chunk (%s)", fn.FName)
-				}
+			case fnChunk[fn]:
+				blocked = fmt.Sprintf("body calls another chunk (%s)", fn.FName)
 			}
 		case *ir.Malloc:
 			if st, ok := v.Elem.(*ir.StructType); ok && pp.Splits[st.Name] != nil {
@@ -761,9 +767,9 @@ func sibPair(sib *partition.Chunk, tag int) *interval {
 
 // pureRange reports whether every instruction in [from, to) of b is pure
 // scalar: no memory traffic, no messages, no calls that could observe or
-// advance the boundary protocol. This is the dataflow fact all three
-// rewrites lean on — between the merged points, no sibling-visible state
-// changes and no U def-use chain is crossed.
+// advance the boundary protocol. This is the dataflow fact coalescing
+// and merging lean on — between the merged points, no sibling-visible
+// state changes and no U def-use chain is crossed.
 func (o *optimizer) pureRange(b *ir.Block, from, to int) bool {
 	for i := from; i < to && i < len(b.Instrs); i++ {
 		if !o.pureInstr(b.Instrs[i]) {
@@ -786,12 +792,7 @@ func (o *optimizer) pureInstr(in ir.Instr) bool {
 		return ok && pt.Color.IsEnclave()
 	case *ir.Call:
 		fn, direct := v.Callee.(*ir.Function)
-		if !direct || !fn.External || o.fnChunk[fn] != nil {
-			return false
-		}
-		switch fn.FName {
-		case partition.IntrSpawn, partition.IntrSend, partition.IntrSendV,
-			partition.IntrWait, partition.IntrWaitV, partition.IntrJoin, partition.IntrElem:
+		if !direct || !fn.External || o.fnChunk[fn] != nil || isMessage(fn.FName) {
 			return false
 		}
 		// Scalar-only externals (reveal and friends): no pointers in,
@@ -808,6 +809,17 @@ func (o *optimizer) pureInstr(in ir.Instr) bool {
 	default:
 		return false
 	}
+}
+
+// isMessage reports whether name is a runtime intrinsic that exchanges
+// a message.
+func isMessage(name string) bool {
+	switch name {
+	case partition.IntrSpawn, partition.IntrSend, partition.IntrSendV,
+		partition.IntrWait, partition.IntrWaitV, partition.IntrJoin, partition.IntrElem:
+		return true
+	}
+	return false
 }
 
 func isIntr(c *ir.Call, name string) bool {

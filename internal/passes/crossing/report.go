@@ -17,7 +17,8 @@ type EdgeKind string
 // transport; Waiter is the owner's result distribution to waiter chunks;
 // Barrier covers both the token and ack legs of a visible-effect barrier;
 // Split is the out-of-line allocation traffic of a split struct; ContVec
-// is a vectored transport emitted by the optimizer.
+// is a vectored transport emitted by the optimizer; Sunk is a cont the
+// optimizer sank out of a search loop, sent once per loop activation.
 const (
 	KindSpawn   EdgeKind = "spawn"
 	KindDone    EdgeKind = "done"
@@ -26,6 +27,7 @@ const (
 	KindWaiter  EdgeKind = "waiter"
 	KindBarrier EdgeKind = "barrier"
 	KindSplit   EdgeKind = "split"
+	KindSunk    EdgeKind = "sunk"
 )
 
 // EdgeKey identifies one static crossing edge: messages of one kind
@@ -81,6 +83,7 @@ type Analyzer struct {
 
 	fnChunk map[*ir.Function]*partition.Chunk
 	tagKind map[int]EdgeKind
+	sunk    map[int]*partition.SunkCont
 	memo    map[*partition.Chunk]map[EdgeKey]float64
 	onStack map[*partition.Chunk]bool
 	cut     bool
@@ -95,6 +98,7 @@ func NewAnalyzer(pp *partition.Program, est Estimator, model sgx.CostModel) *Ana
 		model:   model,
 		fnChunk: map[*ir.Function]*partition.Chunk{},
 		tagKind: map[int]EdgeKind{},
+		sunk:    map[int]*partition.SunkCont{},
 		memo:    map[*partition.Chunk]map[EdgeKey]float64{},
 		onStack: map[*partition.Chunk]bool{},
 	}
@@ -107,6 +111,10 @@ func NewAnalyzer(pp *partition.Program, est Estimator, model sgx.CostModel) *Ana
 		}
 		for _, tag := range pp.BarrierTags(pf) {
 			a.tagKind[tag] = KindBarrier
+		}
+		for tag, sc := range pf.Sunk {
+			a.tagKind[tag] = KindSunk
+			a.sunk[tag] = sc
 		}
 	}
 	for _, plan := range pp.Plans {
@@ -228,6 +236,20 @@ func (a *Analyzer) chunkEdges(ch *partition.Chunk) map[EdgeKey]float64 {
 			}
 		}
 	}
+	// A sunk cont leaves once per activation of its loop, whichever exit
+	// sends it.
+	for _, sc := range a.sunk {
+		if sc.Producer != ch {
+			continue
+		}
+		l := fr.Loops.ByHeader[sc.Header]
+		if l == nil {
+			continue
+		}
+		for _, c := range sc.Consumers {
+			acc[EdgeKey{From: ch.Name(), To: c.String(), Kind: KindSunk, Tag: sc.Tag, DstChunk: a.pp.ColorIndex(c), Depth: l.Depth - 1}] += fr.Activations[l]
+		}
+	}
 	a.memo[ch] = acc
 	return acc
 }
@@ -256,6 +278,9 @@ func (a *Analyzer) callEdges(acc map[EdgeKey]float64, ch *partition.Chunk, c *ir
 			return
 		}
 		kind := a.tagKind[int(tag)]
+		if kind == KindSunk {
+			return // priced per loop activation in chunkEdges
+		}
 		if kind == "" {
 			kind = KindCont
 		}

@@ -111,10 +111,12 @@ type Options struct {
 	// OptimizeCrossings runs the crossing-cost-guided partition
 	// optimizer after partitioning: message-free unsafe chunks fuse into
 	// their spawners, adjacent same-consumer conts coalesce into
-	// vectored messages, and adjacent barrier intervals merge. The
-	// optimized plan is always re-validated by the strict auditor —
-	// legality bugs in the optimizer become compile errors, never silent
-	// miscompiles — independent of the Audit level requested.
+	// vectored messages, adjacent barrier intervals merge, and the
+	// per-iteration cont of a revealed search loop sinks to the loop's
+	// exit. The optimized plan is always re-validated by the strict
+	// auditor — legality bugs in the optimizer become compile errors,
+	// never silent miscompiles — independent of the Audit level
+	// requested.
 	OptimizeCrossings bool
 }
 
